@@ -54,8 +54,6 @@ func main() {
 	id := flag.Int("id", 0, "this worker's index in [0, samplers)")
 	sampleThreads := flag.Int("sample-threads", 0, "sampling actor count (0 = default)")
 	publishThreads := flag.Int("publish-threads", 0, "publisher actor count (0 = default)")
-	batchMax := flag.Int("batch-max", 1, "publish up to this many records per broker AppendBatch (<=1 = unbatched appends)")
-	batchLinger := flag.Duration("batch-linger", 2*time.Millisecond, "max time a buffered publish batch waits before being flushed")
 	seed := flag.Int64("seed", 1, "sampling RNG seed")
 	commitEvery := flag.Duration("commit-every", 100*time.Millisecond, "how often poll positions are committed to the broker (the ingestion-lag signal)")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file (restored on start, written periodically)")
@@ -106,8 +104,6 @@ func main() {
 		Broker:         bus,
 		SampleThreads:  *sampleThreads,
 		PublishThreads: *publishThreads,
-		PublishBatch:   *batchMax,
-		PublishLinger:  *batchLinger,
 		TTL:            cfg.TTL,
 		Seed:           *seed,
 		CommitEvery:    *commitEvery,

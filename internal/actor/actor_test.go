@@ -1,6 +1,7 @@
 package actor
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -201,4 +202,190 @@ func BenchmarkPoolSend(b *testing.B) {
 			key++
 		}
 	})
+}
+
+// gate is a batch handler that parks its first run until released, so a
+// test can queue a known backlog behind it.
+type gate struct {
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func newGate() *gate {
+	return &gate{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gate) wait() {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+}
+
+func TestBatchPoolKeyOrderAcrossRuns(t *testing.T) {
+	// Per-key FIFO must hold inside a run and from one run to the next,
+	// with several producers filling the mailboxes while the actors drain.
+	const keys, perKey = 6, 3000
+	var mu sync.Mutex
+	got := map[int][]int{}
+	runs := 0
+	p := NewBatchPool("order", 3, 64, func(_ int, msgs [][2]int) {
+		mu.Lock()
+		runs++
+		for _, m := range msgs {
+			got[m[0]] = append(got[m[0]], m[1])
+		}
+		mu.Unlock()
+	})
+	var wg sync.WaitGroup
+	for k := 0; k < keys; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for i := 0; i < perKey; i++ {
+				p.Send(uint64(k), [2]int{k, i})
+			}
+		}(k)
+	}
+	wg.Wait()
+	p.Close()
+	for k := 0; k < keys; k++ {
+		if len(got[k]) != perKey {
+			t.Fatalf("key %d: %d messages, want %d", k, len(got[k]), perKey)
+		}
+		for i, v := range got[k] {
+			if v != i {
+				t.Fatalf("key %d out of order at %d: %d", k, i, v)
+			}
+		}
+	}
+	if p.Handled.Value() != keys*perKey {
+		t.Fatalf("handled = %d", p.Handled.Value())
+	}
+	if runs >= keys*perKey {
+		t.Fatalf("%d runs for %d messages: nothing was ever drained together", runs, keys*perKey)
+	}
+}
+
+func TestBatchPoolDrainCappedAndDepthExact(t *testing.T) {
+	// 2*MaxRun+10 messages wait behind a parked first run of one: the
+	// actor must take them as MaxRun, MaxRun, 10 — never more than the cap
+	// — and Depth must count a run until its handler returns.
+	const backlog = 2*MaxRun + 10
+	g := newGate()
+	var sizes []int
+	inHandler := make(chan int)
+	var p *Pool[int]
+	p = NewBatchPool("cap", 1, backlog, func(_ int, msgs []int) {
+		g.wait()
+		sizes = append(sizes, len(msgs))
+		if len(msgs) == MaxRun && len(sizes) == 2 {
+			inHandler <- p.Depth() // the mailbox holds MaxRun+10, this run MaxRun
+		}
+	})
+	p.Send(0, -1)
+	<-g.entered
+	for i := 0; i < backlog; i++ {
+		p.Send(0, i)
+	}
+	if d := p.Depth(); d != backlog+1 {
+		t.Fatalf("depth with the first run parked = %d, want %d", d, backlog+1)
+	}
+	close(g.release)
+	if d := <-inHandler; d != backlog {
+		t.Fatalf("depth inside the first full run's handler = %d, want %d", d, backlog)
+	}
+	p.Close()
+	if want := []int{1, MaxRun, MaxRun, 10}; !slices.Equal(sizes, want) {
+		t.Fatalf("run sizes %v, want %v", sizes, want)
+	}
+	if d := p.Depth(); d != 0 {
+		t.Fatalf("depth after close = %d", d)
+	}
+}
+
+func TestBatchPoolLoneMessageNotHeld(t *testing.T) {
+	// No linger: a single message is a run of one, handled with nothing
+	// else ever arriving.
+	got := make(chan []int, 1)
+	p := NewBatchPool("lone", 1, 8, func(_ int, msgs []int) {
+		got <- append([]int(nil), msgs...)
+	})
+	defer p.Close()
+	p.Send(0, 7)
+	select {
+	case run := <-got:
+		if len(run) != 1 || run[0] != 7 {
+			t.Fatalf("run = %v, want [7]", run)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a lone message was never handled: the actor is waiting for company")
+	}
+}
+
+func TestBatchPoolCloseDrains(t *testing.T) {
+	g := newGate()
+	var handled atomic.Int64
+	p := NewBatchPool("close", 1, 1024, func(_ int, msgs []int) {
+		g.wait()
+		handled.Add(int64(len(msgs)))
+	})
+	p.Send(0, 0)
+	<-g.entered
+	for i := 1; i < 700; i++ {
+		p.Send(0, i)
+	}
+	close(g.release)
+	p.Close() // returns only once every queued message has been handled
+	if handled.Load() != 700 {
+		t.Fatalf("handled %d of 700 before Close returned", handled.Load())
+	}
+}
+
+func TestPoolPanicSparesBatchmates(t *testing.T) {
+	// The per-message adapter recovers around each message, so a panic in
+	// the middle of a drained run loses that message alone.
+	g := newGate()
+	var seen []int
+	p := NewPool("spare", 1, 16, func(_ int, msg int) {
+		g.wait()
+		if msg == 3 {
+			panic("unlucky")
+		}
+		seen = append(seen, msg)
+	})
+	p.Send(0, 0)
+	<-g.entered
+	for i := 1; i <= 6; i++ {
+		p.Send(0, i) // one run: all six are queued before the gate opens
+	}
+	close(g.release)
+	p.Close()
+	if want := []int{0, 1, 2, 4, 5, 6}; !slices.Equal(seen, want) {
+		t.Fatalf("handled %v, want %v", seen, want)
+	}
+	if p.Panics.Value() != 1 || p.Handled.Value() != 6 {
+		t.Fatalf("panics %d handled %d, want 1 and 6", p.Panics.Value(), p.Handled.Value())
+	}
+}
+
+func TestBatchPoolPanicContained(t *testing.T) {
+	// A batch handler's panic costs that run; the actor survives it.
+	var handled atomic.Int64
+	p := NewBatchPool("panicky", 1, 4, func(_ int, msgs []int) {
+		if msgs[0] == 0 {
+			panic("first run")
+		}
+		handled.Add(int64(len(msgs)))
+	})
+	p.Send(0, 0)
+	for p.Panics.Value() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	p.Send(0, 1)
+	p.Close()
+	if handled.Load() != 1 || p.Handled.Value() != 1 {
+		t.Fatalf("handled %d / %d after a panicked run, want 1", handled.Load(), p.Handled.Value())
+	}
 }

@@ -75,12 +75,6 @@ type DB struct {
 	runs   []*run // newest first
 	nextID int
 
-	// frozen holds immutable memtables mid-flush (drained from the shards
-	// but not yet durable in a run), keeping every entry readable during a
-	// flush — the same role RocksDB's immutable memtable plays.
-	frozenMu sync.RWMutex
-	frozen   []map[string]entry
-
 	flushMu sync.Mutex // serializes flush/compact
 	closed  atomic.Bool
 
@@ -98,6 +92,12 @@ type DB struct {
 type shard struct {
 	mu sync.RWMutex
 	m  map[string]entry
+	// frozen is this shard's immutable memtable mid-flush: swapped out of m
+	// but not yet durable in a run — the role RocksDB's immutable memtable
+	// plays. It moves under mu together with m (freeze swaps both, a failed
+	// flush merges it back), so a reader holding mu never sees an entry in
+	// neither place.
+	frozen map[string]entry
 }
 
 type entry struct {
@@ -218,6 +218,9 @@ func (db *DB) Get(key []byte) (value []byte, ok bool, err error) {
 	s := db.shardFor(key)
 	s.mu.RLock()
 	e, hit := s.m[string(key)]
+	if !hit {
+		e, hit = s.frozen[string(key)]
+	}
 	s.mu.RUnlock()
 	if hit {
 		if e.tombstone {
@@ -227,19 +230,8 @@ func (db *DB) Get(key []byte) (value []byte, ok bool, err error) {
 		copy(out, e.value)
 		return out, true, nil
 	}
-	db.frozenMu.RLock()
-	for _, m := range db.frozen {
-		if e, ok := m[string(key)]; ok {
-			db.frozenMu.RUnlock()
-			if e.tombstone {
-				return nil, false, nil
-			}
-			out := make([]byte, len(e.value))
-			copy(out, e.value)
-			return out, true, nil
-		}
-	}
-	db.frozenMu.RUnlock()
+	// A miss above cannot be an entry in flight to a run: Flush publishes
+	// the run before it clears any shard's frozen map.
 	db.runMu.RLock()
 	runs := db.runs
 	db.runMu.RUnlock()
@@ -320,20 +312,17 @@ func (db *DB) Flush() error {
 		return ErrClosed
 	}
 
-	// Freeze: swap each shard's map into the frozen stage so entries stay
+	// Freeze: swap each shard's map into its frozen slot so entries stay
 	// readable while the run is written. Writes arriving afterwards land in
-	// the fresh shard maps, which shadow the frozen stage on reads.
-	var frozenMaps []map[string]entry
+	// the fresh shard maps, which shadow the frozen ones on reads.
 	var drained int64
 	var kvs []flushEntry
 	for i := range db.shards {
 		s := &db.shards[i]
 		s.mu.Lock()
 		if len(s.m) > 0 {
-			m := s.m
-			s.m = make(map[string]entry)
-			frozenMaps = append(frozenMaps, m)
-			for k, e := range m {
+			s.frozen, s.m = s.m, make(map[string]entry)
+			for k, e := range s.frozen {
 				kvs = append(kvs, flushEntry{key: k, entry: e})
 				drained += int64(len(k) + len(e.value) + entryOverhead)
 			}
@@ -343,9 +332,6 @@ func (db *DB) Flush() error {
 	if len(kvs) == 0 {
 		return nil
 	}
-	db.frozenMu.Lock()
-	db.frozen = frozenMaps
-	db.frozenMu.Unlock()
 	sort.Slice(kvs, func(i, j int) bool { return kvs[i].key < kvs[j].key })
 
 	db.runMu.Lock()
@@ -360,31 +346,27 @@ func (db *DB) Flush() error {
 		for i := range db.shards {
 			s := &db.shards[i]
 			s.mu.Lock()
-			for _, m := range frozenMaps {
-				for k, e := range m {
-					if db.shardFor([]byte(k)) != s {
-						continue
-					}
-					if _, exists := s.m[k]; !exists {
-						s.m[k] = e
-						drained -= int64(len(k) + len(e.value) + entryOverhead)
-					}
+			for k, e := range s.frozen {
+				if _, exists := s.m[k]; !exists {
+					s.m[k] = e
+					drained -= int64(len(k) + len(e.value) + entryOverhead)
 				}
 			}
+			s.frozen = nil
 			s.mu.Unlock()
 		}
-		db.frozenMu.Lock()
-		db.frozen = nil
-		db.frozenMu.Unlock()
 		db.mem.Add(-drained)
 		return err
 	}
 	db.runMu.Lock()
 	db.runs = append([]*run{r}, db.runs...)
 	db.runMu.Unlock()
-	db.frozenMu.Lock()
-	db.frozen = nil
-	db.frozenMu.Unlock()
+	for i := range db.shards {
+		s := &db.shards[i]
+		s.mu.Lock()
+		s.frozen = nil
+		s.mu.Unlock()
+	}
 	db.mem.Add(-drained)
 	db.Flushes.Inc()
 	return nil
@@ -443,25 +425,18 @@ func (db *DB) Range(fn func(key, value []byte) bool) error {
 	for i := range db.shards {
 		s := &db.shards[i]
 		s.mu.RLock()
-		for k, e := range s.m {
-			v := make([]byte, len(e.value))
-			copy(v, e.value)
-			snap = append(snap, flushEntry{key: k, entry: entry{value: v, tombstone: e.tombstone}})
+		for _, m := range [2]map[string]entry{s.m, s.frozen} {
+			for k, e := range m {
+				v := make([]byte, len(e.value))
+				copy(v, e.value)
+				snap = append(snap, flushEntry{key: k, entry: entry{value: v, tombstone: e.tombstone}})
+			}
 		}
 		s.mu.RUnlock()
 	}
-	db.frozenMu.RLock()
-	for _, m := range db.frozen {
-		for k, e := range m {
-			v := make([]byte, len(e.value))
-			copy(v, e.value)
-			snap = append(snap, flushEntry{key: k, entry: entry{value: v, tombstone: e.tombstone}})
-		}
-	}
-	db.frozenMu.RUnlock()
 	for _, fe := range snap {
 		if seen[fe.key] {
-			continue // shard entry shadows the frozen stage
+			continue // shard entry shadows its frozen twin
 		}
 		seen[fe.key] = true
 		if fe.tombstone {

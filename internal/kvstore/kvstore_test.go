@@ -564,3 +564,59 @@ func TestFlushFaultThawsAndRetries(t *testing.T) {
 		}
 	}
 }
+
+// TestGetNeverMissesAcrossFlush: a key that has been written stays
+// readable at every instant of a flush — while its shard's map is frozen,
+// while a failed flush thaws it back, and while a successful one hands it
+// to the run. Readers spin over a fixed key set as flushes alternate
+// between failing and succeeding; with values rewritten between flushes
+// so every flush has something to freeze.
+func TestGetNeverMissesAcrossFlush(t *testing.T) {
+	defer faultpoint.Reset()
+	db, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const keys = 256
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%04d", i)) }
+	for i := 0; i < keys; i++ {
+		if err := db.Put(key(i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, ok, err := db.Get(key(i % keys)); !ok || err != nil {
+					t.Errorf("key %d unreadable mid-flush: ok=%v err=%v", i%keys, ok, err)
+					return
+				}
+			}
+		}(r)
+	}
+	for round := 0; round < 40; round++ {
+		if round%2 == 0 {
+			faultpoint.ErrorOnce("kvstore.run.write")
+		}
+		if err := db.Flush(); (err != nil) != (round%2 == 0) {
+			t.Errorf("round %d: flush error %v", round, err)
+		}
+		for i := round; i < keys; i += 8 {
+			if err := db.Put(key(i), []byte{byte(round)}); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"helios/internal/codec"
 	"helios/internal/rpc"
 )
 
@@ -146,3 +147,54 @@ func TestAppendBatchBrokerBound(t *testing.T) {
 	}
 }
 
+// TestDecodeBatchOwnsOneBacking checks the batch handler's copy-out: the
+// values no longer alias the (pooled) frame, they sit back to back in a
+// single allocation however many records the batch has, each capped at
+// its own length so an append to one cannot reach the next, and a
+// truncated frame is reported by the reader.
+func TestDecodeBatchOwnsOneBacking(t *testing.T) {
+	const n = 64
+	w := codec.NewWriter(1024)
+	for i := 0; i < n; i++ {
+		w.Uvarint(uint64(i))
+		w.Bytes32(bytes.Repeat([]byte{byte(i)}, i%7))
+	}
+	frame := append([]byte(nil), w.Bytes()...)
+
+	r := codec.NewReader(frame)
+	recs := decodeBatch(r, n)
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range frame {
+		frame[i] = 0xEE // the pool hands the frame to someone else
+	}
+	for i, rec := range recs {
+		if rec.Key != uint64(i) || !bytes.Equal(rec.Value, bytes.Repeat([]byte{byte(i)}, i%7)) {
+			t.Fatalf("record %d after the frame was reused: %+v", i, rec)
+		}
+		if cap(rec.Value) != len(rec.Value) {
+			t.Fatalf("record %d: cap %d > len %d reaches into its neighbour", i, cap(rec.Value), len(rec.Value))
+		}
+	}
+	grown := append(recs[1].Value, 0xFF)
+	if recs[2].Value[0] != 2 || &grown[0] == &recs[1].Value[0] {
+		t.Fatal("append to one value wrote into the shared backing")
+	}
+
+	frame = append(frame[:0], w.Bytes()...)
+	allocs := testing.AllocsPerRun(50, func() {
+		decodeBatch(codec.NewReader(frame), n)
+	})
+	// The record slice and the shared backing — the reader itself may or
+	// may not escape. One make per record would be 64+.
+	if allocs > 3 {
+		t.Fatalf("decodeBatch of %d records: %.0f allocations, want the record slice plus one backing", n, allocs)
+	}
+
+	short := codec.NewReader(frame[:len(frame)-3])
+	decodeBatch(short, n)
+	if short.Finish() == nil {
+		t.Fatal("truncated batch frame decoded without error")
+	}
+}

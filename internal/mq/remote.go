@@ -87,14 +87,7 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		if !ok {
 			return nil, fmt.Errorf("mq: unknown topic %q", name)
 		}
-		recs := make([]BatchRecord, 0, n)
-		for i := 0; i < n; i++ {
-			key := r.Uvarint()
-			val := r.Bytes32()
-			v := make([]byte, len(val))
-			copy(v, val)
-			recs = append(recs, BatchRecord{Key: key, Value: v})
-		}
+		recs := decodeBatch(r, n)
 		if err := r.Finish(); err != nil {
 			return nil, err
 		}
@@ -183,6 +176,31 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		}
 		return nil, t.Commit(part, offset)
 	})
+}
+
+// decodeBatch reads n records off an append-batch frame. The frame buffer
+// is pooled, so the values are copied out — into one allocation the
+// records share, not one per record; each value is capped at its own
+// length so no append can reach its neighbour. The caller checks r for
+// truncation.
+//
+//lint:hotpath
+func decodeBatch(r *codec.Reader, n int) []BatchRecord {
+	recs := make([]BatchRecord, n)
+	total := 0
+	for i := range recs {
+		recs[i].Key = r.Uvarint()
+		recs[i].Value = r.Bytes32() // still the frame's bytes
+		total += len(recs[i].Value)
+	}
+	backing := make([]byte, total)
+	off := 0
+	for i := range recs {
+		end := off + copy(backing[off:], recs[i].Value)
+		recs[i].Value = backing[off:end:end]
+		off = end
+	}
+	return recs
 }
 
 // RemoteBroker is a Bus over an RPC connection to a broker server.

@@ -10,8 +10,8 @@
 //   - a sampling pool, sharded by vertex hash, owns the reservoir, feature
 //     and subscription tables (all state for a vertex belongs to exactly one
 //     actor, so the tables need no locks);
-//   - a publisher pool encodes outbound messages and appends them to the
-//     serving workers' sample queues per the subscription tables.
+//   - a publisher pool appends the encoded outbound messages to the serving
+//     workers' sample queues and the subs topic, one batch per destination.
 //
 // Subscription deltas — including those between two vertices owned by the
 // same worker — always travel through the broker's subs topic. This keeps
@@ -66,15 +66,6 @@ type Config struct {
 	// The committed updates offset is the lag signal the frontend and
 	// broker use for ingestion backpressure; 0 defaults to 100ms.
 	CommitEvery time.Duration
-	// PublishBatch coalesces outbound queue messages into mq.AppendBatch
-	// calls of up to this many records per (topic, partition) — one broker
-	// operation (one RPC frame, remotely) per batch instead of per record.
-	// <= 1 publishes each message individually (the default).
-	PublishBatch int
-	// PublishLinger bounds how long a partial publish batch may sit
-	// waiting for company before a background flush; 0 defaults to 2ms
-	// when PublishBatch > 1.
-	PublishLinger time.Duration
 	// Clock is the time source for touch stamps and TTL sweeps; nil
 	// defaults to the wall clock. Tests inject a fake so expiry and
 	// recovery are deterministic (no sleeping), and the walltime analyzer
@@ -111,9 +102,6 @@ func (c *Config) fill() error {
 	if c.CommitEvery <= 0 {
 		c.CommitEvery = 100 * time.Millisecond
 	}
-	if c.PublishBatch > 1 && c.PublishLinger <= 0 {
-		c.PublishLinger = 2 * time.Millisecond
-	}
 	if c.Clock == nil {
 		c.Clock = clock.Wall()
 	}
@@ -139,6 +127,11 @@ type Stats struct {
 	SubDeltasSent    int64
 	SubDeltasApplied int64
 	Expired          int64
+	// PublishConflated counts cache messages superseded before they were
+	// appended, PublishDropped records lost to a failed append (publishing
+	// is best effort). The *Sent counters count production and include both.
+	PublishConflated int64
+	PublishDropped   int64
 	SamplingDepth    int
 	PublishDepth     int
 	// Panics counts recovered handler panics across the worker's pools
@@ -173,14 +166,7 @@ type Worker struct {
 	startUpd, startSubs int64
 	sampling            *actor.Pool[event]
 	publish             *actor.Pool[outMsg]
-	// Publish batching state (PublishBatch > 1): per-publish-actor batch
-	// buffers (index = actor worker), the linger flusher, and a pending
-	// count so Stats and quiescence checks see buffered-but-unflushed
-	// records.
-	pubBufs      []map[pubKey]*pubBuf
-	pubFlusher   *actor.Loop
-	pubFlushStop chan struct{}
-	pubPending   atomic.Int64
+	pubs                []pubState // per publish actor (index = actor worker)
 	pollers             *actor.Loop
 	sweeper             *actor.Loop
 	sweepStop           chan struct{}
@@ -202,6 +188,8 @@ type Worker struct {
 	subDeltasSent    *metrics.Counter
 	subDeltasApplied *metrics.Counter
 	expired          *metrics.Counter
+	pubConflated     *metrics.Counter
+	pubDropped       *metrics.Counter
 	// staleness is the event-time delta between the most recent update's
 	// ingestion and the reservoir refresh it caused (§5 freshness).
 	staleness *obs.Gauge
@@ -241,29 +229,45 @@ const (
 )
 
 // outMsg is the publisher pool's message type: an encoded wire message
-// bound for one partition of one topic, or (flush set) a linger-flush
-// sentinel telling the actor to drain its private batch buffers.
+// bound for one partition of one topic. key is its vertex; kind, hop and
+// traced let the publish turn conflate without decoding the payload.
 type outMsg struct {
 	topic     mq.TopicHandle
 	partition int
 	key       uint64
 	payload   []byte
-	flush     bool
+	kind      wire.Kind
+	hop       query.HopID
+	traced    bool
 }
 
-// pubKey addresses one publish-batch buffer: records batch per
-// destination partition, never across destinations.
+// pubKey addresses one destination; a batch never spans two.
 type pubKey struct {
 	topic     mq.TopicHandle
 	partition int
 }
 
-// pubBuf accumulates one destination's pending records. Owned by exactly
-// one publish actor (worker-index-private state), so no locking.
+// pubBuf is one destination's records for the current turn.
 type pubBuf struct {
-	topic     mq.TopicHandle
+	pubKey
+	recs []mq.BatchRecord
+}
+
+// cellKey names one serving-cache cell on one samples partition: a sample
+// cell (hop, vertex) or, with feature set, the feature of vertex.
+type cellKey struct {
 	partition int
-	recs      []mq.BatchRecord
+	feature   bool
+	hop       query.HopID
+	vertex    uint64
+}
+
+// pubState is one publish actor's scratch, reused across turns and owned
+// by that actor alone, so no locking.
+type pubState struct {
+	bufs    map[pubKey]*pubBuf
+	touched []*pubBuf       // this turn's destinations, in first-seen order
+	latest  map[cellKey]int // run index of each cell's last message so far
 }
 
 // New assembles a worker. Topics are created if absent. Call Start to begin
@@ -300,6 +304,10 @@ func New(cfg Config) (*Worker, error) {
 	for i := range w.shards {
 		w.shards[i] = newShard(rand.NewSource(cfg.Seed + int64(cfg.ID)*1000 + int64(i)))
 	}
+	w.pubs = make([]pubState, cfg.PublishThreads)
+	for i := range w.pubs {
+		w.pubs[i] = pubState{bufs: make(map[pubKey]*pubBuf), latest: make(map[cellKey]int)}
+	}
 	w.registerMetrics()
 	return w, nil
 }
@@ -317,6 +325,8 @@ func (w *Worker) registerMetrics() {
 	w.subDeltasSent = reg.Counter("sampler.sub_deltas_sent", "worker", worker)
 	w.subDeltasApplied = reg.Counter("sampler.sub_deltas_applied", "worker", worker)
 	w.expired = reg.Counter("sampler.expired", "worker", worker)
+	w.pubConflated = reg.Counter("sampler.publish_conflated", "worker", worker)
+	w.pubDropped = reg.Counter("sampler.publish_dropped", "worker", worker)
 	w.staleness = reg.Gauge("sampler.refresh_staleness_ns", "worker", worker)
 	w.stRefresh = reg.Stage(obs.StageSamplerRefresh).WithClock(w.cfg.Clock)
 	reg.GaugeFunc("mq.consumer_lag", w.Lag,
@@ -336,27 +346,7 @@ func (w *Worker) Start() {
 	if w.started.Load() {
 		return
 	}
-	w.publish = actor.NewPool("publish", w.cfg.PublishThreads, w.cfg.MailboxDepth, w.handlePublish)
-	if w.cfg.PublishBatch > 1 {
-		w.pubBufs = make([]map[pubKey]*pubBuf, w.publish.Workers())
-		for i := range w.pubBufs {
-			w.pubBufs[i] = make(map[pubKey]*pubBuf)
-		}
-		w.pubFlushStop = make(chan struct{})
-		w.pubFlusher = actor.NewLoop(1, func(int) bool {
-			select {
-			case <-w.pubFlushStop:
-				return false
-			case <-time.After(w.cfg.PublishLinger):
-			}
-			// Flush sentinels ride the same mailboxes as data, so a
-			// flush never reorders against the records it follows.
-			for i := 0; i < w.publish.Workers(); i++ {
-				w.publish.SendTo(i, outMsg{flush: true})
-			}
-			return true
-		})
-	}
+	w.publish = actor.NewBatchPool("publish", w.cfg.PublishThreads, w.cfg.MailboxDepth, w.publishTurn)
 	w.sampling = actor.NewPool("sampling", w.cfg.SampleThreads, w.cfg.MailboxDepth, w.handleEvent)
 	// Dedicated pollers per input stream; consumers are not safe for
 	// concurrent use, so each stream gets exactly one goroutine.
@@ -411,20 +401,7 @@ func (w *Worker) Stop() {
 		w.sweeper.Stop()
 	}
 	w.sampling.Close()
-	if w.pubFlusher != nil {
-		close(w.pubFlushStop)
-		w.pubFlusher.Stop()
-		w.pubFlusher = nil
-	}
 	w.publish.Close()
-	// The publish pool has drained, so its actors are gone; flush any
-	// records still buffered from here (no concurrent owner remains).
-	for _, bufs := range w.pubBufs {
-		for _, pb := range bufs {
-			w.flushPub(pb)
-		}
-	}
-	w.pubBufs = nil
 }
 
 const (
@@ -543,52 +520,78 @@ func (w *Worker) pollSubs(c mq.Cursor) bool {
 	return true
 }
 
-func (w *Worker) handlePublish(worker int, m outMsg) {
-	if w.cfg.PublishBatch <= 1 {
-		//lint:allow droppederror reason=best effort by design: a closed broker during shutdown drops the tail
-		_, _ = m.topic.Append(m.partition, m.key, m.payload)
-		return
-	}
-	bufs := w.pubBufs[worker]
-	if m.flush {
-		for _, pb := range bufs {
-			w.flushPub(pb)
+// publishTurn is the publisher pool handler. One turn takes the run the
+// actor drained from its mailbox (whatever was already queued, never
+// waited for), groups it by destination in mailbox order, and appends one
+// batch per destination: one broker operation where a burst used to cost
+// one per record, and a batch of one when the message came alone.
+//
+// Cache messages carry absolute state — a snapshot or feature replaces
+// its cell, an evict empties it — so within a run only a cell's last
+// message is appended. Different cells commute and the survivor keeps its
+// place, so the serving cache converges to the same state (§6). Deltas
+// are increments and traced messages someone's evidence: both always go.
+//
+//lint:hotpath
+func (w *Worker) publishTurn(worker int, run []outMsg) {
+	ps := &w.pubs[worker]
+	if len(run) > 1 {
+		for i := range run {
+			m := &run[i]
+			cell := cellKey{partition: m.partition, hop: m.hop, vertex: m.key}
+			switch m.kind {
+			case wire.KindSampleUpsert, wire.KindSampleEvict:
+			case wire.KindFeatureUpdate, wire.KindFeatureEvict:
+				cell.feature = true
+			default:
+				continue
+			}
+			if prev, ok := ps.latest[cell]; ok && !run[prev].traced {
+				run[prev].payload = nil
+				w.pubConflated.Inc()
+			}
+			ps.latest[cell] = i
 		}
-		return
+		clear(ps.latest)
 	}
-	pk := pubKey{topic: m.topic, partition: m.partition}
-	pb := bufs[pk]
-	if pb == nil {
-		pb = &pubBuf{topic: m.topic, partition: m.partition}
-		bufs[pk] = pb
+	for i := range run {
+		m := &run[i]
+		if m.payload == nil {
+			continue // superseded above
+		}
+		dest := pubKey{topic: m.topic, partition: m.partition}
+		pb := ps.bufs[dest]
+		if pb == nil {
+			pb = &pubBuf{pubKey: dest}
+			ps.bufs[dest] = pb
+		}
+		if len(pb.recs) == 0 {
+			ps.touched = append(ps.touched, pb)
+		}
+		pb.recs = append(pb.recs, mq.BatchRecord{Key: m.key, Value: m.payload})
 	}
-	pb.recs = append(pb.recs, mq.BatchRecord{Key: m.key, Value: m.payload})
-	w.pubPending.Add(1)
-	if len(pb.recs) >= w.cfg.PublishBatch {
-		w.flushPub(pb)
+	for _, pb := range ps.touched {
+		// Best effort by design: an unreachable broker drops the batch, and
+		// the count says so. The broker owns the payloads; recs is reused.
+		if _, err := pb.topic.AppendBatch(pb.partition, pb.recs); err != nil {
+			w.pubDropped.Add(int64(len(pb.recs)))
+		}
+		clear(pb.recs)
+		pb.recs = pb.recs[:0]
 	}
+	ps.touched = ps.touched[:0]
 }
 
-// flushPub appends a buffer's pending records as one batch. The broker
-// takes ownership of the payloads; the record slice itself is the
-// buffer's and is reused for the next batch.
-func (w *Worker) flushPub(pb *pubBuf) {
-	if len(pb.recs) == 0 {
-		return
-	}
-	//lint:allow droppederror reason=best effort by design: a closed broker during shutdown drops the tail
-	_, _ = pb.topic.AppendBatch(pb.partition, pb.recs)
-	w.pubPending.Add(-int64(len(pb.recs)))
-	pb.recs = pb.recs[:0]
-}
-
-// sendToServer enqueues an encoded message for serving worker sew.
+// sendToServer enqueues an encoded cache message for serving worker sew.
 func (w *Worker) sendToServer(sew int32, m *wire.Message) {
 	w.publish.Send(uint64(sew), outMsg{
 		topic:     w.samplesTopic,
 		partition: int(sew),
 		key:       uint64(m.Vertex),
 		payload:   wire.Encode(m),
+		kind:      m.Kind,
+		hop:       m.Hop,
+		traced:    m.Trace != 0,
 	})
 }
 
@@ -601,6 +604,7 @@ func (w *Worker) sendSubDelta(m *wire.Message) {
 		partition: w.part.Of(m.Vertex),
 		key:       uint64(m.Vertex),
 		payload:   wire.Encode(m),
+		kind:      m.Kind,
 	})
 }
 
@@ -615,15 +619,15 @@ func (w *Worker) Stats() Stats {
 		SubDeltasSent:    w.subDeltasSent.Value(),
 		SubDeltasApplied: w.subDeltasApplied.Value(),
 		Expired:          w.expired.Value(),
+		PublishConflated: w.pubConflated.Value(),
+		PublishDropped:   w.pubDropped.Value(),
 	}
 	if w.sampling != nil {
 		s.SamplingDepth = w.sampling.Depth()
 		s.Panics += w.sampling.Panics.Value()
 	}
 	if w.publish != nil {
-		// Buffered-but-unflushed batch records count as publish backlog so
-		// quiescence checks don't declare idle while batches are pending.
-		s.PublishDepth = w.publish.Depth() + int(w.pubPending.Load())
+		s.PublishDepth = w.publish.Depth()
 		s.Panics += w.publish.Panics.Value()
 	}
 	return s
