@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race check obs-smoke chaos-smoke burst-smoke alloc-regression perf-regression
+.PHONY: build vet lint test race check obs-smoke chaos-smoke burst-smoke
 
 build:
 	$(GO) build ./...
@@ -36,19 +36,6 @@ chaos-smoke:
 burst-smoke:
 	bash scripts/burst-smoke.sh
 
-# Re-measures allocs/op on the codec/wire hot paths and diffs the
-# alloc.allocs_per_kop gauges against the committed BENCH_alloc.json —
-# the runtime twin of the hotpathalloc lint pass (see
-# scripts/alloc-regression.sh).
-alloc-regression:
-	bash scripts/alloc-regression.sh
-
-# Re-measures per-stage p99 latency with `helios-bench latency` and diffs
-# the latency.stage_p99_ns gauges against the committed BENCH_latency.json
-# within a generous noise tolerance (see scripts/perf-regression.sh).
-perf-regression:
-	bash scripts/perf-regression.sh
-
 # The tier-1 gate: every PR must leave this green.
 check:
 	$(GO) build ./...
@@ -58,5 +45,3 @@ check:
 	# The kvstore read-during-flush hole failed about one run in two when
 	# it was open; twenty runs make a reopening loud.
 	$(GO) test -race -count=20 -run 'TestConcurrentReadWrite|TestGetNeverMissesAcrossFlush' ./internal/kvstore
-	bash scripts/alloc-regression.sh
-	bash scripts/perf-regression.sh

@@ -35,13 +35,7 @@ func loadedBenchCluster(b *testing.B, spec workload.DatasetSpec, strat sampling.
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := cluster.NewLocal(cluster.LocalConfig{
-		Samplers: samplers, Servers: servers,
-		Schema: gen.Schema(), Queries: []query.Query{q}, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := benchCluster(b, Options{Samplers: samplers, Servers: servers, Schema: gen.Schema(), CompiledQueries: []Query{q}})
 	if _, err := workload.ReplayAll(gen, c.Ingest); err != nil {
 		b.Fatal(err)
 	}
@@ -49,6 +43,20 @@ func loadedBenchCluster(b *testing.B, spec workload.DatasetSpec, strat sampling.
 		b.Fatal(err)
 	}
 	return c, gen
+}
+
+// benchCluster boots an unloaded in-process cluster through the public
+// Service (seed 1 unless opts says otherwise) and hands back its handle.
+func benchCluster(b *testing.B, opts Options) *cluster.Local {
+	b.Helper()
+	if opts.Seed == 0 {
+		opts.Seed = 1
+	}
+	svc, err := New(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return svc.Cluster()
 }
 
 func loadedBenchBaseline(b *testing.B, spec workload.DatasetSpec, nodes int, strat sampling.Strategy) (*graphdb.Dist, *workload.Generator, *query.Plan) {
@@ -268,12 +276,7 @@ func BenchmarkFig11IngestThroughput(b *testing.B) {
 	spec := workload.INTER().Scale(benchScale)
 	gen, _ := workload.NewGenerator(spec)
 	q, _ := gen.BuildQuery(sampling.Random)
-	c, err := cluster.NewLocal(cluster.LocalConfig{
-		Samplers: 2, Servers: 2, Schema: gen.Schema(), Queries: []query.Query{q}, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := benchCluster(b, Options{Samplers: 2, Servers: 2, Schema: gen.Schema(), CompiledQueries: []Query{q}})
 	defer c.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -322,13 +325,8 @@ func BenchmarkFig13SamplingScalability(b *testing.B) {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			gen, _ := workload.NewGenerator(spec)
 			q, _ := gen.BuildQuery(sampling.Random)
-			c, err := cluster.NewLocal(cluster.LocalConfig{
-				Samplers: 2, Servers: 2, Schema: gen.Schema(),
-				Queries: []query.Query{q}, SampleThreads: threads, Seed: 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+			c := benchCluster(b, Options{Samplers: 2, Servers: 2, Schema: gen.Schema(),
+				CompiledQueries: []Query{q}, SampleThreads: threads})
 			defer c.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -357,13 +355,8 @@ func BenchmarkFig14ServingScalability(b *testing.B) {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			gen, _ := workload.NewGenerator(spec)
 			q, _ := gen.BuildQuery(sampling.Random)
-			c, err := cluster.NewLocal(cluster.LocalConfig{
-				Samplers: 2, Servers: 2, Schema: gen.Schema(),
-				Queries: []query.Query{q}, ServeThreads: threads, Seed: 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+			c := benchCluster(b, Options{Samplers: 2, Servers: 2, Schema: gen.Schema(),
+				CompiledQueries: []Query{q}, ServeThreads: threads})
 			defer c.Close()
 			if _, err := workload.ReplayAll(gen, c.Ingest); err != nil {
 				b.Fatal(err)
@@ -438,12 +431,7 @@ func BenchmarkFig17IngestLatency(b *testing.B) {
 	spec := workload.INTER().Scale(benchScale)
 	gen, _ := workload.NewGenerator(spec)
 	q, _ := gen.BuildQuery(sampling.Random)
-	c, err := cluster.NewLocal(cluster.LocalConfig{
-		Samplers: 2, Servers: 2, Schema: gen.Schema(), Queries: []query.Query{q}, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := benchCluster(b, Options{Samplers: 2, Servers: 2, Schema: gen.Schema(), CompiledQueries: []Query{q}})
 	defer c.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -8,7 +8,7 @@
 //	helios-bench [flags] <experiment>
 //
 // Experiments: table1 table2 fig4a fig4b fig4c fig4d fig9 fig11 fig12
-// fig13 fig14 fig15 fig16 fig17 fig18 fig19 raw alloc latency batch all
+// fig13 fig14 fig15 fig16 fig17 fig18 fig19 raw all
 //
 // The extra "cluster" subcommand is an operator dump, not an experiment:
 // it scrapes a live coordinator's GET /cluster endpoint (-cluster-url)
@@ -24,7 +24,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -46,7 +45,6 @@ func main() {
 	baseline := flag.Int("baseline-nodes", 4, "distributed baseline partition count")
 	netDelay := flag.Duration("net-delay", 0, "injected per-RPC delay for the baseline (models datacenter RTT)")
 	seed := flag.Int64("seed", 42, "random seed")
-	metricsOut := flag.String("metrics-json", "BENCH", "write a metrics-registry snapshot to <prefix>_<experiment>.json after each experiment (empty = off)")
 	clusterURL := flag.String("cluster-url", "", "coordinator ops address or URL to scrape for the cluster subcommand")
 	flightDir := flag.String("flight-dir", "", "flight-recorder directory to read for the cluster subcommand")
 	opsAddr := flag.String("ops-addr", "", "serve /metrics, /traces, /slo and pprof on this address (empty = disabled)")
@@ -61,8 +59,8 @@ func main() {
 	logger.SetLevel(lv)
 
 	// Overload aggregates (overload.shed, overload.degraded,
-	// overload.queue_wait_p99_ns) land in every BENCH snapshot so a run
-	// that shed load is distinguishable from one that absorbed it.
+	// overload.queue_wait_p99_ns) show on the ops listener, so a run that
+	// shed load is distinguishable from one that absorbed it.
 	overload.RegisterMetrics(obs.Default())
 	ops, err := obs.ServeDefault(*opsAddr)
 	if err != nil {
@@ -72,7 +70,7 @@ func main() {
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: helios-bench [flags] <experiment>")
-		fmt.Fprintln(os.Stderr, "experiments: table1 table2 fig4a fig4b fig4c fig4d fig9 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19 raw alloc latency batch all")
+		fmt.Fprintln(os.Stderr, "experiments: table1 table2 fig4a fig4b fig4c fig4d fig9 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19 raw all")
 		fmt.Fprintln(os.Stderr, "operator dump: cluster -cluster-url <ops-addr> [-flight-dir <dir>]")
 		os.Exit(2)
 	}
@@ -108,50 +106,6 @@ func main() {
 		name string
 		run  func(experiments.Config) error
 	}
-	wrap := func(fn any) func(experiments.Config) error {
-		switch f := fn.(type) {
-		case func(experiments.Config) ([]experiments.Table1Row, error):
-			return func(c experiments.Config) error { _, err := f(c); return err }
-		case func(experiments.Config) ([]experiments.Table2Row, error):
-			return func(c experiments.Config) error { _, err := f(c); return err }
-		case func(experiments.Config) ([]experiments.Fig4aResult, error):
-			return func(c experiments.Config) error { _, err := f(c); return err }
-		case func(experiments.Config) ([]experiments.Fig4bResult, error):
-			return func(c experiments.Config) error { _, err := f(c); return err }
-		case func(experiments.Config) ([]experiments.Fig4cBucket, error):
-			return func(c experiments.Config) error { _, err := f(c); return err }
-		case func(experiments.Config) ([]experiments.Fig4dResult, error):
-			return func(c experiments.Config) error { _, err := f(c); return err }
-		case func(experiments.Config) ([]experiments.ServingPoint, error):
-			return func(c experiments.Config) error { _, err := f(c); return err }
-		case func(experiments.Config) ([]experiments.IngestPoint, error):
-			return func(c experiments.Config) error { _, err := f(c); return err }
-		case func(experiments.Config) ([]experiments.SeparationPoint, error):
-			return func(c experiments.Config) error { _, err := f(c); return err }
-		case func(experiments.Config) ([]experiments.ScalePoint, error):
-			return func(c experiments.Config) error { _, err := f(c); return err }
-		case func(experiments.Config) ([]experiments.HopPoint, error):
-			return func(c experiments.Config) error { _, err := f(c); return err }
-		case func(experiments.Config) ([]experiments.CachePoint, error):
-			return func(c experiments.Config) error { _, err := f(c); return err }
-		case func(experiments.Config) ([]experiments.IngestLatencyPoint, error):
-			return func(c experiments.Config) error { _, err := f(c); return err }
-		case func(experiments.Config) ([]experiments.AccuracyPoint, error):
-			return func(c experiments.Config) error { _, err := f(c); return err }
-		case func(experiments.Config) ([]experiments.OnlinePoint, error):
-			return func(c experiments.Config) error { _, err := f(c); return err }
-		case func(experiments.Config) ([]experiments.RAWResult, error):
-			return func(c experiments.Config) error { _, err := f(c); return err }
-		case func(experiments.Config) ([]experiments.AllocPoint, error):
-			return func(c experiments.Config) error { _, err := f(c); return err }
-		case func(experiments.Config) ([]experiments.LatencyPoint, error):
-			return func(c experiments.Config) error { _, err := f(c); return err }
-		case func(experiments.Config) ([]experiments.BatchPoint, error):
-			return func(c experiments.Config) error { _, err := f(c); return err }
-		default:
-			panic("helios-bench: unhandled experiment signature")
-		}
-	}
 	all := []experiment{
 		{"table1", wrap(experiments.Table1)},
 		{"table2", wrap(experiments.Table2)},
@@ -170,9 +124,6 @@ func main() {
 		{"fig18", wrap(experiments.Fig18)},
 		{"fig19", wrap(experiments.Fig19)},
 		{"raw", wrap(experiments.ReadAfterWrite)},
-		{"alloc", wrap(experiments.Alloc)},
-		{"latency", wrap(experiments.Latency)},
-		{"batch", wrap(experiments.Batch)},
 	}
 
 	name := strings.ToLower(flag.Arg(0))
@@ -188,14 +139,6 @@ func main() {
 		fmt.Printf("(%s completed in %.1fs)\n\n", e.name, time.Since(start).Seconds())
 		logger.Info(0, "bench.run", "experiment completed",
 			"experiment", e.name, "elapsed_s", time.Since(start).Seconds())
-		if *metricsOut != "" {
-			path := fmt.Sprintf("%s_%s.json", *metricsOut, e.name)
-			if err := writeSnapshot(path, obs.Default().Snapshot()); err != nil {
-				fmt.Fprintf(os.Stderr, "helios-bench %s: metrics snapshot: %v\n", e.name, err)
-				os.Exit(1)
-			}
-			fmt.Printf("(metrics snapshot written to %s)\n\n", path)
-		}
 	}
 	if name == "all" {
 		for _, e := range all {
@@ -213,19 +156,11 @@ func main() {
 	os.Exit(2)
 }
 
-// writeSnapshot dumps the registry snapshot as indented JSON — the same
-// document /metrics?format=json serves, so offline bench runs and live
-// deployments are comparable with the same tooling.
-func writeSnapshot(path string, snap obs.Snapshot) error {
-	f, err := os.Create(path)
-	if err != nil {
+// wrap adapts an experiment, which also returns its rows for tests, to the
+// runner, which only prints.
+func wrap[T any](f func(experiments.Config) (T, error)) func(experiments.Config) error {
+	return func(c experiments.Config) error {
+		_, err := f(c)
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

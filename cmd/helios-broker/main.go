@@ -12,218 +12,87 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"helios/internal/coord"
-	"helios/internal/faultpoint"
+	"helios/internal/cluster"
 	"helios/internal/monitor"
 	"helios/internal/mq"
 	"helios/internal/obs"
-	"helios/internal/rpc"
-	"helios/internal/wire"
 )
 
-func main() {
-	listen := flag.String("listen", "127.0.0.1:7070", "address to serve the broker RPC on")
-	dir := flag.String("dir", "", "directory for durable log segments (empty = memory only)")
-	retain := flag.Int("retain", 0, "records retained per partition (0 = unbounded)")
-	replicas := flag.String("replicas", "", "comma-separated RPC addresses of all broker replicas (empty = unreplicated); index-aligned across the set")
-	self := flag.Int("self", 0, "this broker's index into -replicas")
-	quorum := flag.Int("quorum", 0, "replicas (leader included) that must hold an append before it is acked (0 = majority)")
-	fsyncMode := flag.String("fsync", "interval", "segment durability before ack: never, interval (every -sync-every appends), always")
-	syncEvery := flag.Int("sync-every", 0, "appends between fsyncs under -fsync interval (0 = 4096 default)")
-	replReportEvery := flag.Duration("repl-report-every", 500*time.Millisecond, "replication-status report cadence (doubles as the broker liveness beat)")
-	replDeadAfter := flag.Duration("repl-dead-after", 3*time.Second, "report silence before a replica's partitions fail over (replica 0 runs the controller)")
-	batchMax := flag.Int("batch-max", 0, "largest record batch accepted by one AppendBatch RPC (0 = 4096 default)")
-	maxIngestLag := flag.Int64("max-ingest-lag", 0, "refuse appends to the updates topic once a partition's unconsumed backlog exceeds this (0 = unlimited)")
-	deadAfter := flag.Duration("dead-after", 15*time.Second, "heartbeat silence before a worker counts as dead")
-	telemetryEvery := flag.Duration("telemetry-every", 5*time.Second, "expected worker telemetry cadence (drives /cluster staleness and death detection)")
-	flightDir := flag.String("flight-dir", "", "flight-recorder capture directory (empty = captures disabled)")
-	flightKeep := flag.Int("flight-keep", 32, "flight-recorder captures retained on disk")
-	faults := flag.String("faultpoints", "", "arm deterministic fault injection, e.g. mq.append=error:injected:3 (chaos drills)")
-	opsAddr := flag.String("ops-addr", "", "serve /metrics, /traces, /slo, /cluster and pprof on this address (empty = disabled)")
-	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, error")
-	flag.Parse()
+// flags is the binary's whole command line: the process plumbing and the
+// role's own options.
+type flags struct {
+	replicas, fsync, flightDir, faults, logLevel string
+	flightKeep                                   int
+	role                                         cluster.BrokerOptions
+}
 
-	lv, ok := obs.ParseLevel(*logLevel)
-	if !ok {
-		log.Fatalf("helios-broker: unknown -log-level %q", *logLevel)
-	}
-	logger := obs.NewLogger(os.Stderr, "broker")
-	logger.SetLevel(lv)
-	logger.KeepTail(32)
-	if err := faultpoint.ArmSpec(*faults); err != nil {
-		log.Fatalf("helios-broker: %v", err)
-	}
-	obs.RegisterBuildInfo(obs.Default(), "helios-broker", nil)
-	fsync, ok := mq.ParseFsyncPolicy(*fsyncMode)
-	if !ok {
-		log.Fatalf("helios-broker: unknown -fsync %q (want never, interval or always)", *fsyncMode)
-	}
-	broker := mq.NewBroker(mq.Options{Dir: *dir, RetainRecords: *retain, SyncEvery: *syncEvery, Fsync: fsync, MaxAppendBatch: *batchMax})
-	if *maxIngestLag > 0 {
-		broker.SetLagBound(wire.TopicUpdates, *maxIngestLag)
-	}
-	var peers []string
-	if *replicas != "" {
-		peers = strings.Split(*replicas, ",")
-		if err := broker.EnableReplication(mq.ReplicationConfig{Self: *self, Peers: peers, Quorum: *quorum}); err != nil {
-			log.Fatalf("helios-broker: %v", err)
-		}
-	}
-	broker.RegisterMetrics(obs.Default())
-	rpc.RegisterMetrics(obs.Default())
-	coordinator := coord.New(nil)
-	coordinator.RegisterMetrics(obs.Default(), *deadAfter)
+func declare(fs *flag.FlagSet) *flags {
+	f := &flags{}
+	o := &f.role
+	fs.StringVar(&o.Listen, "listen", "127.0.0.1:7070", "address to serve the broker RPC on")
+	fs.StringVar(&o.Log.Dir, "dir", "", "directory for durable log segments (empty = memory only)")
+	fs.IntVar(&o.Log.RetainRecords, "retain", 0, "records retained per partition (0 = unbounded)")
+	fs.StringVar(&f.replicas, "replicas", "", "comma-separated RPC addresses of all broker replicas (empty = unreplicated); index-aligned across the set")
+	fs.IntVar(&o.Replication.Self, "self", 0, "this broker's index into -replicas")
+	fs.IntVar(&o.Replication.Quorum, "quorum", 0, "replicas (leader included) that must hold an append before it is acked (0 = majority)")
+	fs.StringVar(&f.fsync, "fsync", "interval", "segment durability before ack: never, interval (every -sync-every appends), always")
+	fs.IntVar(&o.Log.SyncEvery, "sync-every", 0, "appends between fsyncs under -fsync interval (0 = 4096 default)")
+	fs.DurationVar(&o.ReplReportEvery, "repl-report-every", 0, "replication-status report cadence, doubling as the broker liveness beat (0 = 500ms)")
+	fs.DurationVar(&o.ReplDeadAfter, "repl-dead-after", 0, "report silence before a replica's partitions fail over; replica 0 runs the controller (0 = 3s)")
+	fs.IntVar(&o.Log.MaxAppendBatch, "batch-max", 0, "largest record batch accepted by one AppendBatch RPC (0 = 4096 default)")
+	fs.Int64Var(&o.MaxIngestLag, "max-ingest-lag", 0, "refuse appends to the updates topic once a partition's unconsumed backlog exceeds this (0 = unlimited)")
+	fs.DurationVar(&o.DeadAfter, "dead-after", 0, "heartbeat silence before a worker counts as dead (0 = 15s)")
+	fs.DurationVar(&o.TelemetryEvery, "telemetry-every", 5*time.Second, "expected worker telemetry cadence (drives /cluster staleness and death detection)")
+	fs.StringVar(&f.flightDir, "flight-dir", "", "flight-recorder capture directory (empty = captures disabled)")
+	fs.IntVar(&f.flightKeep, "flight-keep", 32, "flight-recorder captures retained on disk")
+	fs.StringVar(&f.faults, "faultpoints", "", "arm deterministic fault injection, e.g. mq.append=error:injected:3 (chaos drills)")
+	fs.StringVar(&o.OpsAddr, "ops-addr", "", "serve /metrics, /traces, /slo, /cluster and pprof on this address (empty = disabled)")
+	fs.StringVar(&f.logLevel, "log-level", "info", "structured log level: debug, info, warn, error")
+	return f
+}
 
-	var recorder *monitor.FlightRecorder
-	if *flightDir != "" {
+// options resolves the parsed flags into the role's options.
+func (f *flags) options() (cluster.BrokerOptions, error) {
+	o := f.role
+	var ok bool
+	if o.Log.Fsync, ok = mq.ParseFsyncPolicy(f.fsync); !ok {
+		return o, fmt.Errorf("unknown -fsync %q (want never, interval or always)", f.fsync)
+	}
+	if f.replicas != "" {
+		o.Replication.Peers = strings.Split(f.replicas, ",")
+	}
+	o.Registry, o.Collector.Registry = obs.Default(), obs.Default()
+	if f.flightDir != "" {
 		var err error
-		recorder, err = monitor.NewFlightRecorder(*flightDir, *flightKeep, nil)
-		if err != nil {
-			log.Fatalf("helios-broker: flight recorder: %v", err)
+		if o.Collector.Recorder, err = monitor.NewFlightRecorder(f.flightDir, f.flightKeep, nil); err != nil {
+			return o, fmt.Errorf("flight recorder: %w", err)
 		}
 	}
-	collector := monitor.NewCollector(monitor.CollectorConfig{
-		Interval: *telemetryEvery,
-		DeadAfter: func() time.Duration {
-			if *deadAfter > 3*(*telemetryEvery) {
-				return *deadAfter
-			}
-			return 0 // default: 9× the telemetry interval
-		}(),
-		Registry: obs.Default(),
-		Recorder: recorder,
-		Logger:   logger,
-	})
-	collector.Start()
-	defer collector.Stop()
+	return o, nil
+}
 
-	srv := rpc.NewServer()
-	mq.ServeBroker(broker, srv)
-	coord.ServeRPC(coordinator, srv)
-	monitor.ServeRPC(collector, srv)
-
-	// Replication control plane: every replica serves the follower surface
-	// and reports its offsets; replica 0 additionally hosts the failover
-	// controller (clients resolve partition maps against it).
-	stopRepl := make(chan struct{})
-	var failover *coord.Failover
-	if peers != nil {
-		mq.ServeReplication(broker, srv)
-		if *self == 0 {
-			leadClients := make([]*rpc.Client, len(peers))
-			for i, addr := range peers {
-				if i == 0 {
-					continue
-				}
-				c, err := rpc.DialOpts(addr, rpc.Options{Reconnect: true})
-				if err != nil {
-					log.Fatalf("helios-broker: dial replica %d: %v", i, err)
-				}
-				leadClients[i] = c
-				defer c.Close()
-			}
-			failover = coord.NewFailover(coord.FailoverConfig{
-				Coordinator: coordinator,
-				Peers:       len(peers),
-				DeadAfter:   *replDeadAfter,
-				Logger:      logger,
-				Notify: func(peer int, pm mq.PartMap) error {
-					if peer == 0 {
-						broker.ApplyPartMap(pm)
-						return nil
-					}
-					return mq.SendLead(leadClients[peer], pm, *replDeadAfter)
-				},
-			})
-			failover.RegisterMetrics(obs.Default())
-			failover.ServeRPC(srv)
-			failover.Start(*replReportEvery)
-			defer failover.Stop()
-			go func() {
-				t := time.NewTicker(*replReportEvery)
-				defer t.Stop()
-				for {
-					select {
-					case <-stopRepl:
-						return
-					case <-t.C:
-						failover.Report(0, broker.ReplOffsets())
-					}
-				}
-			}()
-		} else {
-			coordC, err := rpc.DialOpts(peers[0], rpc.Options{Reconnect: true})
-			if err != nil {
-				log.Fatalf("helios-broker: dial coordinator: %v", err)
-			}
-			defer coordC.Close()
-			go func() {
-				t := time.NewTicker(*replReportEvery)
-				defer t.Stop()
-				for {
-					select {
-					case <-stopRepl:
-						return
-					case <-t.C:
-						//lint:allow droppederror reason=best-effort status beat; a missed report just reads as dead until the next one lands
-						_ = mq.ReportReplStatus(coordC, *self, broker.ReplOffsets(), *replReportEvery)
-					}
-				}
-			}()
-		}
-	}
-
-	addr, err := srv.Listen(*listen)
+func main() {
+	f := declare(flag.CommandLine)
+	flag.Parse()
+	logger, err := cluster.Setup("helios-broker", "broker", f.logLevel, f.faults)
 	if err != nil {
 		log.Fatalf("helios-broker: %v", err)
 	}
-	ops, err := obs.ServeDefault(*opsAddr,
-		obs.Route{Pattern: "GET /cluster", Handler: collector.Handler()})
+	o, err := f.options()
 	if err != nil {
-		log.Fatalf("helios-broker: ops listener: %v", err)
+		log.Fatalf("helios-broker: %v", err)
 	}
-	defer ops.Close()
-	if ops != nil {
-		logger.Info(0, "mq.lifecycle", "ops listener up", "addr", ops.Addr())
+	o.Logger = logger
+	role, err := cluster.StartBroker(o)
+	if err != nil {
+		log.Fatalf("helios-broker: %v", err)
 	}
-
-	// The broker reports its own telemetry straight into the collector it
-	// hosts, so /cluster shows the coordinator process alongside the
-	// workers.
-	reporter := monitor.NewReporter(monitor.ReporterConfig{
-		Name:     "broker",
-		Kind:     "broker",
-		Every:    *telemetryEvery,
-		Registry: obs.Default(),
-		Tracer:   obs.DefaultTracer(),
-		LogTail:  logger.Tail,
-		Sink:     collector,
-		Logger:   logger,
-	})
-	reporter.Start()
-	defer reporter.Stop()
-	logger.Info(0, "mq.lifecycle", "broker serving",
-		"addr", addr, "dir", *dir, "retain", *retain, "replicas", len(peers), "self", *self, "fsync", fsync.String())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	cluster.AwaitSignal()
 	logger.Info(0, "mq.lifecycle", "shutting down")
-	close(stopRepl)
-	if failover != nil {
-		failover.Stop()
-	}
-	reporter.Stop()
-	collector.Stop()
-	srv.Close()
-	if err := broker.Close(); err != nil {
-		logger.Error(0, "mq.lifecycle", "broker close failed", "err", err)
-	}
+	role.Close()
 }

@@ -1,0 +1,27 @@
+package main
+
+import (
+	"flag"
+	"reflect"
+	"testing"
+
+	"helios/internal/cluster"
+)
+
+// TestDefaultFlagsMatchBoot requires this binary's default flag set to
+// resolve to the broker options cluster.Boot passes under zero Options —
+// the zero value plus an address — so a flag default that drifts from what
+// the example and the tests run fails here instead of going unnoticed.
+func TestDefaultFlagsMatchBoot(t *testing.T) {
+	got, err := declare(flag.NewFlagSet("helios-broker", flag.ContinueOnError)).options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Where this process listens, exports and how often it expects
+	// telemetry is deployment wiring.
+	got.Listen, got.Registry, got.Collector.Registry = "", nil, nil
+	got.TelemetryEvery = 0
+	if want := (cluster.BrokerOptions{}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("default flags resolve to\n%+v\nBoot with zero options passes\n%+v", got, want)
+	}
+}

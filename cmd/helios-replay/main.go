@@ -16,9 +16,9 @@ import (
 	"log"
 	"time"
 
-	"helios/internal/codec"
+	"helios/internal/clock"
 	"helios/internal/deploy"
-	"helios/internal/graph"
+	"helios/internal/frontend"
 	"helios/internal/mq"
 	"helios/internal/obs"
 	"helios/internal/streamfile"
@@ -62,8 +62,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("helios-replay: %v", err)
 	}
-	part := graph.NewPartitioner(cfg.File.Samplers)
-	dirs := cfg.EdgeRouting()
+	// The frontend's own router, publishing straight to the broker.
+	router := frontend.NewRouter(cfg, clock.Wall(), func(p int, key uint64, payload []byte, _ uint64) error {
+		_, err := updates.Append(p, key, payload)
+		return err
+	})
 
 	r, err := streamfile.Open(*in)
 	if err != nil {
@@ -79,7 +82,7 @@ func main() {
 		perTick = *rate / 1000.0
 	}
 	budget := 0.0
-	sent, skipped := 0, 0
+	read := 0
 	start := time.Now()
 	for {
 		u, err := r.Next()
@@ -96,37 +99,14 @@ func main() {
 			}
 			budget--
 		}
-		u.Ingested = time.Now().UnixNano()
-		payload := codec.EncodeUpdate(u)
-		switch u.Kind {
-		case graph.UpdateVertex:
-			if _, err := updates.Append(part.Of(u.Vertex.ID), uint64(u.Vertex.ID), payload); err != nil {
-				log.Fatalf("helios-replay: %v", err)
-			}
-			sent++
-		case graph.UpdateEdge:
-			d, relevant := dirs[u.Edge.Type]
-			if !relevant {
-				skipped++
-				continue
-			}
-			prev := -1
-			if d[0] {
-				prev = part.Of(u.Edge.Src)
-				if _, err := updates.Append(prev, uint64(u.Edge.Src), payload); err != nil {
-					log.Fatalf("helios-replay: %v", err)
-				}
-			}
-			if d[1] {
-				if p := part.Of(u.Edge.Dst); p != prev {
-					if _, err := updates.Append(p, uint64(u.Edge.Src), payload); err != nil {
-						log.Fatalf("helios-replay: %v", err)
-					}
-				}
-			}
-			sent++
+		read++
+		if err := router.Ingest(u); err != nil {
+			log.Fatalf("helios-replay: %v", err)
 		}
 	}
+	// Edges no registered query samples are dropped by the router.
+	sent := int(router.Updates.Value())
+	skipped := read - sent
 	elapsed := time.Since(start).Seconds()
 	logger.Info(0, "frontend.ingest_append", "replay finished",
 		"sent", sent, "skipped", skipped, "elapsed_s", elapsed, "rate", float64(sent)/elapsed)

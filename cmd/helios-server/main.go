@@ -9,234 +9,69 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
-	"os"
-	"os/signal"
-	"path/filepath"
-	"strings"
-	"syscall"
 	"time"
 
-	"helios/internal/coord"
+	"helios/internal/cluster"
 	"helios/internal/deploy"
-	"helios/internal/faultpoint"
-	"helios/internal/kvstore"
-	"helios/internal/monitor"
 	"helios/internal/mq"
 	"helios/internal/obs"
-	"helios/internal/rpc"
-	"helios/internal/serving"
 )
 
-// pick returns the flag value when set, else the config default.
-func pick(flagVal, cfgVal int) int {
-	if flagVal > 0 {
-		return flagVal
-	}
-	return cfgVal
+// flags is the binary's whole command line: where the deployment lives,
+// the process plumbing, and the role's own options.
+type flags struct {
+	config, broker, snapshotDir, faults, logLevel string
+	role                                          cluster.ServerOptions
 }
 
-// busConn is the piece of *mq.RemoteBroker and *mq.Cluster this binary
-// uses: queue traffic plus the control connection heartbeats and telemetry
-// ride on.
-type busConn interface {
-	mq.Bus
-	Client() *rpc.Client
+func declare(fs *flag.FlagSet) *flags {
+	f := &flags{}
+	o, w := &f.role, &f.role.Worker
+	fs.StringVar(&f.config, "config", "cluster.json", "shared cluster configuration file")
+	fs.StringVar(&f.broker, "broker", "127.0.0.1:7070", "broker RPC address; a comma-separated list names a replica set (first entry hosts the failover controller)")
+	fs.IntVar(&w.ID, "id", 0, "this worker's index in [0, servers)")
+	fs.StringVar(&o.Listen, "listen", "127.0.0.1:0", "address to serve sampling RPC on")
+	fs.StringVar(&w.Store.Dir, "cache-dir", "", "hybrid-mode cache spill directory (empty = memory only)")
+	fs.Int64Var(&w.Store.MemBudgetBytes, "cache-mem", 0, "cache memory budget in bytes before spilling (0 = default)")
+	fs.IntVar(&w.ServeThreads, "serve-threads", 0, "serving actor count (0 = default)")
+	fs.IntVar(&w.MaxInflight, "serve-inflight", 0, "admitted concurrent sampling RPCs (0 = config's overload.maxInflight, or 4×serve-threads)")
+	fs.IntVar(&w.MaxAdmitQueue, "serve-queue", 0, "sampling RPCs queued for admission (0 = config's overload.maxQueue, or mailbox depth)")
+	fs.BoolVar(&w.Degrade, "degrade", false, "serve degraded (cached, staleness-tagged) results instead of shedding when saturated (config's overload.degrade also enables)")
+	fs.DurationVar(&w.CommitEvery, "commit-every", 0, "how often the sample-queue poll position is committed to the broker (0 = 100ms)")
+	fs.StringVar(&f.snapshotDir, "snapshot-dir", "", "warm-restart snapshot directory: serving-<id>.snap is restored on boot and rewritten every -snapshot-every (empty = snapshots off)")
+	fs.DurationVar(&o.SnapshotEvery, "snapshot-every", time.Minute, "cache snapshot interval under -snapshot-dir")
+	fs.IntVar(&w.MaxBatch, "batch-max", 0, "largest sample batch accepted by one batched RPC (0 = 1024 default)")
+	fs.DurationVar(&o.StatsEvery, "stats-every", 30*time.Second, "stats log interval (0 = off)")
+	fs.DurationVar(&o.HeartbeatEvery, "heartbeat-every", 5*time.Second, "coordinator heartbeat interval (0 = disabled)")
+	fs.DurationVar(&o.TelemetryEvery, "telemetry-every", 5*time.Second, "cluster telemetry snapshot interval (0 = disabled)")
+	fs.StringVar(&f.faults, "faultpoints", "", "arm deterministic fault injection, e.g. mq.fetch=error:injected:3 (chaos drills)")
+	fs.StringVar(&o.OpsAddr, "ops-addr", "", "serve /metrics, /traces, /slo and pprof on this address (empty = disabled)")
+	fs.StringVar(&f.logLevel, "log-level", "info", "structured log level: debug, info, warn, error")
+	fs.DurationVar(&w.SlowLog, "slow-log", 100*time.Millisecond, "log traced serves slower than this with their worst stage (0 = off)")
+	return f
 }
 
-// dialBus connects to the queue tier: a replicated cluster when brokers
-// lists the replica set, else the single broker at brokerAddr.
-func dialBus(brokers, brokerAddr string) (busConn, error) {
-	if brokers != "" {
-		return mq.DialCluster(strings.Split(brokers, ","), "", 0)
+// options resolves the parsed flags into the role's options.
+func (f *flags) options() cluster.ServerOptions {
+	o := f.role
+	o.Worker.Metrics, o.Worker.Tracer = obs.Default(), obs.DefaultTracer()
+	if f.snapshotDir != "" {
+		o.Snapshot = cluster.SnapshotPath(f.snapshotDir, o.Worker.ID)
 	}
-	return mq.DialBroker(brokerAddr, 0)
+	return o
 }
 
 func main() {
-	configPath := flag.String("config", "cluster.json", "shared cluster configuration file")
-	brokerAddr := flag.String("broker", "127.0.0.1:7070", "broker RPC address")
-	brokers := flag.String("brokers", "", "comma-separated broker replica addresses (overrides -broker; first entry hosts the failover controller)")
-	id := flag.Int("id", 0, "this worker's index in [0, servers)")
-	listen := flag.String("listen", "127.0.0.1:0", "address to serve sampling RPC on")
-	cacheDir := flag.String("cache-dir", "", "hybrid-mode cache spill directory (empty = memory only)")
-	cacheBudget := flag.Int64("cache-mem", 0, "cache memory budget in bytes before spilling (0 = default)")
-	serveThreads := flag.Int("serve-threads", 0, "serving actor count (0 = default)")
-	serveInflight := flag.Int("serve-inflight", 0, "admitted concurrent sampling RPCs (0 = config's overload.maxInflight, or 4×serve-threads)")
-	serveQueue := flag.Int("serve-queue", 0, "sampling RPCs queued for admission (0 = config's overload.maxQueue, or mailbox depth)")
-	degrade := flag.Bool("degrade", false, "serve degraded (cached, staleness-tagged) results instead of shedding when saturated (config's overload.degrade also enables)")
-	commitEvery := flag.Duration("commit-every", 100*time.Millisecond, "how often the sample-queue poll position is committed to the broker")
-	snapshotDir := flag.String("snapshot-dir", "", "warm-restart snapshot directory: serving-<id>.snap is restored on boot and rewritten every -snapshot-every (empty = snapshots off)")
-	snapshotEvery := flag.Duration("snapshot-every", time.Minute, "cache snapshot interval under -snapshot-dir")
-	batchMax := flag.Int("batch-max", 0, "largest sample batch accepted by one batched RPC (0 = 1024 default)")
-	statsEvery := flag.Duration("stats-every", 30*time.Second, "stats log interval (0 = off)")
-	heartbeatEvery := flag.Duration("heartbeat-every", 5*time.Second, "coordinator heartbeat interval (0 = disabled)")
-	telemetryEvery := flag.Duration("telemetry-every", 5*time.Second, "cluster telemetry snapshot interval (0 = disabled)")
-	faults := flag.String("faultpoints", "", "arm deterministic fault injection, e.g. mq.fetch=error:injected:3 (chaos drills)")
-	opsAddr := flag.String("ops-addr", "", "serve /metrics, /traces, /slo and pprof on this address (empty = disabled)")
-	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, error")
-	slowLog := flag.Duration("slow-log", 100*time.Millisecond, "log traced serves slower than this with their worst stage (0 = off)")
+	f := declare(flag.CommandLine)
 	flag.Parse()
-
-	lv, ok := obs.ParseLevel(*logLevel)
-	if !ok {
-		log.Fatalf("helios-server: unknown -log-level %q", *logLevel)
-	}
-	logger := obs.NewLogger(os.Stderr, "serving")
-	logger.SetLevel(lv)
-	logger.KeepTail(32)
-
-	if err := faultpoint.ArmSpec(*faults); err != nil {
-		log.Fatalf("helios-server: %v", err)
-	}
-	obs.RegisterBuildInfo(obs.Default(), "helios-server", nil)
-	cfg, err := deploy.Load(*configPath)
-	if err != nil {
-		log.Fatalf("helios-server: %v", err)
-	}
-	rpc.RegisterMetrics(obs.Default())
-	bus, err := dialBus(*brokers, *brokerAddr)
-	if err != nil {
-		log.Fatalf("helios-server: dial broker: %v", err)
-	}
-	defer bus.Close()
-
-	w, err := serving.New(serving.Config{
-		ID:            *id,
-		NumServers:    cfg.File.Servers,
-		Plans:         cfg.Plans,
-		Broker:        bus,
-		Store:         kvstore.Options{Dir: *cacheDir, MemBudgetBytes: *cacheBudget},
-		ServeThreads:  *serveThreads,
-		TTL:           cfg.TTL,
-		MaxInflight:   pick(*serveInflight, cfg.File.Overload.MaxInflight),
-		MaxAdmitQueue: pick(*serveQueue, cfg.File.Overload.MaxQueue),
-		Degrade:       *degrade || cfg.File.Overload.Degrade,
-		MaxBatch:      *batchMax,
-		CommitEvery:   *commitEvery,
-		Metrics:       obs.Default(),
-		Tracer:        obs.DefaultTracer(),
-		Logger:        logger,
-		SlowLog:       *slowLog,
-	})
-	if err != nil {
-		log.Fatalf("helios-server: %v", err)
-	}
-	ops, err := obs.ServeDefault(*opsAddr)
-	if err != nil {
-		log.Fatalf("helios-server: ops listener: %v", err)
-	}
-	defer ops.Close()
-	if ops != nil {
-		log.Printf("helios-server: ops on %s", ops.Addr())
-	}
-	snapPath := ""
-	if *snapshotDir != "" {
-		snapPath = filepath.Join(*snapshotDir, fmt.Sprintf("serving-%d.snap", *id))
-		if err := w.RestoreFile(snapPath); err == nil {
-			logger.Info(0, "serving.snapshot", "restored snapshot",
-				"path", snapPath, "replay_from", w.ReplayFloor())
-		} else if !os.IsNotExist(err) {
-			log.Fatalf("helios-server: restore: %v", err)
-		}
-	}
-	w.Start()
-
-	srv := rpc.NewServer()
-	serving.ServeRPC(w, srv)
-	addr, err := srv.Listen(*listen)
-	if err != nil {
-		log.Fatalf("helios-server: %v", err)
-	}
-	log.Printf("helios-server: worker %d/%d serving on %s", *id, cfg.File.Servers, addr)
-
-	stop := make(chan struct{})
-	if snapPath != "" && *snapshotEvery > 0 {
-		go func() {
-			t := time.NewTicker(*snapshotEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					if err := w.SnapshotFile(snapPath); err != nil {
-						logger.Error(0, "serving.snapshot", "snapshot failed", "path", snapPath, "err", err)
-					}
-				}
-			}
-		}()
-	}
-	if *heartbeatEvery > 0 {
-		// Heartbeats ride the broker connection, which reconnects by
-		// itself — a worker cut off from the broker misses beats and is,
-		// correctly, reported dead by the coordinator.
-		hb := coord.NewClient(bus.Client(), 0)
-		name := fmt.Sprintf("server-%d", *id)
-		go func() {
-			t := time.NewTicker(*heartbeatEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					//lint:allow droppederror reason=best-effort liveness beat; a missed beat just reads as dead until the next one lands
-					_ = hb.Heartbeat(name, coord.KindServer)
-				}
-			}
-		}()
-	}
-	if *telemetryEvery > 0 {
-		// Telemetry rides the same reconnecting broker connection as the
-		// heartbeats; a worker that cannot deliver snapshots is the one
-		// /cluster correctly shows going stale.
-		reporter := monitor.NewReporter(monitor.ReporterConfig{
-			Name:     fmt.Sprintf("server-%d", *id),
-			Kind:     string(coord.KindServer),
-			Every:    *telemetryEvery,
-			Registry: obs.Default(),
-			Tracer:   obs.DefaultTracer(),
-			LogTail:  logger.Tail,
-			Partitions: func() []monitor.PartitionStats {
-				st := w.Stats()
-				return []monitor.PartitionStats{{
-					Partition:    w.ID(),
-					Served:       st.Served,
-					SampleHits:   st.SampleHits,
-					SampleMisses: st.SampleMisses,
-					Lag:          w.Lag(),
-					StalenessNS:  st.StalenessNS,
-				}}
-			},
-			Sink:   monitor.NewClient(bus.Client(), 0),
-			Logger: logger,
+	err := cluster.RunWorker("helios-server", "serving", f.logLevel, f.faults, f.config, f.broker,
+		func(cfg *deploy.Config, bus mq.Bus, logger *obs.Logger) (interface{ Close() }, error) {
+			o := f.options()
+			o.Logger = logger
+			return cluster.StartServer(cfg, bus, o)
 		})
-		reporter.Start()
-		defer reporter.Stop()
+	if err != nil {
+		log.Fatalf("helios-server: %v", err)
 	}
-	if *statsEvery > 0 {
-		go func() {
-			t := time.NewTicker(*statsEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					st := w.Stats()
-					log.Printf("helios-server: served=%d applied=%d cache=%dB lat{%s} ingest{%s}",
-						st.Served, st.Applied, st.CacheBytes, st.QueryLatency, st.IngestLatency)
-				}
-			}
-		}()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	close(stop)
-	srv.Close()
-	w.Stop()
 }

@@ -38,10 +38,10 @@ import (
 	"time"
 
 	"helios/internal/cluster"
+	"helios/internal/deploy"
 	"helios/internal/gnn"
 	"helios/internal/graph"
 	"helios/internal/kvstore"
-	"helios/internal/mq"
 	"helios/internal/query"
 	"helios/internal/sampler"
 	"helios/internal/serving"
@@ -128,32 +128,20 @@ func New(opts Options) (*Service, error) {
 		queries = append(queries, q)
 	}
 	queries = append(queries, opts.CompiledQueries...)
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("helios: at least one query is required")
+	cfg, err := deploy.New(opts.Schema, queries, opts.Samplers, opts.Servers, opts.ServerReplicas)
+	if err != nil {
+		return nil, err
 	}
-	cfg := cluster.LocalConfig{
-		Samplers:       opts.Samplers,
-		Servers:        opts.Servers,
-		ServerReplicas: opts.ServerReplicas,
-		Schema:         opts.Schema,
-		Queries:        queries,
-		SampleThreads:  opts.SampleThreads,
-		ServeThreads:   opts.ServeThreads,
-		TTL:            opts.TTL,
-		Seed:           opts.Seed,
-		Broker:         mq.Options{Dir: opts.BrokerDir},
+	cfg.TTL = opts.TTL
+	// Brokers stays 0: the embedded service shares one in-process broker.
+	var o cluster.Options
+	o.Broker.Log.Dir = opts.BrokerDir
+	o.Sampler.Worker = sampler.Config{SampleThreads: opts.SampleThreads, Seed: opts.Seed}
+	o.Server.Worker = serving.Config{
+		ServeThreads: opts.ServeThreads,
+		Store:        kvstore.Options{Dir: opts.CacheDir, MemBudgetBytes: opts.CacheMemBudget},
 	}
-	if opts.CacheDir != "" {
-		dir := opts.CacheDir
-		budget := opts.CacheMemBudget
-		cfg.Store = func(i int) kvstore.Options {
-			return kvstore.Options{
-				Dir:            fmt.Sprintf("%s/sew-%d", dir, i),
-				MemBudgetBytes: budget,
-			}
-		}
-	}
-	c, err := cluster.NewLocal(cfg)
+	c, err := cluster.Boot(cfg, o)
 	if err != nil {
 		return nil, err
 	}
@@ -219,12 +207,12 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// EnableCheckpoints makes the coordinator periodically checkpoint every
-// sampling worker into dir (§4.1 fault tolerance). Restores happen when a
+// EnableCheckpoints periodically checkpoints every sampling worker into
+// dir as sampler-<i>.ckpt (§4.1 fault tolerance). Restores happen when a
 // replacement worker loads the file (see sampler.Worker.RestoreFile and
 // cmd/helios-sampler's -checkpoint flag).
 func (s *Service) EnableCheckpoints(dir string, interval time.Duration) error {
-	return s.c.EnableCheckpoints(dir, interval, nil)
+	return s.c.EnableCheckpoints(dir, interval)
 }
 
 // Tree is a sampled neighbourhood prepared for GNN inference.

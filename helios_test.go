@@ -141,7 +141,7 @@ func TestEnableCheckpoints(t *testing.T) {
 	svc.IngestEdge(Edge{Src: 1, Dst: 1001, Type: 0, Ts: 1})
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if entries, _ := filepath.Glob(filepath.Join(dir, "saw-*.ckpt")); len(entries) > 0 {
+		if entries, _ := filepath.Glob(filepath.Join(dir, "sampler-*.ckpt")); len(entries) > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

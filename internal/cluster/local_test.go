@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"helios/internal/deploy"
 	"helios/internal/graph"
 	"helios/internal/query"
 	"helios/internal/sampling"
@@ -26,6 +27,36 @@ type testGraph struct {
 type refEdge struct {
 	dst graph.VertexID
 	ts  graph.Timestamp
+}
+
+// localConfig sizes an in-process test cluster around a hand-built schema.
+type localConfig struct {
+	Samplers, Servers, ServerReplicas int
+	Schema                            *graph.Schema
+	Queries                           []query.Query
+	TTL                               time.Duration
+	Seed                              int64
+}
+
+// deployFor derives the deployment lc describes.
+func deployFor(lc localConfig) (*deploy.Config, error) {
+	cfg, err := deploy.New(lc.Schema, lc.Queries, lc.Samplers, lc.Servers, lc.ServerReplicas)
+	if err != nil {
+		return nil, err
+	}
+	cfg.TTL = lc.TTL
+	return cfg, nil
+}
+
+// newLocal boots lc on a shared in-process broker.
+func newLocal(lc localConfig) (*Local, error) {
+	cfg, err := deployFor(lc)
+	if err != nil {
+		return nil, err
+	}
+	var o Options
+	o.Sampler.Worker.Seed = lc.Seed
+	return Boot(cfg, o)
 }
 
 func newTestGraph() *testGraph {
@@ -92,7 +123,7 @@ func twoHopTopK(t *testing.T, g *testGraph, fanouts [2]int) query.Query {
 
 func TestEndToEndTopKTwoHop(t *testing.T) {
 	g := newTestGraph()
-	c, err := NewLocal(LocalConfig{
+	c, err := newLocal(localConfig{
 		Samplers: 2, Servers: 2,
 		Schema:  g.schema,
 		Queries: []query.Query{twoHopTopK(t, g, [2]int{2, 2})},
@@ -165,7 +196,7 @@ func TestEndToEndTopKTwoHop(t *testing.T) {
 			}
 		}
 		// Lookup bound from §6.
-		if maxSample, _ := c.Plans()[0].Query.MaxLookups(); res.Lookups > maxSample {
+		if maxSample, _ := c.Config.Plans[0].Query.MaxLookups(); res.Lookups > maxSample {
 			t.Fatalf("lookups %d exceed bound %d", res.Lookups, maxSample)
 		}
 	}
@@ -182,7 +213,7 @@ func TestEventualConsistencyAfterChurn(t *testing.T) {
 	// New edges arriving after an initial converged state must replace the
 	// cached samples (the Fig. 7 walk-through: V4 displaces V3).
 	g := newTestGraph()
-	c, err := NewLocal(LocalConfig{
+	c, err := newLocal(localConfig{
 		Samplers: 2, Servers: 2,
 		Schema:  g.schema,
 		Queries: []query.Query{twoHopTopK(t, g, [2]int{2, 2})},
@@ -237,7 +268,7 @@ func TestEventualConsistencyAfterChurn(t *testing.T) {
 	// Item 0 left the tree: its hop-2 cell must be evicted from the seed's
 	// serving worker (no other seed references it).
 	sew := c.Route(u)
-	hop2 := c.Plans()[0].OneHops[1].ID
+	hop2 := c.Config.Plans[0].OneHops[1].ID
 	if sew.HasSample(hop2, itemID(0)) {
 		t.Fatal("stale hop-2 cell for evicted item 0 still cached")
 	}
@@ -254,7 +285,7 @@ func TestRandomStrategyStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewLocal(LocalConfig{
+	c, err := newLocal(localConfig{
 		Samplers: 2, Servers: 2, Schema: g.schema, Queries: []query.Query{q}, Seed: 42,
 	})
 	if err != nil {
@@ -315,7 +346,7 @@ func TestThreeHopQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewLocal(LocalConfig{
+	c, err := newLocal(localConfig{
 		Samplers: 2, Servers: 2, Schema: s, Queries: []query.Query{q},
 	})
 	if err != nil {
@@ -380,7 +411,7 @@ func TestThreeHopQuery(t *testing.T) {
 
 func TestSampleUnknownQuery(t *testing.T) {
 	g := newTestGraph()
-	c, err := NewLocal(LocalConfig{
+	c, err := newLocal(localConfig{
 		Schema:  g.schema,
 		Queries: []query.Query{twoHopTopK(t, g, [2]int{2, 2})},
 	})
@@ -395,7 +426,7 @@ func TestSampleUnknownQuery(t *testing.T) {
 
 func TestSubmitAsync(t *testing.T) {
 	g := newTestGraph()
-	c, err := NewLocal(LocalConfig{
+	c, err := newLocal(localConfig{
 		Samplers: 1, Servers: 2,
 		Schema:  g.schema,
 		Queries: []query.Query{twoHopTopK(t, g, [2]int{2, 2})},
@@ -433,7 +464,7 @@ func TestIngestIrrelevantEdgeSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewLocal(LocalConfig{Schema: g.schema, Queries: []query.Query{q}})
+	c, err := newLocal(localConfig{Schema: g.schema, Queries: []query.Query{q}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +488,7 @@ func TestMultipleQueriesCoexist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewLocal(LocalConfig{
+	c, err := newLocal(localConfig{
 		Samplers: 2, Servers: 2,
 		Schema:  g.schema,
 		Queries: []query.Query{q1, q2},
@@ -504,7 +535,7 @@ func TestScaleOutConfigurations(t *testing.T) {
 	type cfg struct{ m, n int }
 	for _, tc := range []cfg{{1, 1}, {1, 3}, {3, 1}, {4, 4}} {
 		t.Run(fmt.Sprintf("M%dxN%d", tc.m, tc.n), func(t *testing.T) {
-			c, err := NewLocal(LocalConfig{
+			c, err := newLocal(localConfig{
 				Samplers: tc.m, Servers: tc.n,
 				Schema:  g.schema,
 				Queries: []query.Query{twoHopTopK(t, g, [2]int{2, 2})},

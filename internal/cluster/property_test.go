@@ -25,7 +25,7 @@ func TestEdgeWeightEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewLocal(LocalConfig{
+	c, err := newLocal(localConfig{
 		Samplers: 2, Servers: 2, Schema: g.schema,
 		Queries: []query.Query{q}, Seed: 99,
 	})
@@ -77,7 +77,7 @@ func TestRandomUniformityEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewLocal(LocalConfig{
+	c, err := newLocal(localConfig{
 		Samplers: 2, Servers: 2, Schema: g.schema,
 		Queries: []query.Query{q}, Seed: 5,
 	})
@@ -122,7 +122,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	g := newTestGraph()
 	before := runtime.NumGoroutine()
 	for round := 0; round < 3; round++ {
-		c, err := NewLocal(LocalConfig{
+		c, err := newLocal(localConfig{
 			Samplers: 2, Servers: 2, Schema: g.schema,
 			Queries: []query.Query{twoHopTopK(t, g, [2]int{2, 2})},
 		})
@@ -152,7 +152,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 // TestSeedWithNoEdges returns an empty-but-valid result.
 func TestSeedWithNoEdges(t *testing.T) {
 	g := newTestGraph()
-	c, err := NewLocal(LocalConfig{
+	c, err := newLocal(localConfig{
 		Schema:  g.schema,
 		Queries: []query.Query{twoHopTopK(t, g, [2]int{2, 2})},
 	})
@@ -176,7 +176,7 @@ func TestSeedWithNoEdges(t *testing.T) {
 // multiple reservoir slots (multiplicity semantics).
 func TestDuplicateEdgesAccumulate(t *testing.T) {
 	g := newTestGraph()
-	c, err := NewLocal(LocalConfig{
+	c, err := newLocal(localConfig{
 		Schema:  g.schema,
 		Queries: []query.Query{twoHopTopK(t, g, [2]int{2, 2})},
 	})
@@ -204,7 +204,7 @@ func TestDuplicateEdgesAccumulate(t *testing.T) {
 // panics and zero serving errors — the containment invariant.
 func TestSoakChurnWithConcurrentServing(t *testing.T) {
 	g := newTestGraph()
-	c, err := NewLocal(LocalConfig{
+	c, err := newLocal(localConfig{
 		Samplers: 2, Servers: 2, Schema: g.schema,
 		Queries: []query.Query{twoHopTopK(t, g, [2]int{3, 3})},
 		TTL:     200 * time.Millisecond,

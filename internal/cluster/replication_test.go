@@ -12,7 +12,7 @@ import (
 
 func TestServerReplication(t *testing.T) {
 	g := newTestGraph()
-	c, err := NewLocal(LocalConfig{
+	c, err := newLocal(localConfig{
 		Samplers: 2, Servers: 2, ServerReplicas: 2,
 		Schema:  g.schema,
 		Queries: []query.Query{twoHopTopK(t, g, [2]int{2, 2})},
@@ -34,7 +34,8 @@ func TestServerReplication(t *testing.T) {
 	}
 
 	// Every replica of the owning partition converges to the same state.
-	reps := c.Replicas(u)
+	p := graph.NewPartitioner(2).Of(u)
+	reps := c.Servers[p*2 : (p+1)*2]
 	if len(reps) != 2 {
 		t.Fatalf("replicas = %d", len(reps))
 	}
@@ -69,7 +70,7 @@ func TestServerReplication(t *testing.T) {
 
 func TestClusterTTLExpiry(t *testing.T) {
 	g := newTestGraph()
-	c, err := NewLocal(LocalConfig{
+	c, err := newLocal(localConfig{
 		Samplers: 1, Servers: 1,
 		Schema:  g.schema,
 		Queries: []query.Query{twoHopTopK(t, g, [2]int{2, 2})},
@@ -107,22 +108,32 @@ func TestClusterTTLExpiry(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	expired := int64(0)
-	for _, w := range c.Samplers {
-		expired += w.Stats().Expired
-	}
-	if expired == 0 {
-		t.Fatal("sampling worker recorded no expiries")
+	// The two sides sweep on their own timers; the sampler's may fire a
+	// tick after the cache's.
+	for c.Samplers[0].Stats().Expired == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("sampling worker recorded no expiries")
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 
+// TestCoordinatorCheckpointing runs the cmd/ topology with fast liveness
+// beats: the coordinator on the broker sees every worker, the periodic
+// checkpoints land on disk, and a fresh worker can restore one.
 func TestCoordinatorCheckpointing(t *testing.T) {
 	g := newTestGraph()
-	c, err := NewLocal(LocalConfig{
+	cfg, err := deployFor(localConfig{
 		Samplers: 2, Servers: 1,
 		Schema:  g.schema,
 		Queries: []query.Query{twoHopTopK(t, g, [2]int{2, 2})},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Options{Brokers: 1}
+	o.Sampler.HeartbeatEvery, o.Server.HeartbeatEvery = 10*time.Millisecond, 10*time.Millisecond
+	c, err := Boot(cfg, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +143,12 @@ func TestCoordinatorCheckpointing(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := c.EnableCheckpoints(dir, 30*time.Millisecond, nil); err != nil {
+	if err := c.EnableCheckpoints(dir, 30*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		ok := true
+		ok := len(c.Brokers[0].Coord.Workers()) == 3 // 2 samplers + 1 server
 		for i := range c.Samplers {
 			if _, err := os.Stat(CheckpointPath(dir, i)); err != nil {
 				ok = false
@@ -147,17 +158,14 @@ func TestCoordinatorCheckpointing(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("checkpoints never written")
+			t.Fatalf("checkpoints never written or workers never beat: %v", c.Brokers[0].Coord.Workers())
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if ws := c.Coord.Workers(); len(ws) != 3 { // 2 samplers + 1 server
-		t.Fatalf("registered workers = %d", len(ws))
 	}
 	// A fresh worker must be able to restore the written checkpoint.
 	w, err := sampler.New(sampler.Config{
 		ID: 0, NumSamplers: 2, NumServers: 1,
-		Plans: c.Plans(), Schema: g.schema, Broker: c.Broker,
+		Plans: c.Config.Plans, Schema: g.schema, Broker: c.Broker,
 	})
 	if err != nil {
 		t.Fatal(err)

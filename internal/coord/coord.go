@@ -1,19 +1,17 @@
-// Package coord implements the Helios coordinator (§4.1): it registers
-// user-specified sampling queries, decomposes each K-hop query into one-hop
-// queries with their dependency DAG, tracks worker liveness via heartbeats,
-// and periodically triggers checkpoints for fault tolerance.
+// Package coord implements the running half of the Helios coordinator
+// (§4.1): it tracks worker liveness via heartbeats and hosts the broker
+// failover controller. Its deployment-time half lives elsewhere: queries are
+// registered and decomposed into one-hop plans when every process derives
+// the shared deploy.Config, and periodic checkpointing is paced by the role
+// assembler in internal/cluster.
 package coord
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
 
-	"helios/internal/actor"
 	"helios/internal/clock"
-	"helios/internal/graph"
-	"helios/internal/query"
 )
 
 // WorkerKind labels registered workers.
@@ -44,19 +42,13 @@ type WorkerInfo struct {
 // concurrent use.
 type Coordinator struct {
 	mu      sync.RWMutex
-	schema  *graph.Schema
-	plans   []*query.Plan
-	nextID  query.ID
 	workers map[string]*WorkerInfo
 	clk     clock.Clock
-
-	ckpt       *actor.Loop
-	ckptCancel sync.Once
 }
 
-// New returns a coordinator over the given schema.
-func New(schema *graph.Schema) *Coordinator {
-	return &Coordinator{schema: schema, workers: make(map[string]*WorkerInfo), clk: clock.Wall()}
+// New returns a coordinator with no workers registered.
+func New() *Coordinator {
+	return &Coordinator{workers: make(map[string]*WorkerInfo), clk: clock.Wall()}
 }
 
 // WithClock replaces the liveness clock (wall by default), returning c
@@ -69,54 +61,6 @@ func (c *Coordinator) WithClock(clk clock.Clock) *Coordinator {
 		c.mu.Unlock()
 	}
 	return c
-}
-
-// Schema returns the registered schema.
-func (c *Coordinator) Schema() *graph.Schema { return c.schema }
-
-// Register validates q, decomposes it (§5.1), assigns it an ID, and returns
-// the plan. Plans must be registered before workers start; Helios fixes the
-// query set at deployment time because the GNN model's sampling pattern is
-// fixed by training (§1).
-func (c *Coordinator) Register(q query.Query) (*query.Plan, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id := c.nextID
-	plan, err := query.Decompose(id, q, c.schema)
-	if err != nil {
-		return nil, err
-	}
-	c.nextID++
-	c.plans = append(c.plans, plan)
-	return plan, nil
-}
-
-// MustRegister is Register for static configuration.
-func (c *Coordinator) MustRegister(q query.Query) *query.Plan {
-	p, err := c.Register(q)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// Plans returns the registered plans in registration order.
-func (c *Coordinator) Plans() []*query.Plan {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return append([]*query.Plan(nil), c.plans...)
-}
-
-// PlanByName finds a plan by its query name.
-func (c *Coordinator) PlanByName(name string) (*query.Plan, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, p := range c.plans {
-		if p.Query.Name == name {
-			return p, true
-		}
-	}
-	return nil, false
 }
 
 // Heartbeat records liveness for a worker, registering it on first beat.
@@ -158,33 +102,4 @@ func (c *Coordinator) Dead(timeout time.Duration) []WorkerInfo {
 		}
 	}
 	return dead
-}
-
-// StartCheckpoints invokes fn every interval until StopCheckpoints (§4.1:
-// "periodically triggers checkpointing"). fn failures are reported through
-// onErr (may be nil).
-func (c *Coordinator) StartCheckpoints(interval time.Duration, fn func() error, onErr func(error)) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ckpt != nil {
-		return fmt.Errorf("coord: checkpoints already running")
-	}
-	c.ckpt = actor.NewLoop(1, func(int) bool {
-		time.Sleep(interval)
-		if err := fn(); err != nil && onErr != nil {
-			onErr(err)
-		}
-		return true
-	})
-	return nil
-}
-
-// StopCheckpoints halts the checkpoint loop.
-func (c *Coordinator) StopCheckpoints() {
-	c.mu.Lock()
-	loop := c.ckpt
-	c.mu.Unlock()
-	if loop != nil {
-		c.ckptCancel.Do(loop.Stop)
-	}
 }

@@ -1,67 +1,12 @@
 package coord
 
 import (
-	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"helios/internal/graph"
-	"helios/internal/query"
-	"helios/internal/sampling"
 )
 
-func testSchema() *graph.Schema {
-	s := graph.NewSchema()
-	acct := s.AddVertexType("Account")
-	s.AddEdgeType("TransferTo", acct, acct)
-	return s
-}
-
-func TestRegisterAssignsSequentialIDs(t *testing.T) {
-	s := testSchema()
-	c := New(s)
-	q := query.NewBuilder(s, "Account").Out("TransferTo", 2, sampling.TopK).MustBuild("a")
-	p1, err := c.Register(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2 := q
-	q2.Name = "b"
-	p2 := c.MustRegister(q2)
-	if p1.QueryID != 0 || p2.QueryID != 1 {
-		t.Fatalf("IDs: %d %d", p1.QueryID, p2.QueryID)
-	}
-	if len(c.Plans()) != 2 {
-		t.Fatal("plans not recorded")
-	}
-	if p, ok := c.PlanByName("b"); !ok || p.QueryID != 1 {
-		t.Fatal("PlanByName failed")
-	}
-	if _, ok := c.PlanByName("zzz"); ok {
-		t.Fatal("unknown name resolved")
-	}
-	if c.Schema() != s {
-		t.Fatal("schema accessor wrong")
-	}
-}
-
-func TestRegisterInvalidQuery(t *testing.T) {
-	s := testSchema()
-	c := New(s)
-	if _, err := c.Register(query.Query{}); err == nil {
-		t.Fatal("empty query should fail")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustRegister should panic")
-		}
-	}()
-	c.MustRegister(query.Query{})
-}
-
 func TestHeartbeatsAndLiveness(t *testing.T) {
-	c := New(testSchema())
+	c := New()
 	c.Heartbeat("saw-0", KindSampler)
 	c.Heartbeat("sew-0", KindServer)
 	ws := c.Workers()
@@ -76,35 +21,5 @@ func TestHeartbeatsAndLiveness(t *testing.T) {
 	dead := c.Dead(20 * time.Millisecond)
 	if len(dead) != 1 || dead[0].Name != "sew-0" {
 		t.Fatalf("dead = %v", dead)
-	}
-}
-
-func TestCheckpointLoop(t *testing.T) {
-	c := New(testSchema())
-	var calls, errs atomic.Int64
-	err := c.StartCheckpoints(10*time.Millisecond, func() error {
-		if calls.Add(1) == 2 {
-			return errors.New("transient")
-		}
-		return nil
-	}, func(error) { errs.Add(1) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.StartCheckpoints(time.Hour, func() error { return nil }, nil); err == nil {
-		t.Fatal("double start should fail")
-	}
-	time.Sleep(100 * time.Millisecond)
-	c.StopCheckpoints()
-	if calls.Load() < 3 {
-		t.Fatalf("checkpoint fn called %d times", calls.Load())
-	}
-	if errs.Load() != 1 {
-		t.Fatalf("error handler called %d times", errs.Load())
-	}
-	after := calls.Load()
-	time.Sleep(50 * time.Millisecond)
-	if calls.Load() != after {
-		t.Fatal("checkpoints kept firing after stop")
 	}
 }

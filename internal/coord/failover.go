@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"helios/internal/actor"
 	"helios/internal/codec"
 	"helios/internal/metrics"
 	"helios/internal/mq"
@@ -60,13 +59,10 @@ type Failover struct {
 
 	// Failovers counts leader promotions (the mq.failovers counter).
 	Failovers metrics.Counter
-
-	loop     *actor.Loop
-	stopOnce sync.Once
 }
 
-// NewFailover returns a controller; call Start (or drive Step from a test)
-// after brokers begin reporting.
+// NewFailover returns a controller. Its owner calls Step periodically once
+// brokers begin reporting (the broker role does; tests step it by hand).
 func NewFailover(cfg FailoverConfig) *Failover {
 	if cfg.DeadAfter == 0 {
 		cfg.DeadAfter = 3 * time.Second
@@ -112,7 +108,7 @@ func (f *Failover) PartMap() mq.PartMap {
 }
 
 // Step runs one detection/promotion/publication round. Exposed so tests
-// drive it against a fake clock; Start runs it periodically.
+// drive it against a fake clock; the broker role runs it periodically.
 func (f *Failover) Step() {
 	dead := make(map[int]bool)
 	known := make(map[int]bool)
@@ -214,25 +210,6 @@ func (f *Failover) Step() {
 			f.cfg.Logger.Warn(0, "coord.failover", "partition map push failed",
 				"peer", peer, "version", pm.Version, "err", err)
 		}
-	}
-}
-
-// Start runs Step every interval until Stop.
-func (f *Failover) Start(every time.Duration) {
-	if every <= 0 {
-		every = time.Second
-	}
-	f.loop = actor.NewLoop(1, func(int) bool {
-		time.Sleep(every)
-		f.Step()
-		return true
-	})
-}
-
-// Stop halts the Step loop.
-func (f *Failover) Stop() {
-	if f.loop != nil {
-		f.stopOnce.Do(f.loop.Stop)
 	}
 }
 

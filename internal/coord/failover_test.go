@@ -34,7 +34,7 @@ func (n *notifyLog) version(peer int) (int64, bool) {
 
 func newTestFailover(fk *clock.Fake, peers int, nl *notifyLog) *Failover {
 	cfg := FailoverConfig{
-		Coordinator: New(nil).WithClock(fk),
+		Coordinator: New().WithClock(fk),
 		Peers:       peers,
 		DeadAfter:   time.Second,
 	}

@@ -13,7 +13,7 @@ import (
 // coord.dead_workers gauge decrements, with no operator intervention.
 func TestDeadWorkerReadmission(t *testing.T) {
 	clk := clock.NewFake()
-	c := New(nil).WithClock(clk)
+	c := New().WithClock(clk)
 	reg := obs.NewRegistry()
 	const deadAfter = 3 * time.Second
 	c.RegisterMetrics(reg, deadAfter)

@@ -9,7 +9,7 @@ import (
 )
 
 func TestHeartbeatOverRPC(t *testing.T) {
-	c := New(nil)
+	c := New()
 	srv := rpc.NewServer()
 	ServeRPC(c, srv)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -41,7 +41,7 @@ func TestHeartbeatOverRPC(t *testing.T) {
 }
 
 func TestHeartbeatSurvivesServerRestart(t *testing.T) {
-	c := New(nil)
+	c := New()
 	srv1 := rpc.NewServer()
 	ServeRPC(c, srv1)
 	addr, err := srv1.Listen("127.0.0.1:0")
@@ -85,7 +85,7 @@ func TestHeartbeatSurvivesServerRestart(t *testing.T) {
 }
 
 func TestLivenessMetrics(t *testing.T) {
-	c := New(nil)
+	c := New()
 	reg := obs.NewRegistry()
 	c.RegisterMetrics(reg, 10*time.Millisecond)
 	c.Heartbeat("w0", KindSampler)

@@ -115,20 +115,49 @@ func Parse(data []byte) (*Config, error) {
 		}
 		cfg.Schema.AddEdgeType(et.Name, src, dst)
 	}
+	var queries []query.Query
 	for i, src := range f.Queries {
 		q, err := query.Parse(src, cfg.Schema)
 		if err != nil {
 			return nil, fmt.Errorf("deploy: query %d: %w", i, err)
 		}
 		q.Name = fmt.Sprintf("q%d", i)
-		plan, err := query.Decompose(query.ID(i), q, cfg.Schema)
-		if err != nil {
-			return nil, fmt.Errorf("deploy: query %d: %w", i, err)
-		}
-		cfg.Queries = append(cfg.Queries, q)
-		cfg.Plans = append(cfg.Plans, plan)
+		queries = append(queries, q)
+	}
+	if err := cfg.register(queries); err != nil {
+		return nil, err
 	}
 	return cfg, nil
+}
+
+// New derives a configuration from an already-built schema and compiled
+// queries: Parse for callers that hold no JSON file (the embedded Service,
+// experiments, tests). Sizes below 1 default to 1.
+func New(schema *graph.Schema, queries []query.Query, samplers, servers, replicas int) (*Config, error) {
+	if schema == nil {
+		return nil, fmt.Errorf("deploy: schema is required")
+	}
+	if len(queries) == 0 {
+		return nil, fmt.Errorf("deploy: at least one query is required")
+	}
+	cfg := &Config{File: File{Samplers: max(samplers, 1), Servers: max(servers, 1), Replicas: max(replicas, 1)}, Schema: schema}
+	if err := cfg.register(queries); err != nil {
+		return nil, err
+	}
+	return cfg, nil
+}
+
+// register decomposes queries into plans; query ID = index.
+func (c *Config) register(queries []query.Query) error {
+	for i, q := range queries {
+		plan, err := query.Decompose(query.ID(i), q, c.Schema)
+		if err != nil {
+			return fmt.Errorf("deploy: query %d: %w", i, err)
+		}
+		c.Queries = append(c.Queries, q)
+		c.Plans = append(c.Plans, plan)
+	}
+	return nil
 }
 
 // EdgeRouting returns, per edge type, whether Out/In-keyed routing is

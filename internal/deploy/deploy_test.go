@@ -4,6 +4,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"helios/internal/graph"
+	"helios/internal/query"
+	"helios/internal/sampling"
 )
 
 const testConfig = `{
@@ -65,5 +69,39 @@ func TestLoadFromFile(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file should fail")
+	}
+}
+
+// TestNewRegistersCompiledQueries covers the programmatic twin of Parse:
+// query IDs are the queries' indices, sizes below one default to one, and
+// an invalid query or a missing schema is an error.
+func TestNewRegistersCompiledQueries(t *testing.T) {
+	s := graph.NewSchema()
+	acct := s.AddVertexType("Account")
+	s.AddEdgeType("TransferTo", acct, acct)
+	q := query.NewBuilder(s, "Account").Out("TransferTo", 2, sampling.TopK).MustBuild("a")
+	q2 := q
+	q2.Name = "b"
+	cfg, err := New(s, []query.Query{q, q2}, 0, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.File.Samplers != 1 || cfg.File.Servers != 3 || cfg.File.Replicas != 1 {
+		t.Fatalf("sizes = %+v", cfg.File)
+	}
+	if len(cfg.Plans) != 2 || cfg.Plans[0].QueryID != 0 || cfg.Plans[1].QueryID != 1 {
+		t.Fatalf("plans = %+v", cfg.Plans)
+	}
+	if cfg.Queries[1].Name != "b" || cfg.Schema != s {
+		t.Fatal("queries or schema not carried")
+	}
+	if _, err := New(s, []query.Query{{}}, 1, 1, 1); err == nil {
+		t.Fatal("empty query should fail")
+	}
+	if _, err := New(s, nil, 1, 1, 1); err == nil {
+		t.Fatal("no queries should fail")
+	}
+	if _, err := New(nil, []query.Query{q}, 1, 1, 1); err == nil {
+		t.Fatal("missing schema should fail")
 	}
 }

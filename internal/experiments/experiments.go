@@ -14,11 +14,14 @@ import (
 	"time"
 
 	"helios/internal/cluster"
+	"helios/internal/deploy"
 	"helios/internal/graph"
 	"helios/internal/graphdb"
 	"helios/internal/obs"
 	"helios/internal/query"
+	"helios/internal/sampler"
 	"helios/internal/sampling"
+	"helios/internal/serving"
 	"helios/internal/workload"
 )
 
@@ -42,9 +45,8 @@ type Config struct {
 	Seed int64
 	// Out receives the printed tables.
 	Out io.Writer
-	// Metrics, when set, receives every Helios cluster's worker metrics so
-	// the driver can snapshot a whole experiment run (helios-bench passes
-	// obs.Default() and writes BENCH_*.json from it).
+	// Metrics, when set, receives every Helios cluster's worker metrics
+	// (helios-bench passes obs.Default() so -ops-addr serves them live).
 	Metrics *obs.Registry
 }
 
@@ -82,9 +84,10 @@ func (c Config) printf(format string, args ...any) {
 	fmt.Fprintf(c.Out, format, args...)
 }
 
-// loadedHelios builds a Helios cluster for spec, streams the whole dataset
-// in, and waits for quiescence.
-func loadedHelios(cfg Config, spec workload.DatasetSpec, strat sampling.Strategy, samplers, servers int) (*cluster.Local, *workload.Generator, error) {
+// loadedHelios builds a Helios cluster for spec (serveThreads sizes the
+// serving pools, 0 = default), streams the whole dataset in, and waits for
+// quiescence.
+func loadedHelios(cfg Config, spec workload.DatasetSpec, strat sampling.Strategy, samplers, servers, serveThreads int) (*cluster.Local, *workload.Generator, error) {
 	gen, err := workload.NewGenerator(spec)
 	if err != nil {
 		return nil, nil, err
@@ -93,14 +96,7 @@ func loadedHelios(cfg Config, spec workload.DatasetSpec, strat sampling.Strategy
 	if err != nil {
 		return nil, nil, err
 	}
-	c, err := cluster.NewLocal(cluster.LocalConfig{
-		Samplers: samplers,
-		Servers:  servers,
-		Schema:   gen.Schema(),
-		Queries:  []query.Query{q},
-		Seed:     cfg.Seed,
-		Metrics:  cfg.Metrics,
-	})
+	c, err := bootHelios(cfg, gen, q, samplers, servers, 0, serveThreads)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -194,16 +190,18 @@ func ratio(a, b float64) float64 {
 
 type updateT = graph.Update
 
-// newHeliosCluster builds an unloaded cluster for gen's schema and query.
-func newHeliosCluster(cfg Config, gen *workload.Generator, q query.Query) (*cluster.Local, error) {
-	return cluster.NewLocal(cluster.LocalConfig{
-		Samplers: cfg.Samplers,
-		Servers:  cfg.Servers,
-		Schema:   gen.Schema(),
-		Queries:  []query.Query{q},
-		Seed:     cfg.Seed,
-		Metrics:  cfg.Metrics,
-	})
+// bootHelios boots an unloaded in-process cluster for gen's schema and q.
+// sampleThreads and serveThreads size the hot-path pools — the scale-up
+// axes of Fig. 13(a)/14(a) — with 0 meaning the workers' defaults.
+func bootHelios(cfg Config, gen *workload.Generator, q query.Query, samplers, servers, sampleThreads, serveThreads int) (*cluster.Local, error) {
+	dc, err := deploy.New(gen.Schema(), []query.Query{q}, samplers, servers, 1)
+	if err != nil {
+		return nil, err
+	}
+	var o cluster.Options
+	o.Sampler.Worker = sampler.Config{SampleThreads: sampleThreads, Seed: cfg.Seed, Metrics: cfg.Metrics}
+	o.Server.Worker = serving.Config{ServeThreads: serveThreads, Metrics: cfg.Metrics}
+	return cluster.Boot(dc, o)
 }
 
 // parallelIngest drives gen's stream through sink from `workers` loader

@@ -3,8 +3,6 @@ package experiments
 import (
 	"time"
 
-	"helios/internal/cluster"
-	"helios/internal/query"
 	"helios/internal/sampling"
 	"helios/internal/workload"
 )
@@ -36,15 +34,7 @@ func Fig13(cfg Config) ([]ScalePoint, error) {
 		if err != nil {
 			return 0, err
 		}
-		c, err := cluster.NewLocal(cluster.LocalConfig{
-			Samplers:      samplers,
-			Servers:       cfg.Servers,
-			Schema:        gen.Schema(),
-			Queries:       []query.Query{q},
-			SampleThreads: threads,
-			Seed:          cfg.Seed,
-			Metrics:       cfg.Metrics,
-		})
+		c, err := bootHelios(cfg, gen, q, samplers, cfg.Servers, threads, 0)
 		if err != nil {
 			return 0, err
 		}
@@ -93,33 +83,11 @@ func Fig14(cfg Config) ([]ScalePoint, error) {
 	var out []ScalePoint
 
 	measure := func(servers, threads int) (ScalePoint, error) {
-		gen, err := workload.NewGenerator(spec)
-		if err != nil {
-			return ScalePoint{}, err
-		}
-		q, err := gen.BuildQuery(sampling.Random)
-		if err != nil {
-			return ScalePoint{}, err
-		}
-		c, err := cluster.NewLocal(cluster.LocalConfig{
-			Samplers:     cfg.Samplers,
-			Servers:      servers,
-			Schema:       gen.Schema(),
-			Queries:      []query.Query{q},
-			ServeThreads: threads,
-			Seed:         cfg.Seed,
-			Metrics:      cfg.Metrics,
-		})
+		c, gen, err := loadedHelios(cfg, spec, sampling.Random, cfg.Samplers, servers, threads)
 		if err != nil {
 			return ScalePoint{}, err
 		}
 		defer c.Close()
-		if _, err := workload.ReplayAll(gen, c.Ingest); err != nil {
-			return ScalePoint{}, err
-		}
-		if err := c.WaitQuiesce(5 * time.Minute); err != nil {
-			return ScalePoint{}, err
-		}
 		pick := seedPicker(gen, cfg.Seed)
 		// Drive through the serving pools so the thread knob binds.
 		st := workload.RunClosedLoop(conc, cfg.Duration, func(int) error {
@@ -169,7 +137,7 @@ func Fig15(cfg Config) ([]HopPoint, error) {
 	var out []HopPoint
 	for _, spec := range []workload.DatasetSpec{workload.INTER(), workload.INTER3()} {
 		spec = spec.Scale(cfg.Scale)
-		c, gen, err := loadedHelios(cfg, spec, sampling.Random, cfg.Samplers, cfg.Servers)
+		c, gen, err := loadedHelios(cfg, spec, sampling.Random, cfg.Samplers, cfg.Servers, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -211,7 +179,7 @@ func Fig16(cfg Config) ([]CachePoint, error) {
 	cfg.printf("%8s %16s %16s %10s\n", "servers", "per-node bytes", "dataset bytes", "ratio")
 	var out []CachePoint
 	for _, servers := range []int{1, 2, 4} {
-		c, gen, err := loadedHelios(cfg, spec, sampling.Random, cfg.Samplers, servers)
+		c, gen, err := loadedHelios(cfg, spec, sampling.Random, cfg.Samplers, servers, 0)
 		if err != nil {
 			return nil, err
 		}

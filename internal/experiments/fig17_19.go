@@ -31,7 +31,7 @@ func Fig17(cfg Config) ([]IngestLatencyPoint, error) {
 	var out []IngestLatencyPoint
 	for _, spec := range workload.AllDatasets() {
 		spec = spec.Scale(cfg.Scale)
-		c, _, err := loadedHelios(cfg, spec, sampling.Random, cfg.Samplers, cfg.Servers)
+		c, _, err := loadedHelios(cfg, spec, sampling.Random, cfg.Samplers, cfg.Servers, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -246,7 +246,7 @@ type OnlinePoint struct {
 func Fig19(cfg Config) ([]OnlinePoint, error) {
 	cfg = cfg.Defaults()
 	spec := workload.INTER().Scale(cfg.Scale)
-	c, gen, err := loadedHelios(cfg, spec, sampling.Random, cfg.Samplers, cfg.Servers)
+	c, gen, err := loadedHelios(cfg, spec, sampling.Random, cfg.Samplers, cfg.Servers, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +328,7 @@ func ReadAfterWrite(cfg Config) ([]RAWResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, err := newHeliosCluster(cfg, gen, q)
+		c, err := bootHelios(cfg, gen, q, cfg.Samplers, cfg.Servers, 0, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -48,7 +48,7 @@ func servingSweep(cfg Config, spec workload.DatasetSpec, strat sampling.Strategy
 	var out []ServingPoint
 
 	// Helios.
-	hc, gen, err := loadedHelios(cfg, spec, strat, cfg.Samplers, cfg.Servers)
+	hc, gen, err := loadedHelios(cfg, spec, strat, cfg.Samplers, cfg.Servers, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +153,7 @@ func Fig11(cfg Config) ([]IngestPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			c, err := newHeliosCluster(cfg, gen, q)
+			c, err := bootHelios(cfg, gen, q, cfg.Samplers, cfg.Servers, 0, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -227,7 +227,7 @@ type SeparationPoint struct {
 func Fig12(cfg Config) ([]SeparationPoint, error) {
 	cfg = cfg.Defaults()
 	spec := workload.INTER().Scale(cfg.Scale)
-	c, gen, err := loadedHelios(cfg, spec, sampling.Random, cfg.Samplers, cfg.Servers)
+	c, gen, err := loadedHelios(cfg, spec, sampling.Random, cfg.Samplers, cfg.Servers, 0)
 	if err != nil {
 		return nil, err
 	}

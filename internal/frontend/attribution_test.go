@@ -1,21 +1,18 @@
-package frontend
+package frontend_test
 
 import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"helios/internal/clock"
-	"helios/internal/deploy"
+	"helios/internal/cluster"
 	"helios/internal/faultpoint"
 	"helios/internal/graph"
-	"helios/internal/mq"
 	"helios/internal/obs"
-	"helios/internal/rpc"
 	"helios/internal/sampler"
 	"helios/internal/serving"
 )
@@ -37,10 +34,6 @@ const attributionDelay = 40 * time.Millisecond
 //  4. structured log lines carry the same trace ID,
 //  5. the /slo burn rate reflects the blown objective.
 func TestP99SpikeAttributableEndToEnd(t *testing.T) {
-	cfg, err := deploy.Parse([]byte(traceTestConfig))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Wall clock throughout: the injected delay is a real sleep, so the
 	// stage durations must come from the same clock that sleep blocks.
 	clk := clock.Wall()
@@ -49,68 +42,16 @@ func TestP99SpikeAttributableEndToEnd(t *testing.T) {
 	var logBuf bytes.Buffer
 	logger := obs.NewLogger(&logBuf, "cluster").WithClock(clk)
 
-	broker := mq.NewBroker(mq.Options{})
-	brokerSrv := rpc.NewServer()
-	mq.ServeBroker(broker, brokerSrv)
-	brokerAddr, err := brokerSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	var o cluster.Options
+	o.Sampler.Worker = sampler.Config{Clock: clk, Metrics: reg}
+	o.Server.Worker = serving.Config{Clock: clk, Metrics: reg, Tracer: tracer, SlowLog: attributionDelay / 2}
+	o.Server.Logger = logger
+	o.Frontend = cluster.FrontendOptions{
+		Clock: clk, Registry: reg, Tracer: tracer,
+		SLOTarget: attributionDelay / 2, SLOWindow: time.Minute, SlowLog: attributionDelay / 2,
 	}
-	defer brokerSrv.Close()
-	defer broker.Close()
-
-	sbus, err := mq.DialBroker(brokerAddr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sbus.Close()
-	sw, err := sampler.New(sampler.Config{
-		ID: 0, NumSamplers: 1, NumServers: 1,
-		Plans: cfg.Plans, Schema: cfg.Schema, Broker: sbus, Seed: 1,
-		Clock: clk, Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw.Start()
-	defer sw.Stop()
-
-	vbus, err := mq.DialBroker(brokerAddr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vbus.Close()
-	srvW, err := serving.New(serving.Config{
-		ID: 0, NumServers: 1, Plans: cfg.Plans, Broker: vbus,
-		Clock: clk, Metrics: reg, Tracer: tracer,
-		Logger: logger, SlowLog: attributionDelay / 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvW.Start()
-	defer srvW.Stop()
-	rsrv := rpc.NewServer()
-	serving.ServeRPC(srvW, rsrv)
-	servingAddr, err := rsrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rsrv.Close()
-
-	fbus, err := mq.DialBroker(brokerAddr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fbus.Close()
-	fe, err := New(cfg, fbus, []string{servingAddr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fe.Close()
-	fe.UseObs(clk, reg, tracer)
-	fe.SetSLO(attributionDelay/2, 0.99, time.Minute)
-	fe.SetLogger(logger, attributionDelay/2)
+	o.Frontend.Logger = logger
+	c, cfg, fe := boot(t, traceTestConfig, o)
 
 	click, _ := cfg.Schema.EdgeTypeID("Click")
 	copurchase, _ := cfg.Schema.EdgeTypeID("CoPurchase")
@@ -224,9 +165,8 @@ func TestP99SpikeAttributableEndToEnd(t *testing.T) {
 
 	// 5. The blown objective shows on /slo, and the exemplar survives the
 	// HTTP metrics surface — the full walk an operator would take.
-	gateway := httptest.NewServer(fe.Handler())
-	defer gateway.Close()
-	resp, err := http.Get(gateway.URL + "/slo")
+	gateway := "http://" + c.Frontend.Addr
+	resp, err := http.Get(gateway + "/slo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +181,7 @@ func TestP99SpikeAttributableEndToEnd(t *testing.T) {
 	if !ok || slo.Bad == 0 {
 		t.Fatalf("/slo does not show the blown objective: %+v", sloDoc.SLOs)
 	}
-	resp, err = http.Get(gateway.URL + "/metrics?format=json")
+	resp, err = http.Get(gateway + "/metrics?format=json")
 	if err != nil {
 		t.Fatal(err)
 	}

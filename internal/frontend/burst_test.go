@@ -1,4 +1,4 @@
-package frontend
+package frontend_test
 
 import (
 	"runtime"
@@ -8,14 +8,12 @@ import (
 	"testing"
 	"time"
 
-	"helios/internal/deploy"
+	"helios/internal/cluster"
 	"helios/internal/faultpoint"
+	"helios/internal/frontend"
 	"helios/internal/graph"
-	"helios/internal/mq"
 	"helios/internal/overload"
 	"helios/internal/query"
-	"helios/internal/rpc"
-	"helios/internal/sampler"
 	"helios/internal/serving"
 )
 
@@ -27,77 +25,12 @@ import (
 // path serves stale-but-tagged answers, and once the burst drains the
 // admission queues and goroutine count return to their pre-storm baseline.
 func TestChaosBurstOverload(t *testing.T) {
-	cfg, err := deploy.Parse([]byte(testConfig))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	broker := mq.NewBroker(mq.Options{})
-	brokerSrv := rpc.NewServer()
-	mq.ServeBroker(broker, brokerSrv)
-	brokerAddr, err := brokerSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer brokerSrv.Close()
-	defer broker.Close()
-
-	for i := 0; i < cfg.File.Samplers; i++ {
-		bus, err := mq.DialBroker(brokerAddr, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer bus.Close()
-		w, err := sampler.New(sampler.Config{
-			ID: i, NumSamplers: cfg.File.Samplers, NumServers: cfg.File.Servers,
-			Plans: cfg.Plans, Schema: cfg.Schema, Broker: bus, Seed: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Start()
-		defer w.Stop()
-	}
-
-	var servingAddrs []string
-	for i := 0; i < cfg.File.Servers; i++ {
-		bus, err := mq.DialBroker(brokerAddr, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer bus.Close()
-		// Tiny admission capacity so the storm saturates serving, with the
-		// degraded path switched on: sheds with budget left fall back to
-		// inline cached answers.
-		w, err := serving.New(serving.Config{
-			ID: i, NumServers: cfg.File.Servers, Plans: cfg.Plans, Broker: bus,
-			MaxInflight: 1, MaxAdmitQueue: 1, Degrade: true, DegradeInflight: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Start()
-		defer w.Stop()
-		srv := rpc.NewServer()
-		serving.ServeRPC(w, srv)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		servingAddrs = append(servingAddrs, addr)
-	}
-
-	fbus, err := mq.DialBroker(brokerAddr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fbus.Close()
-	fe, err := New(cfg, fbus, servingAddrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fe.Close()
+	// Tiny admission capacity so the storm saturates serving, with the
+	// degraded path switched on: sheds with budget left fall back to
+	// inline cached answers.
+	var o cluster.Options
+	o.Server.Worker = serving.Config{MaxInflight: 1, MaxAdmitQueue: 1, Degrade: true, DegradeInflight: 2}
+	_, cfg, fe := boot(t, testConfig, o)
 
 	// Seed the pipeline and wait until the cache can answer for seed 1.
 	userT, _ := cfg.Schema.VertexTypeID("User")
@@ -125,7 +58,7 @@ func TestChaosBurstOverload(t *testing.T) {
 	}
 
 	const budget = 400 * time.Millisecond
-	fe.SetOverload(Overload{RequestTimeout: budget, MaxInflight: 8, MaxQueue: 4})
+	fe.SetOverload(frontend.Overload{RequestTimeout: budget, MaxInflight: 8, MaxQueue: 4})
 
 	baseline := runtime.NumGoroutine()
 	shedBefore := overload.TotalShed()
@@ -208,7 +141,7 @@ func TestChaosBurstOverload(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if q, in := fe.limiter.Queued(), fe.limiter.Inflight(); q != 0 || in != 0 {
+	if q, in := fe.AdmissionDepth(); q != 0 || in != 0 {
 		t.Fatalf("admission queue not drained: queued=%d inflight=%d", q, in)
 	}
 	leakDeadline := time.Now().Add(5 * time.Second)

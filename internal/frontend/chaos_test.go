@@ -1,16 +1,14 @@
-package frontend
+package frontend_test
 
 import (
-	"sort"
 	"testing"
 	"time"
 
-	"helios/internal/deploy"
+	"helios/internal/cluster"
 	"helios/internal/graph"
 	"helios/internal/mq"
 	"helios/internal/query"
 	"helios/internal/rpc"
-	"helios/internal/sampler"
 	"helios/internal/serving"
 )
 
@@ -20,72 +18,8 @@ import (
 // story: the retained log is the source of truth, clients self-heal, and
 // appends are at-least-once.
 func TestChaosBrokerRestart(t *testing.T) {
-	cfg, err := deploy.Parse([]byte(testConfig))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	broker := mq.NewBroker(mq.Options{})
-	brokerSrv := rpc.NewServer()
-	mq.ServeBroker(broker, brokerSrv)
-	brokerAddr, err := brokerSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer broker.Close()
-
-	for i := 0; i < cfg.File.Samplers; i++ {
-		bus, err := mq.DialBroker(brokerAddr, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer bus.Close()
-		w, err := sampler.New(sampler.Config{
-			ID: i, NumSamplers: cfg.File.Samplers, NumServers: cfg.File.Servers,
-			Plans: cfg.Plans, Schema: cfg.Schema, Broker: bus, Seed: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Start()
-		defer w.Stop()
-	}
-
-	var servingAddrs []string
-	for i := 0; i < cfg.File.Servers; i++ {
-		bus, err := mq.DialBroker(brokerAddr, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer bus.Close()
-		w, err := serving.New(serving.Config{
-			ID: i, NumServers: cfg.File.Servers, Plans: cfg.Plans, Broker: bus,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Start()
-		defer w.Stop()
-		srv := rpc.NewServer()
-		serving.ServeRPC(w, srv)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		servingAddrs = append(servingAddrs, addr)
-	}
-
-	fbus, err := mq.DialBroker(brokerAddr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fbus.Close()
-	fe, err := New(cfg, fbus, servingAddrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fe.Close()
+	c, cfg, fe := boot(t, testConfig, cluster.Options{})
+	broker := c.Brokers[0]
 
 	userT, _ := cfg.Schema.VertexTypeID("User")
 	itemT, _ := cfg.Schema.VertexTypeID("Item")
@@ -144,7 +78,7 @@ func TestChaosBrokerRestart(t *testing.T) {
 	// Kill the broker's endpoint. The retained log survives in the Broker;
 	// only every TCP connection dies. An ingest during the outage fails
 	// after exhausting its retry budget — and proves the retry path ran.
-	brokerSrv.Close()
+	broker.StopEndpoint()
 	if err := fe.Ingest(vertex(102, itemT, 4)); err == nil {
 		t.Fatal("ingest succeeded against a dead broker")
 	}
@@ -153,21 +87,9 @@ func TestChaosBrokerRestart(t *testing.T) {
 	}
 
 	// Restart on the same address; every client reconnects by itself.
-	var srv2 *rpc.Server
-	for i := 0; i < 100; i++ {
-		srv2 = rpc.NewServer()
-		mq.ServeBroker(broker, srv2)
-		if _, err = srv2.Listen(brokerAddr); err == nil {
-			break
-		}
-		srv2.Close()
-		srv2 = nil
-		time.Sleep(10 * time.Millisecond)
+	if err := broker.RestartEndpoint(); err != nil {
+		t.Fatal(err)
 	}
-	if srv2 == nil {
-		t.Fatalf("rebind broker endpoint: %v", err)
-	}
-	defer srv2.Close()
 
 	// Batch B: the first appends may race the reconnect, so retry until
 	// accepted (at-least-once is the broker append contract anyway).
@@ -192,36 +114,11 @@ func TestChaosBrokerRestart(t *testing.T) {
 	// both) and both CoPurchase children.
 	waitFor([]uint64{100, 102}, []uint64{101, 103})
 
-	if fbus.Client().Reconnects.Value() == 0 {
+	if c.Frontend.Bus.(mq.Conn).Client().Reconnects.Value() == 0 {
 		t.Fatal("frontend broker client never reconnected")
 	}
 	snap := fe.Metrics().Snapshot()
 	if snap.Counters["rpc.reconnects"] == 0 || snap.Counters["rpc.retries"] == 0 {
 		t.Fatalf("rpc metrics not exposed: %v", snap.Counters)
 	}
-}
-
-func asSet(vs []graph.VertexID) []uint64 {
-	seen := make(map[uint64]bool, len(vs))
-	var out []uint64
-	for _, v := range vs {
-		if !seen[uint64(v)] {
-			seen[uint64(v)] = true
-			out = append(out, uint64(v))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func equalU64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

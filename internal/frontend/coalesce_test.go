@@ -1,4 +1,4 @@
-package frontend
+package frontend_test
 
 import (
 	"bytes"
@@ -9,14 +9,13 @@ import (
 	"testing"
 	"time"
 
-	"helios/internal/deploy"
+	"helios/internal/cluster"
 	"helios/internal/faultpoint"
+	"helios/internal/frontend"
 	"helios/internal/graph"
-	"helios/internal/mq"
 	"helios/internal/obs"
 	"helios/internal/query"
 	"helios/internal/rpc"
-	"helios/internal/serving"
 )
 
 // captureLogger is a mutex-guarded log sink for asserting on emitted
@@ -61,41 +60,12 @@ const coalesceConfig = `{
   ]
 }`
 
-// newCoalesceFrontend wires an in-process broker, one serving worker
-// behind a real RPC listener, and a frontend pointed at it.
-func newCoalesceFrontend(t *testing.T) *Frontend {
+// newCoalesceFrontend boots the single-partition deployment and returns
+// its frontend.
+func newCoalesceFrontend(t *testing.T) *frontend.Frontend {
 	t.Helper()
-	cfg, err := deploy.Parse([]byte(coalesceConfig))
-	if err != nil {
-		t.Fatal(err)
-	}
-	broker := mq.NewBroker(mq.Options{})
-	t.Cleanup(func() { broker.Close() })
-	w, err := serving.New(serving.Config{ID: 0, NumServers: 1, Plans: cfg.Plans, Broker: broker})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Start()
-	t.Cleanup(w.Stop)
-	srv := rpc.NewServer()
-	serving.ServeRPC(w, srv)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	fe, err := New(cfg, broker, []string{addr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(fe.Close)
+	_, _, fe := boot(t, coalesceConfig, cluster.Options{})
 	return fe
-}
-
-// sampleCalls reads the lone replica client's issued-call counter — the
-// RPC-frame count the coalescing assertions key on.
-func sampleCalls(fe *Frontend) int64 {
-	return fe.servers[0][0].client.RPC().Calls.Value()
 }
 
 // TestCoalescingConcurrent releases N concurrent Samples into one
@@ -108,7 +78,7 @@ func TestCoalescingConcurrent(t *testing.T) {
 	fe := newCoalesceFrontend(t)
 	fe.SetBatching(8, 5*time.Millisecond)
 	baseline := runtime.NumGoroutine()
-	before := sampleCalls(fe)
+	before := fe.SampleCalls()
 
 	const n = 32
 	gate := make(chan struct{})
@@ -139,7 +109,7 @@ func TestCoalescingConcurrent(t *testing.T) {
 			t.Fatalf("request %d got seed layer %d, want %d — batch fan-out crossed wires", i, seeds[i], want)
 		}
 	}
-	frames := sampleCalls(fe) - before
+	frames := fe.SampleCalls() - before
 	if frames >= n/2 {
 		t.Fatalf("%d concurrent samples used %d RPC frames — no coalescing happened", n, frames)
 	}
@@ -173,31 +143,18 @@ func TestBatchDeadlineIsMemberMinimum(t *testing.T) {
 	faultpoint.Delay("serving.sample", -1, 2*time.Second)
 	defer faultpoint.Reset()
 
-	b := fe.batchers[0]
-	now := fe.clk.Now()
-	short := &pendingSample{
-		item:     serving.BatchItem{Query: 0, Seed: 1},
-		deadline: now.Add(100 * time.Millisecond),
-		done:     make(chan sampleOutcome, 1),
-	}
-	long := &pendingSample{
-		item:     serving.BatchItem{Query: 0, Seed: 2},
-		deadline: now.Add(30 * time.Second),
-		done:     make(chan sampleOutcome, 1),
-	}
 	start := time.Now()
-	b.flush([]*pendingSample{short, long})
-	out := <-short.done
+	errs := fe.FlushBatch(100*time.Millisecond, 30*time.Second)
 	elapsed := time.Since(start)
-	if !errors.Is(out.err, rpc.ErrDeadlineExceeded) {
-		t.Fatalf("short member: err=%v, want deadline exceeded", out.err)
+	if !errors.Is(errs[0], rpc.ErrDeadlineExceeded) {
+		t.Fatalf("short member: err=%v, want deadline exceeded", errs[0])
 	}
 	// Well under the 2s stall and the long member's 30s: the short member
 	// bounded the whole batch.
 	if elapsed > time.Second {
 		t.Fatalf("batch ran %v — the short member's 100ms deadline did not bound it", elapsed)
 	}
-	if out := <-long.done; out.err == nil {
+	if errs[1] == nil {
 		t.Fatal("long member should share the batch-wide deadline failure")
 	}
 }
@@ -208,18 +165,11 @@ func TestBatchDeadlineIsMemberMinimum(t *testing.T) {
 func TestBatchExpiredMemberFailsLocally(t *testing.T) {
 	fe := newCoalesceFrontend(t)
 	fe.SetBatching(8, time.Millisecond)
-	b := fe.batchers[0]
-	before := sampleCalls(fe)
-	expired := &pendingSample{
-		item:     serving.BatchItem{Query: 0, Seed: 1},
-		deadline: fe.clk.Now().Add(-time.Millisecond),
-		done:     make(chan sampleOutcome, 1),
+	before := fe.SampleCalls()
+	if errs := fe.FlushBatch(-time.Millisecond); !errors.Is(errs[0], rpc.ErrDeadlineExceeded) {
+		t.Fatalf("expired member: err=%v, want deadline exceeded", errs[0])
 	}
-	b.flush([]*pendingSample{expired})
-	if out := <-expired.done; !errors.Is(out.err, rpc.ErrDeadlineExceeded) {
-		t.Fatalf("expired member: err=%v, want deadline exceeded", out.err)
-	}
-	if d := sampleCalls(fe) - before; d != 0 {
+	if d := fe.SampleCalls() - before; d != 0 {
 		t.Fatalf("all-expired batch still sent %d RPC frames", d)
 	}
 	if fe.DeadlineExceeded.Value() == 0 {

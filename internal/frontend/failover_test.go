@@ -1,15 +1,11 @@
-package frontend
+package frontend_test
 
 import (
 	"testing"
 	"time"
 
-	"helios/internal/deploy"
+	"helios/internal/cluster"
 	"helios/internal/graph"
-	"helios/internal/mq"
-	"helios/internal/rpc"
-	"helios/internal/sampler"
-	"helios/internal/serving"
 )
 
 const replicatedConfig = `{
@@ -30,73 +26,10 @@ const replicatedConfig = `{
 // requests keep succeeding via the survivor, the dead replica is marked
 // unhealthy, and the prober re-admits it after restart.
 func TestReplicaFailover(t *testing.T) {
-	cfg, err := deploy.Parse([]byte(replicatedConfig))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	broker := mq.NewBroker(mq.Options{})
-	brokerSrv := rpc.NewServer()
-	mq.ServeBroker(broker, brokerSrv)
-	brokerAddr, err := brokerSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer brokerSrv.Close()
-	defer broker.Close()
-
-	sbus, err := mq.DialBroker(brokerAddr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sbus.Close()
-	sw, err := sampler.New(sampler.Config{
-		ID: 0, NumSamplers: 1, NumServers: 1,
-		Plans: cfg.Plans, Schema: cfg.Schema, Broker: sbus, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw.Start()
-	defer sw.Stop()
-
 	// Two interchangeable replicas of serving partition 0, each consuming
 	// the sample queue with its own cursor.
-	var workers [2]*serving.Worker
-	var servers [2]*rpc.Server
-	var addrs [2]string
-	for r := 0; r < 2; r++ {
-		bus, err := mq.DialBroker(brokerAddr, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer bus.Close()
-		w, err := serving.New(serving.Config{ID: 0, NumServers: 1, Plans: cfg.Plans, Broker: bus})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Start()
-		defer w.Stop()
-		workers[r] = w
-		srv := rpc.NewServer()
-		serving.ServeRPC(w, srv)
-		if addrs[r], err = srv.Listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		servers[r] = srv
-	}
-	defer servers[1].Close()
-
-	fbus, err := mq.DialBroker(brokerAddr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fbus.Close()
-	fe, err := New(cfg, fbus, addrs[:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fe.Close()
+	c, cfg, fe := boot(t, replicatedConfig, cluster.Options{})
+	workers := c.Servers
 
 	userT, _ := cfg.Schema.VertexTypeID("User")
 	itemT, _ := cfg.Schema.VertexTypeID("Item")
@@ -123,7 +56,7 @@ func TestReplicaFailover(t *testing.T) {
 
 	// Kill replica 0's endpoint. Every request must still succeed — the
 	// frontend fails over to replica 1 — and the casualty gets marked.
-	servers[0].Close()
+	c.ServerRoles[0].StopEndpoint()
 	for i := 0; i < 6; i++ {
 		res, err := fe.Sample(0, 1)
 		if err != nil {
@@ -142,21 +75,9 @@ func TestReplicaFailover(t *testing.T) {
 	}
 
 	// Restart the endpoint on the same address; the prober re-admits it.
-	var srv2 *rpc.Server
-	for i := 0; i < 100; i++ {
-		srv2 = rpc.NewServer()
-		serving.ServeRPC(workers[0], srv2)
-		if _, err = srv2.Listen(addrs[0]); err == nil {
-			break
-		}
-		srv2.Close()
-		srv2 = nil
-		time.Sleep(10 * time.Millisecond)
+	if err := c.ServerRoles[0].RestartEndpoint(); err != nil {
+		t.Fatal(err)
 	}
-	if srv2 == nil {
-		t.Fatalf("rebind replica endpoint: %v", err)
-	}
-	defer srv2.Close()
 
 	fe.SetProbeInterval(10 * time.Millisecond)
 	deadline = time.Now().Add(15 * time.Second)

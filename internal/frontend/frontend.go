@@ -16,7 +16,6 @@ import (
 
 	"helios/internal/actor"
 	"helios/internal/clock"
-	"helios/internal/codec"
 	"helios/internal/deploy"
 	"helios/internal/graph"
 	"helios/internal/metrics"
@@ -43,14 +42,14 @@ const defaultProbeInterval = time.Second
 
 // Frontend routes requests and updates for one deployment.
 type Frontend struct {
+	// Router is the update path: Ingest stamps and routes, Updates counts.
+	*Router
+
 	cfg      *deploy.Config
-	part     graph.Partitioner // sampling workers
 	servPart graph.Partitioner // serving workers
 	servers  [][]*replica      // [partition][replica]
 	rr       []atomic.Uint64   // per-partition round-robin cursor
 	updates  mq.TopicHandle
-	dirs     map[graph.EdgeType][2]bool
-	seq      metrics.Counter
 
 	probeEvery atomic.Int64 // ns between health probes
 	prober     *actor.Loop
@@ -87,12 +86,11 @@ type Frontend struct {
 	stIngest    *obs.Histogram
 	slo         *obs.SLO
 
-	// Requests / Updates count routed traffic; Failovers counts replica
-	// calls abandoned for the next replica after a transport failure.
+	// Requests counts routed samples; Failovers counts replica calls
+	// abandoned for the next replica after a transport failure.
 	// DeadlineExceeded counts requests whose end-to-end budget ran out;
 	// IngestShed counts updates refused for ingestion backpressure.
 	Requests         metrics.Counter
-	Updates          metrics.Counter
 	Failovers        metrics.Counter
 	DeadlineExceeded metrics.Counter
 	IngestShed       metrics.Counter
@@ -117,16 +115,15 @@ func New(cfg *deploy.Config, bus mq.Bus, servingAddrs []string) (*Frontend, erro
 	}
 	f := &Frontend{
 		cfg:      cfg,
-		part:     graph.NewPartitioner(cfg.File.Samplers),
 		servPart: graph.NewPartitioner(cfg.File.Servers),
 		rr:       make([]atomic.Uint64, cfg.File.Servers),
 		updates:  updates,
-		dirs:     cfg.EdgeRouting(),
 		lags:     make([]atomic.Int64, cfg.File.Samplers),
 		clk:      clock.Wall(),
 		reg:      obs.NewRegistry(),
 		tracer:   obs.NewTracer(0, 0),
 	}
+	f.Router = NewRouter(cfg, f.clk, f.append)
 	f.probeEvery.Store(int64(defaultProbeInterval))
 	f.registerMetrics()
 	for p := 0; p < cfg.File.Servers; p++ {
@@ -357,6 +354,7 @@ func (f *Frontend) callReplicaPart(p int, deadline time.Time, fn func(*serving.C
 func (f *Frontend) UseObs(clk clock.Clock, reg *obs.Registry, tracer *obs.Tracer) {
 	if clk != nil {
 		f.clk = clk
+		f.Router.clk = clk
 	}
 	if tracer != nil {
 		f.tracer = tracer
@@ -445,16 +443,6 @@ func (f *Frontend) Close() {
 	})
 }
 
-// Ingest stamps and routes one update. The update stays untraced (unless
-// the caller pre-assigned u.Trace), so bulk ingestion pays no tracing
-// cost downstream.
-func (f *Frontend) Ingest(u graph.Update) error {
-	u.Seq = uint64(f.seq.Value())
-	f.seq.Inc()
-	u.Ingested = f.clk.Now().UnixNano()
-	return f.route(u)
-}
-
 // IngestTraced is Ingest with a trace ID minted for the update (reusing
 // u.Trace if the caller pre-assigned one). The ID travels with the update
 // through sampling into the serving caches, where the refresh it causes
@@ -464,38 +452,6 @@ func (f *Frontend) IngestTraced(u graph.Update) (uint64, error) {
 		u.Trace = f.tracer.NewID()
 	}
 	return u.Trace, f.Ingest(u)
-}
-
-func (f *Frontend) route(u graph.Update) error {
-	payload := codec.EncodeUpdate(u)
-	switch u.Kind {
-	case graph.UpdateVertex:
-		f.Updates.Inc()
-		return f.append(f.part.Of(u.Vertex.ID), uint64(u.Vertex.ID), payload, u.Trace)
-	case graph.UpdateEdge:
-		d, relevant := f.dirs[u.Edge.Type]
-		if !relevant {
-			return nil
-		}
-		f.Updates.Inc()
-		sent := -1
-		if d[0] {
-			sent = f.part.Of(u.Edge.Src)
-			if err := f.append(sent, uint64(u.Edge.Src), payload, u.Trace); err != nil {
-				return err
-			}
-		}
-		if d[1] {
-			if p := f.part.Of(u.Edge.Dst); p != sent {
-				if err := f.append(p, uint64(u.Edge.Src), payload, u.Trace); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("frontend: unknown update kind %d", u.Kind)
-	}
 }
 
 // append publishes one routed update, shedding first on the frontend's

@@ -1,124 +1,32 @@
-package frontend
+package frontend_test
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
+	"helios/internal/cluster"
 	"helios/internal/codec"
-	"helios/internal/deploy"
 	"helios/internal/graph"
-	"helios/internal/mq"
-	"helios/internal/rpc"
-	"helios/internal/sampler"
 	"helios/internal/serving"
 )
 
-const testConfig = `{
-  "samplers": 2,
-  "servers": 2,
-  "vertexTypes": ["User", "Item"],
-  "edgeTypes": [
-    {"name": "Click", "src": "User", "dst": "Item"},
-    {"name": "CoPurchase", "src": "Item", "dst": "Item"}
-  ],
-  "queries": [
-    "g.V('User').outV('Click').sample(2).by('TopK').outV('CoPurchase').sample(2).by('TopK')"
-  ]
-}`
-
-// TestMultiProcessTopology assembles the full multi-process deployment over
-// real TCP inside one test: a broker server, sampling and serving workers
+// TestMultiProcessTopology boots the full multi-process deployment over
+// real TCP inside one test — a broker server, sampling and serving workers
 // connected through RemoteBroker clients, serving RPC endpoints, and the
-// HTTP frontend — exactly what the cmd/ binaries run.
+// HTTP frontend — and drives it through the gateway.
 func TestMultiProcessTopology(t *testing.T) {
-	cfg, err := deploy.Parse([]byte(testConfig))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// "Process" 1: the broker.
-	broker := mq.NewBroker(mq.Options{})
-	brokerSrv := rpc.NewServer()
-	mq.ServeBroker(broker, brokerSrv)
-	brokerAddr, err := brokerSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer brokerSrv.Close()
-	defer broker.Close()
-
-	// "Processes" 2-3: sampling workers, each with its own broker client.
-	var samplers []*sampler.Worker
-	for i := 0; i < cfg.File.Samplers; i++ {
-		bus, err := mq.DialBroker(brokerAddr, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer bus.Close()
-		w, err := sampler.New(sampler.Config{
-			ID: i, NumSamplers: cfg.File.Samplers, NumServers: cfg.File.Servers,
-			Plans: cfg.Plans, Schema: cfg.Schema, Broker: bus, Seed: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Start()
-		defer w.Stop()
-		samplers = append(samplers, w)
-	}
-
-	// "Processes" 4-5: serving workers with RPC endpoints.
-	var servingAddrs []string
-	var servers []*serving.Worker
-	for i := 0; i < cfg.File.Servers; i++ {
-		bus, err := mq.DialBroker(brokerAddr, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer bus.Close()
-		w, err := serving.New(serving.Config{
-			ID: i, NumServers: cfg.File.Servers, Plans: cfg.Plans, Broker: bus,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Start()
-		defer w.Stop()
-		servers = append(servers, w)
-		srv := rpc.NewServer()
-		serving.ServeRPC(w, srv)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		servingAddrs = append(servingAddrs, addr)
-	}
-
-	// "Process" 6: the frontend with its HTTP gateway.
-	fbus, err := mq.DialBroker(brokerAddr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fbus.Close()
-	fe, err := New(cfg, fbus, servingAddrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fe.Close()
-	gateway := httptest.NewServer(fe.Handler())
-	defer gateway.Close()
+	c, _, _ := boot(t, testConfig, cluster.Options{})
+	gateway := "http://" + c.Frontend.Addr
 
 	// Drive the Fig. 1 workload through HTTP.
 	post := func(path string, body any) {
 		t.Helper()
 		data, _ := json.Marshal(body)
-		resp, err := http.Post(gateway.URL+path, "application/json", bytes.NewReader(data))
+		resp, err := http.Post(gateway+path, "application/json", bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +49,7 @@ func TestMultiProcessTopology(t *testing.T) {
 		Features map[string][]float32 `json:"features"`
 	}
 	for {
-		resp, err := http.Get(gateway.URL + "/sample?q=0&seed=1")
+		resp, err := http.Get(gateway + "/sample?q=0&seed=1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +79,7 @@ func TestMultiProcessTopology(t *testing.T) {
 	}
 
 	// Health endpoint.
-	resp, err := http.Get(gateway.URL + "/healthz")
+	resp, err := http.Get(gateway + "/healthz")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %v %v", resp, err)
 	}
@@ -179,14 +87,14 @@ func TestMultiProcessTopology(t *testing.T) {
 
 	// Bad requests.
 	for _, path := range []string{"/sample?q=9&seed=1", "/sample?q=0&seed=x"} {
-		resp, _ := http.Get(gateway.URL + path)
+		resp, _ := http.Get(gateway + path)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d", path, resp.StatusCode)
 		}
 		resp.Body.Close()
 	}
 	var stats int64
-	for _, w := range samplers {
+	for _, w := range c.Samplers {
 		stats += w.Stats().Admissions
 	}
 	if stats == 0 {

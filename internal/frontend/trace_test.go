@@ -1,18 +1,15 @@
-package frontend
+package frontend_test
 
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"helios/internal/deploy"
+	"helios/internal/cluster"
 	"helios/internal/graph"
-	"helios/internal/mq"
 	"helios/internal/obs"
-	"helios/internal/rpc"
 	"helios/internal/sampler"
 	"helios/internal/serving"
 	"helios/internal/wire"
@@ -44,7 +41,7 @@ const traceTestConfig = `{
   ]
 }`
 
-// TestTracePropagatesAcrossCluster assembles the full deployment over real
+// TestTracePropagatesAcrossCluster boots the full deployment over real
 // TCP — broker, sampling worker, serving worker behind its RPC endpoint,
 // frontend — with one shared registry, tracer and stepping clock, then
 // asserts the two trace legs the paper's pipeline has:
@@ -59,73 +56,14 @@ const traceTestConfig = `{
 // The polling loop below waits for cross-goroutine/TCP propagation only;
 // every duration assertion derives from the injected stepping clock.
 func TestTracePropagatesAcrossCluster(t *testing.T) {
-	cfg, err := deploy.Parse([]byte(traceTestConfig))
-	if err != nil {
-		t.Fatal(err)
-	}
 	clk := &stepClock{base: time.Unix(1_700_000_000, 0)}
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(64, 8)
-
-	broker := mq.NewBroker(mq.Options{})
-	brokerSrv := rpc.NewServer()
-	mq.ServeBroker(broker, brokerSrv)
-	brokerAddr, err := brokerSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer brokerSrv.Close()
-	defer broker.Close()
-
-	sbus, err := mq.DialBroker(brokerAddr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sbus.Close()
-	sw, err := sampler.New(sampler.Config{
-		ID: 0, NumSamplers: 1, NumServers: 1,
-		Plans: cfg.Plans, Schema: cfg.Schema, Broker: sbus, Seed: 1,
-		Clock: clk, Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw.Start()
-	defer sw.Stop()
-
-	vbus, err := mq.DialBroker(brokerAddr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vbus.Close()
-	srvW, err := serving.New(serving.Config{
-		ID: 0, NumServers: 1, Plans: cfg.Plans, Broker: vbus,
-		Clock: clk, Metrics: reg, Tracer: tracer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvW.Start()
-	defer srvW.Stop()
-	rsrv := rpc.NewServer()
-	serving.ServeRPC(srvW, rsrv)
-	servingAddr, err := rsrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rsrv.Close()
-
-	fbus, err := mq.DialBroker(brokerAddr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fbus.Close()
-	fe, err := New(cfg, fbus, []string{servingAddr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fe.Close()
-	fe.UseObs(clk, reg, tracer)
+	var o cluster.Options
+	o.Sampler.Worker = sampler.Config{Clock: clk, Metrics: reg}
+	o.Server.Worker = serving.Config{Clock: clk, Metrics: reg, Tracer: tracer}
+	o.Frontend = cluster.FrontendOptions{Clock: clk, Registry: reg, Tracer: tracer}
+	c, cfg, fe := boot(t, traceTestConfig, o)
 
 	click, _ := cfg.Schema.EdgeTypeID("Click")
 	copurchase, _ := cfg.Schema.EdgeTypeID("CoPurchase")
@@ -263,9 +201,8 @@ func TestTracePropagatesAcrossCluster(t *testing.T) {
 
 	// The same registry and tracer are retrievable over the gateway's ops
 	// endpoints.
-	gateway := httptest.NewServer(fe.Handler())
-	defer gateway.Close()
-	resp, err := http.Get(gateway.URL + "/metrics?format=json")
+	gateway := "http://" + c.Frontend.Addr
+	resp, err := http.Get(gateway + "/metrics?format=json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +214,7 @@ func TestTracePropagatesAcrossCluster(t *testing.T) {
 	if v := hsnap.Counters[obs.Name("serving.sample_hits", "worker", "0")]; v == 0 {
 		t.Error("/metrics JSON missing non-zero sample hit counter")
 	}
-	resp, err = http.Get(gateway.URL + "/traces")
+	resp, err = http.Get(gateway + "/traces")
 	if err != nil {
 		t.Fatal(err)
 	}

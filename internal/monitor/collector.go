@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"helios/internal/actor"
 	"helios/internal/clock"
 	"helios/internal/obs"
 )
@@ -151,9 +150,6 @@ type Collector struct {
 	gaugeParts  map[int]bool // partitions with a registered heat gauge
 	history     []ClusterView
 	lastCapture map[string]int64 // trigger key -> collector-clock ns
-
-	loop     *actor.Loop
-	loopOnce sync.Once
 }
 
 // NewCollector builds a collector and registers the cluster-level gauges
@@ -421,8 +417,8 @@ func (c *Collector) record(captures []*Capture) {
 
 // Tick scans for newly dead workers (capturing each death once) and
 // appends the current view to the capture-context history ring. The
-// background loop calls it every Interval; tests call it directly under
-// a fake clock.
+// broker role calls it every Interval; tests call it directly under a
+// fake clock.
 func (c *Collector) Tick() {
 	nowNS := c.cfg.Clock.Now().UnixNano()
 	var captures []*Capture
@@ -457,31 +453,6 @@ func (c *Collector) Tick() {
 			"worker", name, "dead_after", c.cfg.DeadAfter)
 	}
 	c.record(captures)
-}
-
-// Start runs the death-scan loop in the background until Stop.
-func (c *Collector) Start() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.loop != nil {
-		return
-	}
-	interval := c.cfg.Interval
-	c.loop = actor.NewLoop(1, func(int) bool {
-		time.Sleep(interval)
-		c.Tick()
-		return true
-	})
-}
-
-// Stop halts the background loop.
-func (c *Collector) Stop() {
-	c.mu.Lock()
-	loop := c.loop
-	c.mu.Unlock()
-	if loop != nil {
-		c.loopOnce.Do(loop.Stop)
-	}
 }
 
 // ClusterView is the live cluster document served at GET /cluster.

@@ -2,23 +2,18 @@ package monitor_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"helios/internal/clock"
+	"helios/internal/cluster"
 	"helios/internal/deploy"
 	"helios/internal/faultpoint"
-	"helios/internal/frontend"
 	"helios/internal/graph"
 	"helios/internal/monitor"
-	"helios/internal/mq"
 	"helios/internal/obs"
-	"helios/internal/rpc"
-	"helios/internal/sampler"
-	"helios/internal/serving"
 )
 
 const e2eConfig = `{
@@ -42,9 +37,9 @@ const e2eBurnDelay = 60 * time.Millisecond
 // TestClusterObservabilityEndToEnd is the cluster-observability
 // acceptance drill from the issue, one run end to end:
 //
-//  1. a real deployment (broker, sampler, two serving workers behind RPC
-//     endpoints, HTTP frontend) reports telemetry over coord.telemetry
-//     into a fake-clock Collector;
+//  1. a real deployment booted by the assembler (broker, sampler, two
+//     serving workers behind RPC endpoints, HTTP frontend) reports
+//     telemetry over coord.telemetry into a fake-clock Collector;
 //  2. skewed traffic heats partition 1: the /cluster heat table shows it
 //     hot and anomalous, and cluster.partition_heat / cluster.skew_score
 //     gauges export the same signal;
@@ -77,13 +72,31 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	regM := obs.NewRegistry()
-	collector := monitor.NewCollector(monitor.CollectorConfig{
+
+	// Data plane: the cmd/ topology over loopback TCP, every worker with
+	// its own registry and tracer as in a real multi-process cluster.
+	// TelemetryEvery stays 0, so nothing reports or scans by itself: the
+	// test delivers each role's snapshots and ticks the collector by hand.
+	var o cluster.Options
+	o.Brokers = 1
+	o.Broker.Collector = monitor.CollectorConfig{
 		Clock:           clkM,
 		Interval:        time.Second,
 		Registry:        regM,
 		Recorder:        recorder,
 		CaptureCooldown: time.Hour,
-	})
+	}
+	o.Frontend.SLOTarget, o.Frontend.SLOWindow = 50*time.Millisecond, time.Minute
+	c, err := cluster.Boot(cfg, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	collector, fe := c.Brokers[0].Collector, c.Frontend.Node
+	serverReporter := []*monitor.Reporter{c.ServerRoles[0].Reporter, c.ServerRoles[1].Reporter}
+	// reported each round, in order
+	reporters := []*monitor.Reporter{c.SamplerRoles[0].Reporter, serverReporter[0], serverReporter[1], c.Frontend.Reporter}
+
 	opsSrv := httptest.NewServer(obs.Handler(regM, obs.NewTracer(8, 2),
 		obs.Route{Pattern: "GET /cluster", Handler: collector.Handler()}))
 	defer opsSrv.Close()
@@ -100,111 +113,6 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 		}
 		return v
 	}
-
-	// Data plane: the attribution-drill deployment plus one serving
-	// worker, every worker with its own registry and tracer as in a real
-	// multi-process cluster.
-	broker := mq.NewBroker(mq.Options{})
-	brokerSrv := rpc.NewServer()
-	mq.ServeBroker(broker, brokerSrv)
-	monitor.ServeRPC(collector, brokerSrv)
-	brokerAddr, err := brokerSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer brokerSrv.Close()
-	defer broker.Close()
-
-	var reporters []*monitor.Reporter // reported each round, in order
-	newReporter := func(rcfg monitor.ReporterConfig) *monitor.Reporter {
-		r := monitor.NewReporter(rcfg)
-		reporters = append(reporters, r)
-		return r
-	}
-
-	sbus, err := mq.DialBroker(brokerAddr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sbus.Close()
-	sregs := obs.NewRegistry()
-	sw, err := sampler.New(sampler.Config{
-		ID: 0, NumSamplers: 1, NumServers: 2,
-		Plans: cfg.Plans, Schema: cfg.Schema, Broker: sbus, Seed: 1,
-		Metrics: sregs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw.Start()
-	defer sw.Stop()
-	newReporter(monitor.ReporterConfig{
-		Name: "sampler-0", Kind: "sampler", Registry: sregs,
-		Sink: monitor.NewClient(sbus.Client(), 0),
-	})
-
-	var servingAddrs []string
-	var servingWorkers []*serving.Worker
-	serverReporter := make([]*monitor.Reporter, 2)
-	for i := 0; i < 2; i++ {
-		bus, err := mq.DialBroker(brokerAddr, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer bus.Close()
-		reg := obs.NewRegistry()
-		tr := obs.NewTracer(32, 4)
-		w, err := serving.New(serving.Config{
-			ID: i, NumServers: 2, Plans: cfg.Plans, Broker: bus,
-			Metrics: reg, Tracer: tr,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Start()
-		defer w.Stop()
-		srv := rpc.NewServer()
-		serving.ServeRPC(w, srv)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		servingAddrs = append(servingAddrs, addr)
-		servingWorkers = append(servingWorkers, w)
-		serverReporter[i] = newReporter(monitor.ReporterConfig{
-			Name: fmt.Sprintf("server-%d", i), Kind: "server",
-			Registry: reg, Tracer: tr,
-			Partitions: func() []monitor.PartitionStats {
-				st := w.Stats()
-				return []monitor.PartitionStats{{
-					Partition: w.ID(), Served: st.Served,
-					SampleHits: st.SampleHits, SampleMisses: st.SampleMisses,
-					Lag: w.Lag(), StalenessNS: st.StalenessNS,
-				}}
-			},
-			Sink: monitor.NewClient(bus.Client(), 0),
-		})
-	}
-
-	fbus, err := mq.DialBroker(brokerAddr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fbus.Close()
-	fe, err := frontend.New(cfg, fbus, servingAddrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fe.Close()
-	freg := obs.NewRegistry()
-	ftr := obs.NewTracer(32, 4)
-	fe.UseObs(nil, freg, ftr)
-	fe.SetSLO(50*time.Millisecond, 0.99, time.Minute)
-	newReporter(monitor.ReporterConfig{
-		Name: "frontend-0", Kind: "frontend", Registry: freg, Tracer: ftr,
-		Sink: monitor.NewClient(fbus.Client(), 0),
-	})
 
 	// reportRound delivers one telemetry snapshot from every live worker
 	// and advances the monitoring clock one interval.

@@ -3,9 +3,7 @@ package monitor
 import (
 	"sort"
 	"sync"
-	"time"
 
-	"helios/internal/actor"
 	"helios/internal/clock"
 	"helios/internal/obs"
 )
@@ -31,9 +29,6 @@ type ReporterConfig struct {
 	Kind string
 	// Version stamps snapshots; empty defaults to obs.Version().
 	Version string
-	// Every is the reporting cadence (the -telemetry-every flag). 0
-	// defaults to 5s.
-	Every time.Duration
 	// Clock stamps snapshot times; nil defaults to the wall clock.
 	Clock clock.Clock
 	// Registry supplies stage p99s and SLO burn; may be nil.
@@ -57,17 +52,16 @@ type ReporterConfig struct {
 	TailLines   int
 }
 
-// Reporter periodically assembles this worker's WorkerSnapshot and hands
-// it to the Sink. Failures are logged and retried next interval — the
+// Reporter assembles this worker's WorkerSnapshot and hands it to the Sink
+// each time its owner (the role assembler's periodic loop) calls
+// ReportOnce. Failures are logged and retried next interval — the
 // telemetry plane must never take a worker down.
 type Reporter struct {
 	cfg     ReporterConfig
 	startNS int64
 
-	mu       sync.Mutex
-	seq      uint64
-	loop     *actor.Loop
-	loopOnce sync.Once
+	mu  sync.Mutex
+	seq uint64
 }
 
 // NewReporter builds a reporter. The process start time is taken from
@@ -75,9 +69,6 @@ type Reporter struct {
 func NewReporter(cfg ReporterConfig) *Reporter {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Wall()
-	}
-	if cfg.Every <= 0 {
-		cfg.Every = 5 * time.Second
 	}
 	if cfg.Version == "" {
 		cfg.Version = obs.Version()
@@ -176,31 +167,4 @@ func (r *Reporter) ReportOnce() error {
 			"worker", r.cfg.Name, "err", err)
 	}
 	return err
-}
-
-// Start reports every cfg.Every in the background until Stop. Delivery
-// failures are retried next interval.
-func (r *Reporter) Start() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.loop != nil {
-		return
-	}
-	every := r.cfg.Every
-	r.loop = actor.NewLoop(1, func(int) bool {
-		time.Sleep(every)
-		//lint:allow droppederror reason=report failures are logged in ReportOnce and retried next interval
-		_ = r.ReportOnce()
-		return true
-	})
-}
-
-// Stop halts the reporting loop.
-func (r *Reporter) Stop() {
-	r.mu.Lock()
-	loop := r.loop
-	r.mu.Unlock()
-	if loop != nil {
-		r.loopOnce.Do(loop.Stop)
-	}
 }

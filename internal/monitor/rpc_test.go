@@ -45,7 +45,6 @@ func TestTelemetryOverRPC(t *testing.T) {
 	served := int64(42)
 	reporter := NewReporter(ReporterConfig{
 		Name: "server-0", Kind: "server",
-		Every:    time.Second,
 		Registry: reg,
 		Tracer:   tracer,
 		LogTail:  func() []string { return []string{`{"msg":"slow serve"}`} },

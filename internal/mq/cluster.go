@@ -40,7 +40,7 @@ type Cluster struct {
 	mu          sync.Mutex
 	pm          PartMap
 	lastRefresh time.Time
-	topics      map[string]*ClusterTopic
+	topics      map[string]*RemoteTopic
 }
 
 // DialCluster connects to every broker replica of peers plus the
@@ -63,7 +63,7 @@ func DialCluster(peers []string, coordAddr string, timeout time.Duration) (*Clus
 		timeout:      timeout,
 		retrySleep:   100 * time.Millisecond,
 		refreshEvery: 50 * time.Millisecond,
-		topics:       make(map[string]*ClusterTopic),
+		topics:       make(map[string]*RemoteTopic),
 	}
 	for _, addr := range peers {
 		// A small retry budget: the leader-resolution loop above it is the
@@ -137,7 +137,7 @@ func (c *Cluster) OpenTopic(name string, partitions int) (TopicHandle, error) {
 		}
 		return t, nil
 	}
-	t := &ClusterTopic{cluster: c, name: name, parts: partitions}
+	t := &RemoteTopic{via: c, timeout: c.timeout, name: name, parts: partitions}
 	c.topics[name] = t
 	return t, nil
 }
@@ -205,10 +205,10 @@ func resolvable(err error) bool {
 	return true
 }
 
-// callLeader issues method against the current leader of (topic, part),
+// callPart issues method against the current leader of (topic, part),
 // re-resolving leadership on failure. Unknown-topic responses re-create
 // the topic on that peer (the RemoteBroker restart-healing contract).
-func (c *Cluster) callLeader(topic string, parts, part int, method string, req []byte, timeout time.Duration) ([]byte, error) {
+func (c *Cluster) callPart(topic string, parts, part int, method string, req []byte, timeout time.Duration) ([]byte, error) {
 	// timeout is a total budget across resolution attempts, like
 	// rpc.CallTraced: each retry gets only what remains, so a dead leader
 	// cannot multiply the caller's wait by the attempt count.
@@ -258,202 +258,4 @@ func (c *Cluster) callLeader(topic string, parts, part int, method string, req [
 	return nil, lastErr
 }
 
-// ClusterTopic is a TopicHandle routed through a Cluster.
-type ClusterTopic struct {
-	cluster *Cluster
-	name    string
-	parts   int
-}
-
-// Name implements TopicHandle.
-func (t *ClusterTopic) Name() string { return t.name }
-
-// NumPartitions implements TopicHandle.
-func (t *ClusterTopic) NumPartitions() int { return t.parts }
-
-// Append implements TopicHandle.
-func (t *ClusterTopic) Append(partition int, key uint64, value []byte) (int64, error) {
-	w := codec.NewWriter(32 + len(value))
-	w.String(t.name)
-	w.Uvarint(uint64(partition))
-	w.Uvarint(key)
-	w.Bytes32(value)
-	resp, err := t.cluster.callLeader(t.name, t.parts, partition, methodAppend, w.Bytes(), t.cluster.timeout)
-	if err != nil {
-		return 0, err
-	}
-	r := codec.NewReader(resp)
-	off := r.Varint()
-	return off, r.Err()
-}
-
-// AppendBatch implements TopicHandle.
-func (t *ClusterTopic) AppendBatch(partition int, recs []BatchRecord) (int64, error) {
-	if len(recs) == 0 {
-		return t.NextOffset(partition), nil
-	}
-	w := codec.GetWriter()
-	w.String(t.name)
-	w.Uvarint(uint64(partition))
-	w.Uvarint(uint64(len(recs)))
-	for i := range recs {
-		w.Uvarint(recs[i].Key)
-		w.Bytes32(recs[i].Value)
-	}
-	resp, err := t.cluster.callLeader(t.name, t.parts, partition, methodAppendBatch, w.Bytes(), t.cluster.timeout)
-	codec.PutWriter(w)
-	if err != nil {
-		return 0, err
-	}
-	r := codec.NewReader(resp)
-	off := r.Varint()
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	return off, r.Finish()
-}
-
-// AppendByKey implements TopicHandle with the same routing hash as the
-// local broker.
-func (t *ClusterTopic) AppendByKey(key uint64, value []byte) (int64, error) {
-	return t.Append(int(hashPartition(key, t.parts)), key, value)
-}
-
-// NextOffset implements TopicHandle.
-func (t *ClusterTopic) NextOffset(partition int) int64 {
-	next, _, _ := t.meta(partition)
-	return next
-}
-
-// EndOffset implements TopicHandle (== NextOffset; see Topic.EndOffset).
-func (t *ClusterTopic) EndOffset(partition int) int64 {
-	return t.NextOffset(partition)
-}
-
-// Depth implements TopicHandle.
-func (t *ClusterTopic) Depth(partition int) int64 {
-	_, depth, _ := t.meta(partition)
-	return depth
-}
-
-// CommittedOffset implements TopicHandle (-1 when no replica is
-// reachable: unknown lag must not read as zero lag).
-func (t *ClusterTopic) CommittedOffset(partition int) int64 {
-	_, _, committed := t.meta(partition)
-	return committed
-}
-
-func (t *ClusterTopic) meta(partition int) (next, depth, committed int64) {
-	w := codec.NewWriter(32)
-	w.String(t.name)
-	w.Uvarint(uint64(partition))
-	resp, err := t.cluster.callLeader(t.name, t.parts, partition, methodMeta, w.Bytes(), t.cluster.timeout)
-	if err != nil {
-		return 0, 0, -1
-	}
-	r := codec.NewReader(resp)
-	return r.Varint(), r.Varint(), r.Varint()
-}
-
-// OpenConsumer implements TopicHandle. The cursor lives client-side, so a
-// failover mid-stream re-issues the fetch at the same offset against the
-// new leader — no records are skipped or dropped.
-func (t *ClusterTopic) OpenConsumer(partition int, from int64) Cursor {
-	return &ClusterConsumer{topic: t, partition: partition, offset: from}
-}
-
-// ClusterConsumer is a Cursor over a Cluster with long-poll fetches.
-type ClusterConsumer struct {
-	topic     *ClusterTopic
-	partition int
-	offset    int64
-}
-
-// Poll implements Cursor, chunking long waits below the broker's
-// server-side cap exactly like RemoteConsumer.Poll.
-func (c *ClusterConsumer) Poll(max int, wait time.Duration) ([]Record, error) {
-	deadline := time.Now().Add(wait)
-	for {
-		chunk := wait
-		if chunk > maxServerFetchWait {
-			if chunk = time.Until(deadline); chunk > maxServerFetchWait {
-				chunk = maxServerFetchWait
-			}
-		}
-		recs, err := c.pollOnce(max, chunk)
-		if err != nil || len(recs) > 0 {
-			return recs, err
-		}
-		if wait <= maxServerFetchWait || !time.Now().Before(deadline) {
-			return nil, nil
-		}
-	}
-}
-
-func (c *ClusterConsumer) pollOnce(max int, wait time.Duration) ([]Record, error) {
-	if wait < 0 {
-		wait = 0
-	}
-	w := codec.NewWriter(40)
-	w.String(c.topic.name)
-	w.Uvarint(uint64(c.partition))
-	w.Varint(c.offset)
-	w.Uvarint(uint64(max))
-	w.Uvarint(uint64(wait / time.Millisecond))
-	resp, err := c.topic.cluster.callLeader(c.topic.name, c.topic.parts, c.partition,
-		methodFetch, w.Bytes(), wait+c.topic.cluster.timeout)
-	if err != nil {
-		return nil, err
-	}
-	r := codec.NewReader(resp)
-	next := r.Varint()
-	n := int(r.Uvarint())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	var recs []Record
-	for i := 0; i < n; i++ {
-		rec := Record{Offset: r.Varint(), Key: r.Uvarint(), Ts: r.Varint()}
-		val := r.Bytes32()
-		v := make([]byte, len(val))
-		copy(v, val)
-		rec.Value = v
-		recs = append(recs, rec)
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	c.offset = next
-	return recs, nil
-}
-
-// Offset implements Cursor.
-func (c *ClusterConsumer) Offset() int64 { return c.offset }
-
-// Committed implements Cursor (see Consumer.Committed).
-func (c *ClusterConsumer) Committed() int64 { return c.offset }
-
-// Commit implements Cursor: pushes the cursor position to the leader.
-func (c *ClusterConsumer) Commit() error {
-	w := codec.NewWriter(40)
-	w.String(c.topic.name)
-	w.Uvarint(uint64(c.partition))
-	w.Varint(c.offset)
-	_, err := c.topic.cluster.callLeader(c.topic.name, c.topic.parts, c.partition,
-		methodCommit, w.Bytes(), c.topic.cluster.timeout)
-	return err
-}
-
-// SeekTo implements Cursor.
-func (c *ClusterConsumer) SeekTo(offset int64) { c.offset = offset }
-
-// Lag implements Cursor (EndOffset - Committed).
-func (c *ClusterConsumer) Lag() int64 {
-	return c.topic.EndOffset(c.partition) - c.offset
-}
-
-var (
-	_ Bus         = (*Cluster)(nil)
-	_ TopicHandle = (*ClusterTopic)(nil)
-	_ Cursor      = (*ClusterConsumer)(nil)
-)
+var _ Bus = (*Cluster)(nil)

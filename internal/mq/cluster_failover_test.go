@@ -47,7 +47,7 @@ func TestClusterOpenTopicPartitionMismatch(t *testing.T) {
 
 // TestClusterRidesOutLeaderFailover is the regression test for the
 // re-resolution contract: a cluster client (and its consumers) must
-// survive a partition leader dying — callLeader re-resolves the map from
+// survive a partition leader dying — callPart re-resolves the map from
 // the coordinator and retries against the promoted follower — without the
 // caller ever seeing an error, and without losing any quorum-acked record.
 func TestClusterRidesOutLeaderFailover(t *testing.T) {
@@ -79,7 +79,7 @@ func TestClusterRidesOutLeaderFailover(t *testing.T) {
 	// Coordinator on a fake clock so leader death is a clock advance, not
 	// a sleep; the failover controller serves the partition map over RPC.
 	fk := clock.NewFake()
-	co := coord.New(nil).WithClock(fk)
+	co := coord.New().WithClock(fk)
 	fo := coord.NewFailover(coord.FailoverConfig{
 		Coordinator: co,
 		Peers:       replicas,

@@ -212,6 +212,40 @@ type RemoteBroker struct {
 	topics map[string]*RemoteTopic
 }
 
+// partCaller sends one partition-addressed request to the broker that
+// should answer it. RemoteBroker (one broker, unknown-topic healing) and
+// Cluster (leader resolution across replicas) each bring their own failure
+// policy; RemoteTopic and RemoteConsumer are the one frame format above
+// both.
+type partCaller interface {
+	callPart(topic string, parts, part int, method string, req []byte, timeout time.Duration) ([]byte, error)
+}
+
+// Conn is a Bus reached over the network. Client is its control
+// connection, which coordinator heartbeats and telemetry share.
+type Conn interface {
+	Bus
+	Client() *rpc.Client
+}
+
+// Dial connects to the queue tier at addrs: one address is a single broker
+// (DialBroker); several are a replica set whose first entry hosts the
+// failover controller (DialCluster).
+func Dial(addrs []string, timeout time.Duration) (Conn, error) {
+	if len(addrs) == 1 {
+		rb, err := DialBroker(addrs[0], timeout)
+		if err != nil {
+			return nil, err
+		}
+		return rb, nil
+	}
+	c, err := DialCluster(addrs, "", timeout)
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 // DialBroker connects to a broker served by ServeBroker. The underlying
 // RPC client is self-healing: it reconnects with backoff after a broker
 // restart and retries failed calls a few times. Appends are therefore
@@ -220,15 +254,10 @@ type RemoteBroker struct {
 // duplicates are harmless noise). The broker being down at dial time is
 // not an error; the first call heals it.
 func DialBroker(addr string, timeout time.Duration) (*RemoteBroker, error) {
-	return DialBrokerOpts(addr, timeout, rpc.Options{Reconnect: true, RetryBudget: 4})
-}
-
-// DialBrokerOpts is DialBroker with explicit transport options.
-func DialBrokerOpts(addr string, timeout time.Duration, opts rpc.Options) (*RemoteBroker, error) {
 	if timeout == 0 {
 		timeout = 30 * time.Second
 	}
-	c, err := rpc.DialOpts(addr, opts)
+	c, err := rpc.DialOpts(addr, rpc.Options{Reconnect: true, RetryBudget: 4})
 	if err != nil {
 		return nil, err
 	}
@@ -240,24 +269,24 @@ func DialBrokerOpts(addr string, timeout time.Duration, opts rpc.Options) (*Remo
 // its reconnect/retry counters.
 func (rb *RemoteBroker) Client() *rpc.Client { return rb.client }
 
-// call issues an RPC. If the broker reports an unknown topic — the
-// signature of a broker that restarted with an empty topic table — the
-// topic is re-created (a restarted broker with a -dir replays its
-// retained log on CreateTopic) and the call is issued once more.
-func (rb *RemoteBroker) call(topic, method string, req []byte, timeout time.Duration) ([]byte, error) {
+// callPart issues an RPC. If the broker reports an unknown topic — the
+// signature of a broker that restarted with an empty topic table — a topic
+// this client opened is re-created (a restarted broker with a -dir replays
+// its retained log on CreateTopic) and the call is issued once more.
+func (rb *RemoteBroker) callPart(topic string, parts, _ int, method string, req []byte, timeout time.Duration) ([]byte, error) {
 	resp, err := rb.client.Call(method, req, timeout)
-	if err == nil || topic == "" || !isUnknownTopic(err) {
+	if err == nil || !isUnknownTopic(err) {
 		return resp, err
 	}
 	rb.mu.Lock()
-	t := rb.topics[topic]
+	_, opened := rb.topics[topic]
 	rb.mu.Unlock()
-	if t == nil {
+	if !opened {
 		return resp, err
 	}
 	w := codec.NewWriter(32)
 	w.String(topic)
-	w.Uvarint(uint64(t.parts))
+	w.Uvarint(uint64(parts))
 	if _, rerr := rb.client.Call(methodOpenTopic, w.Bytes(), rb.timeout); rerr != nil {
 		return nil, err
 	}
@@ -282,7 +311,7 @@ func (rb *RemoteBroker) OpenTopic(name string, partitions int) (TopicHandle, err
 	if t, ok := rb.topics[name]; ok {
 		return t, nil
 	}
-	t := &RemoteTopic{broker: rb, name: name, parts: partitions}
+	t := &RemoteTopic{via: rb, timeout: rb.timeout, name: name, parts: partitions}
 	rb.topics[name] = t
 	return t, nil
 }
@@ -290,11 +319,17 @@ func (rb *RemoteBroker) OpenTopic(name string, partitions int) (TopicHandle, err
 // Close implements Bus.
 func (rb *RemoteBroker) Close() error { return rb.client.Close() }
 
-// RemoteTopic is a TopicHandle over RPC.
+// RemoteTopic is a TopicHandle over RPC, routed through a RemoteBroker or a
+// Cluster.
 type RemoteTopic struct {
-	broker *RemoteBroker
-	name   string
-	parts  int
+	via     partCaller
+	timeout time.Duration
+	name    string
+	parts   int
+}
+
+func (t *RemoteTopic) call(part int, method string, req []byte, timeout time.Duration) ([]byte, error) {
+	return t.via.callPart(t.name, t.parts, part, method, req, timeout)
 }
 
 // Name implements TopicHandle.
@@ -310,7 +345,7 @@ func (t *RemoteTopic) Append(partition int, key uint64, value []byte) (int64, er
 	w.Uvarint(uint64(partition))
 	w.Uvarint(key)
 	w.Bytes32(value)
-	resp, err := t.broker.call(t.name, methodAppend, w.Bytes(), t.broker.timeout)
+	resp, err := t.call(partition, methodAppend, w.Bytes(), t.timeout)
 	if err != nil {
 		return 0, err
 	}
@@ -321,8 +356,8 @@ func (t *RemoteTopic) Append(partition int, key uint64, value []byte) (int64, er
 
 // AppendBatch implements TopicHandle: the whole batch rides one RPC frame
 // and lands under one broker lock pass. It routes through the same
-// unknown-topic healing as Append, so a broker restart mid-stream costs a
-// re-create plus one retry, not a lost batch.
+// unknown-topic healing (or leader resolution) as Append, so a broker
+// restart mid-stream costs a re-create plus one retry, not a lost batch.
 func (t *RemoteTopic) AppendBatch(partition int, recs []BatchRecord) (int64, error) {
 	if len(recs) == 0 {
 		return t.NextOffset(partition), nil
@@ -335,7 +370,7 @@ func (t *RemoteTopic) AppendBatch(partition int, recs []BatchRecord) (int64, err
 		w.Uvarint(recs[i].Key)
 		w.Bytes32(recs[i].Value)
 	}
-	resp, err := t.broker.call(t.name, methodAppendBatch, w.Bytes(), t.broker.timeout)
+	resp, err := t.call(partition, methodAppendBatch, w.Bytes(), t.timeout)
 	codec.PutWriter(w)
 	if err != nil {
 		return 0, err
@@ -372,7 +407,7 @@ func (t *RemoteTopic) Depth(partition int) int64 {
 }
 
 // CommittedOffset implements TopicHandle (-1 while no consumer committed,
-// and also -1 when the broker is unreachable — an unknown lag must not read
+// and also -1 when no broker is reachable — an unknown lag must not read
 // as zero lag).
 func (t *RemoteTopic) CommittedOffset(partition int) int64 {
 	_, _, committed := t.meta(partition)
@@ -383,7 +418,7 @@ func (t *RemoteTopic) meta(partition int) (next, depth, committed int64) {
 	w := codec.NewWriter(32)
 	w.String(t.name)
 	w.Uvarint(uint64(partition))
-	resp, err := t.broker.call(t.name, methodMeta, w.Bytes(), t.broker.timeout)
+	resp, err := t.call(partition, methodMeta, w.Bytes(), t.timeout)
 	if err != nil {
 		return 0, 0, -1
 	}
@@ -391,7 +426,9 @@ func (t *RemoteTopic) meta(partition int) (next, depth, committed int64) {
 	return r.Varint(), r.Varint(), r.Varint()
 }
 
-// OpenConsumer implements TopicHandle.
+// OpenConsumer implements TopicHandle. The cursor lives client-side, so a
+// broker failover mid-stream re-issues the fetch at the same offset against
+// the new leader — no records are skipped or dropped.
 func (t *RemoteTopic) OpenConsumer(partition int, from int64) Cursor {
 	return &RemoteConsumer{topic: t, partition: partition, offset: from}
 }
@@ -436,7 +473,7 @@ func (c *RemoteConsumer) pollOnce(max int, wait time.Duration) ([]Record, error)
 	w.Varint(c.offset)
 	w.Uvarint(uint64(max))
 	w.Uvarint(uint64(wait / time.Millisecond))
-	resp, err := c.topic.broker.call(c.topic.name, methodFetch, w.Bytes(), wait+c.topic.broker.timeout)
+	resp, err := c.topic.call(c.partition, methodFetch, w.Bytes(), wait+c.topic.timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -474,7 +511,7 @@ func (c *RemoteConsumer) Commit() error {
 	w.String(c.topic.name)
 	w.Uvarint(uint64(c.partition))
 	w.Varint(c.offset)
-	_, err := c.topic.broker.call(c.topic.name, methodCommit, w.Bytes(), c.topic.broker.timeout)
+	_, err := c.topic.call(c.partition, methodCommit, w.Bytes(), c.topic.timeout)
 	return err
 }
 

@@ -154,7 +154,7 @@ func TestRemoteSeekAndOffset(t *testing.T) {
 func TestRemoteUnknownTopicErrors(t *testing.T) {
 	_, rb, done := startRemote(t)
 	defer done()
-	phantom := &RemoteTopic{broker: rb, name: "ghost", parts: 1}
+	phantom := &RemoteTopic{via: rb, timeout: rb.timeout, name: "ghost", parts: 1}
 	if _, err := phantom.Append(0, 0, nil); err == nil {
 		t.Fatal("append to unknown topic should fail")
 	}

@@ -328,3 +328,52 @@ func TestServerWriteFaultClosesConn(t *testing.T) {
 		t.Fatal("client did not retry after server write fault")
 	}
 }
+
+// TestWaitersShareAFailedDial parks many callers behind one slow redial to
+// a dead peer. They must all fail with that dial's outcome: one more dial
+// in total, not one per caller queued behind a growing backoff.
+func TestWaitersShareAFailedDial(t *testing.T) {
+	const callers = 16
+	release := make(chan struct{})
+	c, err := DialOpts("127.0.0.1:1", Options{ // nothing listens on port 1
+		Reconnect:   true,
+		BackoffBase: time.Second,
+		Clock:       clock.NewFake(), // never advances: every redial owes a full backoff
+		Sleep:       func(time.Duration) { <-release },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Call("echo", nil, time.Second); err == nil {
+		t.Fatal("call to dead port should fail")
+	}
+	before := c.DialFailures.Value()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := c.Call("echo", nil, 0)
+			errs <- err
+		}()
+	}
+	// One caller is inside the backoff sleep; give the rest time to queue
+	// behind it, then let the dial proceed and fail.
+	time.Sleep(100 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err == nil {
+			t.Fatal("call to dead port should fail")
+		}
+	}
+	// A straggler that arrived after the shared dial finished dials for
+	// itself; the sixteen must not have dialed sixteen times.
+	if d := c.DialFailures.Value() - before; d > callers/4 {
+		t.Fatalf("%d callers caused %d dials to the dead peer, want them to share one", callers, d)
+	}
+}

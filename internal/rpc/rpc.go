@@ -617,11 +617,10 @@ type Client struct {
 	// connMu guards the connection lifecycle state below.
 	connMu   sync.Mutex
 	conn     net.Conn
-	gen      uint64 // bumped per established connection
-	connErr  error  // why the last connection died (non-reconnect mode)
-	dialing  bool
-	dialDone chan struct{}
-	failures int // consecutive failed dial attempts
+	gen      uint64       // bumped per established connection
+	connErr  error        // why the last connection died (non-reconnect mode)
+	dialing  *dialAttempt // the dial in flight, nil when none
+	failures int          // consecutive failed dial attempts
 	lastDial time.Time
 	everConn bool
 	rng      *rand.Rand
@@ -681,9 +680,18 @@ func DialOpts(addr string, opts Options) (*Client, error) {
 	return c, nil
 }
 
+// dialAttempt is one redial and its outcome; err is written before done
+// closes.
+type dialAttempt struct {
+	done chan struct{}
+	err  error
+}
+
 // getConn returns the live connection, dialing if necessary (reconnect
 // mode) or surfacing why there is none (single-connection mode). Exactly
-// one caller dials at a time; concurrent callers wait for its outcome.
+// one caller dials at a time; concurrent callers wait for its outcome and
+// share it — a failed dial fails them all, instead of each redialing in
+// turn behind a growing backoff while the peer stays down.
 func (c *Client) getConn() (net.Conn, uint64, error) {
 	for {
 		if c.closed.Load() {
@@ -703,14 +711,16 @@ func (c *Client) getConn() (net.Conn, uint64, error) {
 			}
 			return nil, 0, err
 		}
-		if c.dialing {
-			done := c.dialDone
+		if a := c.dialing; a != nil {
 			c.connMu.Unlock()
-			<-done
+			<-a.done
+			if a.err != nil {
+				return nil, 0, a.err
+			}
 			continue
 		}
-		c.dialing = true
-		c.dialDone = make(chan struct{})
+		attempt := &dialAttempt{done: make(chan struct{})}
+		c.dialing = attempt
 		var wait time.Duration
 		if c.failures > 0 {
 			wait = c.backoffLocked(c.failures)
@@ -730,8 +740,9 @@ func (c *Client) getConn() (net.Conn, uint64, error) {
 		}
 
 		c.connMu.Lock()
-		c.dialing = false
-		close(c.dialDone)
+		c.dialing = nil
+		attempt.err = err
+		close(attempt.done)
 		c.lastDial = c.opts.Clock.Now()
 		if c.closed.Load() {
 			c.connMu.Unlock()

@@ -50,13 +50,9 @@ type Config struct {
 	Schema *graph.Schema
 	// Broker carries all queues (local broker or RPC client).
 	Broker mq.Bus
-	// Namespace prefixes topic names when several clusters share a broker.
-	Namespace string
-	// Thread-pool sizes (§4.2's thread types). Zero values default to 1
-	// poll, 4 sampling, 2 publish.
-	PollThreads, SampleThreads, PublishThreads int
-	// MailboxDepth bounds actor queues; 0 defaults to 1024.
-	MailboxDepth int
+	// Thread-pool sizes (§4.2's thread types). Zero values default to 4
+	// sampling, 2 publish; each consumed partition has its one poller.
+	SampleThreads, PublishThreads int
 	// TTL removes reservoirs and features untouched for this long; 0
 	// disables expiry.
 	TTL time.Duration
@@ -77,6 +73,9 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
+// mailboxDepth bounds the worker's actor queues.
+const mailboxDepth = 1024
+
 func (c *Config) fill() error {
 	if c.NumSamplers < 1 || c.ID < 0 || c.ID >= c.NumSamplers {
 		return fmt.Errorf("sampler: bad worker ID %d of %d", c.ID, c.NumSamplers)
@@ -87,17 +86,11 @@ func (c *Config) fill() error {
 	if c.Broker == nil || c.Schema == nil {
 		return fmt.Errorf("sampler: broker and schema are required")
 	}
-	if c.PollThreads <= 0 {
-		c.PollThreads = 1
-	}
 	if c.SampleThreads <= 0 {
 		c.SampleThreads = 4
 	}
 	if c.PublishThreads <= 0 {
 		c.PublishThreads = 2
-	}
-	if c.MailboxDepth <= 0 {
-		c.MailboxDepth = 1024
 	}
 	if c.CommitEvery <= 0 {
 		c.CommitEvery = 100 * time.Millisecond
@@ -291,13 +284,13 @@ func New(cfg Config) (*Worker, error) {
 		}
 	}
 	var err error
-	if w.updatesTopic, err = cfg.Broker.OpenTopic(cfg.Namespace+wire.TopicUpdates, cfg.NumSamplers); err != nil {
+	if w.updatesTopic, err = cfg.Broker.OpenTopic(wire.TopicUpdates, cfg.NumSamplers); err != nil {
 		return nil, err
 	}
-	if w.samplesTopic, err = cfg.Broker.OpenTopic(cfg.Namespace+wire.TopicSamples, cfg.NumServers); err != nil {
+	if w.samplesTopic, err = cfg.Broker.OpenTopic(wire.TopicSamples, cfg.NumServers); err != nil {
 		return nil, err
 	}
-	if w.subsTopic, err = cfg.Broker.OpenTopic(cfg.Namespace+wire.TopicSubs, cfg.NumSamplers); err != nil {
+	if w.subsTopic, err = cfg.Broker.OpenTopic(wire.TopicSubs, cfg.NumSamplers); err != nil {
 		return nil, err
 	}
 	w.shards = make([]*shard, cfg.SampleThreads)
@@ -346,8 +339,8 @@ func (w *Worker) Start() {
 	if w.started.Load() {
 		return
 	}
-	w.publish = actor.NewBatchPool("publish", w.cfg.PublishThreads, w.cfg.MailboxDepth, w.publishTurn)
-	w.sampling = actor.NewPool("sampling", w.cfg.SampleThreads, w.cfg.MailboxDepth, w.handleEvent)
+	w.publish = actor.NewBatchPool("publish", w.cfg.PublishThreads, mailboxDepth, w.publishTurn)
+	w.sampling = actor.NewPool("sampling", w.cfg.SampleThreads, mailboxDepth, w.handleEvent)
 	// Dedicated pollers per input stream; consumers are not safe for
 	// concurrent use, so each stream gets exactly one goroutine.
 	w.pollers = actor.NewLoop(2, func(worker int) bool {
@@ -648,3 +641,6 @@ func (w *Worker) SubsLag() int64 {
 
 // ID returns the worker index.
 func (w *Worker) ID() int { return w.cfg.ID }
+
+// Config returns the configuration the worker runs with, defaults filled.
+func (w *Worker) Config() Config { return w.cfg }

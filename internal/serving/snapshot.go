@@ -64,6 +64,7 @@ func (w *Worker) Snapshot(out io.Writer) error {
 		return true
 	})
 	cw.Byte(0)
+	//lint:allow faultcover reason=SnapshotFile hands this an in-memory buffer; the file write behind it carries the serving.snapshot.write hook in fsx.WriteFileAtomic
 	_, err := out.Write(cw.Bytes())
 	return err
 }

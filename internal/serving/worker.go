@@ -42,22 +42,18 @@ type Config struct {
 	Plans []*query.Plan
 	// Broker carries the sample queues (local broker or RPC client).
 	Broker mq.Bus
-	// Namespace prefixes topic names.
-	Namespace string
 	// Store configures the cache kvstore (empty Dir = memory only).
 	Store kvstore.Options
-	// Thread-pool sizes. Zero values default to 1 poll, 2 update, 8 serve.
-	PollThreads, UpdateThreads, ServeThreads int
-	// MailboxDepth bounds actor queues; 0 defaults to 1024.
-	MailboxDepth int
+	// Thread-pool sizes. Zero values default to 2 update, 8 serve.
+	UpdateThreads, ServeThreads int
 	// TTL expires cache entries untouched for this long; 0 disables.
 	TTL time.Duration
 	// MaxInflight bounds concurrently admitted sampling RPCs (the serving
 	// admission limiter); 0 defaults to 4×ServeThreads. Requests beyond the
 	// bound queue (up to MaxAdmitQueue) and then shed.
 	MaxInflight int
-	// MaxAdmitQueue bounds RPCs waiting for admission; 0 defaults to
-	// MailboxDepth.
+	// MaxAdmitQueue bounds RPCs waiting for admission; 0 defaults to the
+	// mailbox depth.
 	MaxAdmitQueue int
 	// Degrade serves a degraded result — the cached K-hop answer assembled
 	// inline, skipping the serve-pool queue — when the admission limiter
@@ -96,6 +92,9 @@ type Config struct {
 	SlowLog time.Duration
 }
 
+// mailboxDepth bounds the worker's actor queues.
+const mailboxDepth = 1024
+
 func (c *Config) fill() error {
 	if c.NumServers < 1 || c.ID < 0 || c.ID >= c.NumServers {
 		return fmt.Errorf("serving: bad worker ID %d of %d", c.ID, c.NumServers)
@@ -103,23 +102,17 @@ func (c *Config) fill() error {
 	if c.Broker == nil {
 		return fmt.Errorf("serving: broker is required")
 	}
-	if c.PollThreads <= 0 {
-		c.PollThreads = 1
-	}
 	if c.UpdateThreads <= 0 {
 		c.UpdateThreads = 2
 	}
 	if c.ServeThreads <= 0 {
 		c.ServeThreads = 8
 	}
-	if c.MailboxDepth <= 0 {
-		c.MailboxDepth = 1024
-	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 4 * c.ServeThreads
 	}
 	if c.MaxAdmitQueue <= 0 {
-		c.MaxAdmitQueue = c.MailboxDepth
+		c.MaxAdmitQueue = mailboxDepth
 	}
 	if c.DegradeInflight <= 0 {
 		c.DegradeInflight = c.ServeThreads
@@ -312,7 +305,7 @@ func New(cfg Config) (*Worker, error) {
 	for _, p := range cfg.Plans {
 		w.plans[p.QueryID] = p
 	}
-	if w.samplesTopic, err = cfg.Broker.OpenTopic(cfg.Namespace+wire.TopicSamples, cfg.NumServers); err != nil {
+	if w.samplesTopic, err = cfg.Broker.OpenTopic(wire.TopicSamples, cfg.NumServers); err != nil {
 		db.Close()
 		return nil, err
 	}
@@ -380,8 +373,8 @@ func (w *Worker) Start() {
 		return
 	}
 	w.started = true
-	w.updatePool = actor.NewPool("cache-update", w.cfg.UpdateThreads, w.cfg.MailboxDepth, w.applyUpdate)
-	w.servePool = actor.NewPool("serve", w.cfg.ServeThreads, w.cfg.MailboxDepth, w.handleRequest)
+	w.updatePool = actor.NewPool("cache-update", w.cfg.UpdateThreads, mailboxDepth, w.applyUpdate)
+	w.servePool = actor.NewPool("serve", w.cfg.ServeThreads, mailboxDepth, w.handleRequest)
 	w.pollers = actor.NewLoop(1, func(int) bool { return w.poll(cons) })
 	if w.cfg.TTL > 0 {
 		w.sweepStop = make(chan struct{})
@@ -952,3 +945,6 @@ func (w *Worker) Lag() int64 {
 
 // ID returns the worker index.
 func (w *Worker) ID() int { return w.cfg.ID }
+
+// Config returns the configuration the worker runs with, defaults filled.
+func (w *Worker) Config() Config { return w.cfg }
