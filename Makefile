@@ -42,6 +42,9 @@ check:
 	$(GO) vet ./...
 	$(GO) run ./cmd/helios-lint ./...
 	$(GO) test -race -count=1 ./...
+	# Ten seconds of native fuzzing over every reader of the sampling
+	# result's wire form: the bytes a frontend takes off a socket.
+	$(GO) test ./internal/serving -run '^$$' -fuzz FuzzEncodedResult -fuzztime 10s
 	# The kvstore read-during-flush hole failed about one run in two when
 	# it was open; twenty runs make a reopening loud.
 	$(GO) test -race -count=20 -run 'TestConcurrentReadWrite|TestGetNeverMissesAcrossFlush' ./internal/kvstore

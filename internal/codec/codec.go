@@ -144,6 +144,10 @@ func (r *Reader) Err() error { return r.err }
 // Remaining reports the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
+// Rest returns the unread bytes without consuming them. The result aliases
+// the reader's buffer.
+func (r *Reader) Rest() []byte { return r.buf[r.off:] }
+
 func (r *Reader) fail() {
 	if r.err == nil {
 		r.err = ErrShortBuffer
@@ -180,6 +184,25 @@ func (r *Reader) Varint() int64 {
 	}
 	r.off += n
 	return v
+}
+
+// Count reads the length of a collection whose elements each occupy at
+// least minElem encoded bytes. A length the remaining input cannot hold —
+// which includes every value that would overflow int — fails the reader,
+// so a caller may size an allocation or a loop from the result without
+// trusting the peer.
+//
+//lint:hotpath
+func (r *Reader) Count(minElem int) int {
+	v := r.Uvarint()
+	if r.err != nil {
+		return 0
+	}
+	if v > uint64(r.Remaining()/minElem) {
+		r.fail()
+		return 0
+	}
+	return int(v)
 }
 
 // Byte reads one byte.
@@ -233,12 +256,8 @@ func (r *Reader) Float64() float64 {
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
-	n := int(r.Uvarint())
+	n := r.Count(1)
 	if r.err != nil {
-		return ""
-	}
-	if n < 0 || r.off+n > len(r.buf) {
-		r.fail()
 		return ""
 	}
 	s := string(r.buf[r.off : r.off+n])
@@ -249,12 +268,8 @@ func (r *Reader) String() string {
 // Bytes32 reads a length-prefixed byte slice. The result aliases the
 // reader's buffer.
 func (r *Reader) Bytes32() []byte {
-	n := int(r.Uvarint())
+	n := r.Count(1)
 	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.buf) {
-		r.fail()
 		return nil
 	}
 	b := r.buf[r.off : r.off+n : r.off+n]
@@ -267,7 +282,7 @@ func (r *Reader) RawN(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || r.off+n > len(r.buf) {
+	if n < 0 || n > r.Remaining() {
 		r.fail()
 		return nil
 	}
@@ -278,12 +293,8 @@ func (r *Reader) RawN(n int) []byte {
 
 // Float32s reads a length-prefixed []float32.
 func (r *Reader) Float32s() []float32 {
-	n := int(r.Uvarint())
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n < 0 || n > r.Remaining()/4 {
-		r.fail()
+	n := r.Count(4)
+	if n == 0 {
 		return nil
 	}
 	out := make([]float32, n)
@@ -300,14 +311,7 @@ func (r *Reader) Float32s() []float32 {
 //
 //lint:hotpath
 func (r *Reader) Float32sAppend(dst []float32) []float32 {
-	n := int(r.Uvarint())
-	if r.err != nil || n == 0 {
-		return dst
-	}
-	if n < 0 || n > r.Remaining()/4 {
-		r.fail()
-		return dst
-	}
+	n := r.Count(4)
 	for i := 0; i < n; i++ {
 		dst = append(dst, r.Float32())
 	}
@@ -316,12 +320,8 @@ func (r *Reader) Float32sAppend(dst []float32) []float32 {
 
 // Uint64s reads a length-prefixed []uint64.
 func (r *Reader) Uint64s() []uint64 {
-	n := int(r.Uvarint())
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n < 0 || n > r.Remaining() {
-		r.fail()
+	n := r.Count(1)
+	if n == 0 {
 		return nil
 	}
 	out := make([]uint64, n)

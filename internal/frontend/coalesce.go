@@ -42,7 +42,7 @@ func (f *Frontend) SetBatching(max int, linger time.Duration) {
 
 // sampleOutcome is one member's share of a batch reply.
 type sampleOutcome struct {
-	res *serving.Result
+	res serving.Encoded
 	err error
 }
 
@@ -68,7 +68,7 @@ type batcher struct {
 
 // enqueue adds one request to the partition's pending batch and blocks
 // until its outcome arrives.
-func (b *batcher) enqueue(qid query.ID, seed graph.VertexID, trace uint64, deadline time.Time) (*serving.Result, error) {
+func (b *batcher) enqueue(qid query.ID, seed graph.VertexID, trace uint64, deadline time.Time) (serving.Encoded, error) {
 	ps := &pendingSample{
 		item:     serving.BatchItem{Query: qid, Seed: seed, Trace: trace},
 		deadline: deadline,

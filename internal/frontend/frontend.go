@@ -512,8 +512,11 @@ func (f *Frontend) admitSample(trace uint64) (time.Time, func(), error) {
 // accounting, failure warnings, and the slow-sample log all see them —
 // only the trace recording itself is skipped.
 func (f *Frontend) Sample(qid query.ID, seed graph.VertexID) (*serving.Result, error) {
-	res, _, err := f.sampleCommon(qid, seed, 0)
-	return res, err
+	enc, err := f.sampleCommon(qid, seed, 0)
+	if err != nil {
+		return nil, err
+	}
+	return enc.Decode()
 }
 
 // SampleTraced routes a sampling query with a freshly minted trace ID and
@@ -521,46 +524,61 @@ func (f *Frontend) Sample(qid query.ID, seed graph.VertexID) (*serving.Result, e
 // wait, K-hop assembly, feature fetch) plus the residual RPC transport
 // time, so spans always sum to at most the end-to-end latency.
 func (f *Frontend) SampleTraced(qid query.ID, seed graph.VertexID) (*serving.Result, uint64, error) {
-	return f.sampleCommon(qid, seed, f.tracer.NewID())
-}
-
-// sampleCommon is the one serve path behind Sample and SampleTraced
-// (trace == 0 means untraced): admission, the RPC (coalesced or direct),
-// stage observation, the failure warning, span assembly, and the
-// slow-sample log are identical for both; only tracer.Record is gated on
-// a non-zero trace ID.
-func (f *Frontend) sampleCommon(qid query.ID, seed graph.VertexID, trace uint64) (*serving.Result, uint64, error) {
-	f.Requests.Inc()
-	deadline, release, err := f.admitSample(trace)
+	trace := f.tracer.NewID()
+	enc, err := f.sampleCommon(qid, seed, trace)
 	if err != nil {
 		return nil, trace, err
 	}
+	res, err := enc.Decode()
+	return res, trace, err
+}
+
+// sampleCommon is the one serve path behind Sample, SampleTraced and the
+// gateway (trace == 0 means untraced): admission, the RPC (coalesced or
+// direct), stage observation, the failure warning, and the slow-sample log
+// are identical for all; only tracer.Record is gated on a non-zero trace
+// ID. The answer stays in the worker's encoding: the stage accounting reads
+// its header, and whoever needs more decodes it (the library calls) or
+// transcodes it (the gateway) exactly once.
+func (f *Frontend) sampleCommon(qid query.ID, seed graph.VertexID, trace uint64) (serving.Encoded, error) {
+	f.Requests.Inc()
+	deadline, release, err := f.admitSample(trace)
+	if err != nil {
+		return nil, err
+	}
 	defer release()
 	start := f.clk.Now()
-	res, err := f.sampleVia(qid, seed, trace, deadline)
+	enc, err := f.sampleVia(qid, seed, trace, deadline)
+	var h serving.Header
+	if err == nil {
+		h, err = enc.Header()
+	}
 	total := f.clk.Now().Sub(start).Nanoseconds()
 	f.stRequest.Observe(total, trace)
 	if err != nil {
 		f.log.Warn(trace, obs.StageFrontendRequest, "sample failed",
 			"seed", uint64(seed), "total", time.Duration(total), "err", err)
-		return nil, trace, err
+		return nil, err
 	}
-	spans := make([]obs.Span, 0, len(res.Stages)+1)
-	spans = append(spans, res.Stages...)
-	var sum int64
-	for _, s := range spans {
-		sum += s.Dur
-	}
-	if transport := total - sum; transport > 0 {
-		spans = append(spans, obs.Span{Name: obs.StageFrontendRPC, Dur: transport})
+	transport := total - h.StageNS
+	if transport > 0 {
 		f.stRPC.Observe(transport, trace)
+	}
+	threshold := f.slowNS.Load()
+	slow := threshold > 0 && total >= threshold && f.log.Enabled(obs.LevelInfo)
+	if trace == 0 && !slow {
+		return enc, nil
+	}
+	spans := h.Spans(1)
+	if transport > 0 {
+		spans = append(spans, obs.Span{Name: obs.StageFrontendRPC, Dur: transport})
 	}
 	if trace != 0 {
 		f.tracer.Record(obs.Trace{
 			ID: trace, Op: "sample", Start: start.UnixNano(), Total: total, Spans: spans,
 		})
 	}
-	if slow := f.slowNS.Load(); slow > 0 && total >= slow && f.log.Enabled(obs.LevelInfo) {
+	if slow {
 		worst := obs.Span{}
 		for _, s := range spans {
 			if s.Dur > worst.Dur {
@@ -571,23 +589,23 @@ func (f *Frontend) sampleCommon(qid query.ID, seed graph.VertexID, trace uint64)
 			"seed", uint64(seed), "total", time.Duration(total),
 			"worst_stage", worst.Name, "worst_stage_dur", time.Duration(worst.Dur))
 	}
-	return res, trace, nil
+	return enc, nil
 }
 
 // sampleVia issues the serving call: through the partition's coalescer
 // when batching is enabled, otherwise as a direct single-sample RPC with
 // replica failover.
-func (f *Frontend) sampleVia(qid query.ID, seed graph.VertexID, trace uint64, deadline time.Time) (*serving.Result, error) {
+func (f *Frontend) sampleVia(qid query.ID, seed graph.VertexID, trace uint64, deadline time.Time) (serving.Encoded, error) {
 	if bs := f.batchers; bs != nil {
 		return bs[f.servPart.Of(seed)].enqueue(qid, seed, trace, deadline)
 	}
-	var res *serving.Result
+	var enc serving.Encoded
 	err := f.callReplica(seed, deadline, func(c *serving.Client, budget time.Duration) error {
 		var err error
-		res, err = c.SampleBudget(qid, seed, trace, budget)
+		enc, err = c.SampleEncoded(qid, seed, trace, budget)
 		return err
 	})
-	return res, err
+	return enc, err
 }
 
 // HTTP gateway.
@@ -606,26 +624,6 @@ type vertexJSON struct {
 	Feature []float32 `json:"feature"`
 }
 
-type resultJSON struct {
-	Layers   [][]uint64           `json:"layers"`
-	Edges    []edgeOutJSON        `json:"edges"`
-	Features map[string][]float32 `json:"features"`
-	Misses   int                  `json:"misses"`
-	// Trace is the request's trace ID in hex; look it up under /traces.
-	Trace string `json:"trace,omitempty"`
-	// Degraded marks an answer served from the cache's degraded path under
-	// overload; StalenessNS is the cache staleness at assembly.
-	Degraded    bool  `json:"degraded,omitempty"`
-	StalenessNS int64 `json:"stalenessNs,omitempty"`
-}
-
-type edgeOutJSON struct {
-	Hop    int    `json:"hop"`
-	Parent uint64 `json:"parent"`
-	Child  uint64 `json:"child"`
-	Ts     int64  `json:"ts"`
-}
-
 // httpStatus maps routing errors onto gateway statuses: 503 for a shed
 // (the deployment is healthy, just full — retry with backoff), 504 for an
 // exhausted deadline budget, 500 otherwise.
@@ -638,6 +636,29 @@ func httpStatus(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
+}
+
+// sampleBodies recycles the gateway's response buffers.
+var sampleBodies = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeSample answers one GET /sample: the worker's encoding is transcoded
+// to JSON in a pooled buffer and leaves in one sized write. Nothing has
+// been sent when the transcode fails — a payload the worker should never
+// have produced, or a feature component JSON cannot carry — so that is
+// still a clean 500.
+func (f *Frontend) writeSample(w http.ResponseWriter, enc serving.Encoded, seed, trace uint64) {
+	buf := sampleBodies.Get().(*[]byte)
+	defer sampleBodies.Put(buf)
+	body, err := enc.AppendJSON((*buf)[:0], trace)
+	if err != nil {
+		f.log.Warn(trace, obs.StageFrontendRequest, "sample not encodable", "seed", seed, "err", err)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	*buf = body
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 // Handler returns the HTTP mux: POST /ingest/edge, POST /ingest/vertex,
@@ -686,45 +707,24 @@ func (f *Frontend) Handler() http.Handler {
 		w.WriteHeader(http.StatusAccepted)
 	})
 	mux.HandleFunc("GET /sample", func(w http.ResponseWriter, r *http.Request) {
-		qid, err := strconv.Atoi(r.URL.Query().Get("q"))
+		args := r.URL.Query()
+		qid, err := strconv.Atoi(args.Get("q"))
 		if err != nil || qid < 0 || qid >= len(f.cfg.Plans) {
 			http.Error(w, "bad query id", http.StatusBadRequest)
 			return
 		}
-		seed, err := strconv.ParseUint(r.URL.Query().Get("seed"), 10, 64)
+		seed, err := strconv.ParseUint(args.Get("seed"), 10, 64)
 		if err != nil {
 			http.Error(w, "bad seed", http.StatusBadRequest)
 			return
 		}
-		res, trace, err := f.SampleTraced(query.ID(qid), graph.VertexID(seed))
+		trace := f.tracer.NewID()
+		enc, err := f.sampleCommon(query.ID(qid), graph.VertexID(seed), trace)
 		if err != nil {
 			http.Error(w, err.Error(), httpStatus(err))
 			return
 		}
-		out := resultJSON{
-			Features:    make(map[string][]float32),
-			Misses:      res.SampleMisses + res.FeatureMisses,
-			Trace:       strconv.FormatUint(trace, 16),
-			Degraded:    res.Degraded,
-			StalenessNS: res.StalenessNS,
-		}
-		for _, layer := range res.Layers {
-			l := make([]uint64, len(layer))
-			for i, v := range layer {
-				l[i] = uint64(v)
-			}
-			out.Layers = append(out.Layers, l)
-		}
-		for _, e := range res.Edges {
-			out.Edges = append(out.Edges, edgeOutJSON{
-				Hop: e.Hop, Parent: uint64(e.Parent), Child: uint64(e.Child), Ts: int64(e.Ts),
-			})
-		}
-		for v, feat := range res.Features {
-			out.Features[strconv.FormatUint(uint64(v), 10)] = feat
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(out)
+		f.writeSample(w, enc, seed, trace)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "ok requests=%d updates=%d\n", f.Requests.Value(), f.Updates.Value())

@@ -113,7 +113,10 @@ func TestSampleBatchRoundTrip(t *testing.T) {
 		if out[i].Err != nil {
 			t.Fatalf("member %d: %v", i, out[i].Err)
 		}
-		res := out[i].Result
+		res, err := out[i].Result.Decode()
+		if err != nil {
+			t.Fatalf("member %d: %v", i, err)
+		}
 		if len(res.Layers) == 0 || len(res.Layers[1]) != 1 || res.Layers[1][0] != 2 {
 			t.Fatalf("member %d layers: %v", i, res.Layers)
 		}
@@ -220,8 +223,11 @@ func TestBatchResponseCodec(t *testing.T) {
 	if len(out) != 3 {
 		t.Fatalf("decoded %d members, want 3", len(out))
 	}
-	if out[0].Err != nil || out[0].Result.Layers[1][0] != 2 || out[0].Result.Features[2][0] != 1.5 {
-		t.Fatalf("ok member: %+v", out[0])
+	if out[0].Err != nil {
+		t.Fatalf("ok member: %v", out[0].Err)
+	}
+	if res, err := out[0].Result.Decode(); err != nil || res.Layers[1][0] != 2 || res.Features[2][0] != 1.5 || res.Lookups != 3 {
+		t.Fatalf("ok member: %+v, %v", res, err)
 	}
 	var re *rpc.RemoteError
 	if !errors.As(out[1].Err, &re) || re.Msg != "boom" {

@@ -1,0 +1,391 @@
+package serving
+
+import (
+	"cmp"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
+	"sync"
+
+	"helios/internal/codec"
+	"helios/internal/graph"
+	"helios/internal/obs"
+)
+
+// The wire form of a Result. A small header comes first, so a reader that
+// only wants the counters or the stage spans never walks the body:
+//
+//	header  sampleMisses featureMisses lookups   uvarint each
+//	        degraded                             1 byte
+//	        stalenessNS                          varint
+//	        #stages { name string, dur varint }
+//	body    #layers { #vertices { id uvarint } }
+//	        #edges  { hop parent child uvarint, ts varint, weight f32 }
+//	        #features { id uvarint, #floats { f32 } }
+//
+// Minimum encoded sizes of one element of each collection, for
+// codec.Reader.Count.
+const (
+	minStage   = 2 // empty name + dur
+	minVertex  = 1
+	minLayer   = 1 // an empty layer is its count
+	minEdge    = 8 // hop, parent, child, ts + 4-byte weight
+	minFeature = 2 // id + empty vector
+)
+
+// AppendResult encodes a Result.
+func AppendResult(w *codec.Writer, res *Result) {
+	w.Uvarint(uint64(res.SampleMisses))
+	w.Uvarint(uint64(res.FeatureMisses))
+	w.Uvarint(uint64(res.Lookups))
+	w.Bool(res.Degraded)
+	w.Varint(res.StalenessNS)
+	w.Uvarint(uint64(len(res.Stages)))
+	for _, s := range res.Stages {
+		w.String(s.Name)
+		w.Varint(s.Dur)
+	}
+	w.Uvarint(uint64(len(res.Layers)))
+	for _, layer := range res.Layers {
+		w.Uvarint(uint64(len(layer)))
+		for _, v := range layer {
+			w.Uvarint(uint64(v))
+		}
+	}
+	w.Uvarint(uint64(len(res.Edges)))
+	for _, e := range res.Edges {
+		w.Uvarint(uint64(e.Hop))
+		w.Uvarint(uint64(e.Parent))
+		w.Uvarint(uint64(e.Child))
+		w.Varint(int64(e.Ts))
+		w.Float32(e.Weight)
+	}
+	w.Uvarint(uint64(len(res.Features)))
+	for v, f := range res.Features {
+		w.Uvarint(uint64(v))
+		w.Float32s(f)
+	}
+}
+
+// errDuplicateFeature rejects a payload naming one vertex's feature twice:
+// a Result holds features in a map, so no encoder produces it, and the two
+// readers of the wire form would otherwise have to agree on which copy wins.
+var errDuplicateFeature = errors.New("serving: duplicate feature vertex in encoded result")
+
+// DecodeResult parses a Result.
+func DecodeResult(r *codec.Reader) (*Result, error) {
+	h := readHeader(r)
+	res := &Result{
+		SampleMisses:  h.SampleMisses,
+		FeatureMisses: h.FeatureMisses,
+		Lookups:       h.Lookups,
+		Degraded:      h.Degraded,
+		StalenessNS:   h.StalenessNS,
+		Stages:        h.Spans(0),
+	}
+	if nl := r.Count(minLayer); nl > 0 {
+		res.Layers = make([][]graph.VertexID, nl)
+		for i := range res.Layers {
+			layer := make([]graph.VertexID, r.Count(minVertex))
+			for j := range layer {
+				layer[j] = graph.VertexID(r.Uvarint())
+			}
+			res.Layers[i] = layer
+		}
+	}
+	if ne := r.Count(minEdge); ne > 0 {
+		res.Edges = make([]SampledEdge, ne)
+		for i := range res.Edges {
+			res.Edges[i] = SampledEdge{
+				Hop:    int(r.Uvarint()),
+				Parent: graph.VertexID(r.Uvarint()),
+				Child:  graph.VertexID(r.Uvarint()),
+				Ts:     graph.Timestamp(r.Varint()),
+				Weight: r.Float32(),
+			}
+		}
+	}
+	nf := r.Count(minFeature)
+	res.Features = make(map[graph.VertexID][]float32, nf)
+	for i := 0; i < nf; i++ {
+		v := graph.VertexID(r.Uvarint())
+		if _, dup := res.Features[v]; dup {
+			return nil, errDuplicateFeature
+		}
+		res.Features[v] = r.Float32s()
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Encoded is a read-only view over one AppendResult encoding — the form
+// a result keeps from the serving worker's response frame to the gateway's
+// socket. It aliases the bytes it was made from.
+type Encoded []byte
+
+// Header is the fixed-size front of an encoded result.
+type Header struct {
+	SampleMisses, FeatureMisses, Lookups int
+	Degraded                             bool
+	StalenessNS                          int64
+	// StageNS is the sum of the worker's stage span durations; Spans
+	// materialises the spans themselves.
+	StageNS int64
+
+	stages []byte // the encoded span list, count first
+}
+
+// readHeader consumes the header, leaving r at the body. A malformed
+// header fails r.
+//
+//lint:hotpath
+func readHeader(r *codec.Reader) Header {
+	h := Header{
+		SampleMisses:  int(r.Uvarint()),
+		FeatureMisses: int(r.Uvarint()),
+		Lookups:       int(r.Uvarint()),
+		Degraded:      r.Bool(),
+		StalenessNS:   r.Varint(),
+	}
+	rest := r.Rest()
+	for i, n := 0, r.Count(minStage); i < n; i++ {
+		r.Bytes32() // name
+		h.StageNS += r.Varint()
+	}
+	if r.Err() == nil {
+		h.stages = rest[:len(rest)-r.Remaining()]
+	}
+	return h
+}
+
+// Header reads the front of the payload without walking the body.
+//
+//lint:hotpath
+func (e Encoded) Header() (Header, error) {
+	var r codec.Reader
+	r.Reset(e)
+	h := readHeader(&r)
+	return h, r.Err()
+}
+
+// Spans decodes the worker's stage spans into a slice with room for extra
+// more.
+func (h Header) Spans(extra int) []obs.Span {
+	r := codec.NewReader(h.stages)
+	n := r.Count(minStage)
+	if n+extra == 0 {
+		return nil
+	}
+	spans := make([]obs.Span, 0, n+extra)
+	for i := 0; i < n; i++ {
+		spans = append(spans, obs.Span{Name: r.String(), Dur: r.Varint()})
+	}
+	return spans
+}
+
+// Decode materialises the Result, consuming the whole payload.
+func (e Encoded) Decode() (*Result, error) {
+	r := codec.NewReader(e)
+	res, err := DecodeResult(r)
+	if err != nil {
+		return nil, err
+	}
+	return res, r.Finish()
+}
+
+// FeatureValueError reports a feature component JSON has no spelling for.
+type FeatureValueError struct {
+	Vertex graph.VertexID
+	Value  float32
+}
+
+func (e *FeatureValueError) Error() string {
+	return fmt.Sprintf("serving: feature of vertex %d holds %v, which JSON cannot carry", uint64(e.Vertex), e.Value)
+}
+
+// featureRef locates one feature in the payload. encoding/json emits map
+// members ordered by key string; (order, id) sorts vertex ids numerically
+// into that order: order is the id's decimal digits left-aligned to 19
+// places, so a shorter id that prefixes a longer one ties with it and the
+// smaller — the shorter — goes first, as it does among strings.
+type featureRef struct {
+	order, id uint64
+	floats    []byte
+}
+
+func decimalOrder(id uint64) uint64 {
+	if id >= 1e19 {
+		return id / 10
+	}
+	for id != 0 && id < 1e18 {
+		id *= 10
+	}
+	return id
+}
+
+func byKeyString(a, b featureRef) int {
+	if c := cmp.Compare(a.order, b.order); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// featureRefs recycles AppendJSON's sort scratch.
+var featureRefs = sync.Pool{New: func() any { return new([]featureRef) }}
+
+// AppendJSON appends the gateway's GET /sample body for this result to
+// dst, walking the payload once. The bytes are exactly what encoding/json
+// writes for the {layers, edges, features, misses, trace, degraded,
+// stalenessNs} object the gateway has always served, trailing newline
+// included: trace (hex), degraded and stalenessNs are omitted when zero,
+// an absent layer or edge list is null, features are ordered by key string,
+// and floats follow encoding/json's float32 rule (appendFloat32). On
+// error dst comes back at its original length.
+//
+//lint:hotpath
+func (e Encoded) AppendJSON(dst []byte, trace uint64) ([]byte, error) {
+	start := len(dst)
+	var r codec.Reader
+	r.Reset(e)
+	h := readHeader(&r)
+	dst = append(dst, `{"layers":`...)
+	if nl := r.Count(minLayer); nl == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := 0; i < nl; i++ {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, '[')
+			for j, n := 0, r.Count(minVertex); j < n; j++ {
+				if j > 0 {
+					dst = append(dst, ',')
+				}
+				dst = strconv.AppendUint(dst, r.Uvarint(), 10)
+			}
+			dst = append(dst, ']')
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"edges":`...)
+	if ne := r.Count(minEdge); ne == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := 0; i < ne; i++ {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"hop":`...)
+			dst = strconv.AppendInt(dst, int64(r.Uvarint()), 10)
+			dst = append(dst, `,"parent":`...)
+			dst = strconv.AppendUint(dst, r.Uvarint(), 10)
+			dst = append(dst, `,"child":`...)
+			dst = strconv.AppendUint(dst, r.Uvarint(), 10)
+			dst = append(dst, `,"ts":`...)
+			dst = strconv.AppendInt(dst, r.Varint(), 10)
+			dst = append(dst, '}')
+			r.Float32() // the weight is not part of the gateway's answer
+		}
+		dst = append(dst, ']')
+	}
+
+	scratch := featureRefs.Get().(*[]featureRef)
+	refs := (*scratch)[:0]
+	for i, nf := 0, r.Count(minFeature); i < nf; i++ {
+		id := r.Uvarint()
+		refs = append(refs, featureRef{order: decimalOrder(id), id: id, floats: r.RawN(4 * r.Count(4))})
+	}
+	err := r.Finish()
+	if err == nil {
+		slices.SortFunc(refs, byKeyString)
+		dst = append(dst, `,"features":{`...)
+		for i := range refs {
+			if i > 0 {
+				if refs[i].id == refs[i-1].id {
+					err = errDuplicateFeature
+					break
+				}
+				dst = append(dst, ',')
+			}
+			dst = append(dst, '"')
+			dst = strconv.AppendUint(dst, refs[i].id, 10)
+			dst = append(dst, `":`...)
+			if dst, err = appendFeature(dst, refs[i]); err != nil {
+				break
+			}
+		}
+	}
+	clear(refs) // drop the aliases into e before the scratch is shared
+	*scratch = refs[:0]
+	featureRefs.Put(scratch)
+	if err != nil {
+		return dst[:start], err
+	}
+
+	dst = append(dst, `},"misses":`...)
+	dst = strconv.AppendInt(dst, int64(h.SampleMisses+h.FeatureMisses), 10)
+	if trace != 0 {
+		dst = append(dst, `,"trace":"`...)
+		dst = strconv.AppendUint(dst, trace, 16)
+		dst = append(dst, '"')
+	}
+	if h.Degraded {
+		dst = append(dst, `,"degraded":true`...)
+	}
+	if h.StalenessNS != 0 {
+		dst = append(dst, `,"stalenessNs":`...)
+		dst = strconv.AppendInt(dst, h.StalenessNS, 10)
+	}
+	return append(dst, "}\n"...), nil
+}
+
+// appendFeature appends one feature vector as a JSON array (null when
+// empty, as a decoded Result holds nil for it).
+//
+//lint:hotpath
+func appendFeature(out []byte, ref featureRef) ([]byte, error) {
+	if len(ref.floats) == 0 {
+		return append(out, "null"...), nil
+	}
+	out = append(out, '[')
+	for off := 0; off < len(ref.floats); off += 4 {
+		bits := binary.LittleEndian.Uint32(ref.floats[off:])
+		if bits&0x7f800000 == 0x7f800000 { // NaN or ±Inf
+			return out, &FeatureValueError{Vertex: graph.VertexID(ref.id), Value: math.Float32frombits(bits)}
+		}
+		if off > 0 {
+			out = append(out, ',')
+		}
+		out = appendFloat32(out, math.Float32frombits(bits))
+	}
+	return append(out, ']'), nil
+}
+
+// appendFloat32 formats f as encoding/json does a float32: shortest
+// round-tripping digits, plain notation unless the magnitude is below 1e-6
+// or at least 1e21, and then exponent notation with a two-digit negative
+// exponent's leading zero removed (e-09 → e-9).
+//
+//lint:hotpath
+func appendFloat32(out []byte, f float32) []byte {
+	abs := f
+	if abs < 0 {
+		abs = -abs
+	}
+	if abs == 0 || (abs >= 1e-6 && abs < 1e21) {
+		return strconv.AppendFloat(out, float64(f), 'f', -1, 32)
+	}
+	out = strconv.AppendFloat(out, float64(f), 'e', -1, 32)
+	if n := len(out); n >= 4 && out[n-4] == 'e' && out[n-3] == '-' && out[n-2] == '0' {
+		out[n-2] = out[n-1]
+		out = out[:n-1]
+	}
+	return out
+}

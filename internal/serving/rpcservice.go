@@ -7,7 +7,6 @@ import (
 
 	"helios/internal/codec"
 	"helios/internal/graph"
-	"helios/internal/obs"
 	"helios/internal/overload"
 	"helios/internal/query"
 	"helios/internal/rpc"
@@ -32,105 +31,6 @@ const MethodSampleBatch = "helios.sample_batch"
 // replica it marked unhealthy after a failed call.
 const MethodPing = "helios.ping"
 
-// AppendResult encodes a Result.
-func AppendResult(w *codec.Writer, res *Result) {
-	w.Uvarint(uint64(len(res.Layers)))
-	for _, layer := range res.Layers {
-		w.Uvarint(uint64(len(layer)))
-		for _, v := range layer {
-			w.Uvarint(uint64(v))
-		}
-	}
-	w.Uvarint(uint64(len(res.Edges)))
-	for _, e := range res.Edges {
-		w.Uvarint(uint64(e.Hop))
-		w.Uvarint(uint64(e.Parent))
-		w.Uvarint(uint64(e.Child))
-		w.Varint(int64(e.Ts))
-		w.Float32(e.Weight)
-	}
-	w.Uvarint(uint64(len(res.Features)))
-	for v, f := range res.Features {
-		w.Uvarint(uint64(v))
-		w.Float32s(f)
-	}
-	w.Uvarint(uint64(res.SampleMisses))
-	w.Uvarint(uint64(res.FeatureMisses))
-	w.Uvarint(uint64(res.Lookups))
-	w.Uvarint(uint64(len(res.Stages)))
-	for _, s := range res.Stages {
-		w.String(s.Name)
-		w.Varint(s.Dur)
-	}
-	degraded := uint64(0)
-	if res.Degraded {
-		degraded = 1
-	}
-	w.Uvarint(degraded)
-	w.Varint(res.StalenessNS)
-}
-
-// DecodeResult parses a Result.
-func DecodeResult(r *codec.Reader) (*Result, error) {
-	res := &Result{Features: make(map[graph.VertexID][]float32)}
-	nl := int(r.Uvarint())
-	if r.Err() != nil || nl > r.Remaining() {
-		return nil, errOr(r, codec.ErrShortBuffer)
-	}
-	for i := 0; i < nl; i++ {
-		n := int(r.Uvarint())
-		if r.Err() != nil || n > r.Remaining() {
-			return nil, errOr(r, codec.ErrShortBuffer)
-		}
-		layer := make([]graph.VertexID, n)
-		for j := range layer {
-			layer[j] = graph.VertexID(r.Uvarint())
-		}
-		res.Layers = append(res.Layers, layer)
-	}
-	ne := int(r.Uvarint())
-	if r.Err() != nil || ne > r.Remaining() {
-		return nil, errOr(r, codec.ErrShortBuffer)
-	}
-	for i := 0; i < ne; i++ {
-		res.Edges = append(res.Edges, SampledEdge{
-			Hop:    int(r.Uvarint()),
-			Parent: graph.VertexID(r.Uvarint()),
-			Child:  graph.VertexID(r.Uvarint()),
-			Ts:     graph.Timestamp(r.Varint()),
-			Weight: r.Float32(),
-		})
-	}
-	nf := int(r.Uvarint())
-	if r.Err() != nil || nf > r.Remaining() {
-		return nil, errOr(r, codec.ErrShortBuffer)
-	}
-	for i := 0; i < nf; i++ {
-		v := graph.VertexID(r.Uvarint())
-		res.Features[v] = r.Float32s()
-	}
-	res.SampleMisses = int(r.Uvarint())
-	res.FeatureMisses = int(r.Uvarint())
-	res.Lookups = int(r.Uvarint())
-	ns := int(r.Uvarint())
-	if r.Err() != nil || ns > r.Remaining() {
-		return nil, errOr(r, codec.ErrShortBuffer)
-	}
-	for i := 0; i < ns; i++ {
-		res.Stages = append(res.Stages, obs.Span{Name: r.String(), Dur: r.Varint()})
-	}
-	res.Degraded = r.Uvarint() == 1
-	res.StalenessNS = r.Varint()
-	return res, r.Err()
-}
-
-func errOr(r *codec.Reader, fallback error) error {
-	if err := r.Err(); err != nil {
-		return err
-	}
-	return fallback
-}
-
 // BatchItem is one member of a coalesced sampling batch.
 type BatchItem struct {
 	Query query.ID
@@ -145,15 +45,16 @@ type BatchItem struct {
 }
 
 // BatchResult is one member's outcome from Client.SampleBatch,
-// index-aligned with the submitted items.
+// index-aligned with the submitted items. Result aliases the batch's
+// response frame.
 type BatchResult struct {
-	Result *Result
+	Result Encoded
 	Err    error
 }
 
 // Batch response member statuses.
 const (
-	batchOK      = 0 // followed by an AppendResult encoding
+	batchOK      = 0 // followed by a length-prefixed AppendResult encoding
 	batchErr     = 1 // followed by an error string
 	batchExpired = 2 // the member's own deadline expired worker-side
 )
@@ -164,6 +65,10 @@ var (
 	errBadBatchStatus    = errors.New("serving: bad batch member status")
 	errBatchSizeMismatch = errors.New("serving: batch response size mismatch")
 )
+
+// minBatchItem is the least a batch request member encodes to: query,
+// seed, trace and budget at one byte each.
+const minBatchItem = 4
 
 func batchTooLarge(n, max int) error {
 	return fmt.Errorf("serving: sample batch of %d exceeds worker bound %d", n, max)
@@ -189,11 +94,7 @@ func AppendBatchRequest(w *codec.Writer, items []BatchItem) {
 //lint:hotpath
 func DecodeBatchRequest(r *codec.Reader, items []BatchItem) ([]BatchItem, error) {
 	items = items[:0]
-	n := int(r.Uvarint())
-	if r.Err() != nil || n > r.Remaining() {
-		return items, errOr(r, codec.ErrShortBuffer)
-	}
-	for i := 0; i < n; i++ {
+	for i, n := 0, r.Count(minBatchItem); i < n; i++ {
 		items = append(items, BatchItem{
 			Query:  query.ID(r.Uvarint()),
 			Seed:   graph.VertexID(r.Uvarint()),
@@ -217,8 +118,13 @@ func AppendBatchResponse(w *codec.Writer, resps []Response) {
 		rs := &resps[i]
 		switch {
 		case rs.Err == nil && rs.Result != nil:
+			// Length-prefixed, so the client hands each member on as a
+			// sub-slice of the frame without decoding it.
 			w.Byte(batchOK)
-			AppendResult(w, rs.Result)
+			member := codec.GetWriter()
+			AppendResult(member, rs.Result)
+			w.Bytes32(member.Bytes())
+			codec.PutWriter(member)
 		case errors.Is(rs.Err, rpc.ErrDeadlineExceeded):
 			// Typed across the hop like frameExpired: the member maps back
 			// to rpc.ErrDeadlineExceeded client-side without string matching.
@@ -234,21 +140,15 @@ func AppendBatchResponse(w *codec.Writer, resps []Response) {
 }
 
 // DecodeBatchResponse parses the per-member outcomes of a batch,
-// consuming the whole buffer.
+// consuming the whole buffer. Successful members come back still encoded,
+// as sub-slices of the buffer.
 func DecodeBatchResponse(r *codec.Reader) ([]BatchResult, error) {
-	n := int(r.Uvarint())
-	if r.Err() != nil || n > r.Remaining() {
-		return nil, errOr(r, codec.ErrShortBuffer)
-	}
+	n := r.Count(1)
 	out := make([]BatchResult, 0, n)
 	for i := 0; i < n; i++ {
 		switch r.Byte() {
 		case batchOK:
-			res, err := DecodeResult(r)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, BatchResult{Result: res})
+			out = append(out, BatchResult{Result: r.Bytes32()})
 		case batchErr:
 			out = append(out, BatchResult{Err: &rpc.RemoteError{Msg: r.String()}})
 		case batchExpired:
@@ -446,11 +346,22 @@ func (c *Client) SampleTraced(qid query.ID, seed graph.VertexID, trace uint64) (
 	return c.SampleBudget(qid, seed, trace, 0)
 }
 
-// SampleBudget is SampleTraced with an explicit deadline budget: the call
+// SampleBudget is SampleEncoded with the answer decoded.
+func (c *Client) SampleBudget(qid query.ID, seed graph.VertexID, trace uint64, budget time.Duration) (*Result, error) {
+	enc, err := c.SampleEncoded(qid, seed, trace, budget)
+	if err != nil {
+		return nil, err
+	}
+	return enc.Decode()
+}
+
+// SampleEncoded executes a sampling query carrying a trace ID in the RPC
+// envelope (0 = untraced) under an explicit deadline budget: the call
 // times out — and the RPC frame tells the worker to abandon the request —
 // after min(budget, the client's configured timeout). budget <= 0 means
-// the configured timeout alone.
-func (c *Client) SampleBudget(qid query.ID, seed graph.VertexID, trace uint64, budget time.Duration) (*Result, error) {
+// the configured timeout alone. The answer comes back as the worker
+// encoded it; the caller owns the bytes.
+func (c *Client) SampleEncoded(qid query.ID, seed graph.VertexID, trace uint64, budget time.Duration) (Encoded, error) {
 	timeout := c.timeout
 	// A zero configured timeout means "no client-side bound", and any
 	// positive budget must still bound the call — comparing against the
@@ -461,16 +372,7 @@ func (c *Client) SampleBudget(qid query.ID, seed graph.VertexID, trace uint64, b
 	w := codec.NewWriter(20)
 	w.Uvarint(uint64(qid))
 	w.Uvarint(uint64(seed))
-	resp, err := c.c.CallTraced(MethodSample, trace, w.Bytes(), timeout)
-	if err != nil {
-		return nil, err
-	}
-	r := codec.NewReader(resp)
-	res, err := DecodeResult(r)
-	if err != nil {
-		return nil, err
-	}
-	return res, r.Finish()
+	return c.c.CallTraced(MethodSample, trace, w.Bytes(), timeout)
 }
 
 // SampleBatch executes a coalesced batch of sampling queries in one RPC
