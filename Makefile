@@ -45,6 +45,9 @@ check:
 	# Ten seconds of native fuzzing over every reader of the sampling
 	# result's wire form: the bytes a frontend takes off a socket.
 	$(GO) test ./internal/serving -run '^$$' -fuzz FuzzEncodedResult -fuzztime 10s
+	# And ten over the telemetry decoder: the frames a worker sends the
+	# broker's collector.
+	$(GO) test ./internal/monitor -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 10s
 	# The kvstore read-during-flush hole failed about one run in two when
 	# it was open; twenty runs make a reopening loud.
 	$(GO) test -race -count=20 -run 'TestConcurrentReadWrite|TestGetNeverMissesAcrossFlush' ./internal/kvstore

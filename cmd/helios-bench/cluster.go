@@ -102,23 +102,16 @@ func printCluster(out io.Writer, v *monitor.ClusterView) {
 	if len(v.Partitions) > 0 {
 		fmt.Fprintln(out)
 		tw = tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "PARTITION\tWORKER\tRATE/S\tBASELINE/S\tHEAT\tZ\tLAG\tHIT%\tSTALENESS\tFLAGS")
+		fmt.Fprintln(tw, "PARTITION\tWORKER\tRATE/S\tBASELINE/S\tHEAT\tLAG\tHIT%\tSTALENESS\tFLAGS")
 		for _, p := range v.Partitions {
-			var flags []string
-			if p.Anomaly {
-				flags = append(flags, "HOT")
-			}
+			fl := "-"
 			if p.Stale {
-				flags = append(flags, "stale")
+				fl = "stale"
 			}
-			fl := strings.Join(flags, ",")
-			if fl == "" {
-				fl = "-"
-			}
-			fmt.Fprintf(tw, "%d\t%s\t%.1f\t%.1f\t%.3f\t%.2f\t%d\t%.1f\t%s\t%s\n",
+			fmt.Fprintf(tw, "%d\t%s\t%.1f\t%.1f\t%.3f\t%d\t%.1f\t%s\t%s\n",
 				p.Partition, p.Worker,
 				float64(p.RateMilli)/1000, float64(p.BaselineMilli)/1000,
-				float64(p.HeatMilli)/1000, float64(p.ZMilli)/1000,
+				float64(p.HeatMilli)/1000,
 				p.Lag, float64(p.HitRateMilli)/10,
 				time.Duration(p.StalenessNS).Round(time.Millisecond), fl)
 		}

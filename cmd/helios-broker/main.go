@@ -1,8 +1,8 @@
 // Command helios-broker runs the durable queue service all Helios stages
 // communicate through (the Kafka role of §4.1), plus the coordinator's
-// control surface: workers report liveness heartbeats and telemetry
-// snapshots over the same reconnecting connection they use for queue
-// traffic, and the aggregated cluster view is served at GET /cluster on
+// control surface: workers report telemetry snapshots (which double as
+// their liveness beat) over the same reconnecting connection they use for
+// queue traffic, and the aggregated cluster view is served at GET /cluster on
 // the ops listener.
 //
 // Usage:
@@ -46,7 +46,7 @@ func declare(fs *flag.FlagSet) *flags {
 	fs.DurationVar(&o.ReplDeadAfter, "repl-dead-after", 0, "report silence before a replica's partitions fail over; replica 0 runs the controller (0 = 3s)")
 	fs.IntVar(&o.Log.MaxAppendBatch, "batch-max", 0, "largest record batch accepted by one AppendBatch RPC (0 = 4096 default)")
 	fs.Int64Var(&o.MaxIngestLag, "max-ingest-lag", 0, "refuse appends to the updates topic once a partition's unconsumed backlog exceeds this (0 = unlimited)")
-	fs.DurationVar(&o.DeadAfter, "dead-after", 0, "heartbeat silence before a worker counts as dead (0 = 15s)")
+	fs.DurationVar(&o.DeadAfter, "dead-after", 0, "telemetry silence before a worker counts as dead (0, or under three telemetry intervals = nine intervals)")
 	fs.DurationVar(&o.TelemetryEvery, "telemetry-every", 5*time.Second, "expected worker telemetry cadence (drives /cluster staleness and death detection)")
 	fs.StringVar(&f.flightDir, "flight-dir", "", "flight-recorder capture directory (empty = captures disabled)")
 	fs.IntVar(&f.flightKeep, "flight-keep", 32, "flight-recorder captures retained on disk")

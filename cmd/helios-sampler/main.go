@@ -41,8 +41,7 @@ func declare(fs *flag.FlagSet) *flags {
 	fs.DurationVar(&o.CheckpointEvery, "checkpoint-every", time.Minute, "checkpoint interval")
 	fs.StringVar(&f.snapshotDir, "snapshot-dir", "", "warm-restart snapshot directory (derives the checkpoint path sampler-<id>.ckpt; overrides -checkpoint)")
 	fs.DurationVar(&f.snapshotEvery, "snapshot-every", 0, "snapshot interval under -snapshot-dir (0 = -checkpoint-every)")
-	fs.DurationVar(&o.HeartbeatEvery, "heartbeat-every", 5*time.Second, "coordinator heartbeat interval (0 = disabled)")
-	fs.DurationVar(&o.TelemetryEvery, "telemetry-every", 5*time.Second, "cluster telemetry snapshot interval (0 = disabled)")
+	fs.DurationVar(&o.TelemetryEvery, "telemetry-every", 5*time.Second, "cluster telemetry snapshot interval; a snapshot is also the liveness beat (0 = disabled)")
 	fs.StringVar(&f.faults, "faultpoints", "", "arm deterministic fault injection, e.g. rpc.client.write=error (chaos drills)")
 	fs.StringVar(&o.OpsAddr, "ops-addr", "", "serve /metrics, /traces, /slo and pprof on this address (empty = disabled)")
 	fs.StringVar(&f.logLevel, "log-level", "info", "structured log level: debug, info, warn, error")

@@ -43,8 +43,7 @@ func declare(fs *flag.FlagSet) *flags {
 	fs.DurationVar(&o.SnapshotEvery, "snapshot-every", time.Minute, "cache snapshot interval under -snapshot-dir")
 	fs.IntVar(&w.MaxBatch, "batch-max", 0, "largest sample batch accepted by one batched RPC (0 = 1024 default)")
 	fs.DurationVar(&o.StatsEvery, "stats-every", 30*time.Second, "stats log interval (0 = off)")
-	fs.DurationVar(&o.HeartbeatEvery, "heartbeat-every", 5*time.Second, "coordinator heartbeat interval (0 = disabled)")
-	fs.DurationVar(&o.TelemetryEvery, "telemetry-every", 5*time.Second, "cluster telemetry snapshot interval (0 = disabled)")
+	fs.DurationVar(&o.TelemetryEvery, "telemetry-every", 5*time.Second, "cluster telemetry snapshot interval; a snapshot is also the liveness beat (0 = disabled)")
 	fs.StringVar(&f.faults, "faultpoints", "", "arm deterministic fault injection, e.g. mq.fetch=error:injected:3 (chaos drills)")
 	fs.StringVar(&o.OpsAddr, "ops-addr", "", "serve /metrics, /traces, /slo and pprof on this address (empty = disabled)")
 	fs.StringVar(&f.logLevel, "log-level", "info", "structured log level: debug, info, warn, error")

@@ -32,7 +32,6 @@ import (
 	"helios/internal/graph"
 	"helios/internal/monitor"
 	"helios/internal/obs"
-	"helios/internal/overload"
 	"helios/internal/rpc"
 	"helios/internal/wire"
 )
@@ -109,7 +108,7 @@ func awaitSample(what string, ok func(layers [][]uint64) bool) [][]uint64 {
 func main() {
 	opsAddr := flag.String("ops-addr", "", "serve /metrics, /traces, /cluster and pprof on this address (empty = disabled)")
 	linger := flag.Duration("linger", 0, "keep the deployment alive this long after the demo (for ops scraping)")
-	telemetryEvery := flag.Duration("telemetry-every", 500*time.Millisecond, "cluster telemetry snapshot and heartbeat interval (0 = disabled)")
+	telemetryEvery := flag.Duration("telemetry-every", 500*time.Millisecond, "cluster telemetry snapshot interval (0 = disabled)")
 	flightDir := flag.String("flight-dir", "", "flight-recorder capture directory (empty = captures disabled)")
 	chaos := flag.Bool("chaos", false, "after the demo, kill and restart a broker endpoint and prove reconvergence")
 	burst := flag.Bool("burst", false, "after the demo, slow the serve path and fire a request storm to demo admission control and graceful degradation")
@@ -138,9 +137,9 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	o.Sampler = cluster.SamplerOptions{HeartbeatEvery: *telemetryEvery, Control: ctl}
+	o.Sampler = cluster.SamplerOptions{Control: ctl}
 	o.Sampler.Worker.Metrics = reg
-	o.Server = cluster.ServerOptions{HeartbeatEvery: *telemetryEvery, Control: ctl}
+	o.Server = cluster.ServerOptions{Control: ctl}
 	o.Server.Worker.Metrics, o.Server.Worker.Tracer = reg, tracer
 	if *burst {
 		// Tiny admission capacity plus the degraded path, so the storm
@@ -228,7 +227,6 @@ func main() {
 		// refusal is a typed 503/504 — never a hang.
 		const budget = 300 * time.Millisecond
 		c.Frontend.Node.SetOverload(frontend.Overload{RequestTimeout: budget, MaxInflight: 8, MaxQueue: 4})
-		overload.RegisterMetrics(reg)
 		fmt.Println("burst: delaying serve path and storming the gateway")
 		faultpoint.Delay("serving.sample", 1<<20, 20*time.Millisecond)
 
@@ -278,7 +276,7 @@ func main() {
 		awaitSample("burst: gateway never recovered after the storm drained", func([][]uint64) bool { return true })
 		fmt.Printf("burst drill complete (ok=%d degraded=%d shed=%d deadline=%d total_shed=%d total_degraded=%d)\n",
 			okN.Load(), degradedN.Load(), shedN.Load(), deadlineN.Load(),
-			overload.TotalShed(), overload.TotalDegraded())
+			reg.Sum("overload.shed"), reg.Sum("overload.degraded"))
 	}
 
 	if *failoverDrill {

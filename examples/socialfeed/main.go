@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"helios"
-	"helios/internal/metrics"
+	"helios/internal/obs"
 )
 
 const (
@@ -74,8 +74,8 @@ func main() {
 	// Closed-loop load for 2 seconds. Size the client pool to the host:
 	// closed-loop clients beyond the core count only add queueing delay.
 	clients := 8 * runtime.GOMAXPROCS(0)
-	var hist metrics.Histogram
-	var served metrics.Counter
+	var hist obs.Histogram
+	var served obs.Counter
 	var wg sync.WaitGroup
 	deadline := time.Now().Add(2 * time.Second)
 	for c := 0; c < clients; c++ {
@@ -88,7 +88,7 @@ func main() {
 				if _, err := svc.Sample(0, helios.VertexID(r.Intn(forums))); err != nil {
 					log.Fatal(err)
 				}
-				hist.RecordSince(t0)
+				hist.Observe(time.Since(t0).Nanoseconds(), 0)
 				served.Inc()
 			}
 		}(int64(c))

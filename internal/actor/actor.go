@@ -16,7 +16,7 @@ import (
 	"sync/atomic"
 
 	"helios/internal/graph"
-	"helios/internal/metrics"
+	"helios/internal/obs"
 )
 
 // MaxRun bounds how many messages one actor turn takes from its mailbox.
@@ -38,8 +38,8 @@ type Pool[T any] struct {
 
 	// Handled counts processed messages; Panics counts recovered handler
 	// panics (the actor keeps running, matching supervisor semantics).
-	Handled metrics.Counter
-	Panics  metrics.Counter
+	Handled obs.Counter
+	Panics  obs.Counter
 }
 
 // NewBatchPool starts `workers` actors, each with a `mailbox`-deep queue.

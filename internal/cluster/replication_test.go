@@ -118,9 +118,9 @@ func TestClusterTTLExpiry(t *testing.T) {
 	}
 }
 
-// TestCoordinatorCheckpointing runs the cmd/ topology with fast liveness
-// beats: the coordinator on the broker sees every worker, the periodic
-// checkpoints land on disk, and a fresh worker can restore one.
+// TestCoordinatorCheckpointing runs the cmd/ topology with fast telemetry
+// (the liveness beat): the collector on the broker sees every worker, the
+// periodic checkpoints land on disk, and a fresh worker can restore one.
 func TestCoordinatorCheckpointing(t *testing.T) {
 	g := newTestGraph()
 	cfg, err := deployFor(localConfig{
@@ -132,7 +132,7 @@ func TestCoordinatorCheckpointing(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := Options{Brokers: 1}
-	o.Sampler.HeartbeatEvery, o.Server.HeartbeatEvery = 10*time.Millisecond, 10*time.Millisecond
+	o.Sampler.TelemetryEvery, o.Server.TelemetryEvery = 10*time.Millisecond, 10*time.Millisecond
 	c, err := Boot(cfg, o)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestCoordinatorCheckpointing(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		ok := len(c.Brokers[0].Coord.Workers()) == 3 // 2 samplers + 1 server
+		ok := len(c.Brokers[0].Collector.View().Workers) == 3 // 2 samplers + 1 server
 		for i := range c.Samplers {
 			if _, err := os.Stat(CheckpointPath(dir, i)); err != nil {
 				ok = false

@@ -201,23 +201,18 @@ func (l *lifecycle) serveOps(addr string, routes ...obs.Route) error {
 	return nil
 }
 
-// report puts a worker role on the control plane: liveness beats every
-// heartbeatEvery, telemetry snapshots every telemetryEvery. Both ride the
+// report puts a worker role on the control plane: a telemetry snapshot
+// every telemetryEvery, which is also its liveness beat. Snapshots ride the
 // bus's reconnecting control connection, so a worker cut off from the
-// broker misses them and is, correctly, the one the coordinator reports
-// dead and /cluster shows going stale. A bus with no control connection
-// (the in-process broker) has no coordinator behind it and gets neither.
-func (l *lifecycle) report(bus mq.Bus, kind coord.WorkerKind, id int, heartbeatEvery, telemetryEvery time.Duration, rc monitor.ReporterConfig) *monitor.Reporter {
+// broker misses them and is, correctly, the one /cluster shows going stale
+// and then dead. A bus with no control connection (the in-process broker)
+// has no collector behind it and reports nothing.
+func (l *lifecycle) report(bus mq.Bus, kind coord.WorkerKind, id int, telemetryEvery time.Duration, rc monitor.ReporterConfig) *monitor.Reporter {
 	conn, ok := bus.(mq.Conn)
 	if !ok {
 		return nil
 	}
 	name := fmt.Sprintf("%s-%d", kind, id)
-	hb := coord.NewClient(conn.Client(), 0)
-	l.every(heartbeatEvery, func() {
-		//lint:allow droppederror reason=best-effort liveness beat; a missed beat just reads as dead until the next one lands
-		_ = hb.Heartbeat(name, kind)
-	})
 	rc.Name, rc.Kind, rc.LogTail, rc.Logger = name, string(kind), l.log.Tail, l.log
 	rc.Sink = monitor.NewClient(conn.Client(), 0)
 	r := monitor.NewReporter(rc)
@@ -230,8 +225,7 @@ func (l *lifecycle) report(bus mq.Bus, kind coord.WorkerKind, id int, heartbeatE
 
 // BrokerOptions configures the broker role.
 type BrokerOptions struct {
-	// Listen is the RPC address queue traffic, heartbeats and telemetry
-	// arrive on.
+	// Listen is the RPC address queue traffic and telemetry arrive on.
 	Listen string
 	// Log configures the durable queue itself.
 	Log mq.Options
@@ -246,9 +240,9 @@ type BrokerOptions struct {
 	// the broker's liveness beat (0 = 500ms); a replica silent for
 	// ReplDeadAfter has its partitions failed over (0 = 3s).
 	ReplReportEvery, ReplDeadAfter time.Duration
-	// DeadAfter is the heartbeat silence after which a worker counts dead
-	// (0 = 15s), and the collector's too once it exceeds three telemetry
-	// intervals.
+	// DeadAfter is the telemetry silence after which the collector counts
+	// a worker dead, once it exceeds three telemetry intervals (below
+	// that, and at 0, the collector's own nine intervals apply).
 	DeadAfter time.Duration
 	// Collector is the telemetry collector's template (flight recorder,
 	// clock, capture policy); Interval defaults to TelemetryEvery.
@@ -320,8 +314,7 @@ func StartBroker(o BrokerOptions) (_ *Broker, err error) {
 		if len(peers) > 0 {
 			mq.ServeReplication(b.Queue, srv)
 		}
-		if b.Coord != nil {
-			coord.ServeRPC(b.Coord, srv)
+		if b.Collector != nil {
 			monitor.ServeRPC(b.Collector, srv)
 		}
 		if b.Failover != nil {
@@ -349,9 +342,6 @@ func StartBroker(o BrokerOptions) (_ *Broker, err error) {
 // self-report, and — for a replica set — the failover controller.
 func (b *Broker) startControlPlane(o BrokerOptions) error {
 	b.Coord = coord.New()
-	if o.Registry != nil {
-		b.Coord.RegisterMetrics(o.Registry, or(o.DeadAfter, 15*time.Second))
-	}
 	cc := o.Collector
 	if cc.Interval == 0 {
 		cc.Interval = o.TelemetryEvery
@@ -434,8 +424,6 @@ type SamplerOptions struct {
 	// CheckpointEvery; empty disables both.
 	Checkpoint      string
 	CheckpointEvery time.Duration
-	// HeartbeatEvery paces coordinator liveness beats; 0 disables.
-	HeartbeatEvery time.Duration
 	Control
 }
 
@@ -472,7 +460,7 @@ func StartSampler(cfg *deploy.Config, bus mq.Bus, o SamplerOptions) (_ *Sampler,
 	w.Start()
 	s.onClose(w.Stop)
 	s.saveEvery(o.Checkpoint, o.CheckpointEvery, "sampler.checkpoint", w.CheckpointFile)
-	s.Reporter = s.report(bus, coord.KindSampler, wc.ID, o.HeartbeatEvery, o.TelemetryEvery,
+	s.Reporter = s.report(bus, coord.KindSampler, wc.ID, o.TelemetryEvery,
 		monitor.ReporterConfig{Registry: wc.Metrics})
 	if err := s.serveOps(o.OpsAddr); err != nil {
 		return nil, err
@@ -498,8 +486,6 @@ type ServerOptions struct {
 	SnapshotEvery time.Duration
 	// StatsEvery logs a one-line stats summary; 0 is off.
 	StatsEvery time.Duration
-	// HeartbeatEvery paces coordinator liveness beats; 0 disables.
-	HeartbeatEvery time.Duration
 	Control
 }
 
@@ -552,7 +538,7 @@ func StartServer(cfg *deploy.Config, bus mq.Bus, o ServerOptions) (_ *Server, er
 		s.log.Info(0, "serving.lifecycle", "stats", "served", st.Served, "applied", st.Applied,
 			"cache_bytes", st.CacheBytes, "query", st.QueryLatency.String(), "ingest", st.IngestLatency.String())
 	})
-	s.Reporter = s.report(bus, coord.KindServer, wc.ID, o.HeartbeatEvery, o.TelemetryEvery, monitor.ReporterConfig{
+	s.Reporter = s.report(bus, coord.KindServer, wc.ID, o.TelemetryEvery, monitor.ReporterConfig{
 		Registry: wc.Metrics, Tracer: wc.Tracer,
 		Partitions: func() []monitor.PartitionStats {
 			st := w.Stats()
@@ -642,9 +628,9 @@ func StartFrontend(cfg *deploy.Config, bus mq.Bus, o FrontendOptions) (_ *Fronte
 	fe.SetOverload(ov)
 	fe.SetBatching(o.BatchMax, o.BatchLinger)
 
-	// The frontend owns no partition and beats no liveness: its snapshots
-	// carry the gateway's view only.
-	f.Reporter = f.report(bus, coord.KindFrontend, o.ID, 0, o.TelemetryEvery,
+	// The frontend owns no partition: its snapshots carry the gateway's
+	// view only.
+	f.Reporter = f.report(bus, coord.KindFrontend, o.ID, o.TelemetryEvery,
 		monitor.ReporterConfig{Registry: fe.Metrics(), Tracer: fe.Tracer()})
 	if err := f.serveOps(o.OpsAddr); err != nil {
 		return nil, err

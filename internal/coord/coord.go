@@ -1,9 +1,11 @@
 // Package coord implements the running half of the Helios coordinator
-// (§4.1): it tracks worker liveness via heartbeats and hosts the broker
-// failover controller. Its deployment-time half lives elsewhere: queries are
-// registered and decomposed into one-hop plans when every process derives
-// the shared deploy.Config, and periodic checkpointing is paced by the role
-// assembler in internal/cluster.
+// (§4.1): the broker-liveness registry and the broker failover controller
+// that reads it. (Sampler, server and frontend liveness is the telemetry
+// collector's: a telemetry report is the beat, see internal/monitor.) Its
+// deployment-time half lives elsewhere: queries are registered and
+// decomposed into one-hop plans when every process derives the shared
+// deploy.Config, and periodic checkpointing is paced by the role assembler
+// in internal/cluster.
 package coord
 
 import (
@@ -89,8 +91,7 @@ func (c *Coordinator) Workers() []WorkerInfo {
 
 // Dead lists workers whose last heartbeat is older than timeout. A dead
 // worker that resumes heartbeating is re-admitted automatically — its
-// next Heartbeat refreshes LastBeat, dropping it from this list (and
-// decrementing the coord.dead_workers gauge).
+// next Heartbeat refreshes LastBeat, dropping it from this list.
 func (c *Coordinator) Dead(timeout time.Duration) []WorkerInfo {
 	c.mu.RLock()
 	cutoff := c.clk.Now().Add(-timeout)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"helios/internal/codec"
-	"helios/internal/metrics"
 	"helios/internal/mq"
 	"helios/internal/obs"
 	"helios/internal/rpc"
@@ -58,7 +57,7 @@ type Failover struct {
 	pushed map[int]int64 // peer -> map version last successfully pushed
 
 	// Failovers counts leader promotions (the mq.failovers counter).
-	Failovers metrics.Counter
+	Failovers obs.Counter
 }
 
 // NewFailover returns a controller. Its owner calls Step periodically once
@@ -216,7 +215,7 @@ func (f *Failover) Step() {
 // RegisterMetrics publishes the failover counter and the current map
 // version on reg.
 func (f *Failover) RegisterMetrics(reg *obs.Registry) {
-	reg.CounterFunc("mq.failovers", f.Failovers.Value)
+	reg.AddCounter(&f.Failovers, "mq.failovers")
 	reg.GaugeFunc("coord.partmap_version", func() int64 {
 		f.mu.Lock()
 		defer f.mu.Unlock()

@@ -7,7 +7,7 @@ import (
 
 	"helios/internal/gnn"
 	"helios/internal/graphdb"
-	"helios/internal/metrics"
+	"helios/internal/obs"
 	"helios/internal/sampling"
 	"helios/internal/workload"
 )
@@ -101,7 +101,7 @@ func fig4aOne(cfg Config, spec workload.DatasetSpec, sys string) (Fig4aResult, e
 		}
 	}
 
-	var sampleHist, inferHist, e2eHist metrics.Histogram
+	var sampleHist, inferHist, e2eHist obs.Histogram
 	concurrency := cfg.Concurrencies[len(cfg.Concurrencies)-1]
 	workload.RunClosedLoop(concurrency, cfg.Duration, func(client int) error {
 		t0 := time.Now()
@@ -113,9 +113,9 @@ func fig4aOne(cfg Config, spec workload.DatasetSpec, sys string) (Fig4aResult, e
 		if _, err := model.Embed(tree); err != nil {
 			return err
 		}
-		inferHist.RecordSince(tInfer)
-		sampleHist.Record(sampleNS)
-		e2eHist.RecordSince(t0)
+		inferHist.Observe(time.Since(tInfer).Nanoseconds(), 0)
+		sampleHist.Observe(sampleNS, 0)
+		e2eHist.Observe(time.Since(t0).Nanoseconds(), 0)
 		return nil
 	})
 
@@ -272,15 +272,15 @@ func Fig4d(cfg Config) ([]Fig4dResult, error) {
 			return nil, err
 		}
 		pick := seedPicker(gen, cfg.Seed)
-		var rpcs metrics.Counter
-		var lat metrics.Histogram
+		var rpcs obs.Counter
+		var lat obs.Histogram
 		workload.RunClosedLoop(8, cfg.Duration, func(int) error {
 			t0 := time.Now()
 			_, st, err := d.Execute(plan, pick())
 			if err != nil {
 				return err
 			}
-			lat.RecordSince(t0)
+			lat.Observe(time.Since(t0).Nanoseconds(), 0)
 			rpcs.Add(int64(st.RPCCalls))
 			return nil
 		})

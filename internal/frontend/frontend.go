@@ -18,7 +18,6 @@ import (
 	"helios/internal/clock"
 	"helios/internal/deploy"
 	"helios/internal/graph"
-	"helios/internal/metrics"
 	"helios/internal/mq"
 	"helios/internal/obs"
 	"helios/internal/overload"
@@ -86,14 +85,17 @@ type Frontend struct {
 	stIngest    *obs.Histogram
 	slo         *obs.SLO
 
-	// Requests counts routed samples; Failovers counts replica calls
-	// abandoned for the next replica after a transport failure.
-	// DeadlineExceeded counts requests whose end-to-end budget ran out;
-	// IngestShed counts updates refused for ingestion backpressure.
-	Requests         metrics.Counter
-	Failovers        metrics.Counter
-	DeadlineExceeded metrics.Counter
-	IngestShed       metrics.Counter
+	// Failovers counts replica calls abandoned for the next replica after
+	// a transport failure; DeadlineExceeded counts requests whose
+	// end-to-end budget ran out. Both are published on the registry as
+	// frontend.failovers / frontend.deadline_exceeded.
+	Failovers        obs.Counter
+	DeadlineExceeded obs.Counter
+	// Updates refused for ingestion backpressure, by who noticed: the
+	// frontend's cached lag signal or the broker's own refusal. They are
+	// overload.shed{stage=ingest} counters, so the registry's shed total
+	// includes them.
+	shedLag, shedBroker *obs.Counter
 }
 
 // New connects a frontend to the broker and the serving workers' RPC
@@ -236,23 +238,11 @@ func (f *Frontend) probeLag() {
 	}
 }
 
-// ingestLagMax reports the worst cached partition backlog (scrape-time).
-func (f *Frontend) ingestLagMax() int64 {
-	var worst int64
-	for p := range f.lags {
-		if l := f.lags[p].Load(); l > worst {
-			worst = l
-		}
-	}
-	return worst
-}
-
 // admitIngest sheds an update bound for partition p when that partition's
 // cached backlog exceeds the lag bound.
 func (f *Frontend) admitIngest(p int) error {
 	if bound := f.maxIngestLag.Load(); bound > 0 && f.lags[p].Load() > bound {
-		f.IngestShed.Inc()
-		overload.CountShed()
+		f.shedLag.Inc()
 		return overload.Shed("ingest", "consumer_lag")
 	}
 	return nil
@@ -378,13 +368,11 @@ const (
 const sampleSLOName = "frontend.sample_latency"
 
 func (f *Frontend) registerMetrics() {
-	f.reg.CounterFunc("frontend.requests", f.Requests.Value)
-	f.reg.CounterFunc("frontend.updates", f.Updates.Value)
-	f.reg.CounterFunc("frontend.failovers", f.Failovers.Value)
-	f.reg.CounterFunc("frontend.deadline_exceeded", f.DeadlineExceeded.Value)
-	f.reg.CounterFunc("frontend.ingest_shed", f.IngestShed.Value)
+	f.reg.AddCounter(&f.Failovers, "frontend.failovers")
+	f.reg.AddCounter(&f.DeadlineExceeded, "frontend.deadline_exceeded")
+	f.shedLag = f.reg.Counter("overload.shed", "stage", "ingest", "reason", "consumer_lag")
+	f.shedBroker = f.reg.Counter("overload.shed", "stage", "ingest", "reason", "broker_lag")
 	f.reg.GaugeFunc("frontend.unhealthy_replicas", f.unhealthyReplicas)
-	f.reg.GaugeFunc("frontend.ingest_lag", f.ingestLagMax)
 	f.stRequest = f.reg.Stage(obs.StageFrontendRequest).WithClock(f.clk)
 	f.stAdmission = f.reg.Stage(obs.StageFrontendAdmission).WithClock(f.clk)
 	f.stRPC = f.reg.Stage(obs.StageFrontendRPC).WithClock(f.clk)
@@ -468,8 +456,7 @@ func (f *Frontend) append(p int, key uint64, payload []byte, trace uint64) error
 	f.stIngest.Observe(f.clk.Now().Sub(start).Nanoseconds(), trace)
 	if err != nil {
 		if mq.IsBackpressure(err) {
-			f.IngestShed.Inc()
-			overload.CountShed()
+			f.shedBroker.Inc()
 			f.log.Warn(trace, obs.StageFrontendIngest, "ingest shed", "partition", p, "err", err)
 			return overload.Shed("ingest", "broker_lag")
 		}
@@ -541,7 +528,6 @@ func (f *Frontend) SampleTraced(qid query.ID, seed graph.VertexID) (*serving.Res
 // its header, and whoever needs more decodes it (the library calls) or
 // transcodes it (the gateway) exactly once.
 func (f *Frontend) sampleCommon(qid query.ID, seed graph.VertexID, trace uint64) (serving.Encoded, error) {
-	f.Requests.Inc()
 	deadline, release, err := f.admitSample(trace)
 	if err != nil {
 		return nil, err
@@ -727,7 +713,7 @@ func (f *Frontend) Handler() http.Handler {
 		f.writeSample(w, enc, seed, trace)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, "ok requests=%d updates=%d\n", f.Requests.Value(), f.Updates.Value())
+		fmt.Fprintf(w, "ok requests=%d updates=%d\n", f.stRequest.Count(), f.Updates.Value())
 	})
 	// Ops endpoints on the gateway itself, so a deployment fronted only by
 	// this mux still exposes its registry and traces.

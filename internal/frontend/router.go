@@ -8,7 +8,7 @@ import (
 	"helios/internal/codec"
 	"helios/internal/deploy"
 	"helios/internal/graph"
-	"helios/internal/metrics"
+	"helios/internal/obs"
 )
 
 // Router is the update half of the front-end: it stamps each graph update
@@ -25,7 +25,7 @@ type Router struct {
 
 	// Updates counts updates accepted for routing; an edge no registered
 	// query samples is dropped here and not counted.
-	Updates metrics.Counter
+	Updates obs.Counter
 }
 
 // NewRouter routes cfg's updates through append, which publishes one

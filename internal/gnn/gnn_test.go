@@ -356,7 +356,7 @@ func TestModelServer(t *testing.T) {
 	if !reflect.DeepEqual(remote, local) {
 		t.Fatalf("remote %v != local %v", remote, local)
 	}
-	if srv.Requests.Value() != 1 || srv.Latency.Count() != 1 {
+	if srv.Latency.Count() != 1 {
 		t.Fatal("server metrics not recorded")
 	}
 }

@@ -2,12 +2,10 @@ package gnn
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"helios/internal/codec"
 	"helios/internal/graph"
-	"helios/internal/metrics"
 	"helios/internal/obs"
 	"helios/internal/rpc"
 )
@@ -93,13 +91,9 @@ type Server struct {
 	enc *Encoder
 	srv *rpc.Server
 
-	// Requests counts embed calls; Latency tracks the forward-pass time.
-	Requests metrics.Counter
-	Latency  metrics.Histogram
-	// stEmbed is the gnn.embed stage histogram (exemplars keyed by the RPC
-	// frame's trace ID); nil until RegisterMetrics, atomic because embeds
-	// may race a late registration.
-	stEmbed atomic.Pointer[obs.Histogram]
+	// Latency tracks the forward-pass time of every embed call, with the
+	// RPC frame's trace ID as the exemplar.
+	Latency obs.Histogram
 }
 
 // NewServer builds a model server for enc.
@@ -107,15 +101,6 @@ func NewServer(enc *Encoder) *Server {
 	s := &Server{enc: enc, srv: rpc.NewServer()}
 	s.srv.HandleCtx(MethodEmbed, s.handleEmbed)
 	return s
-}
-
-// RegisterMetrics bridges the model server's counters into reg so embed
-// traffic and forward-pass latency show up on the ops listener.
-func (s *Server) RegisterMetrics(reg *obs.Registry) {
-	reg.CounterFunc("gnn.requests", s.Requests.Value)
-	reg.GaugeFunc("gnn.embed_latency_ns", func() int64 { return s.Latency.Quantile(0.50) }, "q", "p50")
-	reg.GaugeFunc("gnn.embed_latency_ns", func() int64 { return s.Latency.Quantile(0.99) }, "q", "p99")
-	s.stEmbed.Store(reg.Stage(obs.StageGNNEmbed))
 }
 
 // Listen binds the server and returns its address.
@@ -136,11 +121,7 @@ func (s *Server) handleEmbed(ctx rpc.Ctx, req []byte) ([]byte, error) {
 	emb := s.enc.Embed(t)
 	w := codec.NewWriter(8 + 4*len(emb))
 	w.Float32s(emb)
-	s.Requests.Inc()
-	s.Latency.RecordSince(start)
-	if st := s.stEmbed.Load(); st != nil {
-		st.Observe(time.Since(start).Nanoseconds(), ctx.Trace)
-	}
+	s.Latency.Observe(time.Since(start).Nanoseconds(), ctx.Trace)
 	return w.Bytes(), nil
 }
 

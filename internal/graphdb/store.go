@@ -21,7 +21,7 @@ import (
 	"sync"
 
 	"helios/internal/graph"
-	"helios/internal/metrics"
+	"helios/internal/obs"
 	"helios/internal/sampling"
 )
 
@@ -39,9 +39,9 @@ type Store struct {
 
 	// Edges/Vertices count stored elements; Scanned counts neighbour
 	// entries visited by queries (the Fig. 4(c) x-axis).
-	Edges    metrics.Counter
-	Vertices metrics.Counter
-	Scanned  metrics.Counter
+	Edges    obs.Counter
+	Vertices obs.Counter
+	Scanned  obs.Counter
 }
 
 type adjKey struct {

@@ -23,10 +23,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"helios/internal/clock"
-	"helios/internal/metrics"
-	"helios/internal/obs"
 )
 
 // ErrClosed reports use after Close.
@@ -44,16 +40,9 @@ type Options struct {
 	Shards int
 	// BloomBitsPerKey sizes per-run bloom filters; 0 defaults to 10.
 	BloomBitsPerKey int
-	// Clock times the kvstore.get stage histogram once RegisterMetrics has
-	// run; nil defaults to the wall clock. Tests inject a fake for
-	// deterministic latency accounting.
-	Clock clock.Clock
 }
 
 func (o *Options) fill() {
-	if o.Clock == nil {
-		o.Clock = clock.Wall()
-	}
 	if o.MemBudgetBytes == 0 {
 		o.MemBudgetBytes = 64 << 20
 	}
@@ -77,16 +66,6 @@ type DB struct {
 
 	flushMu sync.Mutex // serializes flush/compact
 	closed  atomic.Bool
-
-	// Op counters, zero-value ready; bridge them into an obs registry with
-	// RegisterMetrics. Gets counts lookups (Has included), Puts/Deletes
-	// count writes, Flushes/Compactions count runs written by each path.
-	Gets, Puts, Deletes  metrics.Counter
-	Flushes, Compactions metrics.Counter
-
-	// stGet times the kvstore.get stage; nil until RegisterMetrics, atomic
-	// because lookups race a late registration.
-	stGet atomic.Pointer[obs.Histogram]
 }
 
 type shard struct {
@@ -164,7 +143,6 @@ func (db *DB) Put(key, value []byte) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	db.Puts.Inc()
 	s := db.shardFor(key)
 	v := make([]byte, len(value))
 	copy(v, value)
@@ -189,7 +167,6 @@ func (db *DB) Delete(key []byte) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	db.Deletes.Inc()
 	s := db.shardFor(key)
 	k := string(key)
 	s.mu.Lock()
@@ -209,11 +186,6 @@ func (db *DB) Delete(key []byte) error {
 func (db *DB) Get(key []byte) (value []byte, ok bool, err error) {
 	if db.closed.Load() {
 		return nil, false, ErrClosed
-	}
-	db.Gets.Inc()
-	if st := db.stGet.Load(); st != nil {
-		start := db.opts.Clock.Now()
-		defer func() { st.Observe(db.opts.Clock.Now().Sub(start).Nanoseconds(), 0) }()
 	}
 	s := db.shardFor(key)
 	s.mu.RLock()
@@ -254,24 +226,6 @@ func (db *DB) Get(key []byte) (value []byte, ok bool, err error) {
 func (db *DB) Has(key []byte) (bool, error) {
 	_, ok, err := db.Get(key)
 	return ok, err
-}
-
-// RegisterMetrics bridges the store's op counters and size gauges into reg
-// under kvstore.* names, tagged with the given label pairs (e.g.
-// "store", "cache") so multiple stores in one process stay distinguishable.
-func (db *DB) RegisterMetrics(reg *obs.Registry, labels ...string) {
-	reg.CounterFunc("kvstore.gets", db.Gets.Value, labels...)
-	reg.CounterFunc("kvstore.puts", db.Puts.Value, labels...)
-	reg.CounterFunc("kvstore.deletes", db.Deletes.Value, labels...)
-	reg.CounterFunc("kvstore.flushes", db.Flushes.Value, labels...)
-	reg.CounterFunc("kvstore.compactions", db.Compactions.Value, labels...)
-	reg.GaugeFunc("kvstore.mem_bytes", db.MemBytes, labels...)
-	reg.GaugeFunc("kvstore.disk_bytes", db.DiskBytes, labels...)
-	reg.GaugeFunc("kvstore.runs", func() int64 { return int64(db.NumRuns()) }, labels...)
-	// The kvstore.get stage is shared across stores (no per-store labels),
-	// matching how serving stages form one family per stage — tail
-	// attribution wants the pipeline leg, not the instance.
-	db.stGet.Store(reg.Stage(obs.StageKVGet).WithClock(db.opts.Clock))
 }
 
 // MemBytes returns the approximate memtable size.
@@ -368,7 +322,6 @@ func (db *DB) Flush() error {
 		s.mu.Unlock()
 	}
 	db.mem.Add(-drained)
-	db.Flushes.Inc()
 	return nil
 }
 
@@ -409,7 +362,6 @@ func (db *DB) Compact() error {
 	for _, o := range old {
 		o.remove()
 	}
-	db.Compactions.Inc()
 	return nil
 }
 

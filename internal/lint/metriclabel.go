@@ -32,6 +32,7 @@ var registryMethods = map[string]struct {
 	"Counter":     {fixed: 1},
 	"Gauge":       {fixed: 1},
 	"Histogram":   {fixed: 1},
+	"AddCounter":  {fixed: 2},
 	"CounterFunc": {fixed: 2},
 	"GaugeFunc":   {fixed: 2},
 	// Stage(stage, labels...) keys the shared stage.latency_ns family by

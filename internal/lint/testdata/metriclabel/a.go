@@ -19,6 +19,10 @@ func (r *Registry) Histogram(name string, labels ...string) {}
 // GaugeFunc mimics obs.Registry.GaugeFunc: name, callback, then labels.
 func (r *Registry) GaugeFunc(name string, fn func() int64, labels ...string) {}
 
+// AddCounter mimics obs.Registry.AddCounter: the component's own counter,
+// name, then labels.
+func (r *Registry) AddCounter(c *int64, name string, labels ...string) {}
+
 // Stage mimics obs.Registry.Stage: the stage name keys a process-lifetime
 // histogram family, then labels.
 func (r *Registry) Stage(stage string, labels ...string) {}
@@ -31,6 +35,7 @@ func (r *Registry) SLO(name string, target, objective, window int64) {}
 func registerBounded(reg *Registry) {
 	reg.Counter("ingest.updates", "stage", "ingest")
 	reg.GaugeFunc("queue.depth", func() int64 { return 0 }, "stage", "serve")
+	reg.AddCounter(new(int64), "mq.appended", "topic", "updates")
 }
 
 // registerRequestDerived leaks request data into label values.
@@ -39,6 +44,7 @@ func registerRequestDerived(reg *Registry, peer string, shard int) {
 	reg.Gauge("shard.lag", "shard", strconv.Itoa(shard))      // want metriclabel
 	derived := peer + ":suffix"
 	reg.Histogram("rpc.latency", "endpoint", derived)         // want metriclabel
+	reg.AddCounter(new(int64), "rpc.retries", "peer", peer)   // want metriclabel
 }
 
 // registerStages exercises the Stage/SLO constructors: constant names are
@@ -48,7 +54,7 @@ func registerStages(reg *Registry, endpoint string, shard int) {
 	reg.Stage("serving.queue_wait", "worker", "0")
 	reg.SLO("frontend.sample_latency", 250, 99, 60)
 	reg.Stage(endpoint)                          // want metriclabel
-	reg.Stage("kvstore.get", "shard", strconv.Itoa(shard)) // want metriclabel
+	reg.Stage("mq.append", "shard", strconv.Itoa(shard)) // want metriclabel
 	reg.SLO(endpoint+".latency", 250, 99, 60)    // want metriclabel
 }
 

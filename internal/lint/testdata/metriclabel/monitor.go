@@ -21,8 +21,6 @@ func registerPartitionHeat(reg *Registry, parts []PartitionStats) {
 		part := p.Partition
 		reg.GaugeFunc("cluster.partition_heat", func() int64 { return 0 },
 			"partition", strconv.Itoa(part))
-		reg.GaugeFunc("cluster.partition_anomaly", func() int64 { return 0 },
-			"partition", strconv.Itoa(part))
 	}
 	reg.GaugeFunc("cluster.skew_score", func() int64 { return 0 })
 	reg.GaugeFunc("cluster.workers", func() int64 { return 0 })

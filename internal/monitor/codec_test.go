@@ -112,7 +112,7 @@ func TestDecodeSnapshotHugeSliceBound(t *testing.T) {
 	w.Uvarint(1)
 	w.Varint(0)
 	w.Varint(0)
-	w.Uvarint(maxSnapshotSlice + 1) // partition count
+	w.Uvarint(1 << 40) // partition count, with no bytes behind it
 	if _, err := DecodeSnapshot(w.Bytes()); err == nil {
 		t.Fatal("decode with oversized partition count succeeded")
 	}

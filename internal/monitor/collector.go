@@ -13,10 +13,29 @@ import (
 	"helios/internal/obs"
 )
 
-// ewmaWarmup is the number of rate samples a partition must accumulate
-// before z-scores are trusted: with fewer, the EWMA variance is still
-// dominated by the initial transient and every sample looks anomalous.
-const ewmaWarmup = 3
+// The collector's policy, fixed: no deployment ever set these differently.
+const (
+	// staleIntervals marks a worker stale once its last snapshot is this
+	// many telemetry intervals old (the /cluster contract: frozen numbers
+	// are flagged, never silently served); deadStales declares it dead —
+	// and triggers a flight capture — after this many stale periods unless
+	// CollectorConfig.DeadAfter says otherwise.
+	staleIntervals = 3
+	deadStales     = 3
+	// burnCaptureMilli is the SLO burn rate, in the slo.burn_rate_milli
+	// convention, at or above which a report triggers a flight capture:
+	// burning error budget at twice the provisioned rate.
+	burnCaptureMilli = 2000
+	// cooldownIntervals is the minimum gap, in telemetry intervals, between
+	// captures for the same trigger, so a sustained burn yields one black
+	// box, not a disk full of identical ones.
+	cooldownIntervals = 10
+	// historyViews is the number of trailing cluster views retained for
+	// capture context.
+	historyViews = 8
+	// ewmaAlpha is the smoothing factor of the per-partition rate baselines.
+	ewmaAlpha = 0.3
+)
 
 // CollectorConfig configures the coordinator-side Collector.
 type CollectorConfig struct {
@@ -24,15 +43,11 @@ type CollectorConfig struct {
 	// to the wall clock.
 	Clock clock.Clock
 	// Interval is the expected telemetry cadence (the workers'
-	// -telemetry-every). Staleness and death thresholds default from it.
-	// 0 defaults to 5s.
+	// -telemetry-every); a worker is stale after three of them. 0 defaults
+	// to 5s.
 	Interval time.Duration
-	// StaleAfter marks a worker stale when its last snapshot is older;
-	// 0 defaults to 3×Interval (the /cluster contract: frozen numbers are
-	// flagged, never silently served).
-	StaleAfter time.Duration
 	// DeadAfter declares a worker dead (and triggers a flight capture)
-	// when its last snapshot is older; 0 defaults to 3×StaleAfter.
+	// when its last snapshot is older; 0 defaults to nine intervals.
 	DeadAfter time.Duration
 	// Registry receives the cluster gauges (cluster.partition_heat,
 	// cluster.skew_score, worker counts). May be nil.
@@ -42,24 +57,6 @@ type CollectorConfig struct {
 	// Logger receives collector events (captures, deaths, re-admissions).
 	// May be nil.
 	Logger *obs.Logger
-	// BurnMilli is the SLO burn-rate capture threshold in the
-	// slo.burn_rate_milli convention; a reported burn at or above it
-	// triggers a flight capture. 0 defaults to 2000 (burning error budget
-	// at twice the provisioned rate).
-	BurnMilli int64
-	// CaptureCooldown is the minimum gap between captures for the same
-	// trigger, so a sustained burn yields one black box, not a disk full
-	// of identical ones. 0 defaults to 10×Interval.
-	CaptureCooldown time.Duration
-	// History is the number of trailing cluster views retained for
-	// capture context. 0 defaults to 8.
-	History int
-	// Alpha is the EWMA smoothing factor for per-partition rate
-	// baselines. 0 defaults to 0.3.
-	Alpha float64
-	// ZThreshold is the |z-score| above which a partition's rate is
-	// flagged anomalous. 0 defaults to 3.
-	ZThreshold float64
 }
 
 func (cfg *CollectorConfig) fill() {
@@ -69,73 +66,26 @@ func (cfg *CollectorConfig) fill() {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Second
 	}
-	if cfg.StaleAfter <= 0 {
-		cfg.StaleAfter = 3 * cfg.Interval
-	}
 	if cfg.DeadAfter <= 0 {
-		cfg.DeadAfter = 3 * cfg.StaleAfter
-	}
-	if cfg.BurnMilli <= 0 {
-		cfg.BurnMilli = 2000
-	}
-	if cfg.CaptureCooldown <= 0 {
-		cfg.CaptureCooldown = 10 * cfg.Interval
-	}
-	if cfg.History <= 0 {
-		cfg.History = 8
-	}
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = 0.3
-	}
-	if cfg.ZThreshold <= 0 {
-		cfg.ZThreshold = 3
+		cfg.DeadAfter = deadStales * cfg.staleAfter()
 	}
 }
 
+func (cfg *CollectorConfig) staleAfter() time.Duration { return staleIntervals * cfg.Interval }
+
 type workerState struct {
-	last   *WorkerSnapshot
-	prev   *WorkerSnapshot
-	recvNS int64 // collector clock, last snapshot receive
-	dead   bool  // death already announced (capture-once latch)
+	last   *WorkerSnapshot // never nil: a worker exists from its first snapshot
+	recvNS int64           // collector clock, last snapshot receive
+	dead   bool            // death already announced (capture-once latch)
 }
 
 type partitionState struct {
-	partition    int
 	worker       string
 	rate         float64 // latest instantaneous QPS
 	ewma         float64 // EWMA rate baseline
-	variance     float64 // EWMA of squared deviation from baseline
-	samples      int
-	z            float64
-	anomaly      bool
 	lag          int64
 	hitRateMilli int64
 	stalenessNS  int64
-}
-
-// observe folds one rate sample into the partition's EWMA baseline,
-// computing the z-score against the baseline *before* the sample is
-// absorbed (otherwise a step change partially launders itself into the
-// mean it is compared against). The sigma floor (10% of baseline + 1
-// QPS) keeps a perfectly steady warmup — variance ≈ 0 — from flagging
-// the first ordinary wobble as a 100-sigma event.
-func (ps *partitionState) observe(rate, alpha, zThreshold float64) {
-	if ps.samples >= ewmaWarmup {
-		sigma := math.Sqrt(ps.variance)
-		if floor := 0.1*ps.ewma + 1; sigma < floor {
-			sigma = floor
-		}
-		ps.z = (rate - ps.ewma) / sigma
-		ps.anomaly = ps.z >= zThreshold || ps.z <= -zThreshold
-	} else {
-		ps.z = 0
-		ps.anomaly = false
-	}
-	d := rate - ps.ewma
-	ps.ewma += alpha * d
-	ps.variance += alpha * (d*d - ps.variance)
-	ps.rate = rate
-	ps.samples++
 }
 
 // Collector aggregates worker snapshots into the live cluster view. It
@@ -147,7 +97,6 @@ type Collector struct {
 	mu          sync.Mutex
 	workers     map[string]*workerState
 	parts       map[int]*partitionState
-	gaugeParts  map[int]bool // partitions with a registered heat gauge
 	history     []ClusterView
 	lastCapture map[string]int64 // trigger key -> collector-clock ns
 }
@@ -160,7 +109,6 @@ func NewCollector(cfg CollectorConfig) *Collector {
 		cfg:         cfg,
 		workers:     make(map[string]*workerState),
 		parts:       make(map[int]*partitionState),
-		gaugeParts:  make(map[int]bool),
 		lastCapture: make(map[string]int64),
 	}
 	if reg := cfg.Registry; reg != nil {
@@ -197,7 +145,7 @@ func (c *Collector) counts() (total, stale, dead int64) {
 		switch {
 		case ws.dead || age > c.cfg.DeadAfter.Nanoseconds():
 			dead++
-		case age > c.cfg.StaleAfter.Nanoseconds():
+		case age > c.cfg.staleAfter().Nanoseconds():
 			stale++
 		}
 	}
@@ -229,7 +177,6 @@ func (c *Collector) OnSnapshot(snap *WorkerSnapshot) {
 	if prev != nil && (snap.Seq <= prev.Seq || snap.StartNS != prev.StartNS) {
 		prev = nil
 	}
-	ws.prev = prev
 	ws.last = snap
 	ws.recvNS = nowNS
 
@@ -237,7 +184,7 @@ func (c *Collector) OnSnapshot(snap *WorkerSnapshot) {
 		p := &snap.Partitions[i]
 		ps := c.parts[p.Partition]
 		if ps == nil {
-			ps = &partitionState{partition: p.Partition}
+			ps = &partitionState{}
 			c.parts[p.Partition] = ps
 			newParts = append(newParts, p.Partition)
 		}
@@ -250,8 +197,8 @@ func (c *Collector) OnSnapshot(snap *WorkerSnapshot) {
 				ps.hitRateMilli = 1000 * dh / (dh + dm)
 			}
 			if dt := snap.NowNS - prev.NowNS; dt > 0 && p.Served >= prevP.Served {
-				rate := float64(p.Served-prevP.Served) / (float64(dt) / 1e9)
-				ps.observe(rate, c.cfg.Alpha, c.cfg.ZThreshold)
+				ps.rate = float64(p.Served-prevP.Served) / (float64(dt) / 1e9)
+				ps.ewma += ewmaAlpha * (ps.rate - ps.ewma)
 			}
 		} else if total := p.SampleHits + p.SampleMisses; total > 0 {
 			ps.hitRateMilli = 1000 * p.SampleHits / total
@@ -260,19 +207,15 @@ func (c *Collector) OnSnapshot(snap *WorkerSnapshot) {
 
 	for i := range snap.SLOs {
 		b := &snap.SLOs[i]
-		if b.BurnRateMilli < c.cfg.BurnMilli {
+		if b.BurnRateMilli < burnCaptureMilli {
 			continue
 		}
 		if !c.allowCaptureLocked("slo_burn/"+snap.Name+"/"+b.Name, nowNS) {
 			continue
 		}
-		doc := c.captureLocked("slo_burn", snap.Name, nowNS)
+		doc := c.captureLocked("slo_burn", snap, nowNS)
 		doc.SLO = b.Name
 		doc.BurnRateMilli = b.BurnRateMilli
-		if len(snap.Worst) > 0 {
-			doc.WorstTrace = snap.Worst[0]
-		}
-		doc.SlowLines = snap.SlowLines
 		captures = append(captures, doc)
 	}
 	c.mu.Unlock()
@@ -298,36 +241,20 @@ func findPartition(s *WorkerSnapshot, partition int) *PartitionStats {
 	return nil
 }
 
-// registerPartitionGauges registers cluster.partition_heat gauges for
-// newly seen partitions. It runs outside c.mu: gauge callbacks execute
-// under the registry lock and take c.mu, so registering under c.mu would
-// invert that order.
+// registerPartitionGauges registers a cluster.partition_heat gauge for
+// each newly seen partition (OnSnapshot names a partition new exactly once,
+// and the snapshot decoder bounds partition ids, so the family is bounded
+// by MaxPartitions). It runs outside c.mu: the gauge callbacks take c.mu.
 func (c *Collector) registerPartitionGauges(parts []int) {
 	reg := c.cfg.Registry
-	if reg == nil || len(parts) == 0 {
+	if reg == nil {
 		return
 	}
-	for _, p := range parts {
-		c.mu.Lock()
-		seen := c.gaugeParts[p]
-		c.gaugeParts[p] = true
-		c.mu.Unlock()
-		if seen {
-			continue
-		}
-		part := p
+	for _, part := range parts {
 		reg.GaugeFunc("cluster.partition_heat", func() int64 {
 			c.mu.Lock()
 			defer c.mu.Unlock()
 			return c.heatMilliLocked(part)
-		}, "partition", strconv.Itoa(part))
-		reg.GaugeFunc("cluster.partition_anomaly", func() int64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			if ps := c.parts[part]; ps != nil && ps.anomaly {
-				return 1
-			}
-			return 0
 		}, "partition", strconv.Itoa(part))
 	}
 }
@@ -370,7 +297,7 @@ func (c *Collector) allowCaptureLocked(key string, nowNS int64) bool {
 	if c.cfg.Recorder == nil {
 		return false
 	}
-	if last, ok := c.lastCapture[key]; ok && nowNS-last < c.cfg.CaptureCooldown.Nanoseconds() {
+	if last, ok := c.lastCapture[key]; ok && nowNS-last < cooldownIntervals*c.cfg.Interval.Nanoseconds() {
 		return false
 	}
 	c.lastCapture[key] = nowNS
@@ -378,15 +305,20 @@ func (c *Collector) allowCaptureLocked(key string, nowNS int64) bool {
 }
 
 // captureLocked assembles the common part of a capture document: the
-// trigger, the offending worker, the hottest partition, the current
-// cluster view and the trailing history. Caller holds c.mu.
-func (c *Collector) captureLocked(reason, worker string, nowNS int64) *Capture {
+// trigger, the offending worker with the worst trace and slow-log lines of
+// its last snapshot, the hottest partition, the current cluster view and
+// the trailing history. Caller holds c.mu.
+func (c *Collector) captureLocked(reason string, last *WorkerSnapshot, nowNS int64) *Capture {
 	doc := &Capture{
 		Reason:    reason,
-		Worker:    worker,
+		Worker:    last.Name,
 		Partition: -1,
 		View:      c.viewLocked(nowNS),
 		History:   append([]ClusterView(nil), c.history...),
+		SlowLines: last.SlowLines,
+	}
+	if len(last.Worst) > 0 {
+		doc.WorstTrace = last.Worst[0]
 	}
 	var best int64
 	for p := range c.parts {
@@ -432,18 +364,11 @@ func (c *Collector) Tick() {
 		ws.dead = true
 		deaths = append(deaths, name)
 		if c.allowCaptureLocked("worker_death/"+name, nowNS) {
-			doc := c.captureLocked("worker_death", name, nowNS)
-			if ws.last != nil {
-				if len(ws.last.Worst) > 0 {
-					doc.WorstTrace = ws.last.Worst[0]
-				}
-				doc.SlowLines = ws.last.SlowLines
-			}
-			captures = append(captures, doc)
+			captures = append(captures, c.captureLocked("worker_death", ws.last, nowNS))
 		}
 	}
 	c.history = append(c.history, c.viewLocked(nowNS))
-	if n := len(c.history) - c.cfg.History; n > 0 {
+	if n := len(c.history) - historyViews; n > 0 {
 		c.history = c.history[n:]
 	}
 	c.mu.Unlock()
@@ -474,9 +399,9 @@ type WorkerView struct {
 	UptimeNS int64 `json:"uptime_ns"`
 	// AgeNS is how long ago (collector clock) the last snapshot arrived.
 	AgeNS int64 `json:"age_ns"`
-	// Stale flags a worker whose last snapshot is older than StaleAfter —
-	// its numbers below are frozen, not current. Dead flags one past
-	// DeadAfter.
+	// Stale flags a worker whose last snapshot is more than three
+	// intervals old — its numbers below are frozen, not current. Dead
+	// flags one past DeadAfter.
 	Stale bool `json:"stale"`
 	Dead  bool `json:"dead"`
 
@@ -494,10 +419,6 @@ type PartitionView struct {
 	RateMilli     int64 `json:"rate_milli"`
 	BaselineMilli int64 `json:"baseline_milli"`
 	HeatMilli     int64 `json:"heat_milli"`
-	// ZMilli is the z-score of the latest rate against the baseline,
-	// ×1000; Anomaly is |z| ≥ ZThreshold after warmup.
-	ZMilli  int64 `json:"z_milli"`
-	Anomaly bool  `json:"anomaly"`
 
 	Lag          int64 `json:"lag"`
 	HitRateMilli int64 `json:"hit_rate_milli"`
@@ -535,24 +456,22 @@ func (c *Collector) viewLocked(nowNS int64) ClusterView {
 	}
 	staleWorkers := make(map[string]bool, len(c.workers))
 	for name, ws := range c.workers {
-		age := nowNS - ws.recvNS
+		age, s := nowNS-ws.recvNS, ws.last
 		wv := WorkerView{
-			Name:  name,
-			AgeNS: age,
-			Stale: age > c.cfg.StaleAfter.Nanoseconds(),
-			Dead:  ws.dead || age > c.cfg.DeadAfter.Nanoseconds(),
+			Name:     name,
+			Kind:     s.Kind,
+			Version:  s.Version,
+			Seq:      s.Seq,
+			UptimeNS: s.NowNS - s.StartNS,
+			AgeNS:    age,
+			Stale:    age > c.cfg.staleAfter().Nanoseconds(),
+			Dead:     ws.dead || age > c.cfg.DeadAfter.Nanoseconds(),
+			SLOs:     append([]SLOBurn(nil), s.SLOs...),
+		}
+		if len(s.Worst) > 0 {
+			wv.WorstTrace = s.Worst[0]
 		}
 		staleWorkers[name] = wv.Stale || wv.Dead
-		if s := ws.last; s != nil {
-			wv.Kind = s.Kind
-			wv.Version = s.Version
-			wv.Seq = s.Seq
-			wv.UptimeNS = s.NowNS - s.StartNS
-			wv.SLOs = append([]SLOBurn(nil), s.SLOs...)
-			if len(s.Worst) > 0 {
-				wv.WorstTrace = s.Worst[0]
-			}
-		}
 		v.Workers = append(v.Workers, wv)
 	}
 	sort.Slice(v.Workers, func(i, j int) bool { return v.Workers[i].Name < v.Workers[j].Name })
@@ -564,8 +483,6 @@ func (c *Collector) viewLocked(nowNS int64) ClusterView {
 			RateMilli:     int64(math.Round(1000 * ps.rate)),
 			BaselineMilli: int64(math.Round(1000 * ps.ewma)),
 			HeatMilli:     c.heatMilliLocked(p),
-			ZMilli:        int64(math.Round(1000 * ps.z)),
-			Anomaly:       ps.anomaly,
 			Lag:           ps.lag,
 			HitRateMilli:  ps.hitRateMilli,
 			StalenessNS:   ps.stalenessNS,
@@ -583,9 +500,6 @@ func (c *Collector) viewLocked(nowNS int64) ClusterView {
 	}
 	stages := make(map[string]*stageAgg)
 	for name, ws := range c.workers {
-		if ws.last == nil {
-			continue
-		}
 		for i := range ws.last.Stages {
 			st := &ws.last.Stages[i]
 			agg := stages[st.Stage]

@@ -91,43 +91,6 @@ func TestCollectorRatesHeatAndSkew(t *testing.T) {
 	}
 }
 
-func TestCollectorAnomalyZScore(t *testing.T) {
-	reg := obs.NewRegistry()
-	c, _, _ := testCollector(t, reg)
-
-	// A long steady warmup at 100/s, then a 10× burst in one interval.
-	served, round := int64(0), int64(0)
-	for ; round < 8; round++ {
-		c.OnSnapshot(workerSnap("server-0", uint64(round+1), round, map[int]int64{0: served}))
-		served += 100
-	}
-	if v := c.View(); v.Partitions[0].Anomaly {
-		t.Fatalf("steady warmup flagged anomalous: %+v", v.Partitions[0])
-	}
-	served += 900 // 1000 total in the burst second
-	c.OnSnapshot(workerSnap("server-0", uint64(round+1), round, map[int]int64{0: served}))
-
-	v := c.View()
-	p := v.Partitions[0]
-	if !p.Anomaly {
-		t.Fatalf("10x burst not flagged: %+v", p)
-	}
-	if p.ZMilli < 3000 {
-		t.Fatalf("burst z = %d milli, want >= 3000", p.ZMilli)
-	}
-	if got := reg.Snapshot().Gauges[obs.Name("cluster.partition_anomaly", "partition", "0")]; got != 1 {
-		t.Fatalf("cluster.partition_anomaly{partition=0} = %d, want 1", got)
-	}
-
-	// Back to baseline: the flag clears on the next ordinary sample.
-	served += 100
-	round++
-	c.OnSnapshot(workerSnap("server-0", uint64(round+1), round, map[int]int64{0: served}))
-	if v := c.View(); v.Partitions[0].Anomaly {
-		t.Fatalf("anomaly flag stuck after burst drained: %+v", v.Partitions[0])
-	}
-}
-
 func TestCollectorStaleDeadAndReadmission(t *testing.T) {
 	reg := obs.NewRegistry()
 	c, clk, fr := testCollector(t, reg)

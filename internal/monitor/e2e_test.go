@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -62,9 +63,8 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// Monitoring plane: fake clock, 1s interval (stale at 3s, dead at
-	// 9s), flight ring in a temp dir, cluster gauges on their own
-	// registry. The hour-long cooldown pins the capture count: exactly
-	// one burn capture and one death capture for the whole drill.
+	// 9s, one capture per trigger per 10s), flight ring in a temp dir,
+	// cluster gauges on their own registry.
 	clkM := clock.NewFake()
 	flightDir := t.TempDir()
 	recorder, err := monitor.NewFlightRecorder(flightDir, 8, clkM)
@@ -80,11 +80,10 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 	var o cluster.Options
 	o.Brokers = 1
 	o.Broker.Collector = monitor.CollectorConfig{
-		Clock:           clkM,
-		Interval:        time.Second,
-		Registry:        regM,
-		Recorder:        recorder,
-		CaptureCooldown: time.Hour,
+		Clock:    clkM,
+		Interval: time.Second,
+		Registry: regM,
+		Recorder: recorder,
 	}
 	o.Frontend.SLOTarget, o.Frontend.SLOWindow = 50*time.Millisecond, time.Minute
 	c, err := cluster.Boot(cfg, o)
@@ -215,23 +214,13 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 			t.Fatalf("worker %s reports no version", w.Name)
 		}
 	}
-	if len(v.Partitions) != 2 || v.Partitions[1].Anomaly {
+	if len(v.Partitions) != 2 {
 		t.Fatalf("warmup partitions: %+v", v.Partitions)
 	}
 
-	// Phase 2 — skew: partition 1 draws 8× the traffic of partition 0.
-	// The rate step is a z-score spike on the first skewed round (before
-	// the EWMA baseline absorbs the new level)...
-	driveRound(40, 320)
-	hot := getCluster().Partitions[1]
-	if !hot.Anomaly || hot.ZMilli < 3000 {
-		t.Fatalf("hot partition not flagged anomalous on the rate step: %+v", hot)
-	}
-	if got := regM.Snapshot().Gauges[obs.Name("cluster.partition_anomaly", "partition", "1")]; got != 1 {
-		t.Fatalf("cluster.partition_anomaly{partition=1} = %d, want 1", got)
-	}
-	// ...and sustained skew is a heat imbalance once the baselines settle.
-	for round := 0; round < 2; round++ {
+	// Phase 2 — skew: partition 1 draws 8× the traffic of partition 0,
+	// a heat imbalance once the baselines settle.
+	for round := 0; round < 3; round++ {
 		driveRound(40, 320)
 	}
 	v = getCluster()
@@ -335,15 +324,24 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 		t.Fatal("cluster.dead_workers gauge did not flip")
 	}
 
+	// The burn outlasts the drill (the SLO window is a wall-clock minute),
+	// so the ten-interval cooldown admits at most one more burn capture in
+	// the ten rounds above; the death is captured exactly once.
 	collector.Tick()
 	paths, err = recorder.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) != 2 {
-		t.Fatalf("%d captures after the death, want 2: %v", len(paths), paths)
+	var deaths []string
+	for _, p := range paths {
+		if strings.Contains(p, "worker_death") {
+			deaths = append(deaths, p)
+		}
 	}
-	doc, err = monitor.ReadCapture(paths[1])
+	if len(deaths) != 1 || len(paths) > 3 {
+		t.Fatalf("%d death captures of %d after the death, want 1 of at most 3: %v", len(deaths), len(paths), paths)
+	}
+	doc, err = monitor.ReadCapture(deaths[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 	"sync"
 
 	"helios/internal/clock"
-	"helios/internal/faultpoint"
+	"helios/internal/fsx"
 )
 
 // FlightRecorder persists capture documents to a bounded on-disk ring —
@@ -19,9 +19,9 @@ import (
 // state applies to telemetry too: the in-memory trace rings and cluster
 // views die with the process that held them, which is exactly when an
 // operator needs them. Each capture is written crash-safely the way
-// sampler.CheckpointFile writes checkpoints: temp file, write, fsync,
-// rename, directory sync — a crash mid-capture leaves a torn .tmp that
-// List never reports, never a torn capture.
+// sampler.CheckpointFile writes checkpoints (fsx.WriteFileAtomic): a crash
+// mid-capture leaves a torn .tmp that List never reports, never a torn
+// capture.
 //
 // Captures are named capture-<seq>-<reason>.json; seq is monotonic
 // across process restarts (the recorder rescans the directory on open),
@@ -89,9 +89,6 @@ func NewFlightRecorder(dir string, keep int, clk clock.Clock) (*FlightRecorder, 
 	return fr, nil
 }
 
-// Dir returns the capture directory.
-func (fr *FlightRecorder) Dir() string { return fr.dir }
-
 // Record writes c to the ring, stamping CapturedNS, and returns the
 // capture's path. Old captures beyond the retention bound are removed.
 // The faultpoint "monitor.flight.write" simulates a crash mid-write:
@@ -109,37 +106,7 @@ func (fr *FlightRecorder) Record(c *Capture) (string, error) {
 
 	fr.seq++
 	path := filepath.Join(fr.dir, captureName(fr.seq, c.Reason))
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return "", err
-	}
-	if ferr := faultpoint.Inject("monitor.flight.write"); ferr != nil {
-		//lint:allow droppederror reason=simulating a crash mid-write: the torn temp file is the point
-		_, _ = f.Write(data[:len(data)/2])
-		//lint:allow droppederror reason=simulating a crash mid-write: the torn temp file is the point
-		_ = f.Close()
-		return "", ferr
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := syncDir(fr.dir); err != nil {
+	if err := fsx.WriteFileAtomic(path, data, "monitor.flight.write"); err != nil {
 		return "", err
 	}
 	return path, fr.prune()
@@ -241,14 +208,4 @@ func parseCaptureName(name string) (seq uint64, reason string, ok bool) {
 		return 0, "", false
 	}
 	return seq, reason, true
-}
-
-// syncDir fsyncs a directory so a just-renamed capture is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

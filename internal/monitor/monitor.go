@@ -11,9 +11,9 @@
 //     ships it over the existing broker RPC connection via the
 //     coord.telemetry method (rpc.go);
 //   - the coordinator side runs a Collector that folds snapshots into a
-//     live cluster view — per-worker liveness, a per-partition heat
-//     table with EWMA/z-score skew detection, and cluster-level stage
-//     rollups — served at GET /cluster and exported as
+//     live cluster view — per-worker liveness (a snapshot is the beat),
+//     a per-partition heat table over EWMA rate baselines, and
+//     cluster-level stage rollups — served at GET /cluster and exported as
 //     cluster.partition_heat{partition=…} / cluster.skew_score gauges
 //     (the signal the elastic-topology migration planner consumes);
 //   - a FlightRecorder persists a bounded on-disk ring of capture
@@ -23,7 +23,7 @@
 //
 // Snapshots use the codec varint wire format with delta-encoded
 // partition IDs: a snapshot for a 64-partition worker is a few hundred
-// bytes, cheap enough to piggyback at heartbeat cadence.
+// bytes, cheap enough to send every few seconds.
 package monitor
 
 import (
@@ -166,11 +166,15 @@ func (s *WorkerSnapshot) Encode(w *codec.Writer) {
 	}
 }
 
-// maxSnapshotSlice bounds decoded slice lengths so a corrupt or hostile
-// frame cannot force a huge allocation before the short-buffer check.
-const maxSnapshotSlice = 1 << 16
+// MaxPartitions bounds the partition ids a snapshot may name. A partition
+// id is a serving worker's index, and every id a peer names becomes
+// collector state and a gauge that live as long as the process, so the
+// decoder refuses ids a deployment could not have.
+const MaxPartitions = 1 << 12
 
-// DecodeSnapshot parses one wire-encoded WorkerSnapshot.
+// DecodeSnapshot parses one wire-encoded WorkerSnapshot. Every count is
+// checked against the bytes left in the frame (codec.Reader.Count) before
+// anything is allocated for it.
 func DecodeSnapshot(b []byte) (*WorkerSnapshot, error) {
 	r := codec.NewReader(b)
 	if v := r.Byte(); r.Err() == nil && v != snapshotVersion {
@@ -185,27 +189,26 @@ func DecodeSnapshot(b []byte) (*WorkerSnapshot, error) {
 		NowNS:   r.Varint(),
 	}
 
-	n := int(r.Uvarint())
-	if n < 0 || n > maxSnapshotSlice {
-		return nil, fmt.Errorf("monitor: %d partitions in snapshot", n)
+	// Minimum encoded sizes: a partition is six varints, a stage or an SLO
+	// a string and three varints, a trace two strings and three varints, a
+	// slow line one string.
+	prev := uint64(0)
+	for i, n := 0, r.Count(6); i < n && r.Err() == nil; i++ {
+		delta := r.Uvarint()
+		if delta >= MaxPartitions-prev {
+			return nil, fmt.Errorf("monitor: partition id past %d in snapshot", MaxPartitions)
+		}
+		prev += delta
+		s.Partitions = append(s.Partitions, PartitionStats{
+			Partition:    int(prev),
+			Served:       r.Varint(),
+			SampleHits:   r.Varint(),
+			SampleMisses: r.Varint(),
+			Lag:          r.Varint(),
+			StalenessNS:  r.Varint(),
+		})
 	}
-	prev := 0
-	for i := 0; i < n && r.Err() == nil; i++ {
-		p := PartitionStats{Partition: prev + int(r.Uvarint())}
-		prev = p.Partition
-		p.Served = r.Varint()
-		p.SampleHits = r.Varint()
-		p.SampleMisses = r.Varint()
-		p.Lag = r.Varint()
-		p.StalenessNS = r.Varint()
-		s.Partitions = append(s.Partitions, p)
-	}
-
-	n = int(r.Uvarint())
-	if n < 0 || n > maxSnapshotSlice {
-		return nil, fmt.Errorf("monitor: %d stages in snapshot", n)
-	}
-	for i := 0; i < n && r.Err() == nil; i++ {
+	for i, n := 0, r.Count(4); i < n && r.Err() == nil; i++ {
 		s.Stages = append(s.Stages, StageP99{
 			Stage: r.String(),
 			Count: r.Varint(),
@@ -213,12 +216,7 @@ func DecodeSnapshot(b []byte) (*WorkerSnapshot, error) {
 			P99NS: r.Varint(),
 		})
 	}
-
-	n = int(r.Uvarint())
-	if n < 0 || n > maxSnapshotSlice {
-		return nil, fmt.Errorf("monitor: %d slos in snapshot", n)
-	}
-	for i := 0; i < n && r.Err() == nil; i++ {
+	for i, n := 0, r.Count(4); i < n && r.Err() == nil; i++ {
 		s.SLOs = append(s.SLOs, SLOBurn{
 			Name:          r.String(),
 			BurnRateMilli: r.Varint(),
@@ -226,12 +224,7 @@ func DecodeSnapshot(b []byte) (*WorkerSnapshot, error) {
 			Good:          r.Varint(),
 		})
 	}
-
-	n = int(r.Uvarint())
-	if n < 0 || n > maxSnapshotSlice {
-		return nil, fmt.Errorf("monitor: %d traces in snapshot", n)
-	}
-	for i := 0; i < n && r.Err() == nil; i++ {
+	for i, n := 0, r.Count(5); i < n && r.Err() == nil; i++ {
 		s.Worst = append(s.Worst, TraceSummary{
 			ID:           r.Uvarint(),
 			Op:           r.String(),
@@ -240,12 +233,7 @@ func DecodeSnapshot(b []byte) (*WorkerSnapshot, error) {
 			WorstStageNS: r.Varint(),
 		})
 	}
-
-	n = int(r.Uvarint())
-	if n < 0 || n > maxSnapshotSlice {
-		return nil, fmt.Errorf("monitor: %d slow lines in snapshot", n)
-	}
-	for i := 0; i < n && r.Err() == nil; i++ {
+	for i, n := 0, r.Count(1); i < n && r.Err() == nil; i++ {
 		s.SlowLines = append(s.SlowLines, r.String())
 	}
 

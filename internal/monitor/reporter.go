@@ -23,8 +23,8 @@ func (c *Collector) Report(s *WorkerSnapshot) error {
 
 // ReporterConfig configures a worker-side telemetry Reporter.
 type ReporterConfig struct {
-	// Name and Kind identify the worker in the cluster view (the same
-	// name the worker heartbeats under, e.g. "server-0").
+	// Name and Kind identify the worker in the cluster view (e.g.
+	// "server-0", "server").
 	Name string
 	Kind string
 	// Version stamps snapshots; empty defaults to obs.Version().
@@ -46,11 +46,14 @@ type ReporterConfig struct {
 	Sink Sink
 	// Logger receives report-failure events; may be nil.
 	Logger *obs.Logger
-	// WorstTraces bounds the trace digests per snapshot (default 3);
-	// TailLines bounds the slow-log tail per snapshot (default 8).
-	WorstTraces int
-	TailLines   int
 }
+
+// A snapshot carries at most worstTraces trace digests and tailLines lines
+// of slow-log tail.
+const (
+	worstTraces = 3
+	tailLines   = 8
+)
 
 // Reporter assembles this worker's WorkerSnapshot and hands it to the Sink
 // each time its owner (the role assembler's periodic loop) calls
@@ -72,12 +75,6 @@ func NewReporter(cfg ReporterConfig) *Reporter {
 	}
 	if cfg.Version == "" {
 		cfg.Version = obs.Version()
-	}
-	if cfg.WorstTraces <= 0 {
-		cfg.WorstTraces = 3
-	}
-	if cfg.TailLines <= 0 {
-		cfg.TailLines = 8
 	}
 	return &Reporter{cfg: cfg, startNS: cfg.Clock.Now().UnixNano()}
 }
@@ -106,10 +103,10 @@ func (r *Reporter) Snapshot() *WorkerSnapshot {
 	if reg := r.cfg.Registry; reg != nil {
 		snap := reg.Snapshot()
 		for name, hs := range snap.Stages {
-			base, labels := obs.ParseName(name)
-			if base != obs.StageMetric || hs.Count == 0 {
+			if hs.Count == 0 {
 				continue
 			}
+			_, labels := obs.ParseName(name)
 			s.Stages = append(s.Stages, StageP99{
 				Stage: labels["stage"],
 				Count: hs.Count,
@@ -130,8 +127,8 @@ func (r *Reporter) Snapshot() *WorkerSnapshot {
 	}
 	if tr := r.cfg.Tracer; tr != nil {
 		slowest := tr.Slowest()
-		if len(slowest) > r.cfg.WorstTraces {
-			slowest = slowest[:r.cfg.WorstTraces]
+		if len(slowest) > worstTraces {
+			slowest = slowest[:worstTraces]
 		}
 		for _, t := range slowest {
 			s.Worst = append(s.Worst, summarize(t))
@@ -139,8 +136,8 @@ func (r *Reporter) Snapshot() *WorkerSnapshot {
 	}
 	if r.cfg.LogTail != nil {
 		lines := r.cfg.LogTail()
-		if len(lines) > r.cfg.TailLines {
-			lines = lines[len(lines)-r.cfg.TailLines:]
+		if len(lines) > tailLines {
+			lines = lines[len(lines)-tailLines:]
 		}
 		s.SlowLines = lines
 	}

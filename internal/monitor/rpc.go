@@ -7,11 +7,12 @@ import (
 	"helios/internal/rpc"
 )
 
-// The telemetry RPC surface. Like coord.heartbeat, coord.telemetry rides
-// on the broker binary's RPC server and workers report over their
-// existing reconnecting broker connection — so telemetry heals across
-// broker restarts with the data path, and a worker that cannot deliver
-// snapshots is, correctly, the one /cluster shows going stale.
+// The telemetry RPC surface. coord.telemetry rides on the broker binary's
+// RPC server and workers report over their existing reconnecting broker
+// connection — so telemetry heals across broker restarts with the data
+// path, and a worker that cannot deliver snapshots is, correctly, the one
+// /cluster shows going stale and then dead: a snapshot is the liveness
+// beat.
 
 // MethodTelemetry delivers one worker telemetry snapshot.
 const MethodTelemetry = "coord.telemetry"

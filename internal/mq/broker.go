@@ -22,7 +22,6 @@ import (
 
 	"helios/internal/faultpoint"
 	"helios/internal/graph"
-	"helios/internal/metrics"
 	"helios/internal/obs"
 	"helios/internal/rpc"
 )
@@ -144,19 +143,18 @@ type Broker struct {
 	pm   PartMap
 
 	// Appended counts records accepted across all topics.
-	Appended metrics.Counter
-	// Fetched counts records delivered to consumers.
-	Fetched metrics.Counter
+	Appended obs.Counter
+	// FollowerAcks counts successful follower replication acks; it stays 0
+	// on an unreplicated broker.
+	FollowerAcks obs.Counter
 
-	// reg, once set by RegisterMetrics, receives per-partition end-offset
-	// gauges for every topic, including ones created later.
+	// reg, once set by RegisterMetrics, receives per-partition
+	// replication-lag gauges for every topic, including ones created later.
 	reg *obs.Registry
-	// stAppend/stFetch time the broker legs of the update path once
-	// RegisterMetrics resolves them; nil until then (benches and tests that
-	// never register pay nothing). Atomic because appends and polls race a
-	// late RegisterMetrics.
+	// stAppend times the broker leg of the update path once RegisterMetrics
+	// resolves it; nil until then (benches and tests that never register pay
+	// nothing). Atomic because appends race a late RegisterMetrics.
 	stAppend atomic.Pointer[obs.Histogram]
-	stFetch  atomic.Pointer[obs.Histogram]
 }
 
 // NewBroker returns an empty broker.
@@ -211,24 +209,14 @@ func (b *Broker) CreateTopic(name string, partitions int) (*Topic, error) {
 	return t, nil
 }
 
-// RegisterMetrics bridges the broker's counters into reg and publishes a
-// per-partition log-end-offset gauge for every topic (current and future),
-// so consumer lag is computable from any scrape.
+// RegisterMetrics publishes the follower-ack counter on reg, starts timing
+// the mq.append stage, and publishes a per-partition replication-lag gauge
+// for every topic (current and future).
 func (b *Broker) RegisterMetrics(reg *obs.Registry) {
-	reg.CounterFunc("mq.appended", b.Appended.Value)
-	reg.CounterFunc("mq.fetched", b.Fetched.Value)
-	// Follower replication acks, 0 until EnableReplication (registration
-	// order with enabling is a deployment detail; the closure re-resolves).
-	reg.CounterFunc("mq.follower_acks", func() int64 {
-		if r := b.replicatorRef(); r != nil {
-			return r.FollowerAcks.Value()
-		}
-		return 0
-	})
+	reg.AddCounter(&b.FollowerAcks, "mq.follower_acks")
 	b.mu.Lock()
 	b.reg = reg
 	b.stAppend.Store(reg.Stage(obs.StageMQAppend))
-	b.stFetch.Store(reg.Stage(obs.StageMQFetch))
 	topics := make([]*Topic, 0, len(b.topics))
 	for _, t := range b.topics {
 		topics = append(topics, t)
@@ -242,22 +230,6 @@ func (b *Broker) RegisterMetrics(reg *obs.Registry) {
 func registerTopicGauges(reg *obs.Registry, t *Topic) {
 	for i := range t.parts {
 		part := i
-		reg.GaugeFunc("mq.end_offset",
-			func() int64 { return t.NextOffset(part) },
-			"topic", t.name, "partition", strconv.Itoa(part))
-		reg.GaugeFunc("mq.committed_offset",
-			func() int64 { return t.CommittedOffset(part) },
-			"topic", t.name, "partition", strconv.Itoa(part))
-		// Broker-side view of consumer lag: 0 until the first commit.
-		reg.GaugeFunc("mq.broker_lag",
-			func() int64 {
-				c := t.CommittedOffset(part)
-				if c < 0 {
-					return 0
-				}
-				return t.EndOffset(part) - c
-			},
-			"topic", t.name, "partition", strconv.Itoa(part))
 		// Replication lag from the leader's seat: log end minus the
 		// slowest follower's acked offset; 0 on an unreplicated broker or
 		// for partitions this broker does not lead.

@@ -27,7 +27,7 @@ const clusterResolveAttempts = 6
 type Cluster struct {
 	peers   []string
 	clients []*rpc.Client // index-aligned with peers, reconnecting
-	coordC  *rpc.Client   // partition map + heartbeat/telemetry endpoint
+	coordC  *rpc.Client   // partition map + telemetry endpoint
 	timeout time.Duration
 
 	// retrySleep spaces leader-resolution attempts (the coordinator needs
@@ -84,7 +84,7 @@ func DialCluster(peers []string, coordAddr string, timeout time.Duration) (*Clus
 }
 
 // Client exposes the coordinator connection so co-located services
-// (heartbeats, telemetry) share it, mirroring RemoteBroker.Client.
+// (telemetry) share it, mirroring RemoteBroker.Client.
 func (c *Cluster) Client() *rpc.Client { return c.coordC }
 
 // OpenTopic implements Bus: the topic is created on every reachable

@@ -22,17 +22,7 @@ func (t *Topic) NewConsumer(partition int, from int64) *Consumer {
 // empty. It returns nil on timeout and ErrClosed after broker shutdown. The
 // cursor advances past the returned records.
 func (c *Consumer) Poll(max int, wait time.Duration) ([]Record, error) {
-	st := c.topic.broker.stFetch.Load()
-	var start time.Time
-	if st != nil {
-		start = time.Now()
-	}
 	recs, next, err := c.topic.parts[c.partition].fetch(c.offset, max, wait)
-	if st != nil {
-		// The mq.fetch stage includes block time, bounded by the caller's
-		// poll wait — an idle consumer reads as a flat histogram at ~wait.
-		st.Observe(time.Since(start).Nanoseconds(), 0)
-	}
 	c.offset = next
 	return recs, err
 }

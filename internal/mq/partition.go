@@ -299,7 +299,6 @@ func (p *partition) fetch(offset int64, max int, wait time.Duration) ([]Record, 
 				end = lim
 			}
 			out := p.records[start:end:end]
-			p.broker.Fetched.Add(int64(len(out)))
 			return out, offset + int64(len(out)), nil
 		}
 		if p.closed {

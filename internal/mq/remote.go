@@ -222,7 +222,7 @@ type partCaller interface {
 }
 
 // Conn is a Bus reached over the network. Client is its control
-// connection, which coordinator heartbeats and telemetry share.
+// connection, which telemetry reports share.
 type Conn interface {
 	Bus
 	Client() *rpc.Client
@@ -265,7 +265,7 @@ func DialBroker(addr string, timeout time.Duration) (*RemoteBroker, error) {
 }
 
 // Client exposes the underlying RPC client so co-located services (the
-// coordinator heartbeat) can share the connection, and so callers can read
+// telemetry reporter) can share the connection, and so callers can read
 // its reconnect/retry counters.
 func (rb *RemoteBroker) Client() *rpc.Client { return rb.client }
 

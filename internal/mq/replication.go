@@ -9,7 +9,6 @@ import (
 
 	"helios/internal/codec"
 	"helios/internal/faultpoint"
-	"helios/internal/metrics"
 	"helios/internal/rpc"
 )
 
@@ -90,10 +89,6 @@ type replicator struct {
 	mu      sync.Mutex
 	clients []*rpc.Client             // index-aligned with cfg.Peers; nil at Self
 	acked   map[int]map[PartKey]int64 // peer -> partition -> acked next offset
-
-	// FollowerAcks counts successful follower replication acks
-	// (mq.follower_acks).
-	FollowerAcks metrics.Counter
 }
 
 // EnableReplication turns this broker into replica cfg.Self of an R-way
@@ -368,13 +363,13 @@ func (r *replicator) sendTo(peer int, t *Topic, part int, first, end int64) bool
 				continue
 			}
 			r.recordAck(peer, t.name, part, next)
-			r.FollowerAcks.Inc()
+			t.broker.FollowerAcks.Inc()
 			return true
 		case replGap:
 			if next >= end {
 				// Another in-flight frame already delivered our range.
 				r.recordAck(peer, t.name, part, next)
-				r.FollowerAcks.Inc()
+				t.broker.FollowerAcks.Inc()
 				return true
 			}
 			from = next

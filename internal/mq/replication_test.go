@@ -101,7 +101,7 @@ func TestReplicatedAppendReachesQuorum(t *testing.T) {
 	if err != nil || len(recs) != 1 || string(recs[0].Value) != "a" {
 		t.Fatalf("leader consumer after quorum: %v %v", recs, err)
 	}
-	if acks := brokers[0].replicatorRef().FollowerAcks.Value(); acks < 1 {
+	if acks := brokers[0].FollowerAcks.Value(); acks < 1 {
 		t.Fatalf("follower ack counter stayed %d", acks)
 	}
 }

@@ -1,4 +1,4 @@
-package metrics
+package obs
 
 import (
 	"math"
@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestCounter(t *testing.T) {
@@ -16,9 +15,6 @@ func TestCounter(t *testing.T) {
 	c.Add(4)
 	if c.Value() != 5 {
 		t.Fatalf("value = %d", c.Value())
-	}
-	if c.Reset() != 5 || c.Value() != 0 {
-		t.Fatal("reset failed")
 	}
 }
 
@@ -78,7 +74,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
 	// Uniform 1..10000: quantiles should approximate the rank statistics.
 	for i := int64(1); i <= 10000; i++ {
-		h.Record(i)
+		h.Observe(i, 0)
 	}
 	if h.Count() != 10000 {
 		t.Fatalf("count = %d", h.Count())
@@ -111,7 +107,7 @@ func TestHistogramQuantileVsExact(t *testing.T) {
 		// Log-normal-ish latencies.
 		v := int64(math.Exp(rng.NormFloat64()*1.5+12)) + 1
 		samples[i] = v
-		h.Record(v)
+		h.Observe(v, 0)
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 	for _, q := range []float64{0.5, 0.9, 0.99} {
@@ -129,8 +125,8 @@ func TestHistogramEdgeCases(t *testing.T) {
 	if h.Quantile(0.99) != 0 || h.Mean() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
-	h.Record(-5) // clamps to 0
-	h.Record(0)
+	h.Observe(-5, 0) // clamps to 0
+	h.Observe(0, 0)
 	if h.Count() != 2 {
 		t.Fatal("negative samples should still count")
 	}
@@ -139,26 +135,7 @@ func TestHistogramEdgeCases(t *testing.T) {
 	}
 }
 
-func TestHistogramResetAndMerge(t *testing.T) {
-	var a, b Histogram
-	for i := int64(1); i <= 100; i++ {
-		a.Record(i)
-		b.Record(i * 1000)
-	}
-	a.Merge(&b)
-	if a.Count() != 200 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if a.Max() != 100000 {
-		t.Fatalf("merged max = %d", a.Max())
-	}
-	a.Reset()
-	if a.Count() != 0 || a.Max() != 0 || a.Quantile(0.5) != 0 {
-		t.Fatal("reset should zero histogram")
-	}
-}
-
-func TestHistogramConcurrentRecord(t *testing.T) {
+func TestHistogramConcurrentUntraced(t *testing.T) {
 	var h Histogram
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -167,7 +144,7 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 5000; i++ {
-				h.Record(rng.Int63n(1e9))
+				h.Observe(rng.Int63n(1e9), 0)
 			}
 		}(int64(g))
 	}
@@ -179,7 +156,7 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 
 func TestSnapshotString(t *testing.T) {
 	var h Histogram
-	h.Record(2_000_000) // 2ms
+	h.Observe(2_000_000, 0) // 2ms
 	s := h.Snapshot()
 	if s.Count != 1 {
 		t.Fatal("snapshot count")
@@ -189,43 +166,13 @@ func TestSnapshotString(t *testing.T) {
 	}
 }
 
-func TestRecordSince(t *testing.T) {
-	var h Histogram
-	start := time.Now().Add(-10 * time.Millisecond)
-	h.RecordSince(start)
-	if h.Max() < int64(9*time.Millisecond) {
-		t.Fatalf("RecordSince recorded %d", h.Max())
-	}
-}
-
-func TestMeter(t *testing.T) {
-	var m Meter
-	if m.Rate() != 0 {
-		t.Fatal("unstarted meter should report 0")
-	}
-	m.Start()
-	m.Mark(100)
-	time.Sleep(20 * time.Millisecond)
-	if m.Events() != 100 {
-		t.Fatalf("events = %d", m.Events())
-	}
-	r := m.Rate()
-	if r <= 0 || r > 100/0.02*2 {
-		t.Fatalf("rate = %f", r)
-	}
-	m.Start()
-	if m.Events() != 0 {
-		t.Fatal("Start should reset events")
-	}
-}
-
-func BenchmarkHistogramRecord(b *testing.B) {
+func BenchmarkHistogramObserve(b *testing.B) {
 	var h Histogram
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		v := int64(12345)
 		for pb.Next() {
-			h.Record(v)
+			h.Observe(v, 0)
 			v += 999
 		}
 	})

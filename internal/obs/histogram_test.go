@@ -7,11 +7,10 @@ import (
 	"time"
 
 	"helios/internal/clock"
-	"helios/internal/metrics"
 )
 
 func TestHistogramEmptyQuantiles(t *testing.T) {
-	h := NewHistogram()
+	h := new(Histogram)
 	if h.Count() != 0 {
 		t.Fatalf("fresh histogram count = %d", h.Count())
 	}
@@ -30,7 +29,7 @@ func TestHistogramEmptyQuantiles(t *testing.T) {
 }
 
 func TestHistogramSingleObservation(t *testing.T) {
-	h := NewHistogram()
+	h := new(Histogram)
 	h.Observe(1234, 0)
 	s := h.Snapshot()
 	if s.Count != 1 {
@@ -53,7 +52,7 @@ func TestHistogramSingleObservation(t *testing.T) {
 }
 
 func TestHistogramOverflowBucket(t *testing.T) {
-	h := NewHistogram()
+	h := new(Histogram)
 	h.Observe(math.MaxInt64, 7)
 	if h.Max() != math.MaxInt64 {
 		t.Fatalf("max = %d", h.Max())
@@ -69,7 +68,7 @@ func TestHistogramOverflowBucket(t *testing.T) {
 		t.Fatalf("overflow exemplar = %+v", ex)
 	}
 	// Negative samples clamp into the bottom bucket rather than panicking.
-	h2 := NewHistogram()
+	h2 := new(Histogram)
 	h2.Observe(-5, 9)
 	if h2.Count() != 1 {
 		t.Fatalf("negative sample dropped: count = %d", h2.Count())
@@ -82,7 +81,7 @@ func TestHistogramOverflowBucket(t *testing.T) {
 func TestHistogramConcurrentObserve(t *testing.T) {
 	// Exercised with -race in `make race`: traced observations swap
 	// exemplar cells while untraced ones hammer the base counters.
-	h := NewHistogram().WithClock(clock.NewFake())
+	h := new(Histogram).WithClock(clock.NewFake())
 	h.AttachSLO(NewSLO("t", time.Millisecond, 0.99, time.Second))
 	const goroutines, per = 8, 2000
 	var wg sync.WaitGroup
@@ -110,11 +109,11 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 
 func TestExemplarReplacementDeterministic(t *testing.T) {
 	clk := clock.NewFake()
-	h := NewHistogram().WithClock(clk)
+	h := new(Histogram).WithClock(clk)
 	// Two traced samples landing in the same bucket: latest wins, with the
 	// fake clock pinning the retained timestamp exactly.
 	v := int64(5000)
-	if metrics.BucketIndex(v) != metrics.BucketIndex(v+1) {
+	if bucketOf(v) != bucketOf(v+1) {
 		t.Fatalf("test samples %d and %d must share a bucket", v, v+1)
 	}
 	h.Observe(v, 11)
@@ -141,7 +140,7 @@ func TestExemplarReplacementDeterministic(t *testing.T) {
 }
 
 func TestExemplarNearSearchesOutward(t *testing.T) {
-	h := NewHistogram()
+	h := new(Histogram)
 	// Push the p99 into a high bucket with untraced mass, then record the
 	// only traced sample far below: ExemplarNear must still find it.
 	for i := 0; i < 1000; i++ {
@@ -151,5 +150,27 @@ func TestExemplarNearSearchesOutward(t *testing.T) {
 	ex, ok := h.ExemplarNear(0.99)
 	if !ok || ex.Trace != TraceHex(5) {
 		t.Fatalf("outward search failed: %+v %v", ex, ok)
+	}
+}
+
+// One histogram type must not mean an exemplar table on every histogram:
+// the 8 KiB table exists only once a traced sample has been observed.
+func TestExemplarTableAllocatedByFirstTrace(t *testing.T) {
+	h := new(Histogram)
+	for i := int64(1); i <= 1000; i++ {
+		h.Observe(i*1000, 0)
+	}
+	if h.exemplars.Load() != nil {
+		t.Fatal("untraced observations allocated the exemplar table")
+	}
+	if s := h.Snapshot(); s.Count != 1000 || len(s.Exemplars) != 0 || s.P99Exemplar != "" {
+		t.Fatalf("untraced snapshot = %+v", s)
+	}
+	h.Observe(5000, 9)
+	if h.exemplars.Load() == nil {
+		t.Fatal("traced observation left no exemplar table")
+	}
+	if ex, ok := h.ExemplarNear(0.5); !ok || ex.Trace != TraceHex(9) {
+		t.Fatalf("exemplar = %+v (ok=%v)", ex, ok)
 	}
 }

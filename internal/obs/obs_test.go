@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestNameCanonicalizesLabels(t *testing.T) {
@@ -45,7 +46,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 
 	h := r.Histogram("lat")
-	h.Record(1000)
+	h.Observe(1000, 0)
 	if r.Histogram("lat").Count() != 1 {
 		t.Fatal("histogram handles not shared")
 	}
@@ -55,7 +56,7 @@ func TestSnapshotAndText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits").Add(3)
 	r.Gauge("lag").Set(5)
-	r.Histogram("lat").Record(2000)
+	r.Histogram("lat").Observe(2000, 0)
 	r.GaugeFunc("cache_bytes", func() int64 { return 99 })
 	r.CounterFunc("external", func() int64 { return 12 })
 
@@ -211,5 +212,34 @@ func TestOpsEndpoints(t *testing.T) {
 	}
 	if body := get("/debug/pprof/cmdline"); len(body) == 0 {
 		t.Fatal("/debug/pprof/cmdline empty")
+	}
+}
+
+// A component's own counter is published by pointing the registry at it;
+// Sum totals a labelled family at read time; and a scrape function may
+// itself consult the registry, because Snapshot runs functions outside its
+// lock — how overload.shed's unlabelled total is computed.
+func TestAddCounterSumAndReentrantScrape(t *testing.T) {
+	r := NewRegistry()
+	var owned Counter
+	r.AddCounter(&owned, "frontend.failovers")
+	owned.Add(3)
+	r.Counter("overload.shed", "stage", "a", "reason", "queue_full").Add(2)
+	r.Counter("overload.shed", "stage", "b", "reason", "budget").Add(5)
+	r.Counter("overload.shedding").Add(100) // shares a prefix, not the family
+	r.CounterFunc("overload.shed", func() int64 { return r.Sum("overload.shed") })
+
+	if got := r.Sum("overload.shed"); got != 7 {
+		t.Fatalf("Sum = %d, want 7", got)
+	}
+	done := make(chan Snapshot, 1)
+	go func() { done <- r.Snapshot() }()
+	select {
+	case s := <-done:
+		if s.Counters["overload.shed"] != 7 || s.Counters["frontend.failovers"] != 3 {
+			t.Fatalf("counters = %v", s.Counters)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Snapshot deadlocked on a scrape function that reads the registry")
 	}
 }

@@ -78,7 +78,7 @@ func Handler(reg *Registry, tracer *Tracer, extra ...Route) http.Handler {
 			SLOs map[string]SLOSnapshot `json:"slos"`
 		}{SLOs: map[string]SLOSnapshot{}}
 		if reg != nil {
-			out.SLOs = reg.SLOSnapshots()
+			out.SLOs = reg.Snapshot().SLOs
 		}
 		w.Header().Set("Content-Type", "application/json")
 		//lint:allow droppederror reason=HTTP response write: the client hanging up mid-body is not actionable

@@ -13,25 +13,38 @@
 // sample-table staleness gauges quantify the §5 freshness story, and
 // cache hit/miss counters validate the §6 locality story.
 //
-// Everything is stdlib-only and built on internal/metrics' lock-free
-// primitives, so registered metrics are safe on the serving hot path.
-// Components never read the wall clock through this package — durations
-// and timestamps are stamped by the caller's injected internal/clock, so
-// unit tests advance a fake clock instead of sleeping.
+// Everything is stdlib-only and lock-free on the update path (atomic
+// counters, gauges and log-bucket histograms), so registered metrics are
+// safe on the serving hot path. Components never read the wall clock
+// through this package — durations and timestamps are stamped by the
+// caller's injected internal/clock, so unit tests advance a fake clock
+// instead of sleeping.
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"helios/internal/metrics"
 )
+
+// Counter is an atomic event counter. The zero value is ready to use.
+type Counter struct {
+	n atomic.Int64
+}
+
+// Add increments the counter by delta.
+func (c *Counter) Add(delta int64) { c.n.Add(delta) }
+
+// Inc increments the counter by one.
+func (c *Counter) Inc() { c.n.Add(1) }
+
+// Value returns the current count.
+func (c *Counter) Value() int64 { return c.n.Load() }
 
 // Gauge is a settable instantaneous value (last-write-wins), e.g. the
 // event-time staleness of the most recent cache apply. The zero value is
@@ -42,9 +55,6 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -59,28 +69,26 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // metric always has one canonical name).
 type Registry struct {
 	mu       sync.RWMutex
-	counters map[string]*metrics.Counter
+	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*metrics.Histogram
-	// fns are read-at-scrape metrics computed from component state
-	// (consumer lag, cache bytes, externally owned counters).
+	// hists holds every histogram, the per-stage family (Registry.Stage)
+	// included: a stage is a histogram named stage.latency_ns{stage=…}.
+	hists map[string]*Histogram
+	// fns are values computed at scrape time from component state
+	// (consumer lag, cache bytes, sums over per-instance counters).
 	counterFns map[string]func() int64
 	gaugeFns   map[string]func() int64
-	// stages are the exemplar-carrying per-stage latency histograms
-	// (Registry.Stage); slos the registered burn-rate objectives.
-	stages map[string]*Histogram
-	slos   map[string]*SLO
+	slos       map[string]*SLO
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*metrics.Counter),
+		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
-		hists:      make(map[string]*metrics.Histogram),
+		hists:      make(map[string]*Histogram),
 		counterFns: make(map[string]func() int64),
 		gaugeFns:   make(map[string]func() int64),
-		stages:     make(map[string]*Histogram),
 		slos:       make(map[string]*SLO),
 	}
 }
@@ -97,7 +105,7 @@ func Default() *Registry { return defaultRegistry }
 // Keys and values are escaped (see EscapeLabel) so an adversarial topic
 // or experiment name cannot smuggle a separator, quote or newline into
 // the scrape output; the common all-clean case renders byte-identically
-// to the unescaped form, keeping committed BENCH_*.json keys stable.
+// to the unescaped form.
 func Name(base string, labels ...string) string {
 	if len(labels) < 2 {
 		return base
@@ -236,94 +244,86 @@ func ParseName(name string) (base string, labels map[string]string) {
 	return base, labels
 }
 
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(base string, labels ...string) *metrics.Counter {
-	name := Name(base, labels...)
+// getOrCreate is the shared shape of Counter, Gauge and Histogram: a read
+// lock on the fast path, the write lock only to insert.
+func getOrCreate[T any](r *Registry, table map[string]*T, name string) *T {
 	r.mu.RLock()
-	c := r.counters[name]
+	v := table[name]
 	r.mu.RUnlock()
-	if c != nil {
-		return c
+	if v != nil {
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &metrics.Counter{}
-		r.counters[name] = c
+	if v = table[name]; v == nil {
+		v = new(T)
+		table[name] = v
 	}
-	return c
+	return v
+}
+
+// Counter returns the named counter, creating it on first use.
+func (r *Registry) Counter(base string, labels ...string) *Counter {
+	return getOrCreate(r, r.counters, Name(base, labels...))
+}
+
+// AddCounter publishes c, a counter a component already owns (and its
+// tests read directly), under the given name: the component's field is
+// the one instrument and the registry only points at it.
+func (r *Registry) AddCounter(c *Counter, base string, labels ...string) {
+	name := Name(base, labels...)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.counters[name] = c
+}
+
+// Sum adds up every counter registered under base, whatever its labels —
+// how a per-instance family (overload.shed{stage,reason}) yields its
+// process total when read instead of a second counter bumped beside it.
+func (r *Registry) Sum(base string) int64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	var sum int64
+	for name, c := range r.counters {
+		if name == base || strings.HasPrefix(name, base+"{") {
+			sum += c.Value()
+		}
+	}
+	return sum
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(base string, labels ...string) *Gauge {
-	name := Name(base, labels...)
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return getOrCreate(r, r.gauges, Name(base, labels...))
 }
 
 // Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(base string, labels ...string) *metrics.Histogram {
-	name := Name(base, labels...)
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = &metrics.Histogram{}
-		r.hists[name] = h
-	}
-	return h
+func (r *Registry) Histogram(base string, labels ...string) *Histogram {
+	return getOrCreate(r, r.hists, Name(base, labels...))
 }
 
 // StageMetric is the base name every per-stage latency histogram is
 // registered under; the stage itself is the `stage` label.
 const StageMetric = "stage.latency_ns"
 
-// Stage returns the exemplar histogram for one pipeline stage, creating
-// it on first use. All stage histograms share the base name
-// "stage.latency_ns" with the stage as a label (plus any extra labels),
-// so the whole request path reads as one labelled family:
+// Stage returns the histogram for one pipeline stage, creating it on first
+// use. All stage histograms share the base name "stage.latency_ns" with
+// the stage as a label (plus any extra labels), so the whole request path
+// reads as one labelled family:
 //
 //	stage.latency_ns{stage=serving.khop_assembly}_p99
 //
 // Stage names should come from the Stage* constants so the lint suite can
 // vouch for bounded cardinality.
 func (r *Registry) Stage(stage string, labels ...string) *Histogram {
-	name := Name(StageMetric, append([]string{"stage", stage}, labels...)...)
-	r.mu.RLock()
-	h := r.stages[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.stages[name]; h == nil {
-		h = &Histogram{}
-		r.stages[name] = h
-	}
-	return h
+	return r.Histogram(StageMetric, append([]string{"stage", stage}, labels...)...)
 }
 
 // SLO returns the named burn-rate objective, creating and registering it
 // on first use (an existing name wins over new parameters, mirroring the
-// other get-or-create constructors). Registered SLOs are served on /slo
-// and folded into every snapshot as slo.* gauges.
+// other get-or-create constructors). Registered SLOs are part of every
+// snapshot — /slo serves that section — and fold into its gauges as
+// slo.burn_rate_milli.
 func (r *Registry) SLO(name string, target time.Duration, objective float64, window time.Duration) *SLO {
 	r.mu.RLock()
 	s := r.slos[name]
@@ -352,25 +352,8 @@ func (r *Registry) ReplaceSLO(s *SLO) {
 	r.mu.Unlock()
 }
 
-// SLOSnapshots returns the rolling state of every registered SLO — the
-// /slo endpoint's document.
-func (r *Registry) SLOSnapshots() map[string]SLOSnapshot {
-	r.mu.RLock()
-	slos := make([]*SLO, 0, len(r.slos))
-	for _, s := range r.slos {
-		slos = append(slos, s)
-	}
-	r.mu.RUnlock()
-	out := make(map[string]SLOSnapshot, len(slos))
-	for _, s := range slos {
-		out[s.Name] = s.Snapshot()
-	}
-	return out
-}
-
-// CounterFunc registers a monotonic value computed at scrape time —
-// the bridge for counters owned by components that predate the registry
-// (broker Appended/Fetched, actor-pool Handled, rpc call counts).
+// CounterFunc registers a monotonic value computed at scrape time: a sum
+// over per-instance counters (rpc.reconnects across every client).
 func (r *Registry) CounterFunc(base string, fn func() int64, labels ...string) {
 	name := Name(base, labels...)
 	r.mu.Lock()
@@ -388,62 +371,62 @@ func (r *Registry) GaugeFunc(base string, fn func() int64, labels ...string) {
 }
 
 // Snapshot is a point-in-time copy of every registered metric, in the
-// shape served by /metrics?format=json and written by helios-bench's
-// BENCH_*.json trajectory files.
+// shape served by /metrics?format=json.
 type Snapshot struct {
-	Counters   map[string]int64            `json:"counters"`
-	Gauges     map[string]int64            `json:"gauges"`
-	Histograms map[string]metrics.Snapshot `json:"histograms"`
-	// Stages are the per-stage exemplar histograms (tail quantiles through
-	// p999 plus trace exemplars), keyed by canonical metric name.
+	Counters   map[string]int64        `json:"counters"`
+	Gauges     map[string]int64        `json:"gauges"`
+	Histograms map[string]HistSnapshot `json:"histograms"`
+	// Stages are the histograms of the stage.latency_ns family, split out
+	// of Histograms so the per-stage view reads on its own.
 	Stages map[string]HistSnapshot `json:"stages,omitempty"`
 	// SLOs are the registered burn-rate objectives, keyed by SLO name.
 	SLOs map[string]SLOSnapshot `json:"slos,omitempty"`
 }
 
-// Snapshot captures all metrics. Scrape functions run outside the
-// registry lock would be nicer, but they are cheap atomic loads by
-// convention; keep them inside so a concurrent registration cannot race
-// the map iteration.
+// Snapshot captures all metrics. The name tables are copied under the
+// lock; values are read and scrape functions run outside it, so a function
+// may itself consult the registry (Sum) and a slow one never blocks a
+// registration.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
+	counters, gauges, hists := maps.Clone(r.counters), maps.Clone(r.gauges), maps.Clone(r.hists)
+	counterFns, gaugeFns, slos := maps.Clone(r.counterFns), maps.Clone(r.gaugeFns), maps.Clone(r.slos)
+	r.mu.RUnlock()
 	s := Snapshot{
-		Counters:   make(map[string]int64, len(r.counters)+len(r.counterFns)),
-		Gauges:     make(map[string]int64, len(r.gauges)+len(r.gaugeFns)),
-		Histograms: make(map[string]metrics.Snapshot, len(r.hists)),
+		Counters:   make(map[string]int64, len(counters)+len(counterFns)),
+		Gauges:     make(map[string]int64, len(gauges)+len(gaugeFns)+len(slos)),
+		Histograms: make(map[string]HistSnapshot),
 	}
-	for name, c := range r.counters {
+	for name, c := range counters {
 		s.Counters[name] = c.Value()
 	}
-	for name, fn := range r.counterFns {
+	for name, fn := range counterFns {
 		s.Counters[name] = fn()
 	}
-	for name, g := range r.gauges {
+	for name, g := range gauges {
 		s.Gauges[name] = g.Value()
 	}
-	for name, fn := range r.gaugeFns {
+	for name, fn := range gaugeFns {
 		s.Gauges[name] = fn()
 	}
-	for name, h := range r.hists {
-		s.Histograms[name] = h.Snapshot()
-	}
-	if len(r.stages) > 0 {
-		s.Stages = make(map[string]HistSnapshot, len(r.stages))
-		for name, h := range r.stages {
+	for name, h := range hists {
+		if strings.HasPrefix(name, StageMetric+"{") {
+			if s.Stages == nil {
+				s.Stages = make(map[string]HistSnapshot)
+			}
 			s.Stages[name] = h.Snapshot()
+		} else {
+			s.Histograms[name] = h.Snapshot()
 		}
 	}
-	if len(r.slos) > 0 {
-		s.SLOs = make(map[string]SLOSnapshot, len(r.slos))
-		for name, slo := range r.slos {
+	if len(slos) > 0 {
+		s.SLOs = make(map[string]SLOSnapshot, len(slos))
+		for name, slo := range slos {
 			snap := slo.Snapshot()
 			s.SLOs[name] = snap
 			// Fold the burn state into the gauge section so plain /metrics
 			// scrapers (and the text exposition) see it without a new shape.
 			s.Gauges[Name("slo.burn_rate_milli", "slo", name)] = int64(snap.BurnRate * 1000)
-			s.Gauges[Name("slo.bad_total", "slo", name)] = snap.Bad
-			s.Gauges[Name("slo.good_total", "slo", name)] = snap.Good
 		}
 	}
 	return s
@@ -452,35 +435,28 @@ func (r *Registry) Snapshot() Snapshot {
 // WriteText renders the snapshot as sorted `name value` lines — the
 // plain-text /metrics format. Histograms expand into per-quantile lines.
 func (s Snapshot) WriteText(w io.Writer) error {
-	lines := make([]string, 0, len(s.Counters)+len(s.Gauges)+6*len(s.Histograms))
+	lines := make([]string, 0, len(s.Counters)+len(s.Gauges)+8*(len(s.Histograms)+len(s.Stages)))
 	for name, v := range s.Counters {
 		lines = append(lines, fmt.Sprintf("%s %d", name, v))
 	}
 	for name, v := range s.Gauges {
 		lines = append(lines, fmt.Sprintf("%s %d", name, v))
 	}
-	for name, h := range s.Histograms {
-		lines = append(lines,
-			fmt.Sprintf("%s_count %d", name, h.Count),
-			fmt.Sprintf("%s_mean %.0f", name, h.Mean),
-			fmt.Sprintf("%s_p50 %d", name, h.P50),
-			fmt.Sprintf("%s_p90 %d", name, h.P90),
-			fmt.Sprintf("%s_p99 %d", name, h.P99),
-			fmt.Sprintf("%s_max %d", name, h.Max))
-	}
-	for name, h := range s.Stages {
-		lines = append(lines,
-			fmt.Sprintf("%s_count %d", name, h.Count),
-			fmt.Sprintf("%s_mean %.0f", name, h.Mean),
-			fmt.Sprintf("%s_p50 %d", name, h.P50),
-			fmt.Sprintf("%s_p90 %d", name, h.P90),
-			fmt.Sprintf("%s_p99 %d", name, h.P99),
-			fmt.Sprintf("%s_p999 %d", name, h.P999),
-			fmt.Sprintf("%s_max %d", name, h.Max))
-		// The text scrape keeps the p99→trace link: the exemplar line's
-		// value is the hex trace ID to resolve on /traces.
-		if h.P99Exemplar != "" {
-			lines = append(lines, fmt.Sprintf("%s_p99_exemplar %s", name, h.P99Exemplar))
+	for _, hists := range []map[string]HistSnapshot{s.Histograms, s.Stages} {
+		for name, h := range hists {
+			lines = append(lines,
+				fmt.Sprintf("%s_count %d", name, h.Count),
+				fmt.Sprintf("%s_mean %.0f", name, h.Mean),
+				fmt.Sprintf("%s_p50 %d", name, h.P50),
+				fmt.Sprintf("%s_p90 %d", name, h.P90),
+				fmt.Sprintf("%s_p99 %d", name, h.P99),
+				fmt.Sprintf("%s_p999 %d", name, h.P999),
+				fmt.Sprintf("%s_max %d", name, h.Max))
+			// The text scrape keeps the p99→trace link: the exemplar line's
+			// value is the hex trace ID to resolve on /traces.
+			if h.P99Exemplar != "" {
+				lines = append(lines, fmt.Sprintf("%s_p99_exemplar %s", name, h.P99Exemplar))
+			}
 		}
 	}
 	sort.Strings(lines)
@@ -490,11 +466,4 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// MarshalJSON is implemented on the value so /metrics?format=json and
-// helios-bench share one encoding.
-func (s Snapshot) MarshalJSON() ([]byte, error) {
-	type alias Snapshot // avoid recursion
-	return json.Marshal(alias(s))
 }

@@ -25,10 +25,6 @@ const (
 	StageServingFeature = "serving.feature_fetch"
 	// StageServingEncode is wire-encoding the sample result for the reply.
 	StageServingEncode = "serving.encode"
-	// StageKVGet is a kvstore point read (feature store backend).
-	StageKVGet = "kvstore.get"
-	// StageGNNEmbed is GNN embedding computation on a sampled subgraph.
-	StageGNNEmbed = "gnn.embed"
 )
 
 // Update path (ingest → mq → sampler → serving cache):
@@ -38,10 +34,6 @@ const (
 	StageFrontendIngest = "frontend.ingest_append"
 	// StageMQAppend is the broker-side append of one record batch.
 	StageMQAppend = "mq.append"
-	// StageMQFetch is the broker-side fetch of one record batch; it
-	// includes time blocked waiting for the first record, bounded by the
-	// consumer's poll wait.
-	StageMQFetch = "mq.fetch"
 	// StageSamplerRefresh is one reservoir/sample-table refresh step in
 	// the sampling worker.
 	StageSamplerRefresh = "sampler.refresh"

@@ -64,32 +64,25 @@ type Tracer struct {
 	filled bool
 	worst  []Trace // sorted by Total descending, ≤ worstN
 	worstN int
-	// Span-payload budget per retained trace (see SetSpanBudget): a trace
-	// keeps at most maxSpans spans and maxSpanBytes of span-name bytes,
-	// so retained memory is bounded by (ringCap+worstN)·maxSpanBytes no
-	// matter what callers record under sustained load.
-	maxSpans     int
-	maxSpanBytes int
 
 	nextID atomic.Uint64
 	seed   uint64
 }
 
-// Default per-trace span budget. 64 spans comfortably covers the deepest
-// instrumented path (K hops × a few stages each); 4KiB of span names is
-// ~an order of magnitude above what real stages produce.
+// The span-payload budget of one retained trace: at most MaxSpans spans and
+// MaxSpanBytes of span-name bytes, so retained memory is bounded by
+// (ringCap+worstN)·MaxSpanBytes no matter what callers record under
+// sustained load. 64 spans comfortably covers the deepest instrumented
+// path (K hops × a few stages each); 4KiB of span names is ~an order of
+// magnitude above what real stages produce.
 const (
-	DefaultMaxSpans     = 64
-	DefaultMaxSpanBytes = 4096
+	MaxSpans     = 64
+	MaxSpanBytes = 4096
 )
 
 // spanOverhead approximates the fixed in-memory cost of one Span beyond
 // its name bytes (string header + duration).
 const spanOverhead = 24
-
-// traceOverhead approximates the fixed in-memory cost of one retained
-// Trace (struct fields + slice header + op string).
-const traceOverhead = 96
 
 // traceSeed distinguishes processes minting IDs concurrently. It reads
 // the wall clock once at startup — acceptable here because obs is not a
@@ -108,27 +101,7 @@ func NewTracer(ringCap, worstN int) *Tracer {
 	if worstN <= 0 {
 		worstN = 16
 	}
-	return &Tracer{
-		recent:       make([]Trace, 0, ringCap),
-		worstN:       worstN,
-		maxSpans:     DefaultMaxSpans,
-		maxSpanBytes: DefaultMaxSpanBytes,
-		seed:         traceSeed,
-	}
-}
-
-// SetSpanBudget overrides the per-trace retention caps (non-positive
-// arguments keep the defaults). Recording is unaffected upstream — only
-// what the tracer *retains* is clipped.
-func (t *Tracer) SetSpanBudget(maxSpans, maxSpanBytes int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if maxSpans > 0 {
-		t.maxSpans = maxSpans
-	}
-	if maxSpanBytes > 0 {
-		t.maxSpanBytes = maxSpanBytes
-	}
+	return &Tracer{recent: make([]Trace, 0, ringCap), worstN: worstN, seed: traceSeed}
 }
 
 // truncatedSpan marks clipped traces; its duration folds in everything
@@ -137,20 +110,13 @@ const truncatedSpan = "obs.truncated"
 
 // bound clips tr to the span budget, folding dropped spans into one
 // synthetic truncation span so totals still reconcile.
-func (t *Tracer) bound(tr Trace) Trace {
-	maxSpans, maxBytes := t.maxSpans, t.maxSpanBytes
-	if maxSpans <= 0 {
-		maxSpans = DefaultMaxSpans
-	}
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxSpanBytes
-	}
+func bound(tr Trace) Trace {
 	keep := len(tr.Spans)
 	bytes := 0
 	for i, s := range tr.Spans {
 		bytes += len(s.Name) + spanOverhead
 		// Reserve one slot for the synthetic span when clipping.
-		if i >= maxSpans-1 || bytes > maxBytes {
+		if i >= MaxSpans-1 || bytes > MaxSpanBytes {
 			keep = i
 			break
 		}
@@ -169,24 +135,6 @@ func (t *Tracer) bound(tr Trace) Trace {
 	return tr
 }
 
-// ApproxBytes estimates the retained span-payload memory across the
-// recent ring and worst-N capture — the quantity the memory-ceiling
-// regression test pins.
-func (t *Tracer) ApproxBytes() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	total := 0
-	for _, set := range [2][]Trace{t.recent, t.worst} {
-		for _, tr := range set {
-			total += traceOverhead + len(tr.Op)
-			for _, s := range tr.Spans {
-				total += spanOverhead + len(s.Name)
-			}
-		}
-	}
-	return total
-}
-
 // NewID mints a process-unique, nonzero trace ID. IDs are a splitmix64
 // hash of a per-process seed and an atomic sequence — unique without
 // coordination and without the global math/rand source.
@@ -203,7 +151,7 @@ func (t *Tracer) NewID() uint64 {
 func (t *Tracer) Record(tr Trace) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	tr = t.bound(tr)
+	tr = bound(tr)
 	if len(t.recent) < cap(t.recent) {
 		t.recent = append(t.recent, tr)
 	} else {

@@ -8,10 +8,32 @@ import (
 	"time"
 )
 
+// traceOverhead approximates the fixed in-memory cost of one retained
+// Trace (struct fields + slice header + op string).
+const traceOverhead = 96
+
+// approxBytes estimates the retained span-payload memory across the
+// recent ring and worst-N capture — the quantity the memory-ceiling
+// regression test pins.
+func (t *Tracer) approxBytes() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	total := 0
+	for _, set := range [2][]Trace{t.recent, t.worst} {
+		for _, tr := range set {
+			total += traceOverhead + len(tr.Op)
+			for _, s := range tr.Spans {
+				total += spanOverhead + len(s.Name)
+			}
+		}
+	}
+	return total
+}
+
 func TestTracerSpanBudgetTruncation(t *testing.T) {
 	tr := NewTracer(4, 2)
-	tr.SetSpanBudget(4, 1<<20) // span-count limited
-	spans := make([]Span, 10)
+	spans := make([]Span, MaxSpans+36) // span-count limited: short names
+
 	var total int64
 	for i := range spans {
 		spans[i] = Span{Name: fmt.Sprintf("stage.%d", i), Dur: int64(i + 1)}
@@ -22,8 +44,8 @@ func TestTracerSpanBudgetTruncation(t *testing.T) {
 	if !ok {
 		t.Fatal("trace lost")
 	}
-	if len(got.Spans) != 4 {
-		t.Fatalf("retained %d spans, want 4 (budget incl. truncation marker)", len(got.Spans))
+	if len(got.Spans) != MaxSpans {
+		t.Fatalf("retained %d spans, want %d (budget incl. truncation marker)", len(got.Spans), MaxSpans)
 	}
 	last := got.Spans[len(got.Spans)-1]
 	if last.Name != "obs.truncated" {
@@ -35,8 +57,7 @@ func TestTracerSpanBudgetTruncation(t *testing.T) {
 
 	// Byte-limited: long span names clip even under the span-count cap.
 	tr2 := NewTracer(4, 2)
-	tr2.SetSpanBudget(64, 200)
-	long := strings.Repeat("x", 100)
+	long := strings.Repeat("x", MaxSpanBytes/2)
 	tr2.Record(Trace{ID: 2, Total: 30, Spans: []Span{
 		{Name: long, Dur: 10}, {Name: long, Dur: 10}, {Name: long, Dur: 10},
 	}})
@@ -65,8 +86,8 @@ func TestTracerMemoryCeilingUnderSustainedLoad(t *testing.T) {
 	}
 	// Retained memory must stay under (ring+worstN) traces × the span
 	// budget plus per-trace overhead — not the 5000×256-span firehose.
-	limit := (ringCap + worstN) * (DefaultMaxSpanBytes + DefaultMaxSpans*64 + 1024)
-	if got := tr.ApproxBytes(); got > limit {
+	limit := (ringCap + worstN) * (MaxSpanBytes + MaxSpans*64 + 1024)
+	if got := tr.approxBytes(); got > limit {
 		t.Fatalf("retained %d bytes, ceiling %d", got, limit)
 	}
 	// The capture still works: the worst trace is findable and truncated.
@@ -74,8 +95,8 @@ func TestTracerMemoryCeilingUnderSustainedLoad(t *testing.T) {
 	if !ok {
 		t.Fatal("worst trace lost")
 	}
-	if len(got.Spans) > DefaultMaxSpans {
-		t.Fatalf("retained %d spans, budget %d", len(got.Spans), DefaultMaxSpans)
+	if len(got.Spans) > MaxSpans {
+		t.Fatalf("retained %d spans, budget %d", len(got.Spans), MaxSpans)
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"helios/internal/clock"
-	"helios/internal/metrics"
 	"helios/internal/obs"
 	"helios/internal/rpc"
 )
@@ -68,36 +67,13 @@ func IsOverload(err error) bool {
 // out (locally, remotely, or on a single-attempt timeout).
 func IsDeadline(err error) bool { return errors.Is(err, rpc.ErrDeadlineExceeded) }
 
-// Process-wide aggregates, summed across every limiter in the process so a
-// single scrape (or a helios-bench BENCH snapshot) reports overload
-// behaviour without enumerating stages.
-var (
-	totalShed     metrics.Counter
-	totalDegraded metrics.Counter
-	aggQueueWait  metrics.Histogram
-)
-
-// TotalShed reports requests shed across all limiters in the process.
-func TotalShed() int64 { return totalShed.Value() }
-
-// TotalDegraded reports degraded results served across the process.
-func TotalDegraded() int64 { return totalDegraded.Value() }
-
-// MarkDegraded counts one degraded result in the process aggregate; the
-// serving layer calls it alongside its own per-worker counter.
-func MarkDegraded() { totalDegraded.Inc() }
-
-// CountShed folds one shed decided outside any limiter (e.g. ingestion
-// backpressure) into the process aggregate.
-func CountShed() { totalShed.Inc() }
-
-// RegisterMetrics exposes the process-wide overload aggregates on reg:
-// overload.shed (total sheds), overload.degraded (degraded results), and
-// overload.queue_wait_p99_ns (p99 of admission queue wait).
+// RegisterMetrics exposes the registry-wide overload totals on reg as sums
+// taken at scrape time: overload.shed over every limiter's (and the ingest
+// path's) overload.shed{stage,reason} counters, overload.degraded over the
+// serving workers' overload.degraded{worker}.
 func RegisterMetrics(reg *obs.Registry) {
-	reg.CounterFunc("overload.shed", totalShed.Value)
-	reg.CounterFunc("overload.degraded", totalDegraded.Value)
-	reg.GaugeFunc("overload.queue_wait_p99_ns", func() int64 { return aggQueueWait.Quantile(0.99) })
+	reg.CounterFunc("overload.shed", func() int64 { return reg.Sum("overload.shed") })
+	reg.CounterFunc("overload.degraded", func() int64 { return reg.Sum("overload.degraded") })
 }
 
 // Estimator is a lock-free EWMA of observed service time (α = 1/8). The
@@ -156,9 +132,9 @@ type Config struct {
 	// Clock supplies timestamps (deadline math and queue-wait measurement).
 	// Nil means the wall clock.
 	Clock clock.Clock
-	// Metrics receives the limiter's stage-labeled counters and gauges.
-	// Nil means a private registry (metrics still count, but nothing
-	// scrapes them).
+	// Metrics receives the limiter's stage-labeled shed counters and
+	// queue-wait histogram. Nil means a private registry (metrics still
+	// count, but nothing scrapes them).
 	Metrics *obs.Registry
 }
 
@@ -177,12 +153,10 @@ type Limiter struct {
 	// so a stage can seed or inspect it in tests.
 	Est Estimator
 
-	shedQueueFull *metrics.Counter
-	shedBudget    *metrics.Counter
-	shedWait      *metrics.Counter
-	queueWait     *metrics.Histogram
-	inflight      *obs.Gauge
-	queued        *obs.Gauge
+	shedQueueFull *obs.Counter
+	shedBudget    *obs.Counter
+	shedWait      *obs.Counter
+	queueWait     *obs.Histogram
 }
 
 // NewLimiter builds a limiter from cfg.
@@ -220,8 +194,6 @@ func NewLimiter(cfg Config) *Limiter {
 		shedBudget:    reg.Counter("overload.shed", "stage", stage, "reason", "budget"),
 		shedWait:      reg.Counter("overload.shed", "stage", stage, "reason", "wait_timeout"),
 		queueWait:     reg.Histogram("overload.queue_wait", "stage", stage),
-		inflight:      reg.Gauge("overload.inflight", "stage", stage),
-		queued:        reg.Gauge("overload.queued", "stage", stage),
 	}
 }
 
@@ -246,28 +218,21 @@ func (l *Limiter) Acquire(deadline time.Time) (func(), error) {
 		}
 		if est := l.Est.Estimate(); est > 0 && deadline.Sub(now) < l.headroom*est {
 			l.shedBudget.Inc()
-			totalShed.Inc()
 			return nil, Shed(l.stage, "budget")
 		}
 	}
 	select {
 	case l.slots <- struct{}{}:
-		l.queueWait.Record(0)
-		aggQueueWait.Record(0)
+		l.queueWait.Observe(0, 0)
 		return l.admitted(now), nil
 	default:
 	}
 	if l.waiters.Add(1) > l.maxQueue {
 		l.waiters.Add(-1)
 		l.shedQueueFull.Inc()
-		totalShed.Inc()
 		return nil, Shed(l.stage, "queue_full")
 	}
-	l.queued.Add(1)
-	defer func() {
-		l.waiters.Add(-1)
-		l.queued.Add(-1)
-	}()
+	defer l.waiters.Add(-1)
 	wait := l.maxWait
 	timed := false
 	if !deadline.IsZero() {
@@ -280,10 +245,9 @@ func (l *Limiter) Acquire(deadline time.Time) (func(), error) {
 	defer t.Stop()
 	select {
 	case l.slots <- struct{}{}:
-		w := l.clk.Now().Sub(now).Nanoseconds()
-		l.queueWait.Record(w)
-		aggQueueWait.Record(w)
-		return l.admitted(l.clk.Now()), nil
+		admit := l.clk.Now()
+		l.queueWait.Observe(admit.Sub(now).Nanoseconds(), 0)
+		return l.admitted(admit), nil
 	case <-t.C:
 		if timed {
 			// The budget burned up in the queue: a deadline error, so the
@@ -291,7 +255,6 @@ func (l *Limiter) Acquire(deadline time.Time) (func(), error) {
 			return nil, rpc.ErrDeadlineExceeded
 		}
 		l.shedWait.Inc()
-		totalShed.Inc()
 		return nil, Shed(l.stage, "wait_timeout")
 	}
 }
@@ -304,27 +267,24 @@ func (l *Limiter) TryAcquire() (func(), bool) {
 		return l.admitted(l.clk.Now()), true
 	default:
 		l.shedQueueFull.Inc()
-		totalShed.Inc()
 		return nil, false
 	}
 }
 
-// admitted registers the admission and returns the one-shot release.
+// admitted returns the admission's one-shot release.
 func (l *Limiter) admitted(start time.Time) func() {
-	l.inflight.Add(1)
 	var done atomic.Bool
 	return func() {
 		if done.Swap(true) {
 			return
 		}
 		l.Est.Observe(l.clk.Now().Sub(start))
-		l.inflight.Add(-1)
 		<-l.slots
 	}
 }
 
 // Inflight reports currently admitted requests.
-func (l *Limiter) Inflight() int64 { return l.inflight.Value() }
+func (l *Limiter) Inflight() int64 { return int64(len(l.slots)) }
 
 // Queued reports requests currently waiting for admission.
 func (l *Limiter) Queued() int64 { return l.waiters.Load() }

@@ -214,35 +214,35 @@ func TestEstimatorEWMA(t *testing.T) {
 	}
 }
 
+// The registry totals are sums over the per-instance counters, taken at
+// scrape time: two limiters' sheds and a worker's degraded answers add up
+// with no second counter anywhere.
 func TestRegisterMetricsAggregates(t *testing.T) {
 	reg := obs.NewRegistry()
 	RegisterMetrics(reg)
-	base := TotalShed()
-	l := NewLimiter(Config{Stage: "agg", MaxInflight: 1, MaxQueue: -1})
-	r, err := l.Acquire(time.Time{})
-	if err != nil {
-		t.Fatal(err)
+	for _, stage := range []string{"agg-a", "agg-b"} {
+		l := NewLimiter(Config{Stage: stage, MaxInflight: 1, MaxQueue: -1, Metrics: reg})
+		r, err := l.Acquire(time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Acquire(time.Time{}); !IsOverload(err) {
+			t.Fatalf("err = %v, want overload", err)
+		}
+		if l.Inflight() != 1 {
+			t.Fatalf("inflight = %d with one slot held", l.Inflight())
+		}
+		r()
+		if l.Inflight() != 0 {
+			t.Fatalf("inflight = %d after release", l.Inflight())
+		}
 	}
-	if _, err := l.Acquire(time.Time{}); !IsOverload(err) {
-		t.Fatalf("err = %v, want overload", err)
-	}
-	r()
-	if TotalShed() != base+1 {
-		t.Fatalf("TotalShed = %d, want %d", TotalShed(), base+1)
-	}
-	degBase := TotalDegraded()
-	MarkDegraded()
-	if TotalDegraded() != degBase+1 {
-		t.Fatalf("TotalDegraded = %d, want %d", TotalDegraded(), degBase+1)
-	}
+	reg.Counter("overload.degraded", "worker", "0").Add(3)
 	snap := reg.Snapshot()
-	if _, ok := snap.Counters["overload.shed"]; !ok {
-		t.Fatal("registry snapshot missing overload.shed")
+	if got := snap.Counters["overload.shed"]; got != 2 {
+		t.Fatalf("overload.shed total = %d, want 2 (counters: %v)", got, snap.Counters)
 	}
-	if _, ok := snap.Counters["overload.degraded"]; !ok {
-		t.Fatal("registry snapshot missing overload.degraded")
-	}
-	if _, ok := snap.Gauges["overload.queue_wait_p99_ns"]; !ok {
-		t.Fatal("registry snapshot missing overload.queue_wait_p99_ns")
+	if got := snap.Counters["overload.degraded"]; got != 3 {
+		t.Fatalf("overload.degraded total = %d, want 3", got)
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"helios/internal/clock"
 	"helios/internal/codec"
 	"helios/internal/faultpoint"
-	"helios/internal/metrics"
 	"helios/internal/obs"
 )
 
@@ -68,30 +67,42 @@ const (
 	maxFrame = 64 << 20 // sanity bound
 )
 
-// Process-wide transport health aggregates, summed across every client in
-// the process and exposed by RegisterMetrics. Per-client counters live on
-// the Client itself.
+// openClients is every open Client of the process, closedTransport what the
+// closed ones had counted: the process-wide transport counters are sums over
+// both, taken when read, so an event is counted once, on its client.
 var (
-	totalReconnects   metrics.Counter
-	totalRetries      metrics.Counter
-	totalDialFailures metrics.Counter
+	clientsMu       sync.Mutex
+	openClients     = make(map[*Client]struct{})
+	closedTransport [3]int64 // reconnects, retries, dial failures
 )
 
+// transport returns c's transport counters in closedTransport order.
+func (c *Client) transport() [3]int64 {
+	return [3]int64{c.Reconnects.Value(), c.Retries.Value(), c.DialFailures.Value()}
+}
+
+func transportTotal(i int) int64 {
+	clientsMu.Lock()
+	defer clientsMu.Unlock()
+	sum := closedTransport[i]
+	for c := range openClients {
+		sum += c.transport()[i]
+	}
+	return sum
+}
+
 // TotalReconnects reports successful re-dials across all clients.
-func TotalReconnects() int64 { return totalReconnects.Value() }
+func TotalReconnects() int64 { return transportTotal(0) }
 
 // TotalRetries reports call retries across all clients.
-func TotalRetries() int64 { return totalRetries.Value() }
-
-// TotalDialFailures reports failed dial attempts across all clients.
-func TotalDialFailures() int64 { return totalDialFailures.Value() }
+func TotalRetries() int64 { return transportTotal(1) }
 
 // RegisterMetrics exposes the process-wide transport counters on reg:
 // rpc.reconnects, rpc.retries, rpc.dial_failures.
 func RegisterMetrics(reg *obs.Registry) {
-	reg.CounterFunc("rpc.reconnects", totalReconnects.Value)
-	reg.CounterFunc("rpc.retries", totalRetries.Value)
-	reg.CounterFunc("rpc.dial_failures", totalDialFailures.Value)
+	reg.CounterFunc("rpc.reconnects", TotalReconnects)
+	reg.CounterFunc("rpc.retries", TotalRetries)
+	reg.CounterFunc("rpc.dial_failures", func() int64 { return transportTotal(2) })
 }
 
 // Handler processes one request payload and returns the response payload.
@@ -163,9 +174,9 @@ type Server struct {
 	// writes. Expired counts requests answered with a deadline-exceeded
 	// frame instead of being worked on (dead-on-arrival budget, or a
 	// handler that bailed out with ErrDeadlineExceeded).
-	Requests metrics.Counter
-	Errors   metrics.Counter
-	Expired  metrics.Counter
+	Requests obs.Counter
+	Errors   obs.Counter
+	Expired  obs.Counter
 }
 
 // NewServer returns a server with no handlers.
@@ -294,17 +305,6 @@ func (s *Server) serveConn(conn net.Conn) {
 				herr = ErrDeadlineExceeded
 			case entry.ctx == nil && entry.buf == nil:
 				herr = fmt.Errorf("unknown method %q", method)
-			case entry.buf != nil:
-				bw = codec.GetWriter()
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							herr = fmt.Errorf("handler panic: %v", r)
-						}
-					}()
-					herr = entry.buf(ctx, payload, bw)
-				}()
-				resp = bw.Bytes()
 			default:
 				func() {
 					defer func() {
@@ -312,7 +312,13 @@ func (s *Server) serveConn(conn net.Conn) {
 							herr = fmt.Errorf("handler panic: %v", r)
 						}
 					}()
-					resp, herr = entry.ctx(ctx, payload)
+					if entry.buf != nil {
+						bw = codec.GetWriter()
+						herr = entry.buf(ctx, payload, bw)
+						resp = bw.Bytes()
+					} else {
+						resp, herr = entry.ctx(ctx, payload)
+					}
 				}()
 			}
 			if bw != nil {
@@ -323,32 +329,26 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			writeMu.Lock()
 			defer writeMu.Unlock()
-			if herr != nil {
-				if errors.Is(herr, ErrDeadlineExceeded) {
-					// Keep the error typed across the hop: an expired frame
-					// maps back to ErrDeadlineExceeded client-side.
-					s.Expired.Inc()
-					if werr := writeFrame(conn, frameExpired, id, trace, 0, "", nil); werr != nil {
-						s.Errors.Inc()
-						conn.Close()
-					}
-					return
-				}
+			typ, body := byte(frameResponse), resp
+			var werr error
+			switch {
+			case errors.Is(herr, ErrDeadlineExceeded):
+				// Keep the error typed across the hop: an expired frame
+				// maps back to ErrDeadlineExceeded client-side.
+				s.Expired.Inc()
+				typ, body = frameExpired, nil
+			case herr != nil:
 				s.Errors.Inc()
-				if werr := writeFrame(conn, frameError, id, trace, 0, "", []byte(herr.Error())); werr != nil {
-					s.Errors.Inc()
-					conn.Close()
-				}
-				return
-			}
-			if faultpoint.Dropped("rpc.server.write") {
+				typ, body = frameError, []byte(herr.Error())
+			case faultpoint.Dropped("rpc.server.write"):
 				// Chaos hook: swallow the response, leaving the client to
 				// its timeout (or retry budget).
 				return
+			default:
+				werr = faultpoint.Inject("rpc.server.write")
 			}
-			werr := faultpoint.Inject("rpc.server.write")
 			if werr == nil {
-				werr = writeFrame(conn, frameResponse, id, trace, 0, "", resp)
+				werr = writeFrame(conn, typ, id, trace, 0, "", body)
 			}
 			if werr != nil {
 				// A failed response write would leave the peer waiting out
@@ -538,7 +538,7 @@ var (
 	errBadMethodLen  = errors.New("rpc: bad method length")
 )
 
-func frameTooBig(n int) error  { return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n) }
+func frameTooBig(n int) error    { return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n) }
 func badFrameLen(n uint32) error { return fmt.Errorf("rpc: bad frame length %d", n) }
 
 // Options configures a client built by DialOpts. The zero value reproduces
@@ -577,9 +577,6 @@ type Options struct {
 	// Sleep performs the backoff wait. Defaults to time.Sleep; tests
 	// inject a recorder to assert the backoff sequence without waiting.
 	Sleep func(time.Duration)
-
-	// Delay is slept inside every Call, simulating network RTT.
-	Delay time.Duration
 }
 
 func (o *Options) fillDefaults() {
@@ -628,18 +625,16 @@ type Client struct {
 	// Delay is slept inside every Call, simulating network RTT.
 	Delay time.Duration
 
-	// Calls counts calls issued; Errors counts calls that returned an
-	// error (remote, transport, or timeout) after exhausting any retries.
-	Calls  metrics.Counter
-	Errors metrics.Counter
+	// Calls counts calls issued.
+	Calls obs.Counter
 
 	// Reconnects counts successful re-dials after a connection loss;
 	// Retries counts per-call retry attempts; DialFailures counts failed
-	// dial attempts. The same events also feed the process-wide
-	// rpc.reconnects / rpc.retries / rpc.dial_failures aggregates.
-	Reconnects   metrics.Counter
-	Retries      metrics.Counter
-	DialFailures metrics.Counter
+	// dial attempts. The process-wide rpc.reconnects / rpc.retries /
+	// rpc.dial_failures are sums of these over every client.
+	Reconnects   obs.Counter
+	Retries      obs.Counter
+	DialFailures obs.Counter
 }
 
 type pendingCall struct {
@@ -670,10 +665,13 @@ func DialOpts(addr string, opts Options) (*Client, error) {
 		opts:    opts,
 		pending: make(map[uint64]pendingCall),
 		rng:     rand.New(rand.NewSource(opts.Seed)),
-		Delay:   opts.Delay,
 	}
+	clientsMu.Lock()
+	openClients[c] = struct{}{}
+	clientsMu.Unlock()
 	if !opts.Reconnect {
 		if _, _, err := c.getConn(); err != nil {
+			c.Close() // folds the failed dial into the process totals
 			return nil, err
 		}
 	}
@@ -755,7 +753,6 @@ func (c *Client) getConn() (net.Conn, uint64, error) {
 			c.failures++
 			c.connMu.Unlock()
 			c.DialFailures.Inc()
-			totalDialFailures.Inc()
 			return nil, 0, err
 		}
 		if tc, ok := conn.(*net.TCPConn); ok {
@@ -763,7 +760,6 @@ func (c *Client) getConn() (net.Conn, uint64, error) {
 		}
 		if c.everConn {
 			c.Reconnects.Inc()
-			totalReconnects.Inc()
 		}
 		c.everConn = true
 		c.failures = 0
@@ -912,9 +908,7 @@ func (c *Client) CallTraced(method string, trace uint64, req []byte, timeout tim
 			break
 		}
 		c.Retries.Inc()
-		totalRetries.Inc()
 	}
-	c.Errors.Inc()
 	return nil, lastErr
 }
 
@@ -984,6 +978,12 @@ func (c *Client) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}
+	clientsMu.Lock()
+	delete(openClients, c)
+	for i, n := range c.transport() {
+		closedTransport[i] += n
+	}
+	clientsMu.Unlock()
 	c.connMu.Lock()
 	conn := c.conn
 	c.conn = nil

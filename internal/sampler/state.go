@@ -56,12 +56,13 @@ func (w *Worker) handleEvent(worker int, ev event) {
 	case evEdge, evVertex:
 		// Graph updates are the sampler.refresh stage: the reservoir step
 		// plus subscription fan-out one update costs. The update's trace ID
-		// rides along as the exemplar.
+		// rides along as the exemplar. The start stamp is also the touch
+		// time the step records: two clock reads per update, not three.
 		start := w.cfg.Clock.Now()
 		if ev.kind == evEdge {
-			w.onEdge(st, ev)
+			w.onEdge(st, ev, start.UnixNano())
 		} else {
-			w.onVertex(st, ev)
+			w.onVertex(st, ev, start.UnixNano())
 		}
 		w.stRefresh.Observe(w.cfg.Clock.Now().Sub(start).Nanoseconds(), ev.update.Trace)
 	case evSubDelta:
@@ -89,9 +90,8 @@ func (w *Worker) subscribersOf(st *shard, h query.OneHop, v graph.VertexID) (imp
 // onEdge runs the §5.2 event-driven reservoir step for every one-hop query
 // this edge update feeds, then the §5.3 subscription maintenance for every
 // admission.
-func (w *Worker) onEdge(st *shard, ev event) {
+func (w *Worker) onEdge(st *shard, ev event, now int64) {
 	e := ev.update.Edge
-	now := w.cfg.Clock.Now().UnixNano()
 	for _, h := range w.byEdge[e.Type] {
 		if e.Origin(h.oneHop.Dir) != ev.origin {
 			continue // this event is keyed on the other endpoint
@@ -179,7 +179,7 @@ func (w *Worker) pushSnapshot(hop query.HopID, v graph.VertexID, re *resEntry, s
 }
 
 // onVertex stores the latest feature and forwards it to subscribers.
-func (w *Worker) onVertex(st *shard, ev event) {
+func (w *Worker) onVertex(st *shard, ev event, now int64) {
 	v := ev.update.Vertex
 	fe := st.features[v.ID]
 	if fe == nil {
@@ -187,7 +187,7 @@ func (w *Worker) onVertex(st *shard, ev event) {
 		st.features[v.ID] = fe
 	}
 	fe.feat = append(fe.feat[:0], v.Feature...)
-	fe.touch = w.cfg.Clock.Now().UnixNano()
+	fe.touch = now
 	for sew, cnt := range st.featSubs[v.ID] {
 		if cnt > 0 {
 			w.pushFeature(v.ID, fe, sew, ev.update.Ingested, ev.update.Trace)
@@ -209,7 +209,6 @@ func (w *Worker) pushFeature(v graph.VertexID, fe *featEntry, sew int32, ingeste
 // of this vertex's subtree: push the current snapshot and recursively
 // subscribe to the children. A 1→0 transition tears it down.
 func (w *Worker) onSubDelta(st *shard, ev event) {
-	w.subDeltasApplied.Inc()
 	h, ok := w.hops[ev.hop]
 	if !ok || ev.hop.Hop() == 0 {
 		return // unknown hop, or hop-1 whose subscription is implicit
@@ -261,7 +260,6 @@ func (w *Worker) subscribeChildren(re *resEntry, h hopInfo, sew int32, delta int
 
 // onFeatSubDelta applies a feature-subscription refcount change.
 func (w *Worker) onFeatSubDelta(st *shard, ev event) {
-	w.subDeltasApplied.Inc()
 	w.applyFeatSubDelta(st, ev.origin, ev.sew, ev.delta, ev.ing, ev.trace)
 }
 

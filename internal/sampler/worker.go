@@ -30,7 +30,6 @@ import (
 	"helios/internal/clock"
 	"helios/internal/codec"
 	"helios/internal/graph"
-	"helios/internal/metrics"
 	"helios/internal/mq"
 	"helios/internal/obs"
 	"helios/internal/query"
@@ -118,7 +117,6 @@ type Stats struct {
 	SnapshotsSent    int64
 	FeaturesSent     int64
 	SubDeltasSent    int64
-	SubDeltasApplied int64
 	Expired          int64
 	// PublishConflated counts cache messages superseded before they were
 	// appended, PublishDropped records lost to a failed append (publishing
@@ -173,16 +171,15 @@ type Worker struct {
 	started atomic.Bool
 
 	// Metric handles resolved from cfg.Metrics at construction.
-	updatesProcessed *metrics.Counter
-	edgesOffered     *metrics.Counter
-	admissions       *metrics.Counter
-	snapshotsSent    *metrics.Counter
-	featuresSent     *metrics.Counter
-	subDeltasSent    *metrics.Counter
-	subDeltasApplied *metrics.Counter
-	expired          *metrics.Counter
-	pubConflated     *metrics.Counter
-	pubDropped       *metrics.Counter
+	updatesProcessed *obs.Counter
+	edgesOffered     *obs.Counter
+	admissions       *obs.Counter
+	snapshotsSent    *obs.Counter
+	featuresSent     *obs.Counter
+	subDeltasSent    *obs.Counter
+	expired          *obs.Counter
+	pubConflated     *obs.Counter
+	pubDropped       *obs.Counter
 	// staleness is the event-time delta between the most recent update's
 	// ingestion and the reservoir refresh it caused (§5 freshness).
 	staleness *obs.Gauge
@@ -316,7 +313,6 @@ func (w *Worker) registerMetrics() {
 	w.snapshotsSent = reg.Counter("sampler.snapshots_sent", "worker", worker)
 	w.featuresSent = reg.Counter("sampler.features_sent", "worker", worker)
 	w.subDeltasSent = reg.Counter("sampler.sub_deltas_sent", "worker", worker)
-	w.subDeltasApplied = reg.Counter("sampler.sub_deltas_applied", "worker", worker)
 	w.expired = reg.Counter("sampler.expired", "worker", worker)
 	w.pubConflated = reg.Counter("sampler.publish_conflated", "worker", worker)
 	w.pubDropped = reg.Counter("sampler.publish_dropped", "worker", worker)
@@ -610,7 +606,6 @@ func (w *Worker) Stats() Stats {
 		SnapshotsSent:    w.snapshotsSent.Value(),
 		FeaturesSent:     w.featuresSent.Value(),
 		SubDeltasSent:    w.subDeltasSent.Value(),
-		SubDeltasApplied: w.subDeltasApplied.Value(),
 		Expired:          w.expired.Value(),
 		PublishConflated: w.pubConflated.Value(),
 		PublishDropped:   w.pubDropped.Value(),

@@ -22,7 +22,6 @@ import (
 	"helios/internal/faultpoint"
 	"helios/internal/graph"
 	"helios/internal/kvstore"
-	"helios/internal/metrics"
 	"helios/internal/mq"
 	"helios/internal/obs"
 	"helios/internal/overload"
@@ -213,18 +212,19 @@ type SampledEdge struct {
 
 // Stats reports serving-side counters.
 type Stats struct {
-	Applied        int64
-	Served         int64
-	SampleHits     int64
-	SampleMisses   int64
-	FeatureHits    int64
-	FeatureMisses  int64
-	CacheBytes     int64
-	QueryLatency   metrics.Snapshot
-	IngestLatency  metrics.Snapshot
-	UpdateDepth    int
-	ServeDepth     int
-	ExpiredEntries int64
+	Applied       int64
+	Served        int64
+	SampleHits    int64
+	SampleMisses  int64
+	FeatureHits   int64
+	FeatureMisses int64
+	CacheBytes    int64
+	QueryLatency  obs.HistSnapshot
+	// IngestLatency is update ingestion → applied to this cache: the
+	// worker's serving.cache_apply stage histogram.
+	IngestLatency obs.HistSnapshot
+	UpdateDepth   int
+	ServeDepth    int
 	// StalenessNS is the event-time staleness of the most recent cache
 	// apply: the delta between the causing update's ingestion and its
 	// reservoir refresh landing in this cache (§5 freshness).
@@ -252,10 +252,10 @@ type Worker struct {
 	// path so a shed storm cannot convert itself into unbounded inline work.
 	limiter     *overload.Limiter
 	degradedLim *overload.Limiter
-	updatePool   *actor.Pool[cacheUpdate]
-	servePool    *actor.Pool[Request]
-	sweeper      *actor.Loop
-	sweepStop    chan struct{}
+	updatePool  *actor.Pool[cacheUpdate]
+	servePool   *actor.Pool[Request]
+	sweeper     *actor.Loop
+	sweepStop   chan struct{}
 
 	// lifeMu serializes Start/Stop; started alone is not enough — a
 	// concurrent Stop must not observe started=true before Start has
@@ -265,21 +265,20 @@ type Worker struct {
 
 	// Metric handles resolved from cfg.Metrics at construction; updates
 	// stay lock-free on the hot path.
-	applied       *metrics.Counter
-	served        *metrics.Counter
-	sampleHits    *metrics.Counter
-	sampleMisses  *metrics.Counter
-	featureHits   *metrics.Counter
-	featureMisses *metrics.Counter
-	expired       *metrics.Counter
-	degraded      *metrics.Counter
-	deadlineExp   *metrics.Counter
-	queryLat      *metrics.Histogram
-	ingestLat     *metrics.Histogram
+	applied       *obs.Counter
+	served        *obs.Counter
+	sampleHits    *obs.Counter
+	sampleMisses  *obs.Counter
+	featureHits   *obs.Counter
+	featureMisses *obs.Counter
+	degraded      *obs.Counter
+	deadlineExp   *obs.Counter
+	queryLat      *obs.Histogram
 	staleness     *obs.Gauge
 
-	// Per-stage exemplar histograms (one family shared by all workers on a
-	// registry; traced requests pin exemplars).
+	// Per-stage histograms (one family shared by all workers on a registry,
+	// except cache_apply, which backs this worker's Stats().IngestLatency
+	// and so carries its worker label; traced requests pin exemplars).
 	stQueueWait  *obs.Histogram
 	stKHop       *obs.Histogram
 	stFeature    *obs.Histogram
@@ -291,11 +290,6 @@ type Worker struct {
 func New(cfg Config) (*Worker, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
-	}
-	if cfg.Store.Clock == nil {
-		// The cache store times its kvstore.get stage on the worker's clock
-		// so fake-clock tests see deterministic stage latencies.
-		cfg.Store.Clock = cfg.Clock
 	}
 	db, err := kvstore.Open(cfg.Store)
 	if err != nil {
@@ -338,26 +332,20 @@ func (w *Worker) registerMetrics() {
 	w.sampleMisses = reg.Counter("serving.sample_misses", "worker", worker)
 	w.featureHits = reg.Counter("serving.feature_hits", "worker", worker)
 	w.featureMisses = reg.Counter("serving.feature_misses", "worker", worker)
-	w.expired = reg.Counter("serving.expired", "worker", worker)
-	w.degraded = reg.Counter("serving.degraded", "worker", worker)
+	// Degraded answers are an overload-control outcome: the registry's
+	// overload.degraded total (overload.RegisterMetrics) sums this family.
+	w.degraded = reg.Counter("overload.degraded", "worker", worker)
 	w.deadlineExp = reg.Counter("serving.deadline_expired", "worker", worker)
 	w.queryLat = reg.Histogram("serving.query_latency_ns", "worker", worker)
-	w.ingestLat = reg.Histogram("serving.ingest_latency_ns", "worker", worker)
 	w.staleness = reg.Gauge("serving.staleness_ns", "worker", worker)
 	reg.GaugeFunc("serving.cache_bytes", w.CacheBytes, "worker", worker)
-	reg.GaugeFunc("serving.cache_entries", func() int64 {
-		//lint:allow droppederror reason=scrape-time gauge: a store error reads as 0 entries
-		n, _ := w.db.Len()
-		return int64(n)
-	}, "worker", worker)
 	reg.GaugeFunc("mq.consumer_lag", w.Lag,
 		"topic", wire.TopicSamples, "partition", worker)
 	w.stQueueWait = reg.Stage(obs.StageServingQueueWait).WithClock(w.cfg.Clock)
 	w.stKHop = reg.Stage(obs.StageServingKHop).WithClock(w.cfg.Clock)
 	w.stFeature = reg.Stage(obs.StageServingFeature).WithClock(w.cfg.Clock)
 	w.stEncode = reg.Stage(obs.StageServingEncode).WithClock(w.cfg.Clock)
-	w.stCacheApply = reg.Stage(obs.StageServingCacheApply).WithClock(w.cfg.Clock)
-	w.db.RegisterMetrics(reg, "worker", worker)
+	w.stCacheApply = reg.Stage(obs.StageServingCacheApply, "worker", worker).WithClock(w.cfg.Clock)
 }
 
 // Start launches the pools and polling loop.
@@ -586,11 +574,12 @@ func (w *Worker) applyMessage(_ int, m wire.Message) {
 	}
 	w.applied.Inc()
 	if m.Ingested > 0 {
-		lat := now - m.Ingested
-		w.ingestLat.Record(lat)
-		w.stCacheApply.Observe(lat, m.Trace)
 		// Sample-table staleness (§5 freshness): event-time delta between
-		// the causing update's ingestion and this cache refresh.
+		// the causing update's ingestion and this cache refresh. The two
+		// stamps come from different hosts, so skew can put the ingest
+		// stamp ahead of this clock; staleness is never negative.
+		lat := max(now-m.Ingested, 0)
+		w.stCacheApply.Observe(lat, m.Trace)
 		w.staleness.Set(lat)
 		if m.Trace != 0 {
 			// A traced ingest reached this cache — close the update-path
@@ -750,7 +739,6 @@ func (w *Worker) SampleDegraded(qid query.ID, seed graph.VertexID) (*Result, err
 	res.Degraded = true
 	res.StalenessNS = w.staleness.Value()
 	w.degraded.Inc()
-	overload.MarkDegraded()
 	return res, nil
 }
 
@@ -846,7 +834,7 @@ func (w *Worker) sample(qid query.ID, seed graph.VertexID, deadline int64, trace
 	w.stKHop.Observe(khop, trace)
 	w.stFeature.Observe(feat, trace)
 	w.served.Inc()
-	w.queryLat.Record(done.Sub(start).Nanoseconds())
+	w.queryLat.Observe(done.Sub(start).Nanoseconds(), 0)
 	return res, nil
 }
 
@@ -865,8 +853,8 @@ func (w *Worker) sweep(cutoff int64) {
 		return true
 	})
 	for _, d := range dead {
-		if w.db.Delete(d.key) == nil {
-			w.expired.Inc()
+		if err := w.db.Delete(d.key); err != nil {
+			return // the store is closing; the next sweep retries
 		}
 	}
 }
@@ -874,17 +862,16 @@ func (w *Worker) sweep(cutoff int64) {
 // Stats snapshots the worker counters.
 func (w *Worker) Stats() Stats {
 	s := Stats{
-		Applied:        w.applied.Value(),
-		Served:         w.served.Value(),
-		SampleHits:     w.sampleHits.Value(),
-		SampleMisses:   w.sampleMisses.Value(),
-		FeatureHits:    w.featureHits.Value(),
-		FeatureMisses:  w.featureMisses.Value(),
-		CacheBytes:     w.db.ApproxBytes(),
-		QueryLatency:   w.queryLat.Snapshot(),
-		IngestLatency:  w.ingestLat.Snapshot(),
-		ExpiredEntries: w.expired.Value(),
-		StalenessNS:    w.staleness.Value(),
+		Applied:       w.applied.Value(),
+		Served:        w.served.Value(),
+		SampleHits:    w.sampleHits.Value(),
+		SampleMisses:  w.sampleMisses.Value(),
+		FeatureHits:   w.featureHits.Value(),
+		FeatureMisses: w.featureMisses.Value(),
+		CacheBytes:    w.db.ApproxBytes(),
+		QueryLatency:  w.queryLat.Snapshot(),
+		IngestLatency: w.stCacheApply.Snapshot(),
+		StalenessNS:   w.staleness.Value(),
 	}
 	if w.updatePool != nil {
 		s.UpdateDepth = w.updatePool.Depth()
@@ -895,12 +882,6 @@ func (w *Worker) Stats() Stats {
 		s.Panics += w.servePool.Panics.Value()
 	}
 	return s
-}
-
-// ResetLatencies clears the latency histograms between experiment phases.
-func (w *Worker) ResetLatencies() {
-	w.queryLat.Reset()
-	w.ingestLat.Reset()
 }
 
 // CacheBytes reports the cache footprint (Fig. 16).

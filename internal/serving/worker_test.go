@@ -7,9 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"helios/internal/clock"
 	"helios/internal/faultpoint"
 	"helios/internal/graph"
 	"helios/internal/mq"
+	"helios/internal/obs"
 	"helios/internal/query"
 	"helios/internal/sampling"
 	"helios/internal/wire"
@@ -279,22 +281,6 @@ func TestSubmitServesThroughPool(t *testing.T) {
 	}
 }
 
-func TestResetLatencies(t *testing.T) {
-	b := mq.NewBroker(mq.Options{})
-	defer b.Close()
-	w := newTestWorker(t, b)
-	w.Start()
-	defer w.Stop()
-	w.Sample(0, 1)
-	if w.Stats().QueryLatency.Count == 0 {
-		t.Fatal("no latency recorded")
-	}
-	w.ResetLatencies()
-	if w.Stats().QueryLatency.Count != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
 func TestStopReturnsPromptlyWithLongTTL(t *testing.T) {
 	// Regression: the sweeper used to time.Sleep(TTL/4) inside its loop,
 	// so Stop blocked until the sleep expired — up to TTL/4.
@@ -365,4 +351,47 @@ func TestPollSurvivesTransientFault(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal("poll loop did not survive the transient fetch fault")
+}
+
+// The ingest stamp and the apply clock belong to different hosts: with the
+// serving host's clock behind the frontend's, the event-time delta is
+// negative. Staleness is clamped once, so the gauge, Stats, the latency
+// histogram and a degraded result's tag all agree on 0, never a negative.
+func TestStalenessNeverNegative(t *testing.T) {
+	b := mq.NewBroker(mq.Options{})
+	defer b.Close()
+	clk := clock.NewFake()
+	reg := obs.NewRegistry()
+	w, err := New(Config{ID: 0, NumServers: 1, Plans: []*query.Plan{testPlan(t)}, Broker: b, Clock: clk, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.db.Close()
+	ahead := clk.Now().Add(5 * time.Second).UnixNano() // the ingest stamp is from a faster clock
+	w.applyMessage(0, wire.Message{Kind: wire.KindFeatureUpdate, Vertex: 1, Feature: []float32{1}, Ingested: ahead})
+
+	st := w.Stats()
+	if st.StalenessNS != 0 {
+		t.Fatalf("Stats().StalenessNS = %d under clock skew, want 0", st.StalenessNS)
+	}
+	if g := reg.Snapshot().Gauges[obs.Name("serving.staleness_ns", "worker", "0")]; g != 0 {
+		t.Fatalf("serving.staleness_ns = %d, want 0", g)
+	}
+	if st.IngestLatency.Count != 1 || st.IngestLatency.Max != 0 {
+		t.Fatalf("ingest latency = %+v, want one sample of 0", st.IngestLatency)
+	}
+	res, err := w.SampleDegraded(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StalenessNS != 0 {
+		t.Fatalf("degraded result tagged StalenessNS = %d", res.StalenessNS)
+	}
+
+	// An ordinary apply still reports its real delta.
+	w.applyMessage(0, wire.Message{Kind: wire.KindFeatureUpdate, Vertex: 1, Feature: []float32{1},
+		Ingested: clk.Now().Add(-3 * time.Millisecond).UnixNano()})
+	if got := w.Stats().StalenessNS; got != (3 * time.Millisecond).Nanoseconds() {
+		t.Fatalf("StalenessNS = %d, want 3ms", got)
+	}
 }

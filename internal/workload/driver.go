@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"helios/internal/graph"
-	"helios/internal/metrics"
+	"helios/internal/obs"
 )
 
 // Sink consumes generated updates (a Helios cluster, a baseline database,
@@ -80,7 +80,7 @@ type LoadStats struct {
 	Errors   int64
 	Duration time.Duration
 	QPS      float64
-	Latency  metrics.Snapshot
+	Latency  obs.HistSnapshot
 }
 
 // RunClosedLoop drives fn from `concurrency` clients for d (the evaluation
@@ -89,9 +89,9 @@ type LoadStats struct {
 // previous completes; per-request latency lands in the returned histogram.
 func RunClosedLoop(concurrency int, d time.Duration, fn func(client int) error) LoadStats {
 	var (
-		hist    metrics.Histogram
-		reqs    metrics.Counter
-		errs    metrics.Counter
+		hist    obs.Histogram
+		reqs    obs.Counter
+		errs    obs.Counter
 		wg      sync.WaitGroup
 		stopped = time.Now().Add(d)
 	)
@@ -105,7 +105,7 @@ func RunClosedLoop(concurrency int, d time.Duration, fn func(client int) error) 
 				if err := fn(client); err != nil {
 					errs.Inc()
 				} else {
-					hist.RecordSince(t0)
+					hist.Observe(time.Since(t0).Nanoseconds(), 0)
 					reqs.Inc()
 				}
 			}
