@@ -44,7 +44,6 @@ func declare(fs *flag.FlagSet) *flags {
 	fs.IntVar(&o.Log.SyncEvery, "sync-every", 0, "appends between fsyncs under -fsync interval (0 = 4096 default)")
 	fs.DurationVar(&o.ReplReportEvery, "repl-report-every", 0, "replication-status report cadence, doubling as the broker liveness beat (0 = 500ms)")
 	fs.DurationVar(&o.ReplDeadAfter, "repl-dead-after", 0, "report silence before a replica's partitions fail over; replica 0 runs the controller (0 = 3s)")
-	fs.IntVar(&o.Log.MaxAppendBatch, "batch-max", 0, "largest record batch accepted by one AppendBatch RPC (0 = 4096 default)")
 	fs.Int64Var(&o.MaxIngestLag, "max-ingest-lag", 0, "refuse appends to the updates topic once a partition's unconsumed backlog exceeds this (0 = unlimited)")
 	fs.DurationVar(&o.DeadAfter, "dead-after", 0, "telemetry silence before a worker counts as dead (0, or under three telemetry intervals = nine intervals)")
 	fs.DurationVar(&o.TelemetryEvery, "telemetry-every", 5*time.Second, "expected worker telemetry cadence (drives /cluster staleness and death detection)")

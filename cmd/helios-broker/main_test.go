@@ -2,7 +2,9 @@ package main
 
 import (
 	"flag"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"helios/internal/cluster"
@@ -23,5 +25,22 @@ func TestDefaultFlagsMatchBoot(t *testing.T) {
 	got.TelemetryEvery = 0
 	if want := (cluster.BrokerOptions{}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("default flags resolve to\n%+v\nBoot with zero options passes\n%+v", got, want)
+	}
+}
+
+// TestFlagCensus pins this binary's flag names to testdata/flags.txt, so the
+// flag count only moves on purpose: an added or removed flag fails until the
+// golden changes in the same diff.
+func TestFlagCensus(t *testing.T) {
+	fs := flag.NewFlagSet("helios-broker", flag.ContinueOnError)
+	declare(fs)
+	var got strings.Builder
+	fs.VisitAll(func(f *flag.Flag) { got.WriteString(f.Name + "\n") })
+	want, err := os.ReadFile("testdata/flags.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("flags differ from testdata/flags.txt:\n%s\nwant:\n%s", got.String(), want)
 	}
 }

@@ -34,7 +34,7 @@ type flags struct {
 
 func declare(fs *flag.FlagSet) *flags {
 	f := &flags{}
-	o, ov := &f.role, &f.role.Overload
+	o := &f.role
 	fs.StringVar(&f.config, "config", "cluster.json", "shared cluster configuration file")
 	fs.StringVar(&f.broker, "broker", "127.0.0.1:7070", "broker RPC address; a comma-separated list names a replica set (first entry hosts the failover controller)")
 	fs.StringVar(&f.servers, "servers", "", "comma-separated serving worker RPC addresses, partition-major (see replicas)")
@@ -42,11 +42,7 @@ func declare(fs *flag.FlagSet) *flags {
 	fs.IntVar(&o.ID, "id", 0, "this frontend's index (names it in the cluster view)")
 	fs.DurationVar(&o.TelemetryEvery, "telemetry-every", 5*time.Second, "cluster telemetry snapshot interval (0 = disabled)")
 	fs.DurationVar(&o.ProbeEvery, "probe-every", 0, "health-probe interval for unhealthy serving replicas (0 = 1s)")
-	fs.DurationVar(&ov.RequestTimeout, "request-timeout", 0, "end-to-end deadline budget per sampling request (0 = config's overload.requestTimeoutMs, or none)")
-	fs.IntVar(&ov.MaxInflight, "max-inflight", 0, "admitted concurrent sampling requests (0 = config's overload.maxInflight, or unlimited)")
-	fs.IntVar(&ov.MaxQueue, "max-queue", 0, "sampling requests queued for admission (0 = config's overload.maxQueue, or 4×max-inflight)")
-	fs.Int64Var(&ov.MaxIngestLag, "max-ingest-lag", 0, "shed ingestion once a partition's updates backlog exceeds this (0 = config's overload.maxIngestLag, or unlimited)")
-	fs.DurationVar(&ov.LagProbeEvery, "lag-probe-every", 0, "how often to refresh the cached per-partition ingest backlog (0 = 250ms)")
+	fs.DurationVar(&o.Overload.LagProbeEvery, "lag-probe-every", 0, "how often to refresh the cached per-partition ingest backlog (0 = 250ms)")
 	fs.IntVar(&o.BatchMax, "batch-max", 0, "coalesce up to this many concurrent samples per serving partition into one RPC (<=1 = disabled)")
 	fs.DurationVar(&o.BatchLinger, "batch-linger", 0, "max time a coalesced sample waits for batchmates before the batch is sent (0 = 1ms)")
 	fs.StringVar(&f.faults, "faultpoints", "", "arm deterministic fault injection, e.g. rpc.dial=error (chaos drills)")

@@ -2,7 +2,9 @@ package main
 
 import (
 	"flag"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"helios/internal/cluster"
@@ -45,5 +47,22 @@ func TestDefaultFlagsMatchBoot(t *testing.T) {
 	got.Metrics, want.Metrics = nil, nil
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("default flags run the worker with\n%+v\nBoot with zero options runs it with\n%+v", got, want)
+	}
+}
+
+// TestFlagCensus pins this binary's flag names to testdata/flags.txt, so the
+// flag count only moves on purpose: an added or removed flag fails until the
+// golden changes in the same diff.
+func TestFlagCensus(t *testing.T) {
+	fs := flag.NewFlagSet("helios-sampler", flag.ContinueOnError)
+	declare(fs)
+	var got strings.Builder
+	fs.VisitAll(func(f *flag.Flag) { got.WriteString(f.Name + "\n") })
+	want, err := os.ReadFile("testdata/flags.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("flags differ from testdata/flags.txt:\n%s\nwant:\n%s", got.String(), want)
 	}
 }

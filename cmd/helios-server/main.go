@@ -35,9 +35,6 @@ func declare(fs *flag.FlagSet) *flags {
 	fs.StringVar(&w.Store.Dir, "cache-dir", "", "hybrid-mode cache spill directory (empty = memory only)")
 	fs.Int64Var(&w.Store.MemBudgetBytes, "cache-mem", 0, "cache memory budget in bytes before spilling (0 = default)")
 	fs.IntVar(&w.ServeThreads, "serve-threads", 0, "serving actor count (0 = default)")
-	fs.IntVar(&w.MaxInflight, "serve-inflight", 0, "admitted concurrent sampling RPCs (0 = config's overload.maxInflight, or 4×serve-threads)")
-	fs.IntVar(&w.MaxAdmitQueue, "serve-queue", 0, "sampling RPCs queued for admission (0 = config's overload.maxQueue, or mailbox depth)")
-	fs.BoolVar(&w.Degrade, "degrade", false, "serve degraded (cached, staleness-tagged) results instead of shedding when saturated (config's overload.degrade also enables)")
 	fs.DurationVar(&w.CommitEvery, "commit-every", 0, "how often the sample-queue poll position is committed to the broker (0 = 100ms)")
 	fs.StringVar(&f.snapshotDir, "snapshot-dir", "", "warm-restart snapshot directory: serving-<id>.snap is restored on boot and rewritten every -snapshot-every (empty = snapshots off)")
 	fs.DurationVar(&o.SnapshotEvery, "snapshot-every", time.Minute, "cache snapshot interval under -snapshot-dir")

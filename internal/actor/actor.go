@@ -21,9 +21,9 @@ import (
 
 // MaxRun bounds how many messages one actor turn takes from its mailbox.
 // It is a constant, not a knob: the only batch it has to fit is the
-// broker's default append-batch bound (mq.Options.MaxAppendBatch, 4096),
-// and a turn this long already amortizes a per-turn cost to under half a
-// percent per message.
+// broker's append-batch bound (mq.MaxAppendBatch, 4096), and a turn this
+// long already amortizes a per-turn cost to under half a percent per
+// message.
 const MaxRun = 256
 
 // Pool is a fixed set of actors consuming bounded mailboxes.

@@ -33,8 +33,8 @@ type File struct {
 	Queries []string `json:"queries"`
 	// TTLSeconds expires stale state; 0 disables.
 	TTLSeconds int `json:"ttlSeconds"`
-	// Overload holds the deployment's admission-control defaults; binaries
-	// may override each knob with their flags.
+	// Overload is the deployment's admission-control policy, the one place
+	// the role binaries take it from.
 	Overload OverloadFile `json:"overload,omitempty"`
 }
 

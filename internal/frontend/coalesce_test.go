@@ -68,67 +68,74 @@ func newCoalesceFrontend(t *testing.T) *frontend.Frontend {
 	return fe
 }
 
-// TestCoalescingConcurrent releases N concurrent Samples into one
-// partition with coalescing on and asserts (a) every request gets its own
-// exact result back — the seed layer must echo that request's seed — and
-// (b) the requests rode in well under N RPC frames. Runs under -race in
-// CI, which is the point: the batcher's pending list and timer are hit
+// TestConcurrentSamplesKeepTheirOwnAnswer releases N concurrent Samples
+// into one partition, on the direct path and with coalescing on, and
+// asserts (a) every request gets its own exact result back — the seed layer
+// must echo that request's seed — (b) the direct path sent one RPC frame
+// per request and the coalesced one well under N, and (c) no goroutine
+// outlives the burst. Runs under -race in CI, which is the point: the rpc
+// client's pending table, and the batcher's pending list and timer, are hit
 // from every goroutine at once.
-func TestCoalescingConcurrent(t *testing.T) {
-	fe := newCoalesceFrontend(t)
-	fe.SetBatching(8, 5*time.Millisecond)
-	baseline := runtime.NumGoroutine()
-	before := fe.SampleCalls()
+func TestConcurrentSamplesKeepTheirOwnAnswer(t *testing.T) {
+	const n = 64
+	for _, path := range []struct {
+		name                 string
+		batchMax             int
+		minFrames, maxFrames int64
+	}{{"direct", 0, n, n}, {"coalesced", 8, 1, n/2 - 1}} {
+		t.Run(path.name, func(t *testing.T) {
+			fe := newCoalesceFrontend(t)
+			fe.SetBatching(path.batchMax, 5*time.Millisecond)
+			baseline := runtime.NumGoroutine()
+			before := fe.SampleCalls()
 
-	const n = 32
-	gate := make(chan struct{})
-	errs := make([]error, n)
-	seeds := make([]graph.VertexID, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-gate
-			seed := graph.VertexID(i + 1)
-			res, err := fe.Sample(query.ID(0), seed)
-			if err != nil {
-				errs[i] = err
-				return
+			gate := make(chan struct{})
+			errs := make([]error, n)
+			seeds := make([]graph.VertexID, n)
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					<-gate
+					seed := graph.VertexID(i + 1)
+					res, err := fe.Sample(query.ID(0), seed)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					seeds[i] = res.Layers[0][0]
+				}(i)
 			}
-			seeds[i] = res.Layers[0][0]
-		}(i)
-	}
-	close(gate)
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
-		}
-		if want := graph.VertexID(i + 1); seeds[i] != want {
-			t.Fatalf("request %d got seed layer %d, want %d — batch fan-out crossed wires", i, seeds[i], want)
-		}
-	}
-	frames := fe.SampleCalls() - before
-	if frames >= n/2 {
-		t.Fatalf("%d concurrent samples used %d RPC frames — no coalescing happened", n, frames)
-	}
-	if frames < 1 {
-		t.Fatalf("impossible frame count %d", frames)
-	}
+			close(gate)
+			wg.Wait()
+			for i := 0; i < n; i++ {
+				if errs[i] != nil {
+					t.Fatalf("request %d: %v", i, errs[i])
+				}
+				if want := graph.VertexID(i + 1); seeds[i] != want {
+					t.Fatalf("request %d got seed layer %d, want %d — answers crossed wires", i, seeds[i], want)
+				}
+			}
+			frames := fe.SampleCalls() - before
+			if frames < path.minFrames || frames > path.maxFrames {
+				t.Fatalf("%d concurrent samples used %d RPC frames, want %d to %d", n, frames, path.minFrames, path.maxFrames)
+			}
 
-	// Leak check: once the batch drained, no flusher or fan-out goroutine
-	// may linger.
-	leakDeadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= baseline+2 {
-			break
-		}
-		if time.Now().After(leakDeadline) {
-			t.Fatalf("goroutines grew after drain: baseline %d, now %d", baseline, runtime.NumGoroutine())
-		}
-		time.Sleep(20 * time.Millisecond)
+			// Leak check: once the burst drained, no flusher, fan-out or
+			// per-call goroutine may linger.
+			leakDeadline := time.Now().Add(5 * time.Second)
+			for {
+				runtime.GC()
+				if runtime.NumGoroutine() <= baseline+2 {
+					break
+				}
+				if time.Now().After(leakDeadline) {
+					t.Fatalf("goroutines grew after drain: baseline %d, now %d", baseline, runtime.NumGoroutine())
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+		})
 	}
 }
 

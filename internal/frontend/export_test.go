@@ -15,10 +15,17 @@ func (f *Frontend) AdmissionDepth() (queued, inflight int64) {
 	return f.limiter.Queued(), f.limiter.Inflight()
 }
 
-// SampleCalls reads partition 0's first replica client's issued-call
-// counter — the RPC-frame count the coalescing assertions key on.
+// SampleCalls sums the issued-call counters of every serving replica's
+// client — the RPC-frame count the work-ledger and coalescing assertions
+// key on.
 func (f *Frontend) SampleCalls() int64 {
-	return f.servers[0][0].client.RPC().Calls.Value()
+	var n int64
+	for _, reps := range f.servers {
+		for _, rep := range reps {
+			n += rep.client.RPC().Calls.Value()
+		}
+	}
+	return n
 }
 
 // FlushBatch hands partition 0's coalescer one detached batch whose member

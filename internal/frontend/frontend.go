@@ -624,6 +624,26 @@ func httpStatus(err error) int {
 	}
 }
 
+// maxIngestBody bounds a POST /ingest/* body: a feature vector of ~100k
+// components still fits, and a client cannot make the gateway buffer more.
+const maxIngestBody = 1 << 20
+
+// decodeIngest reads one bounded JSON body into v, answering 413 for an
+// oversized body and 400 for a malformed one.
+func decodeIngest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, err.Error(), status)
+	return false
+}
+
 // sampleBodies recycles the gateway's response buffers.
 var sampleBodies = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -653,8 +673,7 @@ func (f *Frontend) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest/edge", func(w http.ResponseWriter, r *http.Request) {
 		var e edgeJSON
-		if err := json.NewDecoder(r.Body).Decode(&e); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !decodeIngest(w, r, &e) {
 			return
 		}
 		et, ok := f.cfg.Schema.EdgeTypeID(e.Type)
@@ -674,8 +693,7 @@ func (f *Frontend) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /ingest/vertex", func(w http.ResponseWriter, r *http.Request) {
 		var v vertexJSON
-		if err := json.NewDecoder(r.Body).Decode(&v); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !decodeIngest(w, r, &v) {
 			return
 		}
 		vt, ok := f.cfg.Schema.VertexTypeID(v.Type)

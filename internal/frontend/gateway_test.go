@@ -15,8 +15,10 @@ import (
 	"time"
 
 	"helios/internal/cluster"
+	"helios/internal/faultpoint"
 	"helios/internal/graph"
 	"helios/internal/serving"
+	"helios/internal/wire"
 )
 
 // The reflective encoder GET /sample used before it transcoded the wire
@@ -270,8 +272,9 @@ const (
 
 // TestGatewayAllocCeiling counts what the host cannot blur: heap
 // allocations and bytes per GET /sample, whole process (client, gateway,
-// rpc, serving actor), over 500 sequential requests for fixed seeds on a
-// quiesced deployment, while checking each body against the oracle.
+// rpc, serving actor), and rpc frames the frontend sends per GET /sample
+// (exactly one), over 500 sequential requests for fixed seeds on a quiesced
+// deployment, while checking each body against the oracle.
 func TestGatewayAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -294,6 +297,7 @@ func TestGatewayAllocCeiling(t *testing.T) {
 	}
 	const requests = 500
 	var before, after runtime.MemStats
+	framesBefore := c.Frontend.Node.SampleCalls()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < requests; i++ {
@@ -304,11 +308,72 @@ func TestGatewayAllocCeiling(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
+	frames := c.Frontend.Node.SampleCalls() - framesBefore
 	mallocs := float64(after.Mallocs-before.Mallocs) / requests
 	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / requests
-	t.Logf("per GET /sample (%d-byte body): %.1f mallocs, %.0f bytes", buf.Len(), mallocs, bytesPer)
+	t.Logf("per GET /sample (%d-byte body): %.1f mallocs, %.0f bytes, %.2f rpc frames", buf.Len(), mallocs, bytesPer, float64(frames)/requests)
+	if frames != requests {
+		t.Fatalf("%d GET /sample sent %d rpc frames, want one each", requests, frames)
+	}
 	if mallocs > maxMallocsPerSample || bytesPer > maxBytesPerSample {
 		t.Fatalf("per GET /sample: %.1f mallocs (ceiling %d), %.0f bytes (ceiling %d)",
 			mallocs, maxMallocsPerSample, bytesPer, maxBytesPerSample)
+	}
+}
+
+// TestGatewayRefusesOversizedIngestBody: both ingest routes read at most
+// 1 MiB of body. A larger one is refused with 413 and appends nothing to the
+// updates topic; a well-formed update afterwards still lands.
+func TestGatewayRefusesOversizedIngestBody(t *testing.T) {
+	c, _, _ := boot(t, coalesceConfig, cluster.Options{})
+	gateway := "http://" + c.Frontend.Addr
+	updates, ok := c.Broker.Topic(wire.TopicUpdates)
+	if !ok {
+		t.Fatal("no updates topic")
+	}
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(gateway+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	pad := strings.Repeat("x", 1<<20)
+	for path, body := range map[string]string{
+		"/ingest/edge":   `{"src": 1, "dst": 100, "ts": 10, "type": "Click` + pad + `"}`,
+		"/ingest/vertex": `{"id": 1, "type": "User` + pad + `", "feature": [1]}`,
+	} {
+		if status := post(path, body); status != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with a %d-byte body: status %d, want 413", path, len(body), status)
+		}
+	}
+	if n := updates.NextOffset(0); n != 0 {
+		t.Fatalf("refused bodies appended %d updates", n)
+	}
+	if status := post("/ingest/edge", `{"src": 1, "dst": 100, "type": "Click", "ts": 10}`); status != http.StatusAccepted {
+		t.Fatalf("well-formed edge after the refusals: status %d", status)
+	}
+	if n := updates.NextOffset(0); n != 1 {
+		t.Fatalf("well-formed edge appended %d updates, want 1", n)
+	}
+}
+
+// TestConfigOverloadBlockReachesGateway: the role binaries take the overload
+// policy from the config file alone, so the file's block has to arrive — a
+// request that outlives overload.requestTimeoutMs answers 504.
+func TestConfigOverloadBlockReachesGateway(t *testing.T) {
+	config := strings.Replace(coalesceConfig, `"samplers": 1,`, `"samplers": 1, "overload": {"requestTimeoutMs": 30},`, 1)
+	c, _, fe := boot(t, config, cluster.Options{})
+	faultpoint.Delay("serving.sample", -1, 200*time.Millisecond)
+	defer faultpoint.Reset()
+	var buf bytes.Buffer
+	resp := getSample(t, http.DefaultClient, "http://"+c.Frontend.Addr, 1, &buf)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d (%s), want 504 from the config's 30ms budget", resp.StatusCode, buf.Bytes())
+	}
+	if fe.DeadlineExceeded.Value() == 0 {
+		t.Fatal("expired budget not counted in frontend.deadline_exceeded")
 	}
 }

@@ -18,9 +18,9 @@ import (
 //     worst-case wait of the whole loop is iterations × timeout. The
 //     timeout must be recomputed per iteration from a loop-entry deadline
 //     (e.g. time.Until(deadline)).
-//  3. A handler registered via Server.Handle/HandleTraced has no access to
-//     the inbound budget; if its body issues RPC calls it must be
-//     registered via HandleCtx instead so the budget can be forwarded.
+//  3. A handler registered via Server.Handle has no access to the inbound
+//     budget; if its body issues RPC calls it must be registered via
+//     HandleCtx instead so the budget can be forwarded.
 var DeadlinePass = &Analyzer{
 	Name: "deadlinepass",
 	Doc:  "rpc call timeout not derived from the inbound deadline budget",
@@ -160,11 +160,11 @@ func checkLoopTimeouts(pass *Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool { return visit(n, nil) })
 }
 
-// checkHandlerRegistrations enforces rule 3: Handle/HandleTraced on a
-// Server registers a budget-blind handler; if the handler body issues rpc
-// calls, it must be registered through HandleCtx. The handler body is
-// resolved through the module index, so a method value defined in a
-// sibling package is still seen.
+// checkHandlerRegistrations enforces rule 3: Handle on a Server registers
+// a budget-blind handler; if the handler body issues rpc calls, it must be
+// registered through HandleCtx. The handler body is resolved through the
+// module index, so a method value defined in a sibling package is still
+// seen.
 func checkHandlerRegistrations(pass *Pass, body *ast.BlockStmt) {
 	info := pass.Pkg.Info
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -173,7 +173,7 @@ func checkHandlerRegistrations(pass *Pass, body *ast.BlockStmt) {
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Handle" && sel.Sel.Name != "HandleTraced") {
+		if !ok || sel.Sel.Name != "Handle" {
 			return true
 		}
 		tv, ok := info.Types[sel.X]
@@ -194,8 +194,7 @@ func checkHandlerRegistrations(pass *Pass, body *ast.BlockStmt) {
 			return !issues
 		})
 		if issues {
-			pass.Reportf(call.Pos(), "handler registered via %s issues rpc calls but cannot see the inbound budget; register it via HandleCtx and forward ctx.Remaining()",
-				sel.Sel.Name)
+			pass.Reportf(call.Pos(), "handler registered via Handle issues rpc calls but cannot see the inbound budget; register it via HandleCtx and forward ctx.Remaining()")
 		}
 		return true
 	})

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"helios/internal/codec"
-	"helios/internal/rpc"
 )
 
 // TestAppendBatchLocal checks the local batch append contract: records
@@ -116,34 +115,28 @@ func TestAppendBatchRemote(t *testing.T) {
 // TestAppendBatchBrokerBound checks the broker-side batch cap: a batch
 // above MaxAppendBatch is refused whole, at the cap it lands.
 func TestAppendBatchBrokerBound(t *testing.T) {
-	b := NewBroker(Options{MaxAppendBatch: 2})
-	defer b.Close()
-	srv := rpc.NewServer()
-	ServeBroker(b, srv)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	rb, err := DialBroker(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rb.Close()
+	b, rb, done := startRemote(t)
+	defer done()
 	rt, err := rb.OpenTopic("t", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := []BatchRecord{{Value: []byte("a")}, {Value: []byte("b")}, {Value: []byte("c")}}
+	recs := make([]BatchRecord, MaxAppendBatch+1)
+	for i := range recs {
+		recs[i].Value = []byte{byte(i)}
+	}
 	if _, err := rt.AppendBatch(0, recs); err == nil {
 		t.Fatal("batch above broker bound should be refused")
 	}
-	if _, err := rt.AppendBatch(0, recs[:2]); err != nil {
+	lt, _ := b.Topic("t")
+	if lt.NextOffset(0) != 0 {
+		t.Fatalf("refused batch left partial records: next=%d", lt.NextOffset(0))
+	}
+	if _, err := rt.AppendBatch(0, recs[:MaxAppendBatch]); err != nil {
 		t.Fatalf("batch at bound: %v", err)
 	}
-	lt, _ := b.Topic("t")
-	if lt.NextOffset(0) != 2 {
-		t.Fatalf("refused batch left partial records: next=%d", lt.NextOffset(0))
+	if lt.NextOffset(0) != MaxAppendBatch {
+		t.Fatalf("batch at bound landed %d records", lt.NextOffset(0))
 	}
 }
 

@@ -118,11 +118,14 @@ type Options struct {
 	// Fsync selects the durability-vs-latency point for segment appends;
 	// the zero value is FsyncInterval. Ignored for memory-only brokers.
 	Fsync FsyncPolicy
-	// MaxAppendBatch caps the records one remote AppendBatch frame may
-	// carry (a bound on per-frame memory, not a local-API restriction);
-	// 0 defaults to 4096. Binaries set it via -batch-max.
-	MaxAppendBatch int
 }
+
+// MaxAppendBatch caps the records one remote AppendBatch frame may carry:
+// a bound on what a peer can make the broker hold per frame, not a
+// local-API restriction. The only producer of large batches, a sampler's
+// drained publish run, is at most actor.MaxRun long (internal/sampler
+// asserts the fit at compile time).
+const MaxAppendBatch = 4096
 
 // Broker owns a set of topics.
 type Broker struct {
@@ -161,9 +164,6 @@ type Broker struct {
 func NewBroker(opts Options) *Broker {
 	if opts.SyncEvery == 0 {
 		opts.SyncEvery = 4096
-	}
-	if opts.MaxAppendBatch == 0 {
-		opts.MaxAppendBatch = 4096
 	}
 	return &Broker{opts: opts, topics: make(map[string]*Topic), lagBounds: make(map[string]int64)}
 }

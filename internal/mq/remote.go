@@ -80,8 +80,8 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		if n > r.Remaining() {
 			return nil, codec.ErrShortBuffer
 		}
-		if max := b.opts.MaxAppendBatch; max > 0 && n > max {
-			return nil, fmt.Errorf("mq: append batch of %d exceeds broker bound %d", n, max)
+		if n > MaxAppendBatch {
+			return nil, fmt.Errorf("mq: append batch of %d exceeds broker bound %d", n, MaxAppendBatch)
 		}
 		t, ok := b.Topic(name)
 		if !ok {

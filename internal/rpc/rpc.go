@@ -108,12 +108,6 @@ func RegisterMetrics(reg *obs.Registry) {
 // Handler processes one request payload and returns the response payload.
 type Handler func(req []byte) ([]byte, error)
 
-// TracedHandler additionally receives the trace ID carried in the request
-// frame (0 when the caller is untraced). Handlers that time their stages
-// tag the resulting spans with this ID so a frontend-minted trace survives
-// the process hop.
-type TracedHandler func(trace uint64, req []byte) ([]byte, error)
-
 // Ctx carries the per-request frame metadata a handler may care about: the
 // caller's trace ID (0 = untraced) and the absolute deadline derived from
 // the frame's budget field (zero time = no deadline).
@@ -187,11 +181,6 @@ func NewServer() *Server {
 // Handle registers a handler for method, replacing any previous one.
 func (s *Server) Handle(method string, h Handler) {
 	s.HandleCtx(method, func(_ Ctx, req []byte) ([]byte, error) { return h(req) })
-}
-
-// HandleTraced registers a trace-aware handler for method.
-func (s *Server) HandleTraced(method string, h TracedHandler) {
-	s.HandleCtx(method, func(ctx Ctx, req []byte) ([]byte, error) { return h(ctx.Trace, req) })
 }
 
 // HandleCtx registers a deadline- and trace-aware handler for method.
@@ -870,7 +859,7 @@ func (c *Client) Call(method string, req []byte, timeout time.Duration) ([]byte,
 }
 
 // CallTraced is Call with a trace ID carried in the frame header, so the
-// remote handler (HandleTraced) can tag its spans with the caller's trace.
+// remote handler (Ctx.Trace) can tag its spans with the caller's trace.
 // In reconnect mode, transport failures are retried up to
 // Options.RetryBudget times; timeout is a total budget across attempts —
 // each retry gets only what remains, and a call whose budget ran out during

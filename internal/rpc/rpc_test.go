@@ -338,8 +338,8 @@ func TestListenBadAddress(t *testing.T) {
 func TestTracePropagation(t *testing.T) {
 	s := NewServer()
 	gotTrace := make(chan uint64, 2)
-	s.HandleTraced("traced", func(trace uint64, req []byte) ([]byte, error) {
-		gotTrace <- trace
+	s.HandleCtx("traced", func(ctx Ctx, req []byte) ([]byte, error) {
+		gotTrace <- ctx.Trace
 		return req, nil
 	})
 	addr, err := s.Listen("127.0.0.1:0")

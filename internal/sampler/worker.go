@@ -509,6 +509,10 @@ func (w *Worker) pollSubs(c mq.Cursor) bool {
 	return true
 }
 
+// A whole drained run bound for one destination must fit one AppendBatch
+// frame, or the broker would refuse it.
+const _ = uint(mq.MaxAppendBatch - actor.MaxRun)
+
 // publishTurn is the publisher pool handler. One turn takes the run the
 // actor drained from its mailbox (whatever was already queued, never
 // waited for), groups it by destination in mailbox order, and appends one

@@ -57,7 +57,7 @@ type Config struct {
 	// Degrade serves a degraded result — the cached K-hop answer assembled
 	// inline, skipping the serve-pool queue — when the admission limiter
 	// sheds a request that still has deadline budget. Off by default;
-	// binaries enable it via -degrade.
+	// a deployment enables it with overload.degrade in its config file.
 	Degrade bool
 	// DegradeInflight bounds concurrent degraded-path assemblies; 0
 	// defaults to ServeThreads.
