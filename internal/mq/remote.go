@@ -32,100 +32,107 @@ const (
 // the client's own wait is spent, preserving long-poll semantics.
 const maxServerFetchWait = time.Second
 
-// ServeBroker registers the broker's RPC surface on srv.
+// maxTopicPartitions bounds the partition count a peer may ask a broker to
+// create: a sanity bound on a number off the wire, far above any topology.
+const maxTopicPartitions = 1 << 16
+
+// partReq decodes the (topic, partition) every partition-addressed request
+// starts with and resolves them on this broker.
+func (b *Broker) partReq(r *codec.Reader) (*Topic, int, error) {
+	name := r.Bytes32()
+	part := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return nil, 0, err
+	}
+	b.mu.RLock()
+	t, ok := b.topics[string(name)]
+	b.mu.RUnlock()
+	if !ok {
+		return nil, 0, fmt.Errorf("mq: unknown topic %q", name)
+	}
+	if part >= uint64(len(t.parts)) {
+		return nil, 0, fmt.Errorf("mq: partition %d out of range for topic %q", part, name)
+	}
+	return t, int(part), nil
+}
+
+// ServeBroker registers the broker's RPC surface on srv. Handlers that
+// never park run inline on the connection's read loop; an append does
+// unless the broker replicates, where it waits on a quorum.
 func ServeBroker(b *Broker, srv *rpc.Server) {
-	srv.Handle(methodOpenTopic, func(req []byte) ([]byte, error) {
+	unreplicated := func() bool { return b.repl.Load() == nil }
+	srv.HandleInline(methodOpenTopic, nil, func(_ rpc.Ctx, req []byte, _ *codec.Writer) error {
 		r := codec.NewReader(req)
 		name := r.String()
-		parts := int(r.Uvarint())
+		parts := r.Uvarint()
 		if err := r.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		if _, err := b.CreateTopic(name, parts); err != nil {
-			return nil, err
+		if parts > maxTopicPartitions {
+			return fmt.Errorf("mq: topic %q asks for %d partitions, bound %d", name, parts, maxTopicPartitions)
 		}
-		return nil, nil
+		_, err := b.CreateTopic(name, int(parts))
+		return err
 	})
-	srv.Handle(methodAppend, func(req []byte) ([]byte, error) {
+	srv.HandleInline(methodAppend, unreplicated, func(_ rpc.Ctx, req []byte, resp *codec.Writer) error {
 		r := codec.NewReader(req)
-		name := r.String()
-		part := int(r.Uvarint())
+		t, part, err := b.partReq(r)
+		if err != nil {
+			return err
+		}
 		key := r.Uvarint()
 		val := r.Bytes32()
 		if err := r.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		t, ok := b.Topic(name)
-		if !ok {
-			return nil, fmt.Errorf("mq: unknown topic %q", name)
-		}
-		v := make([]byte, len(val))
-		copy(v, val)
-		off, err := t.Append(part, key, v)
-		if err != nil {
-			return nil, err
-		}
-		w := codec.NewWriter(10)
-		w.Varint(off)
-		return w.Bytes(), nil
+		// The request buffer is the connection's; the broker keeps a copy.
+		off, err := t.Append(part, key, append([]byte(nil), val...))
+		resp.Varint(off)
+		return err
 	})
-	srv.Handle(methodAppendBatch, func(req []byte) ([]byte, error) {
+	srv.HandleInline(methodAppendBatch, unreplicated, func(_ rpc.Ctx, req []byte, resp *codec.Writer) error {
 		r := codec.NewReader(req)
-		name := r.String()
-		part := int(r.Uvarint())
-		n := int(r.Uvarint())
-		if err := r.Err(); err != nil {
-			return nil, err
+		t, part, err := b.partReq(r)
+		if err != nil {
+			return err
 		}
-		if n > r.Remaining() {
-			return nil, codec.ErrShortBuffer
+		n := r.Count(2) // a record is at least a key byte and a length byte
+		if err := r.Err(); err != nil {
+			return err
 		}
 		if n > MaxAppendBatch {
-			return nil, fmt.Errorf("mq: append batch of %d exceeds broker bound %d", n, MaxAppendBatch)
-		}
-		t, ok := b.Topic(name)
-		if !ok {
-			return nil, fmt.Errorf("mq: unknown topic %q", name)
+			return fmt.Errorf("mq: append batch of %d exceeds broker bound %d", n, MaxAppendBatch)
 		}
 		recs := decodeBatch(r, n)
 		if err := r.Finish(); err != nil {
-			return nil, err
+			return err
 		}
 		off, err := t.AppendBatch(part, recs)
-		if err != nil {
-			return nil, err
-		}
-		w := codec.NewWriter(10)
-		w.Varint(off)
-		return w.Bytes(), nil
+		resp.Varint(off)
+		return err
 	})
 	srv.Handle(methodFetch, func(req []byte) ([]byte, error) {
 		r := codec.NewReader(req)
-		name := r.String()
-		part := int(r.Uvarint())
+		t, part, err := b.partReq(r)
+		if err != nil {
+			return nil, err
+		}
 		offset := r.Varint()
-		max := int(r.Uvarint())
+		max := r.Uvarint()
 		waitMS := r.Uvarint()
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		t, ok := b.Topic(name)
-		if !ok {
-			return nil, fmt.Errorf("mq: unknown topic %q", name)
-		}
-		if part < 0 || part >= len(t.parts) {
-			return nil, fmt.Errorf("mq: partition %d out of range", part)
-		}
 		// Consumers read from the leader only: a follower's log may hold
 		// an unreplicated tail destined for truncation.
-		if err := b.checkLeader(name, part); err != nil {
+		if err := b.checkLeader(t.name, part); err != nil {
 			return nil, err
 		}
-		wait := time.Duration(waitMS) * time.Millisecond
+		wait := time.Duration(min(waitMS, 1000)) * time.Millisecond
 		if wait > maxServerFetchWait {
 			wait = maxServerFetchWait
 		}
-		recs, next, err := t.parts[part].fetch(offset, max, wait)
+		recs, next, err := t.parts[part].fetch(offset, int(min(max, MaxAppendBatch)), wait)
 		if err != nil {
 			return nil, err
 		}
@@ -140,41 +147,32 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		}
 		return w.Bytes(), nil
 	})
-	srv.Handle(methodMeta, func(req []byte) ([]byte, error) {
-		r := codec.NewReader(req)
-		name := r.String()
-		part := int(r.Uvarint())
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		t, ok := b.Topic(name)
-		if !ok {
-			return nil, fmt.Errorf("mq: unknown topic %q", name)
-		}
+	srv.HandleInline(methodMeta, nil, func(_ rpc.Ctx, req []byte, resp *codec.Writer) error {
+		t, part, err := b.partReq(codec.NewReader(req))
 		// Offsets from a non-leader could overstate the log end by its
 		// unreplicated tail; make clients re-resolve instead.
-		if err := b.checkLeader(name, part); err != nil {
-			return nil, err
+		if err == nil {
+			err = b.checkLeader(t.name, part)
 		}
-		w := codec.NewWriter(30)
-		w.Varint(t.NextOffset(part))
-		w.Varint(t.Depth(part))
-		w.Varint(t.CommittedOffset(part))
-		return w.Bytes(), nil
+		if err != nil {
+			return err
+		}
+		resp.Varint(t.NextOffset(part))
+		resp.Varint(t.Depth(part))
+		resp.Varint(t.CommittedOffset(part))
+		return nil
 	})
-	srv.Handle(methodCommit, func(req []byte) ([]byte, error) {
+	srv.HandleInline(methodCommit, nil, func(_ rpc.Ctx, req []byte, _ *codec.Writer) error {
 		r := codec.NewReader(req)
-		name := r.String()
-		part := int(r.Uvarint())
+		t, part, err := b.partReq(r)
 		offset := r.Varint()
-		if err := r.Err(); err != nil {
-			return nil, err
+		if err == nil {
+			err = r.Err()
 		}
-		t, ok := b.Topic(name)
-		if !ok {
-			return nil, fmt.Errorf("mq: unknown topic %q", name)
+		if err != nil {
+			return err
 		}
-		return nil, t.Commit(part, offset)
+		return t.Commit(part, offset)
 	})
 }
 
@@ -479,11 +477,11 @@ func (c *RemoteConsumer) pollOnce(max int, wait time.Duration) ([]Record, error)
 	}
 	r := codec.NewReader(resp)
 	next := r.Varint()
-	n := int(r.Uvarint())
+	n := r.Count(4) // a record is at least four one-byte fields
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	var recs []Record
+	recs := make([]Record, 0, n)
 	for i := 0; i < n; i++ {
 		rec := Record{Offset: r.Varint(), Key: r.Uvarint(), Ts: r.Varint()}
 		val := r.Bytes32()

@@ -26,24 +26,21 @@ func TestWriteFrameZeroAlloc(t *testing.T) {
 }
 
 // TestFrameBufPoolRoundTrip writes a frame through the pooled path and
-// reads it back with readFramePooled, checking the token discipline:
-// the returned buffer token releases cleanly and oversized buffers are
-// not pooled.
+// reads it back through a frameReader, then checks that oversized buffers
+// are not pooled.
 func TestFrameBufPoolRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello")
 	if err := writeFrame(&buf, frameRequest, 3, 5, 42, "m", payload); err != nil {
 		t.Fatal(err)
 	}
-	typ, id, trace, budget, method, got, fb, err := readFramePooled(&buf)
+	f, err := (&frameReader{r: &buf}).next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != frameRequest || id != 3 || trace != 5 || budget != 42 || method != "m" || string(got) != "hello" {
-		t.Fatalf("frame round trip: typ=%d id=%d trace=%d budget=%d method=%q payload=%q",
-			typ, id, trace, budget, method, got)
+	if f.typ != frameRequest || f.id != 3 || f.trace != 5 || f.budget != 42 || string(f.method) != "m" || string(f.payload) != "hello" {
+		t.Fatalf("frame round trip: %+v", f)
 	}
-	putFrameBuf(fb)
 
 	// Oversized buffers must be dropped, not pooled.
 	big := make([]byte, 0, maxPooledFrame+1)

@@ -63,6 +63,9 @@ const (
 	// returned ErrDeadlineExceeded). It maps back to ErrDeadlineExceeded on
 	// the client so the type survives the hop without string matching.
 	frameExpired = 3
+	// frameStream carries one pushed payload of a server-streaming call; the
+	// call's response, error or expired frame ends the stream.
+	frameStream = 4
 
 	maxFrame = 64 << 20 // sanity bound
 )
@@ -144,16 +147,27 @@ type CtxHandler func(ctx Ctx, req []byte) ([]byte, error)
 // slice.
 type BufHandler func(ctx Ctx, req []byte, resp *codec.Writer) error
 
+// StreamHandler is the server-streaming form: push sends one payload to the
+// caller, ahead of the reply the handler's return ends the stream with, and
+// fails once the connection is gone. push does not retain its argument.
+type StreamHandler func(ctx Ctx, req []byte, push func(payload []byte) error) error
+
 // handlerEntry holds one registered handler in exactly one of its forms.
 type handlerEntry struct {
-	ctx CtxHandler
-	buf BufHandler
+	ctx    CtxHandler
+	buf    BufHandler
+	stream StreamHandler
+	// inline, when set and true, runs buf on the connection's read loop.
+	inline func() bool
+	calls  *obs.Counter
 }
 
 // Server serves registered handlers over TCP.
 type Server struct {
-	mu       sync.RWMutex
-	handlers map[string]handlerEntry
+	// handlers is copy-on-write: a read loop looks a method up with one
+	// atomic load, registration (rare) copies the table under mu.
+	handlers atomic.Pointer[map[string]handlerEntry]
+	mu       sync.Mutex
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
 	closed   bool
@@ -175,7 +189,21 @@ type Server struct {
 
 // NewServer returns a server with no handlers.
 func NewServer() *Server {
-	return &Server{handlers: make(map[string]handlerEntry), conns: make(map[net.Conn]struct{})}
+	s := &Server{conns: make(map[net.Conn]struct{})}
+	s.handlers.Store(&map[string]handlerEntry{})
+	return s
+}
+
+func (s *Server) register(method string, e handlerEntry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	next := map[string]handlerEntry{method: e}
+	for m, old := range *s.handlers.Load() {
+		if m != method {
+			next[m] = old
+		}
+	}
+	s.handlers.Store(&next)
 }
 
 // Handle registers a handler for method, replacing any previous one.
@@ -185,9 +213,7 @@ func (s *Server) Handle(method string, h Handler) {
 
 // HandleCtx registers a deadline- and trace-aware handler for method.
 func (s *Server) HandleCtx(method string, h CtxHandler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.handlers[method] = handlerEntry{ctx: h}
+	s.register(method, handlerEntry{ctx: h, calls: new(obs.Counter)})
 }
 
 // HandleBuf registers a buffer handler for method: the hot-path form that
@@ -195,9 +221,33 @@ func (s *Server) HandleCtx(method string, h CtxHandler) {
 // response costs no per-call buffer allocation. See BufHandler for the
 // ownership rules.
 func (s *Server) HandleBuf(method string, h BufHandler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.handlers[method] = handlerEntry{buf: h}
+	s.register(method, handlerEntry{buf: h, calls: new(obs.Counter)})
+}
+
+// HandleInline registers a buffer handler that never parks — no queue,
+// quorum or downstream wait — to run on the connection's read loop whenever
+// ok reports true (nil: always): no goroutine, no copy of the request, and
+// its reply leaves with those of every other request already buffered. A
+// server with Delay set, and a call ok refuses, dispatch it like HandleBuf.
+func (s *Server) HandleInline(method string, ok func() bool, h BufHandler) {
+	if ok == nil {
+		ok = func() bool { return true }
+	}
+	s.register(method, handlerEntry{buf: h, inline: ok, calls: new(obs.Counter)})
+}
+
+// HandleStream registers a server-streaming handler for method; the other
+// end is Client.OpenStream.
+func (s *Server) HandleStream(method string, h StreamHandler) {
+	s.register(method, handlerEntry{stream: h, calls: new(obs.Counter)})
+}
+
+// Served reports how many request frames have named method.
+func (s *Server) Served(method string) int64 {
+	if e, ok := (*s.handlers.Load())[method]; ok {
+		return e.calls.Value()
+	}
+	return 0
 }
 
 // Listen binds addr (e.g. "127.0.0.1:0") and starts accepting. It returns
@@ -240,6 +290,15 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
+// serverConn is one accepted connection: the frames its handlers have
+// answered with and not yet written.
+type serverConn struct {
+	s    *Server
+	conn net.Conn
+	mu   sync.Mutex // guards out and orders socket writes
+	out  []byte
+}
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -248,112 +307,169 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	var writeMu sync.Mutex
+	sc := &serverConn{s: s, conn: conn}
+	fr := frameReader{r: conn}
 	for {
-		// Requests are read into pooled buffers: a handler only sees its
-		// payload until it returns (BufHandler doc), so the buffer recycles
-		// as soon as the response is framed.
-		typ, id, trace, budget, method, payload, fb, err := readFramePooled(conn)
-		if err != nil {
-			return
+		// The drain rule at the socket: inline replies wait for every
+		// request that arrived with theirs, and leave in one write when the
+		// next read would block. Nothing lingers for requests not yet sent.
+		if !fr.buffered() {
+			sc.mu.Lock()
+			sc.flushLocked()
+			sc.mu.Unlock()
 		}
-		if typ != frameRequest {
-			putFrameBuf(fb)
-			continue // ignore stray frames
+		f, err := fr.next()
+		if err != nil || faultpoint.Inject("rpc.server.read") != nil {
+			return // the deferred close fails the peer's calls fast
 		}
-		// The frame carries a relative budget, not an absolute instant, so
-		// the two processes need no clock agreement; the deadline is pinned
-		// to this host's clock at receipt.
-		var deadline time.Time
-		if budget > 0 {
-			deadline = time.Now().Add(time.Duration(budget))
+		if f.typ == frameRequest { // anything else is a stray frame
+			sc.dispatch(f)
 		}
-		s.mu.RLock()
-		entry := s.handlers[method]
-		delay := s.Delay
-		s.mu.RUnlock()
-		s.Requests.Inc()
-		// Handle concurrently: one slow call must not head-of-line block
-		// the connection.
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer putFrameBuf(fb)
-			if delay > 0 {
-				time.Sleep(delay)
-			}
-			ctx := Ctx{Trace: trace, Deadline: deadline}
-			var resp []byte
-			var bw *codec.Writer
-			var herr error
-			switch {
-			case ctx.Expired(time.Now()):
-				// Dead on arrival: the caller has already given up, so any
-				// work done here would be thrown away. Fail fast instead of
-				// occupying a worker.
-				herr = ErrDeadlineExceeded
-			case entry.ctx == nil && entry.buf == nil:
-				herr = fmt.Errorf("unknown method %q", method)
-			default:
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							herr = fmt.Errorf("handler panic: %v", r)
-						}
-					}()
-					if entry.buf != nil {
-						bw = codec.GetWriter()
-						herr = entry.buf(ctx, payload, bw)
-						resp = bw.Bytes()
-					} else {
-						resp, herr = entry.ctx(ctx, payload)
-					}
-				}()
-			}
-			if bw != nil {
-				// Safe to recycle only after the response write below has
-				// copied resp into its own frame buffer (deferred = after
-				// the writeMu section).
-				defer codec.PutWriter(bw)
-			}
-			writeMu.Lock()
-			defer writeMu.Unlock()
-			typ, body := byte(frameResponse), resp
-			var werr error
-			switch {
-			case errors.Is(herr, ErrDeadlineExceeded):
-				// Keep the error typed across the hop: an expired frame
-				// maps back to ErrDeadlineExceeded client-side.
-				s.Expired.Inc()
-				typ, body = frameExpired, nil
-			case herr != nil:
-				s.Errors.Inc()
-				typ, body = frameError, []byte(herr.Error())
-			case faultpoint.Dropped("rpc.server.write"):
-				// Chaos hook: swallow the response, leaving the client to
-				// its timeout (or retry budget).
-				return
-			default:
-				werr = faultpoint.Inject("rpc.server.write")
-			}
-			if werr == nil {
-				werr = writeFrame(conn, typ, id, trace, 0, "", body)
-			}
-			if werr != nil {
-				// A failed response write would leave the peer waiting out
-				// its full timeout; count it and close the connection so
-				// the client's readLoop fails fast instead.
-				s.Errors.Inc()
-				conn.Close()
-			}
-		}()
 	}
+}
+
+// dispatch runs f's handler on the read loop when it is registered inline,
+// and otherwise on its own goroutine with a copy of the request, so a call
+// that parks never head-of-line blocks the connection.
+//
+//lint:hotpath
+func (sc *serverConn) dispatch(f frame) {
+	s := sc.s
+	// The frame carries a relative budget, not an absolute instant, so
+	// the two processes need no clock agreement; the deadline is pinned
+	// to this host's clock at receipt.
+	ctx := Ctx{Trace: f.trace}
+	if f.budget > 0 {
+		ctx.Deadline = time.Now().Add(time.Duration(f.budget))
+	}
+	e, known := (*s.handlers.Load())[string(f.method)]
+	s.Requests.Inc()
+	if !known {
+		sc.fail(f.id, f.trace, unknownMethod(f.method))
+		return
+	}
+	e.calls.Inc()
+	if e.inline != nil && s.Delay == 0 && e.inline() {
+		sc.serve(e, ctx, f.id, f.payload, false)
+		return
+	}
+	fb := getFrameBuf(len(f.payload))
+	copy(*fb, f.payload)
+	s.wg.Add(1)
+	go sc.serveAsync(e, ctx, f.id, fb)
+}
+
+func (sc *serverConn) serveAsync(e handlerEntry, ctx Ctx, id uint64, fb *[]byte) {
+	defer sc.s.wg.Done()
+	defer putFrameBuf(fb)
+	if d := sc.s.Delay; d > 0 {
+		time.Sleep(d)
+	}
+	sc.serve(e, ctx, id, *fb, true)
+}
+
+// serve runs one request's handler and queues its reply, written at once
+// when flush is set and with the read loop's next flush otherwise.
+func (sc *serverConn) serve(e handlerEntry, ctx Ctx, id uint64, req []byte, flush bool) {
+	if !ctx.Deadline.IsZero() && ctx.Expired(time.Now()) {
+		// Dead on arrival: the caller has already given up, so any work
+		// done here would be thrown away.
+		sc.fail(id, ctx.Trace, ErrDeadlineExceeded)
+		return
+	}
+	var bw *codec.Writer
+	if e.buf != nil {
+		// Recycled once the reply has been copied into the out buffer.
+		bw = codec.GetWriter()
+		defer codec.PutWriter(bw)
+	}
+	resp, err := sc.invoke(e, ctx, id, req, bw)
+	if err != nil {
+		sc.fail(id, ctx.Trace, err)
+		return
+	}
+	sc.write(frameResponse, id, ctx.Trace, resp, flush)
+}
+
+// invoke calls the handler in whichever form it was registered, turning a
+// panic into the call's error.
+func (sc *serverConn) invoke(e handlerEntry, ctx Ctx, id uint64, req []byte, bw *codec.Writer) (resp []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("handler panic: %v", r)
+		}
+	}()
+	switch {
+	case e.buf != nil:
+		err = e.buf(ctx, req, bw)
+		return bw.Bytes(), err
+	case e.stream != nil:
+		return nil, e.stream(ctx, req, func(p []byte) error { return sc.write(frameStream, id, ctx.Trace, p, true) })
+	}
+	return e.ctx(ctx, req)
+}
+
+// fail answers a request with err, keeping a deadline error typed across
+// the hop: an expired frame maps back to ErrDeadlineExceeded client-side.
+func (sc *serverConn) fail(id, trace uint64, err error) {
+	if errors.Is(err, ErrDeadlineExceeded) {
+		sc.s.Expired.Inc()
+		sc.write(frameExpired, id, trace, nil, true)
+		return
+	}
+	sc.s.Errors.Inc()
+	sc.write(frameError, id, trace, []byte(err.Error()), true)
+}
+
+// write queues one frame behind those already waiting and, when flush is
+// set, writes them all. The error is the connection's: once a write has
+// failed every later one fails too.
+//
+//lint:hotpath
+func (sc *serverConn) write(typ byte, id, trace uint64, body []byte, flush bool) error {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	var err error
+	if sc.out, err = appendFrame(sc.out, typ, id, trace, 0, "", body); err != nil {
+		return err
+	}
+	if flush {
+		return sc.flushLocked()
+	}
+	return nil
+}
+
+// flushLocked writes every queued frame in one socket write. Callers hold
+// sc.mu.
+func (sc *serverConn) flushLocked() error {
+	if len(sc.out) == 0 {
+		return nil
+	}
+	var err error
+	// Chaos hook: a drop swallows the replies, leaving the clients to
+	// their timeouts (or retry budgets).
+	if !faultpoint.Dropped("rpc.server.write") {
+		if err = faultpoint.Inject("rpc.server.write"); err == nil {
+			_, err = sc.conn.Write(sc.out)
+		}
+	}
+	if sc.out = sc.out[:0]; cap(sc.out) > maxIdleBuf {
+		sc.out = nil
+	}
+	if err != nil {
+		// A failed response write would leave the peer waiting out its
+		// full timeout; count it and close the connection so the
+		// client's readLoop fails fast instead.
+		sc.s.Errors.Inc()
+		sc.conn.Close()
+	}
+	return err
 }
 
 // Addr returns the bound address, or "" before Listen.
 func (s *Server) Addr() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.ln == nil {
 		return ""
 	}
@@ -389,11 +505,19 @@ func (s *Server) Close() error {
 // the caller's remaining deadline budget in nanoseconds (0 = no deadline),
 // carried only on requests; the receiver pins it to its own clock, and any
 // further hop is issued with the shrunken remainder.
-// Frame buffers recycle through a pool on both sides of the hot path:
-// writeFrame assembles every outgoing frame in one, and the server reads
-// requests into one released after the handler returns. Buffers that grew
-// past the cap are dropped rather than pinned.
-const maxPooledFrame = 1 << 20
+//
+// The client assembles each outgoing frame in a pooled buffer, and the
+// server copies a request it dispatches concurrently into one released when
+// the handler returns. Buffers that grew past the cap are dropped rather
+// than pinned.
+const (
+	maxPooledFrame = 1 << 20
+	// readBufSize is a connection's read buffer at rest; one a larger frame
+	// grew past maxIdleBuf (and a server's reply buffer likewise) is dropped
+	// as soon as it drains.
+	readBufSize = 4 << 10
+	maxIdleBuf  = 64 << 10
+)
 
 var frameBufs = sync.Pool{
 	New: func() any {
@@ -422,102 +546,119 @@ func putFrameBuf(fb *[]byte) {
 }
 
 //lint:hotpath
-func writeFrame(w io.Writer, typ byte, id, trace uint64, budget int64, method string, payload []byte) error {
+func appendFrame(dst []byte, typ byte, id, trace uint64, budget int64, method string, payload []byte) ([]byte, error) {
 	if len(method) > 0xffff {
-		return errMethodTooLong
+		return dst, errMethodTooLong
 	}
 	if budget < 0 {
 		budget = 0
 	}
-	total := 1 + 8 + 8 + 8 + 2 + len(method) + len(payload)
+	total := 27 + len(method) + len(payload)
 	if total > maxFrame {
-		return frameTooBig(total)
+		return dst, frameTooBig(total)
 	}
-	fb := getFrameBuf(4 + total)
-	buf := *fb
-	binary.BigEndian.PutUint32(buf, uint32(total))
-	buf[4] = typ
-	binary.BigEndian.PutUint64(buf[5:], id)
-	binary.BigEndian.PutUint64(buf[13:], trace)
-	binary.BigEndian.PutUint64(buf[21:], uint64(budget))
-	binary.BigEndian.PutUint16(buf[29:], uint16(len(method)))
-	copy(buf[31:], method)
-	copy(buf[31+len(method):], payload)
-	_, err := w.Write(buf)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(total))
+	dst = append(dst, typ)
+	dst = binary.BigEndian.AppendUint64(dst, id)
+	dst = binary.BigEndian.AppendUint64(dst, trace)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(budget))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(method)))
+	dst = append(dst, method...)
+	return append(dst, payload...), nil
+}
+
+//lint:hotpath
+func writeFrame(w io.Writer, typ byte, id, trace uint64, budget int64, method string, payload []byte) error {
+	fb := getFrameBuf(0)
+	buf, err := appendFrame(*fb, typ, id, trace, budget, method, payload)
+	if err == nil {
+		_, err = w.Write(buf)
+	}
+	*fb = buf
 	putFrameBuf(fb)
 	return err
 }
 
-// parseFrame splits a frame body (everything after the length prefix)
-// into its fields. method and payload alias buf.
-//
-//lint:hotpath
-func parseFrame(buf []byte) (typ byte, id, trace uint64, budget int64, method string, payload []byte, err error) {
-	typ = buf[0]
-	id = binary.BigEndian.Uint64(buf[1:])
-	trace = binary.BigEndian.Uint64(buf[9:])
-	budget = int64(binary.BigEndian.Uint64(buf[17:]))
-	if budget < 0 {
-		budget = 0
-	}
-	mlen := int(binary.BigEndian.Uint16(buf[25:]))
-	if 27+mlen > len(buf) {
-		err = errBadMethodLen
-		return
-	}
-	method = string(buf[27 : 27+mlen])
-	payload = buf[27+mlen:]
-	return
+// frame is one parsed frame. method and payload alias the connection's
+// read buffer and are valid until the following next.
+type frame struct {
+	typ             byte
+	id, trace       uint64
+	budget          int64
+	method, payload []byte
 }
 
-// readFrame reads one frame into a fresh buffer. The client read loop uses
-// it because response payloads escape to callers with no release point.
-//
-//lint:hotpath
-func readFrame(r io.Reader) (typ byte, id, trace uint64, budget int64, method string, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return
-	}
-	total := binary.BigEndian.Uint32(hdr[:])
-	if total < 27 || total > maxFrame {
-		err = badFrameLen(total)
-		return
-	}
-	buf := make([]byte, total)
-	if _, err = io.ReadFull(r, buf); err != nil {
-		return
-	}
-	return parseFrame(buf)
+// frameReader is a connection's one buffered reader. Frames are parsed in
+// place: a socket read delivers every frame that arrived with it, and a
+// frame costs no allocation of its own.
+type frameReader struct {
+	r      io.Reader
+	buf    []byte
+	lo, hi int // buf[lo:hi] is read and not yet consumed
 }
 
-// readFramePooled reads one frame into a pooled buffer. method and
-// payload alias the buffer, which stays live until the caller releases fb
-// with putFrameBuf; fb is nil (nothing to release) on error.
+// buffered reports whether next would return without reading the socket.
+func (fr *frameReader) buffered() bool {
+	have := fr.hi - fr.lo
+	return have >= 4 && have-4 >= int(binary.BigEndian.Uint32(fr.buf[fr.lo:]))
+}
+
+// next returns the next frame, reading the socket only when the buffer
+// does not already hold all of it.
 //
 //lint:hotpath
-func readFramePooled(r io.Reader) (typ byte, id, trace uint64, budget int64, method string, payload []byte, fb *[]byte, err error) {
-	var hdr [4]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return
+func (fr *frameReader) next() (f frame, err error) {
+	need := 4 // wire bytes of the frame at buf[lo:], once its prefix is in
+	for have := fr.hi - fr.lo; have < need || need == 4; have = fr.hi - fr.lo {
+		if need == 4 && have >= 4 {
+			total := binary.BigEndian.Uint32(fr.buf[fr.lo:])
+			if total < 27 || total > maxFrame {
+				return f, badFrameLen(total)
+			}
+			need += int(total)
+		} else if err = fr.fill(need); err != nil {
+			return f, err
+		}
 	}
-	total := binary.BigEndian.Uint32(hdr[:])
-	if total < 27 || total > maxFrame {
-		err = badFrameLen(total)
-		return
+	b := fr.buf[fr.lo+4 : fr.lo+need]
+	fr.lo += need
+	mlen := int(binary.BigEndian.Uint16(b[25:]))
+	if 27+mlen > len(b) {
+		return f, errBadMethodLen
 	}
-	fb = getFrameBuf(int(total))
-	if _, err = io.ReadFull(r, *fb); err != nil {
-		putFrameBuf(fb)
-		fb = nil
-		return
+	f = frame{
+		typ: b[0], id: binary.BigEndian.Uint64(b[1:]), trace: binary.BigEndian.Uint64(b[9:]),
+		budget: int64(binary.BigEndian.Uint64(b[17:])), method: b[27 : 27+mlen], payload: b[27+mlen:],
 	}
-	typ, id, trace, budget, method, payload, err = parseFrame(*fb)
-	if err != nil {
-		putFrameBuf(fb)
-		fb = nil
+	if f.budget < 0 {
+		f.budget = 0
 	}
-	return
+	return f, nil
+}
+
+// fill makes room for need bytes at buf[lo:] and reads the socket once.
+// The buffer doubles only when it is full, so it never exceeds twice the
+// bytes actually received, whatever a length prefix claims.
+func (fr *frameReader) fill(need int) error {
+	if fr.lo == fr.hi {
+		fr.lo, fr.hi = 0, 0
+		if fr.buf == nil || len(fr.buf) > maxIdleBuf {
+			fr.buf = make([]byte, readBufSize)
+		}
+	}
+	if fr.lo+need > len(fr.buf) {
+		fr.hi = copy(fr.buf, fr.buf[fr.lo:fr.hi])
+		fr.lo = 0
+		if fr.hi == len(fr.buf) {
+			fr.buf = append(fr.buf, make([]byte, len(fr.buf))...)
+		}
+	}
+	n, err := fr.r.Read(fr.buf[fr.hi:])
+	fr.hi += n
+	if n > 0 {
+		return nil
+	}
+	return err
 }
 
 // Cold frame errors, hoisted/outlined so the hot frame functions do not
@@ -525,10 +666,12 @@ func readFramePooled(r io.Reader) (typ byte, id, trace uint64, budget int64, met
 var (
 	errMethodTooLong = errors.New("rpc: method name too long")
 	errBadMethodLen  = errors.New("rpc: bad method length")
+	errStreamOverrun = errors.New("rpc: stream pushed past its window")
 )
 
-func frameTooBig(n int) error    { return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n) }
-func badFrameLen(n uint32) error { return fmt.Errorf("rpc: bad frame length %d", n) }
+func frameTooBig(n int) error      { return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n) }
+func badFrameLen(n uint32) error   { return fmt.Errorf("rpc: bad frame length %d", n) }
+func unknownMethod(m []byte) error { return fmt.Errorf("unknown method %q", m) }
 
 // Options configures a client built by DialOpts. The zero value reproduces
 // Dial's behaviour (single connection, no retries).
@@ -627,9 +770,19 @@ type Client struct {
 }
 
 type pendingCall struct {
-	ch  chan result
-	gen uint64
+	ch     chan result
+	gen    uint64
+	stream bool
 }
+
+// callSlot is what one call waits on. It is pooled: a slot goes back only
+// once its channel is empty and its timer can no longer fire.
+type callSlot struct {
+	ch    chan result
+	timer *time.Timer
+}
+
+var callSlots = sync.Pool{New: func() any { return &callSlot{ch: make(chan result, 1)} }}
 
 type result struct {
 	payload []byte
@@ -783,34 +936,56 @@ func (c *Client) backoffLocked(failures int) time.Duration {
 }
 
 func (c *Client) readLoop(conn net.Conn, gen uint64) {
+	fr := frameReader{r: conn}
 	for {
-		typ, id, _, _, _, payload, err := readFrame(conn)
+		f, err := fr.next()
 		if err == nil {
 			// Response-read boundary: lets chaos tests kill a connection
 			// between the server's write and the client's decode, which is
 			// the window the reconnect/retry path has to survive.
 			err = faultpoint.Inject("rpc.client.read")
 		}
+		if err == nil {
+			err = c.deliver(f)
+		}
 		if err != nil {
 			c.dropConn(conn, gen, err)
 			return
 		}
-		var res result
-		switch typ {
-		case frameError:
-			res = result{err: &RemoteError{Msg: string(payload)}}
-		case frameExpired:
-			res = result{err: ErrDeadlineExceeded}
-		default:
-			res = result{payload: payload}
-		}
-		c.mu.Lock()
-		pc, ok := c.pending[id]
-		delete(c.pending, id)
-		c.mu.Unlock()
-		if ok {
-			pc.ch <- res
-		}
+	}
+}
+
+// deliver hands one frame to the call waiting on it, copying the payload
+// out of the read buffer. It never blocks: a call is sent one result, and a
+// stream's channel holds its whole window.
+//
+//lint:hotpath
+func (c *Client) deliver(f frame) error {
+	c.mu.Lock()
+	pc, ok := c.pending[f.id]
+	if ok && f.typ != frameStream {
+		delete(c.pending, f.id)
+	}
+	c.mu.Unlock()
+	if !ok {
+		return nil // the caller timed out, or abandoned the stream
+	}
+	var res result
+	switch {
+	case f.typ == frameError:
+		res.err = &RemoteError{Msg: string(f.payload)}
+	case f.typ == frameExpired:
+		res.err = ErrDeadlineExceeded
+	case f.typ == frameResponse && pc.stream:
+		res.err = io.EOF
+	default:
+		res.payload = append(make([]byte, 0, len(f.payload)), f.payload...)
+	}
+	select {
+	case pc.ch <- res:
+		return nil
+	default:
+		return errStreamOverrun
 	}
 }
 
@@ -913,51 +1088,114 @@ func retryable(err error) bool {
 	return !errors.Is(err, ErrDeadlineExceeded) && !errors.Is(err, ErrClosed)
 }
 
-// callOnce runs a single request/response exchange on the current (or
-// freshly dialed) connection. timeout doubles as the deadline budget
-// carried in the request frame, so the server can fail fast once the
-// caller has given up.
-func (c *Client) callOnce(method string, trace uint64, req []byte, timeout time.Duration) ([]byte, error) {
+// start registers a call under a fresh ID on the current (or freshly
+// dialed) connection and writes its request frame.
+func (c *Client) start(method string, trace uint64, req []byte, budget time.Duration, ch chan result, stream bool) (uint64, error) {
 	conn, gen, err := c.getConn()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	id := c.nextID.Add(1)
-	ch := make(chan result, 1)
 	c.mu.Lock()
-	c.pending[id] = pendingCall{ch: ch, gen: gen}
+	c.pending[id] = pendingCall{ch: ch, gen: gen, stream: stream}
 	c.mu.Unlock()
 
 	c.writeMu.Lock()
 	err = faultpoint.Inject("rpc.client.write")
 	if err == nil {
-		err = writeFrame(conn, frameRequest, id, trace, int64(timeout), method, req)
+		err = writeFrame(conn, frameRequest, id, trace, int64(budget), method, req)
 	}
 	c.writeMu.Unlock()
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
 		// Retire the connection so the next attempt re-dials instead of
 		// re-hitting the same broken pipe.
+		c.forget(id)
 		c.dropConn(conn, gen, err)
-		return nil, err
 	}
+	return id, err
+}
 
-	var timer <-chan time.Time
+// forget withdraws a pending call and reports whether it was still
+// pending: if not, a result is on its way to the call's channel.
+func (c *Client) forget(id uint64) bool {
+	c.mu.Lock()
+	_, ok := c.pending[id]
+	delete(c.pending, id)
+	c.mu.Unlock()
+	return ok
+}
+
+// callOnce runs a single request/response exchange. timeout doubles as
+// the deadline budget carried in the request frame, so the server can fail
+// fast once the caller has given up.
+func (c *Client) callOnce(method string, trace uint64, req []byte, timeout time.Duration) ([]byte, error) {
+	slot := callSlots.Get().(*callSlot)
+	id, err := c.start(method, trace, req, timeout, slot.ch, false)
+	if err != nil {
+		return nil, err // the slot may yet be sent the connection's error: not reused
+	}
+	var expired <-chan time.Time
 	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		timer = t.C
+		if slot.timer == nil {
+			slot.timer = time.NewTimer(timeout)
+		} else {
+			slot.timer.Reset(timeout)
+		}
+		expired = slot.timer.C
 	}
 	select {
-	case res := <-ch:
+	case res := <-slot.ch:
+		if expired == nil || slot.timer.Stop() {
+			callSlots.Put(slot)
+		}
 		return res.payload, res.err
-	case <-timer:
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+	case <-expired:
+		if c.forget(id) {
+			callSlots.Put(slot)
+		}
 		return nil, ErrTimeout
+	}
+}
+
+// Stream is the client end of a server-streaming call.
+type Stream struct{ ch chan result }
+
+// OpenStream sends req to a HandleStream method. The server may push up to
+// window payloads before it ends the stream; that bound is the protocol's,
+// so the read loop can hold a whole stream and never waits on its consumer.
+// A stream nobody reads is dropped with its connection, or when it ends.
+func (c *Client) OpenStream(method string, req []byte, window int) (*Stream, error) {
+	if c.closed.Load() {
+		return nil, ErrClosed
+	}
+	c.Calls.Inc()
+	// window pushes and the stream's end: every send finds room.
+	s := &Stream{ch: make(chan result, window+1)}
+	if _, err := c.start(method, 0, req, 0, s.ch, true); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Recv returns the next pushed payload, or nil once wait has passed with
+// none. io.EOF means the server ended the stream; any other error ended it
+// too, and Recv is not called again after either.
+func (s *Stream) Recv(wait time.Duration) ([]byte, error) {
+	select {
+	case res := <-s.ch:
+		return res.payload, res.err
+	default:
+	}
+	if wait <= 0 {
+		return nil, nil
+	}
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case res := <-s.ch:
+		return res.payload, res.err
+	case <-t.C:
+		return nil, nil
 	}
 }
 

@@ -303,7 +303,7 @@ func TestReadFrameRejectsBadLengths(t *testing.T) {
 	binary.BigEndian.PutUint32(hdr, 5)
 	buf.Write(hdr)
 	buf.Write(make([]byte, 5))
-	if _, _, _, _, _, _, err := readFrame(&buf); err == nil {
+	if _, err := (&frameReader{r: &buf}).next(); err == nil {
 		t.Fatal("short frame accepted")
 	}
 	// Method length overrunning the frame.
@@ -314,7 +314,7 @@ func TestReadFrameRejectsBadLengths(t *testing.T) {
 	binary.BigEndian.PutUint16(body[25:], 999)
 	buf.Write(hdr)
 	buf.Write(body)
-	if _, _, _, _, _, _, err := readFrame(&buf); err == nil {
+	if _, err := (&frameReader{r: &buf}).next(); err == nil {
 		t.Fatal("bad method length accepted")
 	}
 }
