@@ -3,6 +3,7 @@ package mq
 import (
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"time"
@@ -25,12 +26,22 @@ const (
 	methodCommit      = "mq.commit"
 )
 
-// maxServerFetchWait caps how long one fetch RPC may park server-side.
-// rpc.Server.Close waits for in-flight handlers, so an uncapped long-poll
-// would hold broker shutdown hostage for the client's full wait; capping it
-// bounds shutdown latency while RemoteConsumer.Poll re-issues fetches until
-// the client's own wait is spent, preserving long-poll semantics.
-const maxServerFetchWait = time.Second
+// A fetch is a server stream: one request subscribes a consumer at an
+// offset, and the broker pushes each batch as it becomes visible. The
+// subscription is bounded three ways. MaxFetchBatch caps the records of a
+// batch (internal/sampler and internal/serving assert their poll size fits).
+// fetchWindow caps the batches pushed per request, so a client's read loop
+// can buffer everything a broker may send unasked — at most fetchWindow ×
+// MaxFetchBatch records per cursor — and never waits on a slow consumer. And
+// a partition idle for maxFetchPark ends the stream, which bounds how long
+// an abandoned cursor or a closing server waits on a parked handler. A
+// stream that ends, for whatever reason, is re-opened by the cursor's next
+// Poll at the cursor's offset.
+const (
+	MaxFetchBatch = 512
+	fetchWindow   = 64
+	maxFetchPark  = 250 * time.Millisecond
+)
 
 // maxTopicPartitions bounds the partition count a peer may ask a broker to
 // create: a sanity bound on a number off the wire, far above any topology.
@@ -111,41 +122,40 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		resp.Varint(off)
 		return err
 	})
-	srv.Handle(methodFetch, func(req []byte) ([]byte, error) {
+	srv.HandleStream(methodFetch, func(_ rpc.Ctx, req []byte, push func([]byte) error) error {
 		r := codec.NewReader(req)
 		t, part, err := b.partReq(r)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		offset := r.Varint()
-		max := r.Uvarint()
-		waitMS := r.Uvarint()
+		max := int(min(r.Uvarint(), MaxFetchBatch))
 		if err := r.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		// Consumers read from the leader only: a follower's log may hold
-		// an unreplicated tail destined for truncation.
-		if err := b.checkLeader(t.name, part); err != nil {
-			return nil, err
+		w := codec.GetWriter()
+		defer codec.PutWriter(w)
+		// The first fetch does not park: a subscriber with nothing to read
+		// is told so at once, by an empty batch.
+		for credit, park := fetchWindow, time.Duration(0); credit > 0; credit, park = credit-1, maxFetchPark {
+			// Consumers read from the leader only: a follower's log may hold
+			// an unreplicated tail destined for truncation. Leadership can
+			// move under an open stream, so every batch checks it again.
+			if err := b.checkLeader(t.name, part); err != nil {
+				return err
+			}
+			recs, next, err := t.parts[part].fetch(offset, max, park)
+			if err != nil || (len(recs) == 0 && park > 0) {
+				return err
+			}
+			w.Reset()
+			encodeFetchBatch(w, next-int64(len(recs)), recs)
+			if err := push(w.Bytes()); err != nil {
+				return err
+			}
+			offset = next
 		}
-		wait := time.Duration(min(waitMS, 1000)) * time.Millisecond
-		if wait > maxServerFetchWait {
-			wait = maxServerFetchWait
-		}
-		recs, next, err := t.parts[part].fetch(offset, int(min(max, MaxAppendBatch)), wait)
-		if err != nil {
-			return nil, err
-		}
-		w := codec.NewWriter(64 * len(recs))
-		w.Varint(next)
-		w.Uvarint(uint64(len(recs)))
-		for _, rec := range recs {
-			w.Varint(rec.Offset)
-			w.Uvarint(rec.Key)
-			w.Varint(rec.Ts)
-			w.Bytes32(rec.Value)
-		}
-		return w.Bytes(), nil
+		return nil
 	})
 	srv.HandleInline(methodMeta, nil, func(_ rpc.Ctx, req []byte, resp *codec.Writer) error {
 		t, part, err := b.partReq(codec.NewReader(req))
@@ -201,6 +211,40 @@ func decodeBatch(r *codec.Reader, n int) []BatchRecord {
 	return recs
 }
 
+// encodeFetchBatch writes one pushed batch: recs are contiguous from first,
+// so the one offset stands for all of them.
+//
+//lint:hotpath
+func encodeFetchBatch(w *codec.Writer, first int64, recs []Record) {
+	w.Varint(first)
+	w.Uvarint(uint64(len(recs)))
+	for i := range recs {
+		w.Uvarint(recs[i].Key)
+		w.Varint(recs[i].Ts)
+		w.Bytes32(recs[i].Value)
+	}
+}
+
+// decodeFetchBatch reads one pushed batch. The payload is the batch's own
+// allocation, so the values alias it — each capped at its own length, so no
+// append can reach its neighbour — and a batch costs the record slice and
+// nothing per record.
+//
+//lint:hotpath
+func decodeFetchBatch(payload []byte) ([]Record, error) {
+	var r codec.Reader
+	r.Reset(payload)
+	first := r.Varint()
+	recs := make([]Record, r.Count(3)) // key, timestamp and value length: a byte each at least
+	for i := range recs {
+		recs[i] = Record{Offset: first + int64(i), Key: r.Uvarint(), Ts: r.Varint(), Value: r.Bytes32()}
+	}
+	if err := r.Finish(); err != nil {
+		return nil, err
+	}
+	return recs, nil
+}
+
 // RemoteBroker is a Bus over an RPC connection to a broker server.
 type RemoteBroker struct {
 	client  *rpc.Client
@@ -217,6 +261,10 @@ type RemoteBroker struct {
 // both.
 type partCaller interface {
 	callPart(topic string, parts, part int, method string, req []byte, timeout time.Duration) ([]byte, error)
+	// streamPart opens a fetch stream on that broker, after healing what
+	// ended the stream before it (nil: nothing did) the way callPart heals
+	// a failed call.
+	streamPart(topic string, parts, part int, req []byte, ended error) (*rpc.Stream, error)
 }
 
 // Conn is a Bus reached over the network. Client is its control
@@ -267,28 +315,42 @@ func DialBroker(addr string, timeout time.Duration) (*RemoteBroker, error) {
 // its reconnect/retry counters.
 func (rb *RemoteBroker) Client() *rpc.Client { return rb.client }
 
-// callPart issues an RPC. If the broker reports an unknown topic — the
-// signature of a broker that restarted with an empty topic table — a topic
-// this client opened is re-created (a restarted broker with a -dir replays
-// its retained log on CreateTopic) and the call is issued once more.
+// callPart issues an RPC, once more after heal mended what failed it.
 func (rb *RemoteBroker) callPart(topic string, parts, _ int, method string, req []byte, timeout time.Duration) ([]byte, error) {
 	resp, err := rb.client.Call(method, req, timeout)
-	if err == nil || !isUnknownTopic(err) {
-		return resp, err
+	if err != nil && rb.heal(topic, parts, err) {
+		return rb.client.Call(method, req, timeout)
+	}
+	return resp, err
+}
+
+func (rb *RemoteBroker) streamPart(topic string, parts, _ int, req []byte, ended error) (*rpc.Stream, error) {
+	if ended != nil {
+		rb.heal(topic, parts, ended)
+	}
+	return rb.client.OpenStream(methodFetch, req, fetchWindow)
+}
+
+// heal reports whether err was a broker's unknown-topic answer — the
+// signature of one that restarted with an empty topic table — to a topic
+// this client opened, now re-created (a restarted broker with a -dir
+// replays its retained log on CreateTopic). Transport failures need no
+// healing here: the reconnecting client re-dials on the next request.
+func (rb *RemoteBroker) heal(topic string, parts int, err error) bool {
+	if !isUnknownTopic(err) {
+		return false
 	}
 	rb.mu.Lock()
 	_, opened := rb.topics[topic]
 	rb.mu.Unlock()
 	if !opened {
-		return resp, err
+		return false
 	}
 	w := codec.NewWriter(32)
 	w.String(topic)
 	w.Uvarint(uint64(parts))
-	if _, rerr := rb.client.Call(methodOpenTopic, w.Bytes(), rb.timeout); rerr != nil {
-		return nil, err
-	}
-	return rb.client.Call(method, req, timeout)
+	_, err = rb.client.Call(methodOpenTopic, w.Bytes(), rb.timeout)
+	return err == nil
 }
 
 func isUnknownTopic(err error) bool {
@@ -424,76 +486,69 @@ func (t *RemoteTopic) meta(partition int) (next, depth, committed int64) {
 	return r.Varint(), r.Varint(), r.Varint()
 }
 
-// OpenConsumer implements TopicHandle. The cursor lives client-side, so a
-// broker failover mid-stream re-issues the fetch at the same offset against
-// the new leader — no records are skipped or dropped.
+// OpenConsumer implements TopicHandle. The cursor lives client-side: the
+// broker keeps no per-consumer state to lose in a failover or a restart, and
+// whatever ends a fetch stream, the next one starts at the offset after the
+// last record Poll handed out — nothing skipped, nothing dropped.
 func (t *RemoteTopic) OpenConsumer(partition int, from int64) Cursor {
 	return &RemoteConsumer{topic: t, partition: partition, offset: from}
 }
 
-// RemoteConsumer is a Cursor over RPC with long-poll fetches.
+// RemoteConsumer is a Cursor fed by a fetch stream.
 type RemoteConsumer struct {
 	topic     *RemoteTopic
 	partition int
 	offset    int64
+
+	stream *rpc.Stream // nil before the first Poll and after a stream ended
+	ended  error       // what ended the last stream, until the next one heals it
+	rest   []Record    // what a Poll smaller than the pushed batch left behind
 }
 
-// Poll implements Cursor. Waits longer than the broker's server-side cap
-// are satisfied by re-issuing capped fetches until data arrives or the wait
-// is spent, so a long poll never parks a broker handler past the cap (which
-// would stall broker shutdown).
-func (c *RemoteConsumer) Poll(max int, wait time.Duration) ([]Record, error) {
-	deadline := time.Now().Add(wait)
-	for {
-		chunk := wait
-		if chunk > maxServerFetchWait {
-			if chunk = time.Until(deadline); chunk > maxServerFetchWait {
-				chunk = maxServerFetchWait
+// Poll implements Cursor. A stream that ended is re-opened here, once per
+// call when it ended in an error — so a broker restart or a failover between
+// two polls costs the caller nothing, and one that persists surfaces to the
+// caller's own retry loop.
+func (c *RemoteConsumer) Poll(limit int, wait time.Duration) ([]Record, error) {
+	for healed := false; len(c.rest) == 0; {
+		patience := wait
+		if c.stream == nil {
+			w := codec.NewWriter(40)
+			w.String(c.topic.name)
+			w.Uvarint(uint64(c.partition))
+			w.Varint(c.offset)
+			w.Uvarint(uint64(max(limit, 1)))
+			s, err := c.topic.via.streamPart(c.topic.name, c.topic.parts, c.partition, w.Bytes(), c.ended)
+			if err != nil {
+				return nil, err
 			}
+			c.stream, c.ended = s, nil
+			// A new stream's first frame — a batch, an empty one from a
+			// partition with nothing to send, or an error — is one round trip
+			// away; waiting for it keeps the poll after an open, a seek or a
+			// failure as current as the call it replaced.
+			patience = max(wait, c.topic.timeout)
 		}
-		recs, err := c.pollOnce(max, chunk)
-		if err != nil || len(recs) > 0 {
-			return recs, err
-		}
-		if wait <= maxServerFetchWait || !time.Now().Before(deadline) {
+		payload, err := c.stream.Recv(patience)
+		if err == nil && payload == nil {
 			return nil, nil
 		}
+		if err == nil {
+			c.rest, err = decodeFetchBatch(payload)
+		}
+		if err == io.EOF { // window spent, or the partition sat idle
+			c.stream = nil
+		} else if err != nil {
+			if c.stream, c.ended = nil, err; healed {
+				return nil, err
+			}
+			healed = true
+		}
 	}
-}
-
-func (c *RemoteConsumer) pollOnce(max int, wait time.Duration) ([]Record, error) {
-	if wait < 0 {
-		wait = 0
-	}
-	w := codec.NewWriter(40)
-	w.String(c.topic.name)
-	w.Uvarint(uint64(c.partition))
-	w.Varint(c.offset)
-	w.Uvarint(uint64(max))
-	w.Uvarint(uint64(wait / time.Millisecond))
-	resp, err := c.topic.call(c.partition, methodFetch, w.Bytes(), wait+c.topic.timeout)
-	if err != nil {
-		return nil, err
-	}
-	r := codec.NewReader(resp)
-	next := r.Varint()
-	n := r.Count(4) // a record is at least four one-byte fields
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	recs := make([]Record, 0, n)
-	for i := 0; i < n; i++ {
-		rec := Record{Offset: r.Varint(), Key: r.Uvarint(), Ts: r.Varint()}
-		val := r.Bytes32()
-		v := make([]byte, len(val))
-		copy(v, val)
-		rec.Value = v
-		recs = append(recs, rec)
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	c.offset = next
+	n := max(min(limit, len(c.rest)), 1)
+	recs := c.rest[:n:n]
+	c.rest = c.rest[n:]
+	c.offset = recs[n-1].Offset + 1
 	return recs, nil
 }
 
@@ -513,8 +568,11 @@ func (c *RemoteConsumer) Commit() error {
 	return err
 }
 
-// SeekTo implements Cursor.
-func (c *RemoteConsumer) SeekTo(offset int64) { c.offset = offset }
+// SeekTo implements Cursor. The open stream feeds the old position: it is
+// abandoned, and ends on its own.
+func (c *RemoteConsumer) SeekTo(offset int64) {
+	c.offset, c.stream, c.rest = offset, nil, nil
+}
 
 // Lag implements Cursor (EndOffset - Committed).
 func (c *RemoteConsumer) Lag() int64 {
