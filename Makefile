@@ -48,6 +48,10 @@ check:
 	# And ten over the telemetry decoder: the frames a worker sends the
 	# broker's collector.
 	$(GO) test ./internal/monitor -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 10s
+	# Ten each over what both ends of a broker hop take off a socket: the
+	# frame reader, and the consumer's pushed-batch decoder.
+	$(GO) test ./internal/rpc -run '^$$' -fuzz FuzzFrame -fuzztime 10s
+	$(GO) test ./internal/mq -run '^$$' -fuzz FuzzFetchBatch -fuzztime 10s
 	# The kvstore read-during-flush hole failed about one run in two when
 	# it was open; twenty runs make a reopening loud.
 	$(GO) test -race -count=20 -run 'TestConcurrentReadWrite|TestGetNeverMissesAcrossFlush' ./internal/kvstore

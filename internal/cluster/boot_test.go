@@ -289,3 +289,61 @@ func TestTopologiesAgree(t *testing.T) {
 		})
 	}
 }
+
+// Ceilings for TestUpdateHopLedger, with what this tree measures beside
+// them (the parent's long-poll: CHANGES.md, PR 28).
+const (
+	maxFetchRequestsPerUpdate = 0.1 // measured 0.032
+	maxRequestsPerUpdate      = 2.6 // measured 2.39
+)
+
+// TestUpdateHopLedger is the update path's row of the work ledger, counted
+// and not timed: the request frames the broker's endpoint receives per
+// update, over a fixed seeded stream ingested one Ingest at a time through
+// the TCP topology and then quiesced. An update crosses the broker as an
+// append, the sampler's batched publishes and whatever the consumers ask
+// for; with fetches pushed, what the consumers ask for is next to nothing.
+func TestUpdateHopLedger(t *testing.T) {
+	spec := workload.INTER().Scale(0.006)
+	spec.Seed = 7
+	gen, err := workload.NewGenerator(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := gen.BuildQuery(sampling.TopK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := deploy.New(gen.Schema(), []query.Query{q}, 2, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Boot(cfg, Options{Brokers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	srv := c.Brokers[0].srv
+	const updates = 5000
+	requests, fetches := srv.Requests.Value(), srv.Served("mq.fetch")
+	for i := 0; i < updates; i++ {
+		u, ok := gen.Next()
+		if !ok {
+			t.Fatalf("the stream ended after %d updates", i)
+		}
+		if err := c.Ingest(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.WaitQuiesce(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	perUpdate := func(n int64) float64 { return float64(n) / updates }
+	all, fetch := perUpdate(srv.Requests.Value()-requests), perUpdate(srv.Served("mq.fetch")-fetches)
+	t.Logf("per update: %.3f request frames, of them %.3f mq.fetch, %.3f mq.append, %.3f mq.append_batch, %.3f mq.meta, %.3f mq.commit",
+		all, fetch, perUpdate(srv.Served("mq.append")), perUpdate(srv.Served("mq.append_batch")), perUpdate(srv.Served("mq.meta")), perUpdate(srv.Served("mq.commit")))
+	if fetch > maxFetchRequestsPerUpdate || all > maxRequestsPerUpdate {
+		t.Fatalf("per update: %.3f fetch request frames (ceiling %.1f), %.3f request frames (ceiling %.1f)",
+			fetch, maxFetchRequestsPerUpdate, all, maxRequestsPerUpdate)
+	}
+}

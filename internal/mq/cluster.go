@@ -237,7 +237,11 @@ func (c *Cluster) callPart(topic string, parts, part int, method string, req []b
 			return resp, nil
 		}
 		if isUnknownTopic(err) {
-			reopenTopic(c.clients[peer], topic, parts, remaining)
+			w := codec.NewWriter(32)
+			w.String(topic)
+			w.Uvarint(uint64(parts))
+			//lint:allow droppederror reason=best-effort heal; the retried call below surfaces the real failure
+			_, _ = c.clients[peer].Call(methodOpenTopic, w.Bytes(), remaining)
 			lastErr = err
 			continue
 		}
@@ -254,28 +258,9 @@ func (c *Cluster) callPart(topic string, parts, part int, method string, req []b
 	return nil, lastErr
 }
 
-// streamPart opens a fetch stream on the current leader of (topic, part),
-// after the one step of callPart's loop that answers what ended the last.
-func (c *Cluster) streamPart(topic string, parts, part int, req []byte, ended error) (*rpc.Stream, error) {
-	if ended != nil && resolvable(ended) {
-		c.refreshMap()
-	}
-	cl := c.clients[c.leader(topic, part)]
-	if ended != nil && isUnknownTopic(ended) {
-		reopenTopic(cl, topic, parts, c.timeout)
-	}
-	return cl.OpenStream(methodFetch, req, fetchWindow)
-}
-
-// reopenTopic re-creates a topic on a peer that answered unknown-topic (the
-// RemoteBroker restart-healing contract). Best-effort: the operation issued
-// after it surfaces the real failure.
-func reopenTopic(cl *rpc.Client, topic string, parts int, timeout time.Duration) {
-	w := codec.NewWriter(32)
-	w.String(topic)
-	w.Uvarint(uint64(parts))
-	//lint:allow droppederror reason=best-effort heal; the operation issued next surfaces the real failure
-	_, _ = cl.Call(methodOpenTopic, w.Bytes(), timeout)
+// streamPart opens a fetch stream on the current leader of (topic, part).
+func (c *Cluster) streamPart(topic string, part int, req []byte) (*rpc.Stream, error) {
+	return c.clients[c.leader(topic, part)].OpenStream(methodFetch, req, fetchWindow)
 }
 
 var _ Bus = (*Cluster)(nil)

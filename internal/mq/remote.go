@@ -3,7 +3,6 @@ package mq
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"time"
@@ -26,17 +25,14 @@ const (
 	methodCommit      = "mq.commit"
 )
 
-// A fetch is a server stream: one request subscribes a consumer at an
-// offset, and the broker pushes each batch as it becomes visible. The
-// subscription is bounded three ways. MaxFetchBatch caps the records of a
-// batch (internal/sampler and internal/serving assert their poll size fits).
-// fetchWindow caps the batches pushed per request, so a client's read loop
-// can buffer everything a broker may send unasked — at most fetchWindow ×
-// MaxFetchBatch records per cursor — and never waits on a slow consumer. And
-// a partition idle for maxFetchPark ends the stream, which bounds how long
-// an abandoned cursor or a closing server waits on a parked handler. A
-// stream that ends, for whatever reason, is re-opened by the cursor's next
-// Poll at the cursor's offset.
+// A fetch is a server stream: one request subscribes a cursor at an offset
+// and the broker pushes each batch as it becomes visible (DESIGN.md, "Hot
+// path & batching"). MaxFetchBatch caps a batch's records (the workers
+// assert their poll size fits), fetchWindow the batches pushed per request —
+// so a client's read loop can hold everything a broker sends unasked and
+// never waits on a slow consumer — and a partition idle for maxFetchPark ends
+// the stream, which bounds what an abandoned cursor or a closing server
+// waits on a parked handler. The cursor's next Poll re-opens an ended stream.
 const (
 	MaxFetchBatch = 512
 	fetchWindow   = 64
@@ -68,8 +64,8 @@ func (b *Broker) partReq(r *codec.Reader) (*Topic, int, error) {
 }
 
 // ServeBroker registers the broker's RPC surface on srv. Handlers that
-// never park run inline on the connection's read loop; an append does
-// unless the broker replicates, where it waits on a quorum.
+// never park run inline on the connection's read loop: an append does unless
+// the broker replicates, where it waits on a quorum.
 func ServeBroker(b *Broker, srv *rpc.Server) {
 	unreplicated := func() bool { return b.repl.Load() == nil }
 	srv.HandleInline(methodOpenTopic, nil, func(_ rpc.Ctx, req []byte, _ *codec.Writer) error {
@@ -135,12 +131,12 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		}
 		w := codec.GetWriter()
 		defer codec.PutWriter(w)
-		// The first fetch does not park: a subscriber with nothing to read
-		// is told so at once, by an empty batch.
+		// The first fetch does not park: an empty batch tells a subscriber
+		// at once that it is at the tail.
 		for credit, park := fetchWindow, time.Duration(0); credit > 0; credit, park = credit-1, maxFetchPark {
-			// Consumers read from the leader only: a follower's log may hold
-			// an unreplicated tail destined for truncation. Leadership can
-			// move under an open stream, so every batch checks it again.
+			// Consumers read from the leader only — a follower's log may hold
+			// an unreplicated tail destined for truncation — and leadership
+			// can move under an open stream.
 			if err := b.checkLeader(t.name, part); err != nil {
 				return err
 			}
@@ -226,9 +222,8 @@ func encodeFetchBatch(w *codec.Writer, first int64, recs []Record) {
 }
 
 // decodeFetchBatch reads one pushed batch. The payload is the batch's own
-// allocation, so the values alias it — each capped at its own length, so no
-// append can reach its neighbour — and a batch costs the record slice and
-// nothing per record.
+// allocation, so the values alias it, each capped at its own length: a batch
+// costs the record slice and nothing per record.
 //
 //lint:hotpath
 func decodeFetchBatch(payload []byte) ([]Record, error) {
@@ -261,10 +256,9 @@ type RemoteBroker struct {
 // both.
 type partCaller interface {
 	callPart(topic string, parts, part int, method string, req []byte, timeout time.Duration) ([]byte, error)
-	// streamPart opens a fetch stream on that broker, after healing what
-	// ended the stream before it (nil: nothing did) the way callPart heals
-	// a failed call.
-	streamPart(topic string, parts, part int, req []byte, ended error) (*rpc.Stream, error)
+	// streamPart opens a fetch stream there. It heals nothing: a cursor
+	// whose stream failed issues a call, and callPart's policy does.
+	streamPart(topic string, part int, req []byte) (*rpc.Stream, error)
 }
 
 // Conn is a Bus reached over the network. Client is its control
@@ -315,42 +309,32 @@ func DialBroker(addr string, timeout time.Duration) (*RemoteBroker, error) {
 // its reconnect/retry counters.
 func (rb *RemoteBroker) Client() *rpc.Client { return rb.client }
 
-// callPart issues an RPC, once more after heal mended what failed it.
+// callPart issues an RPC. If the broker reports an unknown topic — the
+// signature of a broker that restarted with an empty topic table — a topic
+// this client opened is re-created (a restarted broker with a -dir replays
+// its retained log on CreateTopic) and the call is issued once more.
 func (rb *RemoteBroker) callPart(topic string, parts, _ int, method string, req []byte, timeout time.Duration) ([]byte, error) {
 	resp, err := rb.client.Call(method, req, timeout)
-	if err != nil && rb.heal(topic, parts, err) {
-		return rb.client.Call(method, req, timeout)
-	}
-	return resp, err
-}
-
-func (rb *RemoteBroker) streamPart(topic string, parts, _ int, req []byte, ended error) (*rpc.Stream, error) {
-	if ended != nil {
-		rb.heal(topic, parts, ended)
-	}
-	return rb.client.OpenStream(methodFetch, req, fetchWindow)
-}
-
-// heal reports whether err was a broker's unknown-topic answer — the
-// signature of one that restarted with an empty topic table — to a topic
-// this client opened, now re-created (a restarted broker with a -dir
-// replays its retained log on CreateTopic). Transport failures need no
-// healing here: the reconnecting client re-dials on the next request.
-func (rb *RemoteBroker) heal(topic string, parts int, err error) bool {
-	if !isUnknownTopic(err) {
-		return false
+	if err == nil || !isUnknownTopic(err) {
+		return resp, err
 	}
 	rb.mu.Lock()
 	_, opened := rb.topics[topic]
 	rb.mu.Unlock()
 	if !opened {
-		return false
+		return resp, err
 	}
 	w := codec.NewWriter(32)
 	w.String(topic)
 	w.Uvarint(uint64(parts))
-	_, err = rb.client.Call(methodOpenTopic, w.Bytes(), rb.timeout)
-	return err == nil
+	if _, rerr := rb.client.Call(methodOpenTopic, w.Bytes(), rb.timeout); rerr != nil {
+		return nil, err
+	}
+	return rb.client.Call(method, req, timeout)
+}
+
+func (rb *RemoteBroker) streamPart(_ string, _ int, req []byte) (*rpc.Stream, error) {
+	return rb.client.OpenStream(methodFetch, req, fetchWindow)
 }
 
 func isUnknownTopic(err error) bool {
@@ -501,14 +485,16 @@ type RemoteConsumer struct {
 	offset    int64
 
 	stream *rpc.Stream // nil before the first Poll and after a stream ended
-	ended  error       // what ended the last stream, until the next one heals it
 	rest   []Record    // what a Poll smaller than the pushed batch left behind
 }
 
-// Poll implements Cursor. A stream that ended is re-opened here, once per
-// call when it ended in an error — so a broker restart or a failover between
-// two polls costs the caller nothing, and one that persists surfaces to the
-// caller's own retry loop.
+// Poll implements Cursor. A stream that ended is re-opened here. One that
+// ended in an error is first healed, by a call: callPart's policy re-creates
+// a topic a restarted broker forgot, re-resolves a moved leader and re-dials
+// a lost connection for a call, and what it mends it mends for the stream.
+// That happens once per Poll — a restart or a failover between two polls
+// costs the caller nothing, one that persists reaches the caller's own retry
+// loop.
 func (c *RemoteConsumer) Poll(limit int, wait time.Duration) ([]Record, error) {
 	for healed := false; len(c.rest) == 0; {
 		patience := wait
@@ -518,11 +504,11 @@ func (c *RemoteConsumer) Poll(limit int, wait time.Duration) ([]Record, error) {
 			w.Uvarint(uint64(c.partition))
 			w.Varint(c.offset)
 			w.Uvarint(uint64(max(limit, 1)))
-			s, err := c.topic.via.streamPart(c.topic.name, c.topic.parts, c.partition, w.Bytes(), c.ended)
+			s, err := c.topic.via.streamPart(c.topic.name, c.partition, w.Bytes())
 			if err != nil {
 				return nil, err
 			}
-			c.stream, c.ended = s, nil
+			c.stream = s
 			// A new stream's first frame — a batch, an empty one from a
 			// partition with nothing to send, or an error — is one round trip
 			// away; waiting for it keeps the poll after an open, a seek or a
@@ -536,18 +522,21 @@ func (c *RemoteConsumer) Poll(limit int, wait time.Duration) ([]Record, error) {
 		if err == nil {
 			c.rest, err = decodeFetchBatch(payload)
 		}
-		if err == io.EOF { // window spent, or the partition sat idle
+		if err == rpc.ErrEndOfStream { // window spent, or the partition sat idle
 			c.stream = nil
 		} else if err != nil {
-			if c.stream, c.ended = nil, err; healed {
+			if c.stream = nil; healed {
 				return nil, err
 			}
 			healed = true
+			c.topic.meta(c.partition)
 		}
 	}
 	n := max(min(limit, len(c.rest)), 1)
 	recs := c.rest[:n:n]
-	c.rest = c.rest[n:]
+	if c.rest = c.rest[n:]; len(c.rest) == 0 {
+		c.rest = nil // an idle cursor pins no batch
+	}
 	c.offset = recs[n-1].Offset + 1
 	return recs, nil
 }

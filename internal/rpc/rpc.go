@@ -49,6 +49,11 @@ var ErrDeadlineExceeded = errors.New("rpc: deadline exceeded")
 // ErrDeadlineExceeded so errors.Is(err, ErrDeadlineExceeded) classifies both.
 var ErrTimeout = fmt.Errorf("rpc: call timeout: %w", ErrDeadlineExceeded)
 
+// ErrEndOfStream is what Stream.Recv returns once the server has ended the
+// stream cleanly. It is not io.EOF, which is what a peer closing the
+// connection under a stream looks like.
+var ErrEndOfStream = errors.New("rpc: end of stream")
+
 // RemoteError wraps an error string returned by a handler.
 type RemoteError struct{ Msg string }
 
@@ -157,9 +162,8 @@ type handlerEntry struct {
 	ctx    CtxHandler
 	buf    BufHandler
 	stream StreamHandler
-	// inline, when set and true, runs buf on the connection's read loop.
-	inline func() bool
-	calls  *obs.Counter
+	inline func() bool  // set: buf runs on the read loop while it reports true
+	calls  *obs.Counter // request frames that named the method
 }
 
 // Server serves registered handlers over TCP.
@@ -197,6 +201,7 @@ func NewServer() *Server {
 func (s *Server) register(method string, e handlerEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	e.calls = new(obs.Counter)
 	next := map[string]handlerEntry{method: e}
 	for m, old := range *s.handlers.Load() {
 		if m != method {
@@ -212,34 +217,30 @@ func (s *Server) Handle(method string, h Handler) {
 }
 
 // HandleCtx registers a deadline- and trace-aware handler for method.
-func (s *Server) HandleCtx(method string, h CtxHandler) {
-	s.register(method, handlerEntry{ctx: h, calls: new(obs.Counter)})
-}
+func (s *Server) HandleCtx(method string, h CtxHandler) { s.register(method, handlerEntry{ctx: h}) }
 
 // HandleBuf registers a buffer handler for method: the hot-path form that
 // encodes its response into a server-pooled writer, so a steady-state
 // response costs no per-call buffer allocation. See BufHandler for the
 // ownership rules.
-func (s *Server) HandleBuf(method string, h BufHandler) {
-	s.register(method, handlerEntry{buf: h, calls: new(obs.Counter)})
-}
+func (s *Server) HandleBuf(method string, h BufHandler) { s.register(method, handlerEntry{buf: h}) }
 
 // HandleInline registers a buffer handler that never parks — no queue,
-// quorum or downstream wait — to run on the connection's read loop whenever
-// ok reports true (nil: always): no goroutine, no copy of the request, and
-// its reply leaves with those of every other request already buffered. A
-// server with Delay set, and a call ok refuses, dispatch it like HandleBuf.
+// quorum or downstream wait — to run on the connection's read loop while ok
+// reports true (nil: always): no goroutine, no copy of the request, and its
+// reply leaves with those of every request already buffered. A call ok
+// refuses, and every call on a server with Delay set, runs like HandleBuf's.
 func (s *Server) HandleInline(method string, ok func() bool, h BufHandler) {
 	if ok == nil {
 		ok = func() bool { return true }
 	}
-	s.register(method, handlerEntry{buf: h, inline: ok, calls: new(obs.Counter)})
+	s.register(method, handlerEntry{buf: h, inline: ok})
 }
 
 // HandleStream registers a server-streaming handler for method; the other
 // end is Client.OpenStream.
 func (s *Server) HandleStream(method string, h StreamHandler) {
-	s.register(method, handlerEntry{stream: h, calls: new(obs.Counter)})
+	s.register(method, handlerEntry{stream: h})
 }
 
 // Served reports how many request frames have named method.
@@ -290,8 +291,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// serverConn is one accepted connection: the frames its handlers have
-// answered with and not yet written.
+// serverConn is one accepted connection and the replies queued on it.
 type serverConn struct {
 	s    *Server
 	conn net.Conn
@@ -310,9 +310,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	sc := &serverConn{s: s, conn: conn}
 	fr := frameReader{r: conn}
 	for {
-		// The drain rule at the socket: inline replies wait for every
-		// request that arrived with theirs, and leave in one write when the
-		// next read would block. Nothing lingers for requests not yet sent.
+		// The drain rule at the socket: inline replies leave in one write
+		// when the next read would block, never later.
 		if !fr.buffered() {
 			sc.mu.Lock()
 			sc.flushLocked()
@@ -328,9 +327,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// dispatch runs f's handler on the read loop when it is registered inline,
-// and otherwise on its own goroutine with a copy of the request, so a call
-// that parks never head-of-line blocks the connection.
+// dispatch runs f's handler on the read loop if it is registered inline,
+// and otherwise on its own goroutine, so a call that parks never
+// head-of-line blocks the connection.
 //
 //lint:hotpath
 func (sc *serverConn) dispatch(f frame) {
@@ -350,63 +349,55 @@ func (sc *serverConn) dispatch(f frame) {
 	}
 	e.calls.Inc()
 	if e.inline != nil && s.Delay == 0 && e.inline() {
-		sc.serve(e, ctx, f.id, f.payload, false)
+		sc.serve(e, ctx, f.id, f.payload, nil)
 		return
 	}
-	fb := getFrameBuf(len(f.payload))
-	copy(*fb, f.payload)
+	req := codec.GetWriter() // the read buffer moves on under a concurrent call
+	req.Raw(f.payload)
 	s.wg.Add(1)
-	go sc.serveAsync(e, ctx, f.id, fb)
+	go sc.serve(e, ctx, f.id, req.Bytes(), req)
 }
 
-func (sc *serverConn) serveAsync(e handlerEntry, ctx Ctx, id uint64, fb *[]byte) {
-	defer sc.s.wg.Done()
-	defer putFrameBuf(fb)
-	if d := sc.s.Delay; d > 0 {
-		time.Sleep(d)
-	}
-	sc.serve(e, ctx, id, *fb, true)
-}
-
-// serve runs one request's handler and queues its reply, written at once
-// when flush is set and with the read loop's next flush otherwise.
-func (sc *serverConn) serve(e handlerEntry, ctx Ctx, id uint64, req []byte, flush bool) {
-	if !ctx.Deadline.IsZero() && ctx.Expired(time.Now()) {
-		// Dead on arrival: the caller has already given up, so any work
-		// done here would be thrown away.
-		sc.fail(id, ctx.Trace, ErrDeadlineExceeded)
-		return
-	}
+// serve runs one request's handler and queues its reply: for the read
+// loop's next flush when held is nil, written at once for a concurrent call,
+// which holds its copy of the request there.
+func (sc *serverConn) serve(e handlerEntry, ctx Ctx, id uint64, req []byte, held *codec.Writer) {
+	var resp []byte
+	var err error
 	var bw *codec.Writer
-	if e.buf != nil {
-		// Recycled once the reply has been copied into the out buffer.
-		bw = codec.GetWriter()
-		defer codec.PutWriter(bw)
-	}
-	resp, err := sc.invoke(e, ctx, id, req, bw)
-	if err != nil {
-		sc.fail(id, ctx.Trace, err)
-		return
-	}
-	sc.write(frameResponse, id, ctx.Trace, resp, flush)
-}
-
-// invoke calls the handler in whichever form it was registered, turning a
-// panic into the call's error.
-func (sc *serverConn) invoke(e handlerEntry, ctx Ctx, id uint64, req []byte, bw *codec.Writer) (resp []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("handler panic: %v", r)
 		}
+		if err != nil {
+			sc.fail(id, ctx.Trace, err)
+		} else {
+			sc.write(frameResponse, id, ctx.Trace, resp, held != nil)
+		}
+		// Recycled only now: the reply has been copied into the out buffer.
+		codec.PutWriter(bw)
+		if held != nil {
+			codec.PutWriter(held)
+			sc.s.wg.Done()
+		}
 	}()
-	switch {
-	case e.buf != nil:
-		err = e.buf(ctx, req, bw)
-		return bw.Bytes(), err
-	case e.stream != nil:
-		return nil, e.stream(ctx, req, func(p []byte) error { return sc.write(frameStream, id, ctx.Trace, p, true) })
+	if held != nil && sc.s.Delay > 0 {
+		time.Sleep(sc.s.Delay)
 	}
-	return e.ctx(ctx, req)
+	switch {
+	case !ctx.Deadline.IsZero() && ctx.Expired(time.Now()):
+		// Dead on arrival: the caller has already given up, so any work
+		// done here would be thrown away.
+		err = ErrDeadlineExceeded
+	case e.buf != nil:
+		bw = codec.GetWriter()
+		err = e.buf(ctx, req, bw)
+		resp = bw.Bytes()
+	case e.stream != nil:
+		err = e.stream(ctx, req, func(p []byte) error { return sc.write(frameStream, id, ctx.Trace, p, true) })
+	default:
+		resp, err = e.ctx(ctx, req)
+	}
 }
 
 // fail answers a request with err, keeping a deadline error typed across
@@ -421,33 +412,29 @@ func (sc *serverConn) fail(id, trace uint64, err error) {
 	sc.write(frameError, id, trace, []byte(err.Error()), true)
 }
 
-// write queues one frame behind those already waiting and, when flush is
-// set, writes them all. The error is the connection's: once a write has
-// failed every later one fails too.
+// write queues one frame and, when flush is set, writes every queued one.
+// The error is the connection's: after one failed write all later ones fail.
 //
 //lint:hotpath
 func (sc *serverConn) write(typ byte, id, trace uint64, body []byte, flush bool) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	var err error
-	if sc.out, err = appendFrame(sc.out, typ, id, trace, 0, "", body); err != nil {
-		return err
+	if sc.out, err = appendFrame(sc.out, typ, id, trace, 0, "", body); err == nil && flush {
+		err = sc.flushLocked()
 	}
-	if flush {
-		return sc.flushLocked()
-	}
-	return nil
+	return err
 }
 
-// flushLocked writes every queued frame in one socket write. Callers hold
+// flushLocked writes the queued frames in one socket write. Callers hold
 // sc.mu.
 func (sc *serverConn) flushLocked() error {
 	if len(sc.out) == 0 {
 		return nil
 	}
 	var err error
-	// Chaos hook: a drop swallows the replies, leaving the clients to
-	// their timeouts (or retry budgets).
+	// Chaos hook: a drop swallows the replies, leaving the clients to their
+	// timeouts (or retry budgets).
 	if !faultpoint.Dropped("rpc.server.write") {
 		if err = faultpoint.Inject("rpc.server.write"); err == nil {
 			_, err = sc.conn.Write(sc.out)
@@ -457,9 +444,8 @@ func (sc *serverConn) flushLocked() error {
 		sc.out = nil
 	}
 	if err != nil {
-		// A failed response write would leave the peer waiting out its
-		// full timeout; count it and close the connection so the
-		// client's readLoop fails fast instead.
+		// A failed write would leave the peer waiting out its timeout;
+		// count it and close so the client's readLoop fails fast instead.
 		sc.s.Errors.Inc()
 		sc.conn.Close()
 	}
@@ -506,44 +492,13 @@ func (s *Server) Close() error {
 // carried only on requests; the receiver pins it to its own clock, and any
 // further hop is issued with the shrunken remainder.
 //
-// The client assembles each outgoing frame in a pooled buffer, and the
-// server copies a request it dispatches concurrently into one released when
-// the handler returns. Buffers that grew past the cap are dropped rather
-// than pinned.
+// Each end of a connection owns a read buffer and a write buffer, readBufSize
+// at rest; one that a larger frame grew past maxIdleBuf is dropped as soon
+// as it drains, not pinned.
 const (
-	maxPooledFrame = 1 << 20
-	// readBufSize is a connection's read buffer at rest; one a larger frame
-	// grew past maxIdleBuf (and a server's reply buffer likewise) is dropped
-	// as soon as it drains.
 	readBufSize = 4 << 10
 	maxIdleBuf  = 64 << 10
 )
-
-var frameBufs = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-// getFrameBuf returns a pooled buffer resized to n bytes.
-func getFrameBuf(n int) *[]byte {
-	fb := frameBufs.Get().(*[]byte)
-	b := *fb
-	if cap(b) < n {
-		b = make([]byte, n)
-	}
-	*fb = b[:n]
-	return fb
-}
-
-// putFrameBuf recycles a buffer from getFrameBuf. nil is a no-op.
-func putFrameBuf(fb *[]byte) {
-	if fb == nil || cap(*fb) > maxPooledFrame {
-		return
-	}
-	frameBufs.Put(fb)
-}
 
 //lint:hotpath
 func appendFrame(dst []byte, typ byte, id, trace uint64, budget int64, method string, payload []byte) ([]byte, error) {
@@ -567,18 +522,6 @@ func appendFrame(dst []byte, typ byte, id, trace uint64, budget int64, method st
 	return append(dst, payload...), nil
 }
 
-//lint:hotpath
-func writeFrame(w io.Writer, typ byte, id, trace uint64, budget int64, method string, payload []byte) error {
-	fb := getFrameBuf(0)
-	buf, err := appendFrame(*fb, typ, id, trace, budget, method, payload)
-	if err == nil {
-		_, err = w.Write(buf)
-	}
-	*fb = buf
-	putFrameBuf(fb)
-	return err
-}
-
 // frame is one parsed frame. method and payload alias the connection's
 // read buffer and are valid until the following next.
 type frame struct {
@@ -589,8 +532,7 @@ type frame struct {
 }
 
 // frameReader is a connection's one buffered reader. Frames are parsed in
-// place: a socket read delivers every frame that arrived with it, and a
-// frame costs no allocation of its own.
+// place: a socket read delivers every frame that arrived with it.
 type frameReader struct {
 	r      io.Reader
 	buf    []byte
@@ -737,7 +679,8 @@ type Client struct {
 	addr string
 	opts Options
 
-	writeMu sync.Mutex
+	writeMu sync.Mutex // guards wbuf and orders socket writes
+	wbuf    []byte
 	mu      sync.Mutex // guards pending
 	pending map[uint64]pendingCall
 	nextID  atomic.Uint64
@@ -770,9 +713,8 @@ type Client struct {
 }
 
 type pendingCall struct {
-	ch     chan result
-	gen    uint64
-	stream bool
+	ch  chan result // capacity 1 for a call, window+1 for a stream
+	gen uint64
 }
 
 // callSlot is what one call waits on. It is pooled: a slot goes back only
@@ -782,7 +724,11 @@ type callSlot struct {
 	timer *time.Timer
 }
 
-var callSlots = sync.Pool{New: func() any { return &callSlot{ch: make(chan result, 1)} }}
+var callSlots = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &callSlot{ch: make(chan result, 1), timer: t}
+}}
 
 type result struct {
 	payload []byte
@@ -957,7 +903,7 @@ func (c *Client) readLoop(conn net.Conn, gen uint64) {
 
 // deliver hands one frame to the call waiting on it, copying the payload
 // out of the read buffer. It never blocks: a call is sent one result, and a
-// stream's channel holds its whole window.
+// stream's channel holds its window plus, in a slot no push may take, its end.
 //
 //lint:hotpath
 func (c *Client) deliver(f frame) error {
@@ -972,21 +918,19 @@ func (c *Client) deliver(f frame) error {
 	}
 	var res result
 	switch {
+	case f.typ == frameStream && len(pc.ch) >= cap(pc.ch)-1:
+		return errStreamOverrun
 	case f.typ == frameError:
 		res.err = &RemoteError{Msg: string(f.payload)}
 	case f.typ == frameExpired:
 		res.err = ErrDeadlineExceeded
-	case f.typ == frameResponse && pc.stream:
-		res.err = io.EOF
+	case f.typ == frameResponse && cap(pc.ch) > 1:
+		res.err = ErrEndOfStream
 	default:
 		res.payload = append(make([]byte, 0, len(f.payload)), f.payload...)
 	}
-	select {
-	case pc.ch <- res:
-		return nil
-	default:
-		return errStreamOverrun
-	}
+	pc.ch <- res
+	return nil
 }
 
 // dropConn retires a dead connection: closes it, detaches it from the
@@ -1090,20 +1034,24 @@ func retryable(err error) bool {
 
 // start registers a call under a fresh ID on the current (or freshly
 // dialed) connection and writes its request frame.
-func (c *Client) start(method string, trace uint64, req []byte, budget time.Duration, ch chan result, stream bool) (uint64, error) {
+func (c *Client) start(method string, trace uint64, req []byte, budget time.Duration, ch chan result) (uint64, error) {
 	conn, gen, err := c.getConn()
 	if err != nil {
 		return 0, err
 	}
 	id := c.nextID.Add(1)
 	c.mu.Lock()
-	c.pending[id] = pendingCall{ch: ch, gen: gen, stream: stream}
+	c.pending[id] = pendingCall{ch: ch, gen: gen}
 	c.mu.Unlock()
 
 	c.writeMu.Lock()
-	err = faultpoint.Inject("rpc.client.write")
-	if err == nil {
-		err = writeFrame(conn, frameRequest, id, trace, int64(budget), method, req)
+	if err = faultpoint.Inject("rpc.client.write"); err == nil {
+		if c.wbuf, err = appendFrame(c.wbuf[:0], frameRequest, id, trace, int64(budget), method, req); err == nil {
+			_, err = conn.Write(c.wbuf)
+		}
+		if cap(c.wbuf) > maxIdleBuf {
+			c.wbuf = nil
+		}
 	}
 	c.writeMu.Unlock()
 	if err != nil {
@@ -1130,17 +1078,13 @@ func (c *Client) forget(id uint64) bool {
 // fast once the caller has given up.
 func (c *Client) callOnce(method string, trace uint64, req []byte, timeout time.Duration) ([]byte, error) {
 	slot := callSlots.Get().(*callSlot)
-	id, err := c.start(method, trace, req, timeout, slot.ch, false)
+	id, err := c.start(method, trace, req, timeout, slot.ch)
 	if err != nil {
 		return nil, err // the slot may yet be sent the connection's error: not reused
 	}
 	var expired <-chan time.Time
 	if timeout > 0 {
-		if slot.timer == nil {
-			slot.timer = time.NewTimer(timeout)
-		} else {
-			slot.timer.Reset(timeout)
-		}
+		slot.timer.Reset(timeout)
 		expired = slot.timer.C
 	}
 	select {
@@ -1160,26 +1104,25 @@ func (c *Client) callOnce(method string, trace uint64, req []byte, timeout time.
 // Stream is the client end of a server-streaming call.
 type Stream struct{ ch chan result }
 
-// OpenStream sends req to a HandleStream method. The server may push up to
-// window payloads before it ends the stream; that bound is the protocol's,
-// so the read loop can hold a whole stream and never waits on its consumer.
-// A stream nobody reads is dropped with its connection, or when it ends.
+// OpenStream sends req to a HandleStream method that pushes at most window
+// payloads before it ends the stream, so the read loop can hold a whole
+// stream and never waits on its consumer. A stream nobody reads goes when it
+// ends, or with its connection.
 func (c *Client) OpenStream(method string, req []byte, window int) (*Stream, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
 	}
 	c.Calls.Inc()
-	// window pushes and the stream's end: every send finds room.
-	s := &Stream{ch: make(chan result, window+1)}
-	if _, err := c.start(method, 0, req, 0, s.ch, true); err != nil {
+	s := &Stream{ch: make(chan result, window+1)} // room for the window and the end
+	if _, err := c.start(method, 0, req, 0, s.ch); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
 // Recv returns the next pushed payload, or nil once wait has passed with
-// none. io.EOF means the server ended the stream; any other error ended it
-// too, and Recv is not called again after either.
+// none. ErrEndOfStream means the server ended the stream; any other error
+// ended it too, and Recv is not called again after either.
 func (s *Stream) Recv(wait time.Duration) ([]byte, error) {
 	select {
 	case res := <-s.ch:

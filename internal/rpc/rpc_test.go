@@ -283,15 +283,14 @@ func BenchmarkCallEchoParallel(b *testing.B) {
 	})
 }
 
-func TestWriteFrameLimits(t *testing.T) {
-	var sink bytes.Buffer
+func TestAppendFrameLimits(t *testing.T) {
 	// Method name too long.
 	long := make([]byte, 0x10000)
-	if err := writeFrame(&sink, frameRequest, 1, 0, 0, string(long), nil); err == nil {
+	if buf, err := appendFrame(nil, frameRequest, 1, 0, 0, string(long), nil); err == nil || len(buf) != 0 {
 		t.Fatal("oversized method accepted")
 	}
 	// Payload beyond maxFrame.
-	if err := writeFrame(&sink, frameRequest, 1, 0, 0, "m", make([]byte, maxFrame)); err == nil {
+	if buf, err := appendFrame(nil, frameRequest, 1, 0, 0, "m", make([]byte, maxFrame)); err == nil || len(buf) != 0 {
 		t.Fatal("oversized frame accepted")
 	}
 }
