@@ -2,13 +2,11 @@ package mq
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	"helios/internal/codec"
-	"helios/internal/faultpoint"
 	"helios/internal/rpc"
 )
 
@@ -220,58 +218,6 @@ func TestStalledConsumerDoesNotDelayAppends(t *testing.T) {
 			t.Fatalf("resumed poll at %d: %d records, %v", next, len(recs), err)
 		}
 		next++
-	}
-}
-
-// TestFetchStreamResumesAtCursor: whatever ends a stream — the connection
-// killed between two pushed frames, the broker failing a fetch mid-stream —
-// the next one starts at the cursor, so every record is delivered, in
-// order, and the caller sees at most the failure itself.
-func TestFetchStreamResumesAtCursor(t *testing.T) {
-	defer faultpoint.Reset()
-	_, rb, done := startRemote(t)
-	defer done()
-	topic, err := rb.OpenTopic("t", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const total = 300
-	for i := 0; i < total; i++ {
-		if _, err := topic.Append(0, uint64(i), []byte(fmt.Sprintf("r%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := topic.OpenConsumer(0, 0)
-	// Pushes trickle, so the faults below land mid-stream, not behind it.
-	faultpoint.Delay("mq.fetch", -1, 3*time.Millisecond)
-	next, failures := int64(0), 0
-	for polls := 0; next < total; polls++ {
-		switch polls {
-		case 2:
-			faultpoint.ErrorOnce("rpc.client.read") // the connection dies under the next pushed frame
-		case 8:
-			faultpoint.ErrorN("mq.fetch", 2) // and later the broker fails the fetch, twice running
-		}
-		recs, err := c.Poll(7, time.Second)
-		if err != nil {
-			if IsFatal(err) {
-				t.Fatalf("poll %d: fatal %v", polls, err)
-			}
-			failures++
-			continue
-		}
-		for _, rec := range recs {
-			if rec.Offset != next || string(rec.Value) != fmt.Sprintf("r%d", next) {
-				t.Fatalf("poll %d: got offset %d (%q), want %d", polls, rec.Offset, rec.Value, next)
-			}
-			next++
-		}
-	}
-	if rb.Client().Reconnects.Value() == 0 {
-		t.Fatal("the killed connection was never re-dialed")
-	}
-	if faultpoint.Hits("mq.fetch") != 2 || failures > 1 {
-		t.Fatalf("mq.fetch fired %d times, %d polls failed (one heal per poll: at most the second fetch failure surfaces)", faultpoint.Hits("mq.fetch"), failures)
 	}
 }
 

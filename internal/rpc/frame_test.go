@@ -240,7 +240,7 @@ func TestParkedHandlerNeverBlocksInline(t *testing.T) {
 	done.Wait()
 }
 
-func streamServer(t *testing.T, pushes int, end error) (*Server, string) {
+func streamServer(t *testing.T, pushes int, end error) string {
 	t.Helper()
 	s := NewServer()
 	s.HandleStream("count", func(_ Ctx, req []byte, push func([]byte) error) error {
@@ -256,7 +256,7 @@ func streamServer(t *testing.T, pushes int, end error) (*Server, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	return s, addr
+	return addr
 }
 
 // TestStreamPushesThenEnds: pushed payloads arrive in order ahead of the
@@ -264,7 +264,7 @@ func streamServer(t *testing.T, pushes int, end error) (*Server, string) {
 // error otherwise; an empty stream waits out Recv's patience and no more.
 func TestStreamPushesThenEnds(t *testing.T) {
 	for _, end := range []error{nil, errors.New("boom")} {
-		_, addr := streamServer(t, 5, end)
+		addr := streamServer(t, 5, end)
 		c, err := Dial(addr)
 		if err != nil {
 			t.Fatal(err)
@@ -297,7 +297,7 @@ func TestStreamPushesThenEnds(t *testing.T) {
 // does not block on it, it drops the connection, and a reconnecting client
 // carries on.
 func TestStreamOverrunDropsConnection(t *testing.T) {
-	_, addr := streamServer(t, 8, nil)
+	addr := streamServer(t, 8, nil)
 	c, err := DialOpts(addr, Options{Reconnect: true})
 	if err != nil {
 		t.Fatal(err)
