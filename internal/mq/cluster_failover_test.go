@@ -51,6 +51,13 @@ func TestClusterOpenTopicPartitionMismatch(t *testing.T) {
 // the coordinator and retries against the promoted follower — without the
 // caller ever seeing an error, and without losing any quorum-acked record.
 func TestClusterRidesOutLeaderFailover(t *testing.T) {
+	t.Run("one client", func(t *testing.T) { ridesOutLeaderFailover(t, false) })
+	// A worker that only consumes: nothing but its Poll refreshes its map,
+	// and the leader dies while no stream is open (an idle one has ended).
+	t.Run("consumer-only client, idle", func(t *testing.T) { ridesOutLeaderFailover(t, true) })
+}
+
+func ridesOutLeaderFailover(t *testing.T, consumerOnly bool) {
 	// Replica set of 3, quorum 2.
 	const replicas = 3
 	brokers := make([]*mq.Broker, replicas)
@@ -112,10 +119,24 @@ func TestClusterRidesOutLeaderFailover(t *testing.T) {
 	if _, err := tp.Append(1, 7, []byte("before")); err != nil {
 		t.Fatal(err)
 	}
-	cur := tp.OpenConsumer(1, 0)
+	ctp := tp
+	if consumerOnly {
+		ccl, err := mq.DialCluster(addrs, coordAddr, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ccl.Close()
+		if ctp, err = ccl.OpenTopic("t", replicas); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur := ctp.OpenConsumer(1, 0)
 	recs, err := cur.Poll(10, time.Second)
 	if err != nil || len(recs) != 1 || string(recs[0].Value) != "before" {
 		t.Fatalf("pre-failover poll: %v %v", recs, err)
+	}
+	if consumerOnly {
+		time.Sleep(400 * time.Millisecond) // past maxFetchPark: the stream has ended
 	}
 
 	// Every replica reports once (the controller only fails over leaders

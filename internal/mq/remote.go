@@ -27,14 +27,14 @@ const (
 
 // A fetch is a server stream: one request subscribes a cursor at an offset
 // and the broker pushes each batch as it becomes visible (DESIGN.md, "Hot
-// path & batching"). MaxFetchBatch caps a batch's records (the workers
-// assert their poll size fits), fetchWindow the batches pushed per request —
-// so a client's read loop can hold everything a broker sends unasked and
-// never waits on a slow consumer — and a partition idle for maxFetchPark ends
-// the stream, which bounds what an abandoned cursor or a closing server
-// waits on a parked handler. The cursor's next Poll re-opens an ended stream.
+// path & batching"). maxFetchBatch caps a batch's records, whatever a poll
+// asks for, and fetchWindow the batches pushed per request, so a client's
+// read loop can hold everything a broker sends unasked and never waits on a
+// slow consumer; a partition idle for maxFetchPark ends the stream, which
+// bounds what an abandoned cursor or a closing server waits on a parked
+// handler. The cursor's next Poll re-opens an ended stream.
 const (
-	MaxFetchBatch = 512
+	maxFetchBatch = 512
 	fetchWindow   = 64
 	maxFetchPark  = 250 * time.Millisecond
 )
@@ -63,12 +63,26 @@ func (b *Broker) partReq(r *codec.Reader) (*Topic, int, error) {
 	return t, int(part), nil
 }
 
+// onPart makes a buffer handler of h, which gets the partition the request
+// addresses and the reader behind the address.
+func (b *Broker) onPart(h func(t *Topic, part int, r *codec.Reader, resp *codec.Writer) error) rpc.BufHandler {
+	return func(_ rpc.Ctx, req []byte, resp *codec.Writer) error {
+		r := codec.NewReader(req)
+		t, part, err := b.partReq(r)
+		if err != nil {
+			return err
+		}
+		return h(t, part, r, resp)
+	}
+}
+
 // ServeBroker registers the broker's RPC surface on srv. Handlers that
 // never park run inline on the connection's read loop: an append does unless
 // the broker replicates, where it waits on a quorum.
 func ServeBroker(b *Broker, srv *rpc.Server) {
+	always := func() bool { return true }
 	unreplicated := func() bool { return b.repl.Load() == nil }
-	srv.HandleInline(methodOpenTopic, nil, func(_ rpc.Ctx, req []byte, _ *codec.Writer) error {
+	srv.HandleInline(methodOpenTopic, always, func(_ rpc.Ctx, req []byte, _ *codec.Writer) error {
 		r := codec.NewReader(req)
 		name := r.String()
 		parts := r.Uvarint()
@@ -81,12 +95,7 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		_, err := b.CreateTopic(name, int(parts))
 		return err
 	})
-	srv.HandleInline(methodAppend, unreplicated, func(_ rpc.Ctx, req []byte, resp *codec.Writer) error {
-		r := codec.NewReader(req)
-		t, part, err := b.partReq(r)
-		if err != nil {
-			return err
-		}
+	srv.HandleInline(methodAppend, unreplicated, b.onPart(func(t *Topic, part int, r *codec.Reader, resp *codec.Writer) error {
 		key := r.Uvarint()
 		val := r.Bytes32()
 		if err := r.Err(); err != nil {
@@ -96,13 +105,8 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		off, err := t.Append(part, key, append([]byte(nil), val...))
 		resp.Varint(off)
 		return err
-	})
-	srv.HandleInline(methodAppendBatch, unreplicated, func(_ rpc.Ctx, req []byte, resp *codec.Writer) error {
-		r := codec.NewReader(req)
-		t, part, err := b.partReq(r)
-		if err != nil {
-			return err
-		}
+	}))
+	srv.HandleInline(methodAppendBatch, unreplicated, b.onPart(func(t *Topic, part int, r *codec.Reader, resp *codec.Writer) error {
 		n := r.Count(2) // a record is at least a key byte and a length byte
 		if err := r.Err(); err != nil {
 			return err
@@ -117,7 +121,7 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		off, err := t.AppendBatch(part, recs)
 		resp.Varint(off)
 		return err
-	})
+	}))
 	srv.HandleStream(methodFetch, func(_ rpc.Ctx, req []byte, push func([]byte) error) error {
 		r := codec.NewReader(req)
 		t, part, err := b.partReq(r)
@@ -125,7 +129,7 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 			return err
 		}
 		offset := r.Varint()
-		max := int(min(r.Uvarint(), MaxFetchBatch))
+		max := int(min(r.Uvarint(), maxFetchBatch))
 		if err := r.Err(); err != nil {
 			return err
 		}
@@ -153,33 +157,24 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		}
 		return nil
 	})
-	srv.HandleInline(methodMeta, nil, func(_ rpc.Ctx, req []byte, resp *codec.Writer) error {
-		t, part, err := b.partReq(codec.NewReader(req))
+	srv.HandleInline(methodMeta, always, b.onPart(func(t *Topic, part int, _ *codec.Reader, resp *codec.Writer) error {
 		// Offsets from a non-leader could overstate the log end by its
 		// unreplicated tail; make clients re-resolve instead.
-		if err == nil {
-			err = b.checkLeader(t.name, part)
-		}
-		if err != nil {
+		if err := b.checkLeader(t.name, part); err != nil {
 			return err
 		}
 		resp.Varint(t.NextOffset(part))
 		resp.Varint(t.Depth(part))
 		resp.Varint(t.CommittedOffset(part))
 		return nil
-	})
-	srv.HandleInline(methodCommit, nil, func(_ rpc.Ctx, req []byte, _ *codec.Writer) error {
-		r := codec.NewReader(req)
-		t, part, err := b.partReq(r)
+	}))
+	srv.HandleInline(methodCommit, always, b.onPart(func(t *Topic, part int, r *codec.Reader, _ *codec.Writer) error {
 		offset := r.Varint()
-		if err == nil {
-			err = r.Err()
-		}
-		if err != nil {
+		if err := r.Err(); err != nil {
 			return err
 		}
 		return t.Commit(part, offset)
-	})
+	}))
 }
 
 // decodeBatch reads n records off an append-batch frame. The frame buffer
@@ -488,36 +483,38 @@ type RemoteConsumer struct {
 	rest   []Record    // what a Poll smaller than the pushed batch left behind
 }
 
-// Poll implements Cursor. A stream that ended is re-opened here. One that
-// ended in an error is first healed, by a call: callPart's policy re-creates
-// a topic a restarted broker forgot, re-resolves a moved leader and re-dials
-// a lost connection for a call, and what it mends it mends for the stream.
-// That happens once per Poll — a restart or a failover between two polls
-// costs the caller nothing, one that persists reaches the caller's own retry
-// loop.
+// Poll implements Cursor. A stream that ended is re-opened here, and what
+// is left of wait after its first frame is spent on the next: an idle Poll
+// returns on time however many streams end under it. A stream that ended in
+// an error, or would not open, is first healed, by a call: callPart's policy
+// re-creates a topic a restarted broker forgot, re-resolves a moved leader
+// and re-dials a lost connection for a call, and what it mends it mends for
+// the stream. That happens once per Poll — a restart or a failover between
+// two polls costs the caller nothing, one that persists reaches the caller's
+// own retry loop.
 func (c *RemoteConsumer) Poll(limit int, wait time.Duration) ([]Record, error) {
+	deadline := time.Now().Add(wait)
 	for healed := false; len(c.rest) == 0; {
-		patience := wait
+		patience := time.Until(deadline)
+		var payload []byte
+		var err error
 		if c.stream == nil {
 			w := codec.NewWriter(40)
 			w.String(c.topic.name)
 			w.Uvarint(uint64(c.partition))
 			w.Varint(c.offset)
 			w.Uvarint(uint64(max(limit, 1)))
-			s, err := c.topic.via.streamPart(c.topic.name, c.partition, w.Bytes())
-			if err != nil {
-				return nil, err
-			}
-			c.stream = s
+			c.stream, err = c.topic.via.streamPart(c.topic.name, c.partition, w.Bytes())
 			// A new stream's first frame — a batch, an empty one from a
 			// partition with nothing to send, or an error — is one round trip
 			// away; waiting for it keeps the poll after an open, a seek or a
 			// failure as current as the call it replaced.
-			patience = max(wait, c.topic.timeout)
+			patience = max(patience, c.topic.timeout)
 		}
-		payload, err := c.stream.Recv(patience)
-		if err == nil && payload == nil {
-			return nil, nil
+		if err == nil {
+			if payload, err = c.stream.Recv(patience); err == nil && payload == nil {
+				return nil, nil
+			}
 		}
 		if err == nil {
 			c.rest, err = decodeFetchBatch(payload)

@@ -176,6 +176,27 @@ func TestPollSmallerThanPushedBatch(t *testing.T) {
 	}
 }
 
+// TestIdlePollReturnsOnTime: wait is the whole Poll's, not each stream's. An
+// idle stream ends every maxFetchPark and Poll re-opens it; a Poll longer
+// than that still returns, empty, when its wait is up — and still delivers a
+// record that arrives under a later stream.
+func TestIdlePollReturnsOnTime(t *testing.T) {
+	_, rb, done := startRemote(t)
+	defer done()
+	topic, _ := rb.OpenTopic("t", 1)
+	c := topic.OpenConsumer(0, 0)
+	const wait = 2*maxFetchPark + 100*time.Millisecond
+	start := time.Now()
+	recs, err := c.Poll(1, wait)
+	if took := time.Since(start); err != nil || len(recs) != 0 || took < wait || took > wait+maxFetchPark {
+		t.Fatalf("idle Poll(1, %v): %d records, %v, after %v", wait, len(recs), err, took)
+	}
+	time.AfterFunc(maxFetchPark+50*time.Millisecond, func() { topic.Append(0, 1, []byte("late")) })
+	if recs, err = c.Poll(1, 10*wait); err != nil || len(recs) != 1 || string(recs[0].Value) != "late" {
+		t.Fatalf("Poll across an ended stream: %v, %v", recs, err)
+	}
+}
+
 // TestStalledConsumerDoesNotDelayAppends: a consumer that stops polling
 // with a full window of pushed batches unread — several megabytes, more than
 // the socket buffers hold — delays nothing else on its connection, because

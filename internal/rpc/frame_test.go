@@ -32,6 +32,8 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
+func always() bool { return true }
+
 // goid identifies the calling goroutine ("goroutine 42 [running]: ...").
 func goid() string {
 	var buf [32]byte
@@ -57,7 +59,7 @@ func TestOneReadPerFrame(t *testing.T) {
 	defer s.Close()
 	var ranOn sync.Map // goroutine id -> true
 	var counting atomic.Bool
-	s.HandleInline("echo", nil, func(_ Ctx, req []byte, resp *codec.Writer) error {
+	s.HandleInline("echo", always, func(_ Ctx, req []byte, resp *codec.Writer) error {
 		if !counting.Load() { // asking who runs the call allocates
 			ranOn.Store(goid(), true)
 		}
@@ -149,7 +151,7 @@ func TestOneReadPerFrame(t *testing.T) {
 func TestBufferedRequestsShareOneWrite(t *testing.T) {
 	client, server := net.Pipe()
 	s := NewServer()
-	s.HandleInline("echo", nil, func(_ Ctx, req []byte, resp *codec.Writer) error {
+	s.HandleInline("echo", always, func(_ Ctx, req []byte, resp *codec.Writer) error {
 		resp.Raw(req)
 		return nil
 	})
@@ -198,7 +200,7 @@ func TestParkedHandlerNeverBlocksInline(t *testing.T) {
 		<-release
 		return nil
 	})
-	s.HandleInline("quick", nil, func(_ Ctx, _ []byte, resp *codec.Writer) error {
+	s.HandleInline("quick", always, func(_ Ctx, _ []byte, resp *codec.Writer) error {
 		resp.Byte(7)
 		return nil
 	})
@@ -374,25 +376,6 @@ func TestStreamDiesWithItsConnection(t *testing.T) {
 	close(proceed)
 	if p, err := st.Recv(time.Second); !errors.Is(err, faultpoint.ErrInjected) {
 		t.Fatalf("stream over a killed connection: %q, %v", p, err)
-	}
-}
-
-// TestServedCountsPerMethod: Served is the per-method share of Requests.
-func TestServedCountsPerMethod(t *testing.T) {
-	s, addr := startEcho(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for i := 0; i < 3; i++ {
-		if _, err := c.Call("echo", nil, time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Call("nope", nil, time.Second)
-	if got, all := s.Served("echo"), s.Requests.Value(); got != 3 || all != 4 || s.Served("nope") != 0 {
-		t.Fatalf("Served(echo) = %d of %d requests", got, all)
 	}
 }
 

@@ -162,8 +162,7 @@ type handlerEntry struct {
 	ctx    CtxHandler
 	buf    BufHandler
 	stream StreamHandler
-	inline func() bool  // set: buf runs on the read loop while it reports true
-	calls  *obs.Counter // request frames that named the method
+	inline func() bool // set: buf runs on the read loop while it reports true
 }
 
 // Server serves registered handlers over TCP.
@@ -201,7 +200,6 @@ func NewServer() *Server {
 func (s *Server) register(method string, e handlerEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e.calls = new(obs.Counter)
 	next := map[string]handlerEntry{method: e}
 	for m, old := range *s.handlers.Load() {
 		if m != method {
@@ -227,13 +225,10 @@ func (s *Server) HandleBuf(method string, h BufHandler) { s.register(method, han
 
 // HandleInline registers a buffer handler that never parks — no queue,
 // quorum or downstream wait — to run on the connection's read loop while ok
-// reports true (nil: always): no goroutine, no copy of the request, and its
-// reply leaves with those of every request already buffered. A call ok
-// refuses, and every call on a server with Delay set, runs like HandleBuf's.
+// (required) reports true: no goroutine, no copy of the request, and its reply leaves
+// with those of every request already buffered. A call ok refuses, and every
+// call on a server with Delay set, runs like HandleBuf's.
 func (s *Server) HandleInline(method string, ok func() bool, h BufHandler) {
-	if ok == nil {
-		ok = func() bool { return true }
-	}
 	s.register(method, handlerEntry{buf: h, inline: ok})
 }
 
@@ -241,14 +236,6 @@ func (s *Server) HandleInline(method string, ok func() bool, h BufHandler) {
 // end is Client.OpenStream.
 func (s *Server) HandleStream(method string, h StreamHandler) {
 	s.register(method, handlerEntry{stream: h})
-}
-
-// Served reports how many request frames have named method.
-func (s *Server) Served(method string) int64 {
-	if e, ok := (*s.handlers.Load())[method]; ok {
-		return e.calls.Value()
-	}
-	return 0
 }
 
 // Listen binds addr (e.g. "127.0.0.1:0") and starts accepting. It returns
@@ -334,9 +321,7 @@ func (s *Server) serveConn(conn net.Conn) {
 //lint:hotpath
 func (sc *serverConn) dispatch(f frame) {
 	s := sc.s
-	// The frame carries a relative budget, not an absolute instant, so
-	// the two processes need no clock agreement; the deadline is pinned
-	// to this host's clock at receipt.
+	// The budget is relative: the deadline is pinned to this host's clock.
 	ctx := Ctx{Trace: f.trace}
 	if f.budget > 0 {
 		ctx.Deadline = time.Now().Add(time.Duration(f.budget))
@@ -347,7 +332,6 @@ func (sc *serverConn) dispatch(f frame) {
 		sc.fail(f.id, f.trace, unknownMethod(f.method))
 		return
 	}
-	e.calls.Inc()
 	if e.inline != nil && s.Delay == 0 && e.inline() {
 		sc.serve(e, ctx, f.id, f.payload, nil)
 		return
@@ -492,12 +476,12 @@ func (s *Server) Close() error {
 // carried only on requests; the receiver pins it to its own clock, and any
 // further hop is issued with the shrunken remainder.
 //
-// Each end of a connection owns a read buffer and a write buffer, readBufSize
-// at rest; one that a larger frame grew past maxIdleBuf is dropped as soon
-// as it drains, not pinned.
+// Each end of a connection owns a read buffer and a write buffer. They
+// start at readBufSize and keep what a larger frame grew them to, up to
+// maxIdleBuf: one grown past that is dropped as soon as it drains.
 const (
 	readBufSize = 4 << 10
-	maxIdleBuf  = 64 << 10
+	maxIdleBuf  = 1 << 20
 )
 
 //lint:hotpath
@@ -1122,22 +1106,22 @@ func (c *Client) OpenStream(method string, req []byte, window int) (*Stream, err
 
 // Recv returns the next pushed payload, or nil once wait has passed with
 // none. ErrEndOfStream means the server ended the stream; any other error
-// ended it too, and Recv is not called again after either.
+// ended it too, and Recv is not called again after either. A stream has one
+// reader.
 func (s *Stream) Recv(wait time.Duration) ([]byte, error) {
+	var expired <-chan time.Time
+	if len(s.ch) == 0 { // else the receive below is ready, and needs no timer
+		if wait <= 0 {
+			return nil, nil
+		}
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		expired = t.C
+	}
 	select {
 	case res := <-s.ch:
 		return res.payload, res.err
-	default:
-	}
-	if wait <= 0 {
-		return nil, nil
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case res := <-s.ch:
-		return res.payload, res.err
-	case <-t.C:
+	case <-expired:
 		return nil, nil
 	}
 }

@@ -399,9 +399,6 @@ const (
 	pollRetryDelay = 50 * time.Millisecond
 )
 
-// A poll must fit one pushed fetch batch, or the broker would cut it short.
-const _ = uint(mq.MaxFetchBatch - pollBatch)
-
 // pollRetry decides a poll loop's fate after a Poll error: exit on a
 // fatal (closed-on-shutdown) error, otherwise pause briefly and keep
 // polling — a broker mid-restart is healed by the reconnecting transport,

@@ -403,9 +403,6 @@ const (
 	pollRetryDelay = 50 * time.Millisecond
 )
 
-// A poll must fit one pushed fetch batch, or the broker would cut it short.
-const _ = uint(mq.MaxFetchBatch - pollBatch)
-
 func (w *Worker) poll(c mq.Cursor) bool {
 	recs, err := c.Poll(pollBatch, 50*time.Millisecond)
 	if err != nil {
