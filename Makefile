@@ -45,6 +45,9 @@ check:
 	# Ten seconds of native fuzzing over every reader of the sampling
 	# result's wire form: the bytes a frontend takes off a socket.
 	$(GO) test ./internal/serving -run '^$$' -fuzz FuzzEncodedResult -fuzztime 10s
+	# And ten over the snapshot decoder: the image a restarting serving
+	# worker reads off its disk.
+	$(GO) test ./internal/serving -run '^$$' -fuzz FuzzRestore -fuzztime 10s
 	# And ten over the telemetry decoder: the frames a worker sends the
 	# broker's collector.
 	$(GO) test ./internal/monitor -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 10s

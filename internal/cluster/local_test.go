@@ -446,8 +446,13 @@ func TestSubmitAsync(t *testing.T) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
-		if len(r.Result.Layers[1]) != 1 || r.Result.Layers[1][0] != itemID(1) {
-			t.Fatalf("async result: %v", r.Result.Layers)
+		res, err := r.Result.Decode()
+		r.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Layers[1]) != 1 || res.Layers[1][0] != itemID(1) {
+			t.Fatalf("async result: %v", res.Layers)
 		}
 		if r.Latency <= 0 {
 			t.Fatal("latency not measured")

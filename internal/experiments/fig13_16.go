@@ -94,6 +94,7 @@ func Fig14(cfg Config) ([]ScalePoint, error) {
 			resp := make(chan servingResponse, 1)
 			c.Submit(servingRequest{Query: 0, Seed: pick(), Resp: resp})
 			r := <-resp
+			r.Release()
 			return r.Err
 		})
 		return ScalePoint{Rate: st.QPS, AvgMS: msf(st.Latency.Mean), P99MS: ms(st.Latency.P99)}, nil

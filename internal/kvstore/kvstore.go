@@ -34,7 +34,7 @@ type Options struct {
 	// ignored and the store never spills.
 	Dir string
 	// MemBudgetBytes triggers a flush when the memtable exceeds it.
-	// Ignored when Dir is empty. 0 defaults to 64 MiB.
+	// Ignored when Dir is empty. 0 defaults to DefaultMemBudget.
 	MemBudgetBytes int64
 	// Shards is the memtable shard count; 0 defaults to 16.
 	Shards int
@@ -42,9 +42,13 @@ type Options struct {
 	BloomBitsPerKey int
 }
 
+// DefaultMemBudget is the memory budget of a store opened with a zero
+// MemBudgetBytes.
+const DefaultMemBudget = 64 << 20
+
 func (o *Options) fill() {
 	if o.MemBudgetBytes == 0 {
-		o.MemBudgetBytes = 64 << 20
+		o.MemBudgetBytes = DefaultMemBudget
 	}
 	if o.Shards <= 0 {
 		o.Shards = 16
@@ -161,19 +165,25 @@ func (db *DB) Put(key, value []byte) error {
 	return nil
 }
 
-// Delete removes key. With disk runs present a tombstone shadows older
-// versions until compaction.
+// Delete removes key. With a Dir a tombstone shadows older versions in the
+// runs until compaction; a memory-only store has no runs to shadow, so the
+// entry simply goes (Flush and Compact never run there to drop a tombstone).
 func (db *DB) Delete(key []byte) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
 	s := db.shardFor(key)
 	k := string(key)
+	var delta int64
 	s.mu.Lock()
 	old, existed := s.m[k]
-	s.m[k] = entry{tombstone: true}
+	if db.opts.Dir == "" {
+		delete(s.m, k)
+	} else {
+		s.m[k] = entry{tombstone: true}
+		delta = int64(len(k) + entryOverhead)
+	}
 	s.mu.Unlock()
-	delta := int64(len(k) + entryOverhead)
 	if existed {
 		delta -= int64(len(k) + len(old.value) + entryOverhead)
 	}

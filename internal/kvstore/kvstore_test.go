@@ -91,6 +91,23 @@ func TestMemoryOnlyPutGetDelete(t *testing.T) {
 	}
 }
 
+// TestMemoryOnlyDeleteLeavesNothing: a memory-only store has no runs for a
+// tombstone to shadow and never flushes one away, so a delete must take the
+// entry out, not leave a tombstone that MemBytes counts and Len does not.
+func TestMemoryOnlyDeleteLeavesNothing(t *testing.T) {
+	db, _ := Open(Options{})
+	defer db.Close()
+	for i := 0; i < 10000; i++ {
+		k := []byte(fmt.Sprintf("key-%05d", i))
+		db.Put(k, []byte("v"))
+		db.Delete(k)
+	}
+	n, _ := db.Len()
+	if mem := db.MemBytes(); mem != 0 || n != 0 {
+		t.Fatalf("after 10000 put+delete pairs: MemBytes %d, Len %d; want 0, 0", mem, n)
+	}
+}
+
 func TestPutCopiesValue(t *testing.T) {
 	db, _ := Open(Options{})
 	defer db.Close()

@@ -204,11 +204,11 @@ func TestBatchRequestCodec(t *testing.T) {
 // rejects truncations and trailing bytes.
 func TestBatchResponseCodec(t *testing.T) {
 	resps := []Response{
-		{Result: &Result{
+		{Result: encodeResult(&Result{
 			Layers:   [][]graph.VertexID{{1}, {2}},
 			Features: map[graph.VertexID][]float32{2: {1.5}},
 			Lookups:  3,
-		}},
+		})},
 		{Err: errors.New("boom")},
 		{Err: rpc.ErrDeadlineExceeded},
 	}
@@ -260,7 +260,7 @@ func TestBatchCodecZeroAlloc(t *testing.T) {
 		{Query: 0, Seed: 1 << 40, Budget: -1},
 	}
 	resps := []Response{
-		{Result: &Result{Layers: [][]graph.VertexID{{1}, {2, 3}}, Lookups: 3}},
+		{Result: encodeResult(&Result{Layers: [][]graph.VertexID{{1}, {2, 3}}, Lookups: 3})},
 		{Err: rpc.ErrDeadlineExceeded},
 	}
 	w := codec.NewWriter(256)

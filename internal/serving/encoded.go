@@ -36,18 +36,10 @@ const (
 	minFeature = 2 // id + empty vector
 )
 
-// AppendResult encodes a Result.
+// AppendResult encodes a Result. The serve path never builds one: the
+// assembler appends the same layout straight from the cache's cells.
 func AppendResult(w *codec.Writer, res *Result) {
-	w.Uvarint(uint64(res.SampleMisses))
-	w.Uvarint(uint64(res.FeatureMisses))
-	w.Uvarint(uint64(res.Lookups))
-	w.Bool(res.Degraded)
-	w.Varint(res.StalenessNS)
-	w.Uvarint(uint64(len(res.Stages)))
-	for _, s := range res.Stages {
-		w.String(s.Name)
-		w.Varint(s.Dur)
-	}
+	appendHeader(w, res.SampleMisses, res.FeatureMisses, res.Lookups, res.Degraded, res.StalenessNS, res.Stages)
 	w.Uvarint(uint64(len(res.Layers)))
 	for _, layer := range res.Layers {
 		w.Uvarint(uint64(len(layer)))
@@ -70,6 +62,22 @@ func AppendResult(w *codec.Writer, res *Result) {
 	}
 }
 
+// appendHeader writes the header of the layout above.
+//
+//lint:hotpath
+func appendHeader(w *codec.Writer, sampleMisses, featureMisses, lookups int, degraded bool, stalenessNS int64, stages []obs.Span) {
+	w.Uvarint(uint64(sampleMisses))
+	w.Uvarint(uint64(featureMisses))
+	w.Uvarint(uint64(lookups))
+	w.Bool(degraded)
+	w.Varint(stalenessNS)
+	w.Uvarint(uint64(len(stages)))
+	for _, s := range stages {
+		w.String(s.Name)
+		w.Varint(s.Dur)
+	}
+}
+
 // errDuplicateFeature rejects a payload naming one vertex's feature twice:
 // a Result holds features in a map, so no encoder produces it, and the two
 // readers of the wire form would otherwise have to agree on which copy wins.
@@ -86,10 +94,25 @@ func DecodeResult(r *codec.Reader) (*Result, error) {
 		StalenessNS:   h.StalenessNS,
 		Stages:        h.Spans(0),
 	}
+	// The layers share one backing array, sized by a first pass over their
+	// section, and the features another (below), each slice capped at its
+	// own length: a decode costs a few allocations, not one per layer or
+	// feature.
 	if nl := r.Count(minLayer); nl > 0 {
+		counter, total := *r, 0
+		for i := 0; i < nl; i++ {
+			n := counter.Count(minVertex)
+			for j := 0; j < n; j++ {
+				counter.Uvarint()
+			}
+			total += n
+		}
+		verts := make([]graph.VertexID, total)
 		res.Layers = make([][]graph.VertexID, nl)
 		for i := range res.Layers {
-			layer := make([]graph.VertexID, r.Count(minVertex))
+			n := r.Count(minVertex)
+			layer := verts[:n:n]
+			verts = verts[n:]
 			for j := range layer {
 				layer[j] = graph.VertexID(r.Uvarint())
 			}
@@ -109,13 +132,20 @@ func DecodeResult(r *codec.Reader) (*Result, error) {
 		}
 	}
 	nf := r.Count(minFeature)
+	floats := make([]float32, 0, r.Remaining()/4) // the features end the payload
 	res.Features = make(map[graph.VertexID][]float32, nf)
 	for i := 0; i < nf; i++ {
 		v := graph.VertexID(r.Uvarint())
 		if _, dup := res.Features[v]; dup {
 			return nil, errDuplicateFeature
 		}
-		res.Features[v] = r.Float32s()
+		at := len(floats)
+		floats = r.Float32sAppend(floats)
+		var f []float32 // nil when empty, as Float32s reads one
+		if n := len(floats); n > at {
+			f = floats[at:n:n]
+		}
+		res.Features[v] = f
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -183,9 +213,23 @@ func (h Header) Spans(extra int) []obs.Span {
 	}
 	spans := make([]obs.Span, 0, n+extra)
 	for i := 0; i < n; i++ {
-		spans = append(spans, obs.Span{Name: r.String(), Dur: r.Varint()})
+		spans = append(spans, obs.Span{Name: spanName(r.Bytes32()), Dur: r.Varint()})
 	}
 	return spans
+}
+
+// spanName returns a span's name, without a copy when it is one of the
+// serving stages — which it always is from a serving worker.
+func spanName(b []byte) string {
+	switch string(b) {
+	case obs.StageServingQueueWait:
+		return obs.StageServingQueueWait
+	case obs.StageServingKHop:
+		return obs.StageServingKHop
+	case obs.StageServingFeature:
+		return obs.StageServingFeature
+	}
+	return string(b)
 }
 
 // Decode materialises the Result, consuming the whole payload.

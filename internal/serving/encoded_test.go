@@ -408,6 +408,35 @@ func TestEncodedViewZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDecodeAllocations: decoding the [25,10] answer shares one backing
+// array among all 276 features, each slice capped at its own length so an
+// append to one cannot overwrite the next — a handful of allocations where
+// there was one per feature (about 285 in all).
+func TestDecodeAllocations(t *testing.T) {
+	enc := encodeResult(goldenResult())
+	res, err := enc.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, f := range res.Features {
+		if cap(f) != len(f) {
+			t.Fatalf("feature of %d: len %d, cap %d", v, len(f), cap(f))
+		}
+	}
+	if raceEnabled {
+		return // race detector instrumentation allocates
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := enc.Decode(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("decoding a [25,10] answer: %v allocations", allocs)
+	if allocs > 10 {
+		t.Fatalf("decoding a [25,10] answer: %v allocations, want at most 10", allocs)
+	}
+}
+
 // TestAppendJSONRejectsNonFinite: JSON has no NaN or infinity, and
 // encoding/json fails on them too — the caller must learn which vertex.
 func TestAppendJSONRejectsNonFinite(t *testing.T) {
@@ -443,7 +472,7 @@ func TestCorruptCountsFailCleanly(t *testing.T) {
 	AppendResult(w, res)
 	single := append([]byte(nil), w.Bytes()...)
 	w.Reset()
-	AppendBatchResponse(w, []Response{{Result: res}, {Err: errors.New("")}})
+	AppendBatchResponse(w, []Response{{Result: single}, {Err: errors.New("")}})
 	batch := append([]byte(nil), w.Bytes()...)
 	w.Reset()
 	AppendBatchRequest(w, []BatchItem{{}})

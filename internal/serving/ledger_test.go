@@ -26,12 +26,14 @@ func (c *countingClock) Now() time.Time {
 // (queue_wait, khop_assembly, feature_fetch, encode, cache_apply).
 const servingStages = 5
 
-// A work-ledger row the host cannot blur: what one direct Worker.Sample of
-// a full [25,10] answer costs in clock reads and histogram observations,
-// as counts. Assembly itself needs three timestamps (start, hops done,
+// Work-ledger rows the host cannot blur, as counts, for one full [25,10]
+// answer. A direct Worker.Sample costs clock reads and histogram
+// observations: assembly itself needs three timestamps (start, hops done,
 // features done); before the kvstore.get stage was cut each of its 302
 // lookups read the clock twice more and observed a histogram, ~607 reads
-// and 305 observations per query.
+// and 305 observations per query. Assembling it into a reused buffer
+// allocates nothing (Sample plus AppendResult took 635 allocations while the
+// cache was an encoded kvstore). And a memory-only worker opens no kvstore.
 func TestSampleWorkLedger(t *testing.T) {
 	s := graph.NewSchema()
 	forum, person := s.AddVertexType("Forum"), s.AddVertexType("Person")
@@ -56,7 +58,9 @@ func TestSampleWorkLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.db.Close()
+	if w.cache.spill != nil {
+		t.Error("a memory-only worker opened a kvstore")
+	}
 
 	// Fill the cache: the seed's 25 members, 10 acquaintances of each, and a
 	// feature for all 276 vertices.
@@ -105,5 +109,25 @@ func TestSampleWorkLedger(t *testing.T) {
 	}
 	if observed > servingStages {
 		t.Errorf("one Sample made %d histogram observations, ledger allows one per serving stage (%d)", observed, servingStages)
+	}
+
+	if raceEnabled {
+		return // race detector instrumentation allocates
+	}
+	a := getAssembly()
+	var enc Encoded
+	allocs := testing.AllocsPerRun(100, func() {
+		a.reset()
+		if err := w.assemble(a, 0, seed, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		enc = a.finish(false, 0)
+	})
+	if h, err := enc.Header(); err != nil || h.Lookups != 26 {
+		t.Fatalf("assembled header %+v, %v", h, err)
+	}
+	t.Logf("one [25,10] assembly into a reused buffer: %v allocations", allocs)
+	if allocs != 0 {
+		t.Errorf("assembling a [25,10] answer allocated %v times, ledger allows 0", allocs)
 	}
 }

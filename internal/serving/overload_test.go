@@ -12,19 +12,13 @@ import (
 	"helios/internal/wire"
 )
 
-// seedCache writes a one-hop sample plus features so degraded/normal paths
+// seedCache applies a one-hop sample plus features so degraded/normal paths
 // have something to assemble.
 func seedCache(t *testing.T, w *Worker, plan *query.Plan) {
 	t.Helper()
-	now := w.cfg.Clock.Now().UnixNano()
-	hid := plan.OneHops[0].ID
-	samples := []wire.SampleRef{{Neighbor: 2, Ts: 1, Weight: 1}}
-	if err := w.db.Put(sampleKey(hid, 1), encodeSamples(samples, now)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.db.Put(featureKey(1), encodeFeature([]float32{1, 2}, now)); err != nil {
-		t.Fatal(err)
-	}
+	w.applyMessage(0, wire.Message{Kind: wire.KindSampleUpsert, Hop: plan.OneHops[0].ID, Vertex: 1,
+		Samples: []wire.SampleRef{{Neighbor: 2, Ts: 1, Weight: 1}}})
+	w.applyMessage(0, wire.Message{Kind: wire.KindFeatureUpdate, Vertex: 1, Feature: []float32{1, 2}})
 }
 
 func TestDeadlineFastFailAtDequeue(t *testing.T) {
@@ -89,7 +83,7 @@ func TestServeAdmittedShedsWhenSaturated(t *testing.T) {
 	}()
 	waitUntil(t, func() bool { return w.limiter.Queued() == 1 })
 
-	_, err = w.ServeAdmitted(rpc.Ctx{}, 0, 1)
+	err = w.ServeAdmitted(rpc.Ctx{}, 0, 1).Err
 	if !overload.IsOverload(err) {
 		t.Fatalf("saturated worker returned %v, want overload shed", err)
 	}
@@ -130,9 +124,14 @@ func TestServeAdmittedDegradesUnderShed(t *testing.T) {
 	}()
 	waitUntil(t, func() bool { return w.limiter.Queued() == 1 })
 
-	res, err := w.ServeAdmitted(rpc.Ctx{}, 0, 1)
+	resp := w.ServeAdmitted(rpc.Ctx{}, 0, 1)
+	if resp.Err != nil {
+		t.Fatalf("degraded path returned %v", resp.Err)
+	}
+	res, err := resp.Result.Decode()
+	resp.Release()
 	if err != nil {
-		t.Fatalf("degraded path returned %v", err)
+		t.Fatal(err)
 	}
 	if !res.Degraded {
 		t.Fatal("result not tagged Degraded")
@@ -161,7 +160,6 @@ func TestSampleDegradedBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.db.Close()
 	seedCache(t, w, plan)
 
 	// Hold the only degraded slot; a second inline assembly must shed, not
@@ -170,11 +168,15 @@ func TestSampleDegradedBounded(t *testing.T) {
 	if !ok {
 		t.Fatal("fresh degraded limiter refused a slot")
 	}
-	if _, err := w.SampleDegraded(0, 1); !overload.IsOverload(err) {
+	if err := w.SampleDegraded(0, 1).Err; !overload.IsOverload(err) {
 		t.Fatalf("second degraded assembly returned %v, want shed", err)
 	}
 	rel()
-	res, err := w.SampleDegraded(0, 1)
+	resp := w.SampleDegraded(0, 1)
+	if resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	res, err := resp.Result.Header()
 	if err != nil {
 		t.Fatal(err)
 	}

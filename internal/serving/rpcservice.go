@@ -54,7 +54,7 @@ type BatchResult struct {
 
 // Batch response member statuses.
 const (
-	batchOK      = 0 // followed by a length-prefixed AppendResult encoding
+	batchOK      = 0 // followed by the length-prefixed encoded answer
 	batchErr     = 1 // followed by an error string
 	batchExpired = 2 // the member's own deadline expired worker-side
 )
@@ -121,10 +121,7 @@ func AppendBatchResponse(w *codec.Writer, resps []Response) {
 			// Length-prefixed, so the client hands each member on as a
 			// sub-slice of the frame without decoding it.
 			w.Byte(batchOK)
-			member := codec.GetWriter()
-			AppendResult(member, rs.Result)
-			w.Bytes32(member.Bytes())
-			codec.PutWriter(member)
+			w.Bytes32(rs.Result)
 		case errors.Is(rs.Err, rpc.ErrDeadlineExceeded):
 			// Typed across the hop like frameExpired: the member maps back
 			// to rpc.ErrDeadlineExceeded client-side without string matching.
@@ -181,17 +178,18 @@ func ServeRPC(w *Worker, srv *rpc.Server) {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		res, err := w.ServeAdmitted(ctx, qid, seed)
-		if err != nil {
-			return err
+		resp := w.ServeAdmitted(ctx, qid, seed)
+		if resp.Err != nil {
+			return resp.Err
 		}
-		// The encode stage is observed (with the request's trace exemplar)
-		// but not appended as a span: the result's span list is part of the
-		// payload being encoded. Frontend-side it reads as rpc_transport
-		// residual. out is the server's pooled response writer, so the
-		// steady-state encode allocates nothing.
+		// The answer arrives encoded, header and all; what is left to time
+		// as the encode stage is its copy into the server's pooled reply
+		// writer. It is observed (with the request's trace exemplar) but not
+		// a span: the spans are already in the payload. Frontend-side it
+		// reads as rpc_transport residual.
 		encStart := w.cfg.Clock.Now()
-		AppendResult(out, res)
+		out.Raw(resp.Result)
+		resp.Release()
 		w.stEncode.Observe(w.cfg.Clock.Now().Sub(encStart).Nanoseconds(), ctx.Trace)
 		return nil
 	})
@@ -213,6 +211,9 @@ func ServeRPC(w *Worker, srv *rpc.Server) {
 		}
 		encStart := w.cfg.Clock.Now()
 		AppendBatchResponse(out, resps)
+		for _, r := range resps {
+			r.Release()
+		}
 		w.stEncode.Observe(w.cfg.Clock.Now().Sub(encStart).Nanoseconds(), ctx.Trace)
 		return nil
 	})
@@ -227,41 +228,27 @@ func ServeRPC(w *Worker, srv *rpc.Server) {
 //     cfg.Degrade is on — a cached answer now beats an error;
 //   - an admitted request carries its deadline into the pool (fast-fail at
 //     dequeue) and the caller stops waiting the moment the budget runs out.
-func (w *Worker) ServeAdmitted(ctx rpc.Ctx, qid query.ID, seed graph.VertexID) (*Result, error) {
+//
+// The caller releases the Response.
+func (w *Worker) ServeAdmitted(ctx rpc.Ctx, qid query.ID, seed graph.VertexID) Response {
 	release, err := w.limiter.Acquire(ctx.Deadline)
 	if err != nil {
 		if w.cfg.Degrade && overload.IsOverload(err) && !ctx.Expired(w.cfg.Clock.Now()) {
-			if res, derr := w.SampleDegraded(qid, seed); derr == nil {
+			if resp := w.SampleDegraded(qid, seed); resp.Err == nil {
 				w.cfg.Logger.Info(ctx.Trace, "serving.admission", "degraded serve under shed",
-					"seed", uint64(seed), "staleness", time.Duration(res.StalenessNS))
-				return res, nil
+					"seed", uint64(seed), "staleness", time.Duration(w.staleness.Value()))
+				return resp
 			}
 		}
 		w.cfg.Logger.Warn(ctx.Trace, "serving.admission", "sample shed", "seed", uint64(seed), "err", err)
-		return nil, err
+		return Response{Err: err}
 	}
 	defer release()
 	resp := make(chan Response, 1)
-	req := Request{Query: qid, Seed: seed, Resp: resp, Trace: ctx.Trace}
-	if !ctx.Deadline.IsZero() {
-		req.Deadline = ctx.Deadline.UnixNano()
+	if out, ok := await(w, ctx, Request{Query: qid, Seed: seed, Resp: resp, Trace: ctx.Trace}, resp); ok {
+		return out
 	}
-	w.Submit(req)
-	if ctx.Deadline.IsZero() {
-		out := <-resp
-		return out.Result, out.Err
-	}
-	t := time.NewTimer(ctx.Deadline.Sub(w.cfg.Clock.Now()))
-	defer t.Stop()
-	select {
-	case out := <-resp:
-		return out.Result, out.Err
-	case <-t.C:
-		// The pool will still dequeue the request and fast-fail it; resp is
-		// buffered, so nothing leaks.
-		w.deadlineExp.Inc()
-		return nil, rpc.ErrDeadlineExceeded
-	}
+	return Response{Err: rpc.ErrDeadlineExceeded}
 }
 
 // ServeBatch runs a coalesced batch through the worker's admission
@@ -280,24 +267,33 @@ func (w *Worker) ServeBatch(ctx rpc.Ctx, items []BatchItem) ([]Response, error) 
 	}
 	defer release()
 	resp := make(chan []Response, 1)
-	req := Request{Batch: items, BatchResp: resp, Trace: ctx.Trace}
+	if out, ok := await(w, ctx, Request{Batch: items, BatchResp: resp, Trace: ctx.Trace}, resp); ok {
+		return out, nil
+	}
+	return nil, rpc.ErrDeadlineExceeded
+}
+
+// await submits req carrying ctx's deadline and waits for its answer on
+// resp, or reports false once the budget runs out. The pool still dequeues
+// an abandoned request and fast-fails it; resp is buffered, so nothing
+// leaks (an answer nobody reads is never released; the collector takes it).
+func await[T any](w *Worker, ctx rpc.Ctx, req Request, resp <-chan T) (T, bool) {
 	if !ctx.Deadline.IsZero() {
 		req.Deadline = ctx.Deadline.UnixNano()
 	}
 	w.Submit(req)
 	if ctx.Deadline.IsZero() {
-		return <-resp, nil
+		return <-resp, true
 	}
 	t := time.NewTimer(ctx.Deadline.Sub(w.cfg.Clock.Now()))
 	defer t.Stop()
 	select {
 	case out := <-resp:
-		return out, nil
+		return out, true
 	case <-t.C:
-		// The pool still dequeues the batch and fast-fails its members;
-		// resp is buffered, so nothing leaks.
 		w.deadlineExp.Inc()
-		return nil, rpc.ErrDeadlineExceeded
+		var none T
+		return none, false
 	}
 }
 
@@ -337,13 +333,7 @@ func (c *Client) Ping(timeout time.Duration) error {
 
 // Sample executes a sampling query on the remote worker.
 func (c *Client) Sample(qid query.ID, seed graph.VertexID) (*Result, error) {
-	return c.SampleTraced(qid, seed, 0)
-}
-
-// SampleTraced is Sample carrying a trace ID in the RPC envelope; the
-// returned Result includes the worker's stage spans.
-func (c *Client) SampleTraced(qid query.ID, seed graph.VertexID, trace uint64) (*Result, error) {
-	return c.SampleBudget(qid, seed, trace, 0)
+	return c.SampleBudget(qid, seed, 0, 0)
 }
 
 // SampleBudget is SampleEncoded with the answer decoded.

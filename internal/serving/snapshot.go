@@ -13,10 +13,12 @@ import (
 // sampler's checkpoint (PR 4), extending the same crash-safe
 // temp+fsync+rename discipline (now shared via fsx) to the sample/feature
 // cache. A snapshot pins the worker's sample-queue offset *before* dumping
-// the store, so restart = restore + replay of the tail past the pin — a
+// the cache, so restart = restore + replay of the tail past the pin — a
 // few seconds of records instead of the partition's whole history. Replay
 // over restored state is idempotent: cache messages are absolute
-// puts/deletes, so re-applying the overlap converges to the same cache.
+// puts/deletes, so re-applying the overlap converges to the same cache. The
+// image holds one key/value record per cell, in the spill tier's value form
+// (cache.go).
 
 const snapshotMagic = "HELIOS-SEW-v1"
 
@@ -26,8 +28,6 @@ const snapshotMagic = "HELIOS-SEW-v1"
 // any message racing the dump is at an offset at or past the pin and gets
 // replayed on restore.
 func (w *Worker) Snapshot(out io.Writer) error {
-	cw := codec.NewWriter(1 << 16)
-	cw.String(snapshotMagic)
 	// Pin, then barrier, then dump. The poll loop advances consumed after
 	// messages are merely *enqueued* to the async update pool, so the pin
 	// alone is not a replay floor — a message below it could still be
@@ -56,14 +56,10 @@ func (w *Worker) Snapshot(out io.Writer) error {
 	for i := 0; i < barriers; i++ {
 		<-done
 	}
-	cw.Varint(pin)
-	w.db.Range(func(k, v []byte) bool {
-		cw.Byte(1)
-		cw.Bytes32(k)
-		cw.Bytes32(v)
-		return true
-	})
-	cw.Byte(0)
+	cw := codec.NewWriter(1 << 16)
+	if err := w.cache.snapshot(cw, pin); err != nil {
+		return err
+	}
 	//lint:allow faultcover reason=SnapshotFile hands this an in-memory buffer; the file write behind it carries the serving.snapshot.write hook in fsx.WriteFileAtomic
 	_, err := out.Write(cw.Bytes())
 	return err
@@ -81,7 +77,7 @@ func (w *Worker) SnapshotFile(path string) error {
 }
 
 // Restore loads a snapshot into a worker that has not been started: the
-// cache entries land in the store and the worker's sample-queue consumer
+// cells land in the cache and the worker's sample-queue consumer
 // will open at the pinned offset instead of zero.
 func (w *Worker) Restore(in io.Reader) error {
 	w.lifeMu.Lock()
@@ -94,40 +90,93 @@ func (w *Worker) Restore(in io.Reader) error {
 	if err != nil {
 		return err
 	}
-	r := codec.NewReader(data)
-	if r.String() != snapshotMagic {
-		return fmt.Errorf("serving: bad snapshot magic")
-	}
-	offset := r.Varint()
-	for {
-		tag := r.Byte()
-		if r.Err() != nil {
-			return fmt.Errorf("serving: truncated snapshot: %w", r.Err())
-		}
-		if tag == 0 {
-			break
-		}
-		k := r.Bytes32()
-		v := r.Bytes32()
-		if r.Err() != nil {
-			return fmt.Errorf("serving: corrupt snapshot entry: %w", r.Err())
-		}
-		// Bytes32 aliases the image buffer; the store takes ownership of
-		// what we hand it, so copy.
-		kc := make([]byte, len(k))
-		copy(kc, k)
-		vc := make([]byte, len(v))
-		copy(vc, v)
-		if err := w.db.Put(kc, vc); err != nil {
-			return err
-		}
-	}
-	if err := r.Finish(); err != nil {
+	offset, err := w.cache.restore(data)
+	if err != nil {
 		return err
 	}
 	w.startOffset = offset
 	w.consumed.Store(offset)
 	return nil
+}
+
+// snapshot appends the image: the magic, the pinned offset, one key/value
+// record per cell (typed tier, then spill tier), and the end tag.
+func (c *cache) snapshot(cw *codec.Writer, pin int64) error {
+	cw.String(snapshotMagic)
+	cw.Varint(pin)
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.RLock()
+		dumpTable(cw, sh.samples)
+		dumpTable(cw, sh.features)
+		sh.mu.RUnlock()
+	}
+	if c.spill != nil {
+		err := c.spill.Range(func(k, v []byte) bool {
+			cw.Byte(1)
+			cw.Bytes32(k)
+			cw.Bytes32(v)
+			return true
+		})
+		if err != nil {
+			return err
+		}
+	}
+	cw.Byte(0)
+	return nil
+}
+
+func dumpTable[K comparable, C cell](cw *codec.Writer, m map[K]C) {
+	for k, cell := range m {
+		cw.Byte(1)
+		cw.Bytes32(spillKey(k))
+		cw.Bytes32(cell.value())
+	}
+}
+
+// restore loads an image, each value decoded straight into its cell, and
+// returns the pinned offset. A key of neither table's layout is corrupt.
+func (c *cache) restore(data []byte) (int64, error) {
+	r := codec.NewReader(data)
+	if r.String() != snapshotMagic {
+		return 0, fmt.Errorf("serving: bad snapshot magic")
+	}
+	offset := r.Varint()
+	for {
+		switch r.Byte() {
+		case 0: // the end tag, or a truncated image: Finish tells which
+			return offset, r.Finish()
+		case 1:
+			k, v := r.Bytes32(), r.Bytes32()
+			if err := r.Err(); err != nil {
+				return 0, fmt.Errorf("serving: truncated snapshot: %w", err)
+			}
+			if err := c.load(k, v); err != nil {
+				return 0, fmt.Errorf("serving: corrupt snapshot entry %x: %w", k, err)
+			}
+		default:
+			return 0, fmt.Errorf("serving: corrupt snapshot tag")
+		}
+	}
+}
+
+func (c *cache) load(k, v []byte) error {
+	hop, vtx, sample, ok := parseKey(k)
+	if !ok {
+		return fmt.Errorf("unknown key layout")
+	}
+	if sample {
+		cell, err := decodeSampleCell(v)
+		if err != nil {
+			return err
+		}
+		return c.setSamples(cellKey{hop, vtx}, cell)
+	}
+	cell, err := decodeFeatureCell(v)
+	if err != nil {
+		return err
+	}
+	return c.setFeature(vtx, cell)
 }
 
 // RestoreFile loads a snapshot from path. The faultpoint

@@ -1,13 +1,16 @@
 package serving
 
 import (
+	"bytes"
 	"errors"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"helios/internal/clock"
 	"helios/internal/faultpoint"
 	"helios/internal/graph"
+	"helios/internal/kvstore"
 	"helios/internal/mq"
 	"helios/internal/query"
 	"helios/internal/wire"
@@ -184,5 +187,75 @@ func TestTornSnapshotNeverLoaded(t *testing.T) {
 	}
 	if !w2.HasFeature(1) || w2.HasFeature(2) {
 		t.Fatal("torn snapshot leaked into the restored image")
+	}
+}
+
+// TestSpillTier drives a worker whose typed tier holds two 10-float
+// features: the rest spill to the kvstore and are still found, a cell moves
+// between the tiers without being counted twice, evictions and TTL sweeps
+// reach both tiers, and a snapshot carries both into a memory-only worker.
+func TestSpillTier(t *testing.T) {
+	b := mq.NewBroker(mq.Options{})
+	defer b.Close()
+	clk := clock.NewFake()
+	w, err := New(Config{ID: 0, NumServers: 1, Plans: []*query.Plan{testPlan(t)}, Broker: b, Clock: clk,
+		Store: kvstore.Options{Dir: t.TempDir(), MemBudgetBytes: 2 * (64 + 4*10)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.cache.close()
+	feature := func(v graph.VertexID) {
+		w.applyMessage(0, wire.Message{Kind: wire.KindFeatureUpdate, Vertex: v, Feature: make([]float32, 10)})
+	}
+	entries := func() int {
+		n, err := w.CacheEntries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	for v := graph.VertexID(1); v <= 6; v++ {
+		feature(v)
+	}
+	if w.cache.entries.Load() != 2 || entries() != 6 {
+		t.Fatalf("%d typed cells, %d in all; want 2 of 6", w.cache.entries.Load(), entries())
+	}
+	for v := graph.VertexID(1); v <= 6; v++ {
+		if !w.HasFeature(v) {
+			t.Fatalf("feature %d lost", v)
+		}
+	}
+	// Free a typed slot; the next update of a spilled cell moves it over.
+	w.applyMessage(0, wire.Message{Kind: wire.KindFeatureEvict, Vertex: 1})
+	feature(5)
+	if w.HasFeature(1) || !w.HasFeature(5) || w.cache.entries.Load() != 2 || entries() != 5 {
+		t.Fatalf("after evict+move: %d typed, %d in all; want 2 of 5", w.cache.entries.Load(), entries())
+	}
+	w.applyMessage(0, wire.Message{Kind: wire.KindFeatureEvict, Vertex: 6}) // a spilled one
+	if w.HasFeature(6) || entries() != 4 {
+		t.Fatalf("evicting a spilled cell: present %v, %d in all", w.HasFeature(6), entries())
+	}
+
+	var img bytes.Buffer
+	if err := w.Snapshot(&img); err != nil {
+		t.Fatal(err)
+	}
+	mem := newTestWorker(t, b)
+	if err := mem.Restore(&img); err != nil {
+		t.Fatal(err)
+	}
+	for v := graph.VertexID(2); v <= 5; v++ {
+		if !mem.HasFeature(v) {
+			t.Fatalf("feature %d missing from the restored memory-only worker", v)
+		}
+	}
+	if n, _ := mem.CacheEntries(); mem.cache.spill != nil || n != 4 {
+		t.Fatalf("restored: spill %v, %d cells", mem.cache.spill != nil, n)
+	}
+
+	clk.Advance(time.Second)
+	w.sweep(clk.Now().UnixNano())
+	if n := entries(); n != 0 || w.cache.bytes.Load() != 0 {
+		t.Fatalf("a sweep past every touch left %d cells, %d typed bytes", n, w.cache.bytes.Load())
 	}
 }

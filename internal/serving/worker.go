@@ -1,8 +1,9 @@
 // Package serving implements the Helios serving worker (§4.3, §6): it owns
 // one partition of the inference seed space, maintains a query-aware sample
-// cache — a sample table per one-hop query plus a feature table, both on the
-// kvstore's hybrid memory/disk mode — and answers K-hop sampling queries
-// with a fixed number of local lookups and zero network communication.
+// cache — a sample table per one-hop query plus a feature table, as typed
+// in-memory cells with an optional kvstore spill tier (cache.go) — and
+// answers K-hop sampling queries with a fixed number of local lookups and
+// zero network communication.
 //
 // Worker anatomy (Fig. 6): polling loops fetch cache messages from this
 // worker's sample queue; a data-updating pool applies them to the cache; a
@@ -10,16 +11,14 @@
 package serving
 
 import (
-	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"helios/internal/actor"
 	"helios/internal/clock"
-	"helios/internal/codec"
-	"helios/internal/faultpoint"
 	"helios/internal/graph"
 	"helios/internal/kvstore"
 	"helios/internal/mq"
@@ -41,7 +40,8 @@ type Config struct {
 	Plans []*query.Plan
 	// Broker carries the sample queues (local broker or RPC client).
 	Broker mq.Bus
-	// Store configures the cache kvstore (empty Dir = memory only).
+	// Store configures the cache's spill tier: with a Dir, cells beyond
+	// MemBudgetBytes go to a kvstore there; an empty Dir is memory only.
 	Store kvstore.Options
 	// Thread-pool sizes. Zero values default to 2 update, 8 serve.
 	UpdateThreads, ServeThreads int
@@ -162,14 +162,26 @@ type Request struct {
 	BatchResp chan<- []Response
 }
 
-// Response carries the assembled result.
+// Response carries one assembled answer.
 type Response struct {
-	Result  *Result
+	// Result is the answer in its wire form. It aliases a pooled buffer:
+	// Release it once, after its last read.
+	Result  Encoded
 	Err     error
 	Latency time.Duration
+
+	asm *assembly
 }
 
-// Result is a complete K-hop sampling result assembled from the cache.
+// Release hands the Result's buffer back for the next answer.
+func (r Response) Release() {
+	if r.asm != nil {
+		r.asm.release()
+	}
+}
+
+// Result is a complete K-hop sampling result: the decoded form of an
+// Encoded answer.
 type Result struct {
 	// Layers[0] is the seed; Layers[k] holds the vertices sampled at hop k
 	// (with multiplicity, in parent-major order).
@@ -197,8 +209,8 @@ type Result struct {
 	// serving.staleness_ns gauge at the moment the answer was built.
 	StalenessNS int64
 	// Stages is the request's span decomposition (queue wait, K-hop
-	// assembly, feature fetch). Populated by Sample/handleRequest and
-	// carried back over RPC so the frontend can complete the trace.
+	// assembly, feature fetch), carried back over RPC so the frontend can
+	// complete the trace.
 	Stages []obs.Span
 }
 
@@ -237,7 +249,7 @@ type Stats struct {
 type Worker struct {
 	cfg   Config
 	plans map[query.ID]*query.Plan
-	db    *kvstore.DB
+	cache *cache
 
 	samplesTopic mq.TopicHandle
 	consumed     atomic.Int64
@@ -291,16 +303,16 @@ func New(cfg Config) (*Worker, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	db, err := kvstore.Open(cfg.Store)
+	c, err := newCache(cfg.Store)
 	if err != nil {
 		return nil, err
 	}
-	w := &Worker{cfg: cfg, db: db, plans: make(map[query.ID]*query.Plan)}
+	w := &Worker{cfg: cfg, cache: c, plans: make(map[query.ID]*query.Plan)}
 	for _, p := range cfg.Plans {
 		w.plans[p.QueryID] = p
 	}
 	if w.samplesTopic, err = cfg.Broker.OpenTopic(wire.TopicSamples, cfg.NumServers); err != nil {
-		db.Close()
+		c.close()
 		return nil, err
 	}
 	w.limiter = overload.NewLimiter(overload.Config{
@@ -379,7 +391,7 @@ func (w *Worker) Start() {
 }
 
 // Stop halts polling, drains the update and serve pools, and closes the
-// cache store.
+// cache's spill tier.
 func (w *Worker) Stop() {
 	w.lifeMu.Lock()
 	defer w.lifeMu.Unlock()
@@ -394,7 +406,7 @@ func (w *Worker) Stop() {
 	}
 	w.updatePool.Close()
 	w.servePool.Close()
-	w.db.Close()
+	w.cache.close()
 }
 
 const (
@@ -443,84 +455,6 @@ func (w *Worker) maybeCommit(c mq.Cursor) {
 	_ = c.Commit()
 }
 
-// Cache key layout: prefix byte, then big-endian fixed-width components so
-// keys of one table sort together.
-const (
-	prefixSample  = 's'
-	prefixFeature = 'f'
-)
-
-func sampleKey(hop query.HopID, v graph.VertexID) []byte {
-	k := make([]byte, 13)
-	k[0] = prefixSample
-	binary.BigEndian.PutUint32(k[1:], uint32(hop))
-	binary.BigEndian.PutUint64(k[5:], uint64(v))
-	return k
-}
-
-func featureKey(v graph.VertexID) []byte {
-	k := make([]byte, 9)
-	k[0] = prefixFeature
-	binary.BigEndian.PutUint64(k[1:], uint64(v))
-	return k
-}
-
-// Cache values carry a touch timestamp header for TTL sweeps.
-func encodeSamples(samples []wire.SampleRef, touch int64) []byte {
-	cw := codec.NewWriter(16 + 16*len(samples))
-	cw.Varint(touch)
-	cw.Uvarint(uint64(len(samples)))
-	for _, s := range samples {
-		cw.Uvarint(uint64(s.Neighbor))
-		cw.Varint(int64(s.Ts))
-		cw.Float32(s.Weight)
-	}
-	return cw.Bytes()
-}
-
-func decodeSamples(buf []byte) (samples []wire.SampleRef, touch int64, err error) {
-	r := codec.NewReader(buf)
-	touch = r.Varint()
-	n := int(r.Uvarint())
-	if r.Err() != nil {
-		return nil, 0, r.Err()
-	}
-	if n > r.Remaining() {
-		return nil, 0, codec.ErrShortBuffer
-	}
-	samples = make([]wire.SampleRef, n)
-	for i := range samples {
-		samples[i].Neighbor = graph.VertexID(r.Uvarint())
-		samples[i].Ts = graph.Timestamp(r.Varint())
-		samples[i].Weight = r.Float32()
-	}
-	// Finish, not Err: a value with trailing bytes is corrupt, not merely
-	// short, and must not decode as a valid sample set.
-	if err := r.Finish(); err != nil {
-		return nil, 0, err
-	}
-	return samples, touch, nil
-}
-
-func encodeFeature(feat []float32, touch int64) []byte {
-	cw := codec.NewWriter(16 + 4*len(feat))
-	cw.Varint(touch)
-	cw.Float32s(feat)
-	return cw.Bytes()
-}
-
-func decodeFeature(buf []byte) (feat []float32, touch int64, err error) {
-	r := codec.NewReader(buf)
-	touch = r.Varint()
-	feat = r.Float32s()
-	// Finish, not Err: trailing bytes mean a corrupt value, which must not
-	// decode as a valid feature.
-	if err := r.Finish(); err != nil {
-		return nil, 0, err
-	}
-	return feat, touch, nil
-}
-
 // cacheUpdate is one update-pool mailbox item: a decoded cache message,
 // or — when barrier is non-nil — a snapshot barrier that acks on the
 // channel instead of touching the store. Barriers ride the same FIFO
@@ -545,32 +479,28 @@ func (w *Worker) applyUpdate(worker int, u cacheUpdate) {
 }
 
 // applyMessage applies one decoded cache message. It runs once per queue
-// message, which at paper scale is millions of times per second — the
-// hotpath discipline keeps the per-apply cost at the two unavoidable store
-// writes.
+// message, which at paper scale is millions of times per second: the cell
+// takes ownership of the slices wire.Decode allocated — no copy, no encode —
+// and the apply is one pointer swap under a shard lock.
 //
 //lint:hotpath
 func (w *Worker) applyMessage(_ int, m wire.Message) {
 	now := w.cfg.Clock.Now().UnixNano()
+	var err error
 	switch m.Kind {
 	case wire.KindSampleUpsert:
-		if err := w.db.Put(sampleKey(m.Hop, m.Vertex), encodeSamples(m.Samples, now)); err != nil {
-			return
-		}
+		err = w.cache.setSamples(cellKey{m.Hop, m.Vertex}, &sampleCell{touch: now, refs: m.Samples})
 	case wire.KindSampleEvict:
-		if err := w.db.Delete(sampleKey(m.Hop, m.Vertex)); err != nil {
-			return
-		}
+		err = w.cache.setSamples(cellKey{m.Hop, m.Vertex}, nil)
 	case wire.KindFeatureUpdate:
-		if err := w.db.Put(featureKey(m.Vertex), encodeFeature(m.Feature, now)); err != nil {
-			return
-		}
+		err = w.cache.setFeature(m.Vertex, &featureCell{touch: now, vals: m.Feature})
 	case wire.KindFeatureEvict:
-		if err := w.db.Delete(featureKey(m.Vertex)); err != nil {
-			return
-		}
+		err = w.cache.setFeature(m.Vertex, nil)
 	default:
 		return
+	}
+	if err != nil {
+		return // the spill tier is closing
 	}
 	w.applied.Inc()
 	if m.Ingested > 0 {
@@ -665,31 +595,30 @@ func (w *Worker) serveOne(req Request) Response {
 		}
 		return Response{Err: rpc.ErrDeadlineExceeded}
 	}
-	res, err := w.sample(req.Query, req.Seed, req.Deadline, req.Trace)
+	a := getAssembly()
+	if req.Enqueued > 0 {
+		a.spans = append(a.spans, obs.Span{Name: obs.StageServingQueueWait, Dur: max(start.UnixNano()-req.Enqueued, 0)})
+	}
+	err := w.assemble(a, req.Query, req.Seed, req.Deadline, req.Trace)
 	end := w.cfg.Clock.Now()
-	if res != nil && req.Enqueued > 0 {
-		wait := start.UnixNano() - req.Enqueued
-		if wait < 0 {
-			wait = 0
-		}
-		w.stQueueWait.Observe(wait, req.Trace)
-		stages := make([]obs.Span, 0, len(res.Stages)+1)
-		stages = append(stages, obs.Span{Name: obs.StageServingQueueWait, Dur: wait})
-		res.Stages = append(stages, res.Stages...)
+	if err != nil {
+		a.release()
+		return Response{Err: err, Latency: end.Sub(start)}
+	}
+	if req.Enqueued > 0 {
+		w.stQueueWait.Observe(a.spans[0].Dur, req.Trace)
 	}
 	if req.Trace != 0 && w.cfg.SlowLog > 0 && end.Sub(start) >= w.cfg.SlowLog && w.cfg.Logger.Enabled(obs.LevelInfo) {
 		worst := obs.Span{}
-		if res != nil {
-			for _, s := range res.Stages {
-				if s.Dur > worst.Dur {
-					worst = s
-				}
+		for _, s := range a.spans {
+			if s.Dur > worst.Dur {
+				worst = s
 			}
 		}
 		w.cfg.Logger.Info(req.Trace, worst.Name, "slow serve",
 			"seed", uint64(req.Seed), "service", end.Sub(start), "worst_stage_dur", time.Duration(worst.Dur))
 	}
-	if req.Trace != 0 && res != nil {
+	if req.Trace != 0 {
 		// Total covers queue wait + service so the spans always sum to at
 		// most the recorded end-to-end time.
 		traceStart := req.Enqueued
@@ -698,165 +627,56 @@ func (w *Worker) serveOne(req Request) Response {
 		}
 		w.cfg.Tracer.Record(obs.Trace{
 			ID: req.Trace, Op: "sample", Start: traceStart,
-			Total: end.UnixNano() - traceStart, Spans: res.Stages,
+			Total: end.UnixNano() - traceStart, Spans: slices.Clone(a.spans),
 		})
 	}
-	return Response{Result: res, Err: err, Latency: end.Sub(start)}
+	return Response{Result: a.finish(false, 0), Latency: end.Sub(start), asm: a}
 }
 
-// unknownQuery is the outlined cold path for sample's plan lookup miss, so
+// unknownQuery is the outlined cold path for assemble's plan lookup miss, so
 // the hot actor turn does not carry a fmt call.
 func unknownQuery(qid query.ID) error {
 	return fmt.Errorf("serving: unknown query %d", qid)
 }
 
-// Sample assembles the complete K-hop sampling result for seed from the
-// local cache (§6): Π C_i sample-table lookups and Π C_i feature lookups,
-// independent of the seed's actual degree — the property that removes the
-// long tail of Fig. 4.
+// Sample assembles the K-hop answer for seed from the local cache (§6) and
+// decodes it.
 func (w *Worker) Sample(qid query.ID, seed graph.VertexID) (*Result, error) {
-	return w.sample(qid, seed, 0, 0)
+	a := getAssembly()
+	defer a.release()
+	if err := w.assemble(a, qid, seed, 0, 0); err != nil {
+		return nil, err
+	}
+	return a.finish(false, 0).Decode()
 }
 
 // SampleDegraded assembles the cached K-hop answer inline — on the caller's
 // goroutine, skipping the serve pool and any in-flight cache refreshes the
 // queue would have ordered it behind. It is the graceful-degradation path:
 // when the admission limiter sheds a request that still has budget, a
-// slightly stale answer now beats a shed. The result is tagged Degraded with
+// slightly stale answer now beats a shed. The answer is marked degraded with
 // the cache's staleness at assembly. A dedicated TryAcquire-only limiter
 // bounds concurrent inline assemblies so a shed storm cannot turn into
 // unbounded inline work.
-func (w *Worker) SampleDegraded(qid query.ID, seed graph.VertexID) (*Result, error) {
+func (w *Worker) SampleDegraded(qid query.ID, seed graph.VertexID) Response {
 	release, ok := w.degradedLim.TryAcquire()
 	if !ok {
-		return nil, overload.Shed("serving", "degraded_full")
+		return Response{Err: overload.Shed("serving", "degraded_full")}
 	}
 	defer release()
-	res, err := w.sample(qid, seed, 0, 0)
-	if err != nil {
-		return nil, err
+	a := getAssembly()
+	if err := w.assemble(a, qid, seed, 0, 0); err != nil {
+		a.release()
+		return Response{Err: err}
 	}
-	res.Degraded = true
-	res.StalenessNS = w.staleness.Value()
 	w.degraded.Inc()
-	return res, nil
+	return Response{Result: a.finish(true, w.staleness.Value()), asm: a}
 }
 
-// sample is the deadline-aware core of Sample: deadline (worker-clock epoch
-// ns, 0 = none) is checked between hops and before the feature pass, so an
-// abandoned request stops mid-assembly instead of finishing all Π C_i
-// lookups.
-//
-//lint:hotpath
-func (w *Worker) sample(qid query.ID, seed graph.VertexID, deadline int64, trace uint64) (*Result, error) {
-	plan, ok := w.plans[qid]
-	if !ok {
-		return nil, unknownQuery(qid)
-	}
-	start := w.cfg.Clock.Now()
-	// Chaos hook: burst drills arm a delay here to slow the serve path
-	// without touching the cache (scripts/burst-smoke.sh, burst_test.go).
-	// It fires *after* the assembly timer starts so an injected delay lands
-	// inside the serving.khop_assembly stage/span — the p99 spike it causes
-	// is attributable, not invisible.
-	if err := faultpoint.Inject("serving.sample"); err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Layers:   make([][]graph.VertexID, 1, len(plan.OneHops)+1),
-		Features: make(map[graph.VertexID][]float32),
-	}
-	res.Layers[0] = []graph.VertexID{seed}
-	frontier := res.Layers[0]
-	for hopIdx := range plan.OneHops {
-		hid := plan.OneHops[hopIdx].ID
-		next := make([]graph.VertexID, 0, len(frontier)*plan.OneHops[hopIdx].Fanout)
-		for _, v := range frontier {
-			res.Lookups++
-			buf, ok, err := w.db.Get(sampleKey(hid, v))
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				res.SampleMisses++
-				w.sampleMisses.Inc()
-				continue
-			}
-			w.sampleHits.Inc()
-			samples, _, err := decodeSamples(buf)
-			if err != nil {
-				return nil, err
-			}
-			for _, s := range samples {
-				next = append(next, s.Neighbor)
-				res.Edges = append(res.Edges, SampledEdge{
-					Hop: hopIdx, Parent: v, Child: s.Neighbor, Ts: s.Ts, Weight: s.Weight,
-				})
-			}
-		}
-		res.Layers = append(res.Layers, next)
-		frontier = next
-		if deadline > 0 && w.cfg.Clock.Now().UnixNano() >= deadline {
-			w.deadlineExp.Inc()
-			return nil, rpc.ErrDeadlineExceeded
-		}
-	}
-	assembled := w.cfg.Clock.Now()
-	// Feature pass over every distinct vertex in the tree.
-	for _, layer := range res.Layers {
-		for _, v := range layer {
-			if _, done := res.Features[v]; done {
-				continue
-			}
-			buf, ok, err := w.db.Get(featureKey(v))
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				res.FeatureMisses++
-				w.featureMisses.Inc()
-				continue
-			}
-			w.featureHits.Inc()
-			feat, _, err := decodeFeature(buf)
-			if err != nil {
-				return nil, err
-			}
-			res.Features[v] = feat
-		}
-	}
-	done := w.cfg.Clock.Now()
-	khop := assembled.Sub(start).Nanoseconds()
-	feat := done.Sub(assembled).Nanoseconds()
-	res.Stages = append(res.Stages,
-		obs.Span{Name: obs.StageServingKHop, Dur: khop},
-		obs.Span{Name: obs.StageServingFeature, Dur: feat})
-	w.stKHop.Observe(khop, trace)
-	w.stFeature.Observe(feat, trace)
-	w.served.Inc()
-	w.queryLat.Observe(done.Sub(start).Nanoseconds(), 0)
-	return res, nil
-}
-
-// sweep deletes cache entries untouched since cutoff.
+// sweep deletes cache cells untouched since cutoff.
 func (w *Worker) sweep(cutoff int64) {
-	type doomed struct{ key []byte }
-	var dead []doomed
-	w.db.Range(func(k, v []byte) bool {
-		r := codec.NewReader(v)
-		touch := r.Varint()
-		if r.Err() == nil && touch < cutoff {
-			kk := make([]byte, len(k))
-			copy(kk, k)
-			dead = append(dead, doomed{key: kk})
-		}
-		return true
-	})
-	for _, d := range dead {
-		if err := w.db.Delete(d.key); err != nil {
-			return // the store is closing; the next sweep retries
-		}
-	}
+	//lint:allow droppederror reason=only a closing spill tier fails a sweep, and the next sweep retries
+	_ = w.cache.sweep(cutoff)
 }
 
 // Stats snapshots the worker counters.
@@ -868,7 +688,7 @@ func (w *Worker) Stats() Stats {
 		SampleMisses:  w.sampleMisses.Value(),
 		FeatureHits:   w.featureHits.Value(),
 		FeatureMisses: w.featureMisses.Value(),
-		CacheBytes:    w.db.ApproxBytes(),
+		CacheBytes:    w.cache.footprint(),
 		QueryLatency:  w.queryLat.Snapshot(),
 		IngestLatency: w.stCacheApply.Snapshot(),
 		StalenessNS:   w.staleness.Value(),
@@ -885,38 +705,28 @@ func (w *Worker) Stats() Stats {
 }
 
 // CacheBytes reports the cache footprint (Fig. 16).
-func (w *Worker) CacheBytes() int64 { return w.db.ApproxBytes() }
+func (w *Worker) CacheBytes() int64 { return w.cache.footprint() }
 
 // CacheEntries counts live cache entries.
-func (w *Worker) CacheEntries() (int, error) { return w.db.Len() }
+func (w *Worker) CacheEntries() (int, error) { return w.cache.len() }
 
 // HasSample reports whether the cache holds a sample cell for (hop, v) —
 // introspection for tests and operations tooling.
 func (w *Worker) HasSample(hop query.HopID, v graph.VertexID) bool {
-	//lint:allow droppederror reason=introspection helper: a store error reads as "absent", which is the conservative answer for tests and ops probes
-	ok, _ := w.db.Has(sampleKey(hop, v))
-	return ok
+	return w.cache.samples(hop, v) != nil
 }
 
-// CachedSamples returns the cached reservoir snapshot for (hop, v), or nil.
+// CachedSamples returns a copy of the cached reservoir snapshot for
+// (hop, v), or nil.
 func (w *Worker) CachedSamples(hop query.HopID, v graph.VertexID) []wire.SampleRef {
-	buf, ok, err := w.db.Get(sampleKey(hop, v))
-	if err != nil || !ok {
-		return nil
+	if cell := w.cache.samples(hop, v); cell != nil {
+		return slices.Clone(cell.refs)
 	}
-	samples, _, err := decodeSamples(buf)
-	if err != nil {
-		return nil
-	}
-	return samples
+	return nil
 }
 
 // HasFeature reports whether the cache holds a feature for v.
-func (w *Worker) HasFeature(v graph.VertexID) bool {
-	//lint:allow droppederror reason=introspection helper: a store error reads as "absent", which is the conservative answer for tests and ops probes
-	ok, _ := w.db.Has(featureKey(v))
-	return ok
-}
+func (w *Worker) HasFeature(v graph.VertexID) bool { return w.cache.feature(v) != nil }
 
 // Lag reports the unconsumed backlog of this worker's sample queue
 // (log-end offset minus the committed poll position).

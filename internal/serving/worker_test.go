@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -78,19 +79,17 @@ func TestKeyEncodings(t *testing.T) {
 }
 
 func TestSampleValueCodec(t *testing.T) {
-	in := []wire.SampleRef{{Neighbor: 5, Ts: -7, Weight: 2.5}, {Neighbor: 9, Ts: 3, Weight: 0}}
-	buf := encodeSamples(in, 12345)
-	out, touch, err := decodeSamples(buf)
-	if err != nil || touch != 12345 || !reflect.DeepEqual(in, out) {
-		t.Fatalf("%v %d %v", out, touch, err)
+	in := &sampleCell{touch: 12345, refs: []wire.SampleRef{{Neighbor: 5, Ts: -7, Weight: 2.5}, {Neighbor: 9, Ts: 3, Weight: 0}}}
+	out, err := decodeSampleCell(in.value())
+	if err != nil || !reflect.DeepEqual(in, out) {
+		t.Fatalf("%v %v", out, err)
 	}
-	feat := []float32{1.5, -2, 0}
-	fbuf := encodeFeature(feat, 99)
-	fout, ftouch, err := decodeFeature(fbuf)
-	if err != nil || ftouch != 99 || !reflect.DeepEqual(feat, fout) {
-		t.Fatalf("%v %d %v", fout, ftouch, err)
+	feat := &featureCell{touch: 99, vals: []float32{1.5, -2, 0}}
+	fout, err := decodeFeatureCell(feat.value())
+	if err != nil || !reflect.DeepEqual(feat, fout) {
+		t.Fatalf("%v %v", fout, err)
 	}
-	if _, _, err := decodeSamples([]byte{1}); err == nil {
+	if _, err := decodeSampleCell([]byte{1}); err == nil {
 		t.Fatal("truncated samples should fail")
 	}
 }
@@ -245,6 +244,51 @@ func TestTTLSweep(t *testing.T) {
 	t.Fatal("TTL sweep never removed the stale entry")
 }
 
+// TestSweepKeepsRefreshedCells: the TTL sweeper judges a cell stale, then
+// deletes it, and an apply that refreshes the cell in between must win —
+// otherwise the cache differs from the sample table until that cell changes
+// again. Applies refresh a key set on a stepping fake clock while sweeps run
+// in a loop; after each sweep(cutoff), no key last applied at or after
+// cutoff may be missing.
+func TestSweepKeepsRefreshedCells(t *testing.T) {
+	b := mq.NewBroker(mq.Options{})
+	defer b.Close()
+	clk := clock.NewFake()
+	w, err := New(Config{ID: 0, NumServers: 1, Plans: []*query.Plan{testPlan(t)}, Broker: b, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 64
+	var applied [keys + 1]atomic.Int64 // clock ns at which each key's last finished apply began
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			clk.Advance(time.Microsecond)
+			for v := 1; v <= keys; v++ {
+				now := clk.Now().UnixNano()
+				w.applyMessage(0, wire.Message{Kind: wire.KindFeatureUpdate, Vertex: graph.VertexID(v), Feature: []float32{1}})
+				applied[v].Store(now)
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	for i := 0; i < 500; i++ {
+		cutoff := clk.Now().UnixNano()
+		w.sweep(cutoff)
+		for v := 1; v <= keys; v++ {
+			if applied[v].Load() >= cutoff && !w.HasFeature(graph.VertexID(v)) {
+				t.Fatalf("sweep %d: vertex %d, applied at or after the cutoff, was swept", i, v)
+			}
+		}
+	}
+}
+
 func TestCachedSamplesIntrospection(t *testing.T) {
 	b := mq.NewBroker(mq.Options{})
 	defer b.Close()
@@ -366,7 +410,6 @@ func TestStalenessNeverNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.db.Close()
 	ahead := clk.Now().Add(5 * time.Second).UnixNano() // the ingest stamp is from a faster clock
 	w.applyMessage(0, wire.Message{Kind: wire.KindFeatureUpdate, Vertex: 1, Feature: []float32{1}, Ingested: ahead})
 
@@ -380,7 +423,11 @@ func TestStalenessNeverNegative(t *testing.T) {
 	if st.IngestLatency.Count != 1 || st.IngestLatency.Max != 0 {
 		t.Fatalf("ingest latency = %+v, want one sample of 0", st.IngestLatency)
 	}
-	res, err := w.SampleDegraded(0, 1)
+	resp := w.SampleDegraded(0, 1)
+	if resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	res, err := resp.Result.Header()
 	if err != nil {
 		t.Fatal(err)
 	}
