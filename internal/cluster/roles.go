@@ -311,9 +311,6 @@ func StartBroker(o BrokerOptions) (_ *Broker, err error) {
 	}
 	err = b.listen(o.Listen, func(srv *rpc.Server) {
 		mq.ServeBroker(b.Queue, srv)
-		if len(peers) > 0 {
-			mq.ServeReplication(b.Queue, srv)
-		}
 		if b.Collector != nil {
 			monitor.ServeRPC(b.Collector, srv)
 		}

@@ -147,8 +147,9 @@ type Broker struct {
 
 	// Appended counts records accepted across all topics.
 	Appended obs.Counter
-	// FollowerAcks counts successful follower replication acks; it stays 0
-	// on an unreplicated broker.
+	// FollowerAcks counts replica fetches that moved a follower's ack
+	// forward on a partition this broker leads; it stays 0 on an
+	// unreplicated broker.
 	FollowerAcks obs.Counter
 
 	// reg, once set by RegisterMetrics, receives per-partition
@@ -194,13 +195,12 @@ func (b *Broker) CreateTopic(name string, partitions int) (*Topic, error) {
 				return nil, err
 			}
 		}
-		if b.repl.Load() != nil {
-			// Replicated broker: pin the high watermark at the replayed
-			// end — a replica trusts its own durable log and lets the
-			// replication stream reconcile divergence (see demote).
-			p.hw = p.next
-		}
 		t.parts = append(t.parts, p)
+	}
+	if r := b.repl.Load(); r != nil {
+		// A replica trusts its own durable log up to the replayed end and
+		// re-verifies it against the leader's (see replicator.adopt).
+		r.adopt(t)
 	}
 	b.topics[name] = t
 	if b.reg != nil {
@@ -242,6 +242,17 @@ func registerTopicGauges(reg *obs.Registry, t *Topic) {
 			},
 			"topic", t.name, "partition", strconv.Itoa(part))
 	}
+}
+
+// topicList snapshots the topics, to walk without holding b.mu.
+func (b *Broker) topicList() []*Topic {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	out := make([]*Topic, 0, len(b.topics))
+	for _, t := range b.topics {
+		out = append(out, t)
+	}
+	return out
 }
 
 // Topic returns a topic by name.
@@ -321,44 +332,10 @@ func (t *Topic) Name() string { return t.name }
 // NumPartitions returns the partition count.
 func (t *Topic) NumPartitions() int { return len(t.parts) }
 
-// Append appends value to an explicit partition and returns its offset.
+// Append appends value to an explicit partition and returns its offset: a
+// batch of one.
 func (t *Topic) Append(partitionIdx int, key uint64, value []byte) (int64, error) {
-	if partitionIdx < 0 || partitionIdx >= len(t.parts) {
-		return 0, fmt.Errorf("mq: partition %d out of range for topic %q", partitionIdx, t.name)
-	}
-	if st := t.broker.stAppend.Load(); st != nil {
-		start := time.Now()
-		defer func() { st.Observe(time.Since(start).Nanoseconds(), 0) }()
-	}
-	if err := faultpoint.Inject("mq.append"); err != nil {
-		return 0, err
-	}
-	if err := t.broker.checkLeader(t.name, partitionIdx); err != nil {
-		return 0, err
-	}
-	if bound := t.lagBound.Load(); bound > 0 {
-		p := t.parts[partitionIdx]
-		p.mu.Lock()
-		lagged := p.committed >= 0 && p.next-p.committed >= bound
-		p.mu.Unlock()
-		if lagged {
-			return 0, ErrBackpressure
-		}
-	}
-	off, err := t.parts[partitionIdx].append(key, value)
-	if err != nil {
-		return 0, err
-	}
-	t.broker.Appended.Inc()
-	if r := t.broker.replicatorRef(); r != nil {
-		// The quorum wait happens outside every lock; a failed quorum
-		// leaves the record durable locally but unacked — the producer
-		// retries, and followers (or a demotion) reconcile the offset.
-		if err := r.replicate(t, partitionIdx, off, 1); err != nil {
-			return 0, err
-		}
-	}
-	return off, nil
+	return t.AppendBatch(partitionIdx, []BatchRecord{{Key: key, Value: value}})
 }
 
 // BatchRecord is one (key, value) pair of an AppendBatch call. The broker
@@ -410,8 +387,10 @@ func (t *Topic) AppendBatch(partitionIdx int, recs []BatchRecord) (int64, error)
 	t.broker.Appended.Add(int64(len(recs)))
 	if r := t.broker.replicatorRef(); r != nil {
 		// Quorum-gate the whole batch as one unit (it landed contiguously
-		// at [off, off+len)); see Append for the failed-quorum contract.
-		if err := r.replicate(t, partitionIdx, off, len(recs)); err != nil {
+		// at [off, off+len)). A failed quorum leaves the records durable
+		// locally but unacked — the producer retries, and followers (or a
+		// demotion) reconcile the offsets.
+		if err := r.awaitQuorum(t, partitionIdx, off+int64(len(recs))); err != nil {
 			return 0, err
 		}
 	}

@@ -67,7 +67,6 @@ func ridesOutLeaderFailover(t *testing.T, consumerOnly bool) {
 		brokers[i] = mq.NewBroker(mq.Options{})
 		srvs[i] = rpc.NewServer()
 		mq.ServeBroker(brokers[i], srvs[i])
-		mq.ServeReplication(brokers[i], srvs[i])
 		addr, err := srvs[i].Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

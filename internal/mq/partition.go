@@ -2,6 +2,7 @@ package mq
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"time"
 
@@ -26,14 +27,26 @@ type partition struct {
 	// ingestion backpressure — is next - committed.
 	committed int64
 	// hw is the high watermark: consumers only see offsets below it. -1
-	// (the unreplicated default) disables the gate entirely; on a
-	// replicated broker it tracks the highest offset known to be held by a
-	// replication quorum, so a failover can never un-deliver a record a
-	// consumer already fetched.
+	// (the unreplicated default) disables the gate entirely. On a replicated
+	// broker it is the offset below which this replica vouches for its log:
+	// on a leader, the highest offset a replication quorum holds, so a
+	// failover can never un-deliver a record a consumer already fetched; on
+	// a follower, its position — the offset below which its log is known to
+	// match the leader's, what it fetches from next, its ack.
 	hw     int64
 	closed bool
+	// acks is, on a leader, what it knows of each follower.
+	acks []peerAck
 
 	seg *segment // nil when memory-only
+}
+
+// peerAck is what a leader knows of one follower since it took the lead:
+// the offset its last replica fetch asked for, and when it last asked — or
+// was last sent mq.open. The zero value is a follower not heard from.
+type peerAck struct {
+	next int64
+	at   time.Time
 }
 
 func newPartition(b *Broker, topic string, idx int) *partition {
@@ -42,39 +55,14 @@ func newPartition(b *Broker, topic string, idx int) *partition {
 	return p
 }
 
-func (p *partition) append(key uint64, value []byte) (int64, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return 0, ErrClosed
-	}
-	rec := Record{Offset: p.next, Key: key, Value: value, Ts: time.Now().UnixNano()}
-	// Durability before visibility: the segment write — and, under
-	// FsyncAlways, the fsync — must succeed before the record enters the
-	// in-memory window, so a torn write can never surface an offset to
-	// consumers that a restart would lose.
-	if p.seg != nil {
-		if err := p.seg.append(rec); err != nil {
-			return 0, err
-		}
-		if p.broker.opts.Fsync == FsyncAlways {
-			if err := p.seg.sync(); err != nil {
-				return 0, err
-			}
-		}
-	}
-	p.records = append(p.records, rec)
-	p.next++
-	p.trimLocked()
-	p.cond.Broadcast()
-	return rec.Offset, nil
-}
-
 // appendBatch lands recs contiguously under one lock pass: one timestamp,
 // one fsync (under FsyncAlways), one retention trim, one broadcast for the
-// whole batch. Like append, segment bytes land before the records become
-// visible; a mid-batch write failure leaves the in-memory log untouched
-// (the orphaned segment prefix is reconciled by replay's rewind handling).
+// whole batch. Durability before visibility: the segment write — and,
+// under FsyncAlways, the fsync — must succeed before the records enter the
+// in-memory window, so a torn write can never surface an offset to
+// consumers that a restart would lose; a mid-batch write failure leaves the
+// in-memory log untouched (the orphaned segment prefix is reconciled by
+// replay's rewind handling).
 func (p *partition) appendBatch(recs []BatchRecord) (int64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -106,17 +94,15 @@ func (p *partition) appendBatch(recs []BatchRecord) (int64, error) {
 	return first, nil
 }
 
-// appendAt applies a leader's replicate frame: records carrying explicit
-// offsets, contiguous from first. Offsets already present are verified
-// against the frame — a matching record is skipped (frames race and
-// overlap; re-application is idempotent), while a mismatch means this
-// replica's log diverged from the leader's (a revived ex-leader whose
-// un-acked tail survived, e.g. restart-pinned under its own high
-// watermark): the log truncates to the divergence point and takes the
-// leader's records, mirroring Kafka's leader-epoch truncation. A frame
-// starting past the log end applies nothing — the returned next (< first)
-// tells the leader where to resend from. Returns the new log end and how
-// many records were actually applied.
+// appendAt applies a batch a follower fetched from its leader: records
+// carrying explicit offsets, contiguous from first. Offsets already present
+// are verified against the batch — a matching record is skipped, while a
+// mismatch means this replica's log diverged from the leader's (a revived
+// ex-leader whose un-acked tail survived, e.g. restart-pinned under its own
+// high watermark): the log truncates to the divergence point and takes the
+// leader's records. A batch starting past the log end applies nothing, and
+// the returned next (< first) says where the log ends. Returns the new log
+// end and how many records were actually applied.
 func (p *partition) appendAt(first int64, recs []Record) (int64, int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -184,97 +170,95 @@ func (p *partition) trimLocked() {
 	}
 }
 
-// readRange returns the retained records in [from, to) for replication
-// catch-up. The second result is false when `from` has been trimmed past —
-// the follower is too far behind the retained window to heal by resend.
-// The returned slice aliases immutable records and is read-only.
-func (p *partition) readRange(from, to int64) ([]Record, bool) {
+// seek sets a follower's position — its high watermark — to offset, or to
+// the log head if that is later.
+func (p *partition) seek(offset int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if from < p.head {
-		return nil, false
-	}
-	if to > p.next {
-		to = p.next
-	}
-	if from >= to {
-		return nil, true
-	}
-	start := int(from - p.head)
-	end := int(to - p.head)
-	return p.records[start:end:end], true
+	p.hw = max(offset, p.head)
 }
 
-// reportOffset is the offset this replica advertises in its
-// replication-status report to the coordinator. A partition the broker
-// believes it leads advertises the high watermark — the quorum-acked
-// position — not the raw log end: the un-acked tail above hw is abandoned
-// on demotion, so counting it would let a revived ex-leader look more
-// caught-up in a later failover than a follower that actually holds every
-// acked record. A followed partition advertises the log end, which on a
-// follower is exactly its replication progress.
-func (p *partition) reportOffset(leading bool) int64 {
+func (p *partition) watermark() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if leading && p.hw >= 0 && p.hw < p.next {
-		return p.hw
-	}
-	return p.next
+	return p.hw
 }
 
-// advanceHW raises the high watermark after a quorum ack, waking blocked
-// fetches. No-op on an unreplicated partition (hw == -1).
-func (p *partition) advanceHW(hw int64) {
+func (p *partition) isClosed() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.hw < 0 || hw <= p.hw {
-		return
+	return p.closed
+}
+
+// ack records a replica fetch from peer as its ack — the offset it asked
+// for, or the log end if that is lower — raises the high watermark to what
+// a quorum now holds, and returns the ack.
+func (p *partition) ack(peer int, next int64) int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	next = min(next, p.next)
+	if next > p.acks[peer].next {
+		p.broker.FollowerAcks.Inc()
 	}
-	if hw > p.next {
-		hw = p.next
+	p.acks[peer] = peerAck{next: next, at: time.Now()}
+	p.raiseHWLocked()
+	return next
+}
+
+// raiseHWLocked raises the high watermark to the highest offset a quorum
+// holds — this replica up to its log end, each follower up to its ack —
+// and wakes whoever waits on it. Caller holds p.mu.
+func (p *partition) raiseHWLocked() {
+	cfg := p.broker.replicatorRef().cfg
+	held := make([]int64, 0, 8)
+	for i, a := range p.acks {
+		held = append(held, a.next)
+		if i == cfg.Self {
+			held[i] = p.next
+		}
 	}
-	p.hw = hw
-	p.cond.Broadcast()
+	slices.Sort(held)
+	if hw := held[len(held)-cfg.Quorum]; hw > p.hw {
+		p.hw = hw
+		p.cond.Broadcast()
+	}
 }
 
 // promote exposes the whole log: promotion only ever targets the
 // most-caught-up live replica, which by the quorum rule holds every record
-// any producer was ever acked.
+// any producer was ever acked. Acks count only toward the leadership they
+// were made under, so promote and demote forget them.
 func (p *partition) promote() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.hw < 0 {
-		return
-	}
 	p.hw = p.next
+	clear(p.acks)
 	p.cond.Broadcast()
 }
 
 // demote abandons the unreplicated tail above the high watermark when
 // leadership moves away: those records were never quorum-acked to any
-// producer, and the new leader's stream will overwrite the offsets (the
+// producer, and the new leader's records will overwrite the offsets (the
 // duplicate frames left in the segment are reconciled by replay's rewind
-// handling on restart).
+// handling on restart). Appends waiting on a quorum wake to find the lead
+// gone.
 func (p *partition) demote() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.hw < 0 || p.hw >= p.next {
-		return
+	if cut := max(p.hw, p.head); cut < p.next {
+		p.records = p.records[:int(cut-p.head)]
+		p.next = cut
 	}
-	cut := p.hw
-	if cut < p.head {
-		cut = p.head
-	}
-	p.records = p.records[:int(cut-p.head)]
-	p.next = cut
+	clear(p.acks)
+	p.cond.Broadcast()
 }
 
 // fetch returns up to max records starting at offset, blocking up to wait
 // for data. A fetch below the retained head snaps forward to the head; on
-// a replicated broker delivery stops at the high watermark. The returned
-// records alias the partition's retained window and must be treated as
-// read-only.
-func (p *partition) fetch(offset int64, max int, wait time.Duration) ([]Record, int64, error) {
+// a replicated broker delivery stops at the high watermark, unless pastHW
+// (a follower's fetch). The returned records alias the partition's
+// retained window and must be treated as read-only.
+func (p *partition) fetch(offset int64, max int, wait time.Duration, pastHW bool) ([]Record, int64, error) {
 	if err := faultpoint.Inject("mq.fetch"); err != nil {
 		return nil, offset, err
 	}
@@ -289,7 +273,7 @@ func (p *partition) fetch(offset int64, max int, wait time.Duration) ([]Record, 
 			offset = p.head
 		}
 		limit := p.next
-		if p.hw >= 0 && p.hw < limit {
+		if !pastHW && p.hw >= 0 && p.hw < limit {
 			limit = p.hw
 		}
 		if offset < limit {

@@ -76,9 +76,11 @@ func (b *Broker) onPart(h func(t *Topic, part int, r *codec.Reader, resp *codec.
 	}
 }
 
-// ServeBroker registers the broker's RPC surface on srv. Handlers that
-// never park run inline on the connection's read loop: an append does unless
-// the broker replicates, where it waits on a quorum.
+// ServeBroker registers the broker's RPC surface on srv, replication's
+// included: followers fetch like consumers, and mq.lead is a no-op on an
+// unreplicated broker. Handlers that never park run inline on the
+// connection's read loop: an append does unless the broker replicates, where
+// it waits on a quorum.
 func ServeBroker(b *Broker, srv *rpc.Server) {
 	always := func() bool { return true }
 	unreplicated := func() bool { return b.repl.Load() == nil }
@@ -135,6 +137,9 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		}
 		w := codec.GetWriter()
 		defer codec.PutWriter(w)
+		if r.Remaining() > 0 { // a follower's fetch: its replica marker follows
+			return b.serveReplica(t, part, offset, max, r, w, push)
+		}
 		// The first fetch does not park: an empty batch tells a subscriber
 		// at once that it is at the tail.
 		for credit, park := fetchWindow, time.Duration(0); credit > 0; credit, park = credit-1, maxFetchPark {
@@ -144,7 +149,7 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 			if err := b.checkLeader(t.name, part); err != nil {
 				return err
 			}
-			recs, next, err := t.parts[part].fetch(offset, max, park)
+			recs, next, err := t.parts[part].fetch(offset, max, park, false)
 			if err != nil || (len(recs) == 0 && park > 0) {
 				return err
 			}
@@ -175,6 +180,22 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		}
 		return t.Commit(part, offset)
 	}))
+	srv.HandleInline(MethodLead, always, func(_ rpc.Ctx, req []byte, _ *codec.Writer) error {
+		pm, err := DecodePartMap(req)
+		if err != nil {
+			return err
+		}
+		b.ApplyPartMap(pm)
+		return nil
+	})
+}
+
+// openTopicReq is the mq.open request for a topic of parts partitions.
+func openTopicReq(name string, parts int) []byte {
+	w := codec.NewWriter(32)
+	w.String(name)
+	w.Uvarint(uint64(parts))
+	return w.Bytes()
 }
 
 // decodeBatch reads n records off an append-batch frame. The frame buffer
@@ -319,10 +340,7 @@ func (rb *RemoteBroker) callPart(topic string, parts, _ int, method string, req 
 	if !opened {
 		return resp, err
 	}
-	w := codec.NewWriter(32)
-	w.String(topic)
-	w.Uvarint(uint64(parts))
-	if _, rerr := rb.client.Call(methodOpenTopic, w.Bytes(), rb.timeout); rerr != nil {
+	if _, rerr := rb.client.Call(methodOpenTopic, openTopicReq(topic, parts), rb.timeout); rerr != nil {
 		return nil, err
 	}
 	return rb.client.Call(method, req, timeout)
@@ -339,10 +357,7 @@ func isUnknownTopic(err error) bool {
 
 // OpenTopic implements Bus.
 func (rb *RemoteBroker) OpenTopic(name string, partitions int) (TopicHandle, error) {
-	w := codec.NewWriter(32)
-	w.String(name)
-	w.Uvarint(uint64(partitions))
-	if _, err := rb.client.Call(methodOpenTopic, w.Bytes(), rb.timeout); err != nil {
+	if _, err := rb.client.Call(methodOpenTopic, openTopicReq(name, partitions), rb.timeout); err != nil {
 		return nil, err
 	}
 	rb.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -12,8 +13,8 @@ import (
 	"helios/internal/rpc"
 )
 
-// startReplicaSet boots n brokers serving both the client and replication
-// surfaces, wired into one replica set with the given quorum. Cleanup
+// startReplicaSet boots n brokers serving the broker surface, wired into
+// one replica set with the given quorum. Cleanup
 // closes everything; register a leak baseline before calling it so the
 // assert runs after the teardown.
 func startReplicaSet(t *testing.T, n, quorum int) ([]*Broker, []*rpc.Server, []string) {
@@ -25,7 +26,6 @@ func startReplicaSet(t *testing.T, n, quorum int) ([]*Broker, []*rpc.Server, []s
 		b := NewBroker(Options{})
 		srv := rpc.NewServer()
 		ServeBroker(b, srv)
-		ServeReplication(b, srv)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -319,7 +319,7 @@ func TestReplOffsetsExcludeUnackedTail(t *testing.T) {
 }
 
 // TestAppendAtTruncatesDivergentTail pins the follower-side divergence
-// rule: a replicate frame overlapping the local log verifies the overlap
+// rule: a fetched batch overlapping the local log verifies the overlap
 // instead of skipping it. A mismatch — a revived ex-leader whose un-acked
 // tail survived under a restart-pinned high watermark — truncates to the
 // divergence point and takes the leader's records, so the follower can
@@ -336,7 +336,7 @@ func TestAppendAtTruncatesDivergentTail(t *testing.T) {
 	// The replica's own log: "a" was quorum-acked, offsets 1-2 are an
 	// abandoned leadership tail a restart pinned under hw.
 	for _, v := range []string{"a", "stale-b", "stale-c"} {
-		if _, err := p.append(1, []byte(v)); err != nil {
+		if _, err := p.appendBatch([]BatchRecord{{Key: 1, Value: []byte(v)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -354,9 +354,9 @@ func TestAppendAtTruncatesDivergentTail(t *testing.T) {
 	if err != nil || next != 4 || applied != 3 {
 		t.Fatalf("appendAt: next=%d applied=%d err=%v, want 4, 3, nil", next, applied, err)
 	}
-	recs, ok := p.readRange(0, 4)
-	if !ok || len(recs) != 4 {
-		t.Fatalf("readRange: %d recs, ok=%v", len(recs), ok)
+	recs := p.records
+	if len(recs) != 4 {
+		t.Fatalf("log holds %d recs", len(recs))
 	}
 	for i, want := range []string{"a", "b", "c", "d"} {
 		if string(recs[i].Value) != want {
@@ -402,5 +402,106 @@ func TestFatalityClassification(t *testing.T) {
 	}
 	if IsNotLeader(errors.New("other")) || IsQuorumUnavailable(errors.New("other")) {
 		t.Error("unrelated errors misclassified")
+	}
+}
+
+// TestDivergentFollowerConverges restarts an ex-leader whose log holds a
+// record no quorum ever acked, at an offset where the new leader acked a
+// different one. The restart pins its high watermark at its log end, so
+// the record sits below everything it will be sent next; it must still be
+// found and replaced, and after quiesce every replica holds the same log.
+func TestDivergentFollowerConverges(t *testing.T) {
+	var addrs []string
+	for i := 0; i < 3; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, ln.Addr().String())
+		ln.Close()
+	}
+	dir := t.TempDir()
+	start := func(i int) (*Broker, *rpc.Server, *Topic) {
+		opts := Options{}
+		if i == 0 {
+			opts.Dir = dir
+		}
+		b := NewBroker(opts)
+		if err := b.EnableReplication(ReplicationConfig{Self: i, Peers: addrs, Quorum: 2, Timeout: time.Second}); err != nil {
+			t.Fatal(err)
+		}
+		srv, _ := serveOn(t, b, addrs[i])
+		tp, err := b.CreateTopic("t", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, srv, tp
+	}
+	brokers, srvs, topics := make([]*Broker, 3), make([]*rpc.Server, 3), make([]*Topic, 3)
+	for i := range brokers {
+		brokers[i], srvs[i], topics[i] = start(i)
+	}
+	defer func() {
+		for i := range brokers {
+			srvs[i].Close()
+			brokers[i].Close()
+		}
+	}()
+
+	// Broker 0 leads partition 0. One record reaches quorum; then no
+	// replica can reach another, and broker 0's next append stays its own.
+	if _, err := topics[0].Append(0, 1, []byte("acked")); err != nil {
+		t.Fatal(err)
+	}
+	for _, srv := range srvs {
+		srv.Close()
+	}
+	if _, err := topics[0].Append(0, 2, []byte("stale")); !IsQuorumUnavailable(err) {
+		t.Fatalf("append with no reachable replica: %v, want ErrQuorumUnavailable", err)
+	}
+	brokers[0].Close()
+
+	// Broker 1 takes the lead and acks another record at the same offset.
+	pm := PartMap{Version: 1, Leaders: map[PartKey]int{{Topic: "t", Partition: 0}: 1}}
+	for i := 1; i < 3; i++ {
+		brokers[i].ApplyPartMap(pm)
+		srvs[i], _ = serveOn(t, brokers[i], addrs[i])
+	}
+	if _, err := topics[1].Append(0, 3, []byte("fresh")); err != nil {
+		t.Fatal(err)
+	}
+
+	// Broker 0 comes back from its directory, learns the map the way a
+	// revived replica does, and the new leader appends once more.
+	brokers[0], srvs[0], topics[0] = start(0)
+	brokers[0].ApplyPartMap(pm)
+	if _, err := topics[1].Append(0, 4, []byte("more")); err != nil {
+		t.Fatal(err)
+	}
+
+	logOf := func(tp *Topic) []Record {
+		p := tp.parts[0]
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return append([]Record(nil), p.records...)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		want, same := logOf(topics[1]), true
+		for _, tp := range []*Topic{topics[0], topics[2]} {
+			same = same && reflect.DeepEqual(logOf(tp), want)
+		}
+		if same && len(want) == 3 {
+			return
+		}
+		if time.Now().After(deadline) {
+			for i, tp := range topics {
+				for _, rec := range logOf(tp) {
+					t.Logf("replica %d: offset %d %q", i, rec.Offset, rec.Value)
+				}
+			}
+			t.Fatal("the replicas' logs never converged")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
