@@ -30,9 +30,10 @@ func frameOf(fields ...any) []byte {
 
 // TestHostileFramesAreRefused feeds every broker handler, and the client's
 // batch decoder, a truncated frame and one whose count or index no frame
-// could back. Each must answer with an error — not a panic, not a loop or an
-// allocation sized by the number it was handed — and leave the broker
-// serving.
+// could back (and a fetch carrying a replica marker, which a broker that
+// does not replicate has no follower for). Each must answer with an error —
+// not a panic, not a loop or an allocation sized by the number it was
+// handed — and leave the broker serving.
 func TestHostileFramesAreRefused(t *testing.T) {
 	b := NewBroker(Options{})
 	defer b.Close()
@@ -55,14 +56,16 @@ func TestHostileFramesAreRefused(t *testing.T) {
 		methodFetch:       frameOf("t", uint64(1), int64(0), uint64(10)),
 		methodMeta:        frameOf("t", uint64(1)),
 		methodCommit:      frameOf("t", uint64(1), int64(0)),
+		MethodLead:        EncodePartMap(PartMap{Version: 1, Leaders: map[PartKey]int{{Topic: "t", Partition: 1}: 0}}),
 	}
 	hostile := map[string][][]byte{
 		methodOpenTopic:   {frameOf("t", huge)},
 		methodAppend:      {frameOf("t", huge, uint64(7), []byte("v")), append(frameOf("t", uint64(1), uint64(7)), frameOf(huge)...)},
 		methodAppendBatch: {frameOf("t", huge, uint64(1), uint64(7), []byte("a")), frameOf("t", uint64(1), huge, uint64(7), []byte("a"))},
-		methodFetch:       {frameOf("t", huge, int64(0), uint64(10))},
+		methodFetch:       {frameOf("t", huge, int64(0), uint64(10)), frameOf("t", uint64(1), int64(0), uint64(10), uint64(1), int64(0), uint64(0))},
 		methodMeta:        {frameOf("t", huge)},
 		methodCommit:      {frameOf("t", huge, int64(0))},
+		MethodLead:        {frameOf(int64(1), huge), frameOf(int64(1), uint64(1), "t", huge, uint64(0))},
 	}
 	call := func(method string, req []byte) error {
 		if method != methodFetch {
