@@ -297,7 +297,7 @@ func TestGatewayAllocCeiling(t *testing.T) {
 	}
 	const requests = 500
 	var before, after runtime.MemStats
-	framesBefore := c.Frontend.Node.SampleCalls()
+	framesBefore, rowsBefore := c.Frontend.Node.SampleCalls(), serving.FormattedRows()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < requests; i++ {
@@ -308,10 +308,11 @@ func TestGatewayAllocCeiling(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	frames := c.Frontend.Node.SampleCalls() - framesBefore
+	frames, rows := c.Frontend.Node.SampleCalls()-framesBefore, serving.FormattedRows()-rowsBefore
 	mallocs := float64(after.Mallocs-before.Mallocs) / requests
 	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / requests
-	t.Logf("per GET /sample (%d-byte body): %.1f mallocs, %.0f bytes, %.2f rpc frames", buf.Len(), mallocs, bytesPer, float64(frames)/requests)
+	t.Logf("per GET /sample (%d-byte body): %.1f mallocs, %.0f bytes, %.2f rpc frames, %.1f feature rows formatted",
+		buf.Len(), mallocs, bytesPer, float64(frames)/requests, float64(rows)/requests)
 	if frames != requests {
 		t.Fatalf("%d GET /sample sent %d rpc frames, want one each", requests, frames)
 	}
