@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"helios/internal/codec"
+	"helios/internal/graph"
 	"helios/internal/kvstore"
 	"helios/internal/wire"
 )
@@ -16,13 +17,19 @@ import (
 // allocate out of proportion to the input, and where Decode accepts the
 // input the readers must agree with each other: the header with the
 // Result, AppendResult with Decode, and AppendJSON with the reflective
-// encoder.
+// encoder. AppendJSON runs three times per input — its feature rows
+// formatted, then stored in the text memo, then copied from it — and
+// must write the same bytes, or fail the same way, each time.
 //
 //	go test ./internal/serving -run '^$' -fuzz FuzzEncodedResult -fuzztime 10s
 func FuzzEncodedResult(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(encodeResult(&Result{})))
 	f.Add([]byte(encodeResult(goldenResult())))
+	// One vertex, two bit patterns: a stored row must not answer for the
+	// other.
+	f.Add([]byte(encodeResult(&Result{Features: map[graph.VertexID][]float32{7: {1, 0.5}}})))
+	f.Add([]byte(encodeResult(&Result{Features: map[graph.VertexID][]float32{7: {1, -0.5}}})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// What one input may cost: every count is checked against the bytes
 		// left, so the largest structures are a map entry per two bytes and a
@@ -38,6 +45,12 @@ func FuzzEncodedResult(f *testing.F) {
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(allocFactor*len(data)+allocSlack) {
 			t.Fatalf("%d input bytes made the readers allocate %d", len(data), grew)
+		}
+		for i := 0; i < 2; i++ {
+			again, err := enc.AppendJSON(nil, 7)
+			if !bytes.Equal(again, body) || (err == nil) != (jerr == nil) || (err != nil && err.Error() != jerr.Error()) {
+				t.Fatalf("AppendJSON read %d: %q, %v; first read: %q, %v", i+2, again, err, body, jerr)
+			}
 		}
 
 		if berr == nil {
