@@ -339,17 +339,13 @@ func (c *featureCell) value() []byte {
 	return cw.Bytes()
 }
 
-// minSampleRef is the least one encoded sample takes: neighbor and
-// timestamp at a byte each, and the 4-byte weight.
-const minSampleRef = 6
-
 // The decoders use Finish, not Err: a value with trailing bytes is
 // corrupt, not merely short, and must not decode as a valid cell.
 
 func decodeSampleCell(buf []byte) (*sampleCell, error) {
 	r := codec.NewReader(buf)
 	c := &sampleCell{touch: r.Varint()}
-	c.refs = make([]wire.SampleRef, r.Count(minSampleRef))
+	c.refs = make([]wire.SampleRef, r.Count(wire.MinSampleRef))
 	for i := range c.refs {
 		c.refs[i] = wire.SampleRef{Neighbor: graph.VertexID(r.Uvarint()), Ts: graph.Timestamp(r.Varint()), Weight: r.Float32()}
 	}

@@ -69,6 +69,11 @@ type SampleRef struct {
 	Weight   float32
 }
 
+// MinSampleRef is the least one encoded SampleRef takes: neighbour and
+// timestamp at a byte each, and the 4-byte weight. Readers size a snapshot
+// with codec.Reader.Count(MinSampleRef).
+const MinSampleRef = 6
+
 // Message is the union of all queue messages; Kind selects the meaningful
 // fields.
 type Message struct {
@@ -141,11 +146,7 @@ func Decode(buf []byte) (Message, error) {
 	m.Trace = r.Uvarint()
 	switch m.Kind {
 	case KindSampleUpsert:
-		n := int(r.Uvarint())
-		if r.Err() == nil && n > 0 {
-			if n > r.Remaining() {
-				return m, codec.ErrShortBuffer
-			}
+		if n := r.Count(MinSampleRef); n > 0 {
 			m.Samples = make([]SampleRef, n)
 			for i := range m.Samples {
 				m.Samples[i].Neighbor = graph.VertexID(r.Uvarint())
@@ -191,11 +192,7 @@ func DecodeInto(buf []byte, m *Message) error {
 	m.Trace = r.Uvarint()
 	switch m.Kind {
 	case KindSampleUpsert:
-		n := int(r.Uvarint())
-		if r.Err() == nil && n > 0 {
-			if n > r.Remaining() {
-				return codec.ErrShortBuffer
-			}
+		if n := r.Count(MinSampleRef); n > 0 {
 			for i := 0; i < n; i++ {
 				samples = append(samples, SampleRef{
 					Neighbor: graph.VertexID(r.Uvarint()),

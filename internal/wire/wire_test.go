@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"helios/internal/codec"
 	"helios/internal/graph"
 	"helios/internal/query"
 )
@@ -65,6 +68,48 @@ func TestDecodeErrors(t *testing.T) {
 	// Trailing garbage must be rejected.
 	if _, err := Decode(append(Encode(&Message{Kind: KindFeatureEvict, Vertex: 1}), 0xFF)); err == nil {
 		t.Fatal("trailing bytes should fail")
+	}
+}
+
+// TestCraftedSampleCountRefused: an upsert's sample count is checked
+// against the bytes left at MinSampleRef each, so a count one past that
+// bound fails before anything is sized from it, where checking it against
+// one byte each let a record allocate 24 bytes of SampleRef per input byte.
+// The largest count the bytes can hold decodes, at 4 bytes per input byte.
+func TestCraftedSampleCountRefused(t *testing.T) {
+	const pad = 60 << 10 // zero bytes: each run of six is a valid sample
+	upsert := func(count int) []byte {
+		w := codec.NewWriter(pad + 32)
+		Append(w, &Message{Kind: KindSampleUpsert, Hop: 1, Vertex: 2})
+		buf := w.Bytes()[:w.Len()-1] // drop the empty snapshot's count
+		buf = binary.AppendUvarint(buf, uint64(count))
+		return append(buf, make([]byte, pad)...)
+	}
+	allocated := func(decode func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		decode()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, count := range []int{pad/MinSampleRef + 1, pad} {
+		bad := upsert(count)
+		var into Message
+		var err, errInto error
+		grew := allocated(func() {
+			_, err = Decode(bad)
+			errInto = DecodeInto(bad, &into)
+		})
+		if err == nil || errInto == nil {
+			t.Fatalf("count %d over %d bytes: Decode %v, DecodeInto %v; want both refused", count, pad, err, errInto)
+		}
+		if grew > 4<<10 {
+			t.Fatalf("count %d over %d bytes: refusing it allocated %d bytes", count, pad, grew)
+		}
+	}
+	m, err := Decode(upsert(pad / MinSampleRef))
+	if err != nil || len(m.Samples) != pad/MinSampleRef {
+		t.Fatalf("the largest count the bytes hold: %d samples, %v", len(m.Samples), err)
 	}
 }
 
