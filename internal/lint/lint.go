@@ -72,7 +72,6 @@ func DefaultOptions() *Options {
 			"helios/internal/serving",
 			"helios/internal/codec",
 			"helios/internal/wire",
-			"helios/internal/streamfile",
 			"helios/internal/kvstore",
 		},
 		BlockingPkgs: []string{
