@@ -55,6 +55,9 @@ check:
 	# frame reader, and the consumer's pushed-batch decoder.
 	$(GO) test ./internal/rpc -run '^$$' -fuzz FuzzFrame -fuzztime 10s
 	$(GO) test ./internal/mq -run '^$$' -fuzz FuzzFetchBatch -fuzztime 10s
+	# And ten over segment replay: what a restarting broker reads off its
+	# disk.
+	$(GO) test ./internal/mq -run '^$$' -fuzz FuzzSegmentReplay -fuzztime 10s
 	# And ten over the partition-map decoder: what a client takes off the
 	# coordinator's socket, and a broker off a map push.
 	$(GO) test ./internal/mq -run '^$$' -fuzz FuzzPartMap -fuzztime 10s

@@ -68,9 +68,7 @@ func TestAppendBatchEmpty(t *testing.T) {
 }
 
 // TestAppendBatchRemote drives the batch through the RPC framing: one
-// frame in, contiguous offsets out, values copied out of the frame
-// buffer (the local broker takes ownership, so the remote handler must
-// copy before the frame buffer is recycled).
+// frame in, contiguous offsets out, values read back byte-identical.
 func TestAppendBatchRemote(t *testing.T) {
 	local, rb, done := startRemote(t)
 	defer done()
@@ -140,54 +138,109 @@ func TestAppendBatchBrokerBound(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchOwnsOneBacking checks the batch handler's copy-out: the
-// values no longer alias the (pooled) frame, they sit back to back in a
-// single allocation however many records the batch has, each capped at
-// its own length so an append to one cannot reach the next, and a
-// truncated frame is reported by the reader.
-func TestDecodeBatchOwnsOneBacking(t *testing.T) {
+// TestAppendCopiesValues pins where a value's one copy is made: in the
+// log, by AppendBatch. A local batch, a batch decoded off an append frame,
+// and a remote batch over a loopback broker each leave the caller's bytes —
+// or the frame's — free for reuse once the call returns, and every fetched
+// value is capped at its own length, so an append to one cannot reach its
+// neighbour.
+func TestAppendCopiesValues(t *testing.T) {
 	const n = 64
+	want := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, i%7) }
+	// batch carves the values out of one buffer, as an encoder's would be.
+	batch := func() ([]BatchRecord, []byte) {
+		var buf []byte
+		for i := 0; i < n; i++ {
+			buf = append(buf, want(i)...)
+		}
+		recs, off := make([]BatchRecord, n), 0
+		for i := range recs {
+			recs[i] = BatchRecord{Key: uint64(i), Value: buf[off : off+i%7]}
+			off += i % 7
+		}
+		return recs, buf
+	}
+	scribble := func(b []byte) {
+		for i := range b {
+			b[i] = 0xEE
+		}
+	}
+	check := func(path string, topic *Topic, part int) {
+		t.Helper()
+		got, err := topic.NewConsumer(part, 0).Poll(2*n, 0)
+		if err != nil || len(got) != n {
+			t.Fatalf("%s: %d records, %v", path, len(got), err)
+		}
+		for i, rec := range got {
+			if rec.Key != uint64(i) || !bytes.Equal(rec.Value, want(i)) {
+				t.Fatalf("%s: record %d after its source was reused: %+v", path, i, rec)
+			}
+			if cap(rec.Value) != len(rec.Value) {
+				t.Fatalf("%s: record %d: cap %d > len %d reaches into its neighbour", path, i, cap(rec.Value), len(rec.Value))
+			}
+		}
+		grown := append(got[1].Value, 0xFF)
+		if got[2].Value[0] != 2 || &grown[0] == &got[1].Value[0] {
+			t.Fatalf("%s: an append to one value wrote into the log", path)
+		}
+	}
+
+	b := NewBroker(Options{})
+	defer b.Close()
+	topic, err := b.CreateTopic("t", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, buf := batch()
+	if _, err := topic.AppendBatch(0, recs); err != nil {
+		t.Fatal(err)
+	}
+	scribble(buf)
+	check("local", topic, 0)
+
 	w := codec.NewWriter(1024)
-	for i := 0; i < n; i++ {
-		w.Uvarint(uint64(i))
-		w.Bytes32(bytes.Repeat([]byte{byte(i)}, i%7))
+	recs, _ = batch()
+	for _, rec := range recs {
+		w.Uvarint(rec.Key)
+		w.Bytes32(rec.Value)
 	}
 	frame := append([]byte(nil), w.Bytes()...)
-
 	r := codec.NewReader(frame)
-	recs := decodeBatch(r, n)
+	decoded := decodeBatch(r, n)
 	if err := r.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	for i := range frame {
-		frame[i] = 0xEE // the pool hands the frame to someone else
+	if _, err := topic.AppendBatch(1, decoded); err != nil {
+		t.Fatal(err)
 	}
-	for i, rec := range recs {
-		if rec.Key != uint64(i) || !bytes.Equal(rec.Value, bytes.Repeat([]byte{byte(i)}, i%7)) {
-			t.Fatalf("record %d after the frame was reused: %+v", i, rec)
-		}
-		if cap(rec.Value) != len(rec.Value) {
-			t.Fatalf("record %d: cap %d > len %d reaches into its neighbour", i, cap(rec.Value), len(rec.Value))
-		}
-	}
-	grown := append(recs[1].Value, 0xFF)
-	if recs[2].Value[0] != 2 || &grown[0] == &recs[1].Value[0] {
-		t.Fatal("append to one value wrote into the shared backing")
-	}
-
-	frame = append(frame[:0], w.Bytes()...)
-	allocs := testing.AllocsPerRun(50, func() {
-		decodeBatch(codec.NewReader(frame), n)
-	})
-	// The record slice and the shared backing — the reader itself may or
-	// may not escape. One make per record would be 64+.
-	if allocs > 3 {
-		t.Fatalf("decodeBatch of %d records: %.0f allocations, want the record slice plus one backing", n, allocs)
-	}
-
+	scribble(frame)
+	check("frame", topic, 1)
 	short := codec.NewReader(frame[:len(frame)-3])
 	decodeBatch(short, n)
 	if short.Finish() == nil {
 		t.Fatal("truncated batch frame decoded without error")
 	}
+
+	local, rb, done := startRemote(t)
+	defer done()
+	rt, err := rb.OpenTopic("t", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, buf = batch()
+	if _, err := rt.AppendBatch(0, recs); err != nil {
+		t.Fatal(err)
+	}
+	scribble(buf)
+	// The next frames land in the read buffer the first one was read into.
+	for i := range recs {
+		recs[i].Value = bytes.Repeat([]byte{0xEE}, 7)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := rt.AppendBatch(1, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lt, _ := local.Topic("t")
+	check("remote", lt, 0)
 }

@@ -339,8 +339,8 @@ func (t *Topic) Append(partitionIdx int, key uint64, value []byte) (int64, error
 }
 
 // BatchRecord is one (key, value) pair of an AppendBatch call. The broker
-// takes ownership of Value, exactly as Append does; the containing slice
-// stays the caller's and may be reused after the call returns.
+// copies Value, exactly as Append does; both Value and the containing
+// slice stay the caller's and may be reused after the call returns.
 type BatchRecord struct {
 	Key   uint64
 	Value []byte

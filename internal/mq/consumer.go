@@ -22,7 +22,7 @@ func (t *Topic) NewConsumer(partition int, from int64) *Consumer {
 // empty. It returns nil on timeout and ErrClosed after broker shutdown. The
 // cursor advances past the returned records.
 func (c *Consumer) Poll(max int, wait time.Duration) ([]Record, error) {
-	recs, next, err := c.topic.parts[c.partition].fetch(c.offset, max, wait, false)
+	recs, next, err := c.topic.parts[c.partition].fetch(nil, c.offset, max, wait, false)
 	c.offset = next
 	return recs, err
 }

@@ -26,8 +26,8 @@ type TopicHandle interface {
 	// AppendBatch appends recs to one partition as a single broker
 	// operation — one lock pass locally, one RPC frame remotely — and
 	// returns the offset of the first record; the batch lands contiguously
-	// in slice order. Like Append, the broker takes ownership of every
-	// Value slice. An empty batch is a no-op returning NextOffset.
+	// in slice order. Like Append, the broker copies every Value, so the
+	// caller may reuse them. An empty batch is a no-op returning NextOffset.
 	AppendBatch(partition int, recs []BatchRecord) (int64, error)
 	AppendByKey(key uint64, value []byte) (int64, error)
 	OpenConsumer(partition int, from int64) Cursor

@@ -9,8 +9,8 @@ import (
 	"helios/internal/faultpoint"
 )
 
-// partition is one append-only, strictly ordered log. Records are held in a
-// ring-ish slice window [head, next); retention truncates from the front.
+// partition is one append-only, strictly ordered log. Records are held in
+// the chunked window [head, next); retention truncates from the front.
 type partition struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -18,9 +18,7 @@ type partition struct {
 	idx    int
 	broker *Broker
 
-	records []Record // records[i] has offset head+i
-	head    int64    // offset of records[0]
-	next    int64    // offset of the next append
+	chunkLog
 	// committed is the highest offset a consumer has reported back via
 	// Commit (Kafka convention: one past the last processed record), or -1
 	// while no consumer has ever committed. Broker-side lag — the basis for
@@ -72,12 +70,10 @@ func (p *partition) appendBatch(recs []BatchRecord) (int64, error) {
 	first := p.next
 	now := time.Now().UnixNano()
 	if p.seg != nil {
-		off := first
-		for _, br := range recs {
-			if err := p.seg.append(Record{Offset: off, Key: br.Key, Value: br.Value, Ts: now}); err != nil {
+		for i, br := range recs {
+			if err := p.seg.append(Record{Offset: first + int64(i), Key: br.Key, Value: br.Value, Ts: now}); err != nil {
 				return 0, err
 			}
-			off++
 		}
 		if p.broker.opts.Fsync == FsyncAlways {
 			if err := p.seg.sync(); err != nil {
@@ -86,8 +82,7 @@ func (p *partition) appendBatch(recs []BatchRecord) (int64, error) {
 		}
 	}
 	for _, br := range recs {
-		p.records = append(p.records, Record{Offset: p.next, Key: br.Key, Value: br.Value, Ts: now})
-		p.next++
+		p.put(br.Key, now, br.Value)
 	}
 	p.trimLocked()
 	p.cond.Broadcast()
@@ -118,7 +113,7 @@ func (p *partition) appendAt(first int64, recs []Record) (int64, int, error) {
 			continue // trimmed past: nothing retained to verify against
 		}
 		if rec.Offset < p.next {
-			have := &p.records[int(rec.Offset-p.head)]
+			have := p.at(rec.Offset)
 			if have.Key == rec.Key && have.Ts == rec.Ts && bytes.Equal(have.Value, rec.Value) {
 				continue
 			}
@@ -128,8 +123,7 @@ func (p *partition) appendAt(first int64, recs []Record) (int64, int, error) {
 			// watermark with it) and append the authoritative records; the
 			// rewound segment frames are reconciled by replay's rewind
 			// handling, same as a demotion's.
-			p.records = p.records[:int(rec.Offset-p.head)]
-			p.next = rec.Offset
+			p.cut(rec.Offset)
 			if p.hw > p.next {
 				p.hw = p.next
 			}
@@ -139,8 +133,7 @@ func (p *partition) appendAt(first int64, recs []Record) (int64, int, error) {
 				return p.next, applied, err
 			}
 		}
-		p.records = append(p.records, rec)
-		p.next++
+		p.put(rec.Key, rec.Ts, rec.Value)
 		applied++
 	}
 	if applied > 0 && p.seg != nil && p.broker.opts.Fsync == FsyncAlways {
@@ -157,16 +150,10 @@ func (p *partition) appendAt(first int64, recs []Record) (int64, int, error) {
 
 // trimLocked applies the retention bound. Caller holds p.mu.
 func (p *partition) trimLocked() {
-	if retain := p.broker.opts.RetainRecords; retain > 0 && len(p.records) > 2*retain {
+	if retain := int64(p.broker.opts.RetainRecords); retain > 0 && p.next-p.head > 2*retain {
 		// Amortized trim: let the window grow to 2× the retention bound,
-		// then copy the newest `retain` records into a fresh slice (so the
-		// old backing array stops pinning dropped payloads). This keeps
-		// append O(1) amortized instead of O(retain) per append.
-		drop := len(p.records) - retain
-		kept := make([]Record, retain)
-		copy(kept, p.records[drop:])
-		p.records = kept
-		p.head += int64(drop)
+		// then keep the newest `retain` records and the chunks they touch.
+		p.advance(p.next - retain)
 	}
 }
 
@@ -246,21 +233,21 @@ func (p *partition) demote() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if cut := max(p.hw, p.head); cut < p.next {
-		p.records = p.records[:int(cut-p.head)]
-		p.next = cut
+		p.cut(cut)
 	}
 	clear(p.acks)
 	p.cond.Broadcast()
 }
 
-// fetch returns up to max records starting at offset, blocking up to wait
-// for data. A fetch below the retained head snaps forward to the head; on
-// a replicated broker delivery stops at the high watermark, unless pastHW
-// (a follower's fetch). The returned records alias the partition's
-// retained window and must be treated as read-only.
-func (p *partition) fetch(offset int64, max int, wait time.Duration, pastHW bool) ([]Record, int64, error) {
+// fetch appends up to max records starting at offset to dst, blocking up
+// to wait for data, and returns dst and the offset after the last record.
+// A fetch below the retained head snaps forward to the head; on a
+// replicated broker delivery stops at the high watermark, unless pastHW (a
+// follower's fetch). The values are views of the log's arenas, each capped
+// at its own length, and must be treated as read-only.
+func (p *partition) fetch(dst []Record, offset int64, max int, wait time.Duration, pastHW bool) ([]Record, int64, error) {
 	if err := faultpoint.Inject("mq.fetch"); err != nil {
-		return nil, offset, err
+		return dst, offset, err
 	}
 	if max <= 0 {
 		max = 1
@@ -277,23 +264,18 @@ func (p *partition) fetch(offset int64, max int, wait time.Duration, pastHW bool
 			limit = p.hw
 		}
 		if offset < limit {
-			start := int(offset - p.head)
-			end := start + max
-			if lim := int(limit - p.head); end > lim {
-				end = lim
-			}
-			out := p.records[start:end:end]
-			return out, offset + int64(len(out)), nil
+			end := offset + min(limit-offset, int64(max))
+			return p.read(dst, offset, end), end, nil
 		}
 		if p.closed {
-			return nil, offset, ErrClosed
+			return dst, offset, ErrClosed
 		}
 		if wait <= 0 {
-			return nil, offset, nil
+			return dst, offset, nil
 		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			return nil, offset, nil
+			return dst, offset, nil
 		}
 		// cond has no timed wait; poke waiters periodically from a timer.
 		t := time.AfterFunc(remaining, func() {

@@ -103,8 +103,7 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		// The request buffer is the connection's; the broker keeps a copy.
-		off, err := t.Append(part, key, append([]byte(nil), val...))
+		off, err := t.Append(part, key, val)
 		resp.Varint(off)
 		return err
 	}))
@@ -142,6 +141,7 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		}
 		// The first fetch does not park: an empty batch tells a subscriber
 		// at once that it is at the tail.
+		var recs []Record
 		for credit, park := fetchWindow, time.Duration(0); credit > 0; credit, park = credit-1, maxFetchPark {
 			// Consumers read from the leader only — a follower's log may hold
 			// an unreplicated tail destined for truncation — and leadership
@@ -149,7 +149,8 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 			if err := b.checkLeader(t.name, part); err != nil {
 				return err
 			}
-			recs, next, err := t.parts[part].fetch(offset, max, park, false)
+			var next int64
+			recs, next, err = t.parts[part].fetch(recs[:0], offset, max, park, false)
 			if err != nil || (len(recs) == 0 && park > 0) {
 				return err
 			}
@@ -198,27 +199,16 @@ func openTopicReq(name string, parts int) []byte {
 	return w.Bytes()
 }
 
-// decodeBatch reads n records off an append-batch frame. The frame buffer
-// is pooled, so the values are copied out — into one allocation the
-// records share, not one per record; each value is capped at its own
-// length so no append can reach its neighbour. The caller checks r for
-// truncation.
+// decodeBatch reads n records off an append-batch frame. The values alias
+// the frame: AppendBatch copies them into the log before the frame buffer
+// is reused. The caller checks r for truncation.
 //
 //lint:hotpath
 func decodeBatch(r *codec.Reader, n int) []BatchRecord {
 	recs := make([]BatchRecord, n)
-	total := 0
 	for i := range recs {
 		recs[i].Key = r.Uvarint()
-		recs[i].Value = r.Bytes32() // still the frame's bytes
-		total += len(recs[i].Value)
-	}
-	backing := make([]byte, total)
-	off := 0
-	for i := range recs {
-		end := off + copy(backing[off:], recs[i].Value)
-		recs[i].Value = backing[off:end:end]
-		off = end
+		recs[i].Value = r.Bytes32()
 	}
 	return recs
 }

@@ -386,7 +386,7 @@ func (b *Broker) serveReplica(t *Topic, part int, offset int64, max int, r *code
 		return err
 	}
 	p := t.parts[part]
-	recs, next, err := p.fetch(p.ack(int(peer), offset), max, maxFetchPark, true)
+	recs, next, err := p.fetch(nil, p.ack(int(peer), offset), max, maxFetchPark, true)
 	if err != nil || len(recs) == 0 {
 		return err
 	}

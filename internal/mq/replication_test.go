@@ -354,7 +354,7 @@ func TestAppendAtTruncatesDivergentTail(t *testing.T) {
 	if err != nil || next != 4 || applied != 3 {
 		t.Fatalf("appendAt: next=%d applied=%d err=%v, want 4, 3, nil", next, applied, err)
 	}
-	recs := p.records
+	recs := p.read(nil, p.head, p.next)
 	if len(recs) != 4 {
 		t.Fatalf("log holds %d recs", len(recs))
 	}
@@ -483,7 +483,7 @@ func TestDivergentFollowerConverges(t *testing.T) {
 		p := tp.parts[0]
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		return append([]Record(nil), p.records...)
+		return p.read(nil, p.head, p.next)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -59,37 +60,38 @@ func (p *partition) openSegment(dir string) error {
 // appear when a failed append or batch was retried (the orphaned first
 // attempt never became visible), and when a demoted leader's abandoned
 // tail was overwritten by the new leader's stream — in both cases the
-// later bytes are the authoritative log.
+// later bytes are the authoritative log. A frame that skips offsets ahead
+// starts the log over at its own.
+//
+// The first pass keeps where each surviving frame starts, so a run of
+// rewinds costs the log nothing; the second feeds the survivors to it.
 func (p *partition) replay(data []byte) error {
-	rd := codec.NewReader(data)
-	var recs []Record
-	for rd.Remaining() > 0 {
-		offv := rd.Uvarint()
-		key := rd.Uvarint()
-		ts := rd.Varint()
-		val := rd.Bytes32()
-		if rd.Err() != nil {
-			break // truncated tail
+	var starts []int // starts[i] is where the frame of offset first+i begins
+	var first int64
+	var rd codec.Reader
+	for rd.Reset(data); rd.Remaining() > 0; {
+		at := len(data) - rd.Remaining()
+		off, _, _, _ := readFrame(&rd)
+		if rd.Err() != nil || off < 0 || off == math.MaxInt64 {
+			break // a truncated tail, or an offset no log reaches
 		}
-		off := int64(offv)
-		if n := len(recs); n > 0 && off <= recs[n-1].Offset {
-			if off < recs[0].Offset {
-				recs = recs[:0]
-			} else {
-				recs = recs[:int(off-recs[0].Offset)]
-			}
+		if off < first || off > first+int64(len(starts)) {
+			first = off
 		}
-		v := make([]byte, len(val))
-		copy(v, val)
-		recs = append(recs, Record{Offset: off, Key: key, Value: v, Ts: ts})
+		starts = append(starts[:off-first], at)
 	}
-	if len(recs) == 0 {
-		return nil
+	p.head, p.next = first, first
+	for _, at := range starts {
+		rd.Reset(data[at:])
+		_, key, ts, val := readFrame(&rd)
+		p.put(key, ts, val)
 	}
-	p.records = recs
-	p.head = recs[0].Offset
-	p.next = recs[len(recs)-1].Offset + 1
 	return nil
+}
+
+// readFrame reads one segment frame; val aliases the reader's buffer.
+func readFrame(rd *codec.Reader) (off int64, key uint64, ts int64, val []byte) {
+	return int64(rd.Uvarint()), rd.Uvarint(), rd.Varint(), rd.Bytes32()
 }
 
 func (s *segment) append(rec Record) error {

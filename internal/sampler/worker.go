@@ -565,7 +565,7 @@ func (w *Worker) publishTurn(worker int, run []outMsg) {
 	}
 	for _, pb := range ps.touched {
 		// Best effort by design: an unreachable broker drops the batch, and
-		// the count says so. The broker owns the payloads; recs is reused.
+		// the count says so. The broker copies the payloads; recs is reused.
 		if _, err := pb.topic.AppendBatch(pb.partition, pb.recs); err != nil {
 			w.pubDropped.Add(int64(len(pb.recs)))
 		}
