@@ -64,3 +64,6 @@ check:
 	# The kvstore read-during-flush hole failed about one run in two when
 	# it was open; twenty runs make a reopening loud.
 	$(GO) test -race -count=20 -run 'TestConcurrentReadWrite|TestGetNeverMissesAcrossFlush' ./internal/kvstore
+	# The actor mailbox is hand-rolled synchronisation: twenty runs of its
+	# tests, the seeded model test among them.
+	$(GO) test -race -count=20 ./internal/actor

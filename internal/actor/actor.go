@@ -12,6 +12,7 @@ package actor
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -26,14 +27,19 @@ import (
 // message.
 const MaxRun = 256
 
+// idleCap is the size each of an actor's two buffers — its queue and its
+// spent run — starts at, and a parked actor keeps at most 2*idleCap
+// messages of them. Runs that fit reuse them without allocating; a backlog
+// grows the queue, and the actor lets the growth go when it parks, so an
+// idle pool holds almost nothing.
+const idleCap = 16
+
 // Pool is a fixed set of actors consuming bounded mailboxes.
 type Pool[T any] struct {
-	name      string
-	mailboxes []chan T
+	mailboxes []mailbox[T]
 	handler   func(worker int, msgs []T)
-	busy      atomic.Int64
+	depth     atomic.Int64 // queued plus in-flight messages
 	wg        sync.WaitGroup
-	closed    atomic.Bool
 	closeOnce sync.Once
 
 	// Handled counts processed messages; Panics counts recovered handler
@@ -42,14 +48,31 @@ type Pool[T any] struct {
 	Panics  obs.Counter
 }
 
+// mailbox is one actor's queue: a slice that grows with what is queued, up
+// to limit. The actor takes a run by swapping it with its spent run buffer.
+type mailbox[T any] struct {
+	mu     sync.Mutex
+	queued []T
+	limit  int
+	closed bool
+	parked bool      // the actor waits on wake with nothing queued
+	space  sync.Cond // broadcast when a run frees room or the pool closes
+	// wake rings the parked actor: the close, or a run a sender handed it.
+	// handed and spent (its emptied last run, the next queue) are the
+	// actor's; a sender touches them only while the actor is parked.
+	wake   chan struct{}
+	handed []T
+	spent  []T
+}
+
 // NewBatchPool starts `workers` actors, each with a `mailbox`-deep queue.
-// An actor's turn is a drained run: the message that woke it plus whatever
-// was already waiting behind it, at most MaxRun, in mailbox order. The
-// actor never waits for company, so a lone message is a run of one and is
-// handled at once; under a burst the run is the natural batch. handler
-// receives the worker index so actors can own per-worker state (e.g. a
-// private RNG) without locks, and may reorder or overwrite msgs but must
-// not retain it. A panic loses the rest of that run.
+// An actor's turn is a drained run: everything queued when it takes the
+// turn, at most MaxRun, in mailbox order. The actor never waits for
+// company, so a lone message is a run of one and is handled at once; under
+// a burst the run is the natural batch. handler receives the worker index
+// so actors can own per-worker state (e.g. a private RNG) without locks,
+// and may reorder or overwrite msgs but must not retain it. A panic loses
+// the rest of that run.
 func NewBatchPool[T any](name string, workers, mailbox int, handler func(worker int, msgs []T)) *Pool[T] {
 	p := newPool[T](name, workers, mailbox)
 	p.handler = func(worker int, msgs []T) {
@@ -79,17 +102,16 @@ func NewPool[T any](name string, workers, mailbox int, handler func(worker int, 
 	return p
 }
 
-func newPool[T any](name string, workers, mailbox int) *Pool[T] {
+func newPool[T any](name string, workers, depth int) *Pool[T] {
 	if workers < 1 {
 		panic(fmt.Sprintf("actor: pool %q needs ≥ 1 worker", name))
 	}
-	if mailbox < 1 {
-		mailbox = 1
-	}
-	p := &Pool[T]{name: name}
-	p.mailboxes = make([]chan T, workers)
+	p := &Pool[T]{mailboxes: make([]mailbox[T], workers)}
 	for i := range p.mailboxes {
-		p.mailboxes[i] = make(chan T, mailbox)
+		mb := &p.mailboxes[i]
+		mb.limit = max(depth, 1)
+		mb.space.L = &mb.mu
+		mb.wake = make(chan struct{}, 1)
 	}
 	return p
 }
@@ -109,33 +131,83 @@ func (p *Pool[T]) recovered() {
 	}
 }
 
-// run is the one actor loop. Every message is counted into busy as it
-// leaves the mailbox and out only when the run's handler has returned, so
-// Depth never reads zero while a drained message is unhandled.
+// run is the one actor loop. A message is counted into depth as it is
+// queued and out only when its run's handler has returned, so Depth never
+// reads zero while a message is unhandled.
 func (p *Pool[T]) run(worker int) {
 	defer p.wg.Done()
-	mb := p.mailboxes[worker]
-	msgs := make([]T, 0, MaxRun)
-	for msg := range mb {
-		p.busy.Add(1)
-		msgs = append(msgs, msg)
-	drain:
-		for len(msgs) < MaxRun {
-			select {
-			case msg, ok := <-mb:
-				if !ok {
-					break drain // closed: the outer range ends after this run
-				}
-				p.busy.Add(1)
-				msgs = append(msgs, msg)
-			default:
-				break drain
-			}
+	mb := &p.mailboxes[worker]
+	for run := mb.take(); run != nil; run = mb.take() {
+		p.handler(worker, run)
+		p.depth.Add(-int64(len(run)))
+		clear(run) // drop references the queue would keep past its length
+		mb.spent = run[:0]
+	}
+}
+
+// take returns the next run: the queue, swapped for the spent run buffer,
+// or its oldest MaxRun messages. With nothing queued the actor yields once
+// and then parks until handed a run; nil means closed and drained.
+func (mb *mailbox[T]) take() []T {
+	mb.mu.Lock()
+	for yielded := false; len(mb.queued) == 0; yielded = true {
+		if mb.closed {
+			mb.mu.Unlock()
+			return nil
 		}
-		p.handler(worker, msgs)
-		p.busy.Add(-int64(len(msgs)))
-		clear(msgs) // drop references the next, shorter run would not overwrite
-		msgs = msgs[:0]
+		if !yielded { // a producer runnable here may refill the queue: no wake-up
+			mb.mu.Unlock()
+			runtime.Gosched()
+			mb.mu.Lock()
+			continue
+		}
+		if cap(mb.queued)+cap(mb.spent) > 2*idleCap {
+			mb.queued, mb.spent = nil, nil
+		}
+		mb.parked = true
+		mb.mu.Unlock()
+		<-mb.wake
+		if run := mb.handed; run != nil {
+			mb.handed = nil
+			return run
+		}
+		mb.mu.Lock()
+	}
+	run, rest := mb.queued, mb.spent
+	if len(run) > MaxRun {
+		rest = append(rest, run[MaxRun:]...)
+		clear(run[MaxRun:])
+		run = run[:MaxRun]
+	}
+	mb.queued, mb.spent = rest, nil
+	mb.mu.Unlock()
+	mb.space.Broadcast()
+	return run
+}
+
+// put queues msg, waiting while the queue is full, and hands it to the
+// actor if the actor is parked. It panics once the pool is closed.
+func (mb *mailbox[T]) put(msg T, depth *atomic.Int64) {
+	mb.mu.Lock()
+	for len(mb.queued) >= mb.limit && !mb.closed {
+		mb.space.Wait()
+	}
+	if mb.closed {
+		mb.mu.Unlock()
+		panic("actor: send to a closed pool")
+	}
+	if len(mb.queued) == cap(mb.queued) {
+		mb.queued = append(make([]T, 0, min(max(2*cap(mb.queued), idleCap), mb.limit)), mb.queued...)
+	}
+	mb.queued = append(mb.queued, msg)
+	depth.Add(1)
+	wake := mb.parked
+	if wake { // the actor starts the run it is handed without the lock
+		mb.parked, mb.handed, mb.queued, mb.spent = false, mb.queued, mb.spent, nil
+	}
+	mb.mu.Unlock()
+	if wake {
+		mb.wake <- struct{}{}
 	}
 }
 
@@ -149,17 +221,7 @@ func (p *Pool[T]) Workers() int { return len(p.mailboxes) }
 // closed — producers must be stopped first, mirroring the shutdown order
 // of the workers.
 func (p *Pool[T]) Send(key uint64, msg T) {
-	p.mailboxes[p.WorkerFor(key)] <- msg
-}
-
-// TrySend enqueues without blocking and reports success.
-func (p *Pool[T]) TrySend(key uint64, msg T) bool {
-	select {
-	case p.mailboxes[p.WorkerFor(key)] <- msg:
-		return true
-	default:
-		return false
-	}
+	p.mailboxes[p.WorkerFor(key)].put(msg, &p.depth)
 }
 
 // WorkerFor returns the actor index owning key. Keys are hashed so raw
@@ -171,26 +233,27 @@ func (p *Pool[T]) WorkerFor(key uint64) int {
 
 // SendTo enqueues to an explicit worker index.
 func (p *Pool[T]) SendTo(worker int, msg T) {
-	p.mailboxes[worker] <- msg
+	p.mailboxes[worker].put(msg, &p.depth)
 }
 
 // Depth returns the queued plus in-flight messages — zero means the pool is
 // fully idle, which the cluster quiescence probe relies on.
-func (p *Pool[T]) Depth() int {
-	total := int(p.busy.Load())
-	for _, mb := range p.mailboxes {
-		total += len(mb)
-	}
-	return total
-}
+func (p *Pool[T]) Depth() int { return int(p.depth.Load()) }
 
 // Close stops accepting messages, drains the mailboxes, and waits for the
 // actors to finish. Safe to call multiple times.
 func (p *Pool[T]) Close() {
 	p.closeOnce.Do(func() {
-		p.closed.Store(true)
-		for _, mb := range p.mailboxes {
-			close(mb)
+		for i := range p.mailboxes {
+			mb := &p.mailboxes[i]
+			mb.mu.Lock()
+			wake := mb.parked
+			mb.closed, mb.parked = true, false
+			mb.mu.Unlock()
+			if wake {
+				mb.wake <- struct{}{}
+			}
+			mb.space.Broadcast()
 		}
 		p.wg.Wait()
 	})

@@ -1,11 +1,15 @@
 package actor
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestPoolProcessesAll(t *testing.T) {
@@ -105,23 +109,40 @@ func TestPoolPanicRecovery(t *testing.T) {
 	}
 }
 
-func TestTrySend(t *testing.T) {
-	block := make(chan struct{})
-	p := NewPool("full", 1, 1, func(_ int, _ int) {
-		<-block
+func TestSendBlocksOnFullMailbox(t *testing.T) {
+	// A depth-1 mailbox behind a parked handler: one message in flight, one
+	// queued, and the next Send waits until the actor takes its run.
+	g := newGate()
+	var order []int
+	p := NewPool("full", 1, 1, func(_ int, msg int) {
+		g.wait()
+		order = append(order, msg)
 	})
-	p.Send(0, 1) // picked up by the actor, which blocks
-	time.Sleep(10 * time.Millisecond)
-	p.Send(0, 2) // fills the mailbox
-	if p.TrySend(0, 3) {
-		t.Fatal("TrySend should fail on a full mailbox")
+	p.Send(0, 1)
+	<-g.entered
+	p.Send(0, 2)
+	if d := p.Depth(); d != 2 {
+		t.Fatalf("depth = %d, want the queued message and the one in flight", d)
 	}
-	// One message queued plus one in flight (blocked in the handler).
-	if p.Depth() != 2 {
-		t.Fatalf("depth = %d", p.Depth())
+	sent := make(chan struct{})
+	go func() {
+		p.Send(0, 3)
+		close(sent)
+	}()
+	select {
+	case <-sent:
+		t.Fatal("Send returned while the mailbox was full")
+	case <-time.After(50 * time.Millisecond):
 	}
-	close(block)
+	if d := p.Depth(); d != 2 {
+		t.Fatalf("depth with a sender blocked = %d, want 2", d)
+	}
+	close(g.release)
+	<-sent
 	p.Close()
+	if !slices.Equal(order, []int{1, 2, 3}) {
+		t.Fatalf("handled %v, want [1 2 3]", order)
+	}
 }
 
 func TestSendTo(t *testing.T) {
@@ -189,6 +210,240 @@ func TestLoopSelfTermination(t *testing.T) {
 		t.Fatalf("ran = %d, want exactly 1", ran.Load())
 	}
 	l.Stop()
+}
+
+// wide is a message the size of the sampler's event (176 B), the largest
+// the pipeline's pools carry.
+type wide [22]uint64
+
+// liveHeap returns the heap in use after a forced collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestIdleMailboxBytes is the ledger row for what an idle pool holds: 8
+// actors at depth 1 024 drain a 10 000-message burst and park. Each may
+// keep 2*idleCap messages of buffer; 64 KiB covers the pool itself.
+func TestIdleMailboxBytes(t *testing.T) {
+	const workers, depth, burst = 8, 1024, 10_000
+	base := liveHeap()
+	p := NewBatchPool("idle", workers, depth, func(_ int, _ []wide) {})
+	for i := 0; i < burst; i++ {
+		p.Send(uint64(i), wide{})
+	}
+	limit := int64(workers*2*idleCap)*int64(unsafe.Sizeof(wide{})) + 64<<10
+	held := liveHeap() - base
+	// An actor lets go of its buffers when it parks, which may come a
+	// moment after its last run.
+	for deadline := time.Now().Add(5 * time.Second); held > limit && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		held = liveHeap() - base
+	}
+	t.Logf("an idle pool of %d actors holds %d B after a %d-message burst (limit %d B)", workers, held, burst, limit)
+	if held > limit {
+		t.Fatalf("idle pool holds %d B, want ≤ %d B", held, limit)
+	}
+	runtime.KeepAlive(p)
+	p.Close()
+}
+
+// TestSendHandleAllocatesNothing: once an actor's two buffers exist, a
+// cycle whose runs fit them allocates nothing, so an actor that parks
+// between small bursts does not regrow what it let go.
+func TestSendHandleAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	done := make(chan struct{})
+	left := idleCap
+	p := NewPool("cycle", 1, 1024, func(_ int, _ wide) {
+		if left--; left == 0 {
+			left = idleCap
+			done <- struct{}{}
+		}
+	})
+	defer p.Close()
+	allocs := testing.AllocsPerRun(200, func() {
+		for i := 0; i < idleCap; i++ {
+			p.Send(0, wide{})
+		}
+		<-done
+	})
+	t.Logf("%.3f allocations per %d-message cycle", allocs, idleCap)
+	if allocs != 0 {
+		t.Fatalf("%.3f allocations per cycle, want 0", allocs)
+	}
+}
+
+// TestPoolModel drives seeded random pools — depths 1 to 64, several
+// senders on shared keys and explicit workers, handlers that stall at
+// random — and checks the mailbox contract: every message handled exactly
+// once, per-sender FIFO per key across runs, no run longer than the depth
+// or MaxRun, Depth never below what is sent and not yet handled, and 0
+// after Close.
+func TestPoolModel(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		workers, depth, senders := 1+rng.Intn(4), 1+rng.Intn(64), 1+rng.Intn(4)
+		perSender := 200 + rng.Intn(800)
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			modelRun(t, seed, workers, depth, senders, perSender)
+		})
+	}
+}
+
+// modelMsg is one message of the model test: the sender, the stream it
+// belongs to (a key, or an explicit worker when direct), and its place in
+// that stream.
+type modelMsg struct {
+	sender, stream, seq int
+	direct              bool
+}
+
+func modelRun(t *testing.T, seed int64, workers, depth, senders, perSender int) {
+	const streams = 6
+	limit := min(depth, MaxRun)
+	var (
+		mu      sync.Mutex
+		next    = map[[3]int]int{} // (sender, stream, direct) → next seq
+		sent    atomic.Int64
+		handled atomic.Int64
+	)
+	stall := make([]*rand.Rand, workers) // one per actor: no sharing
+	for w := range stall {
+		stall[w] = rand.New(rand.NewSource(seed*100 + int64(w)))
+	}
+	p := NewBatchPool("model", workers, depth, func(w int, msgs []modelMsg) {
+		if len(msgs) > limit {
+			t.Errorf("run of %d messages, limit %d", len(msgs), limit)
+		}
+		mu.Lock()
+		for _, m := range msgs {
+			k := [3]int{m.sender, m.stream, 0}
+			if m.direct {
+				k[2] = 1
+			}
+			if m.seq != next[k] {
+				t.Errorf("sender %d stream %v: seq %d, want %d", m.sender, k, m.seq, next[k])
+			}
+			next[k] = m.seq + 1
+		}
+		mu.Unlock()
+		switch r := stall[w].Intn(20); {
+		case r == 0:
+			time.Sleep(time.Duration(stall[w].Intn(300)) * time.Microsecond)
+		case r < 4:
+			runtime.Gosched()
+		}
+		handled.Add(int64(len(msgs)))
+	})
+
+	stop := make(chan struct{})
+	watched := make(chan struct{})
+	go func() { // Depth never reads below sent-and-unhandled
+		defer close(watched)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s := sent.Load()
+			d := p.Depth()
+			h := handled.Load()
+			if int64(d) < s-h {
+				t.Errorf("Depth %d with at least %d messages sent and unhandled", d, s-h)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed*1000 + int64(s)))
+			seqs := map[[2]int]int{}
+			for i := 0; i < perSender; i++ {
+				m := modelMsg{sender: s, stream: rng.Intn(streams), direct: rng.Intn(4) == 0}
+				if m.direct {
+					m.stream %= workers
+				}
+				k := [2]int{m.stream, 0}
+				if m.direct {
+					k[1] = 1
+				}
+				m.seq = seqs[k]
+				seqs[k]++
+				if m.direct {
+					p.SendTo(m.stream, m)
+				} else {
+					p.Send(uint64(m.stream), m)
+				}
+				sent.Add(1)
+			}
+		}(s)
+	}
+	wg.Wait()
+	p.Close()
+	close(stop)
+	<-watched
+	if want := int64(senders * perSender); handled.Load() != want || p.Handled.Value() != want {
+		t.Fatalf("handled %d (counter %d) of %d", handled.Load(), p.Handled.Value(), want)
+	}
+	total := 0
+	for _, n := range next {
+		total += n
+	}
+	if total != senders*perSender {
+		t.Fatalf("streams account for %d of %d messages", total, senders*perSender)
+	}
+	if d := p.Depth(); d != 0 {
+		t.Fatalf("depth after close = %d", d)
+	}
+}
+
+// BenchmarkPoolLone is the hand-off of a message to a parked actor and
+// back: one Send, then wait until it is handled.
+func BenchmarkPoolLone(b *testing.B) {
+	done := make(chan struct{})
+	p := NewPool("lone", 1, 1024, func(_ int, _ wide) { done <- struct{}{} })
+	defer p.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Send(0, wide{})
+		<-done
+	}
+}
+
+// BenchmarkPoolBurst sends 8 messages to one actor and waits until all are
+// handled.
+func BenchmarkPoolBurst(b *testing.B) {
+	const burst = 8
+	done := make(chan struct{})
+	left := burst
+	p := NewPool("burst", 1, 1024, func(_ int, _ wide) {
+		if left--; left == 0 {
+			left = burst
+			done <- struct{}{}
+		}
+	})
+	defer p.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < burst; j++ {
+			p.Send(0, wide{})
+		}
+		<-done
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst), "ns/msg")
 }
 
 func BenchmarkPoolSend(b *testing.B) {

@@ -86,6 +86,16 @@ func TestConcurrentSamplesKeepTheirOwnAnswer(t *testing.T) {
 		t.Run(path.name, func(t *testing.T) {
 			fe := newCoalesceFrontend(t)
 			fe.SetBatching(path.batchMax, 5*time.Millisecond)
+			// Warm up before the baseline: the first Sample dials the
+			// frontend's serving connection, which starts two goroutines
+			// that live as long as the connection, not the burst — the
+			// client's read loop (rpc.Client.getConn) and the server's
+			// serve loop for the accepted connection (rpc.Server.acceptLoop).
+			// The pipeline's parked broker fetch streams come and go on
+			// their own; the slack below absorbs them.
+			if _, err := fe.Sample(query.ID(0), 1); err != nil {
+				t.Fatalf("warm-up sample: %v", err)
+			}
 			baseline := runtime.NumGoroutine()
 			before := fe.SampleCalls()
 
@@ -131,7 +141,9 @@ func TestConcurrentSamplesKeepTheirOwnAnswer(t *testing.T) {
 					break
 				}
 				if time.Now().After(leakDeadline) {
-					t.Fatalf("goroutines grew after drain: baseline %d, now %d", baseline, runtime.NumGoroutine())
+					buf := make([]byte, 1<<20)
+					buf = buf[:runtime.Stack(buf, true)]
+					t.Fatalf("goroutines grew after drain: baseline %d, now %d\n%s", baseline, runtime.NumGoroutine(), buf)
 				}
 				time.Sleep(20 * time.Millisecond)
 			}
