@@ -43,8 +43,6 @@ func declare(fs *flag.FlagSet) *flags {
 	fs.DurationVar(&o.TelemetryEvery, "telemetry-every", 5*time.Second, "cluster telemetry snapshot interval (0 = disabled)")
 	fs.DurationVar(&o.ProbeEvery, "probe-every", 0, "health-probe interval for unhealthy serving replicas (0 = 1s)")
 	fs.DurationVar(&o.Overload.LagProbeEvery, "lag-probe-every", 0, "how often to refresh the cached per-partition ingest backlog (0 = 250ms)")
-	fs.IntVar(&o.BatchMax, "batch-max", 0, "coalesce up to this many concurrent samples per serving partition into one RPC (<=1 = disabled)")
-	fs.DurationVar(&o.BatchLinger, "batch-linger", 0, "max time a coalesced sample waits for batchmates before the batch is sent (0 = 1ms)")
 	fs.StringVar(&f.faults, "faultpoints", "", "arm deterministic fault injection, e.g. rpc.dial=error (chaos drills)")
 	fs.StringVar(&o.OpsAddr, "ops-addr", "", "serve /metrics, /traces, /slo and pprof on this address (empty = disabled)")
 	fs.StringVar(&f.logLevel, "log-level", "info", "structured log level: debug, info, warn, error")

@@ -38,7 +38,6 @@ func declare(fs *flag.FlagSet) *flags {
 	fs.DurationVar(&w.CommitEvery, "commit-every", 0, "how often the sample-queue poll position is committed to the broker (0 = 100ms)")
 	fs.StringVar(&f.snapshotDir, "snapshot-dir", "", "warm-restart snapshot directory: serving-<id>.snap is restored on boot and rewritten every -snapshot-every (empty = snapshots off)")
 	fs.DurationVar(&o.SnapshotEvery, "snapshot-every", time.Minute, "cache snapshot interval under -snapshot-dir")
-	fs.IntVar(&w.MaxBatch, "batch-max", 0, "largest sample batch accepted by one batched RPC (0 = 1024 default)")
 	fs.DurationVar(&o.StatsEvery, "stats-every", 30*time.Second, "stats log interval (0 = off)")
 	fs.DurationVar(&o.TelemetryEvery, "telemetry-every", 5*time.Second, "cluster telemetry snapshot interval; a snapshot is also the liveness beat (0 = disabled)")
 	fs.StringVar(&f.faults, "faultpoints", "", "arm deterministic fault injection, e.g. mq.fetch=error:injected:3 (chaos drills)")

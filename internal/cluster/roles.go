@@ -569,10 +569,6 @@ type FrontendOptions struct {
 	// Overload is the admission policy; bounds left at zero fall back to
 	// the deployment's overload policy.
 	Overload frontend.Overload
-	// BatchMax > 1 coalesces concurrent samples per partition into one
-	// RPC, waiting at most BatchLinger for batchmates.
-	BatchMax    int
-	BatchLinger time.Duration
 	// SLOTarget and SLOWindow replace the sample-latency objective's
 	// defaults; SlowLog is the slow-sample log threshold (0 = the target).
 	SLOTarget, SLOWindow, SlowLog time.Duration
@@ -623,7 +619,6 @@ func StartFrontend(cfg *deploy.Config, bus mq.Bus, o FrontendOptions) (_ *Fronte
 	ov.MaxQueue = or(ov.MaxQueue, def.MaxQueue)
 	ov.MaxIngestLag = or(ov.MaxIngestLag, def.MaxIngestLag)
 	fe.SetOverload(ov)
-	fe.SetBatching(o.BatchMax, o.BatchLinger)
 
 	// The frontend owns no partition: its snapshots carry the gateway's
 	// view only.

@@ -27,7 +27,7 @@ const testConfig = `{
 // coordinator, every worker on its own broker connection, serving RPC
 // endpoints, the frontend behind its gateway — through the assembler the
 // cmd/ binaries use, and tears it down with the test.
-func boot(t *testing.T, config string, o cluster.Options) (*cluster.Local, *deploy.Config, *frontend.Frontend) {
+func boot(t testing.TB, config string, o cluster.Options) (*cluster.Local, *deploy.Config, *frontend.Frontend) {
 	t.Helper()
 	cfg, err := deploy.Parse([]byte(config))
 	if err != nil {

@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"helios/internal/graph"
@@ -10,116 +11,104 @@ import (
 	"helios/internal/serving"
 )
 
-// SetBatching enables request coalescing: concurrent Sample/SampleTraced
-// calls bound for the same serving partition are merged into one batched
-// RPC. A batch is dispatched as soon as it reaches max members or when
-// the oldest member has waited linger (whichever comes first), so an idle
-// frontend adds at most linger to a lone request's latency. max <= 1
-// disables coalescing; linger <= 0 defaults to 1ms. Call before serving
-// traffic, alongside SetOverload — the batcher set is not swapped under
-// load.
+// combiner is one serving partition's sample path. Its window is two calls
+// in flight per replica, each sent by its own caller as one helios.sample
+// frame. A caller that finds the window full queues. A call that returns
+// to a non-empty queue keeps its slot and hands it, with up to
+// serving.MaxBatch queued members, to the oldest of them, which sends
+// them as one call. Nothing waits for batchmates: a batch is whatever
+// queued while the window was full, so at low concurrency every sample
+// goes direct.
 //
-// Per-request trace IDs and deadline budgets ride inside the batch, and
-// the batch RPC's own deadline is the MINIMUM of its members' deadlines:
-// a short-deadline member must never have its wait extended by a
-// longer-lived batchmate, and a member whose budget expires while
-// coalescing fails locally without consuming a slot in the RPC.
-func (f *Frontend) SetBatching(max int, linger time.Duration) {
-	if max <= 1 {
-		f.batchers = nil
-		return
-	}
-	if linger <= 0 {
-		linger = time.Millisecond
-	}
-	f.batchMax = max
-	f.batchLinger = linger
-	f.batchers = make([]*batcher, len(f.servers))
-	for p := range f.batchers {
-		f.batchers[p] = &batcher{f: f, part: p}
-	}
+// Deadlines: a member whose budget ran out while queued fails locally and
+// sends no frame, and a batch travels under its members' minimum deadline.
+// Every request gets the frontend's one RequestTimeout, so the calls ahead
+// of a queued member expire no later than it does: it is never held past
+// its own budget.
+type combiner struct {
+	f    *Frontend
+	reps []*replica
+	rr   atomic.Uint64 // replica round-robin cursor
+
+	mu       sync.Mutex
+	inflight int
+	queue    []*pendingSample
 }
 
-// sampleOutcome is one member's share of a batch reply.
+// sampleOutcome is what a queued member receives: the batch it is to send
+// when it is handed the slot, otherwise its share of a reply.
 type sampleOutcome struct {
-	res serving.Encoded
-	err error
+	lead []*pendingSample
+	res  serving.Encoded
+	err  error
 }
 
-// pendingSample is one request waiting in a batcher. done has capacity 1
-// so flushers never block on a receiver.
+// pendingSample is one queued request. done has capacity 1, and receives
+// at most twice — the batch to lead, then the member's own outcome — each
+// after the previous receive, so a sender never blocks.
 type pendingSample struct {
 	item     serving.BatchItem
 	deadline time.Time
 	done     chan sampleOutcome
 }
 
-// batcher coalesces requests bound for one serving partition. The
-// goroutine that fills the batch to batchMax flushes it inline; otherwise
-// the linger timer armed by the first member fires the flush.
-type batcher struct {
-	f    *Frontend
-	part int
-
-	mu      sync.Mutex
-	pending []*pendingSample
-	timer   *time.Timer
-}
-
-// enqueue adds one request to the partition's pending batch and blocks
-// until its outcome arrives.
-func (b *batcher) enqueue(qid query.ID, seed graph.VertexID, trace uint64, deadline time.Time) (serving.Encoded, error) {
+// sample runs one request through the partition's window.
+func (c *combiner) sample(qid query.ID, seed graph.VertexID, trace uint64, deadline time.Time) (serving.Encoded, error) {
+	c.mu.Lock()
+	if c.inflight < 2*len(c.reps) {
+		c.inflight++
+		c.mu.Unlock()
+		enc, err := c.call(qid, seed, trace, deadline)
+		c.release()
+		return enc, err
+	}
 	ps := &pendingSample{
 		item:     serving.BatchItem{Query: qid, Seed: seed, Trace: trace},
 		deadline: deadline,
 		done:     make(chan sampleOutcome, 1),
 	}
-	b.mu.Lock()
-	b.pending = append(b.pending, ps)
-	var batch []*pendingSample
-	if len(b.pending) >= b.f.batchMax {
-		batch = b.take()
-	} else if len(b.pending) == 1 {
-		// First member arms the linger timer; frontend deliberately uses
-		// wall-clock timers (see the walltime lint exemption).
-		b.timer = time.AfterFunc(b.f.batchLinger, b.flushTimer)
-	}
-	b.mu.Unlock()
-	if batch != nil {
-		b.flush(batch)
-	}
+	c.queue = append(c.queue, ps)
+	c.mu.Unlock()
 	out := <-ps.done
+	if out.lead != nil {
+		c.flush(out.lead)
+		c.release()
+		out = <-ps.done
+	}
 	return out.res, out.err
 }
 
-// take detaches the pending batch and disarms the linger timer. Callers
-// hold b.mu.
-func (b *batcher) take() []*pendingSample {
-	batch := b.pending
-	b.pending = nil
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
+// release gives up a finished call's slot: to the oldest queued member,
+// with up to serving.MaxBatch of the queue, or back to the window.
+func (c *combiner) release() {
+	c.mu.Lock()
+	n := min(len(c.queue), serving.MaxBatch)
+	if n == 0 {
+		c.inflight--
+		c.mu.Unlock()
+		return
 	}
-	return batch
+	batch := c.queue[:n:n]
+	c.queue = c.queue[n:]
+	c.mu.Unlock()
+	batch[0].done <- sampleOutcome{lead: batch}
 }
 
-func (b *batcher) flushTimer() {
-	b.mu.Lock()
-	batch := b.take()
-	b.mu.Unlock()
-	if len(batch) > 0 {
-		b.flush(batch)
-	}
+// call sends one helios.sample frame with replica failover.
+func (c *combiner) call(qid query.ID, seed graph.VertexID, trace uint64, deadline time.Time) (enc serving.Encoded, err error) {
+	err = c.callReplica(deadline, func(cl *serving.Client, budget time.Duration) (err error) {
+		enc, err = cl.SampleEncoded(qid, seed, trace, budget)
+		return err
+	})
+	return enc, err
 }
 
-// flush sends one detached batch as a single RPC and fans the per-member
-// results back out. Members whose deadline already passed while
-// coalescing fail locally; live members carry their remaining budget in
-// the batch item, and the batch deadline is the minimum across members so
-// nobody waits longer than their own budget allows.
-func (b *batcher) flush(batch []*pendingSample) {
-	now := b.f.clk.Now()
+// flush sends one detached batch and fans the outcomes back out. Members
+// whose deadline already passed fail locally; a lone live member goes as
+// helios.sample, more as one helios.sample_batch whose deadline is the
+// members' minimum, each member carrying its own remaining budget.
+func (c *combiner) flush(batch []*pendingSample) {
+	now := c.f.clk.Now()
 	items := make([]serving.BatchItem, 0, len(batch))
 	live := make([]*pendingSample, 0, len(batch))
 	var batchDeadline time.Time
@@ -127,7 +116,7 @@ func (b *batcher) flush(batch []*pendingSample) {
 		if !ps.deadline.IsZero() {
 			budget := ps.deadline.Sub(now)
 			if budget <= 0 {
-				b.f.DeadlineExceeded.Inc()
+				c.f.DeadlineExceeded.Inc()
 				ps.done <- sampleOutcome{err: rpc.ErrDeadlineExceeded}
 				continue
 			}
@@ -139,24 +128,26 @@ func (b *batcher) flush(batch []*pendingSample) {
 		items = append(items, ps.item)
 		live = append(live, ps)
 	}
-	if len(items) == 0 {
+	switch len(live) {
+	case 0:
+		return
+	case 1:
+		enc, err := c.call(items[0].Query, items[0].Seed, items[0].Trace, live[0].deadline)
+		live[0].done <- sampleOutcome{res: enc, err: err}
 		return
 	}
 	var results []serving.BatchResult
-	err := b.f.callReplicaPart(b.part, batchDeadline, func(c *serving.Client, budget time.Duration) error {
-		var err error
-		results, err = c.SampleBatch(items, budget)
+	err := c.callReplica(batchDeadline, func(cl *serving.Client, budget time.Duration) (err error) {
+		results, err = cl.SampleBatch(items, budget)
 		return err
 	})
-	if err != nil {
-		// Whole-batch failure (transport, shed, size mismatch): every live
-		// member gets the same error.
-		for _, ps := range live {
-			ps.done <- sampleOutcome{err: err}
-		}
-		return
-	}
 	for i, ps := range live {
-		ps.done <- sampleOutcome{res: results[i].Result, err: results[i].Err}
+		// A whole-batch failure (transport, shed, size mismatch) is every
+		// live member's.
+		out := sampleOutcome{err: err}
+		if err == nil {
+			out = sampleOutcome{res: results[i].Result, err: results[i].Err}
+		}
+		ps.done <- out
 	}
 }

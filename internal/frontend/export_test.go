@@ -16,19 +16,27 @@ func (f *Frontend) AdmissionDepth() (queued, inflight int64) {
 }
 
 // SampleCalls sums the issued-call counters of every serving replica's
-// client — the RPC-frame count the work-ledger and coalescing assertions
+// client — the RPC-frame count the work-ledger and combining assertions
 // key on.
 func (f *Frontend) SampleCalls() int64 {
 	var n int64
-	for _, reps := range f.servers {
-		for _, rep := range reps {
+	for _, c := range f.combiners {
+		for _, rep := range c.reps {
 			n += rep.client.RPC().Calls.Value()
 		}
 	}
 	return n
 }
 
-// FlushBatch hands partition 0's coalescer one detached batch whose member
+// QueuedSamples reports how many requests wait in partition p's combiner.
+func (f *Frontend) QueuedSamples(p int) int {
+	c := f.combiners[p]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.queue)
+}
+
+// FlushBatch hands partition 0's combiner one detached batch whose member
 // i asks for seed i+1 with a deadline offsets[i] from now, and returns each
 // member's error once all have their outcome.
 func (f *Frontend) FlushBatch(offsets ...time.Duration) []error {
@@ -41,7 +49,7 @@ func (f *Frontend) FlushBatch(offsets ...time.Duration) []error {
 			done:     make(chan sampleOutcome, 1),
 		}
 	}
-	f.batchers[0].flush(batch)
+	f.combiners[0].flush(batch)
 	errs := make([]error, len(batch))
 	for i, ps := range batch {
 		errs[i] = (<-ps.done).err

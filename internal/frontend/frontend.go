@@ -44,11 +44,10 @@ type Frontend struct {
 	// Router is the update path: Ingest stamps and routes, Updates counts.
 	*Router
 
-	cfg      *deploy.Config
-	servPart graph.Partitioner // serving workers
-	servers  [][]*replica      // [partition][replica]
-	rr       []atomic.Uint64   // per-partition round-robin cursor
-	updates  mq.TopicHandle
+	cfg       *deploy.Config
+	servPart  graph.Partitioner // serving workers
+	combiners []*combiner       // [partition] replicas and sample path (coalesce.go)
+	updates   mq.TopicHandle
 
 	probeEvery atomic.Int64 // ns between health probes
 	prober     *actor.Loop
@@ -64,12 +63,6 @@ type Frontend struct {
 	lags         []atomic.Int64
 	lagLoop      *actor.Loop
 	lagStop      chan struct{}
-
-	// Batching state (see SetBatching). batchers is nil while coalescing
-	// is disabled; otherwise it holds one coalescer per serving partition.
-	batchMax    int
-	batchLinger time.Duration
-	batchers    []*batcher
 
 	clk    clock.Clock
 	reg    *obs.Registry
@@ -118,7 +111,6 @@ func New(cfg *deploy.Config, bus mq.Bus, servingAddrs []string) (*Frontend, erro
 	f := &Frontend{
 		cfg:      cfg,
 		servPart: graph.NewPartitioner(cfg.File.Servers),
-		rr:       make([]atomic.Uint64, cfg.File.Servers),
 		updates:  updates,
 		lags:     make([]atomic.Int64, cfg.File.Samplers),
 		clk:      clock.Wall(),
@@ -140,7 +132,7 @@ func New(cfg *deploy.Config, bus mq.Bus, servingAddrs []string) (*Frontend, erro
 			reps[r] = &replica{addr: addr, client: c}
 			reps[r].healthy.Store(true)
 		}
-		f.servers = append(f.servers, reps)
+		f.combiners = append(f.combiners, &combiner{f: f, reps: reps})
 	}
 	f.probeStop = make(chan struct{})
 	f.prober = actor.NewLoop(1, func(int) bool {
@@ -251,8 +243,8 @@ func (f *Frontend) admitIngest(p int) error {
 // probeOnce pings every unhealthy replica and re-admits the ones that
 // answer.
 func (f *Frontend) probeOnce() {
-	for _, reps := range f.servers {
-		for _, rep := range reps {
+	for _, c := range f.combiners {
+		for _, rep := range c.reps {
 			if rep.healthy.Load() {
 				continue
 			}
@@ -266,8 +258,8 @@ func (f *Frontend) probeOnce() {
 // unhealthyReplicas counts replicas currently marked down (scrape-time).
 func (f *Frontend) unhealthyReplicas() int64 {
 	var n int64
-	for _, reps := range f.servers {
-		for _, rep := range reps {
+	for _, c := range f.combiners {
+		for _, rep := range c.reps {
 			if !rep.healthy.Load() {
 				n++
 			}
@@ -288,16 +280,9 @@ func (f *Frontend) unhealthyReplicas() int64 {
 // healthy, just full; failing over would stampede the next replica).
 // deadline (zero = none) caps the whole call: fn receives the remaining
 // budget before each attempt.
-func (f *Frontend) callReplica(seed graph.VertexID, deadline time.Time, fn func(*serving.Client, time.Duration) error) error {
-	return f.callReplicaPart(f.servPart.Of(seed), deadline, fn)
-}
-
-// callReplicaPart is callReplica with the serving partition already
-// resolved — the batch coalescer groups requests by partition before the
-// seed is at hand for routing.
-func (f *Frontend) callReplicaPart(p int, deadline time.Time, fn func(*serving.Client, time.Duration) error) error {
-	reps := f.servers[p]
-	start := int(f.rr[p].Add(1))
+func (c *combiner) callReplica(deadline time.Time, fn func(*serving.Client, time.Duration) error) error {
+	f, reps := c.f, c.reps
+	start := int(c.rr.Add(1))
 	tried := make([]bool, len(reps))
 	var lastErr error
 	for pass := 0; pass < 2; pass++ {
@@ -421,11 +406,9 @@ func (f *Frontend) Close() {
 			close(f.lagStop)
 			f.lagLoop.Stop()
 		}
-		for _, reps := range f.servers {
-			for _, rep := range reps {
-				if rep != nil && rep.client != nil {
-					rep.client.Close()
-				}
+		for _, c := range f.combiners {
+			for _, rep := range c.reps {
+				rep.client.Close()
 			}
 		}
 	})
@@ -521,12 +504,12 @@ func (f *Frontend) SampleTraced(qid query.ID, seed graph.VertexID) (*serving.Res
 }
 
 // sampleCommon is the one serve path behind Sample, SampleTraced and the
-// gateway (trace == 0 means untraced): admission, the RPC (coalesced or
-// direct), stage observation, the failure warning, and the slow-sample log
-// are identical for all; only tracer.Record is gated on a non-zero trace
-// ID. The answer stays in the worker's encoding: the stage accounting reads
-// its header, and whoever needs more decodes it (the library calls) or
-// transcodes it (the gateway) exactly once.
+// gateway (trace == 0 means untraced): admission, the call through the
+// seed's partition combiner, stage observation, the failure warning, and
+// the slow-sample log are identical for all; only tracer.Record is gated
+// on a non-zero trace ID. The answer stays in the worker's encoding: the
+// stage accounting reads its header, and whoever needs more decodes it
+// (the library calls) or transcodes it (the gateway) exactly once.
 func (f *Frontend) sampleCommon(qid query.ID, seed graph.VertexID, trace uint64) (serving.Encoded, error) {
 	deadline, release, err := f.admitSample(trace)
 	if err != nil {
@@ -534,7 +517,7 @@ func (f *Frontend) sampleCommon(qid query.ID, seed graph.VertexID, trace uint64)
 	}
 	defer release()
 	start := f.clk.Now()
-	enc, err := f.sampleVia(qid, seed, trace, deadline)
+	enc, err := f.combiners[f.servPart.Of(seed)].sample(qid, seed, trace, deadline)
 	var h serving.Header
 	if err == nil {
 		h, err = enc.Header()
@@ -576,22 +559,6 @@ func (f *Frontend) sampleCommon(qid query.ID, seed graph.VertexID, trace uint64)
 			"worst_stage", worst.Name, "worst_stage_dur", time.Duration(worst.Dur))
 	}
 	return enc, nil
-}
-
-// sampleVia issues the serving call: through the partition's coalescer
-// when batching is enabled, otherwise as a direct single-sample RPC with
-// replica failover.
-func (f *Frontend) sampleVia(qid query.ID, seed graph.VertexID, trace uint64, deadline time.Time) (serving.Encoded, error) {
-	if bs := f.batchers; bs != nil {
-		return bs[f.servPart.Of(seed)].enqueue(qid, seed, trace, deadline)
-	}
-	var enc serving.Encoded
-	err := f.callReplica(seed, deadline, func(c *serving.Client, budget time.Duration) error {
-		var err error
-		enc, err = c.SampleEncoded(qid, seed, trace, budget)
-		return err
-	})
-	return enc, err
 }
 
 // HTTP gateway.

@@ -98,7 +98,8 @@ const gatewayConfig = `{
     {"name": "CoPurchase", "src": "Item", "dst": "Item"}
   ],
   "queries": [
-    "g.V('User').outV('Click').sample(25).by('TopK').outV('CoPurchase').sample(10).by('TopK')"
+    "g.V('User').outV('Click').sample(25).by('TopK').outV('CoPurchase').sample(10).by('TopK')",
+    "g.V('User').outV('Click').sample(8).by('TopK')"
   ]
 }`
 
@@ -110,7 +111,7 @@ const (
 // bootGatewayGraph boots the deployment and loads a seeded graph whose
 // every user has a full [25,10] answer with a 10-float feature per vertex,
 // then waits for the pipeline to drain.
-func bootGatewayGraph(t *testing.T, o cluster.Options) *cluster.Local {
+func bootGatewayGraph(t testing.TB, o cluster.Options) *cluster.Local {
 	t.Helper()
 	c, cfg, fe := boot(t, gatewayConfig, o)
 	click, _ := cfg.Schema.EdgeTypeID("Click")
@@ -172,44 +173,86 @@ func getSample(t *testing.T, client *http.Client, gateway string, seed int, buf 
 	return resp
 }
 
-// TestGatewayBodyMatchesReflectiveEncoder checks the one body writer from
-// outside, on the direct and on the coalesced path: every answer is, byte
-// for byte and apart from its own trace ID, what encoding/json makes of the
-// decoded result, and it leaves sized, not chunked.
-func TestGatewayBodyMatchesReflectiveEncoder(t *testing.T) {
-	for _, path := range []struct {
-		name     string
-		batchMax int
-	}{{"direct", 0}, {"coalesced", 4}} {
-		t.Run(path.name, func(t *testing.T) {
-			var o cluster.Options
-			o.Frontend.BatchMax = path.batchMax
-			c := bootGatewayGraph(t, o)
-			gateway := "http://" + c.Frontend.Addr
-			for seed := 1; seed <= gatewayUsers; seed++ {
-				res, err := c.Frontend.Node.Sample(0, graph.VertexID(seed))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(res.Layers) != 3 || len(res.Layers[2]) != 250 || res.FeatureMisses != 0 {
-					t.Fatalf("seed %d: not a full [25,10] answer: %d layers, %d misses", seed, len(res.Layers), res.FeatureMisses)
-				}
-				var buf bytes.Buffer
-				resp := getSample(t, http.DefaultClient, gateway, seed, &buf)
-				body := buf.Bytes()
-				if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
-					t.Fatalf("seed %d: %d %q", seed, resp.StatusCode, resp.Header.Get("Content-Type"))
-				}
-				if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
-					t.Fatalf("seed %d: Content-Length %d, Transfer-Encoding %v for %d bytes",
-						seed, resp.ContentLength, resp.TransferEncoding, len(body))
-				}
-				if want := reflectiveBody(t, res); !sameButForTrace(body, want) {
-					t.Fatalf("seed %d: gateway body differs from encoding/json:\n got %s\nwant %s", seed, body, want)
-				}
-			}
-		})
+// checkBody fails unless one GET /sample answer is, byte for byte and
+// apart from its own trace ID, want, and left sized, not chunked.
+func checkBody(seed int, resp *http.Response, body, want []byte) error {
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+		return fmt.Errorf("seed %d: %d %q", seed, resp.StatusCode, resp.Header.Get("Content-Type"))
 	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		return fmt.Errorf("seed %d: Content-Length %d, Transfer-Encoding %v for %d bytes",
+			seed, resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+	if !sameButForTrace(body, want) {
+		return fmt.Errorf("seed %d: gateway body differs from encoding/json:\n got %s\nwant %s", seed, body, want)
+	}
+	return nil
+}
+
+// TestGatewayBodyMatchesReflectiveEncoder checks the one body writer from
+// outside: every answer is, byte for byte and apart from its own trace ID,
+// what encoding/json makes of the decoded result, and it leaves sized, not
+// chunked — read one at a time (every call direct), then from 16
+// concurrent clients, whose calls queue behind the window and come back
+// from combined frames.
+func TestGatewayBodyMatchesReflectiveEncoder(t *testing.T) {
+	c := bootGatewayGraph(t, cluster.Options{})
+	gateway := "http://" + c.Frontend.Addr
+	want := make([][]byte, gatewayUsers+1)
+	for seed := 1; seed <= gatewayUsers; seed++ {
+		res, err := c.Frontend.Node.Sample(0, graph.VertexID(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Layers) != 3 || len(res.Layers[2]) != 250 || res.FeatureMisses != 0 {
+			t.Fatalf("seed %d: not a full [25,10] answer: %d layers, %d misses", seed, len(res.Layers), res.FeatureMisses)
+		}
+		want[seed] = reflectiveBody(t, res)
+	}
+	t.Run("direct", func(t *testing.T) {
+		var buf bytes.Buffer
+		for seed := 1; seed <= gatewayUsers; seed++ {
+			resp := getSample(t, http.DefaultClient, gateway, seed, &buf)
+			if err := checkBody(seed, resp, buf.Bytes(), want[seed]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Run("coalesced", func(t *testing.T) {
+		const clients, rounds = 16, 8
+		frames := c.Frontend.Node.SampleCalls()
+		errs := make(chan error, clients)
+		for i := 0; i < clients; i++ {
+			go func() {
+				client := &http.Client{Transport: &http.Transport{}}
+				defer client.CloseIdleConnections()
+				var buf bytes.Buffer
+				for r := 0; r < rounds; r++ {
+					seed := 1 + (i+r)%gatewayUsers
+					resp, err := client.Get(gateway + "/sample?q=0&seed=" + strconv.Itoa(seed))
+					if err == nil {
+						buf.Reset()
+						_, err = buf.ReadFrom(resp.Body)
+						resp.Body.Close()
+					}
+					if err == nil {
+						err = checkBody(seed, resp, buf.Bytes(), want[seed])
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- nil
+			}()
+		}
+		for i := 0; i < clients; i++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Logf("%d concurrent GET /sample sent %d rpc frames", clients*rounds, c.Frontend.Node.SampleCalls()-frames)
+	})
 }
 
 // TestGatewayUnencodableFeature: a NaN or infinite feature component can

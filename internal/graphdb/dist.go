@@ -2,6 +2,7 @@ package graphdb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -99,59 +100,98 @@ func registerHandlers(srv *rpc.Server, store *Store, seed int64) {
 		return nil, nil
 	})
 	srv.Handle(methodSample, func(req []byte) ([]byte, error) {
-		r := codec.NewReader(req)
-		et := graph.EdgeType(r.Uvarint())
-		dir := graph.Direction(r.Byte())
-		strat := sampling.Strategy(r.Byte())
-		fanout := int(r.Uvarint())
-		n := int(r.Uvarint())
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
 		mu.Lock()
 		rng := rand.New(rand.NewSource(master.Int63()))
 		mu.Unlock()
-		w := codec.NewWriter(64 * n)
-		w.Uvarint(uint64(n))
-		for i := 0; i < n; i++ {
-			v := graph.VertexID(r.Uvarint())
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
-			samples, scanned := store.SampleNeighbors(v, et, dir, strat, fanout, rng)
-			w.Uvarint(uint64(v))
-			w.Uvarint(uint64(scanned))
-			w.Uvarint(uint64(len(samples)))
-			for _, s := range samples {
-				w.Uvarint(uint64(s.Neighbor))
-				w.Varint(int64(s.Ts))
-				w.Float32(s.Weight)
-			}
-		}
-		return w.Bytes(), nil
+		return serveSample(store, rng, req)
 	})
-	srv.Handle(methodFeat, func(req []byte) ([]byte, error) {
-		r := codec.NewReader(req)
-		n := int(r.Uvarint())
-		if err := r.Err(); err != nil {
-			return nil, err
+	srv.Handle(methodFeat, func(req []byte) ([]byte, error) { return serveFeat(store, req) })
+}
+
+// serveSample answers one gdb.sample request: a neighbour sample of every
+// vertex it names. Its count is checked against the bytes that carry it
+// (codec.Reader.Count) before the reply buffer is sized from it, and the
+// loop stops at the first failed read, as in every reader below.
+func serveSample(store *Store, rng *rand.Rand, req []byte) ([]byte, error) {
+	r := codec.NewReader(req)
+	et := graph.EdgeType(r.Uvarint())
+	dir := graph.Direction(r.Byte())
+	strat := sampling.Strategy(r.Byte())
+	fanout := int(min(r.Uvarint(), math.MaxInt32)) // a value, not a length
+	n := r.Count(1)
+	w := codec.NewWriter(64 * n)
+	w.Uvarint(uint64(n))
+	for i := 0; i < n && r.Err() == nil; i++ {
+		v := graph.VertexID(r.Uvarint())
+		samples, scanned := store.SampleNeighbors(v, et, dir, strat, fanout, rng)
+		w.Uvarint(uint64(v))
+		w.Uvarint(uint64(scanned))
+		w.Uvarint(uint64(len(samples)))
+		for _, s := range samples {
+			w.Uvarint(uint64(s.Neighbor))
+			w.Varint(int64(s.Ts))
+			w.Float32(s.Weight)
 		}
-		w := codec.NewWriter(64 * n)
-		w.Uvarint(uint64(n))
-		for i := 0; i < n; i++ {
-			v := graph.VertexID(r.Uvarint())
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
-			w.Uvarint(uint64(v))
-			f := store.Feature(v)
-			w.Bool(f != nil)
-			if f != nil {
-				w.Float32s(f)
-			}
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return w.Bytes(), nil
+}
+
+// serveFeat answers one gdb.feat request: the feature of every vertex it
+// names.
+func serveFeat(store *Store, req []byte) ([]byte, error) {
+	r := codec.NewReader(req)
+	n := r.Count(1)
+	w := codec.NewWriter(64 * n)
+	w.Uvarint(uint64(n))
+	for i := 0; i < n && r.Err() == nil; i++ {
+		v := graph.VertexID(r.Uvarint())
+		w.Uvarint(uint64(v))
+		f := store.Feature(v)
+		w.Bool(f != nil)
+		if f != nil {
+			w.Float32s(f)
 		}
-		return w.Bytes(), nil
-	})
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return w.Bytes(), nil
+}
+
+// readSamples appends one partition's gdb.sample reply for hop to res and
+// next, and returns the grown next layer. A vertex entry takes at least 3
+// bytes and an edge 6, so neither count can claim more than the reply
+// carries, and the loops stop at the first failed read.
+func readSamples(resp []byte, hop int, res *Result, next []graph.VertexID, stats *ExecStats) ([]graph.VertexID, error) {
+	r := codec.NewReader(resp)
+	for i, n := 0, r.Count(3); i < n && r.Err() == nil; i++ {
+		v := graph.VertexID(r.Uvarint())
+		stats.TraversedNeighbors += int(min(r.Uvarint(), math.MaxInt32)) // a tally, not a length
+		for j, cnt := 0, r.Count(6); j < cnt && r.Err() == nil; j++ {
+			child := graph.VertexID(r.Uvarint())
+			ts := graph.Timestamp(r.Varint())
+			wt := r.Float32()
+			next = append(next, child)
+			res.Edges = append(res.Edges, SampledEdge{Hop: hop, Parent: v, Child: child, Ts: ts, Weight: wt})
+		}
+	}
+	return next, r.Err()
+}
+
+// readFeatures adds one partition's gdb.feat reply to res. An entry takes
+// at least 2 bytes.
+func readFeatures(resp []byte, res *Result) error {
+	r := codec.NewReader(resp)
+	for i, n := 0, r.Count(2); i < n && r.Err() == nil; i++ {
+		v := graph.VertexID(r.Uvarint())
+		if r.Bool() {
+			res.Features[v] = r.Float32s()
+		}
+	}
+	return r.Err()
 }
 
 // Ingest applies one update with strong consistency: the call returns only
@@ -218,23 +258,7 @@ func (d *Dist) Execute(plan *query.Plan, seed graph.VertexID) (*Result, ExecStat
 			if err != nil {
 				return nil, stats, err
 			}
-			r := codec.NewReader(resp)
-			n := int(r.Uvarint())
-			for i := 0; i < n; i++ {
-				v := graph.VertexID(r.Uvarint())
-				stats.TraversedNeighbors += int(r.Uvarint())
-				cnt := int(r.Uvarint())
-				for j := 0; j < cnt; j++ {
-					child := graph.VertexID(r.Uvarint())
-					ts := graph.Timestamp(r.Varint())
-					wt := r.Float32()
-					next = append(next, child)
-					res.Edges = append(res.Edges, SampledEdge{
-						Hop: hopIdx, Parent: v, Child: child, Ts: ts, Weight: wt,
-					})
-				}
-			}
-			if err := r.Err(); err != nil {
+			if next, err = readSamples(resp, hopIdx, res, next, &stats); err != nil {
 				return nil, stats, err
 			}
 		}
@@ -264,15 +288,7 @@ func (d *Dist) Execute(plan *query.Plan, seed graph.VertexID) (*Result, ExecStat
 		if err != nil {
 			return nil, stats, err
 		}
-		r := codec.NewReader(resp)
-		n := int(r.Uvarint())
-		for i := 0; i < n; i++ {
-			v := graph.VertexID(r.Uvarint())
-			if r.Bool() {
-				res.Features[v] = r.Float32s()
-			}
-		}
-		if err := r.Err(); err != nil {
+		if err := readFeatures(resp, res); err != nil {
 			return nil, stats, err
 		}
 	}

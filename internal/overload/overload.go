@@ -206,7 +206,9 @@ func NewLimiter(cfg Config) *Limiter {
 //     entry or while queued).
 //   - ShedError{reason: "budget"}: the remaining budget cannot cover
 //     Headroom × the observed service time, so doing the work would only
-//     produce a late answer.
+//     produce a late answer. Only while something is in flight: admissions
+//     alone refresh the estimate, so one inflated by a past overload would
+//     otherwise shed every request after it, for good.
 //   - ShedError{reason: "queue_full"}: the wait queue is at its bound.
 //   - ShedError{reason: "wait_timeout"}: an untimed request waited MaxWait
 //     without admission.
@@ -216,7 +218,7 @@ func (l *Limiter) Acquire(deadline time.Time) (func(), error) {
 		if !now.Before(deadline) {
 			return nil, rpc.ErrDeadlineExceeded
 		}
-		if est := l.Est.Estimate(); est > 0 && deadline.Sub(now) < l.headroom*est {
+		if est := l.Est.Estimate(); est > 0 && len(l.slots) > 0 && deadline.Sub(now) < l.headroom*est {
 			l.shedBudget.Inc()
 			return nil, Shed(l.stage, "budget")
 		}

@@ -158,19 +158,28 @@ func TestLimiterBudgetShed(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		l.Est.Observe(100 * time.Millisecond)
 	}
-	// 50ms of budget cannot cover 2×100ms: shed before doing work.
+	// A comfortable budget is admitted.
+	busy, err := l.Acquire(time.Now().Add(5 * time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With that in flight, 50ms of budget cannot cover 2×100ms: shed before
+	// doing work.
 	if _, err := l.Acquire(time.Now().Add(50 * time.Millisecond)); !IsOverload(err) {
 		t.Fatalf("err = %v, want overload (budget)", err)
 	}
 	if c := reg.Counter("overload.shed", "stage", "t", "reason", "budget"); c.Value() != 1 {
 		t.Fatalf("budget sheds = %d, want 1", c.Value())
 	}
-	// A comfortable budget is admitted.
-	release, err := l.Acquire(time.Now().Add(5 * time.Second))
+	// An idle limiter admits the same budget: the estimate is refreshed only
+	// by admissions, so one inflated by an overload past must not shed every
+	// request after it.
+	busy()
+	probe, err := l.Acquire(time.Now().Add(50 * time.Millisecond))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("idle limiter shed a request: %v", err)
 	}
-	release()
+	probe()
 }
 
 func TestTryAcquire(t *testing.T) {

@@ -152,14 +152,17 @@ func TestSampleBatchMemberBudget(t *testing.T) {
 }
 
 // TestSampleBatchSizeCap checks the worker-side batch bound: a batch
-// larger than cfg.MaxBatch is refused whole.
+// larger than MaxBatch is refused whole.
 func TestSampleBatchSizeCap(t *testing.T) {
-	_, client := loadedRPCWorker(t, func(c *Config) { c.MaxBatch = 2 })
-	items := []BatchItem{{Seed: 1}, {Seed: 1}, {Seed: 1}}
-	if _, err := client.SampleBatch(items, time.Second); err == nil {
+	_, client := loadedRPCWorker(t, nil)
+	items := make([]BatchItem, MaxBatch+1)
+	for i := range items {
+		items[i].Seed = 1
+	}
+	if _, err := client.SampleBatch(items, 10*time.Second); err == nil {
 		t.Fatal("batch above MaxBatch should be refused")
 	}
-	if _, err := client.SampleBatch(items[:2], time.Second); err != nil {
+	if _, err := client.SampleBatch(items[:MaxBatch], 10*time.Second); err != nil {
 		t.Fatalf("batch at MaxBatch: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 
 	"helios/internal/codec"
@@ -13,12 +14,14 @@ import (
 )
 
 // FuzzEncodedResult feeds arbitrary bytes to every reader of the result's
-// wire form — the bytes a frontend takes off a socket. None may panic or
-// allocate out of proportion to the input, and where Decode accepts the
-// input the readers must agree with each other: the header with the
-// Result, AppendResult with Decode, and AppendJSON with the reflective
-// encoder. AppendJSON runs three times per input — its feature rows
-// formatted, then stored in the text memo, then copied from it — and
+// wire form — the bytes a frontend takes off a socket — and to the batch
+// request decoder, what a worker takes off one. None may panic or
+// allocate out of proportion to the input; a request the decoder accepts
+// must come back the same through AppendBatchRequest; and where Decode
+// accepts the input the readers must agree with each other: the header
+// with the Result, AppendResult with Decode, and AppendJSON with the
+// reflective encoder. AppendJSON runs three times per input — its feature
+// rows formatted, then stored in the text memo, then copied from it — and
 // must write the same bytes, or fail the same way, each time.
 //
 //	go test ./internal/serving -run '^$' -fuzz FuzzEncodedResult -fuzztime 10s
@@ -42,6 +45,7 @@ func FuzzEncodedResult(f *testing.F) {
 		res, derr := enc.Decode()
 		body, jerr := enc.AppendJSON(nil, 7)
 		batch, berr := DecodeBatchResponse(codec.NewReader(data))
+		items, qerr := DecodeBatchRequest(codec.NewReader(data), nil)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(allocFactor*len(data)+allocSlack) {
 			t.Fatalf("%d input bytes made the readers allocate %d", len(data), grew)
@@ -53,6 +57,14 @@ func FuzzEncodedResult(f *testing.F) {
 			}
 		}
 
+		if qerr == nil {
+			w := codec.NewWriter(len(data))
+			AppendBatchRequest(w, items)
+			again, err := DecodeBatchRequest(codec.NewReader(w.Bytes()), nil)
+			if err != nil || !slices.Equal(again, items) {
+				t.Fatalf("batch request does not round-trip (%v):\n%+v\n%+v", err, items, again)
+			}
+		}
 		if berr == nil {
 			for _, m := range batch {
 				if m.Err == nil {

@@ -142,6 +142,21 @@ func TestServeAdmittedDegradesUnderShed(t *testing.T) {
 	if w.degraded.Value() != 1 {
 		t.Fatalf("serving.degraded = %d, want 1", w.degraded.Value())
 	}
+	// A batch that finds every slot taken is served as its members, so each
+	// member degrades too.
+	resps, err := w.ServeBatch(rpc.Ctx{}, []BatchItem{{Seed: 1}, {Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range resps {
+		if r.Err != nil {
+			t.Fatalf("batch member %d: %v", i, r.Err)
+		}
+		r.Release()
+	}
+	if w.degraded.Value() != 3 {
+		t.Fatalf("serving.degraded = %d after a batch of two, want 3", w.degraded.Value())
+	}
 	release()
 	<-parked
 }

@@ -3,6 +3,7 @@ package serving
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"helios/internal/codec"
@@ -19,13 +20,18 @@ import (
 // MethodSample is the RPC method name for sampling queries.
 const MethodSample = "helios.sample"
 
-// MethodSampleBatch carries a coalesced batch of sampling queries in one
-// frame: the frontend groups concurrent requests bound for the same
-// partition, the worker decodes the batch once and assembles every member
-// in a single actor turn. Per-member trace IDs and deadline budgets ride
-// in the payload, so each member keeps its own identity and deadline even
-// though the frame envelope carries only the batch-wide minimum.
+// MethodSampleBatch carries a batch of sampling queries in one frame: the
+// frontend combines the requests that queued for a partition while its
+// calls were in flight; the worker decodes the batch once and assembles
+// every member in a single actor turn. Per-member trace IDs and deadline
+// budgets ride in the payload, so each member keeps its own identity and
+// deadline though the frame envelope carries only the batch-wide minimum.
 const MethodSampleBatch = "helios.sample_batch"
+
+// MaxBatch caps the members of one MethodSampleBatch frame: a bound on how
+// much work one admission slot can represent. The frontend never sends
+// more; the worker refuses more, since its input arrives off a socket.
+const MaxBatch = 1024
 
 // MethodPing is the health-probe method the frontend uses to re-admit a
 // replica it marked unhealthy after a failed call.
@@ -69,10 +75,6 @@ var (
 // minBatchItem is the least a batch request member encodes to: query,
 // seed, trace and budget at one byte each.
 const minBatchItem = 4
-
-func batchTooLarge(n, max int) error {
-	return fmt.Errorf("serving: sample batch of %d exceeds worker bound %d", n, max)
-}
 
 // AppendBatchRequest encodes a coalesced batch request.
 //
@@ -202,8 +204,8 @@ func ServeRPC(w *Worker, srv *rpc.Server) {
 		if len(items) == 0 {
 			return errEmptyBatch
 		}
-		if max := w.cfg.MaxBatch; max > 0 && len(items) > max {
-			return batchTooLarge(len(items), max)
+		if len(items) > MaxBatch {
+			return fmt.Errorf("serving: sample batch of %d exceeds worker bound %d", len(items), MaxBatch)
 		}
 		resps, err := w.ServeBatch(ctx, items)
 		if err != nil {
@@ -254,16 +256,29 @@ func (w *Worker) ServeAdmitted(ctx rpc.Ctx, qid query.ID, seed graph.VertexID) R
 // ServeBatch runs a coalesced batch through the worker's admission
 // limiter and the serve pool as one unit of work: one limiter slot, one
 // mailbox send, one actor turn assembling every member. The frame
-// deadline (the batch minimum, per the frontend's coalescing rule) bounds
-// the whole batch; each member's own budget is enforced per item inside
-// the turn. A shed sheds the whole batch — the degraded path stays a
-// single-request affair, since a batch under shed pressure is better
-// retried unbatched than answered with N stale results.
+// deadline (the batch minimum) bounds the whole batch; each member's own
+// budget is enforced per item inside the turn. A batch that finds every
+// admission slot taken, or that the limiter sheds, is served as the
+// requests it stands for, all at once through ServeAdmitted, so each
+// member queues, sheds or degrades as it would have alone.
 func (w *Worker) ServeBatch(ctx rpc.Ctx, items []BatchItem) ([]Response, error) {
-	release, err := w.limiter.Acquire(ctx.Deadline)
+	var release func()
+	err := overload.ErrOverloaded
+	if w.limiter.Inflight() < int64(w.cfg.MaxInflight) {
+		release, err = w.limiter.Acquire(ctx.Deadline)
+	}
 	if err != nil {
-		w.cfg.Logger.Warn(ctx.Trace, "serving.admission", "batch shed", "size", len(items), "err", err)
-		return nil, err
+		resps := make([]Response, len(items))
+		var wg sync.WaitGroup
+		for i, it := range items {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resps[i] = w.ServeAdmitted(rpc.Ctx{Trace: it.Trace, Deadline: ctx.Deadline}, it.Query, it.Seed)
+			}()
+		}
+		wg.Wait()
+		return resps, nil
 	}
 	defer release()
 	resp := make(chan []Response, 1)
@@ -352,43 +367,35 @@ func (c *Client) SampleBudget(qid query.ID, seed graph.VertexID, trace uint64, b
 // the configured timeout alone. The answer comes back as the worker
 // encoded it; the caller owns the bytes.
 func (c *Client) SampleEncoded(qid query.ID, seed graph.VertexID, trace uint64, budget time.Duration) (Encoded, error) {
-	timeout := c.timeout
-	// A zero configured timeout means "no client-side bound", and any
-	// positive budget must still bound the call — comparing against the
-	// zero would silently discard the caller's deadline.
-	if budget > 0 && (timeout == 0 || budget < timeout) {
-		timeout = budget
-	}
 	w := codec.NewWriter(20)
 	w.Uvarint(uint64(qid))
 	w.Uvarint(uint64(seed))
-	return c.c.CallTraced(MethodSample, trace, w.Bytes(), timeout)
+	return c.c.CallTraced(MethodSample, trace, w.Bytes(), c.bound(budget))
+}
+
+// bound is a call's timeout: budget where it is tighter than the client's
+// configured timeout. A zero configured timeout means "no client-side
+// bound", and any positive budget must still bound the call.
+func (c *Client) bound(budget time.Duration) time.Duration {
+	if budget > 0 && (c.timeout == 0 || budget < c.timeout) {
+		return budget
+	}
+	return c.timeout
 }
 
 // SampleBatch executes a coalesced batch of sampling queries in one RPC
-// frame, returning per-member outcomes index-aligned with items. budget
+// frame, returning per-member outcomes index-aligned with items, of which
+// there is at least one (the worker refuses an empty batch). budget
 // bounds the whole call like SampleBudget's; the members' own budgets
 // ride inside the payload (BatchItem.Budget), so one short-deadline
 // member fails fast worker-side without extending or truncating its
-// batchmates.
+// batchmates. The frame carries the first member's trace ID, for the
+// worker's encode-stage exemplar; every member keeps its own in the
+// payload.
 func (c *Client) SampleBatch(items []BatchItem, budget time.Duration) ([]BatchResult, error) {
-	timeout := c.timeout
-	if budget > 0 && (timeout == 0 || budget < timeout) {
-		timeout = budget
-	}
-	// The frame trace is the first traced member's ID — enough to correlate
-	// the worker's encode-stage exemplar; every member keeps its own trace
-	// in the payload.
-	var trace uint64
-	for i := range items {
-		if items[i].Trace != 0 {
-			trace = items[i].Trace
-			break
-		}
-	}
 	w := codec.GetWriter()
 	AppendBatchRequest(w, items)
-	resp, err := c.c.CallTraced(MethodSampleBatch, trace, w.Bytes(), timeout)
+	resp, err := c.c.CallTraced(MethodSampleBatch, items[0].Trace, w.Bytes(), c.bound(budget))
 	codec.PutWriter(w)
 	if err != nil {
 		return nil, err

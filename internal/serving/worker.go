@@ -66,10 +66,6 @@ type Config struct {
 	// the broker (broker-side lag for ingestion backpressure); 0 defaults
 	// to 100ms.
 	CommitEvery time.Duration
-	// MaxBatch caps the members accepted in one MethodSampleBatch frame —
-	// a bound on how much work one admission slot can represent. 0
-	// defaults to 1024; binaries set it via -batch-max.
-	MaxBatch int
 	// Clock is the time source for latency stamps, TTL sweeps, and request
 	// spans; nil defaults to the wall clock. Tests inject a fake so latency
 	// assertions never sleep.
@@ -118,9 +114,6 @@ func (c *Config) fill() error {
 	}
 	if c.CommitEvery <= 0 {
 		c.CommitEvery = 100 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 1024
 	}
 	if c.Clock == nil {
 		c.Clock = clock.Wall()
