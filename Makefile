@@ -48,6 +48,9 @@ check:
 	# And ten over the snapshot decoder: the image a restarting serving
 	# worker reads off its disk.
 	$(GO) test ./internal/serving -run '^$$' -fuzz FuzzRestore -fuzztime 10s
+	# And ten over the checkpoint decoder: what a restarting sampler reads
+	# off its disk.
+	$(GO) test ./internal/sampler -run '^$$' -fuzz FuzzRestoreCheckpoint -fuzztime 10s
 	# And ten over the telemetry decoder: the frames a worker sends the
 	# broker's collector.
 	$(GO) test ./internal/monitor -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 10s

@@ -27,7 +27,6 @@ import (
 // role's own options.
 type flags struct {
 	replicas, fsync, flightDir, faults, logLevel string
-	flightKeep                                   int
 	role                                         cluster.BrokerOptions
 }
 
@@ -40,15 +39,12 @@ func declare(fs *flag.FlagSet) *flags {
 	fs.StringVar(&f.replicas, "replicas", "", "comma-separated RPC addresses of all broker replicas (empty = unreplicated); index-aligned across the set")
 	fs.IntVar(&o.Replication.Self, "self", 0, "this broker's index into -replicas")
 	fs.IntVar(&o.Replication.Quorum, "quorum", 0, "replicas (leader included) that must hold an append before it is acked (0 = majority)")
-	fs.StringVar(&f.fsync, "fsync", "interval", "segment durability before ack: never, interval (every -sync-every appends), always")
-	fs.IntVar(&o.Log.SyncEvery, "sync-every", 0, "appends between fsyncs under -fsync interval (0 = 4096 default)")
+	fs.StringVar(&f.fsync, "fsync", "interval", "segment durability before ack: never, interval (every 4096 appends), always")
 	fs.DurationVar(&o.ReplReportEvery, "repl-report-every", 0, "replication-status report cadence, doubling as the broker liveness beat (0 = 500ms)")
 	fs.DurationVar(&o.ReplDeadAfter, "repl-dead-after", 0, "report silence before a replica's partitions fail over; replica 0 runs the controller (0 = 3s)")
 	fs.Int64Var(&o.MaxIngestLag, "max-ingest-lag", 0, "refuse appends to the updates topic once a partition's unconsumed backlog exceeds this (0 = unlimited)")
-	fs.DurationVar(&o.DeadAfter, "dead-after", 0, "telemetry silence before a worker counts as dead (0, or under three telemetry intervals = nine intervals)")
 	fs.DurationVar(&o.TelemetryEvery, "telemetry-every", 5*time.Second, "expected worker telemetry cadence (drives /cluster staleness and death detection)")
-	fs.StringVar(&f.flightDir, "flight-dir", "", "flight-recorder capture directory (empty = captures disabled)")
-	fs.IntVar(&f.flightKeep, "flight-keep", 32, "flight-recorder captures retained on disk")
+	fs.StringVar(&f.flightDir, "flight-dir", "", "flight-recorder capture directory, keeping the newest 32 captures (empty = captures disabled)")
 	fs.StringVar(&f.faults, "faultpoints", "", "arm deterministic fault injection, e.g. mq.append=error:injected:3 (chaos drills)")
 	fs.StringVar(&o.OpsAddr, "ops-addr", "", "serve /metrics, /traces, /slo, /cluster and pprof on this address (empty = disabled)")
 	fs.StringVar(&f.logLevel, "log-level", "info", "structured log level: debug, info, warn, error")
@@ -68,7 +64,7 @@ func (f *flags) options() (cluster.BrokerOptions, error) {
 	o.Registry, o.Collector.Registry = obs.Default(), obs.Default()
 	if f.flightDir != "" {
 		var err error
-		if o.Collector.Recorder, err = monitor.NewFlightRecorder(f.flightDir, f.flightKeep, nil); err != nil {
+		if o.Collector.Recorder, err = monitor.NewFlightRecorder(f.flightDir, 0, nil); err != nil {
 			return o, fmt.Errorf("flight recorder: %w", err)
 		}
 	}

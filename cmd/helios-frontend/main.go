@@ -41,8 +41,6 @@ func declare(fs *flag.FlagSet) *flags {
 	fs.StringVar(&o.Listen, "listen", "127.0.0.1:8080", "HTTP listen address")
 	fs.IntVar(&o.ID, "id", 0, "this frontend's index (names it in the cluster view)")
 	fs.DurationVar(&o.TelemetryEvery, "telemetry-every", 5*time.Second, "cluster telemetry snapshot interval (0 = disabled)")
-	fs.DurationVar(&o.ProbeEvery, "probe-every", 0, "health-probe interval for unhealthy serving replicas (0 = 1s)")
-	fs.DurationVar(&o.Overload.LagProbeEvery, "lag-probe-every", 0, "how often to refresh the cached per-partition ingest backlog (0 = 250ms)")
 	fs.StringVar(&f.faults, "faultpoints", "", "arm deterministic fault injection, e.g. rpc.dial=error (chaos drills)")
 	fs.StringVar(&o.OpsAddr, "ops-addr", "", "serve /metrics, /traces, /slo and pprof on this address (empty = disabled)")
 	fs.StringVar(&f.logLevel, "log-level", "info", "structured log level: debug, info, warn, error")

@@ -23,7 +23,6 @@ import (
 // the process plumbing, and the role's own options.
 type flags struct {
 	config, broker, snapshotDir, faults, logLevel string
-	snapshotEvery                                 time.Duration
 	role                                          cluster.SamplerOptions
 }
 
@@ -34,13 +33,8 @@ func declare(fs *flag.FlagSet) *flags {
 	fs.StringVar(&f.broker, "broker", "127.0.0.1:7070", "broker RPC address; a comma-separated list names a replica set (first entry hosts the failover controller)")
 	fs.IntVar(&w.ID, "id", 0, "this worker's index in [0, samplers)")
 	fs.IntVar(&w.SampleThreads, "sample-threads", 0, "sampling actor count (0 = default)")
-	fs.IntVar(&w.PublishThreads, "publish-threads", 0, "publisher actor count (0 = default)")
 	fs.Int64Var(&w.Seed, "seed", 0, "sampling RNG seed")
-	fs.DurationVar(&w.CommitEvery, "commit-every", 0, "how often poll positions are committed to the broker, the ingestion-lag signal (0 = 100ms)")
-	fs.StringVar(&o.Checkpoint, "checkpoint", "", "checkpoint file (restored on start, written periodically)")
-	fs.DurationVar(&o.CheckpointEvery, "checkpoint-every", time.Minute, "checkpoint interval")
-	fs.StringVar(&f.snapshotDir, "snapshot-dir", "", "warm-restart snapshot directory (derives the checkpoint path sampler-<id>.ckpt; overrides -checkpoint)")
-	fs.DurationVar(&f.snapshotEvery, "snapshot-every", 0, "snapshot interval under -snapshot-dir (0 = -checkpoint-every)")
+	fs.StringVar(&f.snapshotDir, "snapshot-dir", "", "warm-restart snapshot directory: sampler-<id>.ckpt is restored on boot and rewritten every minute (empty = checkpoints off)")
 	fs.DurationVar(&o.TelemetryEvery, "telemetry-every", 5*time.Second, "cluster telemetry snapshot interval; a snapshot is also the liveness beat (0 = disabled)")
 	fs.StringVar(&f.faults, "faultpoints", "", "arm deterministic fault injection, e.g. rpc.client.write=error (chaos drills)")
 	fs.StringVar(&o.OpsAddr, "ops-addr", "", "serve /metrics, /traces, /slo and pprof on this address (empty = disabled)")
@@ -54,9 +48,6 @@ func (f *flags) options() cluster.SamplerOptions {
 	o.Worker.Metrics = obs.Default()
 	if f.snapshotDir != "" {
 		o.Checkpoint = cluster.CheckpointPath(f.snapshotDir, o.Worker.ID)
-		if f.snapshotEvery > 0 {
-			o.CheckpointEvery = f.snapshotEvery
-		}
 	}
 	return o
 }

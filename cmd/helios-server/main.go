@@ -35,9 +35,7 @@ func declare(fs *flag.FlagSet) *flags {
 	fs.StringVar(&w.Store.Dir, "cache-dir", "", "hybrid-mode cache spill directory (empty = memory only)")
 	fs.Int64Var(&w.Store.MemBudgetBytes, "cache-mem", 0, "cache memory budget in bytes before spilling (0 = default)")
 	fs.IntVar(&w.ServeThreads, "serve-threads", 0, "serving actor count (0 = default)")
-	fs.DurationVar(&w.CommitEvery, "commit-every", 0, "how often the sample-queue poll position is committed to the broker (0 = 100ms)")
-	fs.StringVar(&f.snapshotDir, "snapshot-dir", "", "warm-restart snapshot directory: serving-<id>.snap is restored on boot and rewritten every -snapshot-every (empty = snapshots off)")
-	fs.DurationVar(&o.SnapshotEvery, "snapshot-every", time.Minute, "cache snapshot interval under -snapshot-dir")
+	fs.StringVar(&f.snapshotDir, "snapshot-dir", "", "warm-restart snapshot directory: serving-<id>.snap is restored on boot and rewritten every minute (empty = snapshots off)")
 	fs.DurationVar(&o.StatsEvery, "stats-every", 30*time.Second, "stats log interval (0 = off)")
 	fs.DurationVar(&o.TelemetryEvery, "telemetry-every", 5*time.Second, "cluster telemetry snapshot interval; a snapshot is also the liveness beat (0 = disabled)")
 	fs.StringVar(&f.faults, "faultpoints", "", "arm deterministic fault injection, e.g. mq.fetch=error:injected:3 (chaos drills)")

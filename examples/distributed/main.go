@@ -28,7 +28,6 @@ import (
 	"helios/internal/coord"
 	"helios/internal/deploy"
 	"helios/internal/faultpoint"
-	"helios/internal/frontend"
 	"helios/internal/graph"
 	"helios/internal/monitor"
 	"helios/internal/obs"
@@ -226,7 +225,7 @@ func main() {
 		// serving workers degrade what they cannot refresh, and every
 		// refusal is a typed 503/504 — never a hang.
 		const budget = 300 * time.Millisecond
-		c.Frontend.Node.SetOverload(frontend.Overload{RequestTimeout: budget, MaxInflight: 8, MaxQueue: 4})
+		c.Frontend.Node.SetOverload(deploy.OverloadFile{RequestTimeoutMS: int(budget / time.Millisecond), MaxInflight: 8, MaxQueue: 4})
 		fmt.Println("burst: delaying serve path and storming the gateway")
 		faultpoint.Delay("serving.sample", 1<<20, 20*time.Millisecond)
 

@@ -210,7 +210,7 @@ func (s *Service) Stats() Stats {
 // EnableCheckpoints periodically checkpoints every sampling worker into
 // dir as sampler-<i>.ckpt (§4.1 fault tolerance). Restores happen when a
 // replacement worker loads the file (see sampler.Worker.RestoreFile and
-// cmd/helios-sampler's -checkpoint flag).
+// cmd/helios-sampler's -snapshot-dir flag).
 func (s *Service) EnableCheckpoints(dir string, interval time.Duration) error {
 	return s.c.EnableCheckpoints(dir, interval)
 }

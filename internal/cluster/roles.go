@@ -240,10 +240,6 @@ type BrokerOptions struct {
 	// the broker's liveness beat (0 = 500ms); a replica silent for
 	// ReplDeadAfter has its partitions failed over (0 = 3s).
 	ReplReportEvery, ReplDeadAfter time.Duration
-	// DeadAfter is the telemetry silence after which the collector counts
-	// a worker dead, once it exceeds three telemetry intervals (below
-	// that, and at 0, the collector's own nine intervals apply).
-	DeadAfter time.Duration
 	// Collector is the telemetry collector's template (flight recorder,
 	// clock, capture policy); Interval defaults to TelemetryEvery.
 	Collector monitor.CollectorConfig
@@ -343,11 +339,6 @@ func (b *Broker) startControlPlane(o BrokerOptions) error {
 	if cc.Interval == 0 {
 		cc.Interval = o.TelemetryEvery
 	}
-	// Below three intervals the collector's own default (nine) is the
-	// tighter sane bound.
-	if cc.DeadAfter == 0 && o.DeadAfter > 3*cc.Interval {
-		cc.DeadAfter = o.DeadAfter
-	}
 	cc.Logger = b.log
 	b.Collector = monitor.NewCollector(cc)
 	b.Reporter = monitor.NewReporter(monitor.ReporterConfig{
@@ -401,6 +392,10 @@ func (b *Broker) startControlPlane(o BrokerOptions) error {
 	return nil
 }
 
+// snapshotEvery is how often a sampler rewrites its checkpoint and a
+// server its cache snapshot.
+const snapshotEvery = time.Minute
+
 // CheckpointPath is the file sampling worker i checkpoints to under dir.
 func CheckpointPath(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("sampler-%d.ckpt", i))
@@ -418,9 +413,8 @@ type SamplerOptions struct {
 	// TTL and Broker are filled from the deployment and the bus.
 	Worker sampler.Config
 	// Checkpoint is restored before the worker starts and rewritten every
-	// CheckpointEvery; empty disables both.
-	Checkpoint      string
-	CheckpointEvery time.Duration
+	// minute; empty disables both.
+	Checkpoint string
 	Control
 }
 
@@ -456,7 +450,7 @@ func StartSampler(cfg *deploy.Config, bus mq.Bus, o SamplerOptions) (_ *Sampler,
 	}
 	w.Start()
 	s.onClose(w.Stop)
-	s.saveEvery(o.Checkpoint, o.CheckpointEvery, "sampler.checkpoint", w.CheckpointFile)
+	s.saveEvery(o.Checkpoint, snapshotEvery, "sampler.checkpoint", w.CheckpointFile)
 	s.Reporter = s.report(bus, coord.KindSampler, wc.ID, o.TelemetryEvery,
 		monitor.ReporterConfig{Registry: wc.Metrics})
 	if err := s.serveOps(o.OpsAddr); err != nil {
@@ -478,9 +472,8 @@ type ServerOptions struct {
 	// callers use Worker directly).
 	Listen string
 	// Snapshot is restored before the worker starts and rewritten every
-	// SnapshotEvery; empty disables both.
-	Snapshot      string
-	SnapshotEvery time.Duration
+	// minute; empty disables both.
+	Snapshot string
 	// StatsEvery logs a one-line stats summary; 0 is off.
 	StatsEvery time.Duration
 	Control
@@ -529,7 +522,7 @@ func StartServer(cfg *deploy.Config, bus mq.Bus, o ServerOptions) (_ *Server, er
 		}
 		s.onClose(s.StopEndpoint)
 	}
-	s.saveEvery(o.Snapshot, o.SnapshotEvery, "serving.snapshot", w.SnapshotFile)
+	s.saveEvery(o.Snapshot, snapshotEvery, "serving.snapshot", w.SnapshotFile)
 	s.every(o.StatsEvery, func() {
 		st := w.Stats()
 		s.log.Info(0, "serving.lifecycle", "stats", "served", st.Served, "applied", st.Applied,
@@ -564,11 +557,6 @@ type FrontendOptions struct {
 	// workers' RPC addresses, partition-major (see frontend.New).
 	Listen  string
 	Servers []string
-	// ProbeEvery paces health probes of unhealthy replicas (0 = 1s).
-	ProbeEvery time.Duration
-	// Overload is the admission policy; bounds left at zero fall back to
-	// the deployment's overload policy.
-	Overload frontend.Overload
 	// SLOTarget and SLOWindow replace the sample-latency objective's
 	// defaults; SlowLog is the slow-sample log threshold (0 = the target).
 	SLOTarget, SLOWindow, SlowLog time.Duration
@@ -607,18 +595,12 @@ func StartFrontend(cfg *deploy.Config, bus mq.Bus, o FrontendOptions) (_ *Fronte
 	f := &Frontend{Node: fe, Bus: bus, lifecycle: newLifecycle(o.Logger)}
 	defer f.closeOn(&err)
 	f.onClose(fe.Close)
-	fe.SetProbeInterval(o.ProbeEvery)
 	fe.UseObs(o.Clock, o.Registry, o.Tracer)
 	if o.SLOTarget > 0 || o.SLOWindow > 0 {
-		fe.SetSLO(o.SLOTarget, 0, o.SLOWindow)
+		fe.SetSLO(o.SLOTarget, o.SLOWindow)
 	}
 	fe.SetLogger(o.Logger, o.SlowLog)
-	ov, def := o.Overload, cfg.File.Overload
-	ov.RequestTimeout = or(ov.RequestTimeout, time.Duration(def.RequestTimeoutMS)*time.Millisecond)
-	ov.MaxInflight = or(ov.MaxInflight, def.MaxInflight)
-	ov.MaxQueue = or(ov.MaxQueue, def.MaxQueue)
-	ov.MaxIngestLag = or(ov.MaxIngestLag, def.MaxIngestLag)
-	fe.SetOverload(ov)
+	fe.SetOverload(cfg.File.Overload)
 
 	// The frontend owns no partition: its snapshots carry the gateway's
 	// view only.

@@ -7,6 +7,7 @@
 package deploy
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -39,8 +40,9 @@ type File struct {
 }
 
 // OverloadFile is the deployment-wide overload policy (see
-// internal/overload): end-to-end deadlines, admission bounds, ingestion
-// backpressure, and graceful degradation. Zero values disable each bound.
+// internal/overload): end-to-end deadlines, admission bounds and graceful
+// degradation. Zero values disable each bound. The ingestion bound is the
+// broker's own (helios-broker -max-ingest-lag).
 type OverloadFile struct {
 	// RequestTimeoutMS is the frontend's end-to-end deadline budget per
 	// sampling request, in milliseconds.
@@ -49,9 +51,6 @@ type OverloadFile struct {
 	// requests at the frontend and each serving worker.
 	MaxInflight int `json:"maxInflight,omitempty"`
 	MaxQueue    int `json:"maxQueue,omitempty"`
-	// MaxIngestLag sheds ingestion once a partition's unconsumed updates
-	// backlog exceeds this bound (enforced at the frontend and the broker).
-	MaxIngestLag int64 `json:"maxIngestLag,omitempty"`
 	// Degrade lets saturated serving workers answer from the cache inline
 	// (results tagged degraded) instead of shedding outright.
 	Degrade bool `json:"degrade,omitempty"`
@@ -85,14 +84,23 @@ func Load(path string) (*Config, error) {
 // Parse derives a configuration from JSON bytes.
 func Parse(data []byte) (*Config, error) {
 	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("deploy: parse config: %w", err)
+	}
+	if dec.More() {
+		return nil, fmt.Errorf("deploy: parse config: data after the top-level object")
 	}
 	if f.Samplers < 1 || f.Servers < 1 {
 		return nil, fmt.Errorf("deploy: samplers and servers must be ≥ 1")
 	}
-	if f.Replicas < 0 {
-		return nil, fmt.Errorf("deploy: replicas must be ≥ 0")
+	ov := f.Overload
+	for key, v := range map[string]int{"replicas": f.Replicas, "ttlSeconds": f.TTLSeconds,
+		"overload.requestTimeoutMs": ov.RequestTimeoutMS, "overload.maxInflight": ov.MaxInflight, "overload.maxQueue": ov.MaxQueue} {
+		if v < 0 {
+			return nil, fmt.Errorf("deploy: %s must be ≥ 0", key)
+		}
 	}
 	if f.Replicas == 0 {
 		f.Replicas = 1

@@ -3,6 +3,7 @@ package deploy
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"helios/internal/graph"
@@ -56,6 +57,36 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse([]byte(src)); err == nil {
 			t.Fatalf("%s: expected error", name)
 		}
+	}
+}
+
+// TestParseRejectsUnknownKeysAndNegativeBounds: a misspelt key, or one no
+// longer read, would otherwise deploy silently without the setting it
+// meant, and a negative bound means different things to the frontend
+// limiter and a serving worker. Each error names the key.
+func TestParseRejectsUnknownKeysAndNegativeBounds(t *testing.T) {
+	const head = `"samplers":1,"servers":1,"vertexTypes":["A"],"edgeTypes":[{"name":"E","src":"A","dst":"A"}],"queries":["g.V('A').outV('E').sample(2)"]`
+	for _, tc := range []struct{ extra, key string }{
+		{`"overload":{"maxInflght":64}`, "maxInflght"},
+		{`"overload":{"maxIngestLag":100000}`, "maxIngestLag"},
+		{`"replica":2`, "replica"},
+		{`"ttlSeconds":-1`, "ttlSeconds"},
+		{`"overload":{"requestTimeoutMs":-5}`, "requestTimeoutMs"},
+		{`"overload":{"maxInflight":-1}`, "maxInflight"},
+		{`"overload":{"maxQueue":-1}`, "maxQueue"},
+		{`"replicas":-1`, "replicas"},
+	} {
+		_, err := Parse([]byte("{" + head + "," + tc.extra + "}"))
+		if err == nil || !strings.Contains(err.Error(), tc.key) {
+			t.Errorf("%s: err = %v, want an error naming %q", tc.extra, err, tc.key)
+		}
+	}
+	ok := `"ttlSeconds":0,"overload":{"requestTimeoutMs":0,"maxInflight":0,"maxQueue":0,"degrade":true}`
+	if _, err := Parse([]byte("{" + head + "," + ok + "}")); err != nil {
+		t.Fatalf("zero bounds: %v", err)
+	}
+	if _, err := Parse([]byte("{" + head + "} {}")); err == nil {
+		t.Fatal("data after the config object should fail")
 	}
 }
 

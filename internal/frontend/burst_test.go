@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"helios/internal/cluster"
+	"helios/internal/deploy"
 	"helios/internal/faultpoint"
-	"helios/internal/frontend"
 	"helios/internal/graph"
 	"helios/internal/overload"
 	"helios/internal/query"
@@ -68,7 +68,7 @@ func TestChaosBurstOverload(t *testing.T) {
 	}
 
 	const budget = 400 * time.Millisecond
-	fe.SetOverload(frontend.Overload{RequestTimeout: budget, MaxInflight: 8, MaxQueue: 4})
+	fe.SetOverload(deploy.OverloadFile{RequestTimeoutMS: int(budget / time.Millisecond), MaxInflight: 8, MaxQueue: 4})
 
 	baseline := runtime.NumGoroutine()
 	shedBefore := total("overload.shed")

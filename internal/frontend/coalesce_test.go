@@ -11,6 +11,7 @@ import (
 
 	"helios/internal/clock"
 	"helios/internal/cluster"
+	"helios/internal/deploy"
 	"helios/internal/faultpoint"
 	"helios/internal/frontend"
 	"helios/internal/graph"
@@ -218,7 +219,7 @@ func TestQueuedSampleNeverOutlivesItsBudget(t *testing.T) {
 	fe := newCoalesceFrontend(t)
 	clk := clock.NewFake()
 	fe.UseObs(clk, nil, nil)
-	fe.SetOverload(frontend.Overload{RequestTimeout: budget})
+	fe.SetOverload(deploy.OverloadFile{RequestTimeoutMS: int(budget / time.Millisecond)})
 	before := fe.SampleCalls()
 	stalled := stallWindow(t, fe, time.Second)
 

@@ -74,12 +74,11 @@ func TestReplicaFailover(t *testing.T) {
 		t.Fatalf("unhealthy gauge = %d, want 1", snap.Gauges["frontend.unhealthy_replicas"])
 	}
 
-	// Restart the endpoint on the same address; the prober re-admits it.
+	// Restart the endpoint on the same address; the prober re-admits it
+	// within one probe interval (1s).
 	if err := c.ServerRoles[0].RestartEndpoint(); err != nil {
 		t.Fatal(err)
 	}
-
-	fe.SetProbeInterval(10 * time.Millisecond)
 	deadline = time.Now().Add(15 * time.Second)
 	for fe.Metrics().Snapshot().Gauges["frontend.unhealthy_replicas"] != 0 {
 		if time.Now().After(deadline) {

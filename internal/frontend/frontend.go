@@ -36,8 +36,8 @@ type replica struct {
 	healthy atomic.Bool
 }
 
-// defaultProbeInterval paces health probes of unhealthy replicas.
-const defaultProbeInterval = time.Second
+// probeInterval paces health probes of unhealthy replicas.
+const probeInterval = time.Second
 
 // Frontend routes requests and updates for one deployment.
 type Frontend struct {
@@ -49,20 +49,14 @@ type Frontend struct {
 	combiners []*combiner       // [partition] replicas and sample path (coalesce.go)
 	updates   mq.TopicHandle
 
-	probeEvery atomic.Int64 // ns between health probes
-	prober     *actor.Loop
-	probeStop  chan struct{}
-	closeOnce  sync.Once
+	prober    *actor.Loop
+	probeStop chan struct{}
+	closeOnce sync.Once
 
 	// Overload state (see SetOverload). limiter is nil until admission
-	// control is enabled; lags caches per-partition ingest backlog refreshed
-	// by the lag watcher.
-	limiter      *overload.Limiter
-	reqTimeout   time.Duration
-	maxIngestLag atomic.Int64
-	lags         []atomic.Int64
-	lagLoop      *actor.Loop
-	lagStop      chan struct{}
+	// control is enabled.
+	limiter    *overload.Limiter
+	reqTimeout time.Duration
 
 	clk    clock.Clock
 	reg    *obs.Registry
@@ -84,11 +78,9 @@ type Frontend struct {
 	// frontend.failovers / frontend.deadline_exceeded.
 	Failovers        obs.Counter
 	DeadlineExceeded obs.Counter
-	// Updates refused for ingestion backpressure, by who noticed: the
-	// frontend's cached lag signal or the broker's own refusal. They are
-	// overload.shed{stage=ingest} counters, so the registry's shed total
-	// includes them.
-	shedLag, shedBroker *obs.Counter
+	// shedBroker counts updates the broker refused for ingestion
+	// backpressure, in the registry's overload.shed total.
+	shedBroker *obs.Counter
 }
 
 // New connects a frontend to the broker and the serving workers' RPC
@@ -112,13 +104,11 @@ func New(cfg *deploy.Config, bus mq.Bus, servingAddrs []string) (*Frontend, erro
 		cfg:      cfg,
 		servPart: graph.NewPartitioner(cfg.File.Servers),
 		updates:  updates,
-		lags:     make([]atomic.Int64, cfg.File.Samplers),
 		clk:      clock.Wall(),
 		reg:      obs.NewRegistry(),
 		tracer:   obs.NewTracer(0, 0),
 	}
 	f.Router = NewRouter(cfg, f.clk, f.append)
-	f.probeEvery.Store(int64(defaultProbeInterval))
 	f.registerMetrics()
 	for p := 0; p < cfg.File.Servers; p++ {
 		reps := make([]*replica, nrep)
@@ -139,7 +129,7 @@ func New(cfg *deploy.Config, bus mq.Bus, servingAddrs []string) (*Frontend, erro
 		select {
 		case <-f.probeStop:
 			return false
-		case <-time.After(time.Duration(f.probeEvery.Load())):
+		case <-time.After(probeInterval):
 		}
 		f.probeOnce()
 		return true
@@ -147,43 +137,15 @@ func New(cfg *deploy.Config, bus mq.Bus, servingAddrs []string) (*Frontend, erro
 	return f, nil
 }
 
-// SetProbeInterval adjusts how often unhealthy replicas are probed for
-// re-admission (takes effect after the current wait).
-func (f *Frontend) SetProbeInterval(d time.Duration) {
-	if d > 0 {
-		f.probeEvery.Store(int64(d))
-	}
-}
-
-// Overload configures the frontend's admission control and backpressure.
-// Zero values leave each bound disabled.
-type Overload struct {
-	// RequestTimeout is the end-to-end deadline budget of every Sample: the
-	// frontend admits, calls, and waits at most this long, and the remaining
-	// budget rides in the RPC frame so serving abandons work the caller gave
-	// up on.
-	RequestTimeout time.Duration
-	// MaxInflight bounds concurrently admitted Samples; requests beyond it
-	// queue (up to MaxQueue) and then shed with a typed overload error.
-	MaxInflight int
-	// MaxQueue bounds Samples waiting for admission; 0 defaults to
-	// 4×MaxInflight.
-	MaxQueue int
-	// MaxIngestLag sheds Ingest calls targeting a sampling partition whose
-	// unconsumed updates backlog exceeds this bound (measured broker-side:
-	// end offset minus committed consumer offset).
-	MaxIngestLag int64
-	// LagProbeEvery paces the backlog probe; 0 defaults to 250ms.
-	LagProbeEvery time.Duration
-}
-
-// SetOverload enables admission control; call once, after UseObs and before
-// serving traffic. With MaxInflight > 0 the frontend runs Sample through a
-// deadline-aware limiter; with MaxIngestLag > 0 a watcher loop tracks the
-// per-partition updates backlog and Ingest sheds updates bound for lagged
-// partitions.
-func (f *Frontend) SetOverload(o Overload) {
-	f.reqTimeout = o.RequestTimeout
+// SetOverload applies the frontend's share of a deployment's overload
+// policy; call once, after UseObs and before serving traffic. Every Sample
+// gets RequestTimeoutMS as its end-to-end budget, the remainder riding in
+// the RPC frame so serving abandons work the caller gave up on. With
+// MaxInflight > 0 a deadline-aware limiter admits Samples, queues up to
+// MaxQueue (0 = 4×MaxInflight) beyond it, and sheds the rest with a typed
+// overload error. Zero values leave each bound disabled.
+func (f *Frontend) SetOverload(o deploy.OverloadFile) {
+	f.reqTimeout = time.Duration(o.RequestTimeoutMS) * time.Millisecond
 	if o.MaxInflight > 0 {
 		f.limiter = overload.NewLimiter(overload.Config{
 			Stage:       "frontend",
@@ -193,51 +155,6 @@ func (f *Frontend) SetOverload(o Overload) {
 			Metrics:     f.reg,
 		})
 	}
-	f.maxIngestLag.Store(o.MaxIngestLag)
-	if o.MaxIngestLag > 0 && f.lagLoop == nil {
-		every := o.LagProbeEvery
-		if every <= 0 {
-			every = 250 * time.Millisecond
-		}
-		f.lagStop = make(chan struct{})
-		f.lagLoop = actor.NewLoop(1, func(int) bool {
-			select {
-			case <-f.lagStop:
-				return false
-			case <-time.After(every):
-			}
-			f.probeLag()
-			return true
-		})
-	}
-}
-
-// probeLag refreshes the cached per-partition ingest backlog. A partition
-// whose consumer has never committed reports no lag: with no progress signal
-// there is nothing to bound, and shedding there would wedge bootstrap.
-func (f *Frontend) probeLag() {
-	for p := range f.lags {
-		committed := f.updates.CommittedOffset(p)
-		if committed < 0 {
-			f.lags[p].Store(0)
-			continue
-		}
-		lag := f.updates.EndOffset(p) - committed
-		if lag < 0 {
-			lag = 0
-		}
-		f.lags[p].Store(lag)
-	}
-}
-
-// admitIngest sheds an update bound for partition p when that partition's
-// cached backlog exceeds the lag bound.
-func (f *Frontend) admitIngest(p int) error {
-	if bound := f.maxIngestLag.Load(); bound > 0 && f.lags[p].Load() > bound {
-		f.shedLag.Inc()
-		return overload.Shed("ingest", "consumer_lag")
-	}
-	return nil
 }
 
 // probeOnce pings every unhealthy replica and re-admits the ones that
@@ -355,7 +272,6 @@ const sampleSLOName = "frontend.sample_latency"
 func (f *Frontend) registerMetrics() {
 	f.reg.AddCounter(&f.Failovers, "frontend.failovers")
 	f.reg.AddCounter(&f.DeadlineExceeded, "frontend.deadline_exceeded")
-	f.shedLag = f.reg.Counter("overload.shed", "stage", "ingest", "reason", "consumer_lag")
 	f.shedBroker = f.reg.Counter("overload.shed", "stage", "ingest", "reason", "broker_lag")
 	f.reg.GaugeFunc("frontend.unhealthy_replicas", f.unhealthyReplicas)
 	f.stRequest = f.reg.Stage(obs.StageFrontendRequest).WithClock(f.clk)
@@ -368,10 +284,10 @@ func (f *Frontend) registerMetrics() {
 	rpc.RegisterMetrics(f.reg)
 }
 
-// SetSLO replaces the frontend's sample-latency objective. Call before
-// serving traffic (the old rolling window is discarded).
-func (f *Frontend) SetSLO(target time.Duration, objective float64, window time.Duration) {
-	f.slo = obs.NewSLO(sampleSLOName, target, objective, window).WithClock(f.clk)
+// SetSLO replaces the target and window of the frontend's 99% latency
+// objective. Call before serving traffic (the old window is discarded).
+func (f *Frontend) SetSLO(target, window time.Duration) {
+	f.slo = obs.NewSLO(sampleSLOName, target, defaultSLOObjective, window).WithClock(f.clk)
 	f.reg.ReplaceSLO(f.slo)
 	f.stRequest.AttachSLO(f.slo)
 }
@@ -394,17 +310,12 @@ func (f *Frontend) Tracer() *obs.Tracer { return f.tracer }
 // Metrics returns the frontend's registry.
 func (f *Frontend) Metrics() *obs.Registry { return f.reg }
 
-// Close stops the health prober and the lag watcher and releases the
-// serving connections.
+// Close stops the health prober and releases the serving connections.
 func (f *Frontend) Close() {
 	f.closeOnce.Do(func() {
 		if f.prober != nil {
 			close(f.probeStop)
 			f.prober.Stop()
-		}
-		if f.lagLoop != nil {
-			close(f.lagStop)
-			f.lagLoop.Stop()
 		}
 		for _, c := range f.combiners {
 			for _, rep := range c.reps {
@@ -425,15 +336,11 @@ func (f *Frontend) IngestTraced(u graph.Update) (uint64, error) {
 	return u.Trace, f.Ingest(u)
 }
 
-// append publishes one routed update, shedding first on the frontend's
-// cached lag signal and translating the broker's own backpressure refusal
-// into the same typed overload error. The publish latency is observed
-// into the frontend.ingest_append stage against the update's trace.
+// append publishes one routed update, translating the broker's
+// backpressure refusal into a typed overload error. The publish latency is
+// observed into the frontend.ingest_append stage against the update's
+// trace.
 func (f *Frontend) append(p int, key uint64, payload []byte, trace uint64) error {
-	if err := f.admitIngest(p); err != nil {
-		f.log.Warn(trace, obs.StageFrontendIngest, "ingest shed", "partition", p, "err", err)
-		return err
-	}
 	start := f.clk.Now()
 	_, err := f.updates.Append(p, key, payload)
 	f.stIngest.Observe(f.clk.Now().Sub(start).Nanoseconds(), trace)

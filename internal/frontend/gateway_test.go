@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"helios/internal/cluster"
 	"helios/internal/faultpoint"
 	"helios/internal/graph"
+	"helios/internal/obs"
 	"helios/internal/serving"
 	"helios/internal/wire"
 )
@@ -419,5 +421,59 @@ func TestConfigOverloadBlockReachesGateway(t *testing.T) {
 	}
 	if fe.DeadlineExceeded.Value() == 0 {
 		t.Fatal("expired budget not counted in frontend.deadline_exceeded")
+	}
+}
+
+// TestGatewayShedsIngestAtBrokerBound: the broker's lag bound is the one
+// ingest backpressure mechanism. Once the sampler has committed and then
+// stalls, POST /ingest/edge answers 202 until the updates partition is
+// bound records ahead of the commit, and 503 after; the frontend counts
+// each refused update once as overload.shed{stage=ingest,reason=broker_lag}.
+func TestGatewayShedsIngestAtBrokerBound(t *testing.T) {
+	const bound, refused = 4, 3
+	var o cluster.Options
+	o.Broker.MaxIngestLag = bound
+	c, _, fe := boot(t, coalesceConfig, o)
+	gateway := "http://" + c.Frontend.Addr
+	updates, ok := c.Broker.Topic(wire.TopicUpdates)
+	if !ok {
+		t.Fatal("no updates topic")
+	}
+	post := func(src int) (int, string) {
+		t.Helper()
+		body := fmt.Sprintf(`{"src": %d, "dst": 100, "type": "Click", "ts": 10}`, src)
+		resp, err := http.Post(gateway+"/ingest/edge", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	if status, msg := post(1); status != http.StatusAccepted {
+		t.Fatalf("first edge: status %d (%s)", status, msg)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for updates.CommittedOffset(0) != updates.NextOffset(0) {
+		if time.Now().After(deadline) {
+			t.Fatalf("sampler never committed: committed %d of %d", updates.CommittedOffset(0), updates.NextOffset(0))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	c.Samplers[0].Stop()
+
+	shed := obs.Name("overload.shed", "stage", "ingest", "reason", "broker_lag")
+	for i := 0; i < bound+refused; i++ {
+		status, msg := post(2 + i)
+		want := http.StatusAccepted
+		if i >= bound {
+			want = http.StatusServiceUnavailable
+		}
+		if status != want || (i >= bound && !strings.Contains(msg, "broker_lag")) {
+			t.Fatalf("edge %d of a bound of %d: status %d (%s), want %d", i, bound, status, msg, want)
+		}
+	}
+	if n := fe.Metrics().Snapshot().Counters[shed]; n != refused {
+		t.Fatalf("%s = %d, want %d", shed, n, refused)
 	}
 }

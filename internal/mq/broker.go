@@ -65,9 +65,9 @@ type Record struct {
 type FsyncPolicy int
 
 const (
-	// FsyncInterval (the default) fsyncs every SyncEvery appends — the
+	// FsyncInterval (the default) fsyncs every syncEvery appends — the
 	// historical behavior: an ack means the bytes reached the page cache,
-	// and a power loss can lose up to SyncEvery acked records (a process
+	// and a power loss can lose up to syncEvery acked records (a process
 	// crash alone loses nothing; the cache survives it).
 	FsyncInterval FsyncPolicy = iota
 	// FsyncNever leaves durability to the OS and segment close.
@@ -111,10 +111,6 @@ type Options struct {
 	// unbounded. Consumers fetching below the retained head are snapped
 	// forward to it (matching Kafka's earliest-offset reset).
 	RetainRecords int
-	// SyncEvery fsyncs disk segments after this many appends under the
-	// FsyncInterval policy; 0 defaults to 4096. Ignored for memory-only
-	// brokers.
-	SyncEvery int
 	// Fsync selects the durability-vs-latency point for segment appends;
 	// the zero value is FsyncInterval. Ignored for memory-only brokers.
 	Fsync FsyncPolicy
@@ -163,9 +159,6 @@ type Broker struct {
 
 // NewBroker returns an empty broker.
 func NewBroker(opts Options) *Broker {
-	if opts.SyncEvery == 0 {
-		opts.SyncEvery = 4096
-	}
 	return &Broker{opts: opts, topics: make(map[string]*Topic), lagBounds: make(map[string]int64)}
 }
 

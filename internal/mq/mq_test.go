@@ -289,7 +289,7 @@ func (c *Counter) value() int64 {
 
 func TestDiskDurability(t *testing.T) {
 	dir := t.TempDir()
-	b := NewBroker(Options{Dir: dir, SyncEvery: 1})
+	b := NewBroker(Options{Dir: dir, Fsync: FsyncAlways})
 	topic, _ := b.CreateTopic("t", 2)
 	for i := 0; i < 50; i++ {
 		if _, err := topic.AppendByKey(uint64(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -331,7 +331,7 @@ func TestDiskDurability(t *testing.T) {
 
 func TestDiskTruncatedTailTolerated(t *testing.T) {
 	dir := t.TempDir()
-	b := NewBroker(Options{Dir: dir, SyncEvery: 1})
+	b := NewBroker(Options{Dir: dir, Fsync: FsyncAlways})
 	topic, _ := b.CreateTopic("t", 1)
 	for i := 0; i < 10; i++ {
 		topic.Append(0, uint64(i), []byte("0123456789"))

@@ -19,9 +19,11 @@ type segment struct {
 	f       *os.File
 	w       *bufio.Writer
 	pending int
-	every   int
 	policy  FsyncPolicy
 }
+
+// syncEvery is the appends between fsyncs under FsyncInterval.
+const syncEvery = 4096
 
 // segmentPath keeps one file per topic/partition.
 func segmentPath(dir, topic string, idx int) string {
@@ -49,7 +51,7 @@ func (p *partition) openSegment(dir string) error {
 	if err != nil {
 		return fmt.Errorf("mq: open segment: %w", err)
 	}
-	p.seg = &segment{f: f, w: bufio.NewWriterSize(f, 1<<16), every: p.broker.opts.SyncEvery, policy: p.broker.opts.Fsync}
+	p.seg = &segment{f: f, w: bufio.NewWriterSize(f, 1<<16), policy: p.broker.opts.Fsync}
 	return nil
 }
 
@@ -107,7 +109,7 @@ func (s *segment) append(rec Record) error {
 		return err
 	}
 	s.pending++
-	if s.policy == FsyncInterval && s.pending >= s.every {
+	if s.policy == FsyncInterval && s.pending >= syncEvery {
 		return s.sync()
 	}
 	return nil
@@ -116,7 +118,7 @@ func (s *segment) append(rec Record) error {
 // sync flushes buffered frames and fsyncs the file — the durability
 // boundary of the Fsync policy. Under FsyncAlways the partition calls it
 // once per append/batch before the records become visible; under
-// FsyncInterval it runs every SyncEvery appends; under FsyncNever only
+// FsyncInterval it runs every syncEvery appends; under FsyncNever only
 // close reaches it.
 func (s *segment) sync() error {
 	// Torn-write boundary: a fault here models power loss between the

@@ -27,28 +27,36 @@ func (w *Worker) Checkpoint(out io.Writer) error {
 	if !w.started.Load() {
 		return fmt.Errorf("sampler: checkpoint requires a started worker")
 	}
-	cw := codec.NewWriter(1 << 16)
-	cw.String(checkpointMagic)
 	// Consumer positions are recorded before the shard barriers, so replay
 	// from them covers every event not yet reflected in the snapshots
 	// (at-least-once).
-	cw.Varint(w.updOffset.Load())
-	cw.Varint(w.subsOffset.Load())
-	cw.Uvarint(uint64(len(w.shards)))
-	for i := range w.shards {
+	img := w.checkpointImage(w.updOffset.Load(), w.subsOffset.Load(), func(i int) []byte {
 		ch := make(chan []byte, 1)
 		w.sampling.SendTo(i, event{kind: evSnapshot, snap: ch})
-		blob := <-ch
-		cw.Bytes32(blob)
-	}
+		return <-ch
+	})
 	// The crash boundary for non-file sinks (piped or streamed
 	// checkpoints); file checkpoints get torn-write coverage from the
 	// fsx-level "sampler.checkpoint.write" hook in CheckpointFile.
 	if err := faultpoint.Inject("sampler.checkpoint.emit"); err != nil {
 		return err
 	}
-	_, err := out.Write(cw.Bytes())
+	_, err := out.Write(img)
 	return err
+}
+
+// checkpointImage frames a checkpoint: the replay floor, then every
+// shard's blob as shard(i) serializes it.
+func (w *Worker) checkpointImage(upd, subs int64, shard func(i int) []byte) []byte {
+	cw := codec.NewWriter(1 << 16)
+	cw.String(checkpointMagic)
+	cw.Varint(upd)
+	cw.Varint(subs)
+	cw.Uvarint(uint64(len(w.shards)))
+	for i := range w.shards {
+		cw.Bytes32(shard(i))
+	}
+	return cw.Bytes()
 }
 
 // CheckpointFile writes the checkpoint to path crash-safely via
@@ -134,7 +142,7 @@ func (w *Worker) Restore(in io.Reader) error {
 	}
 	w.startUpd = r.Varint()
 	w.startSubs = r.Varint()
-	nShards := int(r.Uvarint())
+	nShards := r.Count(1) // each shard blob has at least its length byte
 	for i := 0; i < nShards; i++ {
 		blob := r.Bytes32()
 		if r.Err() != nil {
@@ -172,16 +180,18 @@ func (w *Worker) shardOf(v graph.VertexID) *shard {
 
 func (w *Worker) restoreShardBlob(blob []byte) error {
 	r := codec.NewReader(blob)
-	nHops := int(r.Uvarint())
+	// Counts are bounded by each element's smallest encoding (a byte per
+	// varint, four per float32): a corrupt one fails instead of allocating.
+	nHops := r.Count(2)
 	for i := 0; i < nHops; i++ {
 		hid := query.HopID(r.Uvarint())
 		h, known := w.hops[hid]
-		n := int(r.Uvarint())
+		n := r.Count(4)
 		for j := 0; j < n; j++ {
 			v := graph.VertexID(r.Uvarint())
 			touch := r.Varint()
 			seen := r.Uvarint()
-			cnt := int(r.Uvarint())
+			cnt := r.Count(6)
 			items := make([]sampling.Sample, 0, cnt)
 			for k := 0; k < cnt; k++ {
 				items = append(items, sampling.Sample{
@@ -207,7 +217,7 @@ func (w *Worker) restoreShardBlob(blob []byte) error {
 			hopRes[v] = &resEntry{res: res, touch: touch}
 		}
 	}
-	nFeat := int(r.Uvarint())
+	nFeat := r.Count(3)
 	for i := 0; i < nFeat; i++ {
 		v := graph.VertexID(r.Uvarint())
 		touch := r.Varint()
@@ -217,13 +227,13 @@ func (w *Worker) restoreShardBlob(blob []byte) error {
 		}
 		w.shardOf(v).features[v] = &featEntry{feat: feat, touch: touch}
 	}
-	nSubHops := int(r.Uvarint())
+	nSubHops := r.Count(2)
 	for i := 0; i < nSubHops; i++ {
 		hid := query.HopID(r.Uvarint())
-		n := int(r.Uvarint())
+		n := r.Count(2)
 		for j := 0; j < n; j++ {
 			v := graph.VertexID(r.Uvarint())
-			m := int(r.Uvarint())
+			m := r.Count(2)
 			subs := make(map[int32]int32, m)
 			for k := 0; k < m; k++ {
 				sew := int32(r.Varint())
@@ -242,10 +252,10 @@ func (w *Worker) restoreShardBlob(blob []byte) error {
 			vsubs[v] = subs
 		}
 	}
-	nFeatSubs := int(r.Uvarint())
+	nFeatSubs := r.Count(2)
 	for i := 0; i < nFeatSubs; i++ {
 		v := graph.VertexID(r.Uvarint())
-		m := int(r.Uvarint())
+		m := r.Count(2)
 		subs := make(map[int32]int32, m)
 		for k := 0; k < m; k++ {
 			sew := int32(r.Varint())

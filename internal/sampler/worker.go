@@ -49,18 +49,15 @@ type Config struct {
 	Schema *graph.Schema
 	// Broker carries all queues (local broker or RPC client).
 	Broker mq.Bus
-	// Thread-pool sizes (§4.2's thread types). Zero values default to 4
-	// sampling, 2 publish; each consumed partition has its one poller.
-	SampleThreads, PublishThreads int
+	// SampleThreads sizes the sampling pool (§4.2's thread types); 0
+	// defaults to 4. The publish pool has publishThreads actors, and each
+	// consumed partition has its one poller.
+	SampleThreads int
 	// TTL removes reservoirs and features untouched for this long; 0
 	// disables expiry.
 	TTL time.Duration
 	// Seed makes the randomized strategies reproducible per worker.
 	Seed int64
-	// CommitEvery paces committing the poll positions back to the broker.
-	// The committed updates offset is the lag signal the frontend and
-	// broker use for ingestion backpressure; 0 defaults to 100ms.
-	CommitEvery time.Duration
 	// Clock is the time source for touch stamps and TTL sweeps; nil
 	// defaults to the wall clock. Tests inject a fake so expiry and
 	// recovery are deterministic (no sleeping), and the walltime analyzer
@@ -72,8 +69,15 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// mailboxDepth bounds the worker's actor queues.
-const mailboxDepth = 1024
+const (
+	// mailboxDepth bounds the worker's actor queues.
+	mailboxDepth = 1024
+	// publishThreads sizes the publish pool.
+	publishThreads = 2
+	// commitEvery paces committing the poll positions back to the broker:
+	// the committed updates offset is what the broker's ingest bound reads.
+	commitEvery = 100 * time.Millisecond
+)
 
 func (c *Config) fill() error {
 	if c.NumSamplers < 1 || c.ID < 0 || c.ID >= c.NumSamplers {
@@ -87,12 +91,6 @@ func (c *Config) fill() error {
 	}
 	if c.SampleThreads <= 0 {
 		c.SampleThreads = 4
-	}
-	if c.PublishThreads <= 0 {
-		c.PublishThreads = 2
-	}
-	if c.CommitEvery <= 0 {
-		c.CommitEvery = 100 * time.Millisecond
 	}
 	if c.Clock == nil {
 		c.Clock = clock.Wall()
@@ -294,7 +292,7 @@ func New(cfg Config) (*Worker, error) {
 	for i := range w.shards {
 		w.shards[i] = newShard(rand.NewSource(cfg.Seed + int64(cfg.ID)*1000 + int64(i)))
 	}
-	w.pubs = make([]pubState, cfg.PublishThreads)
+	w.pubs = make([]pubState, publishThreads)
 	for i := range w.pubs {
 		w.pubs[i] = pubState{bufs: make(map[pubKey]*pubBuf), latest: make(map[cellKey]int)}
 	}
@@ -335,7 +333,7 @@ func (w *Worker) Start() {
 	if w.started.Load() {
 		return
 	}
-	w.publish = actor.NewBatchPool("publish", w.cfg.PublishThreads, mailboxDepth, w.publishTurn)
+	w.publish = actor.NewBatchPool("publish", publishThreads, mailboxDepth, w.publishTurn)
 	w.sampling = actor.NewPool("sampling", w.cfg.SampleThreads, mailboxDepth, w.handleEvent)
 	// Dedicated pollers per input stream; consumers are not safe for
 	// concurrent use, so each stream gets exactly one goroutine.
@@ -430,13 +428,13 @@ func (w *Worker) pollUpdates(c mq.Cursor) bool {
 }
 
 // maybeCommit pushes a cursor's poll position to the broker at most once
-// per CommitEvery. Committed offsets are the lag signal for ingestion
+// per commitEvery. Committed offsets are the lag signal for ingestion
 // backpressure and the at-least-once replay floor; they are advisory, so a
 // lost commit only delays the signal by one interval.
 func (w *Worker) maybeCommit(c mq.Cursor, last *atomic.Int64) {
 	now := w.cfg.Clock.Now().UnixNano()
 	prev := last.Load()
-	if now-prev < w.cfg.CommitEvery.Nanoseconds() {
+	if now-prev < commitEvery.Nanoseconds() {
 		return
 	}
 	if !last.CompareAndSwap(prev, now) {

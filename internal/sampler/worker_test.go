@@ -20,7 +20,7 @@ func testSchema() (*graph.Schema, graph.EdgeType) {
 	return s, xfer
 }
 
-func testPlan(t *testing.T, s *graph.Schema) *query.Plan {
+func testPlan(t testing.TB, s *graph.Schema) *query.Plan {
 	t.Helper()
 	q, err := query.NewBuilder(s, "Account").
 		Out("TransferTo", 2, sampling.TopK).
@@ -36,7 +36,7 @@ func testPlan(t *testing.T, s *graph.Schema) *query.Plan {
 	return plan
 }
 
-func newTestWorker(t *testing.T, b *mq.Broker, id, m, n int) *Worker {
+func newTestWorker(t testing.TB, b *mq.Broker, id, m, n int) *Worker {
 	t.Helper()
 	s, _ := testSchema()
 	w, err := New(Config{
@@ -82,7 +82,7 @@ func TestStartStopIdempotent(t *testing.T) {
 }
 
 // drainQuiesce waits until the worker has consumed its backlog.
-func drainQuiesce(t *testing.T, b *mq.Broker, ws ...*Worker) {
+func drainQuiesce(t testing.TB, b *mq.Broker, ws ...*Worker) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -111,7 +111,7 @@ func drainQuiesce(t *testing.T, b *mq.Broker, ws ...*Worker) {
 	t.Fatal("worker did not quiesce")
 }
 
-func ingestEdge(t *testing.T, b *mq.Broker, m int, e graph.Edge) {
+func ingestEdge(t testing.TB, b *mq.Broker, m int, e graph.Edge) {
 	t.Helper()
 	topic, ok := b.Topic(wire.TopicUpdates)
 	if !ok {

@@ -62,10 +62,6 @@ type Config struct {
 	// DegradeInflight bounds concurrent degraded-path assemblies; 0
 	// defaults to ServeThreads.
 	DegradeInflight int
-	// CommitEvery paces committing the sample-queue poll position back to
-	// the broker (broker-side lag for ingestion backpressure); 0 defaults
-	// to 100ms.
-	CommitEvery time.Duration
 	// Clock is the time source for latency stamps, TTL sweeps, and request
 	// spans; nil defaults to the wall clock. Tests inject a fake so latency
 	// assertions never sleep.
@@ -87,8 +83,12 @@ type Config struct {
 	SlowLog time.Duration
 }
 
-// mailboxDepth bounds the worker's actor queues.
-const mailboxDepth = 1024
+const (
+	// mailboxDepth bounds the worker's actor queues.
+	mailboxDepth = 1024
+	// commitEvery paces committing the sample-queue poll position.
+	commitEvery = 100 * time.Millisecond
+)
 
 func (c *Config) fill() error {
 	if c.NumServers < 1 || c.ID < 0 || c.ID >= c.NumServers {
@@ -111,9 +111,6 @@ func (c *Config) fill() error {
 	}
 	if c.DegradeInflight <= 0 {
 		c.DegradeInflight = c.ServeThreads
-	}
-	if c.CommitEvery <= 0 {
-		c.CommitEvery = 100 * time.Millisecond
 	}
 	if c.Clock == nil {
 		c.Clock = clock.Wall()
@@ -432,13 +429,13 @@ func (w *Worker) poll(c mq.Cursor) bool {
 }
 
 // maybeCommit pushes the poll position to the broker at most once per
-// CommitEvery. The committed offset feeds the broker-side lag signal used
+// commitEvery. The committed offset feeds the broker-side lag signal used
 // for ingestion backpressure; it is purely advisory, so a lost commit only
 // delays that signal by one interval.
 func (w *Worker) maybeCommit(c mq.Cursor) {
 	now := w.cfg.Clock.Now().UnixNano()
 	last := w.lastCommit.Load()
-	if now-last < w.cfg.CommitEvery.Nanoseconds() {
+	if now-last < commitEvery.Nanoseconds() {
 		return
 	}
 	if !w.lastCommit.CompareAndSwap(last, now) {
