@@ -38,6 +38,8 @@ burst-smoke:
 
 # The tier-1 gate: every PR must leave this green.
 check:
+	# Formatting first: any file gofmt would rewrite fails the gate.
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) run ./cmd/helios-lint ./...
@@ -64,6 +66,9 @@ check:
 	# And ten over the partition-map decoder: what a client takes off the
 	# coordinator's socket, and a broker off a map push.
 	$(GO) test ./internal/mq -run '^$$' -fuzz FuzzPartMap -fuzztime 10s
+	# And ten over the model server's request path: the sample bytes it
+	# takes off a socket, decoded, built into a tree and embedded.
+	$(GO) test ./internal/gnn -run '^$$' -fuzz FuzzEmbedRequest -fuzztime 10s
 	# The kvstore read-during-flush hole failed about one run in two when
 	# it was open; twenty runs make a reopening loud.
 	$(GO) test -race -count=20 -run 'TestConcurrentReadWrite|TestGetNeverMissesAcrossFlush' ./internal/kvstore

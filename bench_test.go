@@ -144,11 +144,7 @@ func BenchmarkFig4aLatencyBreakdown(b *testing.B) {
 		}
 		t1 := time.Now()
 		sampleNS += t1.Sub(t0).Nanoseconds()
-		edges := make([]gnn.HopEdge, len(res.Edges))
-		for j, e := range res.Edges {
-			edges[j] = gnn.HopEdge{Hop: e.Hop, Parent: e.Parent, Child: e.Child}
-		}
-		enc.Embed(gnn.BuildTree(res.Layers, edges, res.Features, spec.Vertices[0].FeatureDim))
+		enc.Embed(gnn.BuildTree(res, spec.Vertices[0].FeatureDim))
 		inferNS += time.Since(t1).Nanoseconds()
 	}
 	b.ReportMetric(float64(sampleNS)/float64(sampleNS+inferNS)*100, "sampling-%")
@@ -368,8 +364,8 @@ func BenchmarkFig14ServingScalability(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					resp := make(chan servingResponse, 1)
-					c.Submit(servingRequest{Query: 0, Seed: gen.SeedVertex(rng), Resp: resp})
+					resp := make(chan serving.Response, 1)
+					c.Submit(serving.Request{Query: 0, Seed: gen.SeedVertex(rng), Resp: resp})
 					if r := <-resp; r.Err != nil {
 						b.Fatal(r.Err)
 					}
@@ -481,8 +477,9 @@ func BenchmarkFig18ConsistencyAccuracy(b *testing.B) {
 	}
 }
 
-// BenchmarkFig19OnlineInference measures the full pipeline: cache sampling
-// + tree build + RPC model forward.
+// BenchmarkFig19OnlineInference measures the full pipeline: cache sampling,
+// then the encoded sample over RPC to the model server's tree build and
+// forward.
 func BenchmarkFig19OnlineInference(b *testing.B) {
 	spec := workload.INTER().Scale(benchScale)
 	c, gen := loadedBenchCluster(b, spec, sampling.Random, 2, 2)
@@ -495,7 +492,7 @@ func BenchmarkFig19OnlineInference(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	model, err := gnn.DialModel(addr, 0)
+	model, err := gnn.DialModel(addr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -503,15 +500,11 @@ func BenchmarkFig19OnlineInference(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.Sample(0, gen.SeedVertex(rng))
+		sample, err := c.SampleEncoded(0, gen.SeedVertex(rng))
 		if err != nil {
 			b.Fatal(err)
 		}
-		edges := make([]gnn.HopEdge, len(res.Edges))
-		for j, e := range res.Edges {
-			edges[j] = gnn.HopEdge{Hop: e.Hop, Parent: e.Parent, Child: e.Child}
-		}
-		if _, err := model.Embed(gnn.BuildTree(res.Layers, edges, res.Features, dim)); err != nil {
+		if _, err := model.Embed(sample); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -633,8 +626,3 @@ func BenchmarkAblationQueryCache(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(cached.HitRatio()*100, "hit-%")
 }
-
-type (
-	servingRequest  = serving.Request
-	servingResponse = serving.Response
-)

@@ -38,10 +38,10 @@ func main() {
 
 func run() int {
 	var (
-		jsonOut = flag.Bool("json", false, "emit the report as JSON")
-		enable  = flag.String("enable", "", "comma-separated analyzers to run (default: all)")
-		disable = flag.String("disable", "", "comma-separated analyzers to skip")
-		list    = flag.Bool("list", false, "print the available analyzers and exit")
+		jsonOut  = flag.Bool("json", false, "emit the report as JSON")
+		enable   = flag.String("enable", "", "comma-separated analyzers to run (default: all)")
+		disable  = flag.String("disable", "", "comma-separated analyzers to skip")
+		list     = flag.Bool("list", false, "print the available analyzers and exit")
 		dir      = flag.String("C", "", "module directory (default: walk up from cwd to go.mod)")
 		opsAddr  = flag.String("ops-addr", "", "serve /metrics, /traces, /slo and pprof on this address (empty = disabled)")
 		logLevel = flag.String("log-level", "warn", "structured log level: debug, info, warn, error")

@@ -85,7 +85,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer modelSrv.Close()
-	model, err := gnn.DialModel(addr, 0)
+	model, err := gnn.DialModel(addr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -138,11 +138,15 @@ func main() {
 // recommend embeds the user's live sampled neighbourhood via the model
 // server and ranks items by dot-product similarity.
 func recommend(svc *helios.Service, model *gnn.Client, itemFeats map[helios.VertexID][]float32, u helios.VertexID) {
-	res, err := svc.Sample(0, u)
+	sample, err := svc.Cluster().SampleEncoded(0, u)
 	if err != nil {
 		log.Fatal(err)
 	}
-	emb, err := model.Embed(helios.TreeFromResult(res, dim))
+	emb, err := model.Embed(sample)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := sample.Decode() // only for the clicked set
 	if err != nil {
 		log.Fatal(err)
 	}

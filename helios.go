@@ -39,7 +39,6 @@ import (
 
 	"helios/internal/cluster"
 	"helios/internal/deploy"
-	"helios/internal/gnn"
 	"helios/internal/graph"
 	"helios/internal/kvstore"
 	"helios/internal/query"
@@ -213,20 +212,6 @@ func (s *Service) Stats() Stats {
 // cmd/helios-sampler's -snapshot-dir flag).
 func (s *Service) EnableCheckpoints(dir string, interval time.Duration) error {
 	return s.c.EnableCheckpoints(dir, interval)
-}
-
-// Tree is a sampled neighbourhood prepared for GNN inference.
-type Tree = gnn.Tree
-
-// TreeFromResult converts a sampling result into the model input shape:
-// distinct vertices per depth with child links and dim-sized features
-// (missing features are zero-filled).
-func TreeFromResult(res *Result, dim int) *Tree {
-	edges := make([]gnn.HopEdge, len(res.Edges))
-	for i, e := range res.Edges {
-		edges[i] = gnn.HopEdge{Hop: e.Hop, Parent: e.Parent, Child: e.Child}
-	}
-	return gnn.BuildTree(res.Layers, edges, res.Features, dim)
 }
 
 // Cluster exposes the underlying cluster for benchmarks and tools that

@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"helios/internal/gnn"
 )
 
 func ecommerce(t *testing.T) *Schema {
@@ -151,7 +153,10 @@ func TestEnableCheckpoints(t *testing.T) {
 	}
 }
 
-func TestTreeFromResult(t *testing.T) {
+// TestSampleEncodedBuildsTree takes a sample in its wire form, as the
+// model server receives it, to the encoder's input: the seed at depth 0 and
+// its neighbour's feature at depth 1.
+func TestSampleEncodedBuildsTree(t *testing.T) {
 	s := ecommerce(t)
 	svc, err := New(Options{Schema: s, Queries: []string{fig1DSL}})
 	if err != nil {
@@ -164,11 +169,15 @@ func TestTreeFromResult(t *testing.T) {
 	if err := svc.Sync(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	res, err := svc.Sample(0, 1)
+	sample, err := svc.Cluster().SampleEncoded(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := TreeFromResult(res, 2)
+	res, err := sample.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := gnn.BuildTree(res, 2)
 	if len(tree.Depths) < 2 || tree.Depths[0][0].V != 1 {
 		t.Fatalf("tree malformed: %+v", tree.Depths)
 	}

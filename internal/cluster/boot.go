@@ -239,6 +239,15 @@ func (c *Local) Sample(qid query.ID, seed graph.VertexID) (*serving.Result, erro
 	return c.Route(seed).Sample(qid, seed)
 }
 
+// SampleEncoded is Sample with the answer left in its wire form, for a
+// consumer that takes the bytes as they are (the model server).
+func (c *Local) SampleEncoded(qid query.ID, seed graph.VertexID) (serving.Encoded, error) {
+	if c.Frontend != nil {
+		return c.Frontend.Node.SampleEncoded(qid, seed)
+	}
+	return c.Route(seed).SampleEncoded(qid, seed)
+}
+
 // Submit routes an asynchronous request through the owning worker's serving
 // pool.
 func (c *Local) Submit(req serving.Request) {

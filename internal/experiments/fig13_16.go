@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"helios/internal/sampling"
+	"helios/internal/serving"
 	"helios/internal/workload"
 )
 
@@ -91,8 +92,8 @@ func Fig14(cfg Config) ([]ScalePoint, error) {
 		pick := seedPicker(gen, cfg.Seed)
 		// Drive through the serving pools so the thread knob binds.
 		st := workload.RunClosedLoop(conc, cfg.Duration, func(int) error {
-			resp := make(chan servingResponse, 1)
-			c.Submit(servingRequest{Query: 0, Seed: pick(), Resp: resp})
+			resp := make(chan serving.Response, 1)
+			c.Submit(serving.Request{Query: 0, Seed: pick(), Resp: resp})
 			r := <-resp
 			r.Release()
 			return r.Err

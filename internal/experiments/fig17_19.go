@@ -9,6 +9,7 @@ import (
 	"helios/internal/gnn"
 	"helios/internal/graph"
 	"helios/internal/sampling"
+	"helios/internal/serving"
 	"helios/internal/workload"
 )
 
@@ -158,16 +159,18 @@ func Fig18(cfg Config) ([]AccuracyPoint, error) {
 		if len(vis) > 5 {
 			vis = vis[:5]
 		}
-		layers := [][]graph.VertexID{{graph.VertexID(u)}, nil}
-		edges := make([]gnn.HopEdge, 0, len(vis))
-		features := map[graph.VertexID][]float32{graph.VertexID(u): userFeat[u]}
+		res := &serving.Result{
+			Layers:   [][]graph.VertexID{{graph.VertexID(u)}, nil},
+			Edges:    make([]serving.SampledEdge, 0, len(vis)),
+			Features: map[graph.VertexID][]float32{graph.VertexID(u): userFeat[u]},
+		}
 		for _, c := range vis {
 			iv := graph.VertexID(10000 + c.item)
-			layers[1] = append(layers[1], iv)
-			edges = append(edges, gnn.HopEdge{Hop: 0, Parent: graph.VertexID(u), Child: iv})
-			features[iv] = itemFeat[c.item]
+			res.Layers[1] = append(res.Layers[1], iv)
+			res.Edges = append(res.Edges, serving.SampledEdge{Hop: 0, Parent: graph.VertexID(u), Child: iv})
+			res.Features[iv] = itemFeat[c.item]
 		}
-		return gnn.BuildTree(layers, edges, features, dim)
+		return gnn.BuildTree(res, dim)
 	}
 
 	// Train on fully-visible samples: positive = item from the user's
@@ -264,7 +267,7 @@ func Fig19(cfg Config) ([]OnlinePoint, error) {
 	// nodes.
 	clients := make([]*gnn.Client, 4)
 	for i := range clients {
-		if clients[i], err = gnn.DialModel(addr, 0); err != nil {
+		if clients[i], err = gnn.DialModel(addr); err != nil {
 			return nil, err
 		}
 		defer clients[i].Close()
@@ -276,12 +279,11 @@ func Fig19(cfg Config) ([]OnlinePoint, error) {
 	var out []OnlinePoint
 	for _, conc := range cfg.Concurrencies {
 		st := workload.RunClosedLoop(conc, cfg.Duration, func(client int) error {
-			res, err := c.Sample(0, pick())
+			sample, err := c.SampleEncoded(0, pick())
 			if err != nil {
 				return err
 			}
-			tree := treeFromServing(res, dim)
-			_, err = clients[client%len(clients)].Embed(tree)
+			_, err = clients[client%len(clients)].Embed(sample)
 			return err
 		})
 		p := OnlinePoint{

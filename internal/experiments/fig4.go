@@ -5,10 +5,12 @@ import (
 	"sort"
 	"time"
 
+	"helios/internal/codec"
 	"helios/internal/gnn"
 	"helios/internal/graphdb"
 	"helios/internal/obs"
 	"helios/internal/sampling"
+	"helios/internal/serving"
 	"helios/internal/workload"
 )
 
@@ -45,7 +47,7 @@ func Fig4a(cfg Config) ([]Fig4aResult, error) {
 }
 
 func fig4aOne(cfg Config, spec workload.DatasetSpec, sys string) (Fig4aResult, error) {
-	var exec func(seed int64) (sampleNS int64, tree *gnn.Tree, err error)
+	var exec func(seed int64) (sampleNS int64, res *serving.Result, err error)
 	var gen *workload.Generator
 
 	// Model stack shared by both systems: a 2-layer encoder behind RPC.
@@ -57,7 +59,7 @@ func fig4aOne(cfg Config, spec workload.DatasetSpec, sys string) (Fig4aResult, e
 		return Fig4aResult{}, err
 	}
 	defer srv.Close()
-	model, err := gnn.DialModel(addr, 0)
+	model, err := gnn.DialModel(addr)
 	if err != nil {
 		return Fig4aResult{}, err
 	}
@@ -72,14 +74,10 @@ func fig4aOne(cfg Config, spec workload.DatasetSpec, sys string) (Fig4aResult, e
 		defer d.Close()
 		gen = g
 		pick := seedPicker(gen, cfg.Seed)
-		exec = func(int64) (int64, *gnn.Tree, error) {
+		exec = func(int64) (int64, *serving.Result, error) {
 			t0 := time.Now()
 			res, _, err := d.Execute(plan, pick())
-			if err != nil {
-				return 0, nil, err
-			}
-			tree := treeFromGraphDB(res, dim)
-			return time.Since(t0).Nanoseconds(), tree, nil
+			return time.Since(t0).Nanoseconds(), res, err
 		}
 	default: // GraphDB-Single
 		store, g, err := loadedSingleNode(spec)
@@ -93,11 +91,10 @@ func fig4aOne(cfg Config, spec workload.DatasetSpec, sys string) (Fig4aResult, e
 		}
 		ex := graphdb.NewExecutor(store, cfg.Seed)
 		pick := seedPicker(gen, cfg.Seed)
-		exec = func(int64) (int64, *gnn.Tree, error) {
+		exec = func(int64) (int64, *serving.Result, error) {
 			t0 := time.Now()
 			res, _ := ex.Execute(plan, pick())
-			tree := treeFromGraphDB(res, dim)
-			return time.Since(t0).Nanoseconds(), tree, nil
+			return time.Since(t0).Nanoseconds(), res, nil
 		}
 	}
 
@@ -105,12 +102,16 @@ func fig4aOne(cfg Config, spec workload.DatasetSpec, sys string) (Fig4aResult, e
 	concurrency := cfg.Concurrencies[len(cfg.Concurrencies)-1]
 	workload.RunClosedLoop(concurrency, cfg.Duration, func(client int) error {
 		t0 := time.Now()
-		sampleNS, tree, err := exec(int64(client))
+		sampleNS, res, err := exec(int64(client))
 		if err != nil {
 			return err
 		}
 		tInfer := time.Now()
-		if _, err := model.Embed(tree); err != nil {
+		// The baseline's one conversion, at its edge to the model server:
+		// its answer in the serving wire form.
+		w := codec.NewWriter(1024)
+		serving.AppendResult(w, res)
+		if _, err := model.Embed(w.Bytes()); err != nil {
 			return err
 		}
 		inferHist.Observe(time.Since(tInfer).Nanoseconds(), 0)

@@ -396,6 +396,12 @@ func (f *Frontend) Sample(qid query.ID, seed graph.VertexID) (*serving.Result, e
 	return enc.Decode()
 }
 
+// SampleEncoded is Sample with the answer left in the serving worker's wire
+// form, which the caller owns.
+func (f *Frontend) SampleEncoded(qid query.ID, seed graph.VertexID) (serving.Encoded, error) {
+	return f.sampleCommon(qid, seed, 0)
+}
+
 // SampleTraced routes a sampling query with a freshly minted trace ID and
 // records the completed trace: the serving worker's stage spans (queue
 // wait, K-hop assembly, feature fetch) plus the residual RPC transport

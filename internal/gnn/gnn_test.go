@@ -8,6 +8,7 @@ import (
 
 	"helios/internal/codec"
 	"helios/internal/graph"
+	"helios/internal/serving"
 )
 
 func TestMatrixOps(t *testing.T) {
@@ -68,20 +69,22 @@ func chainTree(dim int, rng *rand.Rand) *Tree {
 }
 
 func TestBuildTreeDedupe(t *testing.T) {
-	layers := [][]graph.VertexID{
-		{1},
-		{2, 3, 2}, // vertex 2 appears twice
-		{4, 5, 4, 5, 4, 5},
+	res := &serving.Result{
+		Layers: [][]graph.VertexID{
+			{1},
+			{2, 3, 2}, // vertex 2 appears twice
+			{4, 5, 4, 5, 4, 5},
+		},
+		Edges: []serving.SampledEdge{
+			{Hop: 0, Parent: 1, Child: 2}, {Hop: 0, Parent: 1, Child: 3}, {Hop: 0, Parent: 1, Child: 2},
+			{Hop: 1, Parent: 2, Child: 4}, {Hop: 1, Parent: 2, Child: 5},
+			{Hop: 1, Parent: 3, Child: 4}, {Hop: 1, Parent: 3, Child: 5},
+		},
+		Features: map[graph.VertexID][]float32{
+			1: {1, 0}, 2: {2, 0}, 3: {3, 0}, 4: {4, 0}, 5: {5, 0},
+		},
 	}
-	edges := []HopEdge{
-		{Hop: 0, Parent: 1, Child: 2}, {Hop: 0, Parent: 1, Child: 3}, {Hop: 0, Parent: 1, Child: 2},
-		{Hop: 1, Parent: 2, Child: 4}, {Hop: 1, Parent: 2, Child: 5},
-		{Hop: 1, Parent: 3, Child: 4}, {Hop: 1, Parent: 3, Child: 5},
-	}
-	features := map[graph.VertexID][]float32{
-		1: {1, 0}, 2: {2, 0}, 3: {3, 0}, 4: {4, 0}, 5: {5, 0},
-	}
-	tree := BuildTree(layers, edges, features, 2)
+	tree := BuildTree(res, 2)
 	if len(tree.Depths[1]) != 2 {
 		t.Fatalf("depth 1 should dedupe to 2 nodes, got %d", len(tree.Depths[1]))
 	}
@@ -89,10 +92,54 @@ func TestBuildTreeDedupe(t *testing.T) {
 		t.Fatalf("seed children should dedupe to 2, got %d", len(tree.Depths[0][0].Children))
 	}
 	// Missing/short features become zero vectors of the right length.
-	tree2 := BuildTree(layers, edges, map[graph.VertexID][]float32{}, 2)
+	res.Features = map[graph.VertexID][]float32{}
+	tree2 := BuildTree(res, 2)
 	if len(tree2.Depths[0][0].Feat) != 2 || tree2.Depths[0][0].Feat[0] != 0 {
 		t.Fatal("missing feature should zero-fill")
 	}
+}
+
+// TestBuildTreeSkipsHopWithoutLayers hands BuildTree edges whose hop names
+// no pair of layers — negative, as a crafted frame decodes, or past the last
+// layer. Each is skipped; the rest of the tree stands.
+func TestBuildTreeSkipsHopWithoutLayers(t *testing.T) {
+	res := chainResult(2)
+	want := BuildTree(res, 2)
+	res.Edges = append(res.Edges,
+		serving.SampledEdge{Hop: -1, Parent: 1, Child: 2},
+		serving.SampledEdge{Hop: 2, Parent: 4, Child: 1},
+		serving.SampledEdge{Hop: 1 << 40, Parent: 1, Child: 2},
+	)
+	if got := BuildTree(res, 2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("out-of-range hops changed the tree:\n%+v\n%+v", got, want)
+	}
+}
+
+// chainResult is a 2-hop sample: seed 1 → {2, 3}, 2 → {4}, 3 → {4, 5},
+// with a dim-wide feature on every vertex but 5.
+func chainResult(dim int) *serving.Result {
+	feat := func(v graph.VertexID) []float32 {
+		f := make([]float32, dim)
+		for i := range f {
+			f[i] = float32(v) - float32(i)/4
+		}
+		return f
+	}
+	return &serving.Result{
+		Layers: [][]graph.VertexID{{1}, {2, 3}, {4, 4, 5}},
+		Edges: []serving.SampledEdge{
+			{Hop: 0, Parent: 1, Child: 2}, {Hop: 0, Parent: 1, Child: 3},
+			{Hop: 1, Parent: 2, Child: 4}, {Hop: 1, Parent: 3, Child: 4}, {Hop: 1, Parent: 3, Child: 5},
+		},
+		Features: map[graph.VertexID][]float32{1: feat(1), 2: feat(2), 3: feat(3), 4: feat(4)},
+	}
+}
+
+// encodeSample puts res in the serving wire form the model server reads.
+func encodeSample(res *serving.Result) serving.Encoded {
+	w := codec.NewWriter(256)
+	serving.AppendResult(w, res)
+	return w.Bytes()
 }
 
 func TestEncoderForwardShapes(t *testing.T) {
@@ -111,6 +158,11 @@ func TestEncoderForwardShapes(t *testing.T) {
 	// Empty tree yields zeros.
 	if got := enc.Embed(&Tree{Dim: 4}); len(got) != 3 {
 		t.Fatal("empty tree should still produce a vector")
+	}
+	// So does a sample with no seed, as a crafted frame can carry.
+	noSeed := &serving.Result{Layers: [][]graph.VertexID{{}, {2}}}
+	if got := enc.Embed(BuildTree(noSeed, 4)); len(got) != 3 {
+		t.Fatal("seedless tree should still produce a vector")
 	}
 }
 
@@ -310,28 +362,10 @@ func TestAUC(t *testing.T) {
 	}
 }
 
-func TestTreeCodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	tree := chainTree(4, rng)
-	w := codec.NewWriter(256)
-	EncodeTree(w, tree)
-	r := codec.NewReader(w.Bytes())
-	got, err := DecodeTree(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tree, got) {
-		t.Fatalf("tree round trip mismatch")
-	}
-	// Truncations must fail cleanly.
-	full := w.Bytes()
-	for cut := 0; cut < len(full); cut += 3 {
-		if _, err := DecodeTree(codec.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-}
-
+// TestModelServer embeds samples through the model server: a well-formed
+// one, and one carrying an edge whose hop names no layer (the server runs
+// BuildTree on socket bytes). Each must embed as the local path does, and
+// neither may fail a call.
 func TestModelServer(t *testing.T) {
 	enc := NewEncoder([]int{4, 6, 3}, 33)
 	srv := NewServer(enc)
@@ -340,24 +374,36 @@ func TestModelServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := DialModel(addr, 0)
+	client, err := DialModel(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
 
-	rng := rand.New(rand.NewSource(10))
-	tree := chainTree(4, rng)
-	remote, err := client.Embed(tree)
-	if err != nil {
-		t.Fatal(err)
+	stray := chainResult(4)
+	stray.Edges = append(stray.Edges, serving.SampledEdge{Hop: -1, Parent: 1, Child: 2})
+	for name, res := range map[string]*serving.Result{"chain": chainResult(4), "hop -1": stray} {
+		sample := encodeSample(res)
+		decoded, err := sample.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "hop -1" && decoded.Edges[len(decoded.Edges)-1].Hop != -1 {
+			t.Fatalf("hop -1 decoded as %d", decoded.Edges[len(decoded.Edges)-1].Hop)
+		}
+		remote, err := client.Embed(sample)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if local := enc.Embed(BuildTree(decoded, 4)); !reflect.DeepEqual(remote, local) {
+			t.Fatalf("%s: remote %v != local %v", name, remote, local)
+		}
 	}
-	local := enc.Embed(tree)
-	if !reflect.DeepEqual(remote, local) {
-		t.Fatalf("remote %v != local %v", remote, local)
-	}
-	if srv.Latency.Count() != 1 {
+	if srv.Latency.Count() != 2 {
 		t.Fatal("server metrics not recorded")
+	}
+	if n := srv.srv.Errors.Value(); n != 0 {
+		t.Fatalf("server failed %d calls", n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"helios/internal/graph"
+	"helios/internal/serving"
 )
 
 // Tree is a sampled K-hop neighbourhood prepared for the encoder: distinct
@@ -25,24 +26,15 @@ type TreeNode struct {
 	Children []int // indices into the next depth
 }
 
-// HopEdge is the generic sampled-edge shape both the Helios serving worker
-// and the graphdb baseline produce.
-type HopEdge struct {
-	Hop           int
-	Parent, Child graph.VertexID
-}
-
-// BuildTree assembles a Tree from layered sample output: layers of vertex
-// occurrences, the sampled parent→child edges, and a feature map. Vertices
-// are deduplicated per depth (all occurrences of a vertex carry the same
-// sample cell in Helios, so their subtrees are identical).
-func BuildTree(layers [][]graph.VertexID, edges []HopEdge, features map[graph.VertexID][]float32, dim int) *Tree {
+// BuildTree assembles a Tree from a sample, with dim-wide features (missing
+// or short ones zero-filled). Vertices are deduplicated per depth (all
+// occurrences of a vertex carry the same sample cell in Helios, so their
+// subtrees are identical). An edge whose hop names no pair of layers is
+// skipped: the sample may have come off a socket.
+func BuildTree(res *serving.Result, dim int) *Tree {
 	t := &Tree{Dim: dim}
-	if len(layers) == 0 {
-		return t
-	}
-	index := make([]map[graph.VertexID]int, len(layers))
-	for d, layer := range layers {
+	index := make([]map[graph.VertexID]int, len(res.Layers))
+	for d, layer := range res.Layers {
 		index[d] = make(map[graph.VertexID]int)
 		var nodes []TreeNode
 		for _, v := range layer {
@@ -50,7 +42,7 @@ func BuildTree(layers [][]graph.VertexID, edges []HopEdge, features map[graph.Ve
 				continue
 			}
 			index[d][v] = len(nodes)
-			feat := features[v]
+			feat := res.Features[v]
 			if len(feat) != dim {
 				feat = make([]float32, dim) // zero-fill missing/short features
 			}
@@ -59,9 +51,9 @@ func BuildTree(layers [][]graph.VertexID, edges []HopEdge, features map[graph.Ve
 		t.Depths = append(t.Depths, nodes)
 	}
 	seen := make(map[[3]uint64]bool)
-	for _, e := range edges {
+	for _, e := range res.Edges {
 		d := e.Hop
-		if d+1 >= len(t.Depths) {
+		if d < 0 || d+1 >= len(t.Depths) {
 			continue
 		}
 		pi, ok := index[d][e.Parent]
@@ -147,7 +139,7 @@ func (e *Encoder) Embed(t *Tree) []float32 {
 }
 
 func (e *Encoder) forward(t *Tree) ([]float32, *activations) {
-	if len(t.Depths) == 0 {
+	if len(t.Depths) == 0 || len(t.Depths[0]) == 0 {
 		return make([]float32, e.Dims[len(e.Dims)-1]), nil
 	}
 	K := len(e.Layers)

@@ -5,86 +5,22 @@ import (
 	"time"
 
 	"helios/internal/codec"
-	"helios/internal/graph"
 	"helios/internal/obs"
 	"helios/internal/rpc"
+	"helios/internal/serving"
 )
 
-// Model serving (the TensorFlow-Serving substitute of §7.1): the sampled
-// subgraph travels from the Helios serving worker to a model server, which
-// runs the GraphSAGE forward pass and returns the seed embedding
-// (Fig. 19's end-to-end path).
+// Model serving (the TensorFlow-Serving substitute of §7.1): a sample
+// travels from the Helios serving worker to a model server in the worker's
+// own wire form (serving.Encoded, unchanged). The model server decodes it,
+// builds the tree at its encoder's input width, runs the GraphSAGE forward
+// pass and returns the seed embedding (Fig. 19's end-to-end path).
 
 // MethodEmbed is the RPC method name.
 const MethodEmbed = "gnn.embed"
 
-// EncodeTree serializes a tree for the model server.
-func EncodeTree(w *codec.Writer, t *Tree) {
-	w.Uvarint(uint64(t.Dim))
-	w.Uvarint(uint64(len(t.Depths)))
-	for _, depth := range t.Depths {
-		w.Uvarint(uint64(len(depth)))
-		for _, n := range depth {
-			w.Uvarint(uint64(n.V))
-			w.Float32s(n.Feat)
-			w.Uvarint(uint64(len(n.Children)))
-			for _, c := range n.Children {
-				w.Uvarint(uint64(c))
-			}
-		}
-	}
-}
-
-// DecodeTree parses a serialized tree.
-func DecodeTree(r *codec.Reader) (*Tree, error) {
-	t := &Tree{Dim: int(r.Uvarint())}
-	nd := int(r.Uvarint())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if nd > r.Remaining() {
-		return nil, codec.ErrShortBuffer
-	}
-	for d := 0; d < nd; d++ {
-		cnt := int(r.Uvarint())
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		if cnt > r.Remaining() {
-			return nil, codec.ErrShortBuffer
-		}
-		nodes := make([]TreeNode, 0, cnt)
-		for i := 0; i < cnt; i++ {
-			n := TreeNode{V: graph.VertexID(r.Uvarint())}
-			n.Feat = r.Float32s()
-			nc := int(r.Uvarint())
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			if nc > r.Remaining() {
-				return nil, codec.ErrShortBuffer
-			}
-			for j := 0; j < nc; j++ {
-				n.Children = append(n.Children, int(r.Uvarint()))
-			}
-			nodes = append(nodes, n)
-		}
-		t.Depths = append(t.Depths, nodes)
-	}
-	return t, r.Err()
-}
-
-// Feats returns the features at depth d (test/diagnostic helper).
-func (t *Tree) Feats(d int) [][]float32 {
-	if d >= len(t.Depths) {
-		return nil
-	}
-	out := make([][]float32, len(t.Depths[d]))
-	for i, n := range t.Depths[d] {
-		out[i] = n.Feat
-	}
-	return out
-}
+// callTimeout bounds one embed call.
+const callTimeout = 10 * time.Second
 
 // Server wraps an encoder behind the RPC layer.
 type Server struct {
@@ -113,41 +49,44 @@ func (s *Server) Close() error { return s.srv.Close() }
 
 func (s *Server) handleEmbed(ctx rpc.Ctx, req []byte) ([]byte, error) {
 	start := time.Now()
-	r := codec.NewReader(req)
-	t, err := DecodeTree(r)
+	emb, err := embed(s.enc, req)
 	if err != nil {
-		return nil, fmt.Errorf("gnn: decode tree: %w", err)
+		return nil, fmt.Errorf("gnn: decode sample: %w", err)
 	}
-	emb := s.enc.Embed(t)
 	w := codec.NewWriter(8 + 4*len(emb))
 	w.Float32s(emb)
 	s.Latency.Observe(time.Since(start).Nanoseconds(), ctx.Trace)
 	return w.Bytes(), nil
 }
 
+// embed is the model server's whole computation on one request: decode the
+// sample, build its tree at enc's input width, and run the forward pass.
+func embed(enc *Encoder, sample serving.Encoded) ([]float32, error) {
+	res, err := sample.Decode()
+	if err != nil {
+		return nil, err
+	}
+	return enc.Embed(BuildTree(res, enc.Dims[0])), nil
+}
+
 // Client calls a model server.
 type Client struct {
-	c       *rpc.Client
-	timeout time.Duration
+	c *rpc.Client
 }
 
 // DialModel connects to a model server.
-func DialModel(addr string, timeout time.Duration) (*Client, error) {
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
+func DialModel(addr string) (*Client, error) {
 	c, err := rpc.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{c: c, timeout: timeout}, nil
+	return &Client{c: c}, nil
 }
 
-// Embed sends a tree and returns the seed embedding.
-func (c *Client) Embed(t *Tree) ([]float32, error) {
-	w := codec.NewWriter(256)
-	EncodeTree(w, t)
-	resp, err := c.c.Call(MethodEmbed, w.Bytes(), c.timeout)
+// Embed sends a sample, as the serving worker encoded it, and returns the
+// seed embedding.
+func (c *Client) Embed(sample serving.Encoded) ([]float32, error) {
+	resp, err := c.c.Call(MethodEmbed, sample, callTimeout)
 	if err != nil {
 		return nil, err
 	}

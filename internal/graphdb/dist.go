@@ -12,6 +12,7 @@ import (
 	"helios/internal/query"
 	"helios/internal/rpc"
 	"helios/internal/sampling"
+	"helios/internal/serving"
 )
 
 // Dist is the distributed deployment of the baseline database: P partition
@@ -165,7 +166,7 @@ func serveFeat(store *Store, req []byte) ([]byte, error) {
 // next, and returns the grown next layer. A vertex entry takes at least 3
 // bytes and an edge 6, so neither count can claim more than the reply
 // carries, and the loops stop at the first failed read.
-func readSamples(resp []byte, hop int, res *Result, next []graph.VertexID, stats *ExecStats) ([]graph.VertexID, error) {
+func readSamples(resp []byte, hop int, res *serving.Result, next []graph.VertexID, stats *ExecStats) ([]graph.VertexID, error) {
 	r := codec.NewReader(resp)
 	for i, n := 0, r.Count(3); i < n && r.Err() == nil; i++ {
 		v := graph.VertexID(r.Uvarint())
@@ -175,7 +176,7 @@ func readSamples(resp []byte, hop int, res *Result, next []graph.VertexID, stats
 			ts := graph.Timestamp(r.Varint())
 			wt := r.Float32()
 			next = append(next, child)
-			res.Edges = append(res.Edges, SampledEdge{Hop: hop, Parent: v, Child: child, Ts: ts, Weight: wt})
+			res.Edges = append(res.Edges, serving.SampledEdge{Hop: hop, Parent: v, Child: child, Ts: ts, Weight: wt})
 		}
 	}
 	return next, r.Err()
@@ -183,7 +184,7 @@ func readSamples(resp []byte, hop int, res *Result, next []graph.VertexID, stats
 
 // readFeatures adds one partition's gdb.feat reply to res. An entry takes
 // at least 2 bytes.
-func readFeatures(resp []byte, res *Result) error {
+func readFeatures(resp []byte, res *serving.Result) error {
 	r := codec.NewReader(resp)
 	for i, n := 0, r.Count(2); i < n && r.Err() == nil; i++ {
 		v := graph.VertexID(r.Uvarint())
@@ -221,14 +222,14 @@ func (d *Dist) Ingest(u graph.Update) error {
 
 // Execute runs the plan from seed: one batched RPC round per hop per
 // touched partition, then a feature-fetch round.
-func (d *Dist) Execute(plan *query.Plan, seed graph.VertexID) (*Result, ExecStats, error) {
+func (d *Dist) Execute(plan *query.Plan, seed graph.VertexID) (*serving.Result, ExecStats, error) {
 	var stats ExecStats
 	// d.timeout budgets the whole query, not each RPC: every fan-out call
 	// below draws its wait from this one deadline, so the worst-case
 	// Execute latency stays d.timeout regardless of hop count or how many
 	// partitions the frontier touches.
 	deadline := time.Now().Add(d.timeout)
-	res := &Result{
+	res := &serving.Result{
 		Layers:   [][]graph.VertexID{{seed}},
 		Features: make(map[graph.VertexID][]float32),
 	}

@@ -7,6 +7,7 @@ import (
 
 	"helios/internal/codec"
 	"helios/internal/graph"
+	"helios/internal/serving"
 )
 
 // TestDistRefusesCraftedCounts hands both ends of the partition-server hop
@@ -37,11 +38,11 @@ func TestDistRefusesCraftedCounts(t *testing.T) {
 		{"sample request", func() error { _, err := serveSample(store, rng, sampleReq); return err }},
 		{"feature request", func() error { _, err := serveFeat(store, featCount); return err }},
 		{"sample reply", func() error {
-			_, err := readSamples(sampleResp, 0, &Result{}, nil, &ExecStats{})
+			_, err := readSamples(sampleResp, 0, &serving.Result{}, nil, &ExecStats{})
 			return err
 		}},
 		{"feature reply", func() error {
-			return readFeatures(featCount, &Result{Features: map[graph.VertexID][]float32{}})
+			return readFeatures(featCount, &serving.Result{Features: map[graph.VertexID][]float32{}})
 		}},
 	} {
 		var before, after runtime.MemStats

@@ -6,23 +6,8 @@ import (
 
 	"helios/internal/graph"
 	"helios/internal/query"
+	"helios/internal/serving"
 )
-
-// Result is an ad-hoc K-hop sampling result (mirrors the serving worker's
-// shape so harnesses can compare systems uniformly).
-type Result struct {
-	Layers   [][]graph.VertexID
-	Edges    []SampledEdge
-	Features map[graph.VertexID][]float32
-}
-
-// SampledEdge is one sampled relation.
-type SampledEdge struct {
-	Hop           int
-	Parent, Child graph.VertexID
-	Ts            graph.Timestamp
-	Weight        float32
-}
 
 // ExecStats reports the data-dependent work a query performed.
 type ExecStats struct {
@@ -46,8 +31,9 @@ func NewExecutor(store *Store, seed int64) *Executor {
 }
 
 // Execute runs the plan from seed, visiting every neighbour of every
-// frontier vertex (the ad-hoc cost).
-func (e *Executor) Execute(plan *query.Plan, seed graph.VertexID) (*Result, ExecStats) {
+// frontier vertex (the ad-hoc cost). The answer takes the serving worker's
+// shape, so harnesses compare the systems uniformly.
+func (e *Executor) Execute(plan *query.Plan, seed graph.VertexID) (*serving.Result, ExecStats) {
 	// A private RNG per call keeps Execute concurrency-safe without
 	// serializing queries on one source.
 	e.mu.Lock()
@@ -55,7 +41,7 @@ func (e *Executor) Execute(plan *query.Plan, seed graph.VertexID) (*Result, Exec
 	e.mu.Unlock()
 
 	var stats ExecStats
-	res := &Result{
+	res := &serving.Result{
 		Layers:   [][]graph.VertexID{{seed}},
 		Features: make(map[graph.VertexID][]float32),
 	}
@@ -67,7 +53,7 @@ func (e *Executor) Execute(plan *query.Plan, seed graph.VertexID) (*Result, Exec
 			stats.TraversedNeighbors += scanned
 			for _, s := range samples {
 				next = append(next, s.Neighbor)
-				res.Edges = append(res.Edges, SampledEdge{
+				res.Edges = append(res.Edges, serving.SampledEdge{
 					Hop: hopIdx, Parent: v, Child: s.Neighbor, Ts: s.Ts, Weight: s.Weight,
 				})
 			}
@@ -111,7 +97,7 @@ type cacheKey struct {
 }
 
 type cacheEntry struct {
-	res   *Result
+	res   *serving.Result
 	epoch int64
 }
 
@@ -129,7 +115,7 @@ func NewCachedExecutor(exec *Executor, store *Store) *CachedExecutor {
 
 // Execute returns the cached result when no write has occurred since it was
 // computed, else recomputes and repopulates.
-func (c *CachedExecutor) Execute(plan *query.Plan, seed graph.VertexID) (*Result, ExecStats) {
+func (c *CachedExecutor) Execute(plan *query.Plan, seed graph.VertexID) (*serving.Result, ExecStats) {
 	key := cacheKey{q: plan.QueryID, seed: seed}
 	now := c.epoch()
 	c.mu.Lock()

@@ -40,11 +40,11 @@ func registerBounded(reg *Registry) {
 
 // registerRequestDerived leaks request data into label values.
 func registerRequestDerived(reg *Registry, peer string, shard int) {
-	reg.Counter("rpc.calls", "peer", peer)                    // want metriclabel
-	reg.Gauge("shard.lag", "shard", strconv.Itoa(shard))      // want metriclabel
+	reg.Counter("rpc.calls", "peer", peer)               // want metriclabel
+	reg.Gauge("shard.lag", "shard", strconv.Itoa(shard)) // want metriclabel
 	derived := peer + ":suffix"
-	reg.Histogram("rpc.latency", "endpoint", derived)         // want metriclabel
-	reg.AddCounter(new(int64), "rpc.retries", "peer", peer)   // want metriclabel
+	reg.Histogram("rpc.latency", "endpoint", derived)       // want metriclabel
+	reg.AddCounter(new(int64), "rpc.retries", "peer", peer) // want metriclabel
 }
 
 // registerStages exercises the Stage/SLO constructors: constant names are
@@ -53,9 +53,9 @@ func registerStages(reg *Registry, endpoint string, shard int) {
 	reg.Stage("serving.khop_assembly")
 	reg.Stage("serving.queue_wait", "worker", "0")
 	reg.SLO("frontend.sample_latency", 250, 99, 60)
-	reg.Stage(endpoint)                          // want metriclabel
+	reg.Stage(endpoint)                                  // want metriclabel
 	reg.Stage("mq.append", "shard", strconv.Itoa(shard)) // want metriclabel
-	reg.SLO(endpoint+".latency", 250, 99, 60)    // want metriclabel
+	reg.SLO(endpoint+".latency", 250, 99, 60)            // want metriclabel
 }
 
 // registerComputedKey uses a non-constant label key.

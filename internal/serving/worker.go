@@ -640,6 +640,18 @@ func (w *Worker) Sample(qid query.ID, seed graph.VertexID) (*Result, error) {
 	return a.finish(false, 0).Decode()
 }
 
+// SampleEncoded assembles the K-hop answer for seed as Sample does, but
+// returns it in its wire form: a copy the caller owns, for a consumer that
+// takes the bytes as they are (the model server).
+func (w *Worker) SampleEncoded(qid query.ID, seed graph.VertexID) (Encoded, error) {
+	a := getAssembly()
+	defer a.release()
+	if err := w.assemble(a, qid, seed, 0, 0); err != nil {
+		return nil, err
+	}
+	return slices.Clone(a.finish(false, 0)), nil
+}
+
 // SampleDegraded assembles the cached K-hop answer inline — on the caller's
 // goroutine, skipping the serve pool and any in-flight cache refreshes the
 // queue would have ordered it behind. It is the graceful-degradation path:
