@@ -53,9 +53,12 @@ check:
 	# And ten over the checkpoint decoder: what a restarting sampler reads
 	# off its disk.
 	$(GO) test ./internal/sampler -run '^$$' -fuzz FuzzRestoreCheckpoint -fuzztime 10s
-	# And ten over the telemetry decoder: the frames a worker sends the
-	# broker's collector.
+	# And ten over the telemetry decoder: the JSON documents a worker sends
+	# the broker's collector.
 	$(GO) test ./internal/monitor -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 10s
+	# And ten over the queue-message decoders: every record a sampler or a
+	# serving worker polls off the broker.
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s
 	# Ten each over what both ends of a broker hop take off a socket: the
 	# frame reader, and the consumer's pushed-batch decoder.
 	$(GO) test ./internal/rpc -run '^$$' -fuzz FuzzFrame -fuzztime 10s

@@ -36,7 +36,6 @@ func declare(fs *flag.FlagSet) *flags {
 	fs.Int64Var(&w.Store.MemBudgetBytes, "cache-mem", 0, "cache memory budget in bytes before spilling (0 = default)")
 	fs.IntVar(&w.ServeThreads, "serve-threads", 0, "serving actor count (0 = default)")
 	fs.StringVar(&f.snapshotDir, "snapshot-dir", "", "warm-restart snapshot directory: serving-<id>.snap is restored on boot and rewritten every minute (empty = snapshots off)")
-	fs.DurationVar(&o.StatsEvery, "stats-every", 30*time.Second, "stats log interval (0 = off)")
 	fs.DurationVar(&o.TelemetryEvery, "telemetry-every", 5*time.Second, "cluster telemetry snapshot interval; a snapshot is also the liveness beat (0 = disabled)")
 	fs.StringVar(&f.faults, "faultpoints", "", "arm deterministic fault injection, e.g. mq.fetch=error:injected:3 (chaos drills)")
 	fs.StringVar(&o.OpsAddr, "ops-addr", "", "serve /metrics, /traces, /slo and pprof on this address (empty = disabled)")

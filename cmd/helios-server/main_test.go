@@ -39,7 +39,6 @@ func TestDefaultFlagsMatchBoot(t *testing.T) {
 
 	f := declare(flag.NewFlagSet("helios-server", flag.ContinueOnError))
 	o := f.options()
-	o.StatsEvery = 0 // a log line, not worker configuration
 	role, err := cluster.StartServer(cfg, c.Broker, o)
 	if err != nil {
 		t.Fatal(err)

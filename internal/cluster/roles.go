@@ -474,8 +474,6 @@ type ServerOptions struct {
 	// Snapshot is restored before the worker starts and rewritten every
 	// minute; empty disables both.
 	Snapshot string
-	// StatsEvery logs a one-line stats summary; 0 is off.
-	StatsEvery time.Duration
 	Control
 }
 
@@ -523,11 +521,6 @@ func StartServer(cfg *deploy.Config, bus mq.Bus, o ServerOptions) (_ *Server, er
 		s.onClose(s.StopEndpoint)
 	}
 	s.saveEvery(o.Snapshot, snapshotEvery, "serving.snapshot", w.SnapshotFile)
-	s.every(o.StatsEvery, func() {
-		st := w.Stats()
-		s.log.Info(0, "serving.lifecycle", "stats", "served", st.Served, "applied", st.Applied,
-			"cache_bytes", st.CacheBytes, "query", st.QueryLatency.String(), "ingest", st.IngestLatency.String())
-	})
 	s.Reporter = s.report(bus, coord.KindServer, wc.ID, o.TelemetryEvery, monitor.ReporterConfig{
 		Registry: wc.Metrics, Tracer: wc.Tracer,
 		Partitions: func() []monitor.PartitionStats {

@@ -1,10 +1,9 @@
 package monitor
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
-
-	"helios/internal/codec"
 )
 
 func fullSnapshot() *WorkerSnapshot {
@@ -39,9 +38,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		"full":  fullSnapshot(),
 		"empty": {Name: "sampler-0", Kind: "sampler", Version: "dev", Seq: 1, StartNS: 5, NowNS: 6},
 	} {
-		w := codec.NewWriter(64)
-		s.Encode(w)
-		got, err := DecodeSnapshot(w.Bytes())
+		got, err := DecodeSnapshot(encode(t, s))
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
@@ -51,69 +48,38 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// Delta-encoded partition IDs keep a many-partition snapshot compact:
-// each subsequent ascending ID costs one or two bytes, not a full
-// varint of its absolute value.
-func TestSnapshotPartitionDeltaCompact(t *testing.T) {
-	s := &WorkerSnapshot{Name: "w", Kind: "server", Version: "v", Seq: 1}
-	for p := 1000; p < 1064; p++ {
-		s.Partitions = append(s.Partitions, PartitionStats{Partition: p, Served: 1})
-	}
-	w := codec.NewWriter(64)
-	s.Encode(w)
-	got, err := DecodeSnapshot(w.Bytes())
+func encode(t testing.TB, s *WorkerSnapshot) []byte {
+	t.Helper()
+	doc, err := s.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Partitions) != 64 || got.Partitions[63].Partition != 1063 {
-		t.Fatalf("partitions = %d, last = %+v", len(got.Partitions), got.Partitions[len(got.Partitions)-1])
-	}
-	// 64 partitions: ~6 bytes each (1-2 for the delta, 5 × 1 for the
-	// zero-ish counters). Anything near the absolute-ID encoding (2 bytes
-	// per ID alone) should stay well under 1KB total.
-	if n := len(w.Bytes()); n > 1024 {
-		t.Fatalf("64-partition snapshot encodes to %d bytes", n)
-	}
+	return doc
 }
 
 func TestDecodeSnapshotTruncated(t *testing.T) {
-	w := codec.NewWriter(64)
-	fullSnapshot().Encode(w)
-	full := w.Bytes()
+	full := encode(t, fullSnapshot())
 	for _, cut := range []int{0, 1, len(full) / 2, len(full) - 1} {
 		if _, err := DecodeSnapshot(full[:cut]); err == nil {
 			t.Fatalf("decode of %d/%d bytes succeeded", cut, len(full))
 		}
 	}
-	// Trailing garbage must also fail: Finish catches it.
-	if _, err := DecodeSnapshot(append(append([]byte(nil), full...), 0xff)); err == nil {
-		t.Fatal("decode with trailing garbage succeeded")
+	// Trailing input must also fail: a frame is exactly one document.
+	for _, tail := range []string{"\xff", "{}"} {
+		if _, err := DecodeSnapshot(append(append([]byte(nil), full...), tail...)); err == nil {
+			t.Fatalf("decode with trailing %q succeeded", tail)
+		}
 	}
 }
 
 func TestDecodeSnapshotVersionMismatch(t *testing.T) {
-	w := codec.NewWriter(64)
-	fullSnapshot().Encode(w)
-	b := append([]byte(nil), w.Bytes()...)
-	b[0] = snapshotVersion + 1
-	if _, err := DecodeSnapshot(b); err == nil {
-		t.Fatal("decode of future version succeeded")
-	}
-}
-
-// A hostile length prefix must be rejected before any allocation is
-// attempted.
-func TestDecodeSnapshotHugeSliceBound(t *testing.T) {
-	w := codec.NewWriter(64)
-	w.Byte(snapshotVersion)
-	w.String("w")
-	w.String("server")
-	w.String("v")
-	w.Uvarint(1)
-	w.Varint(0)
-	w.Varint(0)
-	w.Uvarint(1 << 40) // partition count, with no bytes behind it
-	if _, err := DecodeSnapshot(w.Bytes()); err == nil {
-		t.Fatal("decode with oversized partition count succeeded")
+	for _, v := range []int{0, 1, snapshotVersion + 1} {
+		b, err := json.Marshal(snapshotDoc{v, fullSnapshot()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSnapshot(b); err == nil {
+			t.Fatalf("decode of version %d succeeded", v)
+		}
 	}
 }

@@ -1,55 +1,42 @@
 package monitor
 
 import (
-	"math"
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"helios/internal/clock"
-	"helios/internal/codec"
 	"helios/internal/obs"
 )
 
-// partitionFrame is a coord.telemetry frame naming n partitions, the first
-// at id first and each next one a further step on: six one-byte varints
-// per partition when the deltas are small.
-func partitionFrame(n int, first, step uint64) []byte {
-	w := codec.NewWriter(64 + 16*n)
-	w.Byte(snapshotVersion)
-	w.String("server-0")
-	w.String("server")
-	w.String("v")
-	w.Uvarint(1)
-	w.Varint(0)
-	w.Varint(1)
-	w.Uvarint(uint64(n))
+// partitionFrame is a coord.telemetry document naming n partitions, the
+// first at id first and each next one a further step on, with every
+// counter left out (zero).
+func partitionFrame(n, first, step int) []byte {
+	var b strings.Builder
+	fmt.Fprintf(&b, `{"v":%d,"name":"server-0","kind":"server","version":"v","seq":1,"now_ns":1,"partitions":[`, snapshotVersion)
 	for i := 0; i < n; i++ {
-		if i == 0 {
-			w.Uvarint(first)
-		} else {
-			w.Uvarint(step)
+		if i > 0 {
+			b.WriteByte(',')
 		}
-		for f := 0; f < 5; f++ {
-			w.Varint(0)
-		}
+		fmt.Fprintf(&b, `{"partition":%d}`, first+i*step)
 	}
-	for s := 0; s < 4; s++ {
-		w.Uvarint(0) // no stages, SLOs, traces, slow lines
-	}
-	return w.Bytes()
+	b.WriteString("]}")
+	return []byte(b.String())
 }
 
 // One telemetry frame from a peer must not be able to grow the broker's
 // registry: every partition id a frame names becomes collector state and a
 // cluster.partition_heat gauge that live as long as the process and are
-// walked by every later scrape. A ~400 KB frame used to leave 131 072
-// gauge closures behind, and a delta past 2^63 a negative partition id.
+// walked by every later scrape. A ~400 KB frame once left 131 072 gauge
+// closures behind, and a crafted one a negative partition id.
 func TestTelemetryFrameCannotGrowRegistry(t *testing.T) {
 	for name, frame := range map[string][]byte{
 		"65536 partitions":  partitionFrame(1<<16, 1, 1),
-		"negative id":       partitionFrame(2, 1, math.MaxUint64-2),
+		"negative id":       partitionFrame(2, 1, -3),
 		"id past any fleet": partitionFrame(1, 1<<20, 0),
 	} {
 		reg := obs.NewRegistry()
@@ -73,20 +60,17 @@ func TestTelemetryFrameCannotGrowRegistry(t *testing.T) {
 
 // FuzzDecodeSnapshot feeds arbitrary bytes to the telemetry decoder, the
 // one reader of frames a worker sends the broker. It must never panic,
-// never allocate more than a constant multiple of the input (every count
-// is checked against the bytes left), and whatever it accepts must survive
-// Encode → Decode unchanged.
+// never allocate more than a constant multiple of the input, and whatever
+// it accepts must survive Encode → Decode unchanged.
 //
 //	go test ./internal/monitor -run '^$' -fuzz FuzzDecodeSnapshot -fuzztime 10s
 func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte{})
-	w := codec.NewWriter(256)
-	fullSnapshot().Encode(w)
-	f.Add(append([]byte(nil), w.Bytes()...))
+	f.Add(encode(f, fullSnapshot()))
 	f.Add(partitionFrame(1<<16, 1, 1)) // the frame that grew the registry; smaller cases are in testdata/fuzz
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The smallest element is a one-byte slow line, decoded into a
-		// 16-byte string header in a slice grown by doubling.
+		// The densest element is a three-byte `{},` trace digest, decoded
+		// into 56 bytes in a slice grown by doubling.
 		const allocFactor, allocSlack = 128, 16 << 10
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -103,9 +87,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 				t.Fatalf("decoded partition id %d", p.Partition)
 			}
 		}
-		w := codec.NewWriter(len(data))
-		s.Encode(w)
-		again, err := DecodeSnapshot(w.Bytes())
+		again, err := DecodeSnapshot(encode(t, s))
 		if err != nil || !reflect.DeepEqual(s, again) {
 			t.Fatalf("Encode(Decode(x)) does not round-trip (%v):\n%+v\n%+v", err, s, again)
 		}

@@ -21,19 +21,18 @@
 //     whenever an SLO burn crosses its threshold or a worker dies, so
 //     post-mortem evidence survives the process that observed it.
 //
-// Snapshots use the codec varint wire format with delta-encoded
-// partition IDs: a snapshot for a 64-partition worker is a few hundred
-// bytes, cheap enough to send every few seconds.
+// A snapshot crosses coord.telemetry as its own JSON document plus a "v"
+// field: a serving worker's report, which names its one partition and
+// five stages, is about 650 bytes, cheap enough to send every few seconds.
 package monitor
 
 import (
+	"encoding/json"
 	"fmt"
-
-	"helios/internal/codec"
 )
 
-// snapshotVersion versions the WorkerSnapshot wire encoding.
-const snapshotVersion = 1
+// snapshotVersion versions the WorkerSnapshot document's layout.
+const snapshotVersion = 2
 
 // PartitionStats is the per-partition slice of one worker snapshot. All
 // counters are cumulative since process start; the Collector differences
@@ -100,70 +99,25 @@ type WorkerSnapshot struct {
 	// NowNS is the snapshot time (unix nanos, worker clock).
 	NowNS int64 `json:"now_ns"`
 
-	Partitions []PartitionStats `json:"partitions,omitempty"`
-	Stages     []StageP99       `json:"stages,omitempty"`
-	SLOs       []SLOBurn        `json:"slos,omitempty"`
-	Worst      []TraceSummary   `json:"worst,omitempty"`
-	SlowLines  []string         `json:"slow_lines,omitempty"`
+	// The slices keep null and [] apart, so a document survives
+	// Decode → Encode → Decode exactly.
+	Partitions []PartitionStats `json:"partitions"`
+	Stages     []StageP99       `json:"stages"`
+	SLOs       []SLOBurn        `json:"slos"`
+	Worst      []TraceSummary   `json:"worst"`
+	SlowLines  []string         `json:"slow_lines"`
 }
 
-// Encode appends the snapshot's wire encoding to w. Partitions must be
-// sorted by ascending Partition (Reporter emits them sorted); their IDs
-// are delta-encoded against the previous entry.
-func (s *WorkerSnapshot) Encode(w *codec.Writer) {
-	w.Byte(snapshotVersion)
-	w.String(s.Name)
-	w.String(s.Kind)
-	w.String(s.Version)
-	w.Uvarint(s.Seq)
-	w.Varint(s.StartNS)
-	w.Varint(s.NowNS)
+// snapshotDoc is the coord.telemetry document: the snapshot's own JSON
+// beside the version of its layout.
+type snapshotDoc struct {
+	V int `json:"v"`
+	*WorkerSnapshot
+}
 
-	w.Uvarint(uint64(len(s.Partitions)))
-	prev := 0
-	for i := range s.Partitions {
-		p := &s.Partitions[i]
-		w.Uvarint(uint64(p.Partition - prev))
-		prev = p.Partition
-		w.Varint(p.Served)
-		w.Varint(p.SampleHits)
-		w.Varint(p.SampleMisses)
-		w.Varint(p.Lag)
-		w.Varint(p.StalenessNS)
-	}
-
-	w.Uvarint(uint64(len(s.Stages)))
-	for i := range s.Stages {
-		st := &s.Stages[i]
-		w.String(st.Stage)
-		w.Varint(st.Count)
-		w.Varint(st.P50NS)
-		w.Varint(st.P99NS)
-	}
-
-	w.Uvarint(uint64(len(s.SLOs)))
-	for i := range s.SLOs {
-		b := &s.SLOs[i]
-		w.String(b.Name)
-		w.Varint(b.BurnRateMilli)
-		w.Varint(b.Bad)
-		w.Varint(b.Good)
-	}
-
-	w.Uvarint(uint64(len(s.Worst)))
-	for i := range s.Worst {
-		t := &s.Worst[i]
-		w.Uvarint(t.ID)
-		w.String(t.Op)
-		w.Varint(t.TotalNS)
-		w.String(t.WorstStage)
-		w.Varint(t.WorstStageNS)
-	}
-
-	w.Uvarint(uint64(len(s.SlowLines)))
-	for _, line := range s.SlowLines {
-		w.String(line)
-	}
+// Encode returns the snapshot's coord.telemetry document.
+func (s *WorkerSnapshot) Encode() ([]byte, error) {
+	return json.Marshal(snapshotDoc{snapshotVersion, s})
 }
 
 // MaxPartitions bounds the partition ids a snapshot may name. A partition
@@ -172,73 +126,21 @@ func (s *WorkerSnapshot) Encode(w *codec.Writer) {
 // decoder refuses ids a deployment could not have.
 const MaxPartitions = 1 << 12
 
-// DecodeSnapshot parses one wire-encoded WorkerSnapshot. Every count is
-// checked against the bytes left in the frame (codec.Reader.Count) before
-// anything is allocated for it.
+// DecodeSnapshot parses one coord.telemetry document. It refuses another
+// version, anything but exactly one JSON document, and a partition id
+// outside [0, MaxPartitions).
 func DecodeSnapshot(b []byte) (*WorkerSnapshot, error) {
-	r := codec.NewReader(b)
-	if v := r.Byte(); r.Err() == nil && v != snapshotVersion {
-		return nil, fmt.Errorf("monitor: snapshot version %d, want %d", v, snapshotVersion)
+	doc := snapshotDoc{WorkerSnapshot: new(WorkerSnapshot)}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		return nil, fmt.Errorf("monitor: snapshot: %w", err)
 	}
-	s := &WorkerSnapshot{
-		Name:    r.String(),
-		Kind:    r.String(),
-		Version: r.String(),
-		Seq:     r.Uvarint(),
-		StartNS: r.Varint(),
-		NowNS:   r.Varint(),
+	if doc.V != snapshotVersion {
+		return nil, fmt.Errorf("monitor: snapshot version %d, want %d", doc.V, snapshotVersion)
 	}
-
-	// Minimum encoded sizes: a partition is six varints, a stage or an SLO
-	// a string and three varints, a trace two strings and three varints, a
-	// slow line one string.
-	prev := uint64(0)
-	for i, n := 0, r.Count(6); i < n && r.Err() == nil; i++ {
-		delta := r.Uvarint()
-		if delta >= MaxPartitions-prev {
-			return nil, fmt.Errorf("monitor: partition id past %d in snapshot", MaxPartitions)
+	for _, p := range doc.Partitions {
+		if p.Partition < 0 || p.Partition >= MaxPartitions {
+			return nil, fmt.Errorf("monitor: partition id %d outside [0, %d) in snapshot", p.Partition, MaxPartitions)
 		}
-		prev += delta
-		s.Partitions = append(s.Partitions, PartitionStats{
-			Partition:    int(prev),
-			Served:       r.Varint(),
-			SampleHits:   r.Varint(),
-			SampleMisses: r.Varint(),
-			Lag:          r.Varint(),
-			StalenessNS:  r.Varint(),
-		})
 	}
-	for i, n := 0, r.Count(4); i < n && r.Err() == nil; i++ {
-		s.Stages = append(s.Stages, StageP99{
-			Stage: r.String(),
-			Count: r.Varint(),
-			P50NS: r.Varint(),
-			P99NS: r.Varint(),
-		})
-	}
-	for i, n := 0, r.Count(4); i < n && r.Err() == nil; i++ {
-		s.SLOs = append(s.SLOs, SLOBurn{
-			Name:          r.String(),
-			BurnRateMilli: r.Varint(),
-			Bad:           r.Varint(),
-			Good:          r.Varint(),
-		})
-	}
-	for i, n := 0, r.Count(5); i < n && r.Err() == nil; i++ {
-		s.Worst = append(s.Worst, TraceSummary{
-			ID:           r.Uvarint(),
-			Op:           r.String(),
-			TotalNS:      r.Varint(),
-			WorstStage:   r.String(),
-			WorstStageNS: r.Varint(),
-		})
-	}
-	for i, n := 0, r.Count(1); i < n && r.Err() == nil; i++ {
-		s.SlowLines = append(s.SlowLines, r.String())
-	}
-
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return doc.WorkerSnapshot, nil
 }

@@ -3,7 +3,6 @@ package monitor
 import (
 	"time"
 
-	"helios/internal/codec"
 	"helios/internal/rpc"
 )
 
@@ -46,8 +45,10 @@ func NewClient(c *rpc.Client, timeout time.Duration) *Client {
 
 // Report delivers one snapshot.
 func (tc *Client) Report(s *WorkerSnapshot) error {
-	w := codec.NewWriter(256)
-	s.Encode(w)
-	_, err := tc.c.Call(MethodTelemetry, w.Bytes(), tc.timeout)
+	doc, err := s.Encode()
+	if err != nil {
+		return err
+	}
+	_, err = tc.c.Call(MethodTelemetry, doc, tc.timeout)
 	return err
 }

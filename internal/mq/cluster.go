@@ -15,7 +15,7 @@ import (
 // partition map and retries against the new leader — in-flight work rides
 // out a failover instead of being dropped. It is the multi-broker
 // counterpart of RemoteBroker, with the same at-least-once append
-// semantics (§4.1's replay contract absorbs the duplicates).
+// semantics, duplicates and all (see DialBroker).
 
 // clusterResolveAttempts bounds one operation's leader-resolution loop.
 // Exhausting it surfaces the last error to the caller, whose own retry

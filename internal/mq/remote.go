@@ -295,10 +295,11 @@ func Dial(addrs []string, timeout time.Duration) (Conn, error) {
 // DialBroker connects to a broker served by ServeBroker. The underlying
 // RPC client is self-healing: it reconnects with backoff after a broker
 // restart and retries failed calls a few times. Appends are therefore
-// at-least-once — a retried append may land twice, which the §4.1 replay
-// contract already tolerates (TopK inserts are idempotent, reservoir
-// duplicates are harmless noise). The broker being down at dial time is
-// not an error; the first call heals it.
+// at-least-once — a retried append may land twice, and nothing downstream
+// absorbs the copy: a duplicated update offers its edge twice and a
+// duplicated +1 leaves a subscription that never tears down, until the
+// broker learns to drop a producer's retries. The broker being down at
+// dial time is not an error; the first call heals it.
 func DialBroker(addr string, timeout time.Duration) (*RemoteBroker, error) {
 	if timeout == 0 {
 		timeout = 30 * time.Second

@@ -448,10 +448,25 @@ func TestDivergentFollowerConverges(t *testing.T) {
 		}
 	}()
 
+	logOf := func(tp *Topic) []Record {
+		p := tp.parts[0]
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.read(nil, p.head, p.next)
+	}
 	// Broker 0 leads partition 0. One record reaches quorum; then no
 	// replica can reach another, and broker 0's next append stays its own.
 	if _, err := topics[0].Append(0, 1, []byte("acked")); err != nil {
 		t.Fatal(err)
+	}
+	// A quorum of two may be broker 0 and broker 2 alone. Broker 1 is
+	// promoted below, and a failover promotes a replica holding every
+	// acked record, so wait until broker 1 holds it too.
+	for deadline := time.Now().Add(5 * time.Second); len(logOf(topics[1])) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("broker 1 never received the acked record")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	for _, srv := range srvs {
 		srv.Close()
@@ -479,12 +494,6 @@ func TestDivergentFollowerConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	logOf := func(tp *Topic) []Record {
-		p := tp.parts[0]
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return p.read(nil, p.head, p.next)
-	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		want, same := logOf(topics[1]), true

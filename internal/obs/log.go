@@ -1,19 +1,21 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"helios/internal/clock"
 )
 
-// Logger is the minimal structured logger (stdlib only) the Helios
-// binaries emit operational events through. Every line is one JSON object
+// Logger is the structured logger the Helios binaries emit operational
+// events through: a slog.JSONHandler that writes one JSON object per line,
 // stamped with the component, the pipeline stage and the request's trace
 // ID — the same trace ID the metrics exemplars and /traces carry, so
 // logs, metrics and traces join on one key:
@@ -27,12 +29,10 @@ import (
 // safe for concurrent use and are no-ops on a nil *Logger, so call sites
 // never branch on whether logging is wired.
 type Logger struct {
-	mu        sync.Mutex // serializes line assembly + write
-	w         io.Writer
-	component string
-	clk       clock.Clock
-	min       atomic.Int32
-	buf       []byte
+	mu  sync.Mutex // serializes a line's write and its tail entry
+	h   slog.Handler
+	clk clock.Clock
+	min slog.LevelVar
 
 	// tail retains the most recent emitted lines when KeepTail enabled
 	// it — the slow-log excerpt telemetry snapshots and flight-recorder
@@ -41,46 +41,25 @@ type Logger struct {
 	tailCap int
 }
 
-// Level orders log severities.
-type Level int32
+// Level orders log severities: slog's, so a line's level reads the same
+// to any slog consumer.
+type Level = slog.Level
 
 // Levels, least to most severe.
 const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
+	LevelDebug = slog.LevelDebug
+	LevelInfo  = slog.LevelInfo
+	LevelWarn  = slog.LevelWarn
+	LevelError = slog.LevelError
 )
 
-// String returns the lowercase level name.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	default:
-		return "error"
-	}
-}
-
-// ParseLevel maps a level name ("debug", "info", "warn", "error") to its
-// Level; unrecognized names report ok=false. It is the shared -log-level
+// ParseLevel maps a level name ("debug", "info", "warn", "error", in any
+// case, as slog parses them) to its Level; unrecognized names report
+// ok=false. It is the shared -log-level
 // flag parser for the binaries.
 func ParseLevel(s string) (Level, bool) {
-	switch s {
-	case "debug":
-		return LevelDebug, true
-	case "info":
-		return LevelInfo, true
-	case "warn":
-		return LevelWarn, true
-	case "error":
-		return LevelError, true
-	}
-	return LevelInfo, false
+	var lv Level
+	return lv, lv.UnmarshalText([]byte(s)) == nil
 }
 
 // NewLogger returns a logger writing JSON lines to w (os.Stderr when nil)
@@ -90,9 +69,46 @@ func NewLogger(w io.Writer, component string) *Logger {
 	if w == nil {
 		w = os.Stderr
 	}
-	l := &Logger{w: w, component: component}
-	l.min.Store(int32(LevelInfo))
+	l := &Logger{}
+	l.h = slog.NewJSONHandler(tailWriter{w, l}, &slog.HandlerOptions{ReplaceAttr: replaceAttr}).
+		WithAttrs([]slog.Attr{slog.String("component", component)})
 	return l
+}
+
+// replaceAttr shapes slog's line into the Helios one: the built-in time
+// becomes "ts" with nanoseconds, the level is lowercase, the built-in
+// message is dropped (emit leaves it empty and passes msg as the
+// attribute after trace), and durations are strings.
+func replaceAttr(_ []string, a slog.Attr) slog.Attr {
+	switch v := a.Value; {
+	case a.Key == slog.TimeKey && v.Kind() == slog.KindTime:
+		return slog.String("ts", v.Time().Format(time.RFC3339Nano))
+	case a.Key == slog.LevelKey:
+		return slog.String(a.Key, strings.ToLower(v.String()))
+	case a.Equal(slog.String(slog.MessageKey, "")):
+		return slog.Attr{}
+	case v.Kind() == slog.KindDuration:
+		return slog.String(a.Key, v.Duration().String())
+	}
+	return a
+}
+
+// tailWriter is the handler's sink, written once per line under l.mu
+// (emit holds it): it keeps the line when KeepTail asked for it.
+type tailWriter struct {
+	w io.Writer
+	l *Logger
+}
+
+func (t tailWriter) Write(line []byte) (int, error) {
+	if l := t.l; l.tailCap > 0 {
+		l.tail = append(l.tail, string(line[:len(line)-1]))
+		if len(l.tail) > l.tailCap {
+			copy(l.tail, l.tail[len(l.tail)-l.tailCap:])
+			l.tail = l.tail[:l.tailCap]
+		}
+	}
+	return t.w.Write(line)
 }
 
 // WithClock sets the timestamp source, returning l for chaining. Tests
@@ -141,14 +157,14 @@ func (l *Logger) Tail() []string {
 // SetLevel sets the minimum emitted level.
 func (l *Logger) SetLevel(min Level) {
 	if l != nil {
-		l.min.Store(int32(min))
+		l.min.Set(min)
 	}
 }
 
 // Enabled reports whether lines at lv would be emitted — the guard for
 // call sites that would otherwise format arguments for a dropped line.
 func (l *Logger) Enabled(lv Level) bool {
-	return l != nil && int32(lv) >= l.min.Load()
+	return l != nil && lv >= l.min.Level()
 }
 
 // Debug emits a debug line. See Info for the field contract.
@@ -159,7 +175,8 @@ func (l *Logger) Debug(trace uint64, stage, msg string, kv ...any) {
 // Info emits an info line. trace is the request's trace ID (0 for
 // untraced work — still stamped, as "0", so every line parses the same
 // way); stage names the pipeline stage the event belongs to; kv are
-// alternating key, value pairs appended as extra JSON fields.
+// alternating key, value pairs appended as extra JSON fields, under keys
+// other than the line's own.
 func (l *Logger) Info(trace uint64, stage, msg string, kv ...any) {
 	l.emit(LevelInfo, trace, stage, msg, kv)
 }
@@ -184,99 +201,18 @@ func (l *Logger) emit(lv Level, trace uint64, stage, msg string, kv []any) {
 	if l.clk != nil {
 		now = l.clk.Now()
 	}
-	b := l.buf[:0]
-	b = append(b, `{"ts":`...)
-	b = now.AppendFormat(append(b, '"'), time.RFC3339Nano)
-	b = append(b, `","level":"`...)
-	b = append(b, lv.String()...)
-	b = append(b, `","component":`...)
-	b = appendJSONString(b, l.component)
-	b = append(b, `,"stage":`...)
-	b = appendJSONString(b, stage)
-	b = append(b, `,"trace":"`...)
-	b = strconv.AppendUint(b, trace, 16)
-	b = append(b, `","msg":`...)
-	b = appendJSONString(b, msg)
+	r := slog.NewRecord(now, lv, "", 0)
+	r.AddAttrs(slog.String("stage", stage), slog.String("trace", TraceHex(trace)), slog.String("msg", msg))
 	for i := 0; i+1 < len(kv); i += 2 {
 		key, ok := kv[i].(string)
 		if !ok {
-			key = fmt.Sprintf("%v", kv[i])
+			key = fmt.Sprint(kv[i])
 		}
-		b = append(b, ',')
-		b = appendJSONString(b, key)
-		b = append(b, ':')
-		b = appendJSONValue(b, kv[i+1])
+		r.AddAttrs(slog.Any(key, kv[i+1]))
 	}
-	b = append(b, '}', '\n')
-	l.buf = b
-	//lint:allow droppederror reason=log sink write failures are not actionable at the call site
-	_, _ = l.w.Write(b)
-	if l.tailCap > 0 {
-		l.tail = append(l.tail, string(b[:len(b)-1]))
-		if len(l.tail) > l.tailCap {
-			copy(l.tail, l.tail[len(l.tail)-l.tailCap:])
-			l.tail = l.tail[:l.tailCap]
-		}
-	}
-}
-
-// appendJSONString appends s as a JSON string literal, escaping quotes,
-// backslashes and control characters. Non-ASCII bytes pass through
-// verbatim (JSON strings are UTF-8).
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			b = append(b, '\\', c)
-		case c == '\n':
-			b = append(b, '\\', 'n')
-		case c == '\r':
-			b = append(b, '\\', 'r')
-		case c == '\t':
-			b = append(b, '\\', 't')
-		case c < 0x20:
-			b = append(b, '\\', 'u', '0', '0', hexDigit(c>>4), hexDigit(c&0xf))
-		default:
-			b = append(b, c)
-		}
-	}
-	return append(b, '"')
-}
-
-func hexDigit(v byte) byte {
-	if v < 10 {
-		return '0' + v
-	}
-	return 'a' + v - 10
-}
-
-func appendJSONValue(b []byte, v any) []byte {
-	switch x := v.(type) {
-	case nil:
-		return append(b, "null"...)
-	case bool:
-		return strconv.AppendBool(b, x)
-	case int:
-		return strconv.AppendInt(b, int64(x), 10)
-	case int32:
-		return strconv.AppendInt(b, int64(x), 10)
-	case int64:
-		return strconv.AppendInt(b, x, 10)
-	case uint64:
-		return strconv.AppendUint(b, x, 10)
-	case float64:
-		return strconv.AppendFloat(b, x, 'g', -1, 64)
-	case time.Duration:
-		return appendJSONString(b, x.String())
-	case string:
-		return appendJSONString(b, x)
-	case error:
-		return appendJSONString(b, x.Error())
-	default:
-		return appendJSONString(b, fmt.Sprintf("%v", x))
-	}
+	// Handle fails only when the sink does, and a lost log line is not
+	// actionable at the call site.
+	l.h.Handle(context.Background(), r)
 }
 
 // TraceHex renders a trace ID the way log lines, exemplars and trace URLs

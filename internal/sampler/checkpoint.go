@@ -16,9 +16,8 @@ import (
 // Checkpointing (§4.1: the coordinator "periodically triggers checkpointing
 // for fault tolerance"). A checkpoint serializes every shard's reservoir,
 // feature and subscription tables. Each shard snapshots itself inside its
-// own actor, so the per-shard image is consistent without stopping the
-// worker; the checkpoint as a whole is eventually consistent across shards,
-// which matches the system's consistency model (§6).
+// own actor, so the worker keeps running; every shard's image reflects
+// exactly the events below the checkpoint's two stream offsets.
 
 const checkpointMagic = "HELIOS-SAW-v1"
 
@@ -27,14 +26,20 @@ func (w *Worker) Checkpoint(out io.Writer) error {
 	if !w.started.Load() {
 		return fmt.Errorf("sampler: checkpoint requires a started worker")
 	}
-	// Consumer positions are recorded before the shard barriers, so replay
-	// from them covers every event not yet reflected in the snapshots
-	// (at-least-once).
-	img := w.checkpointImage(w.updOffset.Load(), w.subsOffset.Load(), func(i int) []byte {
-		ch := make(chan []byte, 1)
-		w.sampling.SendTo(i, event{kind: evSnapshot, snap: ch})
-		return <-ch
-	})
+	// Under pollMu's write side no batch is between routing and its offset
+	// store, so the offsets read here count exactly the events routed so
+	// far. Mailboxes are FIFO: each shard's barrier, queued before the
+	// lock is released, follows every one of those events and none after,
+	// and replay from the offsets applies each event once.
+	w.pollMu.Lock()
+	upd, subs := w.updOffset.Load(), w.subsOffset.Load()
+	snaps := make([]chan []byte, len(w.shards))
+	for i := range snaps {
+		snaps[i] = make(chan []byte, 1)
+		w.sampling.SendTo(i, event{kind: evSnapshot, snap: snaps[i]})
+	}
+	w.pollMu.Unlock()
+	img := w.checkpointImage(upd, subs, func(i int) []byte { return <-snaps[i] })
 	// The crash boundary for non-file sinks (piped or streamed
 	// checkpoints); file checkpoints get torn-write coverage from the
 	// fsx-level "sampler.checkpoint.write" hook in CheckpointFile.

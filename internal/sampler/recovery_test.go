@@ -2,10 +2,12 @@ package sampler
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
 	"testing"
 	"time"
 
+	"helios/internal/faultpoint"
 	"helios/internal/graph"
 	"helios/internal/mq"
 	"helios/internal/query"
@@ -93,6 +95,80 @@ func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
 			t.Fatalf("cache never converged after recovery: %v", got)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCheckpointMidBatchRestoresOnce: a checkpoint taken while the update
+// poll loop sits between routing a batch and storing its offset used to
+// record the offset from before the batch, beside shard images that
+// already held it. Replay from that floor offered the update 1 → 2 a
+// second time: the restored hop-1 reservoir of vertex 1 held neighbour 2
+// twice, with seen=2. It must equal the uncrashed worker's.
+func TestCheckpointMidBatchRestoresOnce(t *testing.T) {
+	defer faultpoint.Reset()
+	b := mq.NewBroker(mq.Options{})
+	defer b.Close()
+	// The update is in the log before the worker starts, so the first
+	// batch holds it and the faultpoint's one fire holds that batch.
+	w1 := newTestWorker(t, b, 0, 1, 1)
+	ingestEdge(t, b, 1, graph.Edge{Src: 1, Dst: 2, Type: 0, Ts: 1})
+	faultpoint.Delay("sampler.poll.routed", 1, 200*time.Millisecond)
+	w1.Start()
+	for deadline := time.Now().Add(5 * time.Second); faultpoint.Hits("sampler.poll.routed") == 0; {
+		if time.Now().After(deadline) {
+			w1.Stop()
+			t.Fatal("the update poll loop was never held between routing and its offset store")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var ckpt bytes.Buffer
+	if err := w1.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	drainQuiesce(t, b, w1)
+	w1.Stop()
+	hop := w1.cfg.Plans[0].OneHops[0].ID
+	reservoir := func(w *Worker) string {
+		re := w.shardOf(1).reservoirs[hop][1]
+		if re == nil {
+			return "none"
+		}
+		var items []string
+		for _, s := range re.res.Items() {
+			items = append(items, fmt.Sprintf("{%d %d}", s.Neighbor, s.Ts))
+		}
+		return fmt.Sprintf("%v seen=%d", items, re.res.Seen())
+	}
+	want := reservoir(w1)
+	if want != "[{2 1}] seen=1" {
+		t.Fatalf("uncrashed reservoir = %s", want)
+	}
+
+	w2 := newTestWorker(t, b, 0, 1, 1)
+	if err := w2.Restore(bytes.NewReader(ckpt.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if upd, _ := w2.ReplayFloor(); upd != 1 {
+		t.Fatalf("update replay floor = %d, want 1: the held batch is in the images", upd)
+	}
+	w2.Start()
+	// Before its first batch a restored worker's offsets are its floors,
+	// not zero.
+	var again bytes.Buffer
+	if err := w2.Checkpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	drainQuiesce(t, b, w2)
+	w2.Stop()
+	if got := reservoir(w2); got != want {
+		t.Fatalf("restored reservoir = %s, uncrashed = %s", got, want)
+	}
+	w3 := newTestWorker(t, b, 0, 1, 1)
+	if err := w3.Restore(bytes.NewReader(again.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if upd, _ := w3.ReplayFloor(); upd != 1 {
+		t.Fatalf("a restored worker checkpointed at start records update floor %d, want 1", upd)
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"helios/internal/actor"
 	"helios/internal/clock"
 	"helios/internal/codec"
+	"helios/internal/faultpoint"
 	"helios/internal/graph"
 	"helios/internal/mq"
 	"helios/internal/obs"
@@ -141,7 +142,11 @@ type Worker struct {
 	samplesTopic mq.TopicHandle
 	subsTopic    mq.TopicHandle
 
-	shards     []*shard
+	shards []*shard
+	// pollMu makes a checkpoint's floors exact: each poll loop read-locks
+	// it from a batch's return to the store of its offset, and Checkpoint
+	// write-locks it to read both offsets and queue its shard barriers.
+	pollMu     sync.RWMutex
 	updOffset  atomic.Int64
 	subsOffset atomic.Int64
 	// last*Commit hold the worker-clock ns of each cursor's last broker
@@ -149,9 +154,9 @@ type Worker struct {
 	lastUpdCommit  atomic.Int64
 	lastSubsCommit atomic.Int64
 	// startUpd/startSubs are consumer start positions restored from a
-	// checkpoint; replay from there is at-least-once (reprocessing the
-	// in-flight window is idempotent for TopK and harmless for Random —
-	// the reservoir remains a valid sample).
+	// checkpoint whose tables hold exactly the events below them, so replay
+	// applies each event once (a reservoir offered an edge twice lists it
+	// twice). A record a retried append logged twice still applies twice.
 	startUpd, startSubs int64
 	sampling            *actor.Pool[event]
 	publish             *actor.Pool[outMsg]
@@ -333,6 +338,8 @@ func (w *Worker) Start() {
 	if w.started.Load() {
 		return
 	}
+	w.updOffset.Store(w.startUpd)
+	w.subsOffset.Store(w.startSubs)
 	w.publish = actor.NewBatchPool("publish", publishThreads, mailboxDepth, w.publishTurn)
 	w.sampling = actor.NewPool("sampling", w.cfg.SampleThreads, mailboxDepth, w.handleEvent)
 	// Dedicated pollers per input stream; consumers are not safe for
@@ -399,9 +406,9 @@ const (
 
 // pollRetry decides a poll loop's fate after a Poll error: exit on a
 // fatal (closed-on-shutdown) error, otherwise pause briefly and keep
-// polling — a broker mid-restart is healed by the reconnecting transport,
-// and the §4.1 replay contract makes re-reading from the committed offset
-// safe.
+// polling — a broker mid-restart is healed by the reconnecting transport.
+// A failed Poll returned nothing and moved no offset, so the next one
+// reads on from where this one would have.
 func (w *Worker) pollRetry(err error) bool {
 	if mq.IsFatal(err) {
 		return false
@@ -415,6 +422,8 @@ func (w *Worker) pollUpdates(c mq.Cursor) bool {
 	if err != nil {
 		return w.pollRetry(err)
 	}
+	next := c.Offset()
+	w.pollMu.RLock()
 	for _, rec := range recs {
 		u, err := codec.DecodeUpdate(rec.Value)
 		if err != nil {
@@ -422,7 +431,15 @@ func (w *Worker) pollUpdates(c mq.Cursor) bool {
 		}
 		w.routeUpdate(u)
 	}
-	w.updOffset.Store(c.Offset())
+	// A checkpoint waits out this window, between routing and the offset
+	// store; the faultpoint holds a batch in it (an error pauses the loop
+	// as a failed Poll does).
+	held := faultpoint.Inject("sampler.poll.routed")
+	w.updOffset.Store(next)
+	w.pollMu.RUnlock()
+	if held != nil {
+		return w.pollRetry(held)
+	}
 	w.maybeCommit(c, &w.lastUpdCommit)
 	return true
 }
@@ -486,6 +503,8 @@ func (w *Worker) pollSubs(c mq.Cursor) bool {
 	if err != nil {
 		return w.pollRetry(err)
 	}
+	next := c.Offset()
+	w.pollMu.RLock()
 	for _, rec := range recs {
 		m, err := wire.Decode(rec.Value)
 		if err != nil {
@@ -502,7 +521,8 @@ func (w *Worker) pollSubs(c mq.Cursor) bool {
 			})
 		}
 	}
-	w.subsOffset.Store(c.Offset())
+	w.subsOffset.Store(next)
+	w.pollMu.RUnlock()
 	w.maybeCommit(c, &w.lastSubsCommit)
 	return true
 }

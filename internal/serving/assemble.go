@@ -150,7 +150,6 @@ func (w *Worker) assemble(a *assembly, qid query.ID, seed graph.VertexID, deadli
 	w.featureHits.Add(int64(len(a.feats)))
 	w.featureMisses.Add(int64(a.featureMisses))
 	w.served.Inc()
-	w.queryLat.Observe(done.Sub(start).Nanoseconds(), 0)
 	return nil
 }
 

@@ -221,7 +221,6 @@ type Stats struct {
 	FeatureHits   int64
 	FeatureMisses int64
 	CacheBytes    int64
-	QueryLatency  obs.HistSnapshot
 	// IngestLatency is update ingestion → applied to this cache: the
 	// worker's serving.cache_apply stage histogram.
 	IngestLatency obs.HistSnapshot
@@ -275,7 +274,6 @@ type Worker struct {
 	featureMisses *obs.Counter
 	degraded      *obs.Counter
 	deadlineExp   *obs.Counter
-	queryLat      *obs.Histogram
 	staleness     *obs.Gauge
 
 	// Per-stage histograms (one family shared by all workers on a registry,
@@ -338,7 +336,6 @@ func (w *Worker) registerMetrics() {
 	// overload.degraded total (overload.RegisterMetrics) sums this family.
 	w.degraded = reg.Counter("overload.degraded", "worker", worker)
 	w.deadlineExp = reg.Counter("serving.deadline_expired", "worker", worker)
-	w.queryLat = reg.Histogram("serving.query_latency_ns", "worker", worker)
 	w.staleness = reg.Gauge("serving.staleness_ns", "worker", worker)
 	reg.GaugeFunc("serving.cache_bytes", w.CacheBytes, "worker", worker)
 	reg.GaugeFunc("mq.consumer_lag", w.Lag,
@@ -691,7 +688,6 @@ func (w *Worker) Stats() Stats {
 		FeatureHits:   w.featureHits.Value(),
 		FeatureMisses: w.featureMisses.Value(),
 		CacheBytes:    w.cache.footprint(),
-		QueryLatency:  w.queryLat.Snapshot(),
 		IngestLatency: w.stCacheApply.Snapshot(),
 		StalenessNS:   w.staleness.Value(),
 	}

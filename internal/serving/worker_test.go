@@ -168,8 +168,8 @@ func TestApplyAndSample(t *testing.T) {
 	if st.IngestLatency.Count == 0 {
 		t.Fatal("ingest latency not measured")
 	}
-	if st.QueryLatency.Count != 1 {
-		t.Fatal("query latency not measured")
+	if w.stKHop.Snapshot().Count != 1 {
+		t.Fatal("k-hop assembly not measured")
 	}
 }
 

@@ -139,11 +139,9 @@ func Encode(m *Message) []byte {
 func Decode(buf []byte) (Message, error) {
 	r := codec.NewReader(buf)
 	var m Message
-	m.Kind = Kind(r.Byte())
-	m.Hop = query.HopID(r.Uvarint())
-	m.Vertex = graph.VertexID(r.Uvarint())
-	m.Ingested = r.Varint()
-	m.Trace = r.Uvarint()
+	if !readHeader(r, &m) {
+		return m, errOutOfRange
+	}
 	switch m.Kind {
 	case KindSampleUpsert:
 		if n := r.Count(MinSampleRef); n > 0 {
@@ -157,8 +155,9 @@ func Decode(buf []byte) (Message, error) {
 	case KindFeatureUpdate:
 		m.Feature = r.Float32s()
 	case KindSubDelta, KindFeatSubDelta:
-		m.SEW = int32(r.Varint())
-		m.Delta = int8(r.Varint())
+		if !readSubDelta(r, &m) {
+			return m, errOutOfRange
+		}
 	case KindSampleEvict, KindFeatureEvict:
 		// header only
 	default:
@@ -185,11 +184,9 @@ func DecodeInto(buf []byte, m *Message) error {
 	*m = Message{}
 	var r codec.Reader
 	r.Reset(buf)
-	m.Kind = Kind(r.Byte())
-	m.Hop = query.HopID(r.Uvarint())
-	m.Vertex = graph.VertexID(r.Uvarint())
-	m.Ingested = r.Varint()
-	m.Trace = r.Uvarint()
+	if !readHeader(&r, m) {
+		return errOutOfRange
+	}
 	switch m.Kind {
 	case KindSampleUpsert:
 		if n := r.Count(MinSampleRef); n > 0 {
@@ -205,8 +202,9 @@ func DecodeInto(buf []byte, m *Message) error {
 	case KindFeatureUpdate:
 		m.Feature = r.Float32sAppend(feature)
 	case KindSubDelta, KindFeatSubDelta:
-		m.SEW = int32(r.Varint())
-		m.Delta = int8(r.Varint())
+		if !readSubDelta(&r, m) {
+			return errOutOfRange
+		}
 	case KindSampleEvict, KindFeatureEvict:
 		// header only
 	default:
@@ -229,9 +227,32 @@ func DecodeInto(buf []byte, m *Message) error {
 	return r.Finish()
 }
 
-// errUnknownKind is hoisted so DecodeInto stays allocation-free; the
+// readHeader reads the fields every kind carries into m. It reports false
+// for a hop id past 32 bits, as readSubDelta does for its fields.
+func readHeader(r *codec.Reader, m *Message) bool {
+	m.Kind = Kind(r.Byte())
+	hop := r.Uvarint()
+	m.Hop = query.HopID(hop)
+	m.Vertex = graph.VertexID(r.Uvarint())
+	m.Ingested = r.Varint()
+	m.Trace = r.Uvarint()
+	return uint64(m.Hop) == hop
+}
+
+// readSubDelta reads a subscription delta's SEW and Delta into m, and
+// reports false for a value its field cannot hold (300 would read as 44).
+func readSubDelta(r *codec.Reader, m *Message) bool {
+	sew, delta := r.Varint(), r.Varint()
+	m.SEW, m.Delta = int32(sew), int8(delta)
+	return int64(m.SEW) == sew && int64(m.Delta) == delta
+}
+
+// The decode errors are hoisted so DecodeInto stays allocation-free; the
 // kind-specific detail Decode formats is recoverable from m.Kind.
-var errUnknownKind = errors.New("wire: unknown message kind")
+var (
+	errUnknownKind = errors.New("wire: unknown message kind")
+	errOutOfRange  = errors.New("wire: value out of range for its field")
+)
 
 // Topic names shared by all deployments. Each deployment prefixes them with
 // a namespace when several clusters share one broker.

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -111,6 +113,86 @@ func TestCraftedSampleCountRefused(t *testing.T) {
 	if err != nil || len(m.Samples) != pad/MinSampleRef {
 		t.Fatalf("the largest count the bytes hold: %d samples, %v", len(m.Samples), err)
 	}
+}
+
+// TestOutOfRangeRefused: a value its field cannot hold is refused by both
+// decoders, not truncated into it. A Delta of 300 used to decode as 44.
+func TestOutOfRangeRefused(t *testing.T) {
+	frame := func(hop uint64, sew, delta int64) []byte {
+		w := codec.NewWriter(32)
+		w.Byte(byte(KindSubDelta))
+		w.Uvarint(hop)
+		w.Uvarint(5)
+		w.Varint(0)
+		w.Uvarint(0)
+		w.Varint(sew)
+		w.Varint(delta)
+		return w.Bytes()
+	}
+	for name, b := range map[string][]byte{
+		"delta 300":       frame(1, 0, 300),
+		"delta -129":      frame(1, 0, -129),
+		"sew past int32":  frame(1, math.MaxInt32+1, 1),
+		"hop past uint32": frame(math.MaxUint32+1, 0, 1),
+	} {
+		if m, err := Decode(b); err == nil {
+			t.Errorf("%s: Decode gave %+v", name, m)
+		}
+		var m Message
+		if err := DecodeInto(b, &m); err == nil {
+			t.Errorf("%s: DecodeInto gave %+v", name, m)
+		}
+	}
+	// Each type's extremes still decode.
+	edge := Message{Kind: KindFeatSubDelta, Hop: math.MaxUint32, Vertex: 5, SEW: math.MinInt32, Delta: math.MinInt8}
+	if got, err := Decode(Encode(&edge)); err != nil || !reflect.DeepEqual(got, edge) {
+		t.Fatalf("extremes: %+v, %v", got, err)
+	}
+}
+
+// FuzzWireDecode feeds arbitrary bytes to both queue-message decoders, the
+// readers of every record a sampler or a serving worker polls. They must
+// never panic, must agree, must not allocate past a constant multiple of
+// the input, and whatever they accept must survive Encode → Decode.
+//
+//	go test ./internal/wire -run '^$' -fuzz FuzzWireDecode -fuzztime 10s
+func FuzzWireDecode(f *testing.F) {
+	for _, m := range []Message{
+		sampleMsg(), featureMsg(),
+		{Kind: KindSubDelta, Hop: 9, Vertex: 5, SEW: 3, Delta: -1, Trace: 7},
+		{Kind: KindSampleEvict, Hop: 1, Vertex: 2, Ingested: 5},
+	} {
+		f.Add(Encode(&m))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// A sample is 24 bytes decoded from at least MinSampleRef = 6, and
+		// DecodeInto grows its slice by doubling.
+		const allocFactor, allocSlack = 16, 16 << 10
+		var before, after runtime.MemStats
+		var into Message
+		runtime.ReadMemStats(&before)
+		m, err := Decode(data)
+		errInto := DecodeInto(data, &into)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(allocFactor*len(data)+allocSlack) {
+			t.Fatalf("%d input bytes made the decoders allocate %d", len(data), grew)
+		}
+		if (err == nil) != (errInto == nil) {
+			t.Fatalf("Decode says %v, DecodeInto says %v", err, errInto)
+		}
+		if err != nil {
+			return
+		}
+		// Messages compare by their encodings, which tell NaN bits apart
+		// and never NaN from itself.
+		enc := Encode(&m)
+		if !bytes.Equal(enc, Encode(&into)) {
+			t.Fatalf("the decoders disagree:\n%+v\n%+v", m, into)
+		}
+		if again, err := Decode(enc); err != nil || !bytes.Equal(enc, Encode(&again)) {
+			t.Fatalf("Decode(Encode(m)) does not round-trip (%v):\n%+v\n%+v", err, m, again)
+		}
+	})
 }
 
 func TestKindString(t *testing.T) {
