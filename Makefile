@@ -60,9 +60,11 @@ check:
 	# serving worker polls off the broker.
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s
 	# Ten each over what both ends of a broker hop take off a socket: the
-	# frame reader, and the consumer's pushed-batch decoder.
+	# frame reader, the consumer's pushed-batch decoder, and the broker's
+	# append-batch decoder.
 	$(GO) test ./internal/rpc -run '^$$' -fuzz FuzzFrame -fuzztime 10s
 	$(GO) test ./internal/mq -run '^$$' -fuzz FuzzFetchBatch -fuzztime 10s
+	$(GO) test ./internal/mq -run '^$$' -fuzz FuzzAppendBatch -fuzztime 10s
 	# And ten over segment replay: what a restarting broker reads off its
 	# disk.
 	$(GO) test ./internal/mq -run '^$$' -fuzz FuzzSegmentReplay -fuzztime 10s

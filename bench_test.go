@@ -364,9 +364,9 @@ func BenchmarkFig14ServingScalability(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					resp := make(chan serving.Response, 1)
-					c.Submit(serving.Request{Query: 0, Seed: gen.SeedVertex(rng), Resp: resp})
-					if r := <-resp; r.Err != nil {
+					resp := make(chan []serving.Response, 1)
+					c.Submit(serving.Request{Batch: []serving.BatchItem{{Query: 0, Seed: gen.SeedVertex(rng)}}, Resp: resp})
+					if r := (<-resp)[0]; r.Err != nil {
 						b.Fatal(r.Err)
 					}
 				}

@@ -439,10 +439,11 @@ func TestSubmitAsync(t *testing.T) {
 	if err := c.WaitQuiesce(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	resp := make(chan serving.Response, 1)
-	c.Submit(serving.Request{Query: 0, Seed: userID(1), Resp: resp})
+	resp := make(chan []serving.Response, 1)
+	c.Submit(serving.Request{Batch: []serving.BatchItem{{Query: 0, Seed: userID(1)}}, Resp: resp})
 	select {
-	case r := <-resp:
+	case out := <-resp:
+		r := out[0]
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}

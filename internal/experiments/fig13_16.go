@@ -92,9 +92,9 @@ func Fig14(cfg Config) ([]ScalePoint, error) {
 		pick := seedPicker(gen, cfg.Seed)
 		// Drive through the serving pools so the thread knob binds.
 		st := workload.RunClosedLoop(conc, cfg.Duration, func(int) error {
-			resp := make(chan serving.Response, 1)
-			c.Submit(serving.Request{Query: 0, Seed: pick(), Resp: resp})
-			r := <-resp
+			resp := make(chan []serving.Response, 1)
+			c.Submit(serving.Request{Batch: []serving.BatchItem{{Query: 0, Seed: pick()}}, Resp: resp})
+			r := (<-resp)[0]
 			r.Release()
 			return r.Err
 		})

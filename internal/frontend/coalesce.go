@@ -13,12 +13,12 @@ import (
 
 // combiner is one serving partition's sample path. Its window is two calls
 // in flight per replica, each sent by its own caller as one helios.sample
-// frame. A caller that finds the window full queues. A call that returns
-// to a non-empty queue keeps its slot and hands it, with up to
-// serving.MaxBatch queued members, to the oldest of them, which sends
-// them as one call. Nothing waits for batchmates: a batch is whatever
-// queued while the window was full, so at low concurrency every sample
-// goes direct.
+// frame, a batch of one. A caller that finds the window full queues. A
+// call that returns to a non-empty queue keeps its slot and hands it, with
+// up to serving.MaxBatch queued members, to the oldest of them, which
+// sends them as one frame. Nothing waits for batchmates: a batch is
+// whatever queued while the window was full, so at low concurrency every
+// sample goes direct.
 //
 // Deadlines: a member whose budget ran out while queued fails locally and
 // sends no frame, and a batch travels under its members' minimum deadline.
@@ -58,9 +58,12 @@ func (c *combiner) sample(qid query.ID, seed graph.VertexID, trace uint64, deadl
 	if c.inflight < 2*len(c.reps) {
 		c.inflight++
 		c.mu.Unlock()
-		enc, err := c.call(qid, seed, trace, deadline)
+		results, err := c.call([]serving.BatchItem{{Query: qid, Seed: seed, Trace: trace}}, deadline)
 		c.release()
-		return enc, err
+		if err != nil {
+			return nil, err
+		}
+		return results[0].Result, results[0].Err
 	}
 	ps := &pendingSample{
 		item:     serving.BatchItem{Query: qid, Seed: seed, Trace: trace},
@@ -94,19 +97,20 @@ func (c *combiner) release() {
 	batch[0].done <- sampleOutcome{lead: batch}
 }
 
-// call sends one helios.sample frame with replica failover.
-func (c *combiner) call(qid query.ID, seed graph.VertexID, trace uint64, deadline time.Time) (enc serving.Encoded, err error) {
+// call sends items as one helios.sample frame under deadline, with
+// replica failover.
+func (c *combiner) call(items []serving.BatchItem, deadline time.Time) (results []serving.BatchResult, err error) {
 	err = c.callReplica(deadline, func(cl *serving.Client, budget time.Duration) (err error) {
-		enc, err = cl.SampleEncoded(qid, seed, trace, budget)
+		results, err = cl.SampleBatch(items, budget)
 		return err
 	})
-	return enc, err
+	return results, err
 }
 
 // flush sends one detached batch and fans the outcomes back out. Members
-// whose deadline already passed fail locally; a lone live member goes as
-// helios.sample, more as one helios.sample_batch whose deadline is the
-// members' minimum, each member carrying its own remaining budget.
+// whose deadline already passed fail locally; the live ones go as one
+// helios.sample frame whose deadline is their minimum, each member carrying
+// its own remaining budget.
 func (c *combiner) flush(batch []*pendingSample) {
 	now := c.f.clk.Now()
 	items := make([]serving.BatchItem, 0, len(batch))
@@ -128,19 +132,10 @@ func (c *combiner) flush(batch []*pendingSample) {
 		items = append(items, ps.item)
 		live = append(live, ps)
 	}
-	switch len(live) {
-	case 0:
-		return
-	case 1:
-		enc, err := c.call(items[0].Query, items[0].Seed, items[0].Trace, live[0].deadline)
-		live[0].done <- sampleOutcome{res: enc, err: err}
+	if len(live) == 0 {
 		return
 	}
-	var results []serving.BatchResult
-	err := c.callReplica(batchDeadline, func(cl *serving.Client, budget time.Duration) (err error) {
-		results, err = cl.SampleBatch(items, budget)
-		return err
-	})
+	results, err := c.call(items, batchDeadline)
 	for i, ps := range live {
 		// A whole-batch failure (transport, shed, size mismatch) is every
 		// live member's.

@@ -395,13 +395,13 @@ func TestGatewayRefusesOversizedIngestBody(t *testing.T) {
 			t.Fatalf("POST %s with a %d-byte body: status %d, want 413", path, len(body), status)
 		}
 	}
-	if n := updates.NextOffset(0); n != 0 {
+	if n := updates.EndOffset(0); n != 0 {
 		t.Fatalf("refused bodies appended %d updates", n)
 	}
 	if status := post("/ingest/edge", `{"src": 1, "dst": 100, "type": "Click", "ts": 10}`); status != http.StatusAccepted {
 		t.Fatalf("well-formed edge after the refusals: status %d", status)
 	}
-	if n := updates.NextOffset(0); n != 1 {
+	if n := updates.EndOffset(0); n != 1 {
 		t.Fatalf("well-formed edge appended %d updates, want 1", n)
 	}
 }
@@ -454,9 +454,9 @@ func TestGatewayShedsIngestAtBrokerBound(t *testing.T) {
 		t.Fatalf("first edge: status %d (%s)", status, msg)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for updates.CommittedOffset(0) != updates.NextOffset(0) {
+	for updates.CommittedOffset(0) != updates.EndOffset(0) {
 		if time.Now().After(deadline) {
-			t.Fatalf("sampler never committed: committed %d of %d", updates.CommittedOffset(0), updates.NextOffset(0))
+			t.Fatalf("sampler never committed: committed %d of %d", updates.CommittedOffset(0), updates.EndOffset(0))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -105,14 +105,14 @@ func TestRemoteCommitAndBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := topic.CommittedOffset(0); got != -1 {
-		t.Fatalf("remote committed = %d, want -1", got)
+	local, _ := b.Topic("t")
+	if got := local.CommittedOffset(0); got != -1 {
+		t.Fatalf("broker-side committed = %d, want -1", got)
 	}
 	c := topic.OpenConsumer(0, 0)
 	if err := c.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	local, _ := b.Topic("t")
 	if got := local.CommittedOffset(0); got != 0 {
 		t.Fatalf("broker-side committed = %d, want 0", got)
 	}
@@ -133,8 +133,8 @@ func TestRemoteCommitAndBackpressure(t *testing.T) {
 	if err := c.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := topic.CommittedOffset(0); got != 2 {
-		t.Fatalf("remote committed after poll = %d, want 2", got)
+	if got := local.CommittedOffset(0); got != 2 {
+		t.Fatalf("broker-side committed after poll = %d, want 2", got)
 	}
 	if _, err := topic.Append(0, 1, []byte("x")); err != nil {
 		t.Fatalf("append after catch-up failed: %v", err)

@@ -33,8 +33,8 @@ func TestAppendBatchLocal(t *testing.T) {
 	if first != 1 {
 		t.Fatalf("first offset %d, want 1", first)
 	}
-	if topic.NextOffset(0) != 6 {
-		t.Fatalf("next offset %d, want 6", topic.NextOffset(0))
+	if topic.EndOffset(0) != 6 {
+		t.Fatalf("next offset %d, want 6", topic.EndOffset(0))
 	}
 	cons := topic.NewConsumer(0, first)
 	got, err := cons.Poll(10, time.Second)
@@ -62,8 +62,8 @@ func TestAppendBatchEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off != 1 || topic.NextOffset(0) != 1 {
-		t.Fatalf("empty batch: off=%d next=%d, want 1/1", off, topic.NextOffset(0))
+	if off != 1 || topic.EndOffset(0) != 1 {
+		t.Fatalf("empty batch: off=%d next=%d, want 1/1", off, topic.EndOffset(0))
 	}
 }
 
@@ -92,8 +92,8 @@ func TestAppendBatchRemote(t *testing.T) {
 	if !ok {
 		t.Fatal("topic missing broker-side")
 	}
-	if lt.NextOffset(1) != 3 {
-		t.Fatalf("broker next offset %d, want 3", lt.NextOffset(1))
+	if lt.EndOffset(1) != 3 {
+		t.Fatalf("broker next offset %d, want 3", lt.EndOffset(1))
 	}
 	cons := rt.OpenConsumer(1, 0)
 	got, err := cons.Poll(10, time.Second)
@@ -127,14 +127,14 @@ func TestAppendBatchBrokerBound(t *testing.T) {
 		t.Fatal("batch above broker bound should be refused")
 	}
 	lt, _ := b.Topic("t")
-	if lt.NextOffset(0) != 0 {
-		t.Fatalf("refused batch left partial records: next=%d", lt.NextOffset(0))
+	if lt.EndOffset(0) != 0 {
+		t.Fatalf("refused batch left partial records: next=%d", lt.EndOffset(0))
 	}
 	if _, err := rt.AppendBatch(0, recs[:MaxAppendBatch]); err != nil {
 		t.Fatalf("batch at bound: %v", err)
 	}
-	if lt.NextOffset(0) != MaxAppendBatch {
-		t.Fatalf("batch at bound landed %d records", lt.NextOffset(0))
+	if lt.EndOffset(0) != MaxAppendBatch {
+		t.Fatalf("batch at bound landed %d records", lt.EndOffset(0))
 	}
 }
 

@@ -6,8 +6,8 @@
 //
 // The broker provides the Kafka subset the system depends on: named topics
 // with a fixed partition count, strictly ordered append-only partitions,
-// offset-addressed blocking fetches, key-hash routing, bounded retention,
-// and optional disk segments for durability.
+// offset-addressed blocking fetches, bounded retention, and optional disk
+// segments for durability.
 package mq
 
 import (
@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"helios/internal/faultpoint"
-	"helios/internal/graph"
 	"helios/internal/obs"
 	"helios/internal/rpc"
 )
@@ -348,7 +347,7 @@ func (t *Topic) AppendBatch(partitionIdx int, recs []BatchRecord) (int64, error)
 		return 0, fmt.Errorf("mq: partition %d out of range for topic %q", partitionIdx, t.name)
 	}
 	if len(recs) == 0 {
-		return t.NextOffset(partitionIdx), nil
+		return t.EndOffset(partitionIdx), nil
 	}
 	if st := t.broker.stAppend.Load(); st != nil {
 		start := time.Now()
@@ -390,25 +389,7 @@ func (t *Topic) AppendBatch(partitionIdx int, recs []BatchRecord) (int64, error)
 	return off, nil
 }
 
-// AppendByKey routes value to the partition owning key (same hash as the
-// graph partitioner so workers and the broker agree on ownership).
-func (t *Topic) AppendByKey(key uint64, value []byte) (int64, error) {
-	return t.Append(int(hashPartition(key, len(t.parts))), key, value)
-}
-
-// PartitionFor returns the partition index AppendByKey would route key to.
-func (t *Topic) PartitionFor(key uint64) int {
-	return int(hashPartition(key, len(t.parts)))
-}
-
-// hashPartition is the key→partition rule shared by local and remote
-// brokers (and by the graph partitioner, so ownership always agrees).
-func hashPartition(key uint64, parts int) uint64 {
-	return graph.Hash64(key) % uint64(parts)
-}
-
-// Depth returns the number of retained records in a partition (for
-// backpressure metrics and tests).
+// Depth returns the number of retained records in a partition.
 func (t *Topic) Depth(partitionIdx int) int64 {
 	p := t.parts[partitionIdx]
 	p.mu.Lock()
@@ -416,22 +397,15 @@ func (t *Topic) Depth(partitionIdx int) int64 {
 	return p.next - p.head
 }
 
-// NextOffset returns the offset the next append to the partition will get.
-func (t *Topic) NextOffset(partitionIdx int) int64 {
+// EndOffset returns the partition's log-end offset: one past the last
+// appended record, the offset the next append will get (Kafka's LEO). For
+// an empty partition it is 0, and for a partition holding offsets [0, n)
+// it is n; the last *delivered* record has offset EndOffset-1.
+func (t *Topic) EndOffset(partitionIdx int) int64 {
 	p := t.parts[partitionIdx]
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.next
-}
-
-// EndOffset returns the partition's log-end offset: one past the last
-// appended record (Kafka's LEO). It equals NextOffset and exists so lag
-// computations — EndOffset minus a consumer's Committed offset — read as
-// the standard formula without reaching into broker internals. For an
-// empty partition both are 0, and for a partition holding offsets
-// [0, n) both are n; the last *delivered* record has offset EndOffset-1.
-func (t *Topic) EndOffset(partitionIdx int) int64 {
-	return t.NextOffset(partitionIdx)
 }
 
 // Commit records a consumer's progress on a partition: offset is one past

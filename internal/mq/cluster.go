@@ -90,8 +90,8 @@ func (c *Cluster) Client() *rpc.Client { return c.coordC }
 // replica (a leader's quorum wait opens it on a follower that lacks it, so
 // one reachable peer is enough to proceed). Reopening a cached topic with
 // a different partition count is an error, mirroring broker-side
-// CreateTopic: a handle whose AppendByKey hashing disagrees with the
-// broker layout would silently misroute.
+// CreateTopic: a handle whose partition count disagrees with the broker
+// layout would silently misroute.
 func (c *Cluster) OpenTopic(name string, partitions int) (TopicHandle, error) {
 	c.mu.Lock()
 	cached, ok := c.topics[name]

@@ -16,7 +16,7 @@ import (
 // TestClusterOpenTopicPartitionMismatch mirrors broker-side CreateTopic
 // semantics on the client: reopening a cached topic with a different
 // partition count must fail rather than hand back a handle whose
-// AppendByKey hashing disagrees with the broker layout.
+// partition count disagrees with the broker layout.
 func TestClusterOpenTopicPartitionMismatch(t *testing.T) {
 	b := mq.NewBroker(mq.Options{})
 	defer b.Close()

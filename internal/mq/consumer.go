@@ -27,15 +27,12 @@ func (c *Consumer) Poll(max int, wait time.Duration) ([]Record, error) {
 	return recs, err
 }
 
-// Offset returns the cursor position (the offset the next Poll starts at).
+// Offset returns the cursor position in Kafka's committed-offset
+// convention: the offset of the next record to be read, i.e. one past the
+// last delivered record. A consumer that has delivered records [0, k)
+// reports Offset() == k — NOT k-1; lag is then EndOffset - Offset with no
+// off-by-one adjustment.
 func (c *Consumer) Offset() int64 { return c.offset }
-
-// Committed returns the consumer's committed offset in Kafka's
-// convention: the offset of the next record to be read, i.e. one past
-// the last delivered record. A consumer that has delivered records
-// [0, k) reports Committed() == k — NOT k-1; lag is then
-// EndOffset - Committed with no off-by-one adjustment.
-func (c *Consumer) Committed() int64 { return c.offset }
 
 // Commit pushes the cursor position to the broker's per-partition commit
 // record (see Topic.Commit).
@@ -47,7 +44,7 @@ func (c *Consumer) Commit() error {
 func (c *Consumer) SeekTo(offset int64) { c.offset = offset }
 
 // Lag reports how many records remain ahead of the cursor
-// (EndOffset - Committed).
+// (EndOffset - Offset).
 func (c *Consumer) Lag() int64 {
 	return c.topic.EndOffset(c.partition) - c.offset
 }

@@ -22,39 +22,29 @@ type Bus interface {
 type TopicHandle interface {
 	Name() string
 	NumPartitions() int
+	// Append appends one record to a partition: a batch of one.
 	Append(partition int, key uint64, value []byte) (int64, error)
 	// AppendBatch appends recs to one partition as a single broker
 	// operation — one lock pass locally, one RPC frame remotely — and
 	// returns the offset of the first record; the batch lands contiguously
-	// in slice order. Like Append, the broker copies every Value, so the
-	// caller may reuse them. An empty batch is a no-op returning NextOffset.
+	// in slice order. The broker copies every Value, so the caller may
+	// reuse them. An empty batch is a no-op returning EndOffset.
 	AppendBatch(partition int, recs []BatchRecord) (int64, error)
-	AppendByKey(key uint64, value []byte) (int64, error)
 	OpenConsumer(partition int, from int64) Cursor
-	// NextOffset reports the offset the next append will get; Depth the
-	// retained records of the partition.
-	NextOffset(partition int) int64
-	Depth(partition int) int64
-	// EndOffset reports the log-end offset (== NextOffset, Kafka's LEO);
-	// consumer lag is EndOffset - Cursor.Committed.
+	// EndOffset reports the log-end offset, the offset the next append will
+	// get (Kafka's LEO); consumer lag is EndOffset - Cursor.Offset.
 	EndOffset(partition int) int64
-	// CommittedOffset reports the highest offset any consumer has pushed
-	// back to the broker via Cursor.Commit for the partition, or -1 while
-	// none has. This is the broker-side lag signal producers use for
-	// backpressure without ever meeting the consumers.
-	CommittedOffset(partition int) int64
 }
 
 // Cursor is an offset-tracked consumer of one partition.
 type Cursor interface {
 	Poll(max int, wait time.Duration) ([]Record, error)
+	// Offset reports the offset of the next record to read (one past the
+	// last delivered record) — Kafka's committed-offset convention.
 	Offset() int64
-	// Committed reports the offset of the next record to read (one past
-	// the last delivered record) — Kafka's committed-offset convention.
-	Committed() int64
-	// Commit pushes the cursor's position back to the broker so
-	// TopicHandle.CommittedOffset (and broker-side lag) reflect this
-	// consumer's progress. Best-effort: consumers commit periodically, so
+	// Commit pushes the cursor's position back to the broker, the
+	// broker-side lag signal producers use for backpressure without ever
+	// meeting the consumers. Best-effort: consumers commit periodically, so
 	// a failed commit only overstates lag until the next one lands.
 	Commit() error
 	SeekTo(offset int64)

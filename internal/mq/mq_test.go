@@ -74,33 +74,6 @@ func TestAppendFetchOrdering(t *testing.T) {
 	}
 }
 
-func TestAppendByKeyRouting(t *testing.T) {
-	b := NewBroker(Options{})
-	defer b.Close()
-	topic, _ := b.CreateTopic("t", 8)
-	for key := uint64(0); key < 1000; key++ {
-		if _, err := topic.AppendByKey(key, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var total int64
-	for i := 0; i < 8; i++ {
-		d := topic.Depth(i)
-		if d == 0 {
-			t.Fatalf("partition %d got nothing — bad key spread", i)
-		}
-		total += d
-	}
-	if total != 1000 {
-		t.Fatalf("total = %d", total)
-	}
-	// Same key must always route to the same partition.
-	p1, p2 := topic.PartitionFor(42), topic.PartitionFor(42)
-	if p1 != p2 {
-		t.Fatal("routing not deterministic")
-	}
-}
-
 func TestBlockingPoll(t *testing.T) {
 	b := NewBroker(Options{})
 	defer b.Close()
@@ -236,7 +209,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				if _, err := topic.AppendByKey(uint64(id*perProducer+i), []byte{1}); err != nil {
+				if _, err := topic.Append((id*perProducer+i)%4, uint64(id*perProducer+i), []byte{1}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -292,7 +265,7 @@ func TestDiskDurability(t *testing.T) {
 	b := NewBroker(Options{Dir: dir, Fsync: FsyncAlways})
 	topic, _ := b.CreateTopic("t", 2)
 	for i := 0; i < 50; i++ {
-		if _, err := topic.AppendByKey(uint64(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if _, err := topic.Append(i%2, uint64(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -324,7 +297,7 @@ func TestDiskDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off != topic2.NextOffset(0)-1 {
+	if off != topic2.EndOffset(0)-1 {
 		t.Fatal("offset after replay wrong")
 	}
 }
@@ -372,21 +345,6 @@ func TestSegmentFilesCreated(t *testing.T) {
 	if len(files) != 3 {
 		t.Fatalf("segment files = %v", files)
 	}
-}
-
-func BenchmarkAppendByKey(b *testing.B) {
-	br := NewBroker(Options{RetainRecords: 1 << 16})
-	defer br.Close()
-	topic, _ := br.CreateTopic("t", 8)
-	payload := make([]byte, 64)
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		key := uint64(0)
-		for pb.Next() {
-			topic.AppendByKey(key, payload)
-			key++
-		}
-	})
 }
 
 func BenchmarkPollBatch(b *testing.B) {

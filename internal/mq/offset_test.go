@@ -4,9 +4,9 @@ import "testing"
 
 // TestOffsetSemantics pins the offset bookkeeping conventions so an
 // off-by-one between "next offset" and "last delivered" cannot creep in:
-// EndOffset is one past the last appended record (Kafka's LEO),
-// Committed is one past the last delivered record, and lag is the plain
-// difference of the two with no ±1 adjustment anywhere.
+// EndOffset is one past the last appended record (Kafka's LEO), a
+// cursor's Offset is one past the last delivered record, and lag is the
+// plain difference of the two with no ±1 adjustment anywhere.
 func TestOffsetSemantics(t *testing.T) {
 	b := NewBroker(Options{})
 	defer b.Close()
@@ -16,13 +16,12 @@ func TestOffsetSemantics(t *testing.T) {
 	}
 
 	// Empty partition: everything is zero.
-	if topic.EndOffset(0) != 0 || topic.NextOffset(0) != 0 {
-		t.Fatalf("empty partition: EndOffset=%d NextOffset=%d, want 0/0",
-			topic.EndOffset(0), topic.NextOffset(0))
+	if topic.EndOffset(0) != 0 {
+		t.Fatalf("empty partition: EndOffset=%d, want 0", topic.EndOffset(0))
 	}
 	c := topic.NewConsumer(0, 0)
-	if c.Committed() != 0 || c.Lag() != 0 {
-		t.Fatalf("empty partition: Committed=%d Lag=%d, want 0/0", c.Committed(), c.Lag())
+	if c.Offset() != 0 || c.Lag() != 0 {
+		t.Fatalf("empty partition: Offset=%d Lag=%d, want 0/0", c.Offset(), c.Lag())
 	}
 
 	// Append 5 records; offsets must be 0..4 and EndOffset 5.
@@ -42,7 +41,7 @@ func TestOffsetSemantics(t *testing.T) {
 		t.Fatalf("Lag = %d with nothing consumed, want 5", c.Lag())
 	}
 
-	// Deliver 3: committed must be one PAST the last delivered record.
+	// Deliver 3: the offset must be one PAST the last delivered record.
 	recs, err := c.Poll(3, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -54,25 +53,25 @@ func TestOffsetSemantics(t *testing.T) {
 	if last != 2 {
 		t.Fatalf("last delivered offset = %d, want 2", last)
 	}
-	if c.Committed() != last+1 {
-		t.Fatalf("Committed = %d, want last delivered + 1 = %d (off-by-one)", c.Committed(), last+1)
+	if c.Offset() != last+1 {
+		t.Fatalf("Offset = %d, want last delivered + 1 = %d (off-by-one)", c.Offset(), last+1)
 	}
-	if got := topic.EndOffset(0) - c.Committed(); got != 2 || c.Lag() != 2 {
-		t.Fatalf("lag = EndOffset-Committed = %d, Lag() = %d, want 2/2", got, c.Lag())
+	if got := topic.EndOffset(0) - c.Offset(); got != 2 || c.Lag() != 2 {
+		t.Fatalf("lag = EndOffset-Offset = %d, Lag() = %d, want 2/2", got, c.Lag())
 	}
 
 	// Drain: lag hits exactly zero (not -1 or 1), and a re-poll at the
-	// committed offset returns nothing rather than redelivering.
+	// cursor's offset returns nothing rather than redelivering.
 	if recs, err = c.Poll(10, 0); err != nil || len(recs) != 2 {
 		t.Fatalf("drain: %d records, err %v, want 2/nil", len(recs), err)
 	}
-	if c.Committed() != 5 || c.Lag() != 0 {
-		t.Fatalf("drained: Committed=%d Lag=%d, want 5/0", c.Committed(), c.Lag())
+	if c.Offset() != 5 || c.Lag() != 0 {
+		t.Fatalf("drained: Offset=%d Lag=%d, want 5/0", c.Offset(), c.Lag())
 	}
 	if recs, err = c.Poll(10, 0); err != nil || len(recs) != 0 {
 		t.Fatalf("poll past end redelivered %d records (err %v)", len(recs), err)
 	}
-	if c.Committed() != 5 {
-		t.Fatalf("empty poll moved Committed to %d", c.Committed())
+	if c.Offset() != 5 {
+		t.Fatalf("empty poll moved Offset to %d", c.Offset())
 	}
 }

@@ -18,7 +18,6 @@ import (
 
 const (
 	methodOpenTopic   = "mq.open"
-	methodAppend      = "mq.append"
 	methodAppendBatch = "mq.append_batch"
 	methodFetch       = "mq.fetch"
 	methodMeta        = "mq.meta"
@@ -97,26 +96,9 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		_, err := b.CreateTopic(name, int(parts))
 		return err
 	})
-	srv.HandleInline(methodAppend, unreplicated, b.onPart(func(t *Topic, part int, r *codec.Reader, resp *codec.Writer) error {
-		key := r.Uvarint()
-		val := r.Bytes32()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		off, err := t.Append(part, key, val)
-		resp.Varint(off)
-		return err
-	}))
 	srv.HandleInline(methodAppendBatch, unreplicated, b.onPart(func(t *Topic, part int, r *codec.Reader, resp *codec.Writer) error {
-		n := r.Count(2) // a record is at least a key byte and a length byte
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if n > MaxAppendBatch {
-			return fmt.Errorf("mq: append batch of %d exceeds broker bound %d", n, MaxAppendBatch)
-		}
-		recs := decodeBatch(r, n)
-		if err := r.Finish(); err != nil {
+		recs, err := decodeAppendBatch(r)
+		if err != nil {
 			return err
 		}
 		off, err := t.AppendBatch(part, recs)
@@ -169,9 +151,7 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		if err := b.checkLeader(t.name, part); err != nil {
 			return err
 		}
-		resp.Varint(t.NextOffset(part))
-		resp.Varint(t.Depth(part))
-		resp.Varint(t.CommittedOffset(part))
+		resp.Varint(t.EndOffset(part))
 		return nil
 	}))
 	srv.HandleInline(methodCommit, always, b.onPart(func(t *Topic, part int, r *codec.Reader, _ *codec.Writer) error {
@@ -197,6 +177,33 @@ func openTopicReq(name string, parts int) []byte {
 	w.String(name)
 	w.Uvarint(uint64(parts))
 	return w.Bytes()
+}
+
+// encodeAppendBatch writes the mq.append_batch frame that appends recs to
+// one partition of topic.
+func encodeAppendBatch(w *codec.Writer, topic string, partition int, recs []BatchRecord) {
+	w.String(topic)
+	w.Uvarint(uint64(partition))
+	w.Uvarint(uint64(len(recs)))
+	for i := range recs {
+		w.Uvarint(recs[i].Key)
+		w.Bytes32(recs[i].Value)
+	}
+}
+
+// decodeAppendBatch reads the records of an mq.append_batch frame, past
+// the address partReq took: a count the frame and MaxAppendBatch bound,
+// the records, and nothing after them.
+func decodeAppendBatch(r *codec.Reader) ([]BatchRecord, error) {
+	n := r.Count(2) // a record is at least a key byte and a length byte
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if n > MaxAppendBatch {
+		return nil, fmt.Errorf("mq: append batch of %d exceeds broker bound %d", n, MaxAppendBatch)
+	}
+	recs := decodeBatch(r, n)
+	return recs, r.Finish()
 }
 
 // decodeBatch reads n records off an append-batch frame. The values alias
@@ -383,38 +390,21 @@ func (t *RemoteTopic) Name() string { return t.name }
 // NumPartitions implements TopicHandle.
 func (t *RemoteTopic) NumPartitions() int { return t.parts }
 
-// Append implements TopicHandle.
+// Append implements TopicHandle: a batch of one.
 func (t *RemoteTopic) Append(partition int, key uint64, value []byte) (int64, error) {
-	w := codec.NewWriter(32 + len(value))
-	w.String(t.name)
-	w.Uvarint(uint64(partition))
-	w.Uvarint(key)
-	w.Bytes32(value)
-	resp, err := t.call(partition, methodAppend, w.Bytes(), t.timeout)
-	if err != nil {
-		return 0, err
-	}
-	r := codec.NewReader(resp)
-	off := r.Varint()
-	return off, r.Err()
+	return t.AppendBatch(partition, []BatchRecord{{Key: key, Value: value}})
 }
 
 // AppendBatch implements TopicHandle: the whole batch rides one RPC frame
-// and lands under one broker lock pass. It routes through the same
-// unknown-topic healing (or leader resolution) as Append, so a broker
-// restart mid-stream costs a re-create plus one retry, not a lost batch.
+// and lands under one broker lock pass. It routes through callPart's
+// unknown-topic healing (or leader resolution), so a broker restart
+// mid-stream costs a re-create plus one retry, not a lost batch.
 func (t *RemoteTopic) AppendBatch(partition int, recs []BatchRecord) (int64, error) {
 	if len(recs) == 0 {
-		return t.NextOffset(partition), nil
+		return t.EndOffset(partition), nil
 	}
 	w := codec.GetWriter()
-	w.String(t.name)
-	w.Uvarint(uint64(partition))
-	w.Uvarint(uint64(len(recs)))
-	for i := range recs {
-		w.Uvarint(recs[i].Key)
-		w.Bytes32(recs[i].Value)
-	}
+	encodeAppendBatch(w, t.name, partition, recs)
 	resp, err := t.call(partition, methodAppendBatch, w.Bytes(), t.timeout)
 	codec.PutWriter(w)
 	if err != nil {
@@ -428,47 +418,17 @@ func (t *RemoteTopic) AppendBatch(partition int, recs []BatchRecord) (int64, err
 	return off, r.Finish()
 }
 
-// AppendByKey implements TopicHandle with the same routing hash as the
-// local broker.
-func (t *RemoteTopic) AppendByKey(key uint64, value []byte) (int64, error) {
-	return t.Append(int(hashPartition(key, t.parts)), key, value)
-}
-
-// NextOffset implements TopicHandle.
-func (t *RemoteTopic) NextOffset(partition int) int64 {
-	next, _, _ := t.meta(partition)
-	return next
-}
-
-// EndOffset implements TopicHandle (== NextOffset; see Topic.EndOffset).
+// EndOffset implements TopicHandle with one mq.meta call (0 when no
+// broker is reachable).
 func (t *RemoteTopic) EndOffset(partition int) int64 {
-	return t.NextOffset(partition)
-}
-
-// Depth implements TopicHandle.
-func (t *RemoteTopic) Depth(partition int) int64 {
-	_, depth, _ := t.meta(partition)
-	return depth
-}
-
-// CommittedOffset implements TopicHandle (-1 while no consumer committed,
-// and also -1 when no broker is reachable — an unknown lag must not read
-// as zero lag).
-func (t *RemoteTopic) CommittedOffset(partition int) int64 {
-	_, _, committed := t.meta(partition)
-	return committed
-}
-
-func (t *RemoteTopic) meta(partition int) (next, depth, committed int64) {
 	w := codec.NewWriter(32)
 	w.String(t.name)
 	w.Uvarint(uint64(partition))
 	resp, err := t.call(partition, methodMeta, w.Bytes(), t.timeout)
 	if err != nil {
-		return 0, 0, -1
+		return 0
 	}
-	r := codec.NewReader(resp)
-	return r.Varint(), r.Varint(), r.Varint()
+	return codec.NewReader(resp).Varint()
 }
 
 // OpenConsumer implements TopicHandle. The cursor lives client-side: the
@@ -532,7 +492,7 @@ func (c *RemoteConsumer) Poll(limit int, wait time.Duration) ([]Record, error) {
 				return nil, err
 			}
 			healed = true
-			c.topic.meta(c.partition)
+			c.topic.EndOffset(c.partition)
 		}
 	}
 	n := max(min(limit, len(c.rest)), 1)
@@ -546,9 +506,6 @@ func (c *RemoteConsumer) Poll(limit int, wait time.Duration) ([]Record, error) {
 
 // Offset implements Cursor.
 func (c *RemoteConsumer) Offset() int64 { return c.offset }
-
-// Committed implements Cursor (see Consumer.Committed).
-func (c *RemoteConsumer) Committed() int64 { return c.offset }
 
 // Commit implements Cursor: pushes the cursor position to the broker.
 func (c *RemoteConsumer) Commit() error {
@@ -566,7 +523,7 @@ func (c *RemoteConsumer) SeekTo(offset int64) {
 	c.offset, c.stream, c.rest = offset, nil, nil
 }
 
-// Lag implements Cursor (EndOffset - Committed).
+// Lag implements Cursor (EndOffset - Offset).
 func (c *RemoteConsumer) Lag() int64 {
 	return c.topic.EndOffset(c.partition) - c.offset
 }

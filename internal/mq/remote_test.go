@@ -63,35 +63,8 @@ func TestRemoteOpenAppendPoll(t *testing.T) {
 	if c.Lag() != 0 {
 		t.Fatalf("lag = %d", c.Lag())
 	}
-	if topic.NextOffset(0) != 20 || topic.Depth(0) != 20 {
+	if topic.EndOffset(0) != 20 {
 		t.Fatal("meta wrong")
-	}
-}
-
-func TestRemoteAppendByKeyAgreesWithLocal(t *testing.T) {
-	b, rb, done := startRemote(t)
-	defer done()
-	remote, _ := rb.OpenTopic("t", 8)
-	local, _ := b.Topic("t")
-	for key := uint64(0); key < 100; key++ {
-		if _, err := remote.AppendByKey(key, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Routing must match the local PartitionFor rule exactly.
-	for key := uint64(0); key < 100; key++ {
-		p := local.PartitionFor(key)
-		found := false
-		c := local.NewConsumer(p, 0)
-		recs, _ := c.Poll(1000, 0)
-		for _, r := range recs {
-			if r.Key == key {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("key %d not in expected partition %d", key, p)
-		}
 	}
 }
 
@@ -174,7 +147,7 @@ func TestRemoteConcurrentProducers(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if _, err := topic.AppendByKey(uint64(id*1000+i), []byte(fmt.Sprintf("%d", i))); err != nil {
+				if _, err := topic.Append(i%4, uint64(id*1000+i), []byte(fmt.Sprintf("%d", i))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -184,7 +157,7 @@ func TestRemoteConcurrentProducers(t *testing.T) {
 	wg.Wait()
 	total := int64(0)
 	for p := 0; p < 4; p++ {
-		total += topic.Depth(p)
+		total += topic.EndOffset(p)
 	}
 	if total != 800 {
 		t.Fatalf("total = %d", total)

@@ -87,7 +87,7 @@ func TestReplicatedAppendReachesQuorum(t *testing.T) {
 		deadline := time.Now().Add(2 * time.Second)
 		for {
 			ft, ok := brokers[fi].Topic("t")
-			if ok && ft.NextOffset(0) == 1 {
+			if ok && ft.EndOffset(0) == 1 {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -226,7 +226,7 @@ func TestFsyncAlwaysTornWrite(t *testing.T) {
 	if _, err := tp.Append(0, 2, []byte("torn")); !errors.Is(err, faultpoint.ErrInjected) {
 		t.Fatalf("want injected append failure, got %v", err)
 	}
-	if n := tp.NextOffset(0); n != 1 {
+	if n := tp.EndOffset(0); n != 1 {
 		t.Fatalf("failed append mutated the log: next=%d", n)
 	}
 
@@ -236,7 +236,7 @@ func TestFsyncAlwaysTornWrite(t *testing.T) {
 	if _, err := tp.Append(0, 3, []byte("unsynced")); !errors.Is(err, faultpoint.ErrInjected) {
 		t.Fatalf("want injected sync failure, got %v", err)
 	}
-	if n := tp.NextOffset(0); n != 1 {
+	if n := tp.EndOffset(0); n != 1 {
 		t.Fatalf("unsynced append became visible: next=%d", n)
 	}
 	if err := b.Close(); err != nil {
@@ -252,7 +252,7 @@ func TestFsyncAlwaysTornWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := tp2.NextOffset(0); n < 1 {
+	if n := tp2.EndOffset(0); n < 1 {
 		t.Fatalf("acked record lost across restart: next=%d", n)
 	}
 	recs, err := tp2.NewConsumer(0, 0).Poll(10, 100*time.Millisecond)
@@ -308,7 +308,7 @@ func TestReplOffsetsExcludeUnackedTail(t *testing.T) {
 	if _, err := tp.Append(0, 1, []byte("a")); !IsQuorumUnavailable(err) {
 		t.Fatalf("want ErrQuorumUnavailable, got %v", err)
 	}
-	if n := tp.NextOffset(0); n != 1 {
+	if n := tp.EndOffset(0); n != 1 {
 		t.Fatalf("log end = %d, want the un-acked record retained at 1", n)
 	}
 	for _, e := range b.ReplOffsets() {

@@ -51,7 +51,6 @@ func TestHostileFramesAreRefused(t *testing.T) {
 	const huge = uint64(1) << 62
 	valid := map[string][]byte{
 		methodOpenTopic:   frameOf("t", uint64(2)),
-		methodAppend:      frameOf("t", uint64(1), uint64(7), []byte("value")),
 		methodAppendBatch: frameOf("t", uint64(1), uint64(2), uint64(7), []byte("a"), uint64(8), []byte("b")),
 		methodFetch:       frameOf("t", uint64(1), int64(0), uint64(10)),
 		methodMeta:        frameOf("t", uint64(1)),
@@ -59,13 +58,16 @@ func TestHostileFramesAreRefused(t *testing.T) {
 		MethodLead:        EncodePartMap(PartMap{Version: 1, Leaders: map[PartKey]int{{Topic: "t", Partition: 1}: 0}}),
 	}
 	hostile := map[string][][]byte{
-		methodOpenTopic:   {frameOf("t", huge)},
-		methodAppend:      {frameOf("t", huge, uint64(7), []byte("v")), append(frameOf("t", uint64(1), uint64(7)), frameOf(huge)...)},
-		methodAppendBatch: {frameOf("t", huge, uint64(1), uint64(7), []byte("a")), frameOf("t", uint64(1), huge, uint64(7), []byte("a"))},
-		methodFetch:       {frameOf("t", huge, int64(0), uint64(10)), frameOf("t", uint64(1), int64(0), uint64(10), uint64(1), int64(0), uint64(0))},
-		methodMeta:        {frameOf("t", huge)},
-		methodCommit:      {frameOf("t", huge, int64(0))},
-		MethodLead:        {frameOf(int64(1), huge), frameOf(int64(1), uint64(1), "t", huge, uint64(0))},
+		methodOpenTopic: {frameOf("t", huge)},
+		methodAppendBatch: {
+			frameOf("t", huge, uint64(1), uint64(7), []byte("a")),                   // a partition past the topic's
+			frameOf("t", uint64(1), huge, uint64(7), []byte("a")),                   // a count no frame could back
+			append(frameOf("t", uint64(1), uint64(1), uint64(7)), frameOf(huge)...), // a value length past the end
+		},
+		methodFetch:  {frameOf("t", huge, int64(0), uint64(10)), frameOf("t", uint64(1), int64(0), uint64(10), uint64(1), int64(0), uint64(0))},
+		methodMeta:   {frameOf("t", huge)},
+		methodCommit: {frameOf("t", huge, int64(0))},
+		MethodLead:   {frameOf(int64(1), huge), frameOf(int64(1), uint64(1), "t", huge, uint64(0))},
 	}
 	call := func(method string, req []byte) error {
 		if method != methodFetch {
@@ -276,6 +278,68 @@ func FuzzFetchBatch(f *testing.F) {
 		}
 		for i := range recs {
 			if again[i].Offset != recs[i].Offset || again[i].Key != recs[i].Key || again[i].Ts != recs[i].Ts || !bytes.Equal(again[i].Value, recs[i].Value) {
+				t.Fatalf("record %d: %+v re-encoded to %+v", i, recs[i], again[i])
+			}
+		}
+	})
+}
+
+// FuzzAppendBatch feeds arbitrary bytes to the mq.append_batch handler's
+// decode: the bytes a producer's frame brings to a broker. It resolves the
+// address (partReq) and reads the records (decodeAppendBatch) the way the
+// handler does. It must never panic, nor allocate more than a record
+// header per two input bytes, and a frame it accepts must come back the
+// same through the client's encoder.
+//
+//	go test ./internal/mq -run '^$' -fuzz FuzzAppendBatch -fuzztime 10s
+func FuzzAppendBatch(f *testing.F) {
+	b := NewBroker(Options{})
+	f.Cleanup(func() { b.Close() })
+	if _, err := b.CreateTopic("t", 2); err != nil {
+		f.Fatal(err)
+	}
+	w := codec.NewWriter(64)
+	encodeAppendBatch(w, "t", 1, []BatchRecord{{Key: 7, Value: []byte("a")}, {Key: 8}})
+	good := append([]byte(nil), w.Bytes()...)
+	f.Add(good)
+	f.Add(good[:len(good)-1])                                           // truncated
+	f.Add(append(good[:len(good):len(good)], 0))                        // a trailing byte
+	f.Add(frameOf("t", uint64(2), uint64(1), uint64(7), []byte("a")))   // a partition past the topic's
+	f.Add(frameOf("u", uint64(0), uint64(1), uint64(7), []byte("a")))   // an unknown topic
+	f.Add(frameOf("t", uint64(1), uint64(1)<<62, uint64(7)))            // a count no frame could back
+	f.Add(frameOf("t", uint64(1), uint64(1), uint64(7), uint64(1)<<62)) // a value length past the end
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		// decodeAppendBatch's one allocation is its record slice, and Count
+		// holds it to a record per two bytes left.
+		const allocFactor, allocSlack = 32, 64 << 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := codec.NewReader(frame)
+		topic, part, err := b.partReq(r)
+		var recs []BatchRecord
+		if err == nil {
+			recs, err = decodeAppendBatch(r)
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(allocFactor*len(frame)+allocSlack) {
+			t.Fatalf("%d input bytes made the decode allocate %d", len(frame), grew)
+		}
+		if err != nil {
+			return
+		}
+		w := codec.NewWriter(len(frame))
+		encodeAppendBatch(w, topic.name, part, recs)
+		r = codec.NewReader(w.Bytes())
+		topic2, part2, err := b.partReq(r)
+		if err != nil || topic2 != topic || part2 != part {
+			t.Fatalf("address re-encoded to %v/%d, %v", topic2, part2, err)
+		}
+		again, err := decodeAppendBatch(r)
+		if err != nil || len(again) != len(recs) {
+			t.Fatalf("re-encoded batch: %d records of %d, %v", len(again), len(recs), err)
+		}
+		for i := range recs {
+			if again[i].Key != recs[i].Key || !bytes.Equal(again[i].Value, recs[i].Value) {
 				t.Fatalf("record %d: %+v re-encoded to %+v", i, recs[i], again[i])
 			}
 		}

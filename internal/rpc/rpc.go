@@ -681,9 +681,6 @@ type Client struct {
 	everConn bool
 	rng      *rand.Rand
 
-	// Delay is slept inside every Call, simulating network RTT.
-	Delay time.Duration
-
 	// Calls counts calls issued.
 	Calls obs.Counter
 
@@ -972,9 +969,6 @@ func (c *Client) CallTraced(method string, trace uint64, req []byte, timeout tim
 		return nil, ErrClosed
 	}
 	c.Calls.Inc()
-	if c.Delay > 0 {
-		time.Sleep(c.Delay)
-	}
 	var deadline time.Time
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)

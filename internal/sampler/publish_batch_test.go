@@ -128,17 +128,17 @@ func dialLoopback(tb testing.TB, b *mq.Broker) mq.Bus {
 	return rb
 }
 
-// waitNextOffset polls until the partition's next offset reaches want.
-func waitNextOffset(t *testing.T, topic mq.TopicHandle, part int, want int64) {
+// waitEndOffset polls until the partition's next offset reaches want.
+func waitEndOffset(t *testing.T, topic mq.TopicHandle, part int, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if topic.NextOffset(part) == want {
+		if topic.EndOffset(part) == want {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("next offset %d, want %d", topic.NextOffset(part), want)
+	t.Fatalf("next offset %d, want %d", topic.EndOffset(part), want)
 }
 
 // TestPublishTurnOneBatchPerDestination: a run mixing four destinations
@@ -206,7 +206,7 @@ func TestPublishLoneMessageNotHeld(t *testing.T) {
 	w.Start()
 	defer w.Stop()
 	w.publish.SendTo(0, upsertFor(w, 0, 9))
-	waitNextOffset(t, w.samplesTopic, 0, 1)
+	waitEndOffset(t, w.samplesTopic, 0, 1)
 }
 
 // TestPublishStopLeavesNothingUnpublished: whatever sits in the publish
@@ -271,7 +271,7 @@ func TestPublishDroppedCounted(t *testing.T) {
 	if got := w.cfg.Metrics.Counter("sampler.publish_dropped", "worker", "0").Value(); got != 5 {
 		t.Fatalf("registry sampler.publish_dropped = %d, want 5", got)
 	}
-	if off := w.samplesTopic.NextOffset(0); off != 0 {
+	if off := w.samplesTopic.EndOffset(0); off != 0 {
 		t.Fatalf("a failed batch landed %d records", off)
 	}
 	w.publishTurn(0, run(5))
@@ -298,7 +298,7 @@ func TestPublishFullRunFitsBrokerBound(t *testing.T) {
 	if st := w.Stats(); st.PublishDropped != 0 {
 		t.Fatalf("a full run was refused: %d dropped", st.PublishDropped)
 	}
-	if off := w.samplesTopic.NextOffset(0); off != actor.MaxRun {
+	if off := w.samplesTopic.EndOffset(0); off != actor.MaxRun {
 		t.Fatalf("next offset %d, want %d", off, actor.MaxRun)
 	}
 }

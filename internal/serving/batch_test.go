@@ -22,7 +22,7 @@ func TestSampleBudgetWithoutClientTimeout(t *testing.T) {
 	srv.Handle(MethodSample, func(req []byte) ([]byte, error) {
 		time.Sleep(300 * time.Millisecond)
 		w := codec.NewWriter(64)
-		AppendResult(w, &Result{})
+		AppendBatchResults(w, []Response{{Result: encodeResult(&Result{})}})
 		return w.Bytes(), nil
 	})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -47,6 +47,11 @@ func TestSampleBudgetWithoutClientTimeout(t *testing.T) {
 	}
 	if elapsed >= 250*time.Millisecond {
 		t.Fatalf("call ran %v — the 30ms budget did not bound it", elapsed)
+	}
+	// The control: given the time, the same call decodes the fake's answer,
+	// so the error above is the budget's and not the frame's.
+	if _, err := c.SampleBudget(0, 1, 0, 5*time.Second); err != nil {
+		t.Fatalf("budget above the handler's delay: %v", err)
 	}
 }
 
@@ -203,9 +208,9 @@ func TestBatchRequestCodec(t *testing.T) {
 	}
 }
 
-// TestBatchResponseCodec round-trips the three member statuses and
+// TestBatchResultsCodec round-trips the three member statuses and
 // rejects truncations and trailing bytes.
-func TestBatchResponseCodec(t *testing.T) {
+func TestBatchResultsCodec(t *testing.T) {
 	resps := []Response{
 		{Result: encodeResult(&Result{
 			Layers:   [][]graph.VertexID{{1}, {2}},
@@ -216,10 +221,10 @@ func TestBatchResponseCodec(t *testing.T) {
 		{Err: rpc.ErrDeadlineExceeded},
 	}
 	w := codec.NewWriter(256)
-	AppendBatchResponse(w, resps)
+	AppendBatchResults(w, resps)
 	full := w.Bytes()
 
-	out, err := DecodeBatchResponse(codec.NewReader(full))
+	out, err := DecodeBatchResults(codec.NewReader(full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,12 +245,12 @@ func TestBatchResponseCodec(t *testing.T) {
 		t.Fatalf("expired member: %v", out[2].Err)
 	}
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeBatchResponse(codec.NewReader(full[:cut])); err == nil {
+		if _, err := DecodeBatchResults(codec.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 	trailing := append(append([]byte{}, full...), 0xFF)
-	if _, err := DecodeBatchResponse(codec.NewReader(trailing)); err == nil {
+	if _, err := DecodeBatchResults(codec.NewReader(trailing)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }
@@ -279,7 +284,7 @@ func TestBatchCodecZeroAlloc(t *testing.T) {
 			t.Fatalf("decode: %v", err)
 		}
 		w.Reset()
-		AppendBatchResponse(w, resps)
+		AppendBatchResults(w, resps)
 	})
 	if allocs != 0 {
 		t.Fatalf("batch codec reuse path: %v allocs/op, want 0", allocs)

@@ -472,7 +472,7 @@ func TestCorruptCountsFailCleanly(t *testing.T) {
 	AppendResult(w, res)
 	single := append([]byte(nil), w.Bytes()...)
 	w.Reset()
-	AppendBatchResponse(w, []Response{{Result: single}, {Err: errors.New("")}})
+	AppendBatchResults(w, []Response{{Result: single}, {Err: errors.New("")}})
 	batch := append([]byte(nil), w.Bytes()...)
 	w.Reset()
 	AppendBatchRequest(w, []BatchItem{{}})
@@ -492,7 +492,7 @@ func TestCorruptCountsFailCleanly(t *testing.T) {
 		Encoded(bad).Decode()
 		Encoded(bad).AppendJSON(nil, 0)
 	})
-	corrupt(batch, func(bad []byte) { DecodeBatchResponse(codec.NewReader(bad)) })
+	corrupt(batch, func(bad []byte) { DecodeBatchResults(codec.NewReader(bad)) })
 	corrupt(request, func(bad []byte) { DecodeBatchRequest(codec.NewReader(bad), nil) })
 
 	// The layer length itself, which is what crashed: an empty header, then

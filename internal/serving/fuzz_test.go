@@ -44,7 +44,7 @@ func FuzzEncodedResult(f *testing.F) {
 		h, herr := enc.Header()
 		res, derr := enc.Decode()
 		body, jerr := enc.AppendJSON(nil, 7)
-		batch, berr := DecodeBatchResponse(codec.NewReader(data))
+		batch, berr := DecodeBatchResults(codec.NewReader(data))
 		items, qerr := DecodeBatchRequest(codec.NewReader(data), nil)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(allocFactor*len(data)+allocSlack) {

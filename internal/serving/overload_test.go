@@ -28,17 +28,17 @@ func TestDeadlineFastFailAtDequeue(t *testing.T) {
 	w.Start()
 	defer w.Stop()
 
-	resp := make(chan Response, 1)
+	resp := make(chan []Response, 1)
 	// A deadline already in the past: the serve actor must fail fast with the
 	// typed deadline error instead of assembling an answer.
 	w.Submit(Request{
-		Query: 0, Seed: 1, Resp: resp,
+		Batch: []BatchItem{{Query: 0, Seed: 1}}, Resp: resp,
 		Deadline: w.cfg.Clock.Now().Add(-time.Millisecond).UnixNano(),
 	})
 	select {
 	case out := <-resp:
-		if !overload.IsDeadline(out.Err) {
-			t.Fatalf("expired request returned %v, want deadline error", out.Err)
+		if !overload.IsDeadline(out[0].Err) {
+			t.Fatalf("expired request returned %v, want deadline error", out[0].Err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no response for expired request")
@@ -231,7 +231,7 @@ func TestResultCodecCarriesDegradedFlag(t *testing.T) {
 	defer cl.Close()
 
 	// Normal path first: flag must stay clear across the wire.
-	res, err := cl.Sample(0, 1)
+	res, err := cl.SampleBudget(0, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestResultCodecCarriesDegradedFlag(t *testing.T) {
 	}()
 	waitUntil(t, func() bool { return w.limiter.Queued() == 1 })
 
-	res, err = cl.Sample(0, 1)
+	res, err = cl.SampleBudget(0, 1, 0, 0)
 	if err != nil {
 		t.Fatalf("degraded call returned %v", err)
 	}
@@ -312,7 +312,7 @@ func TestRemoteDeadlineShedIsTyped(t *testing.T) {
 	}()
 	waitUntil(t, func() bool { return w.limiter.Queued() == 1 })
 
-	_, err = cl.Sample(0, 1)
+	_, err = cl.SampleBudget(0, 1, 0, 0)
 	if !overload.IsOverload(err) {
 		t.Fatalf("remote shed arrived as %v, want IsOverload", err)
 	}

@@ -17,18 +17,16 @@ import (
 // deployments. Requests run through the serving pool, so the §4.3 serving
 // threads govern concurrency exactly as for in-process callers.
 
-// MethodSample is the RPC method name for sampling queries.
+// MethodSample carries a batch of sampling queries in one frame; a lone
+// query is a batch of one. The frontend combines the requests that queued
+// for a partition while its calls were in flight; the worker decodes the
+// batch once and assembles every member in a single actor turn. Per-member
+// trace IDs and deadline budgets ride in the payload, so each member keeps
+// its own identity and deadline though the frame envelope carries only the
+// batch-wide minimum.
 const MethodSample = "helios.sample"
 
-// MethodSampleBatch carries a batch of sampling queries in one frame: the
-// frontend combines the requests that queued for a partition while its
-// calls were in flight; the worker decodes the batch once and assembles
-// every member in a single actor turn. Per-member trace IDs and deadline
-// budgets ride in the payload, so each member keeps its own identity and
-// deadline though the frame envelope carries only the batch-wide minimum.
-const MethodSampleBatch = "helios.sample_batch"
-
-// MaxBatch caps the members of one MethodSampleBatch frame: a bound on how
+// MaxBatch caps the members of one MethodSample frame: a bound on how
 // much work one admission slot can represent. The frontend never sends
 // more; the worker refuses more, since its input arrives off a socket.
 const MaxBatch = 1024
@@ -37,7 +35,7 @@ const MaxBatch = 1024
 // replica it marked unhealthy after a failed call.
 const MethodPing = "helios.ping"
 
-// BatchItem is one member of a coalesced sampling batch.
+// BatchItem is one member of a sampling batch.
 type BatchItem struct {
 	Query query.ID
 	Seed  graph.VertexID
@@ -76,7 +74,7 @@ var (
 // seed, trace and budget at one byte each.
 const minBatchItem = 4
 
-// AppendBatchRequest encodes a coalesced batch request.
+// AppendBatchRequest encodes a batch request.
 //
 //lint:hotpath
 func AppendBatchRequest(w *codec.Writer, items []BatchItem) {
@@ -110,11 +108,11 @@ func DecodeBatchRequest(r *codec.Reader, items []BatchItem) ([]BatchItem, error)
 	return items, r.Finish()
 }
 
-// AppendBatchResponse encodes the per-member outcomes of a batch,
+// AppendBatchResults encodes the per-member outcomes of a batch,
 // index-aligned with the request's items.
 //
 //lint:hotpath
-func AppendBatchResponse(w *codec.Writer, resps []Response) {
+func AppendBatchResults(w *codec.Writer, resps []Response) {
 	w.Uvarint(uint64(len(resps)))
 	for i := range resps {
 		rs := &resps[i]
@@ -138,10 +136,10 @@ func AppendBatchResponse(w *codec.Writer, resps []Response) {
 	}
 }
 
-// DecodeBatchResponse parses the per-member outcomes of a batch,
+// DecodeBatchResults parses the per-member outcomes of a batch,
 // consuming the whole buffer. Successful members come back still encoded,
 // as sub-slices of the buffer.
-func DecodeBatchResponse(r *codec.Reader) ([]BatchResult, error) {
+func DecodeBatchResults(r *codec.Reader) ([]BatchResult, error) {
 	n := r.Count(1)
 	out := make([]BatchResult, 0, n)
 	for i := 0; i < n; i++ {
@@ -175,28 +173,6 @@ func ServeRPC(w *Worker, srv *rpc.Server) {
 	})
 	srv.HandleBuf(MethodSample, func(ctx rpc.Ctx, req []byte, out *codec.Writer) error {
 		r := codec.NewReader(req)
-		qid := query.ID(r.Uvarint())
-		seed := graph.VertexID(r.Uvarint())
-		if err := r.Err(); err != nil {
-			return err
-		}
-		resp := w.ServeAdmitted(ctx, qid, seed)
-		if resp.Err != nil {
-			return resp.Err
-		}
-		// The answer arrives encoded, header and all; what is left to time
-		// as the encode stage is its copy into the server's pooled reply
-		// writer. It is observed (with the request's trace exemplar) but not
-		// a span: the spans are already in the payload. Frontend-side it
-		// reads as rpc_transport residual.
-		encStart := w.cfg.Clock.Now()
-		out.Raw(resp.Result)
-		resp.Release()
-		w.stEncode.Observe(w.cfg.Clock.Now().Sub(encStart).Nanoseconds(), ctx.Trace)
-		return nil
-	})
-	srv.HandleBuf(MethodSampleBatch, func(ctx rpc.Ctx, req []byte, out *codec.Writer) error {
-		r := codec.NewReader(req)
 		items, err := DecodeBatchRequest(r, nil)
 		if err != nil {
 			return err
@@ -211,8 +187,12 @@ func ServeRPC(w *Worker, srv *rpc.Server) {
 		if err != nil {
 			return err
 		}
+		// The answers arrive encoded, header and all; what is left to time
+		// as the encode stage is their copy into the server's pooled reply
+		// writer. It is observed (with the frame's trace exemplar) but not
+		// a span: the spans are already in each answer.
 		encStart := w.cfg.Clock.Now()
-		AppendBatchResponse(out, resps)
+		AppendBatchResults(out, resps)
 		for _, r := range resps {
 			r.Release()
 		}
@@ -246,21 +226,21 @@ func (w *Worker) ServeAdmitted(ctx rpc.Ctx, qid query.ID, seed graph.VertexID) R
 		return Response{Err: err}
 	}
 	defer release()
-	resp := make(chan Response, 1)
-	if out, ok := await(w, ctx, Request{Query: qid, Seed: seed, Resp: resp, Trace: ctx.Trace}, resp); ok {
-		return out
+	if out, ok := w.await(ctx, []BatchItem{{Query: qid, Seed: seed, Trace: ctx.Trace}}); ok {
+		return out[0]
 	}
 	return Response{Err: rpc.ErrDeadlineExceeded}
 }
 
-// ServeBatch runs a coalesced batch through the worker's admission
-// limiter and the serve pool as one unit of work: one limiter slot, one
-// mailbox send, one actor turn assembling every member. The frame
-// deadline (the batch minimum) bounds the whole batch; each member's own
-// budget is enforced per item inside the turn. A batch that finds every
-// admission slot taken, or that the limiter sheds, is served as the
-// requests it stands for, all at once through ServeAdmitted, so each
-// member queues, sheds or degrades as it would have alone.
+// ServeBatch runs a batch through the worker's admission limiter and the
+// serve pool as one unit of work: one limiter slot, one mailbox send, one
+// actor turn assembling every member. The frame deadline (the batch
+// minimum) bounds the whole batch; each member's own budget is enforced
+// per item inside the turn. A batch that finds every admission slot taken,
+// or that the limiter sheds, is served as the requests it stands for, all
+// at once through ServeAdmitted, so each member queues, sheds or degrades
+// as it would have alone; the first member runs on the caller's goroutine,
+// so a batch of one starts none.
 func (w *Worker) ServeBatch(ctx rpc.Ctx, items []BatchItem) ([]Response, error) {
 	var release func()
 	err := overload.ErrOverloaded
@@ -269,30 +249,36 @@ func (w *Worker) ServeBatch(ctx rpc.Ctx, items []BatchItem) ([]Response, error) 
 	}
 	if err != nil {
 		resps := make([]Response, len(items))
+		alone := func(i int) {
+			resps[i] = w.ServeAdmitted(rpc.Ctx{Trace: items[i].Trace, Deadline: ctx.Deadline}, items[i].Query, items[i].Seed)
+		}
 		var wg sync.WaitGroup
-		for i, it := range items {
+		for i := 1; i < len(items); i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				resps[i] = w.ServeAdmitted(rpc.Ctx{Trace: it.Trace, Deadline: ctx.Deadline}, it.Query, it.Seed)
+				alone(i)
 			}()
 		}
+		alone(0)
 		wg.Wait()
 		return resps, nil
 	}
 	defer release()
-	resp := make(chan []Response, 1)
-	if out, ok := await(w, ctx, Request{Batch: items, BatchResp: resp, Trace: ctx.Trace}, resp); ok {
+	if out, ok := w.await(ctx, items); ok {
 		return out, nil
 	}
 	return nil, rpc.ErrDeadlineExceeded
 }
 
-// await submits req carrying ctx's deadline and waits for its answer on
-// resp, or reports false once the budget runs out. The pool still dequeues
-// an abandoned request and fast-fails it; resp is buffered, so nothing
-// leaks (an answer nobody reads is never released; the collector takes it).
-func await[T any](w *Worker, ctx rpc.Ctx, req Request, resp <-chan T) (T, bool) {
+// await submits batch carrying ctx's deadline and waits for its answers,
+// or reports false once the budget runs out. The pool still dequeues an
+// abandoned request and fast-fails it; its response channel is buffered,
+// so nothing leaks (answers nobody reads are never released; the collector
+// takes them).
+func (w *Worker) await(ctx rpc.Ctx, batch []BatchItem) ([]Response, bool) {
+	resp := make(chan []Response, 1)
+	req := Request{Batch: batch, Resp: resp}
 	if !ctx.Deadline.IsZero() {
 		req.Deadline = ctx.Deadline.UnixNano()
 	}
@@ -307,8 +293,7 @@ func await[T any](w *Worker, ctx rpc.Ctx, req Request, resp <-chan T) (T, bool) 
 		return out, true
 	case <-t.C:
 		w.deadlineExp.Inc()
-		var none T
-		return none, false
+		return nil, false
 	}
 }
 
@@ -346,31 +331,20 @@ func (c *Client) Ping(timeout time.Duration) error {
 	return err
 }
 
-// Sample executes a sampling query on the remote worker.
-func (c *Client) Sample(qid query.ID, seed graph.VertexID) (*Result, error) {
-	return c.SampleBudget(qid, seed, 0, 0)
-}
-
-// SampleBudget is SampleEncoded with the answer decoded.
+// SampleBudget executes one sampling query, a batch of one, carrying a
+// trace ID (0 = untraced) under an explicit deadline budget: the call times
+// out — and the RPC frame tells the worker to abandon the request — after
+// min(budget, the client's configured timeout). budget <= 0 means the
+// configured timeout alone.
 func (c *Client) SampleBudget(qid query.ID, seed graph.VertexID, trace uint64, budget time.Duration) (*Result, error) {
-	enc, err := c.SampleEncoded(qid, seed, trace, budget)
+	out, err := c.SampleBatch([]BatchItem{{Query: qid, Seed: seed, Trace: trace}}, budget)
 	if err != nil {
 		return nil, err
 	}
-	return enc.Decode()
-}
-
-// SampleEncoded executes a sampling query carrying a trace ID in the RPC
-// envelope (0 = untraced) under an explicit deadline budget: the call
-// times out — and the RPC frame tells the worker to abandon the request —
-// after min(budget, the client's configured timeout). budget <= 0 means
-// the configured timeout alone. The answer comes back as the worker
-// encoded it; the caller owns the bytes.
-func (c *Client) SampleEncoded(qid query.ID, seed graph.VertexID, trace uint64, budget time.Duration) (Encoded, error) {
-	w := codec.NewWriter(20)
-	w.Uvarint(uint64(qid))
-	w.Uvarint(uint64(seed))
-	return c.c.CallTraced(MethodSample, trace, w.Bytes(), c.bound(budget))
+	if out[0].Err != nil {
+		return nil, out[0].Err
+	}
+	return out[0].Result.Decode()
 }
 
 // bound is a call's timeout: budget where it is tighter than the client's
@@ -383,9 +357,9 @@ func (c *Client) bound(budget time.Duration) time.Duration {
 	return c.timeout
 }
 
-// SampleBatch executes a coalesced batch of sampling queries in one RPC
-// frame, returning per-member outcomes index-aligned with items, of which
-// there is at least one (the worker refuses an empty batch). budget
+// SampleBatch executes a batch of sampling queries in one RPC frame,
+// returning per-member outcomes index-aligned with items, of which there
+// is at least one (the worker refuses an empty batch). budget
 // bounds the whole call like SampleBudget's; the members' own budgets
 // ride inside the payload (BatchItem.Budget), so one short-deadline
 // member fails fast worker-side without extending or truncating its
@@ -395,13 +369,13 @@ func (c *Client) bound(budget time.Duration) time.Duration {
 func (c *Client) SampleBatch(items []BatchItem, budget time.Duration) ([]BatchResult, error) {
 	w := codec.GetWriter()
 	AppendBatchRequest(w, items)
-	resp, err := c.c.CallTraced(MethodSampleBatch, items[0].Trace, w.Bytes(), c.bound(budget))
+	resp, err := c.c.CallTraced(MethodSample, items[0].Trace, w.Bytes(), c.bound(budget))
 	codec.PutWriter(w)
 	if err != nil {
 		return nil, err
 	}
 	r := codec.NewReader(resp)
-	out, err := DecodeBatchResponse(r)
+	out, err := DecodeBatchResults(r)
 	if err != nil {
 		return nil, err
 	}

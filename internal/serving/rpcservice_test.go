@@ -75,7 +75,7 @@ func TestServeRPCRoundTrip(t *testing.T) {
 	}
 	defer client.Close()
 
-	res, err := client.Sample(0, 1)
+	res, err := client.SampleBudget(0, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestServeRPCRoundTrip(t *testing.T) {
 	}
 
 	// Unknown query surfaces as a remote error.
-	if _, err := client.Sample(99, 1); err == nil {
+	if _, err := client.SampleBudget(99, 1, 0, 0); err == nil {
 		t.Fatal("unknown query should fail over RPC")
 	}
 }

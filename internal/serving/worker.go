@@ -124,32 +124,27 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// Request is one sampling query submitted to the serving pool.
+// Request is a batch of sampling queries submitted to the serving pool; a
+// lone query is a batch of one. The serving actor assembles every member
+// in one turn and answers on Resp.
 type Request struct {
-	Query query.ID
-	Seed  graph.VertexID
-	Resp  chan<- Response
-	// Trace is the request's trace ID (0 = untraced); traced requests
-	// record their stage decomposition into the worker's Tracer.
-	Trace uint64
+	// Batch holds the members; routing keys on the first member's seed.
+	// Member deadlines derive from BatchItem.Budget pinned at Enqueued,
+	// each additionally capped by Deadline. Traced members record their
+	// stage decomposition into the worker's Tracer.
+	Batch []BatchItem
+	// Resp receives the per-member responses, index-aligned with Batch.
+	// Must be buffered.
+	Resp chan<- []Response
 	// Enqueued is the submit nanosecond (worker clock), stamped by Submit;
 	// the serving actor derives the queue-wait span from it.
 	Enqueued int64
-	// Deadline is the request's absolute deadline in nanoseconds on the
-	// worker clock's epoch (0 = none). A request found expired at dequeue —
-	// or mid-assembly — fails fast with rpc.ErrDeadlineExceeded instead of
-	// finishing work the caller already abandoned.
+	// Deadline is the batch's absolute deadline in nanoseconds on the
+	// worker clock's epoch (0 = none): the minimum the frame carried. A
+	// member found expired at dequeue — or mid-assembly — fails fast with
+	// rpc.ErrDeadlineExceeded instead of finishing work the caller already
+	// abandoned.
 	Deadline int64
-	// Batch, when non-nil, makes this a coalesced multi-query request: the
-	// serving actor assembles every member in one turn and answers on
-	// BatchResp (Query/Seed/Resp/Trace are ignored; routing keys on the
-	// first member's seed). Member deadlines derive from BatchItem.Budget
-	// pinned at Enqueued, each additionally capped by Deadline — the
-	// batch-wide minimum the frame carried.
-	Batch []BatchItem
-	// BatchResp receives the per-member responses, index-aligned with
-	// Batch. Must be buffered, like Resp.
-	BatchResp chan<- []Response
 }
 
 // Response carries one assembled answer.
@@ -509,112 +504,84 @@ func (w *Worker) applyMessage(_ int, m wire.Message) {
 	}
 }
 
-// Submit enqueues a request on the serving pool; the response arrives on
-// req.Resp (or req.BatchResp for a coalesced batch). Requests for one
-// seed serialize on one serving actor; a batch serializes behind its
-// first member's seed.
+// Submit enqueues a request on the serving pool; the responses arrive on
+// req.Resp. A request serializes behind its first member's seed on one
+// serving actor.
 func (w *Worker) Submit(req Request) {
 	if req.Enqueued == 0 {
 		req.Enqueued = w.cfg.Clock.Now().UnixNano()
 	}
-	key := uint64(req.Seed)
-	if len(req.Batch) > 0 {
-		key = uint64(req.Batch[0].Seed)
-	}
-	w.servePool.Send(key, req)
+	w.servePool.Send(uint64(req.Batch[0].Seed), req)
 }
 
-// handleRequest is the serving actor turn: one queued request — or one
-// coalesced batch — checked against its deadline, assembled, traced, and
-// answered.
+// handleRequest is the serving actor turn: every member of one queued
+// request assembled back to back — one dequeue, K-hop loops run
+// consecutively, per-member stage spans and slow-log exactly as if each had
+// arrived alone. Members expired by their own budget fail fast
+// individually without disturbing their batchmates.
 //
 //lint:hotpath
 func (w *Worker) handleRequest(_ int, req Request) {
-	if req.Batch != nil {
-		w.handleBatch(req)
-		return
+	out := make([]Response, len(req.Batch))
+	for i := range req.Batch {
+		it := &req.Batch[i]
+		var deadline int64
+		if it.Budget > 0 {
+			deadline = req.Enqueued + it.Budget
+		}
+		if req.Deadline > 0 && (deadline == 0 || req.Deadline < deadline) {
+			deadline = req.Deadline
+		}
+		out[i] = w.serveOne(it, req.Enqueued, deadline)
 	}
-	out := w.serveOne(req)
 	if req.Resp != nil {
 		req.Resp <- out
 	}
 }
 
-// handleBatch assembles every member of a coalesced batch back to back in
-// the one actor turn the batch occupies: one dequeue, K-hop loops run
-// consecutively, per-member stage spans and slow-log exactly as if each
-// had arrived alone. Members expired by their own budget fail fast
-// individually without disturbing their batchmates.
+// serveOne runs one member's deadline check, assembly, stage spans,
+// slow-log and trace recording. deadline is the member's, capped by its
+// batch's (0 = none).
 //
 //lint:hotpath
-func (w *Worker) handleBatch(req Request) {
-	out := make([]Response, len(req.Batch))
-	for i := range req.Batch {
-		it := &req.Batch[i]
-		one := Request{Query: it.Query, Seed: it.Seed, Trace: it.Trace, Enqueued: req.Enqueued}
-		if it.Budget > 0 && req.Enqueued > 0 {
-			one.Deadline = req.Enqueued + it.Budget
-		}
-		if req.Deadline > 0 && (one.Deadline == 0 || req.Deadline < one.Deadline) {
-			one.Deadline = req.Deadline
-		}
-		out[i] = w.serveOne(one)
-	}
-	if req.BatchResp != nil {
-		req.BatchResp <- out
-	}
-}
-
-// serveOne runs one request's deadline check, assembly, stage spans,
-// slow-log and trace recording.
-//
-//lint:hotpath
-func (w *Worker) serveOne(req Request) Response {
+func (w *Worker) serveOne(it *BatchItem, enqueued, deadline int64) Response {
 	start := w.cfg.Clock.Now()
-	if req.Deadline > 0 && start.UnixNano() >= req.Deadline {
+	if deadline > 0 && start.UnixNano() >= deadline {
 		// The caller's budget burned up while this request sat in the serve
 		// queue: fail fast instead of assembling an answer nobody is waiting
 		// for (the tentpole's "abandon work when the caller gives up").
 		w.deadlineExp.Inc()
-		if req.Trace != 0 {
-			w.cfg.Logger.Warn(req.Trace, obs.StageServingQueueWait,
-				"deadline expired in serve queue", "seed", uint64(req.Seed))
+		if it.Trace != 0 {
+			w.cfg.Logger.Warn(it.Trace, obs.StageServingQueueWait,
+				"deadline expired in serve queue", "seed", uint64(it.Seed))
 		}
 		return Response{Err: rpc.ErrDeadlineExceeded}
 	}
 	a := getAssembly()
-	if req.Enqueued > 0 {
-		a.spans = append(a.spans, obs.Span{Name: obs.StageServingQueueWait, Dur: max(start.UnixNano()-req.Enqueued, 0)})
-	}
-	err := w.assemble(a, req.Query, req.Seed, req.Deadline, req.Trace)
+	a.spans = append(a.spans, obs.Span{Name: obs.StageServingQueueWait, Dur: max(start.UnixNano()-enqueued, 0)})
+	err := w.assemble(a, it.Query, it.Seed, deadline, it.Trace)
 	end := w.cfg.Clock.Now()
 	if err != nil {
 		a.release()
 		return Response{Err: err, Latency: end.Sub(start)}
 	}
-	if req.Enqueued > 0 {
-		w.stQueueWait.Observe(a.spans[0].Dur, req.Trace)
-	}
-	if req.Trace != 0 && w.cfg.SlowLog > 0 && end.Sub(start) >= w.cfg.SlowLog && w.cfg.Logger.Enabled(obs.LevelInfo) {
+	w.stQueueWait.Observe(a.spans[0].Dur, it.Trace)
+	if it.Trace != 0 && w.cfg.SlowLog > 0 && end.Sub(start) >= w.cfg.SlowLog && w.cfg.Logger.Enabled(obs.LevelInfo) {
 		worst := obs.Span{}
 		for _, s := range a.spans {
 			if s.Dur > worst.Dur {
 				worst = s
 			}
 		}
-		w.cfg.Logger.Info(req.Trace, worst.Name, "slow serve",
-			"seed", uint64(req.Seed), "service", end.Sub(start), "worst_stage_dur", time.Duration(worst.Dur))
+		w.cfg.Logger.Info(it.Trace, worst.Name, "slow serve",
+			"seed", uint64(it.Seed), "service", end.Sub(start), "worst_stage_dur", time.Duration(worst.Dur))
 	}
-	if req.Trace != 0 {
+	if it.Trace != 0 {
 		// Total covers queue wait + service so the spans always sum to at
 		// most the recorded end-to-end time.
-		traceStart := req.Enqueued
-		if traceStart == 0 {
-			traceStart = start.UnixNano()
-		}
 		w.cfg.Tracer.Record(obs.Trace{
-			ID: req.Trace, Op: "sample", Start: traceStart,
-			Total: end.UnixNano() - traceStart, Spans: slices.Clone(a.spans),
+			ID: it.Trace, Op: "sample", Start: enqueued,
+			Total: end.UnixNano() - enqueued, Spans: slices.Clone(a.spans),
 		})
 	}
 	return Response{Result: a.finish(false, 0), Latency: end.Sub(start), asm: a}

@@ -314,9 +314,9 @@ func TestSubmitServesThroughPool(t *testing.T) {
 	w := newTestWorker(t, b)
 	w.Start()
 	defer w.Stop()
-	resp := make(chan Response, 1)
-	w.Submit(Request{Query: 0, Seed: 1, Resp: resp})
-	r := <-resp
+	resp := make(chan []Response, 1)
+	w.Submit(Request{Batch: []BatchItem{{Query: 0, Seed: 1}}, Resp: resp})
+	r := (<-resp)[0]
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
