@@ -14,7 +14,7 @@ import (
 
 // runCluster implements "helios-bench cluster": it scrapes a coordinator's
 // GET /cluster endpoint and renders the worker liveness table, partition
-// heat table and stage rollups as the operator-facing dump, then (when
+// table and stage rollups as the operator-facing dump, then (when
 // -flight-dir is set) lists the flight-recorder captures on disk and
 // summarises the newest one. Either source alone is fine — a dead cluster
 // can still have its black box read.
@@ -64,8 +64,7 @@ func fetchCluster(url string) (*monitor.ClusterView, error) {
 }
 
 func printCluster(out io.Writer, v *monitor.ClusterView) {
-	fmt.Fprintf(out, "cluster @ %s  skew=%.3fx\n\n",
-		time.Unix(0, v.CapturedNS).Format(time.RFC3339), float64(v.SkewMilli)/1000)
+	fmt.Fprintf(out, "cluster @ %s\n\n", time.Unix(0, v.CapturedNS).Format(time.RFC3339))
 
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "WORKER\tKIND\tVERSION\tSEQ\tUPTIME\tAGE\tSTATE\tBURN\tWORST TRACE")
@@ -102,17 +101,14 @@ func printCluster(out io.Writer, v *monitor.ClusterView) {
 	if len(v.Partitions) > 0 {
 		fmt.Fprintln(out)
 		tw = tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "PARTITION\tWORKER\tRATE/S\tBASELINE/S\tHEAT\tLAG\tHIT%\tSTALENESS\tFLAGS")
+		fmt.Fprintln(tw, "PARTITION\tWORKER\tRATE/S\tLAG\tHIT%\tSTALENESS\tFLAGS")
 		for _, p := range v.Partitions {
 			fl := "-"
 			if p.Stale {
 				fl = "stale"
 			}
-			fmt.Fprintf(tw, "%d\t%s\t%.1f\t%.1f\t%.3f\t%d\t%.1f\t%s\t%s\n",
-				p.Partition, p.Worker,
-				float64(p.RateMilli)/1000, float64(p.BaselineMilli)/1000,
-				float64(p.HeatMilli)/1000,
-				p.Lag, float64(p.HitRateMilli)/10,
+			fmt.Fprintf(tw, "%d\t%s\t%.1f\t%d\t%.1f\t%s\t%s\n",
+				p.Partition, p.Worker, float64(p.RateMilli)/1000, p.Lag, float64(p.HitRateMilli)/10,
 				time.Duration(p.StalenessNS).Round(time.Millisecond), fl)
 		}
 		//lint:allow droppederror reason=tabwriter flush to the caller's writer; stdout errors are not recoverable here

@@ -58,3 +58,42 @@ func TestDocsNameOnlyRealFlags(t *testing.T) {
 		t.Fatal("the docs name no role flag at all: the pattern has drifted from how they write them")
 	}
 }
+
+// TestSeriesTableMatchesGolden: DESIGN.md's "Every exported series and its
+// reader" table and internal/cluster/testdata/series.txt (which
+// TestEverySeriesNamesItsReader checks against a booted cluster) are one
+// list in two forms, so a row edited in one must be edited in the other.
+func TestSeriesTableMatchesGolden(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("internal/cluster/testdata/series.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(design), "### Every exported series and its reader\n")
+	if !ok {
+		t.Fatal(`DESIGN.md has no "Every exported series and its reader" section`)
+	}
+	var rows []string
+	for _, line := range strings.Split(section, "\n") {
+		name, reader, ok := strings.Cut(strings.TrimPrefix(line, "| `"), "` | ")
+		if !strings.HasPrefix(line, "| `") || !ok {
+			if len(rows) > 0 {
+				break // the table's first non-row line ends it
+			}
+			continue
+		}
+		rows = append(rows, name+"\t"+strings.TrimSuffix(reader, " |"))
+	}
+	want := strings.Split(strings.TrimSpace(string(golden)), "\n")
+	if len(rows) != len(want) {
+		t.Errorf("DESIGN.md's series table has %d rows, series.txt %d lines", len(rows), len(want))
+	}
+	for i := 0; i < len(rows) && i < len(want); i++ {
+		if rows[i] != want[i] {
+			t.Errorf("row %d differs:\n  DESIGN.md:  %q\n  series.txt: %q", i+1, rows[i], want[i])
+		}
+	}
+}

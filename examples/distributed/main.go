@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"helios/internal/cluster"
-	"helios/internal/coord"
 	"helios/internal/deploy"
 	"helios/internal/faultpoint"
 	"helios/internal/graph"
@@ -296,14 +295,14 @@ func main() {
 		// replica that never reported is "not started yet", not dead), so
 		// wait until every replica's status beats have registered — in a
 		// real deployment brokers report long before anything fails.
+		fo := c.Brokers[0].Failover
 		await("failover: not every replica ever reported", func() bool {
-			known := 0
-			for _, w := range c.Brokers[0].Coord.Workers() {
-				if w.Kind == coord.KindBroker {
-					known++
+			for peer := 0; peer < replicas; peer++ {
+				if !fo.Reported(peer) {
+					return false
 				}
 			}
-			return known == replicas
+			return true
 		})
 
 		// Permanently kill the broker leading the updates partition those
@@ -312,7 +311,6 @@ func main() {
 		// to partition 1, led by replica 1; the controller itself lives on
 		// replica 0, whose death this deployment does not survive — see
 		// DESIGN.md "Single-coordinator availability".)
-		fo := c.Brokers[0].Failover
 		target := int(graph.Hash64(1) % uint64(cfg.File.Samplers))
 		leaderOf := func(part int) int {
 			pm := fo.PartMap()

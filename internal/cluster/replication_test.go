@@ -158,7 +158,7 @@ func TestCoordinatorCheckpointing(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("checkpoints never written or workers never beat: %v", c.Brokers[0].Coord.Workers())
+			t.Fatalf("checkpoints never written or workers never beat: %+v", c.Brokers[0].Collector.View().Workers)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

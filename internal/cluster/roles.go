@@ -252,10 +252,9 @@ type BrokerOptions struct {
 // Broker is a running broker role.
 type Broker struct {
 	Queue *mq.Broker
-	// Coord, Collector and Reporter (the host's own telemetry, fed straight
-	// into Collector) are the control plane, nil on replicas other than 0;
+	// Collector and Reporter (the host's own telemetry, fed straight into
+	// Collector) are the control plane, nil on replicas other than 0;
 	// Failover is nil on an unreplicated broker too.
-	Coord     *coord.Coordinator
 	Collector *monitor.Collector
 	Reporter  *monitor.Reporter
 	Failover  *coord.Failover
@@ -331,10 +330,9 @@ func StartBroker(o BrokerOptions) (_ *Broker, err error) {
 }
 
 // startControlPlane builds the coordinator surface hosted beside the queue:
-// the liveness registry, the telemetry collector with the host's own
-// self-report, and — for a replica set — the failover controller.
+// the telemetry collector with the host's own self-report and — for a
+// replica set — the failover controller.
 func (b *Broker) startControlPlane(o BrokerOptions) error {
-	b.Coord = coord.New()
 	cc := o.Collector
 	if cc.Interval == 0 {
 		cc.Interval = o.TelemetryEvery
@@ -370,10 +368,9 @@ func (b *Broker) startControlPlane(o BrokerOptions) error {
 		b.onClose(func() { _ = c.Close() })
 	}
 	b.Failover = coord.NewFailover(coord.FailoverConfig{
-		Coordinator: b.Coord,
-		Peers:       len(peers),
-		DeadAfter:   o.ReplDeadAfter,
-		Logger:      b.log,
+		Peers:     len(peers),
+		DeadAfter: o.ReplDeadAfter,
+		Logger:    b.log,
 		Notify: func(peer int, pm mq.PartMap) error {
 			if peer == 0 {
 				b.Queue.ApplyPartMap(pm)
@@ -480,7 +477,7 @@ type ServerOptions struct {
 // Server is a running server role.
 type Server struct {
 	Worker *serving.Worker
-	// Reporter assembles the worker's telemetry, its partition's heat
+	// Reporter assembles the worker's telemetry, its partition's serve
 	// counters included; nil on a bus with no control connection.
 	Reporter *monitor.Reporter
 	endpoint

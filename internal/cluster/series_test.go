@@ -50,7 +50,7 @@ func TestEverySeriesNamesItsReader(t *testing.T) {
 	// build identity, and on broker 0 of a replica set the failover
 	// controller's two series.
 	obs.RegisterBuildInfo(reg, "helios-test", nil)
-	coord.NewFailover(coord.FailoverConfig{Coordinator: coord.New(), Peers: 3}).RegisterMetrics(reg)
+	coord.NewFailover(coord.FailoverConfig{Peers: 3}).RegisterMetrics(reg)
 
 	mustIngest(t, c, graph.NewEdgeUpdate(graph.Edge{Src: userID(1), Dst: itemID(1), Type: g.click, Ts: 1}))
 	if err := c.WaitQuiesce(5 * time.Second); err != nil {

@@ -1,10 +1,10 @@
 package coord
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
+	"helios/internal/clock"
 	"helios/internal/codec"
 	"helios/internal/mq"
 	"helios/internal/obs"
@@ -13,12 +13,11 @@ import (
 
 // Failover is the coordinator-driven broker failover controller (ROADMAP
 // item 4): broker replicas report their per-partition replication offsets
-// (mq.MethodReplStatus), each report doubling as a liveness beat through
-// the coordinator's existing dead-worker machinery; when a partition's
-// leader goes silent past DeadAfter, the controller promotes the
-// most-caught-up live replica and publishes the new leadership in a
-// versioned mq.PartMap — pushed to every live broker (mq.MethodLead) and
-// served to clients on demand (mq.MethodPartMap).
+// (mq.MethodReplStatus), each report doubling as the replica's liveness
+// beat; when a partition's leader goes silent past DeadAfter, the
+// controller promotes the most-caught-up live replica and publishes the
+// new leadership in a versioned mq.PartMap — pushed to every live broker
+// (mq.MethodLead) and served to clients on demand (mq.MethodPartMap).
 //
 // The controller itself runs wherever the coordinator runs (one designated
 // endpoint); it is intentionally not itself replicated — the single
@@ -26,14 +25,11 @@ import (
 // down, the cluster keeps serving under the last published map, it merely
 // cannot promote until the coordinator returns.
 
-// brokerName is the liveness-registry name of broker replica i.
-func brokerName(i int) string { return fmt.Sprintf("broker-%d", i) }
-
 // FailoverConfig wires the controller.
 type FailoverConfig struct {
-	// Coordinator supplies the heartbeat registry and dead-worker
-	// detection (and, in tests, the fake clock).
-	Coordinator *Coordinator
+	// Clock stamps report beats and ages them; nil is the wall clock
+	// (tests inject a fake, so leader death is an Advance, not a sleep).
+	Clock clock.Clock
 	// Peers is the broker replica count; replica indices are [0, Peers).
 	Peers int
 	// DeadAfter is how long a broker may go silent before its partitions
@@ -53,6 +49,7 @@ type Failover struct {
 
 	mu     sync.Mutex
 	status map[int]map[mq.PartKey]int64 // peer -> partition -> next offset
+	beat   map[int]time.Time            // peer -> last report; absent = never reported
 	pm     mq.PartMap
 	pushed map[int]int64 // peer -> map version last successfully pushed
 
@@ -66,9 +63,13 @@ func NewFailover(cfg FailoverConfig) *Failover {
 	if cfg.DeadAfter == 0 {
 		cfg.DeadAfter = 3 * time.Second
 	}
+	if cfg.Clock == nil {
+		cfg.Clock = clock.Wall()
+	}
 	return &Failover{
 		cfg:    cfg,
 		status: make(map[int]map[mq.PartKey]int64),
+		beat:   make(map[int]time.Time),
 		pm:     mq.PartMap{Leaders: make(map[mq.PartKey]int)},
 		pushed: make(map[int]int64),
 	}
@@ -88,14 +89,24 @@ func (f *Failover) Report(peer int, entries []mq.ReplEntry) {
 	if peer < 0 || peer >= f.cfg.Peers {
 		return
 	}
-	f.cfg.Coordinator.Heartbeat(brokerName(peer), KindBroker)
 	m := make(map[mq.PartKey]int64, len(entries))
 	for _, e := range entries {
 		m[mq.PartKey{Topic: e.Topic, Partition: e.Partition}] = e.Next
 	}
+	now := f.cfg.Clock.Now()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.status[peer] = m
+	f.beat[peer] = now
+}
+
+// Reported reports whether replica peer has ever reported: the controller
+// fails over only leaders it has seen beat.
+func (f *Failover) Reported(peer int) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	_, ok := f.beat[peer]
+	return ok
 }
 
 // PartMap returns the controller's current leadership map.
@@ -109,29 +120,6 @@ func (f *Failover) PartMap() mq.PartMap {
 // Step runs one detection/promotion/publication round. Exposed so tests
 // drive it against a fake clock; the broker role runs it periodically.
 func (f *Failover) Step() {
-	dead := make(map[int]bool)
-	known := make(map[int]bool)
-	for _, w := range f.cfg.Coordinator.Workers() {
-		if w.Kind != KindBroker {
-			continue
-		}
-		var i int
-		if _, err := fmt.Sscanf(w.Name, "broker-%d", &i); err != nil {
-			continue
-		}
-		known[i] = true
-	}
-	for _, w := range f.cfg.Coordinator.Dead(f.cfg.DeadAfter) {
-		if w.Kind != KindBroker {
-			continue
-		}
-		var i int
-		if _, err := fmt.Sscanf(w.Name, "broker-%d", &i); err != nil {
-			continue
-		}
-		dead[i] = true
-	}
-
 	type promotion struct {
 		key  mq.PartKey
 		from int
@@ -139,7 +127,13 @@ func (f *Failover) Step() {
 		next int64
 	}
 	var promos []promotion
+	cutoff := f.cfg.Clock.Now().Add(-f.cfg.DeadAfter)
 	f.mu.Lock()
+	// A replica is known once it has reported, and dead once its last
+	// report is older than DeadAfter; a dead one that reports again is
+	// live again on the next round.
+	known := func(peer int) bool { _, ok := f.beat[peer]; return ok }
+	dead := func(peer int) bool { t, ok := f.beat[peer]; return ok && t.Before(cutoff) }
 	keys := make(map[mq.PartKey]bool)
 	for _, m := range f.status {
 		for k := range m {
@@ -149,14 +143,14 @@ func (f *Failover) Step() {
 	for k := range keys {
 		//lint:allow lockacrossblock reason=PartMap.Leader is a pure in-memory lookup, not queue I/O
 		leader := f.pm.Leader(k.Topic, k.Partition, f.cfg.Peers)
-		// Only fail over leaders the registry has actually seen die: a
+		// Only fail over leaders the controller has actually seen die: a
 		// replica that never reported is "not started yet", not dead.
-		if !known[leader] || !dead[leader] {
+		if !dead(leader) {
 			continue
 		}
 		best, bestNext := -1, int64(-1)
 		for peer, m := range f.status {
-			if dead[peer] || peer == leader {
+			if dead(peer) || peer == leader {
 				continue
 			}
 			if n, ok := m[k]; ok && (n > bestNext || (n == bestNext && (best < 0 || peer < best))) {
@@ -180,7 +174,7 @@ func (f *Failover) Step() {
 	var targets []int
 	if f.cfg.Notify != nil {
 		for peer := 0; peer < f.cfg.Peers; peer++ {
-			if dead[peer] || !known[peer] {
+			if dead(peer) || !known(peer) {
 				continue // a revived replica is pushed right after its next report
 			}
 			if f.pushed[peer] < pm.Version {

@@ -34,9 +34,9 @@ func (n *notifyLog) version(peer int) (int64, bool) {
 
 func newTestFailover(fk *clock.Fake, peers int, nl *notifyLog) *Failover {
 	cfg := FailoverConfig{
-		Coordinator: New().WithClock(fk),
-		Peers:       peers,
-		DeadAfter:   time.Second,
+		Clock:     fk,
+		Peers:     peers,
+		DeadAfter: time.Second,
 	}
 	if nl != nil {
 		cfg.Notify = nl.push

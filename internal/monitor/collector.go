@@ -5,7 +5,6 @@ import (
 	"math"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -18,8 +17,7 @@ const (
 	// staleIntervals marks a worker stale once its last snapshot is this
 	// many telemetry intervals old (the /cluster contract: frozen numbers
 	// are flagged, never silently served); deadStales declares it dead —
-	// and triggers a flight capture — after this many stale periods unless
-	// CollectorConfig.DeadAfter says otherwise.
+	// and triggers a flight capture — after this many stale periods.
 	staleIntervals = 3
 	deadStales     = 3
 	// burnCaptureMilli is the SLO burn rate, in the slo.burn_rate_milli
@@ -33,8 +31,6 @@ const (
 	// historyViews is the number of trailing cluster views retained for
 	// capture context.
 	historyViews = 8
-	// ewmaAlpha is the smoothing factor of the per-partition rate baselines.
-	ewmaAlpha = 0.3
 )
 
 // CollectorConfig configures the coordinator-side Collector.
@@ -43,14 +39,10 @@ type CollectorConfig struct {
 	// to the wall clock.
 	Clock clock.Clock
 	// Interval is the expected telemetry cadence (the workers'
-	// -telemetry-every); a worker is stale after three of them. 0 defaults
-	// to 5s.
+	// -telemetry-every); a worker is stale after three of them and dead
+	// (a flight capture) after nine. 0 defaults to 5s.
 	Interval time.Duration
-	// DeadAfter declares a worker dead (and triggers a flight capture)
-	// when its last snapshot is older; 0 defaults to nine intervals.
-	DeadAfter time.Duration
-	// Registry receives the cluster gauges (cluster.partition_heat,
-	// cluster.skew_score, worker counts). May be nil.
+	// Registry receives the cluster worker-count gauges. May be nil.
 	Registry *obs.Registry
 	// Recorder receives flight captures. May be nil (no captures).
 	Recorder *FlightRecorder
@@ -66,12 +58,10 @@ func (cfg *CollectorConfig) fill() {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Second
 	}
-	if cfg.DeadAfter <= 0 {
-		cfg.DeadAfter = deadStales * cfg.staleAfter()
-	}
 }
 
 func (cfg *CollectorConfig) staleAfter() time.Duration { return staleIntervals * cfg.Interval }
+func (cfg *CollectorConfig) deadAfter() time.Duration  { return deadStales * cfg.staleAfter() }
 
 type workerState struct {
 	last   *WorkerSnapshot // never nil: a worker exists from its first snapshot
@@ -82,7 +72,6 @@ type workerState struct {
 type partitionState struct {
 	worker       string
 	rate         float64 // latest instantaneous QPS
-	ewma         float64 // EWMA rate baseline
 	lag          int64
 	hitRateMilli int64
 	stalenessNS  int64
@@ -124,11 +113,6 @@ func NewCollector(cfg CollectorConfig) *Collector {
 			_, _, dead := c.counts()
 			return dead
 		})
-		reg.GaugeFunc("cluster.skew_score", func() int64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return c.skewMilliLocked()
-		})
 	}
 	return c
 }
@@ -143,7 +127,7 @@ func (c *Collector) counts() (total, stale, dead int64) {
 		total++
 		age := nowNS - ws.recvNS
 		switch {
-		case ws.dead || age > c.cfg.DeadAfter.Nanoseconds():
+		case ws.dead || age > c.cfg.deadAfter().Nanoseconds():
 			dead++
 		case age > c.cfg.staleAfter().Nanoseconds():
 			stale++
@@ -153,13 +137,12 @@ func (c *Collector) counts() (total, stale, dead int64) {
 }
 
 // OnSnapshot folds one worker snapshot into the cluster state, updating
-// rate baselines and evaluating capture triggers. It implements Sink.
+// partition rates and evaluating capture triggers. It implements Sink.
 func (c *Collector) OnSnapshot(snap *WorkerSnapshot) {
 	if snap == nil || snap.Name == "" {
 		return
 	}
 	nowNS := c.cfg.Clock.Now().UnixNano()
-	var newParts []int
 	var captures []*Capture
 
 	c.mu.Lock()
@@ -168,7 +151,7 @@ func (c *Collector) OnSnapshot(snap *WorkerSnapshot) {
 		ws = &workerState{}
 		c.workers[snap.Name] = ws
 	}
-	wasDead := ws.dead || (ws.recvNS > 0 && nowNS-ws.recvNS > c.cfg.DeadAfter.Nanoseconds())
+	wasDead := ws.dead || (ws.recvNS > 0 && nowNS-ws.recvNS > c.cfg.deadAfter().Nanoseconds())
 	ws.dead = false
 	prev := ws.last
 	// A restart resets the worker's counters and sequence; differencing
@@ -186,7 +169,6 @@ func (c *Collector) OnSnapshot(snap *WorkerSnapshot) {
 		if ps == nil {
 			ps = &partitionState{}
 			c.parts[p.Partition] = ps
-			newParts = append(newParts, p.Partition)
 		}
 		ps.worker = snap.Name
 		ps.lag = p.Lag
@@ -198,7 +180,6 @@ func (c *Collector) OnSnapshot(snap *WorkerSnapshot) {
 			}
 			if dt := snap.NowNS - prev.NowNS; dt > 0 && p.Served >= prevP.Served {
 				ps.rate = float64(p.Served-prevP.Served) / (float64(dt) / 1e9)
-				ps.ewma += ewmaAlpha * (ps.rate - ps.ewma)
 			}
 		} else if total := p.SampleHits + p.SampleMisses; total > 0 {
 			ps.hitRateMilli = 1000 * p.SampleHits / total
@@ -223,7 +204,6 @@ func (c *Collector) OnSnapshot(snap *WorkerSnapshot) {
 	if wasDead {
 		c.cfg.Logger.Info(0, "monitor.collector", "worker re-admitted", "worker", snap.Name)
 	}
-	c.registerPartitionGauges(newParts)
 	c.record(captures)
 }
 
@@ -241,56 +221,6 @@ func findPartition(s *WorkerSnapshot, partition int) *PartitionStats {
 	return nil
 }
 
-// registerPartitionGauges registers a cluster.partition_heat gauge for
-// each newly seen partition (OnSnapshot names a partition new exactly once,
-// and the snapshot decoder bounds partition ids, so the family is bounded
-// by MaxPartitions). It runs outside c.mu: the gauge callbacks take c.mu.
-func (c *Collector) registerPartitionGauges(parts []int) {
-	reg := c.cfg.Registry
-	if reg == nil {
-		return
-	}
-	for _, part := range parts {
-		reg.GaugeFunc("cluster.partition_heat", func() int64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return c.heatMilliLocked(part)
-		}, "partition", strconv.Itoa(part))
-	}
-}
-
-// heatMilliLocked is a partition's EWMA rate over the mean EWMA rate of
-// all partitions, ×1000: 1000 is a perfectly balanced partition, 2000
-// one drawing twice its fair share. Caller holds c.mu.
-func (c *Collector) heatMilliLocked(partition int) int64 {
-	ps := c.parts[partition]
-	if ps == nil || len(c.parts) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, p := range c.parts {
-		sum += p.ewma
-	}
-	mean := sum / float64(len(c.parts))
-	if mean <= 0 {
-		return 0
-	}
-	return int64(math.Round(1000 * ps.ewma / mean))
-}
-
-// skewMilliLocked is the hottest partition's heat — 1000 means balanced,
-// and the excess over 1000 is the imbalance the migration planner would
-// need to shave. Caller holds c.mu.
-func (c *Collector) skewMilliLocked() int64 {
-	var max int64
-	for p := range c.parts {
-		if h := c.heatMilliLocked(p); h > max {
-			max = h
-		}
-	}
-	return max
-}
-
 // allowCaptureLocked rate-limits captures per trigger key. Caller holds
 // c.mu.
 func (c *Collector) allowCaptureLocked(key string, nowNS int64) bool {
@@ -306,8 +236,8 @@ func (c *Collector) allowCaptureLocked(key string, nowNS int64) bool {
 
 // captureLocked assembles the common part of a capture document: the
 // trigger, the offending worker with the worst trace and slow-log lines of
-// its last snapshot, the hottest partition, the current cluster view and
-// the trailing history. Caller holds c.mu.
+// its last snapshot, the partition with the highest current rate, the
+// current cluster view and the trailing history. Caller holds c.mu.
 func (c *Collector) captureLocked(reason string, last *WorkerSnapshot, nowNS int64) *Capture {
 	doc := &Capture{
 		Reason:    reason,
@@ -320,10 +250,10 @@ func (c *Collector) captureLocked(reason string, last *WorkerSnapshot, nowNS int
 	if len(last.Worst) > 0 {
 		doc.WorstTrace = last.Worst[0]
 	}
-	var best int64
-	for p := range c.parts {
-		if h := c.heatMilliLocked(p); doc.Partition < 0 || h > best {
-			doc.Partition, best = p, h
+	var best float64
+	for p, ps := range c.parts {
+		if doc.Partition < 0 || ps.rate > best {
+			doc.Partition, best = p, ps.rate
 		}
 	}
 	return doc
@@ -358,7 +288,7 @@ func (c *Collector) Tick() {
 
 	c.mu.Lock()
 	for name, ws := range c.workers {
-		if ws.dead || nowNS-ws.recvNS <= c.cfg.DeadAfter.Nanoseconds() {
+		if ws.dead || nowNS-ws.recvNS <= c.cfg.deadAfter().Nanoseconds() {
 			continue
 		}
 		ws.dead = true
@@ -375,7 +305,7 @@ func (c *Collector) Tick() {
 
 	for _, name := range deaths {
 		c.cfg.Logger.Error(0, "monitor.collector", "worker dead",
-			"worker", name, "dead_after", c.cfg.DeadAfter)
+			"worker", name, "dead_after", c.cfg.deadAfter())
 	}
 	c.record(captures)
 }
@@ -383,7 +313,6 @@ func (c *Collector) Tick() {
 // ClusterView is the live cluster document served at GET /cluster.
 type ClusterView struct {
 	CapturedNS int64           `json:"captured_ns"`
-	SkewMilli  int64           `json:"skew_milli"`
 	Workers    []WorkerView    `json:"workers"`
 	Partitions []PartitionView `json:"partitions"`
 	Stages     []StageRollup   `json:"stages,omitempty"`
@@ -401,7 +330,7 @@ type WorkerView struct {
 	AgeNS int64 `json:"age_ns"`
 	// Stale flags a worker whose last snapshot is more than three
 	// intervals old — its numbers below are frozen, not current. Dead
-	// flags one past DeadAfter.
+	// flags one more than nine intervals old.
 	Stale bool `json:"stale"`
 	Dead  bool `json:"dead"`
 
@@ -409,16 +338,12 @@ type WorkerView struct {
 	WorstTrace TraceSummary `json:"worst_trace"`
 }
 
-// PartitionView is one row of the per-partition heat table.
+// PartitionView is one partition's row.
 type PartitionView struct {
 	Partition int    `json:"partition"`
 	Worker    string `json:"worker"`
-	// RateMilli is the latest instantaneous QPS ×1000; BaselineMilli the
-	// EWMA baseline ×1000; HeatMilli the baseline over the cluster mean
-	// ×1000 (1000 = balanced).
-	RateMilli     int64 `json:"rate_milli"`
-	BaselineMilli int64 `json:"baseline_milli"`
-	HeatMilli     int64 `json:"heat_milli"`
+	// RateMilli is the latest instantaneous QPS ×1000.
+	RateMilli int64 `json:"rate_milli"`
 
 	Lag          int64 `json:"lag"`
 	HitRateMilli int64 `json:"hit_rate_milli"`
@@ -450,7 +375,6 @@ func (c *Collector) View() ClusterView {
 func (c *Collector) viewLocked(nowNS int64) ClusterView {
 	v := ClusterView{
 		CapturedNS: nowNS,
-		SkewMilli:  c.skewMilliLocked(),
 		Workers:    make([]WorkerView, 0, len(c.workers)),
 		Partitions: make([]PartitionView, 0, len(c.parts)),
 	}
@@ -465,7 +389,7 @@ func (c *Collector) viewLocked(nowNS int64) ClusterView {
 			UptimeNS: s.NowNS - s.StartNS,
 			AgeNS:    age,
 			Stale:    age > c.cfg.staleAfter().Nanoseconds(),
-			Dead:     ws.dead || age > c.cfg.DeadAfter.Nanoseconds(),
+			Dead:     ws.dead || age > c.cfg.deadAfter().Nanoseconds(),
 			SLOs:     append([]SLOBurn(nil), s.SLOs...),
 		}
 		if len(s.Worst) > 0 {
@@ -478,15 +402,13 @@ func (c *Collector) viewLocked(nowNS int64) ClusterView {
 
 	for p, ps := range c.parts {
 		v.Partitions = append(v.Partitions, PartitionView{
-			Partition:     p,
-			Worker:        ps.worker,
-			RateMilli:     int64(math.Round(1000 * ps.rate)),
-			BaselineMilli: int64(math.Round(1000 * ps.ewma)),
-			HeatMilli:     c.heatMilliLocked(p),
-			Lag:           ps.lag,
-			HitRateMilli:  ps.hitRateMilli,
-			StalenessNS:   ps.stalenessNS,
-			Stale:         staleWorkers[ps.worker],
+			Partition:    p,
+			Worker:       ps.worker,
+			RateMilli:    int64(math.Round(1000 * ps.rate)),
+			Lag:          ps.lag,
+			HitRateMilli: ps.hitRateMilli,
+			StalenessNS:  ps.stalenessNS,
+			Stale:        staleWorkers[ps.worker],
 		})
 	}
 	sort.Slice(v.Partitions, func(i, j int) bool { return v.Partitions[i].Partition < v.Partitions[j].Partition })

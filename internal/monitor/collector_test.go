@@ -44,12 +44,11 @@ func workerSnap(name string, seq uint64, atSec int64, parts map[int]int64) *Work
 	return s
 }
 
-func TestCollectorRatesHeatAndSkew(t *testing.T) {
+func TestCollectorPartitionRatesAndWorkerGauges(t *testing.T) {
 	reg := obs.NewRegistry()
 	c, _, _ := testCollector(t, reg)
 
-	// Partition 0 serves 100/s, partition 1 serves 300/s: heat 500 and
-	// 1500 against the 200/s mean, skew 1500.
+	// Partition 0 serves 100/s, partition 1 serves 300/s.
 	for round := int64(0); round < 5; round++ {
 		c.OnSnapshot(workerSnap("server-0", uint64(round+1), round, map[int]int64{0: 100 * round}))
 		c.OnSnapshot(workerSnap("server-1", uint64(round+1), round, map[int]int64{1: 300 * round}))
@@ -69,23 +68,8 @@ func TestCollectorRatesHeatAndSkew(t *testing.T) {
 	if p0.RateMilli != 100_000 || p1.RateMilli != 300_000 {
 		t.Fatalf("rates = %d, %d milli-QPS; want 100000, 300000", p0.RateMilli, p1.RateMilli)
 	}
-	// EWMA baselines converge toward the steady rates from a zero start,
-	// so the heat split already shows after a few rounds.
-	if p1.HeatMilli <= 1000 || p0.HeatMilli >= 1000 {
-		t.Fatalf("heat = %d, %d; want cold<1000<hot", p0.HeatMilli, p1.HeatMilli)
-	}
-	if v.SkewMilli != p1.HeatMilli {
-		t.Fatalf("skew %d != hottest partition heat %d", v.SkewMilli, p1.HeatMilli)
-	}
-
-	// The same numbers export as gauges for the scrape surface.
+	// The worker counts export as gauges for the scrape surface.
 	g := reg.Snapshot().Gauges
-	if got := g[obs.Name("cluster.partition_heat", "partition", "1")]; got != p1.HeatMilli {
-		t.Fatalf("cluster.partition_heat{partition=1} = %d, want %d", got, p1.HeatMilli)
-	}
-	if got := g["cluster.skew_score"]; got != v.SkewMilli {
-		t.Fatalf("cluster.skew_score = %d, want %d", got, v.SkewMilli)
-	}
 	if g["cluster.workers"] != 2 || g["cluster.stale_workers"] != 0 || g["cluster.dead_workers"] != 0 {
 		t.Fatalf("worker gauges = %d/%d/%d", g["cluster.workers"], g["cluster.stale_workers"], g["cluster.dead_workers"])
 	}
@@ -124,7 +108,7 @@ func TestCollectorStaleDeadAndReadmission(t *testing.T) {
 		t.Fatalf("gauges after 4s silence: stale=%d dead=%d", g["cluster.stale_workers"], g["cluster.dead_workers"])
 	}
 
-	// Past DeadAfter (9s): dead in the view even before the next Tick.
+	// Past nine intervals (9s): dead in the view even before the next Tick.
 	// server-0 keeps reporting so only the silent worker is flagged.
 	for round := int64(5); round <= 10; round++ {
 		clk.Advance(time.Second)
@@ -184,7 +168,7 @@ func TestCollectorSLOBurnCaptureAndCooldown(t *testing.T) {
 		s.SlowLines = []string{`{"msg":"slow sample"}`}
 		return s
 	}
-	// Partition state so the capture can name the hottest partition.
+	// Partition state so the capture can name the busiest partition.
 	for round := int64(0); round < 3; round++ {
 		c.OnSnapshot(workerSnap("server-0", uint64(round+1), round, map[int]int64{0: 10 * round, 2: 90 * round}))
 	}
@@ -208,7 +192,7 @@ func TestCollectorSLOBurnCaptureAndCooldown(t *testing.T) {
 		t.Fatalf("capture burn = %d", doc.BurnRateMilli)
 	}
 	if doc.Partition != 2 {
-		t.Fatalf("capture partition = %d, want hottest (2)", doc.Partition)
+		t.Fatalf("capture partition = %d, want the highest rate (2)", doc.Partition)
 	}
 	if doc.WorstTrace.ID != 0xabc || doc.WorstTrace.WorstStage != "serving.khop_assembly" {
 		t.Fatalf("capture worst trace = %+v", doc.WorstTrace)
@@ -234,8 +218,8 @@ func TestCollectorSLOBurnCaptureAndCooldown(t *testing.T) {
 	}
 }
 
-// A worker restart resets its counters; the collector must drop the
-// baseline instead of deriving a huge negative rate.
+// A worker restart resets its counters; the collector must skip one rate
+// sample instead of deriving a huge negative rate.
 func TestCollectorRestartResetsBaseline(t *testing.T) {
 	c, _, _ := testCollector(t, obs.NewRegistry())
 
@@ -252,7 +236,7 @@ func TestCollectorRestartResetsBaseline(t *testing.T) {
 	s.StartNS = 2
 	c.OnSnapshot(s)
 	after := c.View().Partitions[0]
-	if after.RateMilli != before.RateMilli || after.BaselineMilli != before.BaselineMilli {
+	if after.RateMilli != before.RateMilli {
 		t.Fatalf("restart perturbed the rate: before %+v after %+v", before, after)
 	}
 

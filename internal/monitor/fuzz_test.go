@@ -29,10 +29,10 @@ func partitionFrame(n, first, step int) []byte {
 }
 
 // One telemetry frame from a peer must not be able to grow the broker's
-// registry: every partition id a frame names becomes collector state and a
-// cluster.partition_heat gauge that live as long as the process and are
-// walked by every later scrape. A ~400 KB frame once left 131 072 gauge
-// closures behind, and a crafted one a negative partition id.
+// state: every partition id a frame names becomes collector state that
+// lives as long as the process and is walked by every later view. A
+// ~400 KB frame once left 131 072 per-partition gauge closures behind, and
+// a crafted one a negative partition id.
 func TestTelemetryFrameCannotGrowRegistry(t *testing.T) {
 	for name, frame := range map[string][]byte{
 		"65536 partitions":  partitionFrame(1<<16, 1, 1),
@@ -50,6 +50,9 @@ func TestTelemetryFrameCannotGrowRegistry(t *testing.T) {
 		}
 		if grew := len(reg.Snapshot().Gauges) - before; grew != 0 {
 			t.Errorf("%s: one %d-byte frame registered %d gauges", name, len(frame), grew)
+		}
+		if parts := c.View().Partitions; len(parts) != 0 {
+			t.Errorf("%s: one %d-byte frame left %d partitions in the view", name, len(frame), len(parts))
 		}
 	}
 	// A deployment-sized frame is still welcome.

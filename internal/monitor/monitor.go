@@ -12,10 +12,9 @@
 //     coord.telemetry method (rpc.go);
 //   - the coordinator side runs a Collector that folds snapshots into a
 //     live cluster view — per-worker liveness (a snapshot is the beat),
-//     a per-partition heat table over EWMA rate baselines, and
-//     cluster-level stage rollups — served at GET /cluster and exported as
-//     cluster.partition_heat{partition=…} / cluster.skew_score gauges
-//     (the signal the elastic-topology migration planner consumes);
+//     per-partition rate, lag, hit rate and staleness, and cluster-level
+//     stage rollups — served at GET /cluster, with the worker counts
+//     exported as cluster.workers / stale_workers / dead_workers gauges;
 //   - a FlightRecorder persists a bounded on-disk ring of capture
 //     documents (cluster view history + worst traces + slow-log lines)
 //     whenever an SLO burn crosses its threshold or a worker dies, so

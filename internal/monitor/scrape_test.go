@@ -16,12 +16,12 @@ import (
 
 // TestConcurrentScrapesUnderChurn hammers every ops surface — /metrics
 // (text and JSON), /traces, /slo and /cluster — while workers register,
-// report new partitions (racing the heat-gauge registration path) and
-// die (racing the Tick death scan). Run under -race this is the
-// lock-order acceptance test for the registry↔collector interaction:
-// gauge callbacks run under the registry lock and take the collector
-// lock, so any registration under the collector lock deadlocks or races
-// here.
+// report new partitions and die (racing the Tick death scan). Run under
+// -race this is the lock-order acceptance test for the registry↔collector
+// interaction: the worker-count gauges (cluster.workers, stale_workers,
+// dead_workers) run under the registry lock and take the collector lock,
+// so a scrape races every snapshot, Tick and View here, and any
+// registration under the collector lock would deadlock.
 func TestConcurrentScrapesUnderChurn(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
@@ -73,9 +73,8 @@ func TestConcurrentScrapesUnderChurn(t *testing.T) {
 		}
 	}
 
-	// Churn: workers appear with fresh partitions (each one registers a
-	// heat gauge under the scrape), report, and go silent; the clock
-	// races past DeadAfter while Tick scans.
+	// Churn: workers appear with fresh partitions, report, and go silent;
+	// the clock races past the dead threshold while Tick scans.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

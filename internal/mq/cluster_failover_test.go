@@ -85,11 +85,10 @@ func ridesOutLeaderFailover(t *testing.T, consumerOnly bool) {
 	// Coordinator on a fake clock so leader death is a clock advance, not
 	// a sleep; the failover controller serves the partition map over RPC.
 	fk := clock.NewFake()
-	co := coord.New().WithClock(fk)
 	fo := coord.NewFailover(coord.FailoverConfig{
-		Coordinator: co,
-		Peers:       replicas,
-		DeadAfter:   time.Second,
+		Clock:     fk,
+		Peers:     replicas,
+		DeadAfter: time.Second,
 		Notify: func(peer int, pm mq.PartMap) error {
 			brokers[peer].ApplyPartMap(pm)
 			return nil

@@ -180,6 +180,54 @@ func TestWorkerTTLSweepEmitsEvictions(t *testing.T) {
 	}
 }
 
+// TestSweepReleasesSeedFeatureSubscription: creating a hop-0 reservoir
+// takes its seed's feature subscription, so the sweep that deletes the
+// reservoir must give it back. Otherwise the serving owner keeps getting
+// the seed's features with no sample cell to use them, and every
+// expire/re-admit cycle leaves the refcount one higher.
+func TestSweepReleasesSeedFeatureSubscription(t *testing.T) {
+	b := mq.NewBroker(mq.Options{})
+	defer b.Close()
+	s, _ := testSchema()
+	fake := clock.NewFake()
+	w, err := New(Config{
+		ID: 0, NumSamplers: 1, NumServers: 1,
+		Plans: []*query.Plan{testPlan(t, s)}, Schema: s, Broker: b,
+		TTL: time.Hour, Seed: 1, Clock: fake,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Start()
+	defer w.Stop()
+	ingestEdge(t, b, 1, graph.Edge{Src: 1, Dst: 2, Type: 0, Ts: 1})
+	drainQuiesce(t, b, w)
+
+	// The feature is fresh, the edge is not: the sweep drops only the
+	// reservoir.
+	fake.Advance(2 * time.Hour)
+	ingestVertex(t, b, 1, graph.Vertex{ID: 1, Type: 0, Feature: []float32{1}})
+	drainQuiesce(t, b, w)
+	w.Sweep()
+	drainQuiesce(t, b, w)
+	_, from := drainQueue(t, b, 0)
+
+	ingestVertex(t, b, 1, graph.Vertex{ID: 1, Type: 0, Feature: []float32{2}})
+	drainQuiesce(t, b, w)
+	msgs, _ := drainQueue(t, b, from)
+	for _, m := range msgs {
+		if m.Kind == wire.KindFeatureUpdate && m.Vertex == 1 {
+			t.Errorf("feature of swept seed 1 still published to its serving worker: %+v", m)
+		}
+	}
+
+	ingestEdge(t, b, 1, graph.Edge{Src: 1, Dst: 3, Type: 0, Ts: 2})
+	drainQuiesce(t, b, w)
+	if got := w.shardOf(1).featSubs[1][0]; got != 1 {
+		t.Errorf("featSubs[1][0] = %d after expire and re-admit, want 1", got)
+	}
+}
+
 // TestPoisonedUpdateSkipped: a corrupt record on the updates topic must not
 // stall the stream.
 func TestPoisonedUpdateSkipped(t *testing.T) {

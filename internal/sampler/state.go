@@ -305,6 +305,7 @@ func (w *Worker) onSweep(st *shard, cutoff int64) {
 			if implicit {
 				w.sendToServer(imp, &wire.Message{Kind: wire.KindSampleEvict, Hop: hid, Vertex: v})
 				w.subscribeChildren(re, h, imp, -1, 0, 0)
+				w.applyFeatSubDelta(st, v, imp, -1, 0, 0) // the seed's, taken in onEdge
 			} else {
 				for sew, cnt := range subs {
 					if cnt > 0 {

@@ -121,14 +121,14 @@ grep -q '"burn_rate"' "${log}.body" || {
 }
 
 # The federated cluster view: every worker in the deployment reports
-# telemetry, and the per-partition heat table is populated from it. The
+# telemetry, and the per-partition table is populated from it. The
 # demo workload can finish before the first telemetry tick fires, so
 # poll until federation converges (the demo lingers long enough).
 cluster_ok() {
   for worker in sampler-0 sampler-1 server-0 server-1 frontend-0; do
     grep -q "\"$worker\"" "${log}.body" || return 1
   done
-  grep -q '"heat_milli"' "${log}.body" || return 1
+  grep -q '"rate_milli"' "${log}.body" || return 1
 }
 for _ in $(seq 1 150); do
   fetch "http://$addr/cluster"
@@ -136,24 +136,16 @@ for _ in $(seq 1 150); do
   sleep 0.2
 done
 cluster_ok || {
-  echo "obs-smoke: /cluster never converged to all workers + heat table:" >&2
+  echo "obs-smoke: /cluster never converged to all workers + partition table:" >&2
   cat "${log}.body" >&2
-  exit 1
-}
-grep -q '"skew_milli"' "${log}.body" || {
-  echo "obs-smoke: /cluster has no skew score" >&2
   exit 1
 }
 
-# The heat/skew gauges federate back into the coordinator's /metrics.
+# The collector's worker-count gauges federate into the coordinator's /metrics.
 fetch "http://$addr/metrics"
-grep -q "cluster.partition_heat" "${log}.body" || {
-  echo "obs-smoke: /metrics has no partition heat gauges:" >&2
+grep -q "cluster.workers" "${log}.body" || {
+  echo "obs-smoke: /metrics has no cluster.workers gauge:" >&2
   cat "${log}.body" >&2
-  exit 1
-}
-grep -q "cluster.skew_score" "${log}.body" || {
-  echo "obs-smoke: /metrics has no skew score gauge" >&2
   exit 1
 }
 
