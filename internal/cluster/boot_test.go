@@ -17,6 +17,7 @@ import (
 	"helios/internal/faultpoint"
 	"helios/internal/graph"
 	"helios/internal/query"
+	"helios/internal/rpc"
 	"helios/internal/sampling"
 	"helios/internal/serving"
 	"helios/internal/wire"
@@ -138,11 +139,11 @@ func TestCloseDrainsInFlightRequests(t *testing.T) {
 	}
 }
 
-// TestConcurrentIngestStampsDistinctSeqs drives the one router from eight
-// goroutines on both topologies and reads the stamped records back off the
-// updates topic: every update must carry its own Seq. (Run under -race it
-// also covers the stamp itself.)
-func TestConcurrentIngestStampsDistinctSeqs(t *testing.T) {
+// TestConcurrentIngestLandsEveryUpdateOnce drives the one router from eight
+// goroutines on both topologies and reads the records back off the updates
+// topic: every update must land exactly once. (Run under -race it also
+// covers the router's stamp.)
+func TestConcurrentIngestLandsEveryUpdateOnce(t *testing.T) {
 	const writers, each = 8, 100
 	for _, tp := range topologies {
 		t.Run(tp.name, func(t *testing.T) {
@@ -173,7 +174,7 @@ func TestConcurrentIngestStampsDistinctSeqs(t *testing.T) {
 			if !ok {
 				t.Fatal("no updates topic")
 			}
-			seen := make(map[uint64]bool)
+			seen := make(map[graph.VertexID]bool)
 			for p := 0; p < cfg.File.Samplers; p++ {
 				recs, err := updates.OpenConsumer(p, 0).Poll(writers*each+1, 0)
 				if err != nil {
@@ -184,10 +185,10 @@ func TestConcurrentIngestStampsDistinctSeqs(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if seen[u.Seq] {
-						t.Fatalf("Seq %d stamped on two updates", u.Seq)
+					if seen[u.Vertex.ID] {
+						t.Fatalf("vertex %d landed twice", u.Vertex.ID)
 					}
-					seen[u.Seq] = true
+					seen[u.Vertex.ID] = true
 				}
 			}
 			if len(seen) != writers*each {
@@ -315,26 +316,38 @@ const (
 // of either kind passes once, and logged, not bounded: how many records a
 // drained publish run carries depends on what queued while the last append
 // was in flight, so it moves with the host's load (2.1–3.1 per update
-// here).
+// here). So are the socket writes of every server and client in the
+// process, and, on the single broker, what the log retains against the
+// serving cells it feeds.
 func TestUpdateHopLedger(t *testing.T) {
 	for _, brokers := range []int{1, 3} {
 		t.Run(fmt.Sprintf("brokers=%d", brokers), func(t *testing.T) {
-			all, appends := updateHopLedger(t, brokers)
-			t.Logf("per update: %.3f request frames, of them %.3f appends", all, appends)
-			if brokers == 1 && all-appends > maxBareRequestsPerUpdate {
-				t.Fatalf("per update: %.3f request frames that carry no record, ceiling %.1f", all-appends, maxBareRequestsPerUpdate)
+			c, row := updateHopLedger(t, brokers)
+			t.Logf("per update: %.3f request frames, of them %.3f appends", row.requests, row.appends)
+			t.Logf("per update: %.2f server and %.2f client socket writes", row.serverWrites, row.clientWrites)
+			if brokers == 1 && row.requests-row.appends > maxBareRequestsPerUpdate {
+				t.Fatalf("per update: %.3f request frames that carry no record, ceiling %.1f", row.requests-row.appends, maxBareRequestsPerUpdate)
 			}
-			if brokers == 3 && all > maxReplicatedRequestsPerUpdate {
-				t.Fatalf("per update: %.3f request frames over three replicas, ceiling %.1f", all, maxReplicatedRequestsPerUpdate)
+			if brokers == 3 && row.requests > maxReplicatedRequestsPerUpdate {
+				t.Fatalf("per update: %.3f request frames over three replicas, ceiling %.1f", row.requests, maxReplicatedRequestsPerUpdate)
+			}
+			if brokers == 1 {
+				logRetention(t, c)
 			}
 		})
 	}
 }
 
+// hopLedger is updateHopLedger's row, per update.
+type hopLedger struct {
+	requests, appends          float64 // request frames over every broker endpoint; appends among them
+	serverWrites, clientWrites float64 // rpc.SocketWrites over the whole process
+}
+
 // updateHopLedger ingests the ledger's stream through Boot(Brokers:
-// brokers) and returns the request frames summed over every broker
-// endpoint, and the appends, per update.
-func updateHopLedger(t *testing.T, brokers int) (all, appends float64) {
+// brokers), quiesces, and returns the cluster, closed when t ends, and its
+// row.
+func updateHopLedger(t *testing.T, brokers int) (*Local, hopLedger) {
 	spec := workload.INTER().Scale(0.006)
 	spec.Seed = 7
 	gen, err := workload.NewGenerator(spec)
@@ -353,7 +366,7 @@ func updateHopLedger(t *testing.T, brokers int) (all, appends float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(c.Close)
 	requests := func() (n int64) {
 		for _, b := range c.Brokers {
 			n += b.srv.Requests.Value()
@@ -364,6 +377,7 @@ func updateHopLedger(t *testing.T, brokers int) (all, appends float64) {
 	faultpoint.Delay("mq.append", -1, 0) // armed to count: it delays nothing
 	defer faultpoint.Reset()
 	before := requests()
+	serverBefore, clientBefore := rpc.SocketWrites()
 	for i := 0; i < updates; i++ {
 		u, ok := gen.Next()
 		if !ok {
@@ -376,5 +390,52 @@ func updateHopLedger(t *testing.T, brokers int) (all, appends float64) {
 	if err := c.WaitQuiesce(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	return float64(requests()-before) / updates, float64(faultpoint.Hits("mq.append")) / updates
+	server, client := rpc.SocketWrites()
+	return c, hopLedger{
+		requests:     float64(requests()-before) / updates,
+		appends:      float64(faultpoint.Hits("mq.append")) / updates,
+		serverWrites: float64(server-serverBefore) / updates,
+		clientWrites: float64(client-clientBefore) / updates,
+	}
+}
+
+// logRetention logs what a quiesced cluster's broker retains per topic,
+// records and value bytes, beside the distinct live serving cells those
+// records build: the count a compacted topic starts from. It is logged,
+// not bounded.
+func logRetention(t *testing.T, c *Local) {
+	t.Helper()
+	cells := 0
+	for _, s := range c.Servers {
+		n, err := s.CacheEntries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells += n
+	}
+	t.Logf("serving: %d live cells", cells)
+	for _, name := range []string{wire.TopicUpdates, wire.TopicSubs, wire.TopicSamples} {
+		topic, ok := c.Broker.Topic(name)
+		if !ok {
+			t.Fatalf("no %s topic", name)
+		}
+		var recs, bytes int
+		for p := 0; p < topic.NumPartitions(); p++ {
+			cur := topic.OpenConsumer(p, 0)
+			for {
+				batch, err := cur.Poll(4096, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(batch) == 0 {
+					break
+				}
+				recs += len(batch)
+				for _, rec := range batch {
+					bytes += len(rec.Value)
+				}
+			}
+		}
+		t.Logf("%s: %d records retained, %d value bytes, %.2f records per live cell", name, recs, bytes, float64(recs)/float64(max(cells, 1)))
+	}
 }

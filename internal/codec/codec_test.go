@@ -129,8 +129,8 @@ func TestWriterReset(t *testing.T) {
 
 func TestUpdateRoundTripEdge(t *testing.T) {
 	u := graph.NewEdgeUpdate(graph.Edge{Src: 12, Dst: 9999999, Type: 3, Ts: -5, Weight: 1.25})
-	u.Seq = 42
 	u.Ingested = 123456789
+	u.Trace = 42
 	got, err := DecodeUpdate(EncodeUpdate(u))
 	if err != nil {
 		t.Fatal(err)
@@ -158,12 +158,12 @@ func TestUpdateUnknownKind(t *testing.T) {
 }
 
 func TestUpdateQuickRoundTrip(t *testing.T) {
-	f := func(src, dst uint64, et uint16, ts int64, w float32, seq uint64) bool {
+	f := func(src, dst uint64, et uint16, ts int64, w float32, ingested int64) bool {
 		u := graph.NewEdgeUpdate(graph.Edge{
 			Src: graph.VertexID(src), Dst: graph.VertexID(dst),
 			Type: graph.EdgeType(et), Ts: graph.Timestamp(ts), Weight: w,
 		})
-		u.Seq = seq
+		u.Ingested = ingested
 		got, err := DecodeUpdate(EncodeUpdate(u))
 		if err != nil {
 			return false
@@ -172,7 +172,7 @@ func TestUpdateQuickRoundTrip(t *testing.T) {
 		return got.Edge.Src == u.Edge.Src && got.Edge.Dst == u.Edge.Dst &&
 			got.Edge.Type == u.Edge.Type && got.Edge.Ts == u.Edge.Ts &&
 			math.Float32bits(got.Edge.Weight) == math.Float32bits(u.Edge.Weight) &&
-			got.Seq == u.Seq
+			got.Ingested == u.Ingested
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 // AppendUpdate encodes u into w.
 func AppendUpdate(w *Writer, u graph.Update) {
 	w.Byte(byte(u.Kind))
-	w.Uvarint(u.Seq)
 	w.Varint(u.Ingested)
 	w.Uvarint(u.Trace)
 	switch u.Kind {
@@ -41,7 +40,6 @@ func EncodeUpdate(u graph.Update) []byte {
 func ReadUpdate(r *Reader) (graph.Update, error) {
 	var u graph.Update
 	u.Kind = graph.UpdateKind(r.Byte())
-	u.Seq = r.Uvarint()
 	u.Ingested = r.Varint()
 	u.Trace = r.Uvarint()
 	switch u.Kind {

@@ -2,7 +2,6 @@ package frontend
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"helios/internal/clock"
 	"helios/internal/codec"
@@ -20,7 +19,6 @@ type Router struct {
 	part   graph.Partitioner // sampling workers
 	dirs   map[graph.EdgeType][2]bool
 	clk    clock.Clock
-	seq    atomic.Uint64
 	append func(partition int, key uint64, payload []byte, trace uint64) error
 
 	// Updates counts updates accepted for routing; an edge no registered
@@ -41,9 +39,8 @@ func NewRouter(cfg *deploy.Config, clk clock.Clock, append func(partition int, k
 
 // Ingest stamps and routes one update. The update stays untraced (unless
 // the caller pre-assigned u.Trace), so bulk ingestion pays no tracing
-// cost downstream. Safe for concurrent use: every update gets its own Seq.
+// cost downstream. Safe for concurrent use.
 func (r *Router) Ingest(u graph.Update) error {
-	u.Seq = r.seq.Add(1) - 1
 	u.Ingested = r.clk.Now().UnixNano()
 	payload := codec.EncodeUpdate(u)
 	switch u.Kind {

@@ -61,15 +61,13 @@ func (k UpdateKind) String() string {
 }
 
 // Update is a single append-only graph update. Exactly one of Vertex/Edge is
-// meaningful, selected by Kind. Seq is assigned by the ingestion front and
-// is strictly increasing per input partition; Ingested is the wall-clock
-// nanosecond the update entered the system, used to measure ingestion
-// latency (Fig. 17).
+// meaningful, selected by Kind. Ingested is the wall-clock nanosecond the
+// update entered the system, used to measure ingestion latency (Fig. 17);
+// the broker offset a partition gives it is its only sequence number.
 type Update struct {
 	Kind     UpdateKind
 	Vertex   Vertex
 	Edge     Edge
-	Seq      uint64
 	Ingested int64
 	// Trace is the observability trace ID minted when the update entered
 	// the system (0 = untraced); it rides through sampling so the cache

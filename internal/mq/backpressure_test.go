@@ -21,7 +21,7 @@ func TestCommitTracksProgress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := topic.NewConsumer(0, 0)
+	c := topic.OpenConsumer(0, 0)
 	if _, err := c.Poll(5, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestLagBoundBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.SetLagBound("t", 3)
-	c := topic.NewConsumer(0, 0)
+	c := topic.OpenConsumer(0, 0)
 	if err := c.Commit(); err != nil { // committed = 0: lag now measurable
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestLagBoundPerPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.SetLagBound("t", 1)
-	c0 := topic.NewConsumer(0, 0)
+	c0 := topic.OpenConsumer(0, 0)
 	if err := c0.Commit(); err != nil {
 		t.Fatal(err)
 	}

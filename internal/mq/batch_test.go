@@ -36,7 +36,7 @@ func TestAppendBatchLocal(t *testing.T) {
 	if topic.EndOffset(0) != 6 {
 		t.Fatalf("next offset %d, want 6", topic.EndOffset(0))
 	}
-	cons := topic.NewConsumer(0, first)
+	cons := topic.OpenConsumer(0, first)
 	got, err := cons.Poll(10, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestAppendCopiesValues(t *testing.T) {
 	}
 	check := func(path string, topic *Topic, part int) {
 		t.Helper()
-		got, err := topic.NewConsumer(part, 0).Poll(2*n, 0)
+		got, err := topic.OpenConsumer(part, 0).Poll(2*n, 0)
 		if err != nil || len(got) != n {
 			t.Fatalf("%s: %d records, %v", path, len(got), err)
 		}

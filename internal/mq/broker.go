@@ -53,8 +53,6 @@ type Record struct {
 	Key uint64
 	// Value is the payload. Consumers must treat it as read-only.
 	Value []byte
-	// Ts is the append wall-clock time in nanoseconds.
-	Ts int64
 }
 
 // FsyncPolicy decides when segment bytes are fsynced relative to the

@@ -16,7 +16,7 @@ func TestLocalPollUnblocksOnBrokerClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := topic.NewConsumer(0, 0)
+	c := topic.OpenConsumer(0, 0)
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.Poll(1, 30*time.Second)
@@ -148,7 +148,7 @@ func TestPollShutdownLeavesNoGoroutines(t *testing.T) {
 		remoteDone := make(chan struct{})
 		go func() {
 			defer close(localDone)
-			local.NewConsumer(0, 0).Poll(1, 30*time.Second)
+			local.OpenConsumer(0, 0).Poll(1, 30*time.Second)
 		}()
 		go func() {
 			defer close(remoteDone)

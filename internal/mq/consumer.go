@@ -12,9 +12,9 @@ type Consumer struct {
 	offset    int64
 }
 
-// NewConsumer opens a cursor on a partition starting at `from` (use 0 for
-// the earliest retained record).
-func (t *Topic) NewConsumer(partition int, from int64) *Consumer {
+// OpenConsumer implements TopicHandle: a cursor on a partition starting at
+// from (0 for the earliest retained record).
+func (t *Topic) OpenConsumer(partition int, from int64) Cursor {
 	return &Consumer{topic: t, partition: partition, offset: from}
 }
 
@@ -38,13 +38,4 @@ func (c *Consumer) Offset() int64 { return c.offset }
 // record (see Topic.Commit).
 func (c *Consumer) Commit() error {
 	return c.topic.Commit(c.partition, c.offset)
-}
-
-// SeekTo moves the cursor.
-func (c *Consumer) SeekTo(offset int64) { c.offset = offset }
-
-// Lag reports how many records remain ahead of the cursor
-// (EndOffset - Offset).
-func (c *Consumer) Lag() int64 {
-	return c.topic.EndOffset(c.partition) - c.offset
 }

@@ -47,8 +47,6 @@ type Cursor interface {
 	// meeting the consumers. Best-effort: consumers commit periodically, so
 	// a failed commit only overstates lag until the next one lands.
 	Commit() error
-	SeekTo(offset int64)
-	Lag() int64
 }
 
 // IsFatal reports whether a Bus error is terminal for a consumer loop:
@@ -66,11 +64,6 @@ func IsFatal(err error) bool {
 // OpenTopic implements Bus.
 func (b *Broker) OpenTopic(name string, partitions int) (TopicHandle, error) {
 	return b.CreateTopic(name, partitions)
-}
-
-// OpenConsumer implements TopicHandle.
-func (t *Topic) OpenConsumer(partition int, from int64) Cursor {
-	return t.NewConsumer(partition, from)
 }
 
 var (

@@ -8,9 +8,8 @@ import (
 // A chunk holds up to chunkRecords records. Its arena is chunkRecords
 // times the previous chunk's value bytes per record, plus a 32nd, within
 // [minArena, maxArena]; a value larger than that gets an arena, and a
-// chunk, of its own. The headroom is what a steady stream wastes per record
-// when the records fill a chunk first: an eighth would be 20 B on a 160 B
-// value, as much as the columns.
+// chunk, of its own. Only the tail chunk keeps headroom: a chunk that takes
+// no more records has its arena clipped to the bytes its records hold.
 const (
 	chunkRecords = 1024
 	minArena     = 4 << 10
@@ -20,7 +19,7 @@ const (
 // chunkLog is a partition's retained records, [head, next), held as chunks
 // of pointer-free columns whose values sit back to back in one byte arena
 // per chunk. The arena holds the only copy of a value, and bytes written
-// to it are never rewritten: appends only extend it, a truncation seals the
+// to it are never rewritten: appends only extend it, a truncation clips the
 // chunk it cuts, and retention drops whole chunks. So a fetched value is a
 // view of the arena that stays intact for as long as anyone holds it.
 type chunkLog struct {
@@ -33,13 +32,11 @@ type chunkLog struct {
 }
 
 type chunk struct {
-	arena  []byte
-	keys   []uint64
-	ts     []int64
-	ends   []uint32 // value i is arena[ends[i-1]:ends[i]], from 0 for i == 0
-	base   int64    // offset of record 0
-	n      int
-	sealed bool // takes no more records: cut by a truncation, or one value's own
+	arena []byte
+	keys  []uint64
+	ends  []uint32 // value i is arena[ends[i-1]:ends[i]], from 0 for i == 0
+	base  int64    // offset of record 0
+	n     int
 }
 
 func (c *chunk) record(i int) Record {
@@ -47,37 +44,47 @@ func (c *chunk) record(i int) Record {
 	if i > 0 {
 		s = c.ends[i-1]
 	}
-	return Record{Offset: c.base + int64(i), Key: c.keys[i], Ts: c.ts[i], Value: c.arena[s:e:e]}
+	return Record{Offset: c.base + int64(i), Key: c.keys[i], Value: c.arena[s:e:e]}
+}
+
+// clip copies the arena to exactly the bytes the chunk's records hold, so
+// no value fits after them. Views already handed out keep the old array.
+func (c *chunk) clip() {
+	if used := int(c.ends[c.n-1]); used < cap(c.arena) {
+		c.arena = append(make([]byte, 0, used), c.arena[:used]...)
+	}
 }
 
 // put appends one record at next, copying val into the tail chunk's arena.
-func (l *chunkLog) put(key uint64, ts int64, val []byte) {
+func (l *chunkLog) put(key uint64, val []byte) {
 	var c *chunk
 	if k := len(l.chunks); k > 0 {
 		c = l.chunks[k-1]
 	}
-	if c == nil || c.sealed || c.n == len(c.keys) || len(c.arena)+len(val) > cap(c.arena) {
+	if c == nil || c.n == len(c.keys) || len(c.arena)+len(val) > cap(c.arena) {
 		c = l.grow(c, len(val))
 	}
 	c.arena = append(c.arena, val...)
-	c.keys[c.n], c.ts[c.n], c.ends[c.n] = key, ts, uint32(len(c.arena))
+	c.keys[c.n], c.ends[c.n] = key, uint32(len(c.arena))
 	c.n++
 	l.next++
 }
 
-// grow starts a chunk at next for a value of size bytes, after tail.
+// grow clips tail and starts a chunk after it for a value of size bytes.
 func (l *chunkLog) grow(tail *chunk, size int) *chunk {
-	if tail != nil && tail.n > 0 && len(tail.keys) > 1 { // an own arena says nothing of the stream
-		l.perRec = (len(tail.arena) + tail.n - 1) / tail.n
+	if tail != nil { // a tail holds a record at least
+		if tail.clip(); len(tail.keys) > 1 { // an own arena says nothing of the stream
+			l.perRec = (len(tail.arena) + tail.n - 1) / tail.n
+		}
 	}
 	arena := min(max(l.perRec*chunkRecords*33/32, minArena), maxArena)
 	c := &chunk{base: l.next}
 	rows := chunkRecords
 	if size > arena {
-		arena, rows, c.sealed = size, 1, true
+		arena, rows = size, 1
 	}
 	c.arena = make([]byte, 0, arena)
-	c.keys, c.ts, c.ends = make([]uint64, rows), make([]int64, rows), make([]uint32, rows)
+	c.keys, c.ends = make([]uint64, rows), make([]uint32, rows)
 	l.chunks = append(l.chunks, c)
 	return c
 }
@@ -112,11 +119,12 @@ func (l *chunkLog) read(dst []Record, off, end int64) []Record {
 }
 
 // cut truncates the log to end at off, in [head, next]. The chunk the cut
-// lands in is sealed, so the arena bytes past it are never written again.
+// lands in is clipped, so the arena bytes past it are never written again.
 func (l *chunkLog) cut(off int64) {
 	if i := l.find(off); i < len(l.chunks) {
 		if c := l.chunks[i]; off > c.base {
-			c.n, c.sealed = int(off-c.base), true
+			c.n = int(off - c.base)
+			c.clip()
 			i++
 		}
 		clear(l.chunks[i:])

@@ -52,7 +52,7 @@ func TestAppendFetchOrdering(t *testing.T) {
 			t.Fatalf("append %d: off=%d err=%v", i, off, err)
 		}
 	}
-	c := topic.NewConsumer(0, 0)
+	c := topic.OpenConsumer(0, 0)
 	var got []Record
 	for len(got) < 100 {
 		recs, err := c.Poll(7, 0)
@@ -69,8 +69,8 @@ func TestAppendFetchOrdering(t *testing.T) {
 			t.Fatalf("record %d out of order: %+v", i, r)
 		}
 	}
-	if c.Lag() != 0 {
-		t.Fatalf("lag = %d", c.Lag())
+	if lag := topic.EndOffset(0) - c.Offset(); lag != 0 {
+		t.Fatalf("lag = %d", lag)
 	}
 }
 
@@ -78,7 +78,7 @@ func TestBlockingPoll(t *testing.T) {
 	b := NewBroker(Options{})
 	defer b.Close()
 	topic, _ := b.CreateTopic("t", 1)
-	c := topic.NewConsumer(0, 0)
+	c := topic.OpenConsumer(0, 0)
 
 	// Timeout path.
 	start := time.Now()
@@ -111,7 +111,7 @@ func TestBlockingPoll(t *testing.T) {
 func TestCloseWakesConsumers(t *testing.T) {
 	b := NewBroker(Options{})
 	topic, _ := b.CreateTopic("t", 1)
-	c := topic.NewConsumer(0, 0)
+	c := topic.OpenConsumer(0, 0)
 	errs := make(chan error, 1)
 	go func() {
 		_, err := c.Poll(1, 10*time.Second)
@@ -151,7 +151,7 @@ func TestRetention(t *testing.T) {
 	}
 	// A consumer behind the head snaps forward to the earliest retained,
 	// and the newest record is always present.
-	c := topic.NewConsumer(0, 0)
+	c := topic.OpenConsumer(0, 0)
 	recs, err := c.Poll(100, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -186,8 +186,7 @@ func TestConsumerSeek(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		topic.Append(0, 0, []byte{byte(i)})
 	}
-	c := topic.NewConsumer(0, 0)
-	c.SeekTo(7)
+	c := topic.OpenConsumer(0, 7)
 	recs, _ := c.Poll(10, 0)
 	if len(recs) != 3 || recs[0].Offset != 7 {
 		t.Fatalf("seek fetch: %v", recs)
@@ -223,7 +222,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 		cwg.Add(1)
 		go func(part int) {
 			defer cwg.Done()
-			c := topic.NewConsumer(part, 0)
+			c := topic.OpenConsumer(part, 0)
 			deadline := time.Now().Add(5 * time.Second)
 			for time.Now().Before(deadline) {
 				recs, err := c.Poll(256, 50*time.Millisecond)
@@ -282,7 +281,7 @@ func TestDiskDurability(t *testing.T) {
 	}
 	total := 0
 	for p := 0; p < 2; p++ {
-		c := topic2.NewConsumer(p, 0)
+		c := topic2.OpenConsumer(p, 0)
 		recs, err := c.Poll(100, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -327,7 +326,7 @@ func TestDiskTruncatedTailTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := topic2.NewConsumer(0, 0)
+	c := topic2.OpenConsumer(0, 0)
 	recs, _ := c.Poll(100, 0)
 	if len(recs) != 9 {
 		t.Fatalf("expected 9 intact records, got %d", len(recs))
@@ -357,13 +356,13 @@ func BenchmarkPollBatch(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	c := topic.NewConsumer(0, 0)
+	c := topic.OpenConsumer(0, 0)
 	fetched := 0
 	for i := 0; i < b.N; i++ {
 		recs, _ := c.Poll(256, 0)
 		fetched += len(recs)
 		if len(recs) == 0 {
-			c.SeekTo(0)
+			c = topic.OpenConsumer(0, 0)
 		}
 	}
 }

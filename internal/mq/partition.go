@@ -53,8 +53,7 @@ func newPartition(b *Broker, topic string, idx int) *partition {
 	return p
 }
 
-// appendBatch lands recs contiguously under one lock pass: one timestamp,
-// one fsync (under FsyncAlways), one retention trim, one broadcast for the
+// appendBatch lands recs contiguously under one lock pass: one fsync (under FsyncAlways), one retention trim, one broadcast for the
 // whole batch. Durability before visibility: the segment write — and,
 // under FsyncAlways, the fsync — must succeed before the records enter the
 // in-memory window, so a torn write can never surface an offset to
@@ -68,10 +67,9 @@ func (p *partition) appendBatch(recs []BatchRecord) (int64, error) {
 		return 0, ErrClosed
 	}
 	first := p.next
-	now := time.Now().UnixNano()
 	if p.seg != nil {
 		for i, br := range recs {
-			if err := p.seg.append(Record{Offset: first + int64(i), Key: br.Key, Value: br.Value, Ts: now}); err != nil {
+			if err := p.seg.append(Record{Offset: first + int64(i), Key: br.Key, Value: br.Value}); err != nil {
 				return 0, err
 			}
 		}
@@ -82,7 +80,7 @@ func (p *partition) appendBatch(recs []BatchRecord) (int64, error) {
 		}
 	}
 	for _, br := range recs {
-		p.put(br.Key, now, br.Value)
+		p.put(br.Key, br.Value)
 	}
 	p.trimLocked()
 	p.cond.Broadcast()
@@ -91,8 +89,8 @@ func (p *partition) appendBatch(recs []BatchRecord) (int64, error) {
 
 // appendAt applies a batch a follower fetched from its leader: records
 // carrying explicit offsets, contiguous from first. Offsets already present
-// are verified against the batch — a matching record is skipped, while a
-// mismatch means this replica's log diverged from the leader's (a revived
+// are verified against the batch — a record with the same key and value
+// bytes is the same record and is skipped, while a mismatch means this replica's log diverged from the leader's (a revived
 // ex-leader whose un-acked tail survived, e.g. restart-pinned under its own
 // high watermark): the log truncates to the divergence point and takes the
 // leader's records. A batch starting past the log end applies nothing, and
@@ -114,7 +112,7 @@ func (p *partition) appendAt(first int64, recs []Record) (int64, int, error) {
 		}
 		if rec.Offset < p.next {
 			have := p.at(rec.Offset)
-			if have.Key == rec.Key && have.Ts == rec.Ts && bytes.Equal(have.Value, rec.Value) {
+			if have.Key == rec.Key && bytes.Equal(have.Value, rec.Value) {
 				continue
 			}
 			// Divergence: everything from this offset on is the abandoned
@@ -133,7 +131,7 @@ func (p *partition) appendAt(first int64, recs []Record) (int64, int, error) {
 				return p.next, applied, err
 			}
 		}
-		p.put(rec.Key, rec.Ts, rec.Value)
+		p.put(rec.Key, rec.Value)
 		applied++
 	}
 	if applied > 0 && p.seg != nil && p.broker.opts.Fsync == FsyncAlways {

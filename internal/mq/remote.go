@@ -229,7 +229,6 @@ func encodeFetchBatch(w *codec.Writer, first int64, recs []Record) {
 	w.Uvarint(uint64(len(recs)))
 	for i := range recs {
 		w.Uvarint(recs[i].Key)
-		w.Varint(recs[i].Ts)
 		w.Bytes32(recs[i].Value)
 	}
 }
@@ -243,9 +242,9 @@ func decodeFetchBatch(payload []byte) ([]Record, error) {
 	var r codec.Reader
 	r.Reset(payload)
 	first := r.Varint()
-	recs := make([]Record, r.Count(3)) // key, timestamp and value length: a byte each at least
+	recs := make([]Record, r.Count(2)) // key and value length: a byte each at least
 	for i := range recs {
-		recs[i] = Record{Offset: first + int64(i), Key: r.Uvarint(), Ts: r.Varint(), Value: r.Bytes32()}
+		recs[i] = Record{Offset: first + int64(i), Key: r.Uvarint(), Value: r.Bytes32()}
 	}
 	if err := r.Finish(); err != nil {
 		return nil, err
@@ -507,6 +506,11 @@ func (c *RemoteConsumer) Poll(limit int, wait time.Duration) ([]Record, error) {
 // Offset implements Cursor.
 func (c *RemoteConsumer) Offset() int64 { return c.offset }
 
+// seek moves the cursor, abandoning the open stream: it ends on its own.
+func (c *RemoteConsumer) seek(offset int64) {
+	c.offset, c.stream, c.rest = offset, nil, nil
+}
+
 // Commit implements Cursor: pushes the cursor position to the broker.
 func (c *RemoteConsumer) Commit() error {
 	w := codec.NewWriter(40)
@@ -515,17 +519,6 @@ func (c *RemoteConsumer) Commit() error {
 	w.Varint(c.offset)
 	_, err := c.topic.call(c.partition, methodCommit, w.Bytes(), c.topic.timeout)
 	return err
-}
-
-// SeekTo implements Cursor. The open stream feeds the old position: it is
-// abandoned, and ends on its own.
-func (c *RemoteConsumer) SeekTo(offset int64) {
-	c.offset, c.stream, c.rest = offset, nil, nil
-}
-
-// Lag implements Cursor (EndOffset - Offset).
-func (c *RemoteConsumer) Lag() int64 {
-	return c.topic.EndOffset(c.partition) - c.offset
 }
 
 var (

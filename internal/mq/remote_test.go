@@ -60,8 +60,8 @@ func TestRemoteOpenAppendPoll(t *testing.T) {
 			t.Fatalf("record %d: %+v", i, r)
 		}
 	}
-	if c.Lag() != 0 {
-		t.Fatalf("lag = %d", c.Lag())
+	if lag := topic.EndOffset(0) - c.Offset(); lag != 0 {
+		t.Fatalf("lag = %d", lag)
 	}
 	if topic.EndOffset(0) != 20 {
 		t.Fatal("meta wrong")
@@ -113,8 +113,7 @@ func TestRemoteSeekAndOffset(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		topic.Append(0, 0, []byte{byte(i)})
 	}
-	c := topic.OpenConsumer(0, 0)
-	c.SeekTo(6)
+	c := topic.OpenConsumer(0, 6)
 	recs, err := c.Poll(10, 0)
 	if err != nil || len(recs) != 4 || recs[0].Offset != 6 {
 		t.Fatalf("seek poll: %v %v", recs, err)

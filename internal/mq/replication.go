@@ -293,7 +293,7 @@ func (r *replicator) follow(t *Topic, part int) {
 	defer r.loops.Done()
 	p := t.parts[part]
 	via := &replicaFetch{r: r, b: t.broker, leader: -1}
-	c := (&RemoteTopic{via: via, timeout: r.cfg.Timeout, name: t.name, parts: len(t.parts)}).OpenConsumer(part, 0)
+	c := &RemoteConsumer{topic: &RemoteTopic{via: via, timeout: r.cfg.Timeout, name: t.name, parts: len(t.parts)}, partition: part}
 	for !p.isClosed() {
 		if l := t.broker.leaderFor(t.name, part); l == r.cfg.Self {
 			via.leader = l
@@ -303,7 +303,7 @@ func (r *replicator) follow(t *Topic, part int) {
 			via.leader = l
 			p.seek(0)
 		}
-		c.SeekTo(p.watermark())
+		c.seek(p.watermark())
 		recs, err := c.Poll(maxFetchBatch, maxFetchPark)
 		// A batch from a leader the map has since replaced is not applied.
 		if len(recs) > 0 && t.broker.leaderFor(t.name, part) == via.leader {

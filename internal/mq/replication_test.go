@@ -97,7 +97,7 @@ func TestReplicatedAppendReachesQuorum(t *testing.T) {
 		}
 	}
 	// The high watermark advanced past the batch: consumers see it.
-	recs, err := tp.NewConsumer(0, 0).Poll(10, 100*time.Millisecond)
+	recs, err := tp.OpenConsumer(0, 0).Poll(10, 100*time.Millisecond)
 	if err != nil || len(recs) != 1 || string(recs[0].Value) != "a" {
 		t.Fatalf("leader consumer after quorum: %v %v", recs, err)
 	}
@@ -141,7 +141,7 @@ func TestFollowerDeathQuorumStillAcks(t *testing.T) {
 			t.Fatalf("append %d with one dead follower: %v", i, err)
 		}
 	}
-	recs, err := tp.NewConsumer(0, 0).Poll(10, 100*time.Millisecond)
+	recs, err := tp.OpenConsumer(0, 0).Poll(10, 100*time.Millisecond)
 	if err != nil || len(recs) != 4 {
 		t.Fatalf("consumer: %d recs, %v", len(recs), err)
 	}
@@ -198,7 +198,7 @@ func TestQuorumTimeoutFakeTimer(t *testing.T) {
 		t.Fatal("ErrQuorumUnavailable must not kill poll loops")
 	}
 	// The record was never acked and must stay below the high watermark.
-	recs, err := tp.NewConsumer(0, 0).Poll(10, 50*time.Millisecond)
+	recs, err := tp.OpenConsumer(0, 0).Poll(10, 50*time.Millisecond)
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("unacked record leaked to consumers: %v %v", recs, err)
 	}
@@ -255,7 +255,7 @@ func TestFsyncAlwaysTornWrite(t *testing.T) {
 	if n := tp2.EndOffset(0); n < 1 {
 		t.Fatalf("acked record lost across restart: next=%d", n)
 	}
-	recs, err := tp2.NewConsumer(0, 0).Poll(10, 100*time.Millisecond)
+	recs, err := tp2.OpenConsumer(0, 0).Poll(10, 100*time.Millisecond)
 	if err != nil || len(recs) < 1 || string(recs[0].Value) != "durable" {
 		t.Fatalf("acked record unreadable after restart: %v %v", recs, err)
 	}
@@ -344,11 +344,12 @@ func TestAppendAtTruncatesDivergentTail(t *testing.T) {
 	p.hw = p.next // the restart pin: trusts its own durable log
 	p.mu.Unlock()
 
-	// The new leader's authoritative stream for [1, 4).
+	// The new leader's authoritative stream for [1, 4): the same key, so
+	// the values alone tell the tails apart.
 	frame := []Record{
-		{Offset: 1, Key: 2, Value: []byte("b"), Ts: 7},
-		{Offset: 2, Key: 2, Value: []byte("c"), Ts: 7},
-		{Offset: 3, Key: 2, Value: []byte("d"), Ts: 7},
+		{Offset: 1, Key: 1, Value: []byte("b")},
+		{Offset: 2, Key: 1, Value: []byte("c")},
+		{Offset: 3, Key: 1, Value: []byte("d")},
 	}
 	next, applied, err := p.appendAt(1, frame)
 	if err != nil || next != 4 || applied != 3 {

@@ -2,6 +2,7 @@ package mq
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -12,9 +13,9 @@ import (
 	"helios/internal/faultpoint"
 )
 
-// segment is the disk backing of one partition: a single append-only file
-// of length-framed records. On topic creation an existing segment is
-// replayed into memory, giving the broker Kafka-style restart durability.
+// segment is the disk backing of one partition: one append-only file, a
+// header and length-framed records. On topic creation an existing segment
+// is replayed into memory, giving the broker Kafka-style restart durability.
 type segment struct {
 	f       *os.File
 	w       *bufio.Writer
@@ -25,13 +26,18 @@ type segment struct {
 // syncEvery is the appends between fsyncs under FsyncInterval.
 const syncEvery = 4096
 
+// segmentHeader opens every segment file: a magic and the frame layout's
+// version. Version 1 frames are offset, key and value; files from before
+// the header also carried an append timestamp.
+const segmentHeader = "HSEG\x01"
+
 // segmentPath keeps one file per topic/partition.
 func segmentPath(dir, topic string, idx int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s-%04d.log", topic, idx))
 }
 
 // openSegment replays any existing log into the partition and opens the
-// file for appends.
+// file for appends; a file in another layout is refused, never replayed.
 func (p *partition) openSegment(dir string) error {
 	// Restart-replay boundary: a fault here models a segment that cannot
 	// be reopened after a crash (missing dir, unreadable log).
@@ -42,17 +48,22 @@ func (p *partition) openSegment(dir string) error {
 		return fmt.Errorf("mq: create segment dir: %w", err)
 	}
 	path := segmentPath(dir, p.topic, p.idx)
-	if data, err := os.ReadFile(path); err == nil && len(data) > 0 {
-		if err := p.replay(data); err != nil {
-			return fmt.Errorf("mq: replay %s: %w", path, err)
+	data, err := os.ReadFile(path)
+	if err == nil && len(data) > 0 {
+		if !bytes.HasPrefix(data, []byte(segmentHeader)) {
+			return fmt.Errorf("mq: segment %s lacks the layout %d header %q: written by another version", path, segmentHeader[4], segmentHeader)
 		}
+		p.replay(data[len(segmentHeader):])
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("mq: open segment: %w", err)
 	}
 	p.seg = &segment{f: f, w: bufio.NewWriterSize(f, 1<<16), policy: p.broker.opts.Fsync}
-	return nil
+	if len(data) == 0 {
+		_, err = p.seg.w.WriteString(segmentHeader)
+	}
+	return err
 }
 
 // replay loads framed records from data, tolerating a truncated tail (a
@@ -67,13 +78,13 @@ func (p *partition) openSegment(dir string) error {
 //
 // The first pass keeps where each surviving frame starts, so a run of
 // rewinds costs the log nothing; the second feeds the survivors to it.
-func (p *partition) replay(data []byte) error {
+func (p *partition) replay(data []byte) {
 	var starts []int // starts[i] is where the frame of offset first+i begins
 	var first int64
 	var rd codec.Reader
 	for rd.Reset(data); rd.Remaining() > 0; {
 		at := len(data) - rd.Remaining()
-		off, _, _, _ := readFrame(&rd)
+		off, _, _ := readFrame(&rd)
 		if rd.Err() != nil || off < 0 || off == math.MaxInt64 {
 			break // a truncated tail, or an offset no log reaches
 		}
@@ -85,15 +96,14 @@ func (p *partition) replay(data []byte) error {
 	p.head, p.next = first, first
 	for _, at := range starts {
 		rd.Reset(data[at:])
-		_, key, ts, val := readFrame(&rd)
-		p.put(key, ts, val)
+		_, key, val := readFrame(&rd)
+		p.put(key, val)
 	}
-	return nil
 }
 
 // readFrame reads one segment frame; val aliases the reader's buffer.
-func readFrame(rd *codec.Reader) (off int64, key uint64, ts int64, val []byte) {
-	return int64(rd.Uvarint()), rd.Uvarint(), rd.Varint(), rd.Bytes32()
+func readFrame(rd *codec.Reader) (off int64, key uint64, val []byte) {
+	return int64(rd.Uvarint()), rd.Uvarint(), rd.Bytes32()
 }
 
 func (s *segment) append(rec Record) error {
@@ -103,7 +113,6 @@ func (s *segment) append(rec Record) error {
 	w := codec.NewWriter(32 + len(rec.Value))
 	w.Uvarint(uint64(rec.Offset))
 	w.Uvarint(rec.Key)
-	w.Varint(rec.Ts)
 	w.Bytes32(rec.Value)
 	if _, err := s.w.Write(w.Bytes()); err != nil {
 		return err

@@ -103,7 +103,7 @@ func TestHostileFramesAreRefused(t *testing.T) {
 	}
 
 	batch := codec.NewWriter(64)
-	encodeFetchBatch(batch, 40, []Record{{Key: 1, Ts: 2, Value: []byte("abc")}, {Key: 3, Ts: 4, Value: nil}})
+	encodeFetchBatch(batch, 40, []Record{{Key: 1, Value: []byte("abc")}, {Key: 3, Value: nil}})
 	good := batch.Bytes()
 	if recs, err := decodeFetchBatch(good); err != nil || len(recs) != 2 || recs[1].Offset != 41 {
 		t.Fatalf("well-formed batch: %v, %v", recs, err)
@@ -123,7 +123,7 @@ func TestDecodeFetchBatchAliasesItsPayload(t *testing.T) {
 	const n = 64
 	recs := make([]Record, n)
 	for i := range recs {
-		recs[i] = Record{Offset: 100 + int64(i), Key: uint64(i), Ts: int64(1000 + i), Value: bytes.Repeat([]byte{byte(i)}, i%7)}
+		recs[i] = Record{Offset: 100 + int64(i), Key: uint64(i), Value: bytes.Repeat([]byte{byte(i)}, i%7)}
 	}
 	w := codec.NewWriter(1024)
 	encodeFetchBatch(w, 100, recs)
@@ -134,7 +134,7 @@ func TestDecodeFetchBatchAliasesItsPayload(t *testing.T) {
 		t.Fatalf("%d records, %v", len(got), err)
 	}
 	for i, rec := range got {
-		if rec.Offset != recs[i].Offset || rec.Key != recs[i].Key || rec.Ts != recs[i].Ts || !bytes.Equal(rec.Value, recs[i].Value) {
+		if rec.Offset != recs[i].Offset || rec.Key != recs[i].Key || !bytes.Equal(rec.Value, recs[i].Value) {
 			t.Fatalf("record %d: %+v, want %+v", i, rec, recs[i])
 		}
 		if cap(rec.Value) != len(rec.Value) {
@@ -253,7 +253,7 @@ func TestStalledConsumerDoesNotDelayAppends(t *testing.T) {
 // the same.
 func FuzzFetchBatch(f *testing.F) {
 	w := codec.NewWriter(64)
-	encodeFetchBatch(w, 40, []Record{{Key: 1, Ts: 2, Value: []byte("abc")}, {Key: 3, Ts: 4}})
+	encodeFetchBatch(w, 40, []Record{{Key: 1, Value: []byte("abc")}, {Key: 3}})
 	good := append([]byte(nil), w.Bytes()...)
 	f.Add(good)
 	f.Add(good[:len(good)-1])                  // truncated
@@ -264,7 +264,7 @@ func FuzzFetchBatch(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(recs) > len(payload)/3 {
+		if len(recs) > len(payload)/2 {
 			t.Fatalf("%d records from %d bytes", len(recs), len(payload))
 		}
 		if len(recs) == 0 {
@@ -277,7 +277,7 @@ func FuzzFetchBatch(f *testing.F) {
 			t.Fatalf("re-encoded batch: %d records, %v", len(again), err)
 		}
 		for i := range recs {
-			if again[i].Offset != recs[i].Offset || again[i].Key != recs[i].Key || again[i].Ts != recs[i].Ts || !bytes.Equal(again[i].Value, recs[i].Value) {
+			if again[i].Offset != recs[i].Offset || again[i].Key != recs[i].Key || !bytes.Equal(again[i].Value, recs[i].Value) {
 				t.Fatalf("record %d: %+v re-encoded to %+v", i, recs[i], again[i])
 			}
 		}

@@ -421,6 +421,7 @@ func (sc *serverConn) flushLocked() error {
 	// timeouts (or retry budgets).
 	if !faultpoint.Dropped("rpc.server.write") {
 		if err = faultpoint.Inject("rpc.server.write"); err == nil {
+			serverWrites.Add(1)
 			_, err = sc.conn.Write(sc.out)
 		}
 	}
@@ -435,6 +436,12 @@ func (sc *serverConn) flushLocked() error {
 	}
 	return err
 }
+
+var serverWrites, clientWrites atomic.Uint64 // see SocketWrites
+
+// SocketWrites reports this process's socket writes, by servers flushing
+// replies and by clients writing requests: a test ledger row, not a series.
+func SocketWrites() (server, client uint64) { return serverWrites.Load(), clientWrites.Load() }
 
 // Addr returns the bound address, or "" before Listen.
 func (s *Server) Addr() string {
@@ -1025,6 +1032,7 @@ func (c *Client) start(method string, trace uint64, req []byte, budget time.Dura
 	c.writeMu.Lock()
 	if err = faultpoint.Inject("rpc.client.write"); err == nil {
 		if c.wbuf, err = appendFrame(c.wbuf[:0], frameRequest, id, trace, int64(budget), method, req); err == nil {
+			clientWrites.Add(1)
 			_, err = conn.Write(c.wbuf)
 		}
 		if cap(c.wbuf) > maxIdleBuf {

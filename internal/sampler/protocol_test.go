@@ -21,7 +21,7 @@ func drainQueue(t *testing.T, b *mq.Broker, from int64) ([]wire.Message, int64) 
 	if !ok {
 		t.Fatal("samples topic missing")
 	}
-	c := topic.NewConsumer(0, from)
+	c := topic.OpenConsumer(0, from)
 	var out []wire.Message
 	for {
 		recs, err := c.Poll(256, 0)

@@ -235,7 +235,7 @@ func TestSampleQueueMessagesWellFormed(t *testing.T) {
 	}
 	drainQuiesce(t, b, w)
 	topic, _ := b.Topic(wire.TopicSamples)
-	c := topic.NewConsumer(0, 0)
+	c := topic.OpenConsumer(0, 0)
 	recs, err := c.Poll(1000, 0)
 	if err != nil {
 		t.Fatal(err)

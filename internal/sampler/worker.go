@@ -128,6 +128,8 @@ type Stats struct {
 	// (should always be zero; a nonzero value means a protocol bug was
 	// contained by the actor supervisor).
 	Panics int64
+	// Undecodable counts the records both poll loops skipped undecoded.
+	Undecodable int64
 }
 
 // Worker is one sampling worker.
@@ -146,9 +148,10 @@ type Worker struct {
 	// pollMu makes a checkpoint's floors exact: each poll loop read-locks
 	// it from a batch's return to the store of its offset, and Checkpoint
 	// write-locks it to read both offsets and queue its shard barriers.
-	pollMu     sync.RWMutex
-	updOffset  atomic.Int64
-	subsOffset atomic.Int64
+	pollMu      sync.RWMutex
+	updOffset   atomic.Int64
+	subsOffset  atomic.Int64
+	undecodable atomic.Int64 // records the poll loops skipped
 	// last*Commit hold the worker-clock ns of each cursor's last broker
 	// commit (pacing state for maybeCommit).
 	lastUpdCommit  atomic.Int64
@@ -425,11 +428,11 @@ func (w *Worker) pollUpdates(c mq.Cursor) bool {
 	next := c.Offset()
 	w.pollMu.RLock()
 	for _, rec := range recs {
-		u, err := codec.DecodeUpdate(rec.Value)
-		if err != nil {
-			continue // poisoned record; count-and-skip keeps the stream alive
+		if u, err := codec.DecodeUpdate(rec.Value); err == nil {
+			w.routeUpdate(u)
+		} else {
+			w.undecodable.Add(1) // a poisoned record is counted and skipped: the stream goes on
 		}
-		w.routeUpdate(u)
 	}
 	// A checkpoint waits out this window, between routing and the offset
 	// store; the faultpoint holds a batch in it (an error pauses the loop
@@ -508,6 +511,7 @@ func (w *Worker) pollSubs(c mq.Cursor) bool {
 	for _, rec := range recs {
 		m, err := wire.Decode(rec.Value)
 		if err != nil {
+			w.undecodable.Add(1)
 			continue
 		}
 		switch m.Kind {
@@ -631,6 +635,7 @@ func (w *Worker) Stats() Stats {
 		Expired:          w.expired.Value(),
 		PublishConflated: w.pubConflated.Value(),
 		PublishDropped:   w.pubDropped.Value(),
+		Undecodable:      w.undecodable.Load(),
 	}
 	if w.sampling != nil {
 		s.SamplingDepth = w.sampling.Depth()

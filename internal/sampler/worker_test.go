@@ -214,3 +214,36 @@ func TestRestoreRequiresStopped(t *testing.T) {
 		t.Fatal("restore on started worker should fail")
 	}
 }
+
+// TestPollCountsUndecodableRecords: a record that does not decode, between
+// two good ones, is counted and skipped; both good ones still apply. Both
+// poll loops count into the one field.
+func TestPollCountsUndecodableRecords(t *testing.T) {
+	b := mq.NewBroker(mq.Options{})
+	defer b.Close()
+	w := newTestWorker(t, b, 0, 1, 1)
+	w.Start()
+	defer w.Stop()
+	garbage := func(topic string) {
+		t.Helper()
+		tp, ok := b.Topic(topic)
+		if !ok {
+			t.Fatalf("%s topic missing", topic)
+		}
+		if _, err := tp.Append(0, 1, []byte{0xFF}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingestEdge(t, b, 1, graph.Edge{Src: 1, Dst: 2, Type: 0, Ts: 1})
+	garbage(wire.TopicUpdates)
+	ingestEdge(t, b, 1, graph.Edge{Src: 1, Dst: 3, Type: 0, Ts: 2})
+	drainQuiesce(t, b, w)
+	if st := w.Stats(); st.UpdatesProcessed != 2 || st.Undecodable != 1 {
+		t.Fatalf("updates: %d processed, %d undecodable; want 2 and 1", st.UpdatesProcessed, st.Undecodable)
+	}
+	garbage(wire.TopicSubs)
+	drainQuiesce(t, b, w)
+	if n := w.Stats().Undecodable; n != 2 {
+		t.Fatalf("after a bad subs record: %d undecodable, want 2", n)
+	}
+}

@@ -227,6 +227,8 @@ type Stats struct {
 	StalenessNS int64
 	// Panics counts recovered handler panics (should be zero).
 	Panics int64
+	// Undecodable counts the sample-queue records the poll loop skipped.
+	Undecodable int64
 }
 
 // Worker is one serving worker.
@@ -237,6 +239,7 @@ type Worker struct {
 
 	samplesTopic mq.TopicHandle
 	consumed     atomic.Int64
+	undecodable  atomic.Int64 // records the poll loop skipped
 	// startOffset is where Start opens the sample-queue consumer: 0 for a
 	// cold start, the snapshot's pinned offset after Restore (warm
 	// restart replays only the tail past it). Written only before Start.
@@ -409,11 +412,11 @@ func (w *Worker) poll(c mq.Cursor) bool {
 		return true
 	}
 	for _, rec := range recs {
-		m, err := wire.Decode(rec.Value)
-		if err != nil {
-			continue
+		if m, err := wire.Decode(rec.Value); err == nil {
+			w.updatePool.Send(uint64(m.Vertex), cacheUpdate{msg: m})
+		} else {
+			w.undecodable.Add(1)
 		}
-		w.updatePool.Send(uint64(m.Vertex), cacheUpdate{msg: m})
 	}
 	w.consumed.Store(c.Offset())
 	w.maybeCommit(c)
@@ -657,6 +660,7 @@ func (w *Worker) Stats() Stats {
 		CacheBytes:    w.cache.footprint(),
 		IngestLatency: w.stCacheApply.Snapshot(),
 		StalenessNS:   w.staleness.Value(),
+		Undecodable:   w.undecodable.Load(),
 	}
 	if w.updatePool != nil {
 		s.UpdateDepth = w.updatePool.Depth()

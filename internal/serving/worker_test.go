@@ -442,3 +442,24 @@ func TestStalenessNeverNegative(t *testing.T) {
 		t.Fatalf("StalenessNS = %d, want 3ms", got)
 	}
 }
+
+// TestPollCountsUndecodableRecords: a sample-queue record that does not
+// decode, between two good ones, is counted and skipped; both good ones
+// still apply.
+func TestPollCountsUndecodableRecords(t *testing.T) {
+	b := mq.NewBroker(mq.Options{})
+	defer b.Close()
+	w := newTestWorker(t, b)
+	w.Start()
+	defer w.Stop()
+	push(t, b, &wire.Message{Kind: wire.KindFeatureUpdate, Vertex: 1, Feature: []float32{1}})
+	topic, _ := b.Topic(wire.TopicSamples)
+	if _, err := topic.Append(0, 1, []byte{0xFF}); err != nil {
+		t.Fatal(err)
+	}
+	push(t, b, &wire.Message{Kind: wire.KindFeatureUpdate, Vertex: 2, Feature: []float32{2}})
+	waitApplied(t, w, 2)
+	if st := w.Stats(); st.Applied != 2 || st.Undecodable != 1 || !w.HasFeature(1) || !w.HasFeature(2) {
+		t.Fatalf("%d applied, %d undecodable; want 2 and 1", st.Applied, st.Undecodable)
+	}
+}
