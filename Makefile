@@ -1,5 +1,11 @@
 GO ?= go
 
+# Minimization of each fuzz input that finds new coverage is capped at 100
+# runs: uncapped (60 s each by default) it stalls a 10 s fuzz line at 0
+# execs/s. A failing input is still minimized as far as the cap allows and
+# written under testdata/fuzz.
+FUZZMIN = -fuzzminimizetime 100x
+
 .PHONY: build vet lint test race check obs-smoke chaos-smoke burst-smoke
 
 build:
@@ -46,34 +52,34 @@ check:
 	$(GO) test -race -count=1 ./...
 	# Ten seconds of native fuzzing over every reader of the sampling
 	# result's wire form: the bytes a frontend takes off a socket.
-	$(GO) test ./internal/serving -run '^$$' -fuzz FuzzEncodedResult -fuzztime 10s
+	$(GO) test ./internal/serving -run '^$$' -fuzz FuzzEncodedResult -fuzztime 10s $(FUZZMIN)
 	# And ten over the snapshot decoder: the image a restarting serving
 	# worker reads off its disk.
-	$(GO) test ./internal/serving -run '^$$' -fuzz FuzzRestore -fuzztime 10s
+	$(GO) test ./internal/serving -run '^$$' -fuzz FuzzRestore -fuzztime 10s $(FUZZMIN)
 	# And ten over the checkpoint decoder: what a restarting sampler reads
 	# off its disk.
-	$(GO) test ./internal/sampler -run '^$$' -fuzz FuzzRestoreCheckpoint -fuzztime 10s
+	$(GO) test ./internal/sampler -run '^$$' -fuzz FuzzRestoreCheckpoint -fuzztime 10s $(FUZZMIN)
 	# And ten over the telemetry decoder: the JSON documents a worker sends
 	# the broker's collector.
-	$(GO) test ./internal/monitor -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 10s
+	$(GO) test ./internal/monitor -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 10s $(FUZZMIN)
 	# And ten over the queue-message decoders: every record a sampler or a
 	# serving worker polls off the broker.
-	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s $(FUZZMIN)
 	# Ten each over what both ends of a broker hop take off a socket: the
 	# frame reader, the consumer's pushed-batch decoder, and the broker's
 	# append-batch decoder.
-	$(GO) test ./internal/rpc -run '^$$' -fuzz FuzzFrame -fuzztime 10s
-	$(GO) test ./internal/mq -run '^$$' -fuzz FuzzFetchBatch -fuzztime 10s
-	$(GO) test ./internal/mq -run '^$$' -fuzz FuzzAppendBatch -fuzztime 10s
+	$(GO) test ./internal/rpc -run '^$$' -fuzz FuzzFrame -fuzztime 10s $(FUZZMIN)
+	$(GO) test ./internal/mq -run '^$$' -fuzz FuzzFetchBatch -fuzztime 10s $(FUZZMIN)
+	$(GO) test ./internal/mq -run '^$$' -fuzz FuzzAppendBatch -fuzztime 10s $(FUZZMIN)
 	# And ten over segment replay: what a restarting broker reads off its
 	# disk.
-	$(GO) test ./internal/mq -run '^$$' -fuzz FuzzSegmentReplay -fuzztime 10s
+	$(GO) test ./internal/mq -run '^$$' -fuzz FuzzSegmentReplay -fuzztime 10s $(FUZZMIN)
 	# And ten over the partition-map decoder: what a client takes off the
 	# coordinator's socket, and a broker off a map push.
-	$(GO) test ./internal/mq -run '^$$' -fuzz FuzzPartMap -fuzztime 10s
+	$(GO) test ./internal/mq -run '^$$' -fuzz FuzzPartMap -fuzztime 10s $(FUZZMIN)
 	# And ten over the model server's request path: the sample bytes it
 	# takes off a socket, decoded, built into a tree and embedded.
-	$(GO) test ./internal/gnn -run '^$$' -fuzz FuzzEmbedRequest -fuzztime 10s
+	$(GO) test ./internal/gnn -run '^$$' -fuzz FuzzEmbedRequest -fuzztime 10s $(FUZZMIN)
 	# The kvstore read-during-flush hole failed about one run in two when
 	# it was open; twenty runs make a reopening loud.
 	$(GO) test -race -count=20 -run 'TestConcurrentReadWrite|TestGetNeverMissesAcrossFlush' ./internal/kvstore

@@ -293,10 +293,7 @@ func StartBroker(o BrokerOptions) (_ *Broker, err error) {
 		}
 	} else {
 		// Followers report their offsets to the controller on replica 0.
-		coordC, err := rpc.DialOpts(peers[0], rpc.Options{Reconnect: true})
-		if err != nil {
-			return nil, fmt.Errorf("dial coordinator: %w", err)
-		}
+		coordC := rpc.DialOpts(peers[0], rpc.Options{})
 		//lint:allow droppederror reason=client teardown at role close; nothing to act on
 		b.onClose(func() { _ = coordC.Close() })
 		b.every(o.ReplReportEvery, func() {
@@ -359,10 +356,7 @@ func (b *Broker) startControlPlane(o BrokerOptions) error {
 	// its own queue directly.
 	lead := make([]*rpc.Client, len(peers))
 	for i, addr := range peers[1:] {
-		c, err := rpc.DialOpts(addr, rpc.Options{Reconnect: true})
-		if err != nil {
-			return fmt.Errorf("dial replica %d: %w", i+1, err)
-		}
+		c := rpc.DialOpts(addr, rpc.Options{})
 		lead[i+1] = c
 		//lint:allow droppederror reason=client teardown at role close; nothing to act on
 		b.onClose(func() { _ = c.Close() })

@@ -55,6 +55,17 @@ func FuzzEmbedRequest(f *testing.F) {
 	})
 }
 
+// embed is the model server's computation on one request, as handleEmbed
+// runs it: decode the sample, build its tree at enc's input width, and run
+// the forward pass.
+func embed(enc *Encoder, sample serving.Encoded) ([]float32, error) {
+	res, err := sample.Decode()
+	if err != nil {
+		return nil, err
+	}
+	return enc.Embed(BuildTree(res, enc.Dims[0])), nil
+}
+
 // sameBits compares embeddings bit for bit, so a NaN feature still matches.
 func sameBits(t *testing.T, what string, got, want []float32) {
 	t.Helper()

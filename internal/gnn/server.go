@@ -35,7 +35,7 @@ type Server struct {
 // NewServer builds a model server for enc.
 func NewServer(enc *Encoder) *Server {
 	s := &Server{enc: enc, srv: rpc.NewServer()}
-	s.srv.HandleCtx(MethodEmbed, s.handleEmbed)
+	s.srv.HandleBuf(MethodEmbed, s.handleEmbed)
 	return s
 }
 
@@ -47,26 +47,20 @@ func (s *Server) Listen(addr string) (string, error) {
 // Close shuts the server down.
 func (s *Server) Close() error { return s.srv.Close() }
 
-func (s *Server) handleEmbed(ctx rpc.Ctx, req []byte) ([]byte, error) {
+// handleEmbed is the model server's whole computation on one request:
+// decode the sample (a copy, out of the read loop's buffer), then, parked,
+// build its tree at the encoder's input width and run the forward pass.
+func (s *Server) handleEmbed(ctx rpc.Ctx, req []byte, resp *codec.Writer) error {
 	start := time.Now()
-	emb, err := embed(s.enc, req)
+	res, err := serving.Encoded(req).Decode()
 	if err != nil {
-		return nil, fmt.Errorf("gnn: decode sample: %w", err)
+		return fmt.Errorf("gnn: decode sample: %w", err)
 	}
-	w := codec.NewWriter(8 + 4*len(emb))
-	w.Float32s(emb)
-	s.Latency.Observe(time.Since(start).Nanoseconds(), ctx.Trace)
-	return w.Bytes(), nil
-}
-
-// embed is the model server's whole computation on one request: decode the
-// sample, build its tree at enc's input width, and run the forward pass.
-func embed(enc *Encoder, sample serving.Encoded) ([]float32, error) {
-	res, err := sample.Decode()
-	if err != nil {
-		return nil, err
-	}
-	return enc.Embed(BuildTree(res, enc.Dims[0])), nil
+	return rpc.Park(func() error {
+		resp.Float32s(s.enc.Embed(BuildTree(res, s.enc.Dims[0])))
+		s.Latency.Observe(time.Since(start).Nanoseconds(), ctx.Trace)
+		return nil
+	})
 }
 
 // Client calls a model server.

@@ -35,8 +35,9 @@ type Dist struct {
 type DistOptions struct {
 	// Nodes is the partition count (cluster size); 0 defaults to 1.
 	Nodes int
-	// NetDelay is injected per RPC to model datacenter RTT beyond
-	// loopback. Zero uses raw loopback cost.
+	// NetDelay is slept by every partition server before it serves a
+	// request, to model datacenter RTT beyond loopback. Zero uses raw
+	// loopback cost.
 	NetDelay time.Duration
 	// Shards stripes each partition's locks.
 	Shards int
@@ -67,8 +68,7 @@ func NewDist(opts DistOptions) (*Dist, error) {
 	for i := 0; i < opts.Nodes; i++ {
 		store := NewStore(StoreOptions{Shards: opts.Shards})
 		srv := rpc.NewServer()
-		srv.Delay = opts.NetDelay
-		registerHandlers(srv, store, opts.Seed+int64(i)+1)
+		registerHandlers(srv, store, opts.Seed+int64(i)+1, opts.NetDelay)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			d.Close()
@@ -88,11 +88,18 @@ func NewDist(opts DistOptions) (*Dist, error) {
 	return d, nil
 }
 
-// registerHandlers installs the partition-server RPC surface.
-func registerHandlers(srv *rpc.Server, store *Store, seed int64) {
+// registerHandlers installs the partition-server RPC surface, each handler
+// sleeping delay before it serves.
+func registerHandlers(srv *rpc.Server, store *Store, seed int64, delay time.Duration) {
 	var mu sync.Mutex
 	master := rand.New(rand.NewSource(seed))
-	srv.Handle(methodIngest, func(req []byte) ([]byte, error) {
+	handle := func(method string, h func([]byte) ([]byte, error)) {
+		srv.Handle(method, func(req []byte) ([]byte, error) {
+			time.Sleep(delay)
+			return h(req)
+		})
+	}
+	handle(methodIngest, func(req []byte) ([]byte, error) {
 		u, err := codec.DecodeUpdate(req)
 		if err != nil {
 			return nil, err
@@ -100,13 +107,13 @@ func registerHandlers(srv *rpc.Server, store *Store, seed int64) {
 		store.ApplyUpdate(u)
 		return nil, nil
 	})
-	srv.Handle(methodSample, func(req []byte) ([]byte, error) {
+	handle(methodSample, func(req []byte) ([]byte, error) {
 		mu.Lock()
 		rng := rand.New(rand.NewSource(master.Int63()))
 		mu.Unlock()
 		return serveSample(store, rng, req)
 	})
-	srv.Handle(methodFeat, func(req []byte) ([]byte, error) { return serveFeat(store, req) })
+	handle(methodFeat, func(req []byte) ([]byte, error) { return serveFeat(store, req) })
 }
 
 // serveSample answers one gdb.sample request: a neighbour sample of every

@@ -20,7 +20,10 @@ import (
 //     (e.g. time.Until(deadline)).
 //  3. A handler registered via Server.Handle has no access to the inbound
 //     budget; if its body issues RPC calls it must be registered via
-//     HandleCtx instead so the budget can be forwarded.
+//     HandleBuf, the one full form, instead so the budget can be forwarded.
+//
+// Rule 1 reaches a parked wait: a Park closure is no scope of its own, so
+// its calls are checked against the enclosing handler's Ctx.
 var DeadlinePass = &Analyzer{
 	Name: "deadlinepass",
 	Doc:  "rpc call timeout not derived from the inbound deadline budget",
@@ -162,7 +165,7 @@ func checkLoopTimeouts(pass *Pass, body *ast.BlockStmt) {
 
 // checkHandlerRegistrations enforces rule 3: Handle on a Server registers
 // a budget-blind handler; if the handler body issues rpc calls, it must be
-// registered through HandleCtx. The handler body is resolved through the
+// registered through HandleBuf. The handler body is resolved through the
 // module index, so a method value defined in a sibling package is still
 // seen.
 func checkHandlerRegistrations(pass *Pass, body *ast.BlockStmt) {
@@ -194,7 +197,7 @@ func checkHandlerRegistrations(pass *Pass, body *ast.BlockStmt) {
 			return !issues
 		})
 		if issues {
-			pass.Reportf(call.Pos(), "handler registered via Handle issues rpc calls but cannot see the inbound budget; register it via HandleCtx and forward ctx.Remaining()")
+			pass.Reportf(call.Pos(), "handler registered via Handle issues rpc calls but cannot see the inbound budget; register it via HandleBuf and forward ctx.Remaining()")
 		}
 		return true
 	})

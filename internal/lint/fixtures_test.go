@@ -95,6 +95,33 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}
 }
 
+// TestDeadlinePassNamesTheFullForm: rule 3 sends a budget-blind handler to
+// the one registration form that sees the budget, HandleBuf.
+func TestDeadlinePassNamesTheFullForm(t *testing.T) {
+	fset := token.NewFileSet()
+	pkg, err := LoadDir(fset, filepath.Join("testdata", "deadlinepass"), "fixture/deadlinepass")
+	if err != nil {
+		t.Fatalf("LoadDir: %v", err)
+	}
+	analyzers, err := Select([]string{"deadlinepass"}, nil)
+	if err != nil {
+		t.Fatalf("Select: %v", err)
+	}
+	rule3 := 0
+	for _, f := range Run(fset, []*Package{pkg}, analyzers, nil).Findings {
+		if !strings.HasPrefix(f.Message, "handler registered via Handle ") {
+			continue
+		}
+		rule3++
+		if !strings.Contains(f.Message, "register it via HandleBuf and forward ctx.Remaining()") {
+			t.Errorf("%s:%d: rule 3 says %q", f.File, f.Line, f.Message)
+		}
+	}
+	if rule3 != 2 {
+		t.Fatalf("%d rule-3 findings on the fixture, want its 2", rule3)
+	}
+}
+
 // TestLockAcrossBlockModuleFixture loads the two-package lockmod module so
 // the cross-package half of lockacrossblock — a call into a configured
 // blocking package while a mutex is held — is exercised with real type

@@ -1,6 +1,6 @@
 // Package deadlinepass exercises the deadline-propagation analyzer with
 // local mimics of the rpc surface: a Ctx carrying the inbound budget, a
-// Client with Call/CallTraced, and a Server with Handle/HandleCtx.
+// Client with Call/CallTraced, and a Server with Handle/HandleBuf and Park.
 package deadlinepass
 
 import "time"
@@ -30,8 +30,14 @@ type Server struct{}
 // Handle registers a budget-blind handler.
 func (s *Server) Handle(method string, h func([]byte) ([]byte, error)) {}
 
-// HandleCtx registers a budget-aware handler.
-func (s *Server) HandleCtx(method string, h func(Ctx, []byte) ([]byte, error)) {}
+// Writer mimics the server-pooled reply writer.
+type Writer struct{}
+
+// HandleBuf registers a budget-aware handler: the one full form.
+func (s *Server) HandleBuf(method string, h func(Ctx, []byte, *Writer) error) {}
+
+// Park mimics rpc.Park: the wait runs off the read loop.
+func Park(wait func() error) error { return nil }
 
 var cli *Client
 
@@ -59,11 +65,27 @@ func handleViaLocal(ctx Ctx, payload []byte) ([]byte, error) {
 
 // registerHandlers covers the literal-handler shape on both sides.
 func registerHandlers(srv *Server) {
-	srv.HandleCtx("bad", func(ctx Ctx, payload []byte) ([]byte, error) {
-		return cli.CallTraced("next", 0, payload, 50*time.Millisecond) // want deadlinepass
+	srv.HandleBuf("bad", func(ctx Ctx, payload []byte, _ *Writer) error {
+		_, err := cli.CallTraced("next", 0, payload, 50*time.Millisecond) // want deadlinepass
+		return err
 	})
-	srv.HandleCtx("good", func(ctx Ctx, payload []byte) ([]byte, error) {
-		return cli.Call("next", payload, ctx.Remaining())
+	srv.HandleBuf("good", func(ctx Ctx, payload []byte, _ *Writer) error {
+		_, err := cli.Call("next", payload, ctx.Remaining())
+		return err
+	})
+	// A parked wait is the handler's scope: a fresh timeout there is as
+	// budget-blind as one on the read loop.
+	srv.HandleBuf("parked", func(ctx Ctx, payload []byte, _ *Writer) error {
+		return Park(func() error {
+			_, err := cli.Call("next", payload, time.Second) // want deadlinepass
+			return err
+		})
+	})
+	srv.HandleBuf("parkedGood", func(ctx Ctx, payload []byte, _ *Writer) error {
+		return Park(func() error {
+			_, err := cli.Call("next", payload, ctx.Remaining())
+			return err
+		})
 	})
 }
 

@@ -338,24 +338,39 @@ type BatchRecord struct {
 
 // AppendBatch appends recs to one partition under a single partition lock
 // pass — one backpressure check, one broadcast — and returns the first
-// record's offset. The records land contiguously in slice order, so the
-// batch occupies [first, first+len(recs)).
+// record's offset once the batch is acked: at once, or on a replicated
+// broker once a quorum holds it. The records land contiguously in slice
+// order, so the batch occupies [first, first+len(recs)).
 func (t *Topic) AppendBatch(partitionIdx int, recs []BatchRecord) (int64, error) {
+	off, quorum, err := t.land(partitionIdx, recs)
+	if err == nil && quorum != nil {
+		err = quorum()
+	}
+	if err != nil {
+		return 0, err
+	}
+	return off, nil
+}
+
+// land is AppendBatch up to the ack: it appends recs and returns, on a
+// replicated broker, the quorum wait the ack waits for (nil when unneeded).
+// The append stage's stopwatch times land alone.
+func (t *Topic) land(partitionIdx int, recs []BatchRecord) (int64, func() error, error) {
 	if partitionIdx < 0 || partitionIdx >= len(t.parts) {
-		return 0, fmt.Errorf("mq: partition %d out of range for topic %q", partitionIdx, t.name)
+		return 0, nil, fmt.Errorf("mq: partition %d out of range for topic %q", partitionIdx, t.name)
 	}
 	if len(recs) == 0 {
-		return t.EndOffset(partitionIdx), nil
+		return t.EndOffset(partitionIdx), nil, nil
 	}
 	if st := t.broker.stAppend.Load(); st != nil {
 		start := time.Now()
 		defer func() { st.Observe(time.Since(start).Nanoseconds(), 0) }()
 	}
 	if err := faultpoint.Inject("mq.append"); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if err := t.broker.checkLeader(t.name, partitionIdx); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	// One admission decision for the whole batch: the lag bound is a
 	// coarse staleness valve, not an exact quota, so a batch is either
@@ -367,24 +382,24 @@ func (t *Topic) AppendBatch(partitionIdx int, recs []BatchRecord) (int64, error)
 		lagged := p.committed >= 0 && p.next-p.committed >= bound
 		p.mu.Unlock()
 		if lagged {
-			return 0, ErrBackpressure
+			return 0, nil, ErrBackpressure
 		}
 	}
 	off, err := t.parts[partitionIdx].appendBatch(recs)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	t.broker.Appended.Add(int64(len(recs)))
-	if r := t.broker.replicatorRef(); r != nil {
-		// Quorum-gate the whole batch as one unit (it landed contiguously
-		// at [off, off+len)). A failed quorum leaves the records durable
-		// locally but unacked — the producer retries, and followers (or a
-		// demotion) reconcile the offsets.
-		if err := r.awaitQuorum(t, partitionIdx, off+int64(len(recs))); err != nil {
-			return 0, err
-		}
+	r := t.broker.replicatorRef()
+	if r == nil {
+		return off, nil, nil
 	}
-	return off, nil
+	// Quorum-gate the whole batch as one unit (it landed contiguously at
+	// [off, end)). A failed quorum leaves the records durable locally but
+	// unacked — the producer retries, and followers (or a demotion)
+	// reconcile the offsets.
+	end := off + int64(len(recs))
+	return off, func() error { return r.awaitQuorum(t, partitionIdx, end) }, nil
 }
 
 // Depth returns the number of retained records in a partition.

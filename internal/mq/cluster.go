@@ -68,16 +68,9 @@ func DialCluster(peers []string, coordAddr string, timeout time.Duration) (*Clus
 		// A small retry budget: the leader-resolution loop above it is the
 		// real retry policy, and a dead peer should fail fast into a map
 		// refresh instead of backing off against a corpse.
-		cl, err := rpc.DialOpts(addr, rpc.Options{Reconnect: true, RetryBudget: 1})
-		if err != nil {
-			return nil, fmt.Errorf("mq: dial cluster peer %s: %w", addr, err)
-		}
-		c.clients = append(c.clients, cl)
+		c.clients = append(c.clients, rpc.DialOpts(addr, rpc.Options{RetryBudget: 1}))
 	}
-	cc, err := rpc.DialOpts(coordAddr, rpc.Options{Reconnect: true, RetryBudget: 2})
-	if err != nil {
-		return nil, fmt.Errorf("mq: dial coordinator %s: %w", coordAddr, err)
-	}
+	cc := rpc.DialOpts(coordAddr, rpc.Options{RetryBudget: 2})
 	c.coordC = cc
 	return c, nil
 }

@@ -268,22 +268,29 @@ func (p *partition) fetch(dst []Record, offset int64, max int, wait time.Duratio
 		if p.closed {
 			return dst, offset, ErrClosed
 		}
-		if wait <= 0 {
+		if !p.waitUntil(deadline) {
 			return dst, offset, nil
 		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return dst, offset, nil
-		}
-		// cond has no timed wait; poke waiters periodically from a timer.
-		t := time.AfterFunc(remaining, func() {
-			p.mu.Lock()
-			p.cond.Broadcast()
-			p.mu.Unlock()
-		})
-		p.cond.Wait()
-		t.Stop()
 	}
+}
+
+// waitUntil waits on p.cond until a broadcast or deadline, whichever comes
+// first, and reports false, without waiting, once deadline has passed.
+// Caller holds p.mu.
+func (p *partition) waitUntil(deadline time.Time) bool {
+	remaining := time.Until(deadline)
+	if remaining <= 0 {
+		return false
+	}
+	// cond has no timed wait: a timer broadcasts at the deadline.
+	t := time.AfterFunc(remaining, func() {
+		p.mu.Lock()
+		p.cond.Broadcast()
+		p.mu.Unlock()
+	})
+	p.cond.Wait()
+	t.Stop()
+	return true
 }
 
 func (p *partition) close() error {

@@ -77,13 +77,11 @@ func (b *Broker) onPart(h func(t *Topic, part int, r *codec.Reader, resp *codec.
 
 // ServeBroker registers the broker's RPC surface on srv, replication's
 // included: followers fetch like consumers, and mq.lead is a no-op on an
-// unreplicated broker. Handlers that never park run inline on the
-// connection's read loop: an append does unless the broker replicates, where
-// it waits on a quorum.
+// unreplicated broker. Every handler runs on the connection's read loop,
+// and parks only what waits: a fetch's push loop, and a replicated
+// append's quorum.
 func ServeBroker(b *Broker, srv *rpc.Server) {
-	always := func() bool { return true }
-	unreplicated := func() bool { return b.repl.Load() == nil }
-	srv.HandleInline(methodOpenTopic, always, func(_ rpc.Ctx, req []byte, _ *codec.Writer) error {
+	srv.HandleBuf(methodOpenTopic, func(_ rpc.Ctx, req []byte, _ *codec.Writer) error {
 		r := codec.NewReader(req)
 		name := r.String()
 		parts := r.Uvarint()
@@ -96,16 +94,27 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		_, err := b.CreateTopic(name, int(parts))
 		return err
 	})
-	srv.HandleInline(methodAppendBatch, unreplicated, b.onPart(func(t *Topic, part int, r *codec.Reader, resp *codec.Writer) error {
+	srv.HandleBuf(methodAppendBatch, b.onPart(func(t *Topic, part int, r *codec.Reader, resp *codec.Writer) error {
 		recs, err := decodeAppendBatch(r)
 		if err != nil {
 			return err
 		}
-		off, err := t.AppendBatch(part, recs)
-		resp.Varint(off)
-		return err
+		// The records are copied into the log here, so only the quorum
+		// wait, if any, parks.
+		off, quorum, err := t.land(part, recs)
+		if err != nil || quorum == nil {
+			resp.Varint(off)
+			return err
+		}
+		return rpc.Park(func() error {
+			if err := quorum(); err != nil {
+				return err
+			}
+			resp.Varint(off)
+			return nil
+		})
 	}))
-	srv.HandleStream(methodFetch, func(_ rpc.Ctx, req []byte, push func([]byte) error) error {
+	srv.HandleBuf(methodFetch, func(ctx rpc.Ctx, req []byte, _ *codec.Writer) error {
 		r := codec.NewReader(req)
 		t, part, err := b.partReq(r)
 		if err != nil {
@@ -116,36 +125,39 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		w := codec.GetWriter()
-		defer codec.PutWriter(w)
 		if r.Remaining() > 0 { // a follower's fetch: its replica marker follows
-			return b.serveReplica(t, part, offset, max, r, w, push)
+			return b.serveReplica(ctx, t, part, offset, max, r)
 		}
-		// The first fetch does not park: an empty batch tells a subscriber
-		// at once that it is at the tail.
-		var recs []Record
-		for credit, park := fetchWindow, time.Duration(0); credit > 0; credit, park = credit-1, maxFetchPark {
-			// Consumers read from the leader only — a follower's log may hold
-			// an unreplicated tail destined for truncation — and leadership
-			// can move under an open stream.
-			if err := b.checkLeader(t.name, part); err != nil {
-				return err
+		return rpc.Park(func() error {
+			w := codec.GetWriter()
+			defer codec.PutWriter(w)
+			// The first fetch does not park: an empty batch tells a
+			// subscriber at once that it is at the tail.
+			var recs []Record
+			for credit, park := fetchWindow, time.Duration(0); credit > 0; credit, park = credit-1, maxFetchPark {
+				// Consumers read from the leader only — a follower's log may
+				// hold an unreplicated tail destined for truncation — and
+				// leadership can move under an open stream.
+				if err := b.checkLeader(t.name, part); err != nil {
+					return err
+				}
+				var next int64
+				var err error
+				recs, next, err = t.parts[part].fetch(recs[:0], offset, max, park, false)
+				if err != nil || (len(recs) == 0 && park > 0) {
+					return err
+				}
+				w.Reset()
+				encodeFetchBatch(w, next-int64(len(recs)), recs)
+				if err := ctx.Push(w.Bytes()); err != nil {
+					return err
+				}
+				offset = next
 			}
-			var next int64
-			recs, next, err = t.parts[part].fetch(recs[:0], offset, max, park, false)
-			if err != nil || (len(recs) == 0 && park > 0) {
-				return err
-			}
-			w.Reset()
-			encodeFetchBatch(w, next-int64(len(recs)), recs)
-			if err := push(w.Bytes()); err != nil {
-				return err
-			}
-			offset = next
-		}
-		return nil
+			return nil
+		})
 	})
-	srv.HandleInline(methodMeta, always, b.onPart(func(t *Topic, part int, _ *codec.Reader, resp *codec.Writer) error {
+	srv.HandleBuf(methodMeta, b.onPart(func(t *Topic, part int, _ *codec.Reader, resp *codec.Writer) error {
 		// Offsets from a non-leader could overstate the log end by its
 		// unreplicated tail; make clients re-resolve instead.
 		if err := b.checkLeader(t.name, part); err != nil {
@@ -154,14 +166,14 @@ func ServeBroker(b *Broker, srv *rpc.Server) {
 		resp.Varint(t.EndOffset(part))
 		return nil
 	}))
-	srv.HandleInline(methodCommit, always, b.onPart(func(t *Topic, part int, r *codec.Reader, _ *codec.Writer) error {
+	srv.HandleBuf(methodCommit, b.onPart(func(t *Topic, part int, r *codec.Reader, _ *codec.Writer) error {
 		offset := r.Varint()
 		if err := r.Err(); err != nil {
 			return err
 		}
 		return t.Commit(part, offset)
 	}))
-	srv.HandleInline(MethodLead, always, func(_ rpc.Ctx, req []byte, _ *codec.Writer) error {
+	srv.HandleBuf(MethodLead, func(_ rpc.Ctx, req []byte, _ *codec.Writer) error {
 		pm, err := DecodePartMap(req)
 		if err != nil {
 			return err
@@ -310,10 +322,7 @@ func DialBroker(addr string, timeout time.Duration) (*RemoteBroker, error) {
 	if timeout == 0 {
 		timeout = 30 * time.Second
 	}
-	c, err := rpc.DialOpts(addr, rpc.Options{Reconnect: true, RetryBudget: 4})
-	if err != nil {
-		return nil, err
-	}
+	c := rpc.DialOpts(addr, rpc.Options{RetryBudget: 4})
 	return &RemoteBroker{client: c, timeout: timeout, topics: make(map[string]*RemoteTopic)}, nil
 }
 

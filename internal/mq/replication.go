@@ -74,10 +74,6 @@ type ReplicationConfig struct {
 	// Timeout bounds the leader's wait for a quorum of acks; 0 defaults to
 	// 2s.
 	Timeout time.Duration
-	// After is the timer hook for the quorum wait; nil defaults to
-	// time.After. Tests inject a manual channel to exercise the timeout
-	// path without real sleeps.
-	After func(d time.Duration) <-chan time.Time
 }
 
 // A follower re-opens its fetch at least every maxFetchPark, so one that has
@@ -118,23 +114,16 @@ func (b *Broker) EnableReplication(cfg ReplicationConfig) error {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 2 * time.Second
 	}
-	if cfg.After == nil {
-		cfg.After = time.After
-	}
 	r := &replicator{cfg: cfg, clients: make([]*rpc.Client, len(cfg.Peers))}
 	for i, addr := range cfg.Peers {
 		if i == cfg.Self {
 			continue
 		}
-		// Reconnecting, no retry budget: the follower loop and the quorum
-		// wait are the retry policy here. A dead leader is re-dialed at the
-		// pace an idle fetch re-opens, so a follower stuck dialing it hears
-		// of the promotion that replaced it within one park.
-		c, err := rpc.DialOpts(addr, rpc.Options{Reconnect: true, BackoffMax: maxFetchPark})
-		if err != nil {
-			return fmt.Errorf("mq: dial replica %d: %w", i, err)
-		}
-		r.clients[i] = c
+		// No retry budget: the follower loop and the quorum wait are the
+		// retry policy here. A dead leader is re-dialed at the pace an idle
+		// fetch re-opens, so a follower stuck dialing it hears of the
+		// promotion that replaced it within one park.
+		r.clients[i] = rpc.DialOpts(addr, rpc.Options{BackoffMax: maxFetchPark})
 	}
 	b.mu.Lock()
 	b.repl.Store(r)
@@ -366,11 +355,11 @@ func (f *replicaFetch) streamPart(topic string, part int, req []byte) (*rpc.Stre
 }
 
 // serveReplica answers a follower's fetch of (t, part) from offset, its
-// ack: it is sent the next batch from there, high watermark or not, and the
-// stream ends — the next fetch carries the next ack. A fetch past the log
-// end is served from the log end, so the follower re-verifies a tail this
-// leader does not hold as the log grows back over it.
-func (b *Broker) serveReplica(t *Topic, part int, offset int64, max int, r *codec.Reader, w *codec.Writer, push func([]byte) error) error {
+// ack: it is pushed the next batch from there, high watermark or not, and
+// the stream ends — the next fetch carries the next ack. A fetch past the
+// log end is served from the log end, so the follower re-verifies a tail
+// this leader does not hold as the log grows back over it.
+func (b *Broker) serveReplica(ctx rpc.Ctx, t *Topic, part int, offset int64, max int, r *codec.Reader) error {
 	peer, version, leader := r.Uvarint(), r.Varint(), r.Uvarint()
 	if err := r.Finish(); err != nil {
 		return err
@@ -386,12 +375,17 @@ func (b *Broker) serveReplica(t *Topic, part int, offset int64, max int, r *code
 		return err
 	}
 	p := t.parts[part]
-	recs, next, err := p.fetch(nil, p.ack(int(peer), offset), max, maxFetchPark, true)
-	if err != nil || len(recs) == 0 {
-		return err
-	}
-	encodeFetchBatch(w, next-int64(len(recs)), recs)
-	return push(w.Bytes())
+	from := p.ack(int(peer), offset)
+	return rpc.Park(func() error {
+		recs, next, err := p.fetch(nil, from, max, maxFetchPark, true)
+		if err != nil || len(recs) == 0 {
+			return err
+		}
+		w := codec.GetWriter()
+		defer codec.PutWriter(w)
+		encodeFetchBatch(w, next-int64(len(recs)), recs)
+		return ctx.Push(w.Bytes())
+	})
 }
 
 // awaitQuorum holds a replicated append until the high watermark passes
@@ -413,29 +407,16 @@ func (r *replicator) awaitQuorum(t *Topic, part int, end int64) error {
 			go r.open(i, t)
 		}
 	}
-	expired, done := false, make(chan struct{})
-	defer close(done) // stops the timer goroutine; one the timeout woke takes p.mu after us
-	timeout := r.cfg.After(r.cfg.Timeout)
-	go func() {
-		select {
-		case <-timeout:
-			p.mu.Lock()
-			expired = true
-			p.cond.Broadcast()
-			p.mu.Unlock()
-		case <-done:
-		}
-	}()
+	deadline := now.Add(r.cfg.Timeout)
 	for p.hw < end {
 		switch {
 		case p.closed:
 			return ErrClosed
-		case expired:
-			return fmt.Errorf("%w: timeout with %s/%d acked to %d, appended to %d", ErrQuorumUnavailable, t.name, part, p.hw, end)
 		case t.broker.leaderFor(t.name, part) != r.cfg.Self:
 			return notLeaderError(t.name, part, t.broker.leaderFor(t.name, part))
+		case !p.waitUntil(deadline): // an ack, a map change or a close wakes it first
+			return fmt.Errorf("%w: timeout with %s/%d acked to %d, appended to %d", ErrQuorumUnavailable, t.name, part, p.hw, end)
 		}
-		p.cond.Wait()
 	}
 	return nil
 }

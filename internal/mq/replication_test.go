@@ -47,6 +47,84 @@ func startReplicaSet(t *testing.T, n, quorum int) ([]*Broker, []*rpc.Server, []s
 	return brokers, srvs, addrs
 }
 
+// hungPeer is a follower that accepts connections and never answers: a
+// quorum that needs it never forms. It returns the peer's address.
+func hungPeer(t *testing.T) string {
+	t.Helper()
+	hang, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { hang.Close() })
+	go func() {
+		for {
+			c, err := hang.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				//lint:allow droppederror reason=test sink draining a hung follower connection
+				_, _ = io.Copy(io.Discard, c)
+			}()
+		}
+	}()
+	return hang.Addr().String()
+}
+
+// TestParkedAppendFreesItsConnection: an mq.append_batch waiting on a
+// quorum its hung follower never gives parks off the read loop, so an
+// mq.meta on the same rpc.Client answers while the append still waits.
+func TestParkedAppendFreesItsConnection(t *testing.T) {
+	leakCheck(t)
+	b := NewBroker(Options{})
+	cfg := ReplicationConfig{Peers: []string{"127.0.0.1:1", hungPeer(t)}, Quorum: 2, Timeout: 5 * time.Second}
+	if err := b.EnableReplication(cfg); err != nil {
+		t.Fatal(err)
+	}
+	srv := rpc.NewServer()
+	defer srv.Close()
+	ServeBroker(b, srv)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := DialBroker(addr, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rb.Close()
+	tp, err := rb.OpenTopic("t", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appended := make(chan error, 1)
+	go func() {
+		_, err := tp.Append(0, 1, []byte("a"))
+		appended <- err
+	}()
+	local, _ := b.Topic("t")
+	for local.EndOffset(0) == 0 { // landed: from here on it waits on the quorum
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	if end := tp.EndOffset(0); end != 1 {
+		t.Fatalf("mq.meta beside a parked append: end offset %d, want 1", end)
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("mq.meta answered after %v, behind the parked append", waited)
+	}
+	select {
+	case err := <-appended:
+		t.Fatalf("the append returned (%v) with no quorum to ack it", err)
+	default:
+	}
+	b.Close() // ends the quorum wait
+	if err := <-appended; err == nil {
+		t.Fatal("an append no quorum held was acked")
+	}
+}
+
 // leakCheck registers a cleanup that fails the test if goroutines did not
 // drain back to the baseline. Call it FIRST so it runs after every other
 // cleanup (t.Cleanup is LIFO).
@@ -147,40 +225,20 @@ func TestFollowerDeathQuorumStillAcks(t *testing.T) {
 	}
 }
 
-// TestQuorumTimeoutFakeTimer drives the leader's quorum wait with a manual
-// timer channel: the only follower hangs (a raw listener that never
-// responds), the injected timer fires, and the append must fail with
+// TestQuorumTimeoutFakeTimer drives the leader's quorum wait past a short
+// timeout: the only follower hangs (a raw listener that never responds), so
+// it can never beat the 50 ms, and the append must fail with
 // ErrQuorumUnavailable without the record becoming visible to consumers.
 func TestQuorumTimeoutFakeTimer(t *testing.T) {
 	leakCheck(t)
-	hang, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hang.Close()
-	go func() {
-		for {
-			c, err := hang.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer c.Close()
-				//lint:allow droppederror reason=test sink draining a hung follower connection
-				_, _ = io.Copy(io.Discard, c)
-			}()
-		}
-	}()
-
-	fire := make(chan time.Time, 1)
+	hang := hungPeer(t)
 	b := NewBroker(Options{})
 	defer b.Close()
-	err = b.EnableReplication(ReplicationConfig{
+	err := b.EnableReplication(ReplicationConfig{
 		Self:    0,
-		Peers:   []string{"127.0.0.1:1", hang.Addr().String()},
+		Peers:   []string{"127.0.0.1:1", hang},
 		Quorum:  2,
-		Timeout: 300 * time.Millisecond, // bounds the hung follower RPC so its goroutine drains
-		After:   func(time.Duration) <-chan time.Time { return fire },
+		Timeout: 50 * time.Millisecond, // also bounds the hung follower RPC, so its goroutine drains
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +247,6 @@ func TestQuorumTimeoutFakeTimer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fire <- time.Time{} // the quorum wait times out immediately
 	_, err = tp.Append(0, 1, []byte("a"))
 	if !IsQuorumUnavailable(err) {
 		t.Fatalf("want ErrQuorumUnavailable, got %v", err)
@@ -268,34 +325,14 @@ func TestFsyncAlwaysTornWrite(t *testing.T) {
 // never make this replica look most-caught-up in a later failover.
 func TestReplOffsetsExcludeUnackedTail(t *testing.T) {
 	leakCheck(t)
-	hang, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hang.Close()
-	go func() {
-		for {
-			c, err := hang.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer c.Close()
-				//lint:allow droppederror reason=test sink draining a hung follower connection
-				_, _ = io.Copy(io.Discard, c)
-			}()
-		}
-	}()
-
-	fire := make(chan time.Time, 1)
+	hang := hungPeer(t)
 	b := NewBroker(Options{})
 	defer b.Close()
-	err = b.EnableReplication(ReplicationConfig{
+	err := b.EnableReplication(ReplicationConfig{
 		Self:    0,
-		Peers:   []string{"127.0.0.1:1", hang.Addr().String()},
+		Peers:   []string{"127.0.0.1:1", hang},
 		Quorum:  2,
-		Timeout: 300 * time.Millisecond,
-		After:   func(time.Duration) <-chan time.Time { return fire },
+		Timeout: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +341,6 @@ func TestReplOffsetsExcludeUnackedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fire <- time.Time{}
 	if _, err := tp.Append(0, 1, []byte("a")); !IsQuorumUnavailable(err) {
 		t.Fatalf("want ErrQuorumUnavailable, got %v", err)
 	}

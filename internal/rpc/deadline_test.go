@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"helios/internal/codec"
 )
 
 // A request frame carries the caller's timeout as a deadline budget, and the
@@ -11,9 +13,9 @@ import (
 func TestDeadlineBudgetReachesHandler(t *testing.T) {
 	s := NewServer()
 	got := make(chan time.Duration, 1)
-	s.HandleCtx("probe", func(ctx Ctx, req []byte) ([]byte, error) {
+	s.HandleBuf("probe", func(ctx Ctx, _ []byte, _ *codec.Writer) error {
 		got <- ctx.Remaining(time.Now())
-		return nil, nil
+		return nil
 	})
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
@@ -38,9 +40,9 @@ func TestDeadlineBudgetReachesHandler(t *testing.T) {
 func TestZeroTimeoutMeansNoDeadline(t *testing.T) {
 	s := NewServer()
 	got := make(chan Ctx, 1)
-	s.HandleCtx("probe", func(ctx Ctx, req []byte) ([]byte, error) {
+	s.HandleBuf("probe", func(ctx Ctx, _ []byte, _ *codec.Writer) error {
 		got <- ctx
-		return nil, nil
+		return nil
 	})
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
@@ -64,17 +66,19 @@ func TestZeroTimeoutMeansNoDeadline(t *testing.T) {
 	}
 }
 
-// A request whose budget is already spent when the server gets to it is
-// refused with a typed ErrDeadlineExceeded — the handler never runs.
+// A parked wait whose budget is already spent when its goroutine gets to
+// it is refused with a typed ErrDeadlineExceeded — the wait never runs.
 func TestExpiredRequestFailsFastWithoutHandler(t *testing.T) {
 	s := NewServer()
-	// The server-side delay consumes more than the call budget before
-	// dispatch, so the request is dead on arrival at the handler stage.
-	s.Delay = 50 * time.Millisecond
+	// The handler stalls on the read loop for longer than the call budget
+	// before it parks, so the wait is dead on arrival.
 	ran := make(chan struct{}, 1)
-	s.Handle("work", func(req []byte) ([]byte, error) {
-		ran <- struct{}{}
-		return nil, nil
+	s.HandleBuf("work", func(Ctx, []byte, *codec.Writer) error {
+		time.Sleep(50 * time.Millisecond)
+		return Park(func() error {
+			ran <- struct{}{}
+			return nil
+		})
 	})
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
@@ -86,15 +90,15 @@ func TestExpiredRequestFailsFastWithoutHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Budget smaller than the server delay. The client's own timer also
-	// fires; either way the error must classify as a deadline error.
+	// Budget smaller than the stall. The client's own timer also fires;
+	// either way the error must classify as a deadline error.
 	_, err = c.Call("work", nil, 10*time.Millisecond)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
 	select {
 	case <-ran:
-		t.Fatal("handler ran on an expired request")
+		t.Fatal("the wait ran on an expired request")
 	case <-time.After(100 * time.Millisecond):
 	}
 	if s.Expired.Value() == 0 {
@@ -145,18 +149,10 @@ func TestTimeoutClassifiesAsDeadline(t *testing.T) {
 // once the budget is spent instead of waiting attempts × timeout.
 func TestRetriesShareOneBudget(t *testing.T) {
 	// Nothing listens on this address: every attempt fails at dial.
-	c, err := DialOpts("127.0.0.1:1", Options{
-		Reconnect:   true,
-		RetryBudget: 1000,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialOpts("127.0.0.1:1", Options{RetryBudget: 1000, BackoffMax: 5 * time.Millisecond})
 	defer c.Close()
 	start := time.Now()
-	_, err = c.Call("work", nil, 60*time.Millisecond)
+	_, err := c.Call("work", nil, 60*time.Millisecond)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("call to dead endpoint succeeded")

@@ -32,8 +32,6 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-func always() bool { return true }
-
 // goid identifies the calling goroutine ("goroutine 42 [running]: ...").
 func goid() string {
 	var buf [32]byte
@@ -45,10 +43,10 @@ func goid() string {
 const maxMallocsPerEcho = 5 // measured 1.0: the client's copy of the reply
 
 // TestOneReadPerFrame is the transport's row of the work ledger, counted
-// and not timed: N sequential 64-byte echoes through an inline handler cost
-// each side one socket read and one socket write per call (the parent: two
-// reads), every call runs on the connection's read loop, and the whole
-// process allocates at most maxMallocsPerEcho times per call.
+// and not timed: N sequential 64-byte echoes through a handler that never
+// parks cost each side one socket read and one socket write per call (the
+// parent: two reads), every call runs on the connection's read loop, and
+// the whole process allocates at most maxMallocsPerEcho times per call.
 func TestOneReadPerFrame(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -59,7 +57,7 @@ func TestOneReadPerFrame(t *testing.T) {
 	defer s.Close()
 	var ranOn sync.Map // goroutine id -> true
 	var counting atomic.Bool
-	s.HandleInline("echo", always, func(_ Ctx, req []byte, resp *codec.Writer) error {
+	s.HandleBuf("echo", func(_ Ctx, req []byte, resp *codec.Writer) error {
 		if !counting.Load() { // asking who runs the call allocates
 			ranOn.Store(goid(), true)
 		}
@@ -92,13 +90,10 @@ func TestOneReadPerFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	cliConn := &countingConn{Conn: raw}
-	c, err := DialOpts(ln.Addr().String(), Options{Reconnect: true}) // dials lazily: the counted connection goes in first
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialOpts(ln.Addr().String(), Options{}) // dials lazily: the counted connection goes in first
 	defer c.Close()
 	c.connMu.Lock()
-	c.conn, c.gen, c.everConn = cliConn, 1, true
+	c.conn, c.gen = cliConn, 1
 	c.connMu.Unlock()
 	go c.readLoop(cliConn, 1)
 	<-accepted
@@ -151,7 +146,7 @@ func TestOneReadPerFrame(t *testing.T) {
 func TestBufferedRequestsShareOneWrite(t *testing.T) {
 	client, server := net.Pipe()
 	s := NewServer()
-	s.HandleInline("echo", always, func(_ Ctx, req []byte, resp *codec.Writer) error {
+	s.HandleBuf("echo", func(_ Ctx, req []byte, resp *codec.Writer) error {
 		resp.Raw(req)
 		return nil
 	})
@@ -182,10 +177,9 @@ func TestBufferedRequestsShareOneWrite(t *testing.T) {
 	}
 }
 
-// TestParkedHandlerNeverBlocksInline: 64 concurrently dispatched calls
-// parked on one connection do not delay an inline call behind them, and an
-// inline registration whose predicate refuses is dispatched concurrently
-// itself.
+// TestParkedHandlerNeverBlocksInline: 64 calls parked on one connection —
+// half through the Handle adapter, half by a handler's own Park — do not
+// delay a call that never parks behind them.
 func TestParkedHandlerNeverBlocksInline(t *testing.T) {
 	s := NewServer()
 	release := make(chan struct{})
@@ -195,12 +189,14 @@ func TestParkedHandlerNeverBlocksInline(t *testing.T) {
 		<-release
 		return nil, nil
 	})
-	s.HandleInline("refused", func() bool { return false }, func(Ctx, []byte, *codec.Writer) error {
-		parked.Done()
-		<-release
-		return nil
+	s.HandleBuf("wait", func(Ctx, []byte, *codec.Writer) error {
+		return Park(func() error {
+			parked.Done()
+			<-release
+			return nil
+		})
 	})
-	s.HandleInline("quick", always, func(_ Ctx, _ []byte, resp *codec.Writer) error {
+	s.HandleBuf("quick", func(_ Ctx, _ []byte, resp *codec.Writer) error {
 		resp.Byte(7)
 		return nil
 	})
@@ -224,7 +220,7 @@ func TestParkedHandlerNeverBlocksInline(t *testing.T) {
 			defer done.Done()
 			method := "park"
 			if i%2 == 1 {
-				method = "refused"
+				method = "wait"
 			}
 			if _, err := c.Call(method, nil, 10*time.Second); err != nil {
 				t.Errorf("%s: %v", method, err)
@@ -245,13 +241,16 @@ func TestParkedHandlerNeverBlocksInline(t *testing.T) {
 func streamServer(t *testing.T, pushes int, end error) string {
 	t.Helper()
 	s := NewServer()
-	s.HandleStream("count", func(_ Ctx, req []byte, push func([]byte) error) error {
-		for i := 0; i < pushes; i++ {
-			if err := push(append([]byte{byte(i)}, req...)); err != nil {
-				return err
+	s.HandleBuf("count", func(ctx Ctx, req []byte, _ *codec.Writer) error {
+		tag := append([]byte(nil), req...) // req is the read loop's: the wait keeps a copy
+		return Park(func() error {
+			for i := 0; i < pushes; i++ {
+				if err := ctx.Push(append([]byte{byte(i)}, tag...)); err != nil {
+					return err
+				}
 			}
-		}
-		return end
+			return end
+		})
 	})
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
@@ -296,14 +295,11 @@ func TestStreamPushesThenEnds(t *testing.T) {
 
 // TestStreamOverrunDropsConnection: a server that pushes past the window
 // the client sized its buffer for is a protocol violation; the read loop
-// does not block on it, it drops the connection, and a reconnecting client
-// carries on.
+// does not block on it, it drops the connection, and the client carries on
+// over a new one.
 func TestStreamOverrunDropsConnection(t *testing.T) {
 	addr := streamServer(t, 8, nil)
-	c, err := DialOpts(addr, Options{Reconnect: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialOpts(addr, Options{})
 	defer c.Close()
 	st, err := c.OpenStream("count", nil, 3)
 	if err != nil {
@@ -348,12 +344,14 @@ func TestStreamDiesWithItsConnection(t *testing.T) {
 	defer faultpoint.Reset()
 	s := NewServer()
 	proceed := make(chan struct{})
-	s.HandleStream("two", func(_ Ctx, _ []byte, push func([]byte) error) error {
-		if err := push([]byte("a")); err != nil {
-			return err
-		}
-		<-proceed
-		return push([]byte("b"))
+	s.HandleBuf("two", func(ctx Ctx, _ []byte, _ *codec.Writer) error {
+		return Park(func() error {
+			if err := ctx.Push([]byte("a")); err != nil {
+				return err
+			}
+			<-proceed
+			return ctx.Push([]byte("b"))
+		})
 	})
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {

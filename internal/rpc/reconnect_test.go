@@ -38,10 +38,7 @@ func restartServer(t *testing.T, addr string) (*Server, string) {
 
 func TestReconnectAcrossServerRestart(t *testing.T) {
 	s1, addr := restartServer(t, "")
-	c, err := DialOpts(addr, Options{Reconnect: true, RetryBudget: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialOpts(addr, Options{RetryBudget: 8})
 	defer c.Close()
 	if _, err := c.Call("echo", []byte("a"), time.Second); err != nil {
 		t.Fatal(err)
@@ -64,8 +61,8 @@ func TestReconnectAcrossServerRestart(t *testing.T) {
 }
 
 func TestReconnectDialsLazily(t *testing.T) {
-	// Reconnect mode must construct even when the target is down, and
-	// heal once it comes up.
+	// A client must construct even when the target is down, and heal once
+	// it comes up.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -73,15 +70,7 @@ func TestReconnectDialsLazily(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close() // nothing listening now
 
-	c, err := DialOpts(addr, Options{
-		Reconnect:   true,
-		RetryBudget: 50,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("lazy dial should not fail: %v", err)
-	}
+	c := DialOpts(addr, Options{RetryBudget: 50, BackoffMax: 10 * time.Millisecond})
 	defer c.Close()
 
 	done := make(chan error, 1)
@@ -110,15 +99,7 @@ func TestRetryExhaustion(t *testing.T) {
 	defer faultpoint.Reset()
 	s, addr := restartServer(t, "")
 	defer s.Close()
-	c, err := DialOpts(addr, Options{
-		Reconnect:   true,
-		RetryBudget: 3,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialOpts(addr, Options{RetryBudget: 3, BackoffMax: 2 * time.Millisecond})
 	defer c.Close()
 	if _, err := c.Call("echo", nil, time.Second); err != nil {
 		t.Fatal(err)
@@ -127,7 +108,7 @@ func TestRetryExhaustion(t *testing.T) {
 	// Every write attempt fails: the initial try plus 3 retries, then the
 	// budget is exhausted and the injected error surfaces.
 	faultpoint.ErrorN("rpc.client.write", -1)
-	_, err = c.Call("echo", nil, time.Second)
+	_, err := c.Call("echo", nil, time.Second)
 	if !errors.Is(err, faultpoint.ErrInjected) {
 		t.Fatalf("err = %v, want injected", err)
 	}
@@ -167,10 +148,7 @@ func TestRemoteErrorsAndTimeoutsNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c, err := DialOpts(addr, Options{Reconnect: true, RetryBudget: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialOpts(addr, Options{RetryBudget: 5})
 	defer c.Close()
 
 	var re *RemoteError
@@ -191,11 +169,9 @@ func TestBackoffSequencing(t *testing.T) {
 	var mu sync.Mutex
 	var slept []time.Duration
 	fc := clock.NewFake()
-	c, err := DialOpts("127.0.0.1:1", Options{ // nothing listens on port 1
-		Reconnect:   true,
+	c := DialOpts("127.0.0.1:1", Options{ // nothing listens on port 1
 		RetryBudget: 6,
-		BackoffBase: 100 * time.Millisecond,
-		BackoffMax:  time.Second,
+		BackoffMax:  100 * time.Millisecond,
 		Seed:        42,
 		Clock:       fc,
 		Sleep: func(d time.Duration) {
@@ -204,9 +180,6 @@ func TestBackoffSequencing(t *testing.T) {
 			mu.Unlock()
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer c.Close()
 
 	if _, err := c.Call("echo", nil, time.Second); err == nil {
@@ -220,11 +193,11 @@ func TestBackoffSequencing(t *testing.T) {
 	if len(slept) != 6 {
 		t.Fatalf("recorded %d sleeps (%v), want 6", len(slept), slept)
 	}
-	// Attempt n's nominal backoff is min(base<<(n-1), max); jitter keeps
+	// Attempt n's nominal backoff is min(20ms<<(n-1), max); jitter keeps
 	// the wait within [nominal/2, nominal].
 	nominal := []time.Duration{
-		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
-		800 * time.Millisecond, time.Second, time.Second,
+		20 * time.Millisecond, 40 * time.Millisecond, 80 * time.Millisecond,
+		100 * time.Millisecond, 100 * time.Millisecond, 100 * time.Millisecond,
 	}
 	for i, d := range slept {
 		if d < nominal[i]/2 || d > nominal[i] {
@@ -237,14 +210,14 @@ func TestBackoffSequencing(t *testing.T) {
 }
 
 func TestBackoffJitterVariesWithinBounds(t *testing.T) {
-	c := &Client{opts: Options{BackoffBase: 80 * time.Millisecond, BackoffMax: time.Second, Seed: 7}}
+	c := &Client{opts: Options{BackoffMax: time.Second, Seed: 7}}
 	c.opts.fillDefaults()
 	c.rng = rand.New(rand.NewSource(7))
 	seen := map[time.Duration]bool{}
 	for i := 0; i < 32; i++ {
 		d := c.backoffLocked(1)
-		if d < 40*time.Millisecond || d > 80*time.Millisecond {
-			t.Fatalf("backoff(1) = %v out of [40ms, 80ms]", d)
+		if d < backoffBase/2 || d > backoffBase {
+			t.Fatalf("backoff(1) = %v out of [%v, %v]", d, backoffBase/2, backoffBase)
 		}
 		seen[d] = true
 	}
@@ -253,41 +226,8 @@ func TestBackoffJitterVariesWithinBounds(t *testing.T) {
 	}
 }
 
-func TestNonReconnectStaysDead(t *testing.T) {
-	s, addr := restartServer(t, "")
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Call("echo", nil, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s2, _ := restartServer(t, addr)
-	defer s2.Close()
-	// Even with the server back, a plain-Dial client never reconnects.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, err := c.Call("echo", nil, 200*time.Millisecond); err == nil {
-			t.Fatal("single-connection client resurrected itself")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if c.Reconnects.Value() != 0 {
-		t.Fatal("non-reconnect client counted a reconnect")
-	}
-}
-
 func TestCloseStopsReconnecting(t *testing.T) {
-	c, err := DialOpts("127.0.0.1:1", Options{
-		Reconnect:   true,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialOpts("127.0.0.1:1", Options{BackoffMax: 2 * time.Millisecond})
 	c.Close()
 	if _, err := c.Call("echo", nil, time.Second); err != ErrClosed {
 		t.Fatalf("call after close = %v, want ErrClosed", err)
@@ -301,10 +241,7 @@ func TestServerWriteFaultClosesConn(t *testing.T) {
 	defer faultpoint.Reset()
 	s, addr := restartServer(t, "")
 	defer s.Close()
-	c, err := DialOpts(addr, Options{Reconnect: true, RetryBudget: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialOpts(addr, Options{RetryBudget: 4})
 	defer c.Close()
 	if _, err := c.Call("echo", nil, time.Second); err != nil {
 		t.Fatal(err)
@@ -335,15 +272,10 @@ func TestServerWriteFaultClosesConn(t *testing.T) {
 func TestWaitersShareAFailedDial(t *testing.T) {
 	const callers = 16
 	release := make(chan struct{})
-	c, err := DialOpts("127.0.0.1:1", Options{ // nothing listens on port 1
-		Reconnect:   true,
-		BackoffBase: time.Second,
-		Clock:       clock.NewFake(), // never advances: every redial owes a full backoff
-		Sleep:       func(time.Duration) { <-release },
+	c := DialOpts("127.0.0.1:1", Options{ // nothing listens on port 1
+		Clock: clock.NewFake(), // never advances: every redial owes a full backoff
+		Sleep: func(time.Duration) { <-release },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer c.Close()
 	if _, err := c.Call("echo", nil, time.Second); err == nil {
 		t.Fatal("call to dead port should fail")

@@ -4,18 +4,19 @@
 // minimal multiplexed request/response protocol over TCP — one connection
 // carries any number of concurrent calls correlated by request ID.
 //
-// Clients come in two modes. Dial gives the classic single-connection
-// client: once the connection drops, every future call fails. DialOpts
-// with Options.Reconnect builds a self-healing client — it dials on
-// demand, re-establishes dropped connections with jittered exponential
-// backoff, and (with a RetryBudget) transparently retries calls that hit
-// transport failures. That mode is what lets the §4.1 replay story hold
-// end to end: a broker restart is a pause, not a permanent wedge, for
-// every RemoteBroker-backed worker.
+// A server serves every method one way (Server.HandleBuf): the handler runs
+// on the connection's read loop. One that must wait — on an actor, on a
+// partition's data, on a replication quorum — first takes what it needs out
+// of its request, then returns Park(wait); the server runs wait on a
+// goroutine of its own and answers when it returns. A stream pushes through
+// Ctx.Push. Server.Handle adapts a plain func(req) (resp, error): it copies
+// the request and parks.
 //
-// For experiments that model datacenter topologies (Fig. 4(d) varies
-// cluster size), both ends accept an injected per-call delay that stands in
-// for network RTT beyond the loopback's.
+// Every client heals itself: it dials on demand, re-establishes a dropped
+// connection with jittered exponential backoff, and (with a RetryBudget)
+// transparently retries calls that hit transport failures. That is what
+// lets the §4.1 replay story hold end to end: a broker restart is a pause,
+// not a permanent wedge, for every RemoteBroker-backed worker.
 package rpc
 
 import (
@@ -113,15 +114,16 @@ func RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("rpc.dial_failures", func() int64 { return transportTotal(2) })
 }
 
-// Handler processes one request payload and returns the response payload.
-type Handler func(req []byte) ([]byte, error)
-
 // Ctx carries the per-request frame metadata a handler may care about: the
 // caller's trace ID (0 = untraced) and the absolute deadline derived from
-// the frame's budget field (zero time = no deadline).
+// the frame's budget field (zero time = no deadline). A server's Ctx also
+// names the request it came with, for Push.
 type Ctx struct {
 	Trace    uint64
 	Deadline time.Time
+
+	sc *serverConn
+	id uint64
 }
 
 // Expired reports whether the request's deadline has passed at now. A zero
@@ -139,52 +141,50 @@ func (c Ctx) Remaining(now time.Time) time.Duration {
 	return c.Deadline.Sub(now)
 }
 
-// CtxHandler is the full-fidelity handler form: it receives the trace ID
-// and the propagated deadline. Handlers that fan out further RPCs pass
-// ctx.Remaining as the downstream timeout so the budget shrinks hop by hop.
-type CtxHandler func(ctx Ctx, req []byte) ([]byte, error)
+// Push sends payload to the caller as one pushed frame of a stream
+// (Client.OpenStream), ahead of the reply the handler ends the stream with.
+// It fails once the connection is gone, and does not retain payload.
+func (c Ctx) Push(payload []byte) error {
+	return c.sc.write(frameStream, c.id, c.Trace, payload, true)
+}
 
-// BufHandler is the zero-copy handler form: the response is encoded into
-// resp, a pooled writer the server owns — it frames and recycles the
-// buffer after the response write, so the handler must not retain resp
-// (or anything aliasing its bytes) past return. req is likewise a pooled
-// read buffer released when the handler returns; retain a copy, never the
-// slice.
+// BufHandler is the one handler form. It runs on the connection's read
+// loop and encodes its reply into resp, a pooled writer the server owns: the
+// server frames and recycles it once the reply is written, so the handler
+// must not retain resp (or anything aliasing its bytes) past its answer. req
+// aliases the connection's read buffer and is valid until the handler
+// returns: a handler that must wait takes what it needs out of req, then
+// returns Park.
 type BufHandler func(ctx Ctx, req []byte, resp *codec.Writer) error
 
-// StreamHandler is the server-streaming form: push sends one payload to the
-// caller, ahead of the reply the handler's return ends the stream with, and
-// fails once the connection is gone. push does not retain its argument.
-type StreamHandler func(ctx Ctx, req []byte, push func(payload []byte) error) error
+// parked is a wait a handler hands the server through Park. A func is one
+// word, so Park allocates nothing of its own.
+type parked func() error
 
-// handlerEntry holds one registered handler in exactly one of its forms.
-type handlerEntry struct {
-	ctx    CtxHandler
-	buf    BufHandler
-	stream StreamHandler
-	inline func() bool // set: buf runs on the read loop while it reports true
-}
+func (parked) Error() string { return "rpc: parked" }
+
+// Park is what a handler returns to wait off the read loop: the server runs
+// wait on a goroutine of its own and answers the request with wait's error,
+// or with what wait wrote into resp. A wait that would start past the
+// request's deadline is not run; the caller is answered ErrDeadlineExceeded.
+func Park(wait func() error) error { return parked(wait) }
 
 // Server serves registered handlers over TCP.
 type Server struct {
 	// handlers is copy-on-write: a read loop looks a method up with one
 	// atomic load, registration (rare) copies the table under mu.
-	handlers atomic.Pointer[map[string]handlerEntry]
+	handlers atomic.Pointer[map[string]BufHandler]
 	mu       sync.Mutex
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
 	closed   bool
 	wg       sync.WaitGroup
 
-	// Delay is slept before handling each request, simulating network RTT
-	// for topology experiments. Zero for production use.
-	Delay time.Duration
-
 	// Requests counts request frames dispatched; Errors counts handler
 	// failures (including unknown methods and panics) and failed response
 	// writes. Expired counts requests answered with a deadline-exceeded
-	// frame instead of being worked on (dead-on-arrival budget, or a
-	// handler that bailed out with ErrDeadlineExceeded).
+	// frame: a parked wait that would have started past its deadline, or a
+	// handler that bailed out with ErrDeadlineExceeded.
 	Requests obs.Counter
 	Errors   obs.Counter
 	Expired  obs.Counter
@@ -193,14 +193,16 @@ type Server struct {
 // NewServer returns a server with no handlers.
 func NewServer() *Server {
 	s := &Server{conns: make(map[net.Conn]struct{})}
-	s.handlers.Store(&map[string]handlerEntry{})
+	s.handlers.Store(&map[string]BufHandler{})
 	return s
 }
 
-func (s *Server) register(method string, e handlerEntry) {
+// HandleBuf registers h for method, replacing any previous handler. See
+// BufHandler for what runs where and who owns which bytes.
+func (s *Server) HandleBuf(method string, h BufHandler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	next := map[string]handlerEntry{method: e}
+	next := map[string]BufHandler{method: h}
 	for m, old := range *s.handlers.Load() {
 		if m != method {
 			next[m] = old
@@ -209,33 +211,19 @@ func (s *Server) register(method string, e handlerEntry) {
 	s.handlers.Store(&next)
 }
 
-// Handle registers a handler for method, replacing any previous one.
-func (s *Server) Handle(method string, h Handler) {
-	s.HandleCtx(method, func(_ Ctx, req []byte) ([]byte, error) { return h(req) })
-}
-
-// HandleCtx registers a deadline- and trace-aware handler for method.
-func (s *Server) HandleCtx(method string, h CtxHandler) { s.register(method, handlerEntry{ctx: h}) }
-
-// HandleBuf registers a buffer handler for method: the hot-path form that
-// encodes its response into a server-pooled writer, so a steady-state
-// response costs no per-call buffer allocation. See BufHandler for the
-// ownership rules.
-func (s *Server) HandleBuf(method string, h BufHandler) { s.register(method, handlerEntry{buf: h}) }
-
-// HandleInline registers a buffer handler that never parks — no queue,
-// quorum or downstream wait — to run on the connection's read loop while ok
-// (required) reports true: no goroutine, no copy of the request, and its reply leaves
-// with those of every request already buffered. A call ok refuses, and every
-// call on a server with Delay set, runs like HandleBuf's.
-func (s *Server) HandleInline(method string, ok func() bool, h BufHandler) {
-	s.register(method, handlerEntry{buf: h, inline: ok})
-}
-
-// HandleStream registers a server-streaming handler for method; the other
-// end is Client.OpenStream.
-func (s *Server) HandleStream(method string, h StreamHandler) {
-	s.register(method, handlerEntry{stream: h})
+// Handle registers h for method in the one form: the request is copied
+// into a pooled buffer and h runs parked, so it may block.
+func (s *Server) Handle(method string, h func(req []byte) ([]byte, error)) {
+	s.HandleBuf(method, func(_ Ctx, req []byte, resp *codec.Writer) error {
+		held := codec.GetWriter()
+		held.Raw(req)
+		return Park(func() error {
+			defer codec.PutWriter(held)
+			out, err := h(held.Bytes())
+			resp.Raw(out)
+			return err
+		})
+	})
 }
 
 // Listen binds addr (e.g. "127.0.0.1:0") and starts accepting. It returns
@@ -314,86 +302,101 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// dispatch runs f's handler on the read loop if it is registered inline,
-// and otherwise on its own goroutine, so a call that parks never
-// head-of-line blocks the connection.
+// dispatch runs f's handler on the read loop. Its reply waits for the
+// loop's next flush, unless it parked: then the wait runs on a goroutine of
+// its own, so a call that waits never head-of-line blocks the connection.
 //
 //lint:hotpath
 func (sc *serverConn) dispatch(f frame) {
 	s := sc.s
 	// The budget is relative: the deadline is pinned to this host's clock.
-	ctx := Ctx{Trace: f.trace}
+	ctx := Ctx{Trace: f.trace, sc: sc, id: f.id}
 	if f.budget > 0 {
 		ctx.Deadline = time.Now().Add(time.Duration(f.budget))
 	}
-	e, known := (*s.handlers.Load())[string(f.method)]
+	h, known := (*s.handlers.Load())[string(f.method)]
 	s.Requests.Inc()
 	if !known {
-		sc.fail(f.id, f.trace, unknownMethod(f.method))
+		sc.answer(ctx, nil, unknownMethod(f.method), true)
 		return
 	}
-	if e.inline != nil && s.Delay == 0 && e.inline() {
-		sc.serve(e, ctx, f.id, f.payload, nil)
+	resp := codec.GetWriter()
+	err := serveInline(h, ctx, f.payload, resp)
+	if wait, ok := err.(parked); ok {
+		p := parkedCalls.Get().(*parkedCall)
+		if p.run == nil {
+			p.run = p.serve
+		}
+		p.ctx, p.wait, p.resp = ctx, wait, resp
+		s.wg.Add(1)
+		go p.run()
 		return
 	}
-	req := codec.GetWriter() // the read buffer moves on under a concurrent call
-	req.Raw(f.payload)
-	s.wg.Add(1)
-	go sc.serve(e, ctx, f.id, req.Bytes(), req)
+	sc.answer(ctx, resp, err, false)
 }
 
-// serve runs one request's handler and queues its reply: for the read
-// loop's next flush when held is nil, written at once for a concurrent call,
-// which holds its copy of the request there.
-func (sc *serverConn) serve(e handlerEntry, ctx Ctx, id uint64, req []byte, held *codec.Writer) {
-	var resp []byte
-	var err error
-	var bw *codec.Writer
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("handler panic: %v", r)
-		}
-		if err != nil {
-			sc.fail(id, ctx.Trace, err)
-		} else {
-			sc.write(frameResponse, id, ctx.Trace, resp, held != nil)
-		}
-		// Recycled only now: the reply has been copied into the out buffer.
-		codec.PutWriter(bw)
-		if held != nil {
-			codec.PutWriter(held)
-			sc.s.wg.Done()
-		}
-	}()
-	if held != nil && sc.s.Delay > 0 {
-		time.Sleep(sc.s.Delay)
+// serveInline runs h on the read loop, a panic becoming its error.
+func serveInline(h BufHandler, ctx Ctx, req []byte, resp *codec.Writer) (err error) {
+	defer recovered(&err)
+	return h(ctx, req, resp)
+}
+
+// recovered turns a handler's panic into its error. It is the deferred
+// function itself, so its recover sees the panic.
+func recovered(err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("handler panic: %v", r)
 	}
+}
+
+// parkedCall is one parked wait on its way to a goroutine. It is pooled and
+// its run is bound once, so starting the goroutine allocates nothing.
+type parkedCall struct {
+	ctx  Ctx
+	wait parked
+	resp *codec.Writer
+	run  func()
+}
+
+var parkedCalls = sync.Pool{New: func() any { return new(parkedCall) }}
+
+// serve runs the wait, unless the caller has already given up on it, and
+// writes the answer at once.
+func (p *parkedCall) serve() {
+	ctx, wait, resp := p.ctx, p.wait, p.resp
+	p.ctx, p.wait, p.resp = Ctx{}, nil, nil
+	parkedCalls.Put(p)
+	defer ctx.sc.s.wg.Done()
+	err := ErrDeadlineExceeded // work done past the deadline would be thrown away
+	if !ctx.Expired(time.Now()) {
+		err = wait.serve()
+	}
+	ctx.sc.answer(ctx, resp, err, true)
+}
+
+// serve runs the wait, a panic becoming its error.
+func (w parked) serve() (err error) {
+	defer recovered(&err)
+	return w()
+}
+
+// answer queues a handler's reply, resp's bytes, and writes it at once when
+// flush is set. An error is written at once, a deadline error kept typed
+// across the hop: an expired frame maps back to ErrDeadlineExceeded
+// client-side. resp goes back to its pool: the reply has been copied into
+// the out buffer.
+func (sc *serverConn) answer(ctx Ctx, resp *codec.Writer, err error, flush bool) {
 	switch {
-	case !ctx.Deadline.IsZero() && ctx.Expired(time.Now()):
-		// Dead on arrival: the caller has already given up, so any work
-		// done here would be thrown away.
-		err = ErrDeadlineExceeded
-	case e.buf != nil:
-		bw = codec.GetWriter()
-		err = e.buf(ctx, req, bw)
-		resp = bw.Bytes()
-	case e.stream != nil:
-		err = e.stream(ctx, req, func(p []byte) error { return sc.write(frameStream, id, ctx.Trace, p, true) })
-	default:
-		resp, err = e.ctx(ctx, req)
-	}
-}
-
-// fail answers a request with err, keeping a deadline error typed across
-// the hop: an expired frame maps back to ErrDeadlineExceeded client-side.
-func (sc *serverConn) fail(id, trace uint64, err error) {
-	if errors.Is(err, ErrDeadlineExceeded) {
+	case err == nil:
+		sc.write(frameResponse, ctx.id, ctx.Trace, resp.Bytes(), flush)
+	case errors.Is(err, ErrDeadlineExceeded):
 		sc.s.Expired.Inc()
-		sc.write(frameExpired, id, trace, nil, true)
-		return
+		sc.write(frameExpired, ctx.id, ctx.Trace, nil, true)
+	default:
+		sc.s.Errors.Inc()
+		sc.write(frameError, ctx.id, ctx.Trace, []byte(err.Error()), true)
 	}
-	sc.s.Errors.Inc()
-	sc.write(frameError, id, trace, []byte(err.Error()), true)
+	codec.PutWriter(resp)
 }
 
 // write queues one frame and, when flush is set, writes every queued one.
@@ -606,29 +609,20 @@ func frameTooBig(n int) error      { return fmt.Errorf("rpc: frame of %d bytes e
 func badFrameLen(n uint32) error   { return fmt.Errorf("rpc: bad frame length %d", n) }
 func unknownMethod(m []byte) error { return fmt.Errorf("unknown method %q", m) }
 
-// Options configures a client built by DialOpts. The zero value reproduces
-// Dial's behaviour (single connection, no retries).
+// Options configures a client built by DialOpts. The zero value makes no
+// retries.
 type Options struct {
-	// Reconnect makes the client self-healing: it dials lazily, and when a
-	// connection drops it re-dials on the next call with jittered
-	// exponential backoff between consecutive failed attempts. DialOpts
-	// with Reconnect never fails at construction — the target being down
-	// at boot is just the first outage to heal.
-	Reconnect bool
-
 	// RetryBudget is how many times a single Call is re-issued after a
 	// transport failure (broken connection, failed dial). Remote handler
 	// errors, timeouts, and ErrClosed are never retried. Only enable
 	// retries for idempotent methods; with at-least-once semantics a
-	// retried call may execute twice on the server. Requires Reconnect.
+	// retried call may execute twice on the server.
 	RetryBudget int
 
-	// BackoffBase and BackoffMax bound the reconnect backoff: attempt n
-	// (counting consecutive failures) waits a uniformly jittered duration
-	// in [b/2, b] where b = min(BackoffBase<<(n-1), BackoffMax).
-	// Defaults: 20ms base, 2s max.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
+	// BackoffMax bounds the reconnect backoff: attempt n (counting
+	// consecutive failures) waits a uniformly jittered duration in
+	// [b/2, b] where b = min(backoffBase<<(n-1), BackoffMax). Default 2s.
+	BackoffMax time.Duration
 
 	// Seed seeds the jitter source, making backoff sequences reproducible
 	// in tests. Zero means seed 1.
@@ -644,10 +638,10 @@ type Options struct {
 	Sleep func(time.Duration)
 }
 
+// backoffBase is the wait before the first redial after a failed one.
+const backoffBase = 20 * time.Millisecond
+
 func (o *Options) fillDefaults() {
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 20 * time.Millisecond
-	}
 	if o.BackoffMax <= 0 {
 		o.BackoffMax = 2 * time.Second
 	}
@@ -662,10 +656,9 @@ func (o *Options) fillDefaults() {
 	}
 }
 
-// Client is a multiplexed RPC client. In the default (Dial) mode it owns
-// one TCP connection for its lifetime; in reconnect mode (DialOpts with
-// Options.Reconnect) the connection is re-established on demand and calls
-// may be retried within Options.RetryBudget.
+// Client is a multiplexed RPC client over one TCP connection at a time: a
+// dropped connection is re-established on demand, and calls may be retried
+// within Options.RetryBudget.
 type Client struct {
 	addr string
 	opts Options
@@ -681,11 +674,9 @@ type Client struct {
 	connMu   sync.Mutex
 	conn     net.Conn
 	gen      uint64       // bumped per established connection
-	connErr  error        // why the last connection died (non-reconnect mode)
 	dialing  *dialAttempt // the dial in flight, nil when none
 	failures int          // consecutive failed dial attempts
 	lastDial time.Time
-	everConn bool
 	rng      *rand.Rand
 
 	// Calls counts calls issued.
@@ -723,18 +714,21 @@ type result struct {
 	err     error
 }
 
-// Dial connects to a server with the classic single-connection contract:
-// the dial happens eagerly (and its error is returned), and once the
-// connection drops every future call fails.
+// Dial connects to a server now and returns the dial's error; the client
+// heals like any other once connected.
 func Dial(addr string) (*Client, error) {
-	return DialOpts(addr, Options{})
+	c := DialOpts(addr, Options{})
+	if _, _, err := c.getConn(); err != nil {
+		c.Close() // folds the failed dial into the process totals
+		return nil, err
+	}
+	return c, nil
 }
 
-// DialOpts connects to a server with explicit Options. Without
-// Options.Reconnect it behaves exactly like Dial. With Reconnect the
-// client is returned immediately and connects lazily, so it never fails
-// at construction.
-func DialOpts(addr string, opts Options) (*Client, error) {
+// DialOpts returns a client for addr with explicit Options. It connects
+// lazily, so it never fails at construction: the target being down at boot
+// is just the first outage to heal.
+func DialOpts(addr string, opts Options) *Client {
 	opts.fillDefaults()
 	c := &Client{
 		addr:    addr,
@@ -745,13 +739,7 @@ func DialOpts(addr string, opts Options) (*Client, error) {
 	clientsMu.Lock()
 	openClients[c] = struct{}{}
 	clientsMu.Unlock()
-	if !opts.Reconnect {
-		if _, _, err := c.getConn(); err != nil {
-			c.Close() // folds the failed dial into the process totals
-			return nil, err
-		}
-	}
-	return c, nil
+	return c
 }
 
 // dialAttempt is one redial and its outcome; err is written before done
@@ -761,8 +749,7 @@ type dialAttempt struct {
 	err  error
 }
 
-// getConn returns the live connection, dialing if necessary (reconnect
-// mode) or surfacing why there is none (single-connection mode). Exactly
+// getConn returns the live connection, dialing if there is none. Exactly
 // one caller dials at a time; concurrent callers wait for its outcome and
 // share it — a failed dial fails them all, instead of each redialing in
 // turn behind a growing backoff while the peer stays down.
@@ -776,14 +763,6 @@ func (c *Client) getConn() (net.Conn, uint64, error) {
 			conn, gen := c.conn, c.gen
 			c.connMu.Unlock()
 			return conn, gen, nil
-		}
-		if c.everConn && !c.opts.Reconnect {
-			err := c.connErr
-			c.connMu.Unlock()
-			if err == nil {
-				err = ErrClosed
-			}
-			return nil, 0, err
 		}
 		if a := c.dialing; a != nil {
 			c.connMu.Unlock()
@@ -834,10 +813,9 @@ func (c *Client) getConn() (net.Conn, uint64, error) {
 		if tc, ok := conn.(*net.TCPConn); ok {
 			tc.SetNoDelay(true)
 		}
-		if c.everConn {
+		if c.gen > 0 {
 			c.Reconnects.Inc()
 		}
-		c.everConn = true
 		c.failures = 0
 		c.conn = conn
 		c.gen++
@@ -853,17 +831,7 @@ func (c *Client) getConn() (net.Conn, uint64, error) {
 // after `failures` consecutive failed attempts. Callers hold connMu (the
 // jitter source is not otherwise synchronized).
 func (c *Client) backoffLocked(failures int) time.Duration {
-	d := c.opts.BackoffBase
-	for i := 1; i < failures; i++ {
-		d <<= 1
-		if d >= c.opts.BackoffMax || d <= 0 {
-			d = c.opts.BackoffMax
-			break
-		}
-	}
-	if d > c.opts.BackoffMax {
-		d = c.opts.BackoffMax
-	}
+	d := min(backoffBase<<min(failures-1, 30), c.opts.BackoffMax) // 30 doublings cannot overflow
 	// Uniform jitter in [d/2, d] decorrelates reconnect storms when many
 	// workers lose the same broker at once.
 	return d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
@@ -928,7 +896,6 @@ func (c *Client) dropConn(conn net.Conn, gen uint64, err error) {
 	c.connMu.Lock()
 	if c.gen == gen && c.conn == conn {
 		c.conn = nil
-		c.connErr = err
 	}
 	c.connMu.Unlock()
 	c.failGen(gen, err)
@@ -967,8 +934,7 @@ func (c *Client) Call(method string, req []byte, timeout time.Duration) ([]byte,
 
 // CallTraced is Call with a trace ID carried in the frame header, so the
 // remote handler (Ctx.Trace) can tag its spans with the caller's trace.
-// In reconnect mode, transport failures are retried up to
-// Options.RetryBudget times; timeout is a total budget across attempts —
+// Transport failures are retried up to Options.RetryBudget times; timeout is a total budget across attempts —
 // each retry gets only what remains, and a call whose budget ran out during
 // backoff fails with ErrDeadlineExceeded instead of being re-issued.
 func (c *Client) CallTraced(method string, trace uint64, req []byte, timeout time.Duration) ([]byte, error) {
@@ -1090,7 +1056,7 @@ func (c *Client) callOnce(method string, trace uint64, req []byte, timeout time.
 // Stream is the client end of a server-streaming call.
 type Stream struct{ ch chan result }
 
-// OpenStream sends req to a HandleStream method that pushes at most window
+// OpenStream sends req to a method that pushes (Ctx.Push) at most window
 // payloads before it ends the stream, so the read loop can hold a whole
 // stream and never waits on its consumer. A stream nobody reads goes when it
 // ends, or with its connection.
@@ -1128,8 +1094,8 @@ func (s *Stream) Recv(wait time.Duration) ([]byte, error) {
 	}
 }
 
-// Close tears the client down; in-flight calls fail with ErrClosed and a
-// reconnecting client stops re-dialing.
+// Close tears the client down; in-flight calls fail with ErrClosed and the
+// client stops re-dialing.
 func (c *Client) Close() error {
 	if c.closed.Swap(true) {
 		return nil

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"helios/internal/codec"
 )
 
 func startEcho(t *testing.T) (*Server, string) {
@@ -200,21 +202,6 @@ func TestServerCloseFailsClients(t *testing.T) {
 	}
 }
 
-func TestInjectedDelay(t *testing.T) {
-	s, addr := startEcho(t)
-	defer s.Close()
-	s.Delay = 50 * time.Millisecond
-	c, _ := Dial(addr)
-	defer c.Close()
-	start := time.Now()
-	if _, err := c.Call("echo", nil, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) < 45*time.Millisecond {
-		t.Fatal("server delay not applied")
-	}
-}
-
 func TestServerAddr(t *testing.T) {
 	s := NewServer()
 	if s.Addr() != "" {
@@ -329,9 +316,10 @@ func TestListenBadAddress(t *testing.T) {
 func TestTracePropagation(t *testing.T) {
 	s := NewServer()
 	gotTrace := make(chan uint64, 2)
-	s.HandleCtx("traced", func(ctx Ctx, req []byte) ([]byte, error) {
+	s.HandleBuf("traced", func(ctx Ctx, req []byte, resp *codec.Writer) error {
 		gotTrace <- ctx.Trace
-		return req, nil
+		resp.Raw(req)
+		return nil
 	})
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {

@@ -163,14 +163,13 @@ func DecodeBatchResults(r *codec.Reader) ([]BatchResult, error) {
 	return out, r.Finish()
 }
 
-// ServeRPC registers the worker's sampling method on srv. The frame's
-// trace ID and deadline budget (if any) ride into the serving pool so the
-// worker records its leg of the trace, abandons work the caller gave up on,
-// and returns the stage spans to the caller.
+// ServeRPC registers the worker's sampling method on srv. The batch is
+// decoded on the connection's read loop and its wait on the serving pool
+// parks. The frame's trace ID and deadline budget (if any) ride into the
+// pool so the worker records its leg of the trace, abandons work the caller
+// gave up on, and returns the stage spans to the caller.
 func ServeRPC(w *Worker, srv *rpc.Server) {
-	srv.Handle(MethodPing, func(req []byte) ([]byte, error) {
-		return nil, nil
-	})
+	srv.HandleBuf(MethodPing, func(rpc.Ctx, []byte, *codec.Writer) error { return nil })
 	srv.HandleBuf(MethodSample, func(ctx rpc.Ctx, req []byte, out *codec.Writer) error {
 		r := codec.NewReader(req)
 		items, err := DecodeBatchRequest(r, nil)
@@ -183,21 +182,23 @@ func ServeRPC(w *Worker, srv *rpc.Server) {
 		if len(items) > MaxBatch {
 			return fmt.Errorf("serving: sample batch of %d exceeds worker bound %d", len(items), MaxBatch)
 		}
-		resps, err := w.ServeBatch(ctx, items)
-		if err != nil {
-			return err
-		}
-		// The answers arrive encoded, header and all; what is left to time
-		// as the encode stage is their copy into the server's pooled reply
-		// writer. It is observed (with the frame's trace exemplar) but not
-		// a span: the spans are already in each answer.
-		encStart := w.cfg.Clock.Now()
-		AppendBatchResults(out, resps)
-		for _, r := range resps {
-			r.Release()
-		}
-		w.stEncode.Observe(w.cfg.Clock.Now().Sub(encStart).Nanoseconds(), ctx.Trace)
-		return nil
+		return rpc.Park(func() error {
+			resps, err := w.ServeBatch(ctx, items)
+			if err != nil {
+				return err
+			}
+			// The answers arrive encoded, header and all; what is left to
+			// time as the encode stage is their copy into the server's
+			// pooled reply writer. It is observed (with the frame's trace
+			// exemplar) but not a span: the spans are already in each answer.
+			encStart := w.cfg.Clock.Now()
+			AppendBatchResults(out, resps)
+			for _, r := range resps {
+				r.Release()
+			}
+			w.stEncode.Observe(w.cfg.Clock.Now().Sub(encStart).Nanoseconds(), ctx.Trace)
+			return nil
+		})
 	})
 }
 
@@ -311,11 +312,7 @@ func DialServing(addr string, timeout time.Duration) (*Client, error) {
 	if timeout == 0 {
 		timeout = 10 * time.Second
 	}
-	c, err := rpc.DialOpts(addr, rpc.Options{Reconnect: true, RetryBudget: 1})
-	if err != nil {
-		return nil, err
-	}
-	return &Client{c: c, timeout: timeout}, nil
+	return &Client{c: rpc.DialOpts(addr, rpc.Options{RetryBudget: 1}), timeout: timeout}, nil
 }
 
 // RPC exposes the underlying transport client (reconnect/retry counters).
