@@ -80,6 +80,9 @@ check:
 	# And ten over the model server's request path: the sample bytes it
 	# takes off a socket, decoded, built into a tree and embedded.
 	$(GO) test ./internal/gnn -run '^$$' -fuzz FuzzEmbedRequest -fuzztime 10s $(FUZZMIN)
+	# And ten over the kvstore's run reader: what a hybrid-mode serving
+	# worker reopens off its disk.
+	$(GO) test ./internal/kvstore -run '^$$' -fuzz FuzzOpenRun -fuzztime 10s $(FUZZMIN)
 	# The kvstore read-during-flush hole failed about one run in two when
 	# it was open; twenty runs make a reopening loud.
 	$(GO) test -race -count=20 -run 'TestConcurrentReadWrite|TestGetNeverMissesAcrossFlush' ./internal/kvstore

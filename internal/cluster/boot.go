@@ -74,33 +74,27 @@ func Boot(cfg *deploy.Config, o Options) (_ *Local, err error) {
 	}
 	defer c.closeOn(&err)
 	// dial hands each role its own view of the queue tier.
-	var dial func() (mq.Bus, error)
+	var dial func() mq.Bus
 	if o.Brokers == 0 {
 		c.Broker = mq.NewBroker(o.Broker.Log)
 		//lint:allow droppederror reason=teardown of a handle nobody reads again; durable segments were synced by their own policy
 		c.onClose(func() { _ = c.Broker.Close() })
-		dial = func() (mq.Bus, error) { return c.Broker, nil }
+		dial = func() mq.Bus { return c.Broker }
 	} else {
 		addrs, err := c.bootBrokers(o)
 		if err != nil {
 			return nil, err
 		}
-		dial = func() (mq.Bus, error) {
-			bus, err := mq.Dial(addrs, 0)
-			if err != nil {
-				return nil, err
-			}
+		dial = func() mq.Bus {
+			bus := mq.Dial(addrs, 0)
 			//lint:allow droppederror reason=client teardown at cluster close; nothing to act on
 			c.onClose(func() { _ = bus.Close() })
-			return bus, nil
+			return bus
 		}
 	}
 
 	for i := 0; i < cfg.File.Samplers; i++ {
-		bus, err := dial()
-		if err != nil {
-			return nil, err
-		}
+		bus := dial()
 		so := o.Sampler
 		so.Worker.ID = i
 		s, err := StartSampler(cfg, bus, so)
@@ -115,10 +109,7 @@ func Boot(cfg *deploy.Config, o Options) (_ *Local, err error) {
 	var servingAddrs []string
 	for i := 0; i < cfg.File.Servers; i++ {
 		for r := 0; r < cfg.File.Replicas; r++ {
-			bus, err := dial()
-			if err != nil {
-				return nil, err
-			}
+			bus := dial()
 			so := o.Server
 			so.Worker.ID = i
 			if dir := so.Worker.Store.Dir; dir != "" {
@@ -138,10 +129,7 @@ func Boot(cfg *deploy.Config, o Options) (_ *Local, err error) {
 		}
 	}
 
-	bus, err := dial()
-	if err != nil {
-		return nil, err
-	}
+	bus := dial()
 	if o.Brokers == 0 {
 		updates, err := bus.OpenTopic(wire.TopicUpdates, cfg.File.Samplers)
 		if err != nil {

@@ -208,13 +208,13 @@ func (l *lifecycle) serveOps(addr string, routes ...obs.Route) error {
 // and then dead. A bus with no control connection (the in-process broker)
 // has no collector behind it and reports nothing.
 func (l *lifecycle) report(bus mq.Bus, kind coord.WorkerKind, id int, telemetryEvery time.Duration, rc monitor.ReporterConfig) *monitor.Reporter {
-	conn, ok := bus.(mq.Conn)
+	rb, ok := bus.(*mq.RemoteBroker)
 	if !ok {
 		return nil
 	}
 	name := fmt.Sprintf("%s-%d", kind, id)
 	rc.Name, rc.Kind, rc.LogTail, rc.Logger = name, string(kind), l.log.Tail, l.log
-	rc.Sink = monitor.NewClient(conn.Client(), 0)
+	rc.Sink = monitor.NewClient(rb.Client(), 0)
 	r := monitor.NewReporter(rc)
 	l.every(telemetryEvery, func() {
 		//lint:allow droppederror reason=report failures are logged in ReportOnce and retried next interval
@@ -293,12 +293,9 @@ func StartBroker(o BrokerOptions) (_ *Broker, err error) {
 		}
 	} else {
 		// Followers report their offsets to the controller on replica 0.
-		coordC := rpc.DialOpts(peers[0], rpc.Options{})
-		//lint:allow droppederror reason=client teardown at role close; nothing to act on
-		b.onClose(func() { _ = coordC.Close() })
 		b.every(o.ReplReportEvery, func() {
 			//lint:allow droppederror reason=best-effort status beat; a missed report just reads as dead until the next one lands
-			_ = mq.ReportReplStatus(coordC, self, b.Queue.ReplOffsets(), o.ReplReportEvery)
+			_ = mq.ReportReplStatus(b.Queue.Peer(0), self, b.Queue.ReplOffsets(), o.ReplReportEvery)
 		})
 	}
 	err = b.listen(o.Listen, func(srv *rpc.Server) {
@@ -351,16 +348,8 @@ func (b *Broker) startControlPlane(o BrokerOptions) error {
 	if len(peers) == 0 {
 		return nil
 	}
-	// The controller pushes partition maps to the other replicas over
-	// reconnecting clients (a peer being down now is not an error) and to
-	// its own queue directly.
-	lead := make([]*rpc.Client, len(peers))
-	for i, addr := range peers[1:] {
-		c := rpc.DialOpts(addr, rpc.Options{})
-		lead[i+1] = c
-		//lint:allow droppederror reason=client teardown at role close; nothing to act on
-		b.onClose(func() { _ = c.Close() })
-	}
+	// The controller pushes partition maps to the other replicas over the
+	// queue's peer connections and to its own queue directly.
 	b.Failover = coord.NewFailover(coord.FailoverConfig{
 		Peers:     len(peers),
 		DeadAfter: o.ReplDeadAfter,
@@ -370,7 +359,7 @@ func (b *Broker) startControlPlane(o BrokerOptions) error {
 				b.Queue.ApplyPartMap(pm)
 				return nil
 			}
-			return mq.SendLead(lead[peer], pm, o.ReplDeadAfter)
+			return mq.SendLead(b.Queue.Peer(peer), pm, o.ReplDeadAfter)
 		},
 	})
 	if o.Registry != nil {
@@ -661,10 +650,7 @@ func RunWorker(binary, component, logLevel, faults, config, broker string,
 	if err != nil {
 		return err
 	}
-	bus, err := mq.Dial(strings.Split(broker, ","), 0)
-	if err != nil {
-		return fmt.Errorf("dial broker: %w", err)
-	}
+	bus := mq.Dial(strings.Split(broker, ","), 0)
 	defer bus.Close()
 	role, err := start(cfg, bus, logger)
 	if err != nil {

@@ -114,7 +114,7 @@ func TestChaosBrokerRestart(t *testing.T) {
 	// both) and both CoPurchase children.
 	waitFor([]uint64{100, 102}, []uint64{101, 103})
 
-	if c.Frontend.Bus.(mq.Conn).Client().Reconnects.Value() == 0 {
+	if c.Frontend.Bus.(*mq.RemoteBroker).Client().Reconnects.Value() == 0 {
 		t.Fatal("frontend broker client never reconnected")
 	}
 	snap := fe.Metrics().Snapshot()

@@ -6,10 +6,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"helios/internal/codec"
 	"helios/internal/faultpoint"
 )
 
@@ -636,4 +639,75 @@ func TestGetNeverMissesAcrossFlush(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// FuzzOpenRun is openRun under arbitrary bytes: a run file a crash or a bad
+// disk left behind. It must never panic, what it allocates is bounded by the
+// file's length (an entry is at least two bytes, so a file of n bytes names
+// at most n/2 bloom keys), and the entries of a file it accepts, written by
+// writeRun, reopen the same.
+func FuzzOpenRun(f *testing.F) {
+	w := codec.NewWriter(64)
+	appendEntry(w, "a", entry{value: []byte("1")})
+	appendEntry(w, "b", entry{tombstone: true})
+	appendEntry(w, "c", entry{value: []byte("333")})
+	good := w.Bytes()
+	f.Add(good)
+	f.Add(good[:len(good)-1])                  // a torn tail
+	f.Add([]byte{0x01, 'k', 0xFF, 0xFF, 0x0F}) // a value length past the end
+	f.Add(bytes.Repeat([]byte{0, 0}, 100))     // the smallest entries: empty key, empty value
+	dir := f.TempDir()
+	path, again := filepath.Join(dir, "fuzzed.kv"), filepath.Join(dir, "rewritten.kv")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := openRun(path, 10)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			return
+		}
+		defer r.close()
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+16*len(data)); grew > bound {
+			t.Fatalf("opening %d bytes allocated %d, bound %d", len(data), grew, bound)
+		}
+		if r.count > len(data)/2 {
+			t.Fatalf("%d bytes opened as %d entries", len(data), r.count)
+		}
+		// The last entry of a key wins, as a reader scanning the file in
+		// order would see it.
+		want := make(map[string]entry)
+		if err := r.scan(func(k, v []byte, tomb bool) bool {
+			want[string(k)] = entry{value: append([]byte(nil), v...), tombstone: tomb}
+			return true
+		}); err != nil {
+			t.Fatalf("an opened run fails its scan: %v", err)
+		}
+		kvs := make([]flushEntry, 0, len(want))
+		for k, e := range want {
+			kvs = append(kvs, flushEntry{key: k, entry: e})
+		}
+		sort.Slice(kvs, func(i, j int) bool { return kvs[i].key < kvs[j].key })
+		written, err := writeRun(again, kvs, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		written.close()
+		reopened, err := openRun(again, 10)
+		if err != nil {
+			t.Fatalf("a run writeRun wrote does not reopen: %v", err)
+		}
+		defer reopened.close()
+		if reopened.count != len(kvs) {
+			t.Fatalf("%d entries written, %d reopened", len(kvs), reopened.count)
+		}
+		for _, kv := range kvs {
+			v, tomb, found, err := reopened.get([]byte(kv.key))
+			if err != nil || !found || tomb != kv.tombstone || !bytes.Equal(v, kv.value) {
+				t.Fatalf("key %q: got %q tomb=%v found=%v err=%v, want %q tomb=%v", kv.key, v, tomb, found, err, kv.value, kv.tombstone)
+			}
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package mq
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -166,6 +167,13 @@ func TestPollShutdownLeavesNoGoroutines(t *testing.T) {
 			}
 		}
 	}
+	settlesTo(t, before)
+}
+
+// settlesTo waits for the goroutine count to return to before, give or take
+// two, and fails the test if it does not within five seconds.
+func settlesTo(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
@@ -178,4 +186,50 @@ func TestPollShutdownLeavesNoGoroutines(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+}
+
+// A lone broker is a set of one, so a call to a broker that has gone sits in
+// callPart's resolution loop. Closing the client must end it within one
+// resolveSleep, with rpc.ErrClosed, whatever is left of the call's budget,
+// and leave no goroutine behind: every SUT role and every producer of the
+// load generator closes this client on its way out.
+func TestCloseEndsResolutionLoop(t *testing.T) {
+	before := runtime.NumGoroutine()
+	b := NewBroker(Options{})
+	srv, addr := serveOn(t, b, "")
+	rb := Dial([]string{addr}, 30*time.Second)
+	topic, err := rb.OpenTopic("t", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	b.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := topic.Append(0, 1, []byte("x"))
+		done <- err
+	}()
+	// A failed dial puts the call in the loop: in its one rpc retry or in
+	// the sleep after it.
+	for deadline := time.Now().Add(5 * time.Second); rb.Client().DialFailures.Value() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the call never dialed the gone broker")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	rb.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, rpc.ErrClosed) {
+			t.Fatalf("append returned %v, want rpc.ErrClosed", err)
+		}
+		if waited := time.Since(start); waited > resolveSleep+250*time.Millisecond {
+			t.Fatalf("append took %v to return after close", waited)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("append still in the resolution loop 5s after close")
+	}
+	settlesTo(t, before)
 }

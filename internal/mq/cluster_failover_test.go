@@ -1,4 +1,4 @@
-// Package mq_test exercises the cluster client against the real failover
+// Package mq_test exercises the broker client against the real failover
 // controller — an import the in-package tests cannot make (coord imports
 // mq).
 package mq_test
@@ -28,10 +28,7 @@ func TestClusterOpenTopicPartitionMismatch(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cl, err := mq.DialCluster([]string{addr}, addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := mq.Dial([]string{addr}, time.Second)
 	defer cl.Close()
 	if _, err := cl.OpenTopic("t", 2); err != nil {
 		t.Fatal(err)
@@ -46,9 +43,9 @@ func TestClusterOpenTopicPartitionMismatch(t *testing.T) {
 }
 
 // TestClusterRidesOutLeaderFailover is the regression test for the
-// re-resolution contract: a cluster client (and its consumers) must
+// re-resolution contract: a replica set's client (and its consumers) must
 // survive a partition leader dying — callPart re-resolves the map from
-// the coordinator and retries against the promoted follower — without the
+// the controller and retries against the promoted follower — without the
 // caller ever seeing an error, and without losing any quorum-acked record.
 func TestClusterRidesOutLeaderFailover(t *testing.T) {
 	t.Run("one client", func(t *testing.T) { ridesOutLeaderFailover(t, false) })
@@ -82,8 +79,8 @@ func ridesOutLeaderFailover(t *testing.T, consumerOnly bool) {
 		}
 	}
 
-	// Coordinator on a fake clock so leader death is a clock advance, not
-	// a sleep; the failover controller serves the partition map over RPC.
+	// Controller on a fake clock so leader death is a clock advance, not a
+	// sleep; peer 0 serves its partition map over RPC, as in a deployment.
 	fk := clock.NewFake()
 	fo := coord.NewFailover(coord.FailoverConfig{
 		Clock:     fk,
@@ -94,18 +91,9 @@ func ridesOutLeaderFailover(t *testing.T, consumerOnly bool) {
 			return nil
 		},
 	})
-	coordSrv := rpc.NewServer()
-	fo.ServeRPC(coordSrv)
-	coordAddr, err := coordSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coordSrv.Close()
+	fo.ServeRPC(srvs[0])
 
-	cl, err := mq.DialCluster(addrs, coordAddr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := mq.Dial(addrs, 2*time.Second)
 	defer cl.Close()
 	tp, err := cl.OpenTopic("t", replicas)
 	if err != nil {
@@ -119,11 +107,9 @@ func ridesOutLeaderFailover(t *testing.T, consumerOnly bool) {
 	}
 	ctp := tp
 	if consumerOnly {
-		ccl, err := mq.DialCluster(addrs, coordAddr, 2*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ccl := mq.Dial(addrs, 2*time.Second)
 		defer ccl.Close()
+		var err error
 		if ctp, err = ccl.OpenTopic("t", replicas); err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +141,7 @@ func ridesOutLeaderFailover(t *testing.T, consumerOnly bool) {
 
 	// The same topic handle must ride out the failover: the client's
 	// cached map still names the corpse, so the first attempt fails,
-	// re-resolves from the coordinator, and lands on the promoted leader.
+	// re-resolves from the controller, and lands on the promoted leader.
 	if _, err := tp.Append(1, 7, []byte("after")); err != nil {
 		t.Fatalf("append across failover: %v", err)
 	}

@@ -9,7 +9,8 @@ import (
 
 // Bus abstracts the broker so workers run identically against the
 // in-process Broker (tests, benches, single-machine deployments) and the
-// RemoteBroker RPC client (multi-process deployments, see remote.go).
+// RemoteBroker RPC client over a broker set of any size (multi-process
+// deployments, see remote.go).
 type Bus interface {
 	// OpenTopic creates or opens a topic with the given partition count.
 	OpenTopic(name string, partitions int) (TopicHandle, error)

@@ -9,7 +9,7 @@ import (
 )
 
 // Partition-map plumbing shared by brokers, the coordinator's failover
-// controller (internal/coord) and cluster clients: who leads each
+// controller (internal/coord) and broker clients: who leads each
 // (topic, partition), versioned so promotions supersede stale views.
 //
 // Leadership defaults to partition % len(peers) — a static spread every

@@ -4,11 +4,9 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"helios/internal/rpc"
 )
 
-// TestClusterRefusesOutOfRangeLeader serves a cluster client a partition
+// TestClusterRefusesOutOfRangeLeader serves a broker client a partition
 // map that names a leader outside its replica set — past the end, and
 // negative once cast to int — and a broker the same maps. Routing by such a
 // map indexes the client table out of range; the map must be refused
@@ -21,17 +19,9 @@ func TestClusterRefusesOutOfRangeLeader(t *testing.T) {
 
 	for _, leader := range []int{7, -1} {
 		bad := PartMap{Version: 1, Leaders: map[PartKey]int{{Topic: "t", Partition: 0}: leader}}
-		coordSrv := rpc.NewServer()
-		coordSrv.Handle(MethodPartMap, func([]byte) ([]byte, error) { return EncodePartMap(bad), nil })
-		coordAddr, err := coordSrv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer coordSrv.Close()
-		cl, err := DialCluster([]string{addr}, coordAddr, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Peer 0 hosts the controller: here, one that serves the bad map.
+		srv.Handle(MethodPartMap, func([]byte) ([]byte, error) { return EncodePartMap(bad), nil })
+		cl := Dial([]string{addr}, time.Second)
 		defer cl.Close()
 		tp, err := cl.OpenTopic("t", 1)
 		if err != nil {

@@ -12,9 +12,10 @@ import (
 )
 
 // Remote broker access: ServeBroker exposes a Broker over the RPC layer and
-// RemoteBroker is the matching client, so sampling/serving workers in other
-// processes share one durable queue service — the deployment of §4.1 where
-// Kafka sits between all stages.
+// RemoteBroker is the matching client, for a lone broker and a replica set
+// alike, so sampling/serving workers in other processes share one durable
+// queue service — the deployment of §4.1 where Kafka sits between all
+// stages.
 
 const (
 	methodOpenTopic   = "mq.open"
@@ -264,20 +265,37 @@ func decodeFetchBatch(payload []byte) ([]Record, error) {
 	return recs, nil
 }
 
-// RemoteBroker is a Bus over an RPC connection to a broker server.
+// RemoteBroker is the Bus over a broker set of R ≥ 1 peers: one broker is a
+// set of one. Every operation routes to the current leader of its
+// partition; on a leadership rejection or a transport failure the client
+// refreshes the controller's versioned partition map and retries against
+// the new leader, so in-flight work rides out a failover or a restart
+// instead of being dropped.
 type RemoteBroker struct {
-	client  *rpc.Client
+	clients []*rpc.Client // one self-healing connection per peer; peer 0 hosts the controller
 	timeout time.Duration
 
-	mu     sync.Mutex
-	topics map[string]*RemoteTopic
+	mu          sync.Mutex
+	pm          PartMap
+	lastRefresh time.Time
+	topics      map[string]*RemoteTopic
 }
 
+// callPart's resolution loop: at most resolveAttempts tries resolveSleep
+// apart, and map fetches at most one per refreshEvery, so a herd of failing
+// calls does not hammer the controller. Exhausting it hands the last error
+// to the caller's own retry loop (worker pollRetry, frontend shed-and-retry).
+const (
+	resolveAttempts = 6
+	resolveSleep    = 100 * time.Millisecond
+	refreshEvery    = 50 * time.Millisecond
+)
+
 // partCaller sends one partition-addressed request to the broker that
-// should answer it. RemoteBroker (one broker, unknown-topic healing) and
-// Cluster (leader resolution across replicas) each bring their own failure
-// policy; RemoteTopic and RemoteConsumer are the one frame format above
-// both.
+// should answer it. RemoteBroker (leader resolution across the set) and
+// the follower loop's replicaFetch (the one leader it follows) each bring
+// their own failure policy; RemoteTopic and RemoteConsumer are the one
+// frame format above both.
 type partCaller interface {
 	callPart(topic string, parts, part int, method string, req []byte, timeout time.Duration) ([]byte, error)
 	// streamPart opens a fetch stream there. It heals nothing: a cursor
@@ -285,91 +303,76 @@ type partCaller interface {
 	streamPart(topic string, part int, req []byte) (*rpc.Stream, error)
 }
 
-// Conn is a Bus reached over the network. Client is its control
-// connection, which telemetry reports share.
-type Conn interface {
-	Bus
-	Client() *rpc.Client
-}
-
-// Dial connects to the queue tier at addrs: one address is a single broker
-// (DialBroker); several are a replica set whose first entry hosts the
-// failover controller (DialCluster).
-func Dial(addrs []string, timeout time.Duration) (Conn, error) {
-	if len(addrs) == 1 {
-		rb, err := DialBroker(addrs[0], timeout)
-		if err != nil {
-			return nil, err
-		}
-		return rb, nil
-	}
-	c, err := DialCluster(addrs, "", timeout)
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// DialBroker connects to a broker served by ServeBroker. The underlying
-// RPC client is self-healing: it reconnects with backoff after a broker
-// restart and retries failed calls a few times. Appends are therefore
+// Dial connects to the broker set at addrs, whose first entry hosts the
+// failover controller. Each peer's client is self-healing, so a peer being
+// down at dial time is not an error: the first call heals it. Appends are
 // at-least-once — a retried append may land twice, and nothing downstream
 // absorbs the copy: a duplicated update offers its edge twice and a
 // duplicated +1 leaves a subscription that never tears down, until the
-// broker learns to drop a producer's retries. The broker being down at
-// dial time is not an error; the first call heals it.
-func DialBroker(addr string, timeout time.Duration) (*RemoteBroker, error) {
-	if timeout == 0 {
+// broker learns to drop a producer's retries.
+func Dial(addrs []string, timeout time.Duration) *RemoteBroker {
+	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-	c := rpc.DialOpts(addr, rpc.Options{RetryBudget: 4})
-	return &RemoteBroker{client: c, timeout: timeout, topics: make(map[string]*RemoteTopic)}, nil
-}
-
-// Client exposes the underlying RPC client so co-located services (the
-// telemetry reporter) can share the connection, and so callers can read
-// its reconnect/retry counters.
-func (rb *RemoteBroker) Client() *rpc.Client { return rb.client }
-
-// callPart issues an RPC. If the broker reports an unknown topic — the
-// signature of a broker that restarted with an empty topic table — a topic
-// this client opened is re-created (a restarted broker with a -dir replays
-// its retained log on CreateTopic) and the call is issued once more.
-func (rb *RemoteBroker) callPart(topic string, parts, _ int, method string, req []byte, timeout time.Duration) ([]byte, error) {
-	resp, err := rb.client.Call(method, req, timeout)
-	if err == nil || !isUnknownTopic(err) {
-		return resp, err
+	rb := &RemoteBroker{timeout: timeout, topics: make(map[string]*RemoteTopic)}
+	for _, addr := range addrs {
+		// The resolution loop above is the real retry policy: one rpc
+		// retry, and a redial backoff that never outgrows the loop's own
+		// pace. A backoff left to grow to rpc's 2 s would stretch a call to
+		// a dead broker from about a second to the caller's whole budget.
+		rb.clients = append(rb.clients, rpc.DialOpts(addr, rpc.Options{RetryBudget: 1, BackoffMax: resolveSleep}))
 	}
-	rb.mu.Lock()
-	_, opened := rb.topics[topic]
-	rb.mu.Unlock()
-	if !opened {
-		return resp, err
-	}
-	if _, rerr := rb.client.Call(methodOpenTopic, openTopicReq(topic, parts), rb.timeout); rerr != nil {
-		return nil, err
-	}
-	return rb.client.Call(method, req, timeout)
+	return rb
 }
 
-func (rb *RemoteBroker) streamPart(_ string, _ int, req []byte) (*rpc.Stream, error) {
-	return rb.client.OpenStream(methodFetch, req, fetchWindow)
+// DialBroker connects to a lone broker served by ServeBroker: a set of one.
+// The error is always nil.
+func DialBroker(addr string, timeout time.Duration) (*RemoteBroker, error) {
+	return Dial([]string{addr}, timeout), nil
 }
 
-func isUnknownTopic(err error) bool {
-	var re *rpc.RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, "unknown topic")
-}
+// Client exposes peer 0's connection, the controller's, so co-located
+// services (the telemetry reporter) share it, and so callers can read its
+// reconnect/retry counters.
+func (rb *RemoteBroker) Client() *rpc.Client { return rb.clients[0] }
 
-// OpenTopic implements Bus.
+// OpenTopic implements Bus: the topic is created on every reachable peer
+// (a leader's quorum wait opens it on a follower that lacks it, so one
+// reachable peer is enough to proceed). Reopening a cached topic with a
+// different partition count is an error, mirroring broker-side
+// CreateTopic: a handle whose partition count disagrees with the broker
+// layout would silently misroute.
 func (rb *RemoteBroker) OpenTopic(name string, partitions int) (TopicHandle, error) {
-	if _, err := rb.client.Call(methodOpenTopic, openTopicReq(name, partitions), rb.timeout); err != nil {
-		return nil, err
+	rb.mu.Lock()
+	cached, ok := rb.topics[name]
+	rb.mu.Unlock()
+	if ok {
+		return cached.reopen(partitions)
+	}
+	req := openTopicReq(name, partitions)
+	created := 0
+	var lastErr error
+	// rb.timeout budgets the whole sweep: a dead peer must not multiply
+	// the worst case by the peer count.
+	deadline := time.Now().Add(rb.timeout)
+	for _, cl := range rb.clients {
+		remaining := time.Until(deadline)
+		if remaining <= 0 {
+			break // not on the first peer: a sweep that gets here has an error
+		}
+		if _, err := cl.Call(methodOpenTopic, req, remaining); err != nil {
+			lastErr = err
+		} else {
+			created++
+		}
+	}
+	if created == 0 {
+		return nil, fmt.Errorf("mq: open topic %q on no broker: %w", name, lastErr)
 	}
 	rb.mu.Lock()
 	defer rb.mu.Unlock()
-	if t, ok := rb.topics[name]; ok {
-		return t, nil
+	if t, ok := rb.topics[name]; ok { // a concurrent open won the insert race
+		return t.reopen(partitions)
 	}
 	t := &RemoteTopic{via: rb, timeout: rb.timeout, name: name, parts: partitions}
 	rb.topics[name] = t
@@ -377,15 +380,119 @@ func (rb *RemoteBroker) OpenTopic(name string, partitions int) (TopicHandle, err
 }
 
 // Close implements Bus.
-func (rb *RemoteBroker) Close() error { return rb.client.Close() }
+func (rb *RemoteBroker) Close() error {
+	for _, cl := range rb.clients {
+		cl.Close() // never fails
+	}
+	return nil
+}
 
-// RemoteTopic is a TopicHandle over RPC, routed through a RemoteBroker or a
-// Cluster.
+// leader resolves the peer leading (topic, partition) under the cached map.
+func (rb *RemoteBroker) leader(topic string, partition int) int {
+	rb.mu.Lock()
+	defer rb.mu.Unlock()
+	return rb.pm.Leader(topic, partition, len(rb.clients))
+}
+
+// refreshMap fetches the controller's partition map, rate-limited so
+// concurrent failing calls collapse into one fetch. Best-effort: an
+// unreachable controller, or a map naming a leader outside the set, leaves
+// the cached map in place (the static partition % R default still routes
+// most traffic correctly).
+func (rb *RemoteBroker) refreshMap() {
+	rb.mu.Lock()
+	if time.Since(rb.lastRefresh) < refreshEvery {
+		rb.mu.Unlock()
+		return
+	}
+	rb.lastRefresh = time.Now()
+	rb.mu.Unlock()
+	pm, err := FetchPartMap(rb.clients[0], rb.timeout)
+	if err != nil || !pm.valid(len(rb.clients)) {
+		return
+	}
+	rb.mu.Lock()
+	if pm.Version >= rb.pm.Version {
+		rb.pm = pm
+	}
+	rb.mu.Unlock()
+}
+
+// resolvable classifies an error as worth a map-refresh-and-retry: a
+// leadership rejection, a quorum timeout (the leader may be mid-demotion),
+// or a transport failure (the leader may be dead or restarting). Handler
+// errors like backpressure, and this client's own shutdown, propagate.
+func resolvable(err error) bool {
+	var re *rpc.RemoteError
+	return IsNotLeader(err) || IsQuorumUnavailable(err) ||
+		!errors.As(err, &re) && !errors.Is(err, rpc.ErrClosed) && !errors.Is(err, rpc.ErrDeadlineExceeded)
+}
+
+// callPart issues method against the current leader of (topic, part),
+// re-resolving leadership on failure. An unknown-topic answer — the
+// signature of a broker that restarted with an empty topic table — re-creates
+// the topic on that peer (a broker with a -dir replays its retained log on
+// CreateTopic) and the call is issued once more. timeout is a total budget
+// across attempts, like rpc.CallTraced: each retry gets only what remains,
+// so a dead leader cannot multiply the caller's wait by the attempt count.
+func (rb *RemoteBroker) callPart(topic string, parts, part int, method string, req []byte, timeout time.Duration) ([]byte, error) {
+	deadline := time.Now().Add(timeout)
+	lastErr := rpc.ErrDeadlineExceeded
+	for attempt := 0; attempt < resolveAttempts; attempt++ {
+		if attempt > 0 && len(rb.clients) > 1 { // a set of one has nothing to resolve
+			rb.refreshMap()
+		}
+		remaining := time.Until(deadline)
+		if remaining <= 0 {
+			break
+		}
+		peer := rb.clients[rb.leader(topic, part)]
+		resp, err := peer.Call(method, req, remaining)
+		if err == nil {
+			return resp, nil
+		}
+		lastErr = err
+		if isUnknownTopic(err) {
+			//lint:allow droppederror reason=best-effort heal; the retried call below surfaces the real failure
+			_, _ = peer.Call(methodOpenTopic, openTopicReq(topic, parts), remaining)
+			continue
+		}
+		if !resolvable(err) {
+			return nil, err
+		}
+		if attempt < resolveAttempts-1 {
+			time.Sleep(resolveSleep)
+		}
+	}
+	return nil, lastErr
+}
+
+// streamPart opens a fetch stream on the current leader of (topic, part).
+func (rb *RemoteBroker) streamPart(topic string, part int, req []byte) (*rpc.Stream, error) {
+	return rb.clients[rb.leader(topic, part)].OpenStream(methodFetch, req, fetchWindow)
+}
+
+func isUnknownTopic(err error) bool {
+	var re *rpc.RemoteError
+	return errors.As(err, &re) && strings.Contains(re.Msg, "unknown topic")
+}
+
+// RemoteTopic is a TopicHandle over RPC, routed through a RemoteBroker or,
+// under a follower loop, a replicaFetch.
 type RemoteTopic struct {
 	via     partCaller
 	timeout time.Duration
 	name    string
 	parts   int
+}
+
+// reopen hands back a cached handle, refusing a partition count that
+// disagrees with it.
+func (t *RemoteTopic) reopen(parts int) (TopicHandle, error) {
+	if t.parts != parts {
+		return nil, fmt.Errorf("mq: topic %q open with %d partitions, requested %d", t.name, t.parts, parts)
+	}
+	return t, nil
 }
 
 func (t *RemoteTopic) call(part int, method string, req []byte, timeout time.Duration) ([]byte, error) {
@@ -405,8 +512,8 @@ func (t *RemoteTopic) Append(partition int, key uint64, value []byte) (int64, er
 
 // AppendBatch implements TopicHandle: the whole batch rides one RPC frame
 // and lands under one broker lock pass. It routes through callPart's
-// unknown-topic healing (or leader resolution), so a broker restart
-// mid-stream costs a re-create plus one retry, not a lost batch.
+// healing, so a broker restart or a failover mid-stream costs a re-create
+// or a re-resolution plus a retry, not a lost batch.
 func (t *RemoteTopic) AppendBatch(partition int, recs []BatchRecord) (int64, error) {
 	if len(recs) == 0 {
 		return t.EndOffset(partition), nil

@@ -123,19 +123,6 @@ func TestRemoteSeekAndOffset(t *testing.T) {
 	}
 }
 
-func TestRemoteUnknownTopicErrors(t *testing.T) {
-	_, rb, done := startRemote(t)
-	defer done()
-	phantom := &RemoteTopic{via: rb, timeout: rb.timeout, name: "ghost", parts: 1}
-	if _, err := phantom.Append(0, 0, nil); err == nil {
-		t.Fatal("append to unknown topic should fail")
-	}
-	c := phantom.OpenConsumer(0, 0)
-	if _, err := c.Poll(1, 0); err == nil {
-		t.Fatal("poll of unknown topic should fail")
-	}
-}
-
 func TestRemoteConcurrentProducers(t *testing.T) {
 	_, rb, done := startRemote(t)
 	defer done()

@@ -31,7 +31,7 @@ import (
 
 // ErrNotLeader reports an operation sent to a broker that does not lead
 // the target partition under its current partition map. Retryable after
-// re-resolving leadership (Cluster does this automatically); never fatal
+// re-resolving leadership (RemoteBroker does this automatically); never fatal
 // to a poll loop.
 var ErrNotLeader = errors.New("mq: not leader")
 
@@ -150,6 +150,16 @@ func (r *replicator) adopt(t *Topic) {
 // replicatorRef returns the replication engine (nil when unreplicated).
 // Lock-free: the field is write-once before the broker serves traffic.
 func (b *Broker) replicatorRef() *replicator { return b.repl.Load() }
+
+// Peer returns this broker's connection to replica i (nil at Self and when
+// unreplicated): the one connection that carries everything from this
+// replica to that one, fetches, topic opens, status beats and map pushes.
+func (b *Broker) Peer(i int) *rpc.Client {
+	if r := b.replicatorRef(); r != nil {
+		return r.clients[i]
+	}
+	return nil
+}
 
 // PartMap returns the broker's current leadership view.
 func (b *Broker) PartMap() PartMap {
