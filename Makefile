@@ -37,7 +37,7 @@ chaos-smoke:
 	bash scripts/chaos-smoke.sh
 
 # Slows the serve path and storms examples/distributed -burst with a small
-# end-to-end budget; asserts typed sheds, degraded answers and recovery
+# end-to-end budget; asserts typed sheds and recovery
 # (see scripts/burst-smoke.sh).
 burst-smoke:
 	bash scripts/burst-smoke.sh
@@ -65,6 +65,9 @@ check:
 	# And ten over the queue-message decoders: every record a sampler or a
 	# serving worker polls off the broker.
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s $(FUZZMIN)
+	# And ten over the update decoder: every helios.updates record a
+	# sampler polls off the broker.
+	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDecodeUpdate -fuzztime 10s $(FUZZMIN)
 	# Ten each over what both ends of a broker hop take off a socket: the
 	# frame reader, the consumer's pushed-batch decoder, and the broker's
 	# append-batch decoder.

@@ -58,9 +58,8 @@ func main() {
 	logger := obs.NewLogger(os.Stderr, "bench")
 	logger.SetLevel(lv)
 
-	// The overload totals (overload.shed, overload.degraded) show on the
-	// ops listener, so a run that shed load is distinguishable from one
-	// that absorbed it.
+	// The overload total (overload.shed) shows on the ops listener, so a
+	// run that shed load is distinguishable from one that absorbed it.
 	overload.RegisterMetrics(obs.Default())
 	ops, err := obs.ServeDefault(*opsAddr)
 	if err != nil {

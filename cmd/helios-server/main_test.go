@@ -17,7 +17,7 @@ const testConfig = `{
   "vertexTypes": ["User", "Item"],
   "edgeTypes": [{"name": "Click", "src": "User", "dst": "Item"}],
   "queries": ["g.V('User').outV('Click').sample(2).by('TopK')"],
-  "overload": {"maxInflight": 3, "maxQueue": 5, "degrade": true}
+  "overload": {"maxInflight": 3, "maxQueue": 5}
 }`
 
 // TestDefaultFlagsMatchBoot starts a serving worker from this binary's
@@ -52,7 +52,7 @@ func TestDefaultFlagsMatchBoot(t *testing.T) {
 	got.Metrics, want.Metrics = nil, nil
 	got.Tracer, want.Tracer = nil, nil
 	got.SlowLog = want.SlowLog
-	if got.MaxInflight != 3 || got.MaxAdmitQueue != 5 || !got.Degrade {
+	if got.MaxInflight != 3 || got.MaxAdmitQueue != 5 {
 		t.Fatalf("the config's overload block did not reach the worker: %+v", got)
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"slices"
@@ -109,7 +110,7 @@ func main() {
 	telemetryEvery := flag.Duration("telemetry-every", 500*time.Millisecond, "cluster telemetry snapshot interval (0 = disabled)")
 	flightDir := flag.String("flight-dir", "", "flight-recorder capture directory (empty = captures disabled)")
 	chaos := flag.Bool("chaos", false, "after the demo, kill and restart a broker endpoint and prove reconvergence")
-	burst := flag.Bool("burst", false, "after the demo, slow the serve path and fire a request storm to demo admission control and graceful degradation")
+	burst := flag.Bool("burst", false, "after the demo, slow the serve path and fire a request storm to demo admission control")
 	failoverDrill := flag.Bool("failover", false, "at the end, permanently kill a partition leader broker and prove zero quorum-acked records are lost across the promotion")
 	flag.Parse()
 
@@ -140,11 +141,9 @@ func main() {
 	o.Server = cluster.ServerOptions{Control: ctl}
 	o.Server.Worker.Metrics, o.Server.Worker.Tracer = reg, tracer
 	if *burst {
-		// Tiny admission capacity plus the degraded path, so the storm
-		// visibly saturates serving and falls back to cached answers.
+		// Tiny admission capacity, so the storm visibly saturates serving.
 		w := &o.Server.Worker
 		w.MaxInflight, w.MaxAdmitQueue = 2, 2
-		w.Degrade, w.DegradeInflight = true, 4
 	}
 	o.Frontend = cluster.FrontendOptions{Registry: reg, Tracer: tracer, Control: ctl}
 
@@ -221,7 +220,7 @@ func main() {
 	if *burst {
 		// Slow every cache assembly and fire a storm with a small
 		// end-to-end budget: the frontend sheds what it cannot admit, the
-		// serving workers degrade what they cannot refresh, and every
+		// serving workers shed the batches they cannot admit, and every
 		// refusal is a typed 503/504 — never a hang.
 		const budget = 300 * time.Millisecond
 		c.Frontend.Node.SetOverload(deploy.OverloadFile{RequestTimeoutMS: int(budget / time.Millisecond), MaxInflight: 8, MaxQueue: 4})
@@ -229,7 +228,7 @@ func main() {
 		faultpoint.Delay("serving.sample", 1<<20, 20*time.Millisecond)
 
 		const clients, perEach = 16, 12
-		var okN, degradedN, shedN, deadlineN, otherN atomic.Int64
+		var okN, shedN, deadlineN, otherN atomic.Int64
 		var wg sync.WaitGroup
 		for c := 0; c < clients; c++ {
 			wg.Add(1)
@@ -241,14 +240,9 @@ func main() {
 						otherN.Add(1)
 						continue
 					}
-					var out struct {
-						Degraded bool `json:"degraded"`
-					}
-					json.NewDecoder(resp.Body).Decode(&out)
+					io.Copy(io.Discard, resp.Body)
 					resp.Body.Close()
 					switch {
-					case resp.StatusCode == http.StatusOK && out.Degraded:
-						degradedN.Add(1)
 					case resp.StatusCode == http.StatusOK:
 						okN.Add(1)
 					case resp.StatusCode == http.StatusServiceUnavailable:
@@ -272,9 +266,8 @@ func main() {
 
 		// The burst drains: a clean request succeeds again.
 		awaitSample("burst: gateway never recovered after the storm drained", func([][]uint64) bool { return true })
-		fmt.Printf("burst drill complete (ok=%d degraded=%d shed=%d deadline=%d total_shed=%d total_degraded=%d)\n",
-			okN.Load(), degradedN.Load(), shedN.Load(), deadlineN.Load(),
-			reg.Sum("overload.shed"), reg.Sum("overload.degraded"))
+		fmt.Printf("burst drill complete (ok=%d shed=%d deadline=%d total_shed=%d)\n",
+			okN.Load(), shedN.Load(), deadlineN.Load(), reg.Sum("overload.shed"))
 	}
 
 	if *failoverDrill {

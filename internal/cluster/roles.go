@@ -473,7 +473,6 @@ func StartServer(cfg *deploy.Config, bus mq.Bus, o ServerOptions) (_ *Server, er
 	wc.NumServers, wc.Plans, wc.TTL, wc.Broker = cfg.File.Servers, cfg.Plans, cfg.TTL, bus
 	wc.MaxInflight = or(wc.MaxInflight, ov.MaxInflight)
 	wc.MaxAdmitQueue = or(wc.MaxAdmitQueue, ov.MaxQueue)
-	wc.Degrade = wc.Degrade || ov.Degrade
 	wc.Logger = o.Logger
 	if wc.Metrics == nil {
 		wc.Metrics = obs.NewRegistry()

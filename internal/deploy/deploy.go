@@ -40,9 +40,9 @@ type File struct {
 }
 
 // OverloadFile is the deployment-wide overload policy (see
-// internal/overload): end-to-end deadlines, admission bounds and graceful
-// degradation. Zero values disable each bound. The ingestion bound is the
-// broker's own (helios-broker -max-ingest-lag).
+// internal/overload): end-to-end deadlines and admission bounds. Zero values
+// disable each bound. The ingestion bound is the broker's own
+// (helios-broker -max-ingest-lag).
 type OverloadFile struct {
 	// RequestTimeoutMS is the frontend's end-to-end deadline budget per
 	// sampling request, in milliseconds.
@@ -51,9 +51,6 @@ type OverloadFile struct {
 	// requests at the frontend and each serving worker.
 	MaxInflight int `json:"maxInflight,omitempty"`
 	MaxQueue    int `json:"maxQueue,omitempty"`
-	// Degrade lets saturated serving workers answer from the cache inline
-	// (results tagged degraded) instead of shedding outright.
-	Degrade bool `json:"degrade,omitempty"`
 }
 
 // EdgeType is one schema edge declaration.

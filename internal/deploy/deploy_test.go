@@ -81,7 +81,13 @@ func TestParseRejectsUnknownKeysAndNegativeBounds(t *testing.T) {
 			t.Errorf("%s: err = %v, want an error naming %q", tc.extra, err, tc.key)
 		}
 	}
-	ok := `"ttlSeconds":0,"overload":{"requestTimeoutMs":0,"maxInflight":0,"maxQueue":0,"degrade":true}`
+	// The degraded serve path is gone with its switch: a config that still
+	// sets it fails to load, naming the key, as maxIngestLag does above.
+	const gone = `degrade`
+	if _, err := Parse([]byte(`{` + head + `,"overload":{"` + gone + `":true}}`)); err == nil || !strings.Contains(err.Error(), gone) {
+		t.Errorf("overload.%s: err = %v, want an error naming it", gone, err)
+	}
+	ok := `"ttlSeconds":0,"overload":{"requestTimeoutMs":0,"maxInflight":0,"maxQueue":0}`
 	if _, err := Parse([]byte("{" + head + "," + ok + "}")); err != nil {
 		t.Fatalf("zero bounds: %v", err)
 	}

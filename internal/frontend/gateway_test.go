@@ -28,13 +28,11 @@ import (
 // (internal/serving's tests hold the same one against AppendJSON alone).
 
 type resultJSON struct {
-	Layers      [][]uint64           `json:"layers"`
-	Edges       []edgeOutJSON        `json:"edges"`
-	Features    map[string][]float32 `json:"features"`
-	Misses      int                  `json:"misses"`
-	Trace       string               `json:"trace,omitempty"`
-	Degraded    bool                 `json:"degraded,omitempty"`
-	StalenessNS int64                `json:"stalenessNs,omitempty"`
+	Layers   [][]uint64           `json:"layers"`
+	Edges    []edgeOutJSON        `json:"edges"`
+	Features map[string][]float32 `json:"features"`
+	Misses   int                  `json:"misses"`
+	Trace    string               `json:"trace,omitempty"`
 }
 
 type edgeOutJSON struct {
@@ -45,13 +43,12 @@ type edgeOutJSON struct {
 }
 
 // reflectiveBody is the old handler's body for res, without the
-// per-request members (trace, stalenessNs).
+// per-request trace member.
 func reflectiveBody(t *testing.T, res *serving.Result) []byte {
 	t.Helper()
 	out := resultJSON{
 		Features: make(map[string][]float32),
 		Misses:   res.SampleMisses + res.FeatureMisses,
-		Degraded: res.Degraded,
 	}
 	for _, layer := range res.Layers {
 		l := make([]uint64, len(layer))
@@ -78,9 +75,8 @@ func reflectiveBody(t *testing.T, res *serving.Result) []byte {
 var traceMember = []byte(`,"trace":"`)
 
 // sameButForTrace reports whether body is want with a trace member added —
-// the one per-request part of a normal answer (stalenessNs, the other,
-// appears only on degraded ones, which these tests never provoke). It
-// allocates nothing, so the allocation count below can check every body.
+// the one per-request part of an answer. It allocates nothing, so the
+// allocation count below can check every body.
 func sameButForTrace(body, want []byte) bool {
 	i := bytes.Index(body, traceMember)
 	if i < 0 {

@@ -24,7 +24,7 @@ import (
 //	 "stage":"frontend.sample","trace":"9f02ab31c77d10e4",
 //	 "msg":"slow sample","total_ms":412}
 //
-// Logging is not a hot-path facility: components log errors, shed/degrade
+// Logging is not a hot-path facility: components log errors, shed
 // decisions and slow requests, not per-request chatter. All methods are
 // safe for concurrent use and are no-ops on a nil *Logger, so call sites
 // never branch on whether logging is wired.

@@ -67,13 +67,11 @@ func IsOverload(err error) bool {
 // out (locally, remotely, or on a single-attempt timeout).
 func IsDeadline(err error) bool { return errors.Is(err, rpc.ErrDeadlineExceeded) }
 
-// RegisterMetrics exposes the registry-wide overload totals on reg as sums
-// taken at scrape time: overload.shed over every limiter's (and the ingest
-// path's) overload.shed{stage,reason} counters, overload.degraded over the
-// serving workers' overload.degraded{worker}.
+// RegisterMetrics exposes the registry-wide shed total on reg: overload.shed,
+// the sum at scrape time of every limiter's (and the ingest path's)
+// overload.shed{stage,reason} counters.
 func RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("overload.shed", func() int64 { return reg.Sum("overload.shed") })
-	reg.CounterFunc("overload.degraded", func() int64 { return reg.Sum("overload.degraded") })
 }
 
 // Estimator is a lock-free EWMA of observed service time (α = 1/8). The
@@ -117,18 +115,12 @@ type Config struct {
 	Stage string
 	// MaxInflight bounds concurrently admitted requests. <=0 means 256.
 	MaxInflight int
-	// MaxQueue bounds requests waiting for admission. 0 means
-	// 4×MaxInflight; negative means no queue — when every slot is busy the
-	// request is shed immediately (used for best-effort side paths like
-	// degraded serving).
+	// MaxQueue bounds requests waiting for admission. <=0 means
+	// 4×MaxInflight.
 	MaxQueue int
 	// MaxWait caps the queue wait for callers without a deadline, so an
 	// untimed request can never park forever. <=0 means 1s.
 	MaxWait time.Duration
-	// Headroom multiplies the service-time estimate when deciding whether
-	// a caller's remaining budget is worth admitting: remaining <
-	// Headroom×estimate sheds. <=0 means 2.
-	Headroom int
 	// Clock supplies timestamps (deadline math and queue-wait measurement).
 	// Nil means the wall clock.
 	Clock clock.Clock
@@ -138,6 +130,11 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
+// headroom multiplies the service-time estimate when deciding whether a
+// caller's remaining budget is worth admitting: remaining < headroom ×
+// estimate sheds.
+const headroom = 2
+
 // Limiter is a concurrency limiter with a deadline-aware bounded wait
 // queue. Admission order among waiters follows the runtime's channel FIFO.
 type Limiter struct {
@@ -146,12 +143,10 @@ type Limiter struct {
 	slots    chan struct{}
 	maxQueue int64
 	maxWait  time.Duration
-	headroom time.Duration
 	waiters  atomic.Int64
 
-	// Est is the windowed service-time estimate fed by Release; exported
-	// so a stage can seed or inspect it in tests.
-	Est Estimator
+	// est is the windowed service-time estimate fed by release.
+	est Estimator
 
 	shedQueueFull *obs.Counter
 	shedBudget    *obs.Counter
@@ -164,17 +159,11 @@ func NewLimiter(cfg Config) *Limiter {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 256
 	}
-	if cfg.MaxQueue == 0 {
+	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 4 * cfg.MaxInflight
-	}
-	if cfg.MaxQueue < 0 {
-		cfg.MaxQueue = 0
 	}
 	if cfg.MaxWait <= 0 {
 		cfg.MaxWait = time.Second
-	}
-	if cfg.Headroom <= 0 {
-		cfg.Headroom = 2
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Wall()
@@ -189,7 +178,6 @@ func NewLimiter(cfg Config) *Limiter {
 		slots:         make(chan struct{}, cfg.MaxInflight),
 		maxQueue:      int64(cfg.MaxQueue),
 		maxWait:       cfg.MaxWait,
-		headroom:      time.Duration(cfg.Headroom),
 		shedQueueFull: reg.Counter("overload.shed", "stage", stage, "reason", "queue_full"),
 		shedBudget:    reg.Counter("overload.shed", "stage", stage, "reason", "budget"),
 		shedWait:      reg.Counter("overload.shed", "stage", stage, "reason", "wait_timeout"),
@@ -205,7 +193,7 @@ func NewLimiter(cfg Config) *Limiter {
 //   - rpc.ErrDeadlineExceeded: the deadline passed before admission (on
 //     entry or while queued).
 //   - ShedError{reason: "budget"}: the remaining budget cannot cover
-//     Headroom × the observed service time, so doing the work would only
+//     headroom × the observed service time, so doing the work would only
 //     produce a late answer. Only while something is in flight: admissions
 //     alone refresh the estimate, so one inflated by a past overload would
 //     otherwise shed every request after it, for good.
@@ -218,7 +206,7 @@ func (l *Limiter) Acquire(deadline time.Time) (func(), error) {
 		if !now.Before(deadline) {
 			return nil, rpc.ErrDeadlineExceeded
 		}
-		if est := l.Est.Estimate(); est > 0 && len(l.slots) > 0 && deadline.Sub(now) < l.headroom*est {
+		if est := l.est.Estimate(); est > 0 && len(l.slots) > 0 && deadline.Sub(now) < headroom*est {
 			l.shedBudget.Inc()
 			return nil, Shed(l.stage, "budget")
 		}
@@ -261,18 +249,6 @@ func (l *Limiter) Acquire(deadline time.Time) (func(), error) {
 	}
 }
 
-// TryAcquire admits the caller only if a slot is immediately free; it never
-// queues. Used for best-effort side paths (degraded serving).
-func (l *Limiter) TryAcquire() (func(), bool) {
-	select {
-	case l.slots <- struct{}{}:
-		return l.admitted(l.clk.Now()), true
-	default:
-		l.shedQueueFull.Inc()
-		return nil, false
-	}
-}
-
 // admitted returns the admission's one-shot release.
 func (l *Limiter) admitted(start time.Time) func() {
 	var done atomic.Bool
@@ -280,7 +256,7 @@ func (l *Limiter) admitted(start time.Time) func() {
 		if done.Swap(true) {
 			return
 		}
-		l.Est.Observe(l.clk.Now().Sub(start))
+		l.est.Observe(l.clk.Now().Sub(start))
 		<-l.slots
 	}
 }

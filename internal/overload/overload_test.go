@@ -35,7 +35,7 @@ func TestShedErrorClassification(t *testing.T) {
 }
 
 func TestLimiterConcurrencyBound(t *testing.T) {
-	l := NewLimiter(Config{Stage: "t", MaxInflight: 2, MaxQueue: -1})
+	l := NewLimiter(Config{Stage: "t", MaxInflight: 2, MaxWait: 10 * time.Millisecond})
 	r1, err := l.Acquire(time.Time{})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestLimiterConcurrencyBound(t *testing.T) {
 	if got := l.Inflight(); got != 2 {
 		t.Fatalf("inflight = %d, want 2", got)
 	}
-	// No queue: the third caller sheds immediately.
+	// No free slot: the third caller waits out MaxWait and sheds.
 	if _, err := l.Acquire(time.Time{}); !IsOverload(err) {
 		t.Fatalf("err = %v, want overload", err)
 	}
@@ -153,10 +153,10 @@ func TestLimiterUntimedWaitIsBounded(t *testing.T) {
 
 func TestLimiterBudgetShed(t *testing.T) {
 	reg := obs.NewRegistry()
-	l := NewLimiter(Config{Stage: "t", MaxInflight: 4, Headroom: 2, Metrics: reg})
+	l := NewLimiter(Config{Stage: "t", MaxInflight: 4, Metrics: reg})
 	// Teach the estimator that requests take ~100ms.
 	for i := 0; i < 32; i++ {
-		l.Est.Observe(100 * time.Millisecond)
+		l.est.Observe(100 * time.Millisecond)
 	}
 	// A comfortable budget is admitted.
 	busy, err := l.Acquire(time.Now().Add(5 * time.Second))
@@ -180,23 +180,6 @@ func TestLimiterBudgetShed(t *testing.T) {
 		t.Fatalf("idle limiter shed a request: %v", err)
 	}
 	probe()
-}
-
-func TestTryAcquire(t *testing.T) {
-	l := NewLimiter(Config{Stage: "t", MaxInflight: 1})
-	r1, ok := l.TryAcquire()
-	if !ok {
-		t.Fatal("empty limiter refused TryAcquire")
-	}
-	if _, ok := l.TryAcquire(); ok {
-		t.Fatal("full limiter admitted TryAcquire")
-	}
-	r1()
-	r2, ok := l.TryAcquire()
-	if !ok {
-		t.Fatal("freed limiter refused TryAcquire")
-	}
-	r2()
 }
 
 func TestEstimatorEWMA(t *testing.T) {
@@ -223,14 +206,13 @@ func TestEstimatorEWMA(t *testing.T) {
 	}
 }
 
-// The registry totals are sums over the per-instance counters, taken at
-// scrape time: two limiters' sheds and a worker's degraded answers add up
-// with no second counter anywhere.
+// The registry total is a sum over the per-instance counters, taken at
+// scrape time: two limiters' sheds add up with no second counter anywhere.
 func TestRegisterMetricsAggregates(t *testing.T) {
 	reg := obs.NewRegistry()
 	RegisterMetrics(reg)
 	for _, stage := range []string{"agg-a", "agg-b"} {
-		l := NewLimiter(Config{Stage: stage, MaxInflight: 1, MaxQueue: -1, Metrics: reg})
+		l := NewLimiter(Config{Stage: stage, MaxInflight: 1, MaxWait: 10 * time.Millisecond, Metrics: reg})
 		r, err := l.Acquire(time.Time{})
 		if err != nil {
 			t.Fatal(err)
@@ -246,12 +228,8 @@ func TestRegisterMetricsAggregates(t *testing.T) {
 			t.Fatalf("inflight = %d after release", l.Inflight())
 		}
 	}
-	reg.Counter("overload.degraded", "worker", "0").Add(3)
 	snap := reg.Snapshot()
 	if got := snap.Counters["overload.shed"]; got != 2 {
 		t.Fatalf("overload.shed total = %d, want 2 (counters: %v)", got, snap.Counters)
-	}
-	if got := snap.Counters["overload.degraded"]; got != 3 {
-		t.Fatalf("overload.degraded total = %d, want 3", got)
 	}
 }

@@ -37,8 +37,8 @@ type featureHit struct {
 	cell *featureCell
 }
 
-// headerRoom bounds the header: four ten-byte numbers, the degraded byte, a
-// span count and three serving spans of at most 1+21+10 bytes — 138.
+// headerRoom bounds the header: three ten-byte numbers, a span count and
+// three serving spans of at most 1+21+10 bytes — 127.
 const headerRoom = 160
 
 var headerPad [headerRoom]byte
@@ -177,13 +177,13 @@ func (a *assembly) fetch(c *cache, v graph.VertexID) {
 	}
 }
 
-// finish writes the header — counters, degraded mark, a.spans — in front of
-// the body and returns the answer, which aliases a.
+// finish writes the header — counters and a.spans — in front of the body
+// and returns the answer, which aliases a.
 //
 //lint:hotpath
-func (a *assembly) finish(degraded bool, stalenessNS int64) Encoded {
+func (a *assembly) finish() Encoded {
 	a.hdr.Reset()
-	appendHeader(&a.hdr, a.sampleMisses, a.featureMisses, a.lookups, degraded, stalenessNS, a.spans)
+	appendHeader(&a.hdr, a.sampleMisses, a.featureMisses, a.lookups, a.spans)
 	at := headerRoom - a.hdr.Len()
 	if at < 0 { // not with the serving spans; stay correct regardless
 		a.hdr.Raw(a.body.Bytes()[headerRoom:])

@@ -22,8 +22,6 @@ import (
 // only wants the counters or the stage spans never walks the body:
 //
 //	header  sampleMisses featureMisses lookups   uvarint each
-//	        degraded                             1 byte
-//	        stalenessNS                          varint
 //	        #stages { name string, dur varint }
 //	body    #layers { #vertices { id uvarint } }
 //	        #edges  { hop parent child uvarint, ts varint, weight f32 }
@@ -42,7 +40,7 @@ const (
 // AppendResult encodes a Result. The serve path never builds one: the
 // assembler appends the same layout straight from the cache's cells.
 func AppendResult(w *codec.Writer, res *Result) {
-	appendHeader(w, res.SampleMisses, res.FeatureMisses, res.Lookups, res.Degraded, res.StalenessNS, res.Stages)
+	appendHeader(w, res.SampleMisses, res.FeatureMisses, res.Lookups, res.Stages)
 	w.Uvarint(uint64(len(res.Layers)))
 	for _, layer := range res.Layers {
 		w.Uvarint(uint64(len(layer)))
@@ -68,12 +66,10 @@ func AppendResult(w *codec.Writer, res *Result) {
 // appendHeader writes the header of the layout above.
 //
 //lint:hotpath
-func appendHeader(w *codec.Writer, sampleMisses, featureMisses, lookups int, degraded bool, stalenessNS int64, stages []obs.Span) {
+func appendHeader(w *codec.Writer, sampleMisses, featureMisses, lookups int, stages []obs.Span) {
 	w.Uvarint(uint64(sampleMisses))
 	w.Uvarint(uint64(featureMisses))
 	w.Uvarint(uint64(lookups))
-	w.Bool(degraded)
-	w.Varint(stalenessNS)
 	w.Uvarint(uint64(len(stages)))
 	for _, s := range stages {
 		w.String(s.Name)
@@ -93,8 +89,6 @@ func DecodeResult(r *codec.Reader) (*Result, error) {
 		SampleMisses:  h.SampleMisses,
 		FeatureMisses: h.FeatureMisses,
 		Lookups:       h.Lookups,
-		Degraded:      h.Degraded,
-		StalenessNS:   h.StalenessNS,
 		Stages:        h.Spans(0),
 	}
 	// The layers share one backing array, sized by a first pass over their
@@ -164,8 +158,6 @@ type Encoded []byte
 // Header is the fixed-size front of an encoded result.
 type Header struct {
 	SampleMisses, FeatureMisses, Lookups int
-	Degraded                             bool
-	StalenessNS                          int64
 	// StageNS is the sum of the worker's stage span durations; Spans
 	// materialises the spans themselves.
 	StageNS int64
@@ -182,8 +174,6 @@ func readHeader(r *codec.Reader) Header {
 		SampleMisses:  int(r.Uvarint()),
 		FeatureMisses: int(r.Uvarint()),
 		Lookups:       int(r.Uvarint()),
-		Degraded:      r.Bool(),
-		StalenessNS:   r.Varint(),
 	}
 	rest := r.Rest()
 	for i, n := 0, r.Count(minStage); i < n; i++ {
@@ -315,13 +305,12 @@ func FormattedRows() uint64 { return rowsFormatted.Load() }
 
 // AppendJSON appends the gateway's GET /sample body for this result to
 // dst, walking the payload once. The bytes are exactly what encoding/json
-// writes for the {layers, edges, features, misses, trace, degraded,
-// stalenessNs} object the gateway has always served, trailing newline
-// included: trace (hex), degraded and stalenessNs are omitted when zero,
-// an absent layer or edge list is null, features are ordered by key string,
-// and floats follow encoding/json's float32 rule (appendFloat32; a row read
-// before is copied from the feature-text memo). On error dst comes back at
-// its original length.
+// writes for the {layers, edges, features, misses, trace} object the
+// gateway has always served, trailing newline included: trace (hex) is
+// omitted when zero, an absent layer or edge list is null, features are
+// ordered by key string, and floats follow encoding/json's float32 rule
+// (appendFloat32; a row read before is copied from the feature-text memo).
+// On error dst comes back at its original length.
 //
 //lint:hotpath
 func (e Encoded) AppendJSON(dst []byte, trace uint64) ([]byte, error) {
@@ -411,13 +400,6 @@ func (e Encoded) AppendJSON(dst []byte, trace uint64) ([]byte, error) {
 		dst = append(dst, `,"trace":"`...)
 		dst = strconv.AppendUint(dst, trace, 16)
 		dst = append(dst, '"')
-	}
-	if h.Degraded {
-		dst = append(dst, `,"degraded":true`...)
-	}
-	if h.StalenessNS != 0 {
-		dst = append(dst, `,"stalenessNs":`...)
-		dst = strconv.AppendInt(dst, h.StalenessNS, 10)
 	}
 	return append(dst, "}\n"...), nil
 }

@@ -23,13 +23,11 @@ import (
 // are the deleted handler's, unchanged.
 
 type resultJSON struct {
-	Layers      [][]uint64           `json:"layers"`
-	Edges       []edgeOutJSON        `json:"edges"`
-	Features    map[string][]float32 `json:"features"`
-	Misses      int                  `json:"misses"`
-	Trace       string               `json:"trace,omitempty"`
-	Degraded    bool                 `json:"degraded,omitempty"`
-	StalenessNS int64                `json:"stalenessNs,omitempty"`
+	Layers   [][]uint64           `json:"layers"`
+	Edges    []edgeOutJSON        `json:"edges"`
+	Features map[string][]float32 `json:"features"`
+	Misses   int                  `json:"misses"`
+	Trace    string               `json:"trace,omitempty"`
 }
 
 type edgeOutJSON struct {
@@ -43,10 +41,8 @@ type edgeOutJSON struct {
 // (trace 0 leaves the member out, as omitempty does an empty string).
 func reflectiveJSON(res *Result, trace uint64) ([]byte, error) {
 	out := resultJSON{
-		Features:    make(map[string][]float32),
-		Misses:      res.SampleMisses + res.FeatureMisses,
-		Degraded:    res.Degraded,
-		StalenessNS: res.StalenessNS,
+		Features: make(map[string][]float32),
+		Misses:   res.SampleMisses + res.FeatureMisses,
 	}
 	if trace != 0 {
 		out.Trace = strconv.FormatUint(trace, 16)
@@ -81,7 +77,6 @@ func encodeResult(res *Result) Encoded {
 // NaN components and -0 count as themselves.
 func sameResult(a, b *Result) bool {
 	if a.SampleMisses != b.SampleMisses || a.FeatureMisses != b.FeatureMisses || a.Lookups != b.Lookups ||
-		a.Degraded != b.Degraded || a.StalenessNS != b.StalenessNS ||
 		len(a.Stages) != len(b.Stages) || len(a.Layers) != len(b.Layers) ||
 		len(a.Edges) != len(b.Edges) || len(a.Features) != len(b.Features) {
 		return false
@@ -169,8 +164,8 @@ func randomFloat(rng *rand.Rand) float32 {
 }
 
 // randomResult draws a Result in the shape a decoded one has (an empty
-// feature vector is nil): empty layers, misses, repeated vertices, the
-// degraded marks, zero and negative timestamps, awkward floats and ids.
+// feature vector is nil): empty layers, misses, repeated vertices, zero
+// and negative timestamps, awkward floats and ids.
 func randomResult(rng *rand.Rand) *Result {
 	res := &Result{Features: make(map[graph.VertexID][]float32)}
 	if rng.Intn(8) > 0 {
@@ -197,10 +192,6 @@ func randomResult(rng *rand.Rand) *Result {
 	}
 	if rng.Intn(2) == 0 {
 		res.SampleMisses, res.FeatureMisses, res.Lookups = rng.Intn(50), rng.Intn(50), rng.Intn(300)
-	}
-	if rng.Intn(4) == 0 {
-		res.Degraded = true
-		res.StalenessNS = []int64{0, -5, 1, rng.Int63()}[rng.Intn(4)]
 	}
 	for i, n := 0, rng.Intn(4); i < n; i++ {
 		res.Stages = append(res.Stages, obs.Span{
@@ -237,7 +228,7 @@ func TestAppendJSONMatchesReflectiveEncoder(t *testing.T) {
 			sum += s.Dur
 		}
 		if h.SampleMisses != res.SampleMisses || h.FeatureMisses != res.FeatureMisses || h.Lookups != res.Lookups ||
-			h.Degraded != res.Degraded || h.StalenessNS != res.StalenessNS || h.StageNS != sum ||
+			h.StageNS != sum ||
 			len(h.Spans(0)) != len(res.Stages) {
 			t.Fatalf("result %d: header %+v disagrees with %+v", i, h, res)
 		}

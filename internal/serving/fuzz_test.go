@@ -82,8 +82,7 @@ func FuzzEncodedResult(f *testing.F) {
 		if herr != nil {
 			t.Fatalf("Decode accepted what Header rejects (%v)", herr)
 		}
-		if h.SampleMisses != res.SampleMisses || h.FeatureMisses != res.FeatureMisses || h.Lookups != res.Lookups ||
-			h.Degraded != res.Degraded || h.StalenessNS != res.StalenessNS {
+		if h.SampleMisses != res.SampleMisses || h.FeatureMisses != res.FeatureMisses || h.Lookups != res.Lookups {
 			t.Fatalf("header %+v disagrees with result %+v", h, res)
 		}
 		again, err := encodeResult(res).Decode()

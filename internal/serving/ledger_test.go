@@ -34,7 +34,10 @@ const servingStages = 5
 // and 305 observations per query. Assembling it into a reused buffer
 // allocates nothing (Sample plus AppendResult took 635 allocations while the
 // cache was an encoded kvstore). And a memory-only worker opens no kvstore.
-func TestSampleWorkLedger(t *testing.T) {
+// ledgerPlan is the [25,10] plan of the work ledgers: Forum -Has-> 25
+// members -Knows-> 10 acquaintances each.
+func ledgerPlan(tb testing.TB) *query.Plan {
+	tb.Helper()
 	s := graph.NewSchema()
 	forum, person := s.AddVertexType("Forum"), s.AddVertexType("Person")
 	s.AddEdgeType("Has", forum, person)
@@ -44,27 +47,19 @@ func TestSampleWorkLedger(t *testing.T) {
 		Out("Knows", 10, sampling.TopK).
 		Build("ledger")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	plan, err := query.Decompose(0, q, s)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return plan
+}
 
-	clk, reg := &countingClock{}, obs.NewRegistry()
-	b := mq.NewBroker(mq.Options{})
-	defer b.Close()
-	w, err := New(Config{ID: 0, NumServers: 1, Plans: []*query.Plan{plan}, Broker: b, Clock: clk, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.cache.spill != nil {
-		t.Error("a memory-only worker opened a kvstore")
-	}
-
-	// Fill the cache: the seed's 25 members, 10 acquaintances of each, and a
-	// feature for all 276 vertices.
-	const seed = graph.VertexID(1)
+// fillLedger fills w's cache with a full [25,10] answer for each seed: its
+// 25 members (the same for every seed), 10 acquaintances of each, and a
+// feature for every vertex, 276 per answer.
+func fillLedger(w *Worker, plan *query.Plan, seeds ...graph.VertexID) {
 	feature := func(v graph.VertexID) {
 		w.applyMessage(0, wire.Message{Kind: wire.KindFeatureUpdate, Vertex: v, Feature: make([]float32, 10)})
 	}
@@ -76,11 +71,29 @@ func TestSampleWorkLedger(t *testing.T) {
 		}
 		w.applyMessage(0, wire.Message{Kind: wire.KindSampleUpsert, Hop: plan.OneHops[hop].ID, Vertex: v, Samples: refs})
 	}
-	feature(seed)
-	cell(0, seed, 100, 25)
+	for _, seed := range seeds {
+		feature(seed)
+		cell(0, seed, 100, 25)
+	}
 	for i := 0; i < 25; i++ {
 		cell(1, graph.VertexID(100+i), graph.VertexID(1000+10*i), 10)
 	}
+}
+
+func TestSampleWorkLedger(t *testing.T) {
+	plan := ledgerPlan(t)
+	clk, reg := &countingClock{}, obs.NewRegistry()
+	b := mq.NewBroker(mq.Options{})
+	defer b.Close()
+	w, err := New(Config{ID: 0, NumServers: 1, Plans: []*query.Plan{plan}, Broker: b, Clock: clk, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.cache.spill != nil {
+		t.Error("a memory-only worker opened a kvstore")
+	}
+	const seed = graph.VertexID(1)
+	fillLedger(w, plan, seed)
 
 	observations := func() (n int64) {
 		snap := reg.Snapshot()
@@ -121,7 +134,7 @@ func TestSampleWorkLedger(t *testing.T) {
 		if err := w.assemble(a, 0, seed, 0, 0); err != nil {
 			t.Fatal(err)
 		}
-		enc = a.finish(false, 0)
+		enc = a.finish()
 	})
 	if h, err := enc.Header(); err != nil || h.Lookups != 26 {
 		t.Fatalf("assembled header %+v, %v", h, err)

@@ -3,12 +3,10 @@ package serving
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"helios/internal/codec"
 	"helios/internal/graph"
-	"helios/internal/overload"
 	"helios/internal/query"
 	"helios/internal/rpc"
 )
@@ -202,68 +200,18 @@ func ServeRPC(w *Worker, srv *rpc.Server) {
 	})
 }
 
-// ServeAdmitted runs one sampling request through the worker's admission
-// limiter and the serve pool. It is the overload surface of the worker:
-//
-//   - the limiter sheds when the queue is full or the remaining budget
-//     cannot cover the observed service time;
-//   - a shed request with budget left gets the degraded path instead when
-//     cfg.Degrade is on — a cached answer now beats an error;
-//   - an admitted request carries its deadline into the pool (fast-fail at
-//     dequeue) and the caller stops waiting the moment the budget runs out.
-//
-// The caller releases the Response.
-func (w *Worker) ServeAdmitted(ctx rpc.Ctx, qid query.ID, seed graph.VertexID) Response {
-	release, err := w.limiter.Acquire(ctx.Deadline)
-	if err != nil {
-		if w.cfg.Degrade && overload.IsOverload(err) && !ctx.Expired(w.cfg.Clock.Now()) {
-			if resp := w.SampleDegraded(qid, seed); resp.Err == nil {
-				w.cfg.Logger.Info(ctx.Trace, "serving.admission", "degraded serve under shed",
-					"seed", uint64(seed), "staleness", time.Duration(w.staleness.Value()))
-				return resp
-			}
-		}
-		w.cfg.Logger.Warn(ctx.Trace, "serving.admission", "sample shed", "seed", uint64(seed), "err", err)
-		return Response{Err: err}
-	}
-	defer release()
-	if out, ok := w.await(ctx, []BatchItem{{Query: qid, Seed: seed, Trace: ctx.Trace}}); ok {
-		return out[0]
-	}
-	return Response{Err: rpc.ErrDeadlineExceeded}
-}
-
 // ServeBatch runs a batch through the worker's admission limiter and the
 // serve pool as one unit of work: one limiter slot, one mailbox send, one
 // actor turn assembling every member. The frame deadline (the batch
 // minimum) bounds the whole batch; each member's own budget is enforced
-// per item inside the turn. A batch that finds every admission slot taken,
-// or that the limiter sheds, is served as the requests it stands for, all
-// at once through ServeAdmitted, so each member queues, sheds or degrades
-// as it would have alone; the first member runs on the caller's goroutine,
-// so a batch of one starts none.
+// per item inside the turn. A batch the limiter sheds is refused as a
+// batch: one shed, one error for every member.
 func (w *Worker) ServeBatch(ctx rpc.Ctx, items []BatchItem) ([]Response, error) {
-	var release func()
-	err := overload.ErrOverloaded
-	if w.limiter.Inflight() < int64(w.cfg.MaxInflight) {
-		release, err = w.limiter.Acquire(ctx.Deadline)
-	}
+	release, err := w.limiter.Acquire(ctx.Deadline)
 	if err != nil {
-		resps := make([]Response, len(items))
-		alone := func(i int) {
-			resps[i] = w.ServeAdmitted(rpc.Ctx{Trace: items[i].Trace, Deadline: ctx.Deadline}, items[i].Query, items[i].Seed)
-		}
-		var wg sync.WaitGroup
-		for i := 1; i < len(items); i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				alone(i)
-			}()
-		}
-		alone(0)
-		wg.Wait()
-		return resps, nil
+		w.cfg.Logger.Warn(ctx.Trace, "serving.admission", "sample batch shed",
+			"members", len(items), "err", err)
+		return nil, err
 	}
 	defer release()
 	if out, ok := w.await(ctx, items); ok {

@@ -54,14 +54,6 @@ type Config struct {
 	// MaxAdmitQueue bounds RPCs waiting for admission; 0 defaults to the
 	// mailbox depth.
 	MaxAdmitQueue int
-	// Degrade serves a degraded result — the cached K-hop answer assembled
-	// inline, skipping the serve-pool queue — when the admission limiter
-	// sheds a request that still has deadline budget. Off by default;
-	// a deployment enables it with overload.degrade in its config file.
-	Degrade bool
-	// DegradeInflight bounds concurrent degraded-path assemblies; 0
-	// defaults to ServeThreads.
-	DegradeInflight int
 	// Clock is the time source for latency stamps, TTL sweeps, and request
 	// spans; nil defaults to the wall clock. Tests inject a fake so latency
 	// assertions never sleep.
@@ -75,8 +67,8 @@ type Config struct {
 	// nonzero trace ID; nil defaults to a private tracer.
 	Tracer *obs.Tracer
 	// Logger receives structured operational events (deadline expiries,
-	// degraded serves, slow traced requests), each stamped with the
-	// request's trace ID. Nil disables logging.
+	// sheds, slow traced requests), each stamped with the request's trace
+	// ID. Nil disables logging.
 	Logger *obs.Logger
 	// SlowLog logs traced requests whose service time meets this
 	// threshold (trace-correlated tail forensics); 0 disables.
@@ -108,9 +100,6 @@ func (c *Config) fill() error {
 	}
 	if c.MaxAdmitQueue <= 0 {
 		c.MaxAdmitQueue = mailboxDepth
-	}
-	if c.DegradeInflight <= 0 {
-		c.DegradeInflight = c.ServeThreads
 	}
 	if c.Clock == nil {
 		c.Clock = clock.Wall()
@@ -183,16 +172,6 @@ type Result struct {
 	// Lookups counts sample-table lookups performed (bounded by
 	// Query.MaxLookups).
 	Lookups int
-	// Degraded marks a result served on the degraded path: assembled
-	// inline from the cache under shedding pressure, without waiting on
-	// the serve pool (and therefore on any in-flight cache refreshes the
-	// queue would have ordered it behind). The answer is exactly as fresh
-	// as the cache was at assembly — StalenessNS says how fresh that is.
-	Degraded bool
-	// StalenessNS is the cache's event-time staleness at assembly for
-	// degraded results (0 for normal results): the worker's
-	// serving.staleness_ns gauge at the moment the answer was built.
-	StalenessNS int64
 	// Stages is the request's span decomposition (queue wait, K-hop
 	// assembly, feature fetch), carried back over RPC so the frontend can
 	// complete the trace.
@@ -247,14 +226,12 @@ type Worker struct {
 	lastCommit  atomic.Int64 // worker-clock ns of the last broker commit
 	pollers     *actor.Loop
 
-	// limiter admits sampling RPCs; degradedLim bounds the inline degraded
-	// path so a shed storm cannot convert itself into unbounded inline work.
-	limiter     *overload.Limiter
-	degradedLim *overload.Limiter
-	updatePool  *actor.Pool[cacheUpdate]
-	servePool   *actor.Pool[Request]
-	sweeper     *actor.Loop
-	sweepStop   chan struct{}
+	// limiter admits sampling RPCs: a batch takes or loses one slot.
+	limiter    *overload.Limiter
+	updatePool *actor.Pool[cacheUpdate]
+	servePool  *actor.Pool[Request]
+	sweeper    *actor.Loop
+	sweepStop  chan struct{}
 
 	// lifeMu serializes Start/Stop; started alone is not enough — a
 	// concurrent Stop must not observe started=true before Start has
@@ -270,7 +247,6 @@ type Worker struct {
 	sampleMisses  *obs.Counter
 	featureHits   *obs.Counter
 	featureMisses *obs.Counter
-	degraded      *obs.Counter
 	deadlineExp   *obs.Counter
 	staleness     *obs.Gauge
 
@@ -308,13 +284,6 @@ func New(cfg Config) (*Worker, error) {
 		Clock:       cfg.Clock,
 		Metrics:     cfg.Metrics,
 	})
-	w.degradedLim = overload.NewLimiter(overload.Config{
-		Stage:       "serving_degraded",
-		MaxInflight: cfg.DegradeInflight,
-		MaxQueue:    -1, // TryAcquire only: the degraded path never queues
-		Clock:       cfg.Clock,
-		Metrics:     cfg.Metrics,
-	})
 	w.registerMetrics()
 	return w, nil
 }
@@ -330,9 +299,6 @@ func (w *Worker) registerMetrics() {
 	w.sampleMisses = reg.Counter("serving.sample_misses", "worker", worker)
 	w.featureHits = reg.Counter("serving.feature_hits", "worker", worker)
 	w.featureMisses = reg.Counter("serving.feature_misses", "worker", worker)
-	// Degraded answers are an overload-control outcome: the registry's
-	// overload.degraded total (overload.RegisterMetrics) sums this family.
-	w.degraded = reg.Counter("overload.degraded", "worker", worker)
 	w.deadlineExp = reg.Counter("serving.deadline_expired", "worker", worker)
 	w.staleness = reg.Gauge("serving.staleness_ns", "worker", worker)
 	reg.GaugeFunc("serving.cache_bytes", w.CacheBytes, "worker", worker)
@@ -587,7 +553,7 @@ func (w *Worker) serveOne(it *BatchItem, enqueued, deadline int64) Response {
 			Total: end.UnixNano() - enqueued, Spans: slices.Clone(a.spans),
 		})
 	}
-	return Response{Result: a.finish(false, 0), Latency: end.Sub(start), asm: a}
+	return Response{Result: a.finish(), Latency: end.Sub(start), asm: a}
 }
 
 // unknownQuery is the outlined cold path for assemble's plan lookup miss, so
@@ -604,7 +570,7 @@ func (w *Worker) Sample(qid query.ID, seed graph.VertexID) (*Result, error) {
 	if err := w.assemble(a, qid, seed, 0, 0); err != nil {
 		return nil, err
 	}
-	return a.finish(false, 0).Decode()
+	return a.finish().Decode()
 }
 
 // SampleEncoded assembles the K-hop answer for seed as Sample does, but
@@ -616,30 +582,7 @@ func (w *Worker) SampleEncoded(qid query.ID, seed graph.VertexID) (Encoded, erro
 	if err := w.assemble(a, qid, seed, 0, 0); err != nil {
 		return nil, err
 	}
-	return slices.Clone(a.finish(false, 0)), nil
-}
-
-// SampleDegraded assembles the cached K-hop answer inline — on the caller's
-// goroutine, skipping the serve pool and any in-flight cache refreshes the
-// queue would have ordered it behind. It is the graceful-degradation path:
-// when the admission limiter sheds a request that still has budget, a
-// slightly stale answer now beats a shed. The answer is marked degraded with
-// the cache's staleness at assembly. A dedicated TryAcquire-only limiter
-// bounds concurrent inline assemblies so a shed storm cannot turn into
-// unbounded inline work.
-func (w *Worker) SampleDegraded(qid query.ID, seed graph.VertexID) Response {
-	release, ok := w.degradedLim.TryAcquire()
-	if !ok {
-		return Response{Err: overload.Shed("serving", "degraded_full")}
-	}
-	defer release()
-	a := getAssembly()
-	if err := w.assemble(a, qid, seed, 0, 0); err != nil {
-		a.release()
-		return Response{Err: err}
-	}
-	w.degraded.Inc()
-	return Response{Result: a.finish(true, w.staleness.Value()), asm: a}
+	return slices.Clone(a.finish()), nil
 }
 
 // sweep deletes cache cells untouched since cutoff.

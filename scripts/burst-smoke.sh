@@ -3,65 +3,31 @@
 # the demo converges, the serve path is slowed with an injected delay, and a
 # request storm with a small end-to-end budget hits the gateway. The drill
 # must finish with typed refusals only (503 shed / 504 deadline), a nonzero
-# shed count, degraded (stale-tagged) answers served, and a clean recovery
-# once the storm drains; then /metrics must expose the overload aggregates.
-# Run via `make burst-smoke`.
+# shed count and a clean recovery once the storm drains; then /metrics must
+# expose the overload total. Run via `make burst-smoke`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-log=$(mktemp)
-# CI sets HELIOS_FLIGHT_DIR so flight-recorder captures survive a failed
-# run as an uploadable artifact; locally we use (and clean up) a temp dir.
-flightdir=${HELIOS_FLIGHT_DIR:-$(mktemp -d)}
-mkdir -p "$flightdir"
-pid=""
-cleanup() {
-  [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
-  rm -f "$log" "${log}.body"
-  [ -z "${HELIOS_FLIGHT_DIR:-}" ] && rm -rf "$flightdir" || true
-}
-trap cleanup EXIT
+. scripts/example.sh
 
-go run ./examples/distributed -burst -ops-addr 127.0.0.1:0 -linger 60s \
-  -telemetry-every 250ms -flight-dir "$flightdir" >"$log" 2>&1 &
-pid=$!
-
+start_example -burst
 # Wait for the full drill: converge, storm, drain, recover.
-for _ in $(seq 1 600); do
-  if grep -q "burst drill complete" "$log"; then
-    break
-  fi
-  if ! kill -0 "$pid" 2>/dev/null; then
-    echo "burst-smoke: example exited before the drill completed:" >&2
-    cat "$log" >&2
-    exit 1
-  fi
-  sleep 0.2
-done
-grep -q "burst drill complete" "$log" || {
-  echo "burst-smoke: drill never completed:" >&2
-  cat "$log" >&2
-  exit 1
-}
+await_log burst-smoke "burst drill complete" 600
 # The completion line carries the drill's own tallies; the storm must have
-# shed load and served degraded answers for the run to prove anything.
-grep -Eq "burst drill complete \(ok=[0-9]+ degraded=[1-9][0-9]* shed=[1-9][0-9]* deadline=[0-9]+ total_shed=[1-9][0-9]* total_degraded=[1-9][0-9]*\)" "$log" || {
-  echo "burst-smoke: shed/degraded tallies stayed zero:" >&2
+# shed load for the run to prove anything.
+grep -Eq "burst drill complete \(ok=[0-9]+ shed=[1-9][0-9]* deadline=[0-9]+ total_shed=[1-9][0-9]*\)" "$log" || {
+  echo "burst-smoke: shed tallies stayed zero:" >&2
   grep "burst drill complete" "$log" >&2
   exit 1
 }
 
-addr=$(sed -n 's/^ops listening on //p' "$log" | head -1)
-[ -n "$addr" ] || { echo "burst-smoke: no ops listener address in log" >&2; cat "$log" >&2; exit 1; }
-
-curl -sSf --max-time 10 "http://$addr/metrics" >"${log}.body"
-for metric in overload.shed overload.degraded; do
-  val=$(sed -n "s/^${metric} //p" "${log}.body" | head -1)
-  if [ -z "$val" ] || [ "$val" = "0" ]; then
-    echo "burst-smoke: /metrics ${metric} missing or zero (got '${val}'):" >&2
-    grep "^overload" "${log}.body" >&2 || cat "${log}.body" >&2
-    exit 1
-  fi
-done
+addr=$(ops_addr burst-smoke)
+curl -sSf --max-time 10 "http://$addr/metrics" >"$body"
+val=$(sed -n "s/^overload.shed //p" "$body" | head -1)
+if [ -z "$val" ] || [ "$val" = "0" ]; then
+  echo "burst-smoke: /metrics overload.shed missing or zero (got '${val}'):" >&2
+  grep "^overload" "$body" >&2 || cat "$body" >&2
+  exit 1
+fi
 
 echo "burst-smoke OK ($(grep 'burst drill complete' "$log"))"

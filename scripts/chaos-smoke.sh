@@ -10,36 +10,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-log=$(mktemp)
-# CI sets HELIOS_FLIGHT_DIR so flight-recorder captures survive a failed
-# run as an uploadable artifact; locally we use (and clean up) a temp dir.
-flightdir=${HELIOS_FLIGHT_DIR:-$(mktemp -d)}
-mkdir -p "$flightdir"
-pid=""
-cleanup() {
-  [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
-  rm -f "$log" "${log}.body"
-  [ -z "${HELIOS_FLIGHT_DIR:-}" ] && rm -rf "$flightdir" || true
-}
-trap cleanup EXIT
+. scripts/example.sh
 
-go run ./examples/distributed -chaos -failover -ops-addr 127.0.0.1:0 -linger 60s \
-  -telemetry-every 250ms -flight-dir "$flightdir" >"$log" 2>&1 &
-pid=$!
-
+start_example -chaos -failover
 # Wait for the full cycle: converge, endpoint kill/restart, reconverge,
 # then the leader-kill failover drill (which runs after the chaos phase).
-for _ in $(seq 1 600); do
-  if grep -q "failover drill complete" "$log"; then
-    break
-  fi
-  if ! kill -0 "$pid" 2>/dev/null; then
-    echo "chaos-smoke: example exited before reconverging:" >&2
-    cat "$log" >&2
-    exit 1
-  fi
-  sleep 0.2
-done
+await_log chaos-smoke "failover drill complete" 600
 grep -q "chaos reconvergence complete" "$log" || {
   echo "chaos-smoke: pipeline never reconverged:" >&2
   cat "$log" >&2
@@ -64,15 +40,13 @@ grep -Eq "failover drill complete \(lost_acked=0 failovers=[1-9][0-9]*\)" "$log"
   exit 1
 }
 
-addr=$(sed -n 's/^ops listening on //p' "$log" | head -1)
-[ -n "$addr" ] || { echo "chaos-smoke: no ops listener address in log" >&2; cat "$log" >&2; exit 1; }
-
-curl -sSf --max-time 10 "http://$addr/metrics" >"${log}.body"
+addr=$(ops_addr chaos-smoke)
+curl -sSf --max-time 10 "http://$addr/metrics" >"$body"
 for metric in rpc.reconnects rpc.retries mq.failovers; do
-  val=$(sed -n "s/^${metric} //p" "${log}.body" | head -1)
+  val=$(sed -n "s/^${metric} //p" "$body" | head -1)
   if [ -z "$val" ] || [ "$val" = "0" ]; then
     echo "chaos-smoke: /metrics ${metric} missing or zero (got '${val}'):" >&2
-    grep -E "^(rpc|mq)" "${log}.body" >&2 || cat "${log}.body" >&2
+    grep -E "^(rpc|mq)" "$body" >&2 || cat "$body" >&2
     exit 1
   fi
 done
