@@ -6,7 +6,7 @@ GO ?= go
 # written under testdata/fuzz.
 FUZZMIN = -fuzzminimizetime 100x
 
-.PHONY: build vet lint test race check obs-smoke chaos-smoke burst-smoke
+.PHONY: build vet lint test race check
 
 build:
 	$(GO) build ./...
@@ -24,23 +24,6 @@ test:
 
 race:
 	$(GO) test -race -count=1 ./...
-
-# Boots examples/distributed with an ops listener and asserts /metrics and
-# /traces come back non-empty (see scripts/obs-smoke.sh).
-obs-smoke:
-	bash scripts/obs-smoke.sh
-
-# Kills and restarts the broker endpoint under examples/distributed -chaos
-# and asserts the pipeline reconverges with nonzero reconnect/retry
-# counters (see scripts/chaos-smoke.sh).
-chaos-smoke:
-	bash scripts/chaos-smoke.sh
-
-# Slows the serve path and storms examples/distributed -burst with a small
-# end-to-end budget; asserts typed sheds and recovery
-# (see scripts/burst-smoke.sh).
-burst-smoke:
-	bash scripts/burst-smoke.sh
 
 # The tier-1 gate: every PR must leave this green.
 check:

@@ -97,3 +97,92 @@ func TestSeriesTableMatchesGolden(t *testing.T) {
 		}
 	}
 }
+
+// makeTarget matches a Makefile rule's target.
+var makeTarget = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
+
+// TestDocsNameOnlyRealMakeTargets: every `make <target>` that README.md,
+// DESIGN.md or the verify skill names — inline in backticks, or as a
+// command line in a fenced block — must be a rule in the Makefile, so a
+// target deleted from it fails here until the docs stop offering it.
+func TestDocsNameOnlyRealMakeTargets(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range makeTarget.FindAllStringSubmatch(string(mk), -1) {
+		targets[m[1]] = true
+	}
+	inline := regexp.MustCompile("`make ([^`]*)`")
+	named := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenced := false
+		for i, line := range strings.Split(string(b), "\n") {
+			var cmds []string
+			for _, m := range inline.FindAllStringSubmatch(line, -1) {
+				cmds = append(cmds, m[1])
+			}
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+			} else if rest, ok := strings.CutPrefix(line, "make "); ok && fenced {
+				cmds = append(cmds, rest)
+			}
+			for _, cmd := range cmds {
+				cmd, _, _ = strings.Cut(cmd, "#")
+				for _, target := range strings.Fields(cmd) {
+					named++
+					if !targets[target] {
+						t.Errorf("%s:%d names make %s, which the Makefile does not define", doc, i+1, target)
+					}
+				}
+			}
+		}
+	}
+	if named == 0 {
+		t.Fatal("the docs name no make target at all: the pattern has drifted from how they write them")
+	}
+}
+
+// readerFile matches a repo file a series reader names, relative to the
+// root or to internal/ (`frontend/chaos_test.go`),
+// with the test it names in that file, if any.
+var readerFile = regexp.MustCompile(`([a-z][a-z0-9_/.-]*/[a-z0-9_.-]+\.(?:go|sh))(?: (Test[A-Za-z0-9_]+))?`)
+
+// TestSeriesReadersExist: every file a reader in
+// internal/cluster/testdata/series.txt names must exist, and a test named
+// beside it must be defined there, so a series whose reader was deleted
+// fails here until it names the reader that replaced it or goes.
+func TestSeriesReadersExist(t *testing.T) {
+	golden, err := os.ReadFile("internal/cluster/testdata/series.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := 0
+	for i, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		_, reader, _ := strings.Cut(line, "\t")
+		for _, m := range readerFile.FindAllStringSubmatch(reader, -1) {
+			named++
+			var src []byte
+			for _, path := range []string{m[1], filepath.Join("internal", m[1])} {
+				if src, err = os.ReadFile(path); err == nil {
+					break
+				}
+			}
+			if err != nil {
+				t.Errorf("series.txt:%d names %s, which is no file in the repo", i+1, m[1])
+				continue
+			}
+			if m[2] != "" && !strings.Contains(string(src), "func "+m[2]+"(") {
+				t.Errorf("series.txt:%d names %s %s, which that file does not define", i+1, m[1], m[2])
+			}
+		}
+	}
+	if named == 0 {
+		t.Fatal("series.txt names no reader file at all: the pattern has drifted from how it writes them")
+	}
+}

@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 	"time"
 
 	"helios"
@@ -81,8 +82,13 @@ func printResult(res *helios.Result) {
 			fmt.Printf("  hop-2: item %d co-purchased with %d (ts %d)\n", e.Parent, e.Child, e.Ts)
 		}
 	}
-	for v, f := range res.Features {
-		fmt.Printf("  feature[%d] = %v\n", v, f)
+	ids := make([]helios.VertexID, 0, len(res.Features))
+	for v := range res.Features {
+		ids = append(ids, v)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, v := range ids {
+		fmt.Printf("  feature[%d] = %v\n", v, res.Features[v])
 	}
 }
 

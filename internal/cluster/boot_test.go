@@ -77,13 +77,22 @@ func TestEveryStopsWithTheRole(t *testing.T) {
 // TestCloseDrainsInFlightRequests is the shared-lifecycle contract at the
 // gateway: a /sample held inside the serve path when the deployment closes
 // still gets its 200, every goroutine the boot started is gone afterwards,
-// and closing twice is harmless.
+// and closing twice is harmless. A replica set adds follower fetch loops,
+// status beats, the failover controller and parked quorum waits to what
+// Close must stop; TestChaosLeaderFailover (internal/frontend) checks the
+// same baseline after a leader has been closed mid-run.
 func TestCloseDrainsInFlightRequests(t *testing.T) {
+	for _, brokers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("brokers=%d", brokers), func(t *testing.T) { closeDrainsInFlight(t, brokers) })
+	}
+}
+
+func closeDrainsInFlight(t *testing.T, brokers int) {
 	client := &http.Client{Transport: &http.Transport{}}
 	baseline := runtime.NumGoroutine()
 
 	cfg, g := testDeploy(t)
-	c, err := Boot(cfg, Options{Brokers: 1})
+	c, err := Boot(cfg, Options{Brokers: brokers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +100,29 @@ func TestCloseDrainsInFlightRequests(t *testing.T) {
 	mustIngest(t, c, graph.NewEdgeUpdate(graph.Edge{Src: userID(1), Dst: itemID(1), Type: g.click, Ts: 1}))
 	if err := c.WaitQuiesce(10 * time.Second); err != nil {
 		t.Fatal(err)
+	}
+
+	appended := make(chan error, 1)
+	if brokers > 1 {
+		// With its followers gone, broker 0 holds an append to a partition
+		// it leads in its quorum wait: Close must release that too.
+		for _, b := range c.Brokers[1:] {
+			b.Close()
+		}
+		seed := userID(2)
+		for graph.NewPartitioner(cfg.File.Samplers).Of(seed) != 0 {
+			seed++
+		}
+		updates, _ := c.Broker.Topic(wire.TopicUpdates)
+		end := updates.EndOffset(0)
+		go func() { appended <- c.Ingest(graph.NewVertexUpdate(graph.Vertex{ID: seed, Type: g.user})) }()
+		deadline := time.Now().Add(5 * time.Second)
+		for updates.EndOffset(0) == end {
+			if time.Now().After(deadline) {
+				t.Fatal("the append never reached broker 0's log")
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 
 	const hold = 300 * time.Millisecond
@@ -126,6 +158,11 @@ func TestCloseDrainsInFlightRequests(t *testing.T) {
 	}
 	c.Close() // a second Close is a no-op
 	c.Frontend.Close()
+	if brokers > 1 {
+		if err := <-appended; err == nil {
+			t.Fatal("an append without a quorum was acked")
+		}
+	}
 
 	client.CloseIdleConnections()
 	deadline = time.Now().Add(5 * time.Second)

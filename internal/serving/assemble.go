@@ -84,8 +84,9 @@ func (w *Worker) assemble(a *assembly, qid query.ID, seed graph.VertexID, deadli
 		return unknownQuery(qid)
 	}
 	start := w.cfg.Clock.Now()
-	// Burst drills arm a delay here (scripts/burst-smoke.sh), after the
-	// timer starts, so the spike it causes lands in serving.khop_assembly.
+	// Burst and attribution drills arm a delay here (TestChaosBurstOverload,
+	// attribution_test.go), after the timer starts, so the spike it causes
+	// lands in serving.khop_assembly.
 	if err := faultpoint.Inject("serving.sample"); err != nil {
 		return err
 	}
