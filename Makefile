@@ -75,3 +75,6 @@ check:
 	# The actor mailbox is hand-rolled synchronisation: twenty runs of its
 	# tests, the seeded model test among them.
 	$(GO) test -race -count=20 ./internal/actor
+	# Shutdown of a replica set with its followers gone: ten runs hold the
+	# Close bound, so a wait that no stop reaches fails loudly.
+	$(GO) test -race -count=10 -run TestCloseDrainsInFlightRequests ./internal/cluster

@@ -186,3 +186,68 @@ func TestSeriesReadersExist(t *testing.T) {
 		t.Fatal("series.txt names no reader file at all: the pattern has drifted from how it writes them")
 	}
 }
+
+// citedTest matches a test, benchmark, fuzz target or example the docs
+// cite by name; a trailing `*` cites every name with that prefix.
+var citedTest = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z0-9_][A-Za-z0-9_]*\*?`)
+
+// runArg matches a `-run` flag with its argument, a regex rather than a
+// name (`-run TestLog` selects every TestLog… test).
+var runArg = regexp.MustCompile(`-run\s+('[^']*'|"[^"]*"|[^\s` + "`" + `]+)`)
+
+// TestDocsNameOnlyRealTests: every Test…, Benchmark…, Fuzz… or Example…
+// name README.md, DESIGN.md or the verify skill cites must be defined in
+// some _test.go file, so a test renamed or deleted fails here until the
+// docs stop citing it.
+func TestDocsNameOnlyRealTests(t *testing.T) {
+	defined := map[string]bool{}
+	def := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz|Example)\w*)\(`)
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // .git, and build caches such as benchmark/out/.build
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range def.FindAllStringSubmatch(string(src), -1) {
+			defined[m[1]] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exists := func(name string) bool {
+		prefix, wild := strings.CutSuffix(name, "*")
+		if !wild {
+			return defined[name]
+		}
+		for d := range defined {
+			if strings.HasPrefix(d, prefix) {
+				return true
+			}
+		}
+		return false
+	}
+	cited := map[string]bool{}
+	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range citedTest.FindAllString(runArg.ReplaceAllString(string(b), ""), -1) {
+			cited[name] = true
+			if !exists(name) {
+				t.Errorf("%s cites %s, which no _test.go file defines", doc, name)
+			}
+		}
+	}
+	if len(cited) == 0 {
+		t.Fatal("the docs cite no test at all: the pattern has drifted from how they write them")
+	}
+	t.Logf("%d distinct names cited", len(cited))
+}

@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"helios/internal/graph"
 	"helios/internal/obs"
@@ -267,9 +268,10 @@ type Loop struct {
 	once sync.Once
 }
 
-// NewLoop starts n goroutines running fn(worker) repeatedly until Stop. fn
-// returning false also terminates that goroutine (e.g. on broker close).
-func NewLoop(n int, fn func(worker int) bool) *Loop {
+// NewLoop starts n goroutines running fn(worker, stop) repeatedly until Stop
+// closes stop; fn passes stop to every pause (Sleep), so Stop ends a pause
+// rather than waiting it out. fn returning false ends its goroutine too.
+func NewLoop(n int, fn func(worker int, stop <-chan struct{}) bool) *Loop {
 	l := &Loop{stop: make(chan struct{})}
 	l.wg.Add(n)
 	for i := 0; i < n; i++ {
@@ -281,7 +283,7 @@ func NewLoop(n int, fn func(worker int) bool) *Loop {
 					return
 				default:
 				}
-				if !fn(worker) {
+				if !fn(worker, l.stop) {
 					return
 				}
 			}
@@ -290,9 +292,40 @@ func NewLoop(n int, fn func(worker int) bool) *Loop {
 	return l
 }
 
-// Stop signals the loops and waits for them to exit. fn must return
-// promptly (poll with a bounded wait) for Stop to complete.
+// Every calls fn each interval on its own goroutine until Stop; fn never
+// runs after Stop returns. A non-positive interval starts nothing and
+// returns nil, whose Stop is a no-op.
+func Every(interval time.Duration, fn func()) *Loop {
+	if interval <= 0 {
+		return nil
+	}
+	return NewLoop(1, func(_ int, stop <-chan struct{}) bool {
+		if Sleep(stop, interval) {
+			fn()
+		}
+		return true
+	})
+}
+
+// Sleep is a loop's one pause: it waits d, or until stop closes, and
+// reports whether the whole d passed.
+func Sleep(stop <-chan struct{}, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-stop:
+		return false
+	case <-t.C:
+		return true
+	}
+}
+
+// Stop signals the loops, ending any Sleep they are in, and waits for them
+// to exit.
 func (l *Loop) Stop() {
+	if l == nil {
+		return
+	}
 	l.once.Do(func() {
 		close(l.stop)
 		l.wg.Wait()

@@ -181,7 +181,7 @@ func TestNewPoolValidation(t *testing.T) {
 
 func TestLoop(t *testing.T) {
 	var ticks atomic.Int64
-	l := NewLoop(3, func(_ int) bool {
+	l := NewLoop(3, func(int, <-chan struct{}) bool {
 		ticks.Add(1)
 		time.Sleep(time.Millisecond)
 		return true
@@ -201,7 +201,7 @@ func TestLoop(t *testing.T) {
 
 func TestLoopSelfTermination(t *testing.T) {
 	var ran atomic.Int64
-	l := NewLoop(1, func(_ int) bool {
+	l := NewLoop(1, func(int, <-chan struct{}) bool {
 		ran.Add(1)
 		return false
 	})
@@ -210,6 +210,56 @@ func TestLoopSelfTermination(t *testing.T) {
 		t.Fatalf("ran = %d, want exactly 1", ran.Load())
 	}
 	l.Stop()
+}
+
+// TestStopEndsSleep: a loop parked in an hour-long Sleep exits as soon as
+// Stop is called, and the Sleep reports that it was cut short.
+func TestStopEndsSleep(t *testing.T) {
+	entered, cut := make(chan struct{}), make(chan bool, 1)
+	l := NewLoop(1, func(_ int, stop <-chan struct{}) bool {
+		close(entered) // once: the loop exits when its Sleep is cut
+		cut <- !Sleep(stop, time.Hour)
+		return true
+	})
+	<-entered
+	start := time.Now()
+	l.Stop()
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Fatalf("Stop took %v to end an hour-long Sleep", took)
+	}
+	if !<-cut {
+		t.Fatal("Sleep reported a full pause after Stop")
+	}
+	if !Sleep(make(chan struct{}), time.Millisecond) {
+		t.Fatal("an uncut Sleep reported a stop")
+	}
+}
+
+// TestEveryNeverRunsAfterStop: Every fires repeatedly while it lives and
+// never once Stop has returned, even with Stop racing a tick; a
+// non-positive interval starts nothing.
+func TestEveryNeverRunsAfterStop(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		var calls atomic.Int64
+		var stopped atomic.Bool
+		l := Every(time.Millisecond, func() {
+			if stopped.Load() {
+				t.Error("fn ran after Stop returned")
+			}
+			calls.Add(1)
+		})
+		for calls.Load() < 2 {
+			time.Sleep(time.Millisecond)
+		}
+		l.Stop()
+		stopped.Store(true)
+		time.Sleep(3 * time.Millisecond)
+	}
+	if l := Every(0, func() { t.Error("a zero interval fired") }); l != nil {
+		t.Fatal("Every(0) started a loop")
+	}
+	var none *Loop
+	none.Stop() // a nil loop's Stop is a no-op
 }
 
 // wide is a message the size of the sampler's event (176 B), the largest

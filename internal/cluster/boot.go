@@ -67,10 +67,9 @@ type Local struct {
 // Boot builds and starts cfg's deployment in this process.
 func Boot(cfg *deploy.Config, o Options) (_ *Local, err error) {
 	c := &Local{
-		Config:    cfg,
-		servPart:  graph.NewPartitioner(cfg.File.Servers),
-		rr:        make([]atomic.Uint64, cfg.File.Servers),
-		lifecycle: newLifecycle(nil),
+		Config:   cfg,
+		servPart: graph.NewPartitioner(cfg.File.Servers),
+		rr:       make([]atomic.Uint64, cfg.File.Servers),
 	}
 	defer c.closeOn(&err)
 	// dial hands each role its own view of the queue tier.

@@ -49,7 +49,7 @@ func testDeploy(t *testing.T) (*deploy.Config, *testGraph) {
 // TestEveryStopsWithTheRole pins the one periodic-work helper: it fires
 // repeatedly while the role lives and never after Close returns.
 func TestEveryStopsWithTheRole(t *testing.T) {
-	l := newLifecycle(nil)
+	var l lifecycle
 	var calls atomic.Int64
 	l.every(5*time.Millisecond, func() { calls.Add(1) })
 	l.every(0, func() { t.Error("a zero interval must never fire") })
@@ -80,7 +80,8 @@ func TestEveryStopsWithTheRole(t *testing.T) {
 // and closing twice is harmless. A replica set adds follower fetch loops,
 // status beats, the failover controller and parked quorum waits to what
 // Close must stop; TestChaosLeaderFailover (internal/frontend) checks the
-// same baseline after a leader has been closed mid-run.
+// same baseline after a leader has been closed mid-run. Close must also be
+// quick with the followers gone: a stop ends every pause it meets.
 func TestCloseDrainsInFlightRequests(t *testing.T) {
 	for _, brokers := range []int{1, 3} {
 		t.Run(fmt.Sprintf("brokers=%d", brokers), func(t *testing.T) { closeDrainsInFlight(t, brokers) })
@@ -132,6 +133,7 @@ func closeDrainsInFlight(t *testing.T, brokers int) {
 	type outcome struct {
 		status int
 		err    error
+		at     time.Time // when the answer was read
 	}
 	done := make(chan outcome, 1)
 	go func() {
@@ -142,7 +144,7 @@ func closeDrainsInFlight(t *testing.T, brokers int) {
 		}
 		_, err = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		done <- outcome{resp.StatusCode, err}
+		done <- outcome{resp.StatusCode, err, time.Now()}
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for faultpoint.Hits("serving.sample") == before {
@@ -152,9 +154,22 @@ func closeDrainsInFlight(t *testing.T, brokers int) {
 		time.Sleep(time.Millisecond)
 	}
 
+	start := time.Now()
 	c.Close() // while the request sleeps inside serving.sample
-	if out := <-done; out.err != nil || out.status != http.StatusOK {
+	closed := time.Now()
+	out := <-done
+	if out.err != nil || out.status != http.StatusOK {
 		t.Fatalf("in-flight request cut by Close: status %d, err %v", out.status, out.err)
+	}
+	// Once the held request is answered, Close has only the gateway's
+	// notice of it and the roles' own drains left: no worker's Stop waits
+	// out a poll against a dead leader, and no broker's a parked quorum
+	// wait (on a 2-vCPU host: 2.2-2.4 s before stops reached those waits,
+	// 0.3-0.6 s after, -race included).
+	const afterAnswer = 1200 * time.Millisecond
+	t.Logf("Close took %v, %v of it after the held request was answered", closed.Sub(start), closed.Sub(out.at))
+	if took := closed.Sub(out.at); took > afterAnswer {
+		t.Errorf("Close returned %v after the held request was answered, want <= %v", took, afterAnswer)
 	}
 	c.Close() // a second Close is a no-op
 	c.Frontend.Close()

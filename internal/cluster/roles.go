@@ -19,6 +19,7 @@ import (
 	"syscall"
 	"time"
 
+	"helios/internal/actor"
 	"helios/internal/clock"
 	"helios/internal/coord"
 	"helios/internal/deploy"
@@ -37,14 +38,9 @@ import (
 // closers run in reverse order of registration, once.
 type lifecycle struct {
 	log     *obs.Logger
-	stop    chan struct{}
-	loops   sync.WaitGroup
+	loops   []*actor.Loop
 	closers []func()
 	once    sync.Once
-}
-
-func newLifecycle(log *obs.Logger) lifecycle {
-	return lifecycle{log: log, stop: make(chan struct{})}
 }
 
 func (l *lifecycle) onClose(fn func()) { l.closers = append(l.closers, fn) }
@@ -52,36 +48,16 @@ func (l *lifecycle) onClose(fn func()) { l.closers = append(l.closers, fn) }
 // every calls fn each interval on its own goroutine until the role closes;
 // a non-positive interval never calls it.
 func (l *lifecycle) every(interval time.Duration, fn func()) {
-	if interval <= 0 {
-		return
-	}
-	l.loops.Add(1)
-	go func() {
-		defer l.loops.Done()
-		every(interval, l.stop, fn)
-	}()
-}
-
-// every calls fn each interval until stop closes.
-func every(interval time.Duration, stop <-chan struct{}, fn func()) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			fn()
-		}
-	}
+	l.loops = append(l.loops, actor.Every(interval, fn))
 }
 
 // Close stops the role: periodic work first, then everything the
 // constructor started, newest first. A second Close is a no-op.
 func (l *lifecycle) Close() {
 	l.once.Do(func() {
-		close(l.stop)
-		l.loops.Wait()
+		for _, loop := range l.loops {
+			loop.Stop()
+		}
 		for i := len(l.closers) - 1; i >= 0; i-- {
 			l.closers[i]()
 		}
@@ -267,13 +243,14 @@ type Broker struct {
 func StartBroker(o BrokerOptions) (_ *Broker, err error) {
 	o.ReplReportEvery = or(o.ReplReportEvery, 500*time.Millisecond)
 	o.ReplDeadAfter = or(o.ReplDeadAfter, 3*time.Second)
-	b := &Broker{Queue: mq.NewBroker(o.Log), lifecycle: newLifecycle(o.Logger)}
+	b := &Broker{Queue: mq.NewBroker(o.Log), lifecycle: lifecycle{log: o.Logger}}
 	defer b.closeOn(&err)
-	b.onClose(func() {
+	closeQueue := func() {
 		if err := b.Queue.Close(); err != nil {
 			b.log.Error(0, "mq.lifecycle", "broker close failed", "err", err)
 		}
-	})
+	}
+	b.onClose(closeQueue)
 	if o.MaxIngestLag > 0 {
 		b.Queue.SetLagBound(wire.TopicUpdates, o.MaxIngestLag)
 	}
@@ -311,6 +288,10 @@ func StartBroker(o BrokerOptions) (_ *Broker, err error) {
 		return nil, err
 	}
 	b.onClose(b.StopEndpoint)
+	// The queue closes before the endpoint drains: only Queue.Close ends a
+	// parked quorum wait, which StopEndpoint would otherwise wait out. The
+	// second Close, registered first above, is a no-op.
+	b.onClose(closeQueue)
 	var routes []obs.Route
 	if b.Collector != nil {
 		routes = append(routes, obs.Route{Pattern: "GET /cluster", Handler: b.Collector.Handler()})
@@ -419,7 +400,7 @@ func StartSampler(cfg *deploy.Config, bus mq.Bus, o SamplerOptions) (_ *Sampler,
 	if err != nil {
 		return nil, err
 	}
-	s := &Sampler{Worker: w, lifecycle: newLifecycle(o.Logger)}
+	s := &Sampler{Worker: w, lifecycle: lifecycle{log: o.Logger}}
 	defer s.closeOn(&err)
 	if ok, err := restore(o.Checkpoint, w.RestoreFile); err != nil {
 		return nil, err
@@ -484,7 +465,7 @@ func StartServer(cfg *deploy.Config, bus mq.Bus, o ServerOptions) (_ *Server, er
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{Worker: w, lifecycle: newLifecycle(o.Logger)}
+	s := &Server{Worker: w, lifecycle: lifecycle{log: o.Logger}}
 	defer s.closeOn(&err)
 	if ok, err := restore(o.Snapshot, w.RestoreFile); err != nil {
 		return nil, err
@@ -564,7 +545,7 @@ func StartFrontend(cfg *deploy.Config, bus mq.Bus, o FrontendOptions) (_ *Fronte
 	if err != nil {
 		return nil, err
 	}
-	f := &Frontend{Node: fe, Bus: bus, lifecycle: newLifecycle(o.Logger)}
+	f := &Frontend{Node: fe, Bus: bus, lifecycle: lifecycle{log: o.Logger}}
 	defer f.closeOn(&err)
 	f.onClose(fe.Close)
 	fe.UseObs(o.Clock, o.Registry, o.Tracer)

@@ -50,7 +50,6 @@ type Frontend struct {
 	updates   mq.TopicHandle
 
 	prober    *actor.Loop
-	probeStop chan struct{}
 	closeOnce sync.Once
 
 	// Overload state (see SetOverload). limiter is nil until admission
@@ -124,16 +123,7 @@ func New(cfg *deploy.Config, bus mq.Bus, servingAddrs []string) (*Frontend, erro
 		}
 		f.combiners = append(f.combiners, &combiner{f: f, reps: reps})
 	}
-	f.probeStop = make(chan struct{})
-	f.prober = actor.NewLoop(1, func(int) bool {
-		select {
-		case <-f.probeStop:
-			return false
-		case <-time.After(probeInterval):
-		}
-		f.probeOnce()
-		return true
-	})
+	f.prober = actor.Every(probeInterval, f.probeOnce)
 	return f, nil
 }
 
@@ -313,10 +303,7 @@ func (f *Frontend) Metrics() *obs.Registry { return f.reg }
 // Close stops the health prober and releases the serving connections.
 func (f *Frontend) Close() {
 	f.closeOnce.Do(func() {
-		if f.prober != nil {
-			close(f.probeStop)
-			f.prober.Stop()
-		}
+		f.prober.Stop()
 		for _, c := range f.combiners {
 			for _, rep := range c.reps {
 				rep.client.Close()

@@ -233,3 +233,58 @@ func TestCloseEndsResolutionLoop(t *testing.T) {
 	}
 	settlesTo(t, before)
 }
+
+// goneBroker serves a broker, opens topic "t" through a client with the
+// given budget, then takes the broker away: every later call or stream to
+// it fails to dial.
+func goneBroker(t *testing.T, timeout time.Duration) TopicHandle {
+	t.Helper()
+	b := NewBroker(Options{})
+	srv, addr := serveOn(t, b, "")
+	rb := Dial([]string{addr}, timeout)
+	t.Cleanup(func() { rb.Close() })
+	topic, err := rb.OpenTopic("t", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	b.Close()
+	return topic
+}
+
+// A call to a broker that has gone spends its budget and no more: the pause
+// between resolution attempts is cut to what is left of it (it was a full
+// resolveSleep, so a 20 ms call took 100 ms or more), and a redial backoff
+// longer than what is left fails the call instead of sleeping past it.
+func TestCallStaysInsideItsBudget(t *testing.T) {
+	const budget, bound = 20 * time.Millisecond, 80 * time.Millisecond
+	topic := goneBroker(t, budget)
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		if _, err := topic.Append(0, 1, []byte("x")); err == nil {
+			t.Fatal("append to a gone broker succeeded")
+		}
+		if took := time.Since(start); took > bound {
+			t.Fatalf("call %d with a %v budget took %v, want <= %v", i, budget, took, bound)
+		}
+	}
+}
+
+// A Poll whose leader is gone returns in about its own wait: the heal it
+// attempts is bounded by that wait, not by the topic's whole timeout (30 s
+// here), so the worker loop around it sees its stop signal between polls.
+// Before, each such Poll took 0.5 s or more in callPart's resolution loop.
+func TestPollOnGoneLeaderReturnsInItsWait(t *testing.T) {
+	const wait, bound = 50 * time.Millisecond, 400 * time.Millisecond
+	topic := goneBroker(t, 0)
+	c := topic.OpenConsumer(0, 0)
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		if _, err := c.Poll(10, wait); err == nil {
+			t.Fatal("poll of a gone leader succeeded")
+		}
+		if took := time.Since(start); took > bound {
+			t.Fatalf("poll %d with a %v wait took %v, want <= %v", i, wait, took, bound)
+		}
+	}
+}

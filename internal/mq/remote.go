@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"helios/internal/actor"
 	"helios/internal/codec"
 	"helios/internal/rpc"
 )
@@ -274,6 +275,8 @@ func decodeFetchBatch(payload []byte) ([]Record, error) {
 type RemoteBroker struct {
 	clients []*rpc.Client // one self-healing connection per peer; peer 0 hosts the controller
 	timeout time.Duration
+	closed  chan struct{} // closed by Close: ends callPart's pause
+	once    sync.Once
 
 	mu          sync.Mutex
 	pm          PartMap
@@ -284,7 +287,8 @@ type RemoteBroker struct {
 // callPart's resolution loop: at most resolveAttempts tries resolveSleep
 // apart, and map fetches at most one per refreshEvery, so a herd of failing
 // calls does not hammer the controller. Exhausting it hands the last error
-// to the caller's own retry loop (worker pollRetry, frontend shed-and-retry).
+// to the caller's own retry loop (a worker's poll loop, the frontend's
+// shed-and-retry).
 const (
 	resolveAttempts = 6
 	resolveSleep    = 100 * time.Millisecond
@@ -314,7 +318,7 @@ func Dial(addrs []string, timeout time.Duration) *RemoteBroker {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-	rb := &RemoteBroker{timeout: timeout, topics: make(map[string]*RemoteTopic)}
+	rb := &RemoteBroker{timeout: timeout, closed: make(chan struct{}), topics: make(map[string]*RemoteTopic)}
 	for _, addr := range addrs {
 		// The resolution loop above is the real retry policy: one rpc
 		// retry, and a redial backoff that never outgrows the loop's own
@@ -381,6 +385,7 @@ func (rb *RemoteBroker) OpenTopic(name string, partitions int) (TopicHandle, err
 
 // Close implements Bus.
 func (rb *RemoteBroker) Close() error {
+	rb.once.Do(func() { close(rb.closed) })
 	for _, cl := range rb.clients {
 		cl.Close() // never fails
 	}
@@ -434,7 +439,8 @@ func resolvable(err error) bool {
 // the topic on that peer (a broker with a -dir replays its retained log on
 // CreateTopic) and the call is issued once more. timeout is a total budget
 // across attempts, like rpc.CallTraced: each retry gets only what remains,
-// so a dead leader cannot multiply the caller's wait by the attempt count.
+// and the pause between tries never outlasts it, so a dead leader cannot
+// multiply the caller's wait by the attempt count. Close ends the pause.
 func (rb *RemoteBroker) callPart(topic string, parts, part int, method string, req []byte, timeout time.Duration) ([]byte, error) {
 	deadline := time.Now().Add(timeout)
 	lastErr := rpc.ErrDeadlineExceeded
@@ -461,7 +467,7 @@ func (rb *RemoteBroker) callPart(topic string, parts, part int, method string, r
 			return nil, err
 		}
 		if attempt < resolveAttempts-1 {
-			time.Sleep(resolveSleep)
+			actor.Sleep(rb.closed, min(resolveSleep, time.Until(deadline)))
 		}
 	}
 	return nil, lastErr
@@ -535,11 +541,14 @@ func (t *RemoteTopic) AppendBatch(partition int, recs []BatchRecord) (int64, err
 
 // EndOffset implements TopicHandle with one mq.meta call (0 when no
 // broker is reachable).
-func (t *RemoteTopic) EndOffset(partition int) int64 {
+func (t *RemoteTopic) EndOffset(partition int) int64 { return t.endOffset(partition, t.timeout) }
+
+// endOffset is EndOffset within timeout.
+func (t *RemoteTopic) endOffset(partition int, timeout time.Duration) int64 {
 	w := codec.NewWriter(32)
 	w.String(t.name)
 	w.Uvarint(uint64(partition))
-	resp, err := t.call(partition, methodMeta, w.Bytes(), t.timeout)
+	resp, err := t.call(partition, methodMeta, w.Bytes(), timeout)
 	if err != nil {
 		return 0
 	}
@@ -570,9 +579,10 @@ type RemoteConsumer struct {
 // an error, or would not open, is first healed, by a call: callPart's policy
 // re-creates a topic a restarted broker forgot, re-resolves a moved leader
 // and re-dials a lost connection for a call, and what it mends it mends for
-// the stream. That happens once per Poll — a restart or a failover between
-// two polls costs the caller nothing, one that persists reaches the caller's
-// own retry loop.
+// the stream. That happens once per Poll, within wait — a restart or a
+// failover between two polls costs the caller nothing, one that persists
+// reaches the caller's own retry loop, and a dead leader holds a Poll about
+// wait, not the topic's whole timeout.
 func (c *RemoteConsumer) Poll(limit int, wait time.Duration) ([]Record, error) {
 	deadline := time.Now().Add(wait)
 	for healed := false; len(c.rest) == 0; {
@@ -607,7 +617,7 @@ func (c *RemoteConsumer) Poll(limit int, wait time.Duration) ([]Record, error) {
 				return nil, err
 			}
 			healed = true
-			c.topic.EndOffset(c.partition)
+			c.topic.endOffset(c.partition, wait)
 		}
 	}
 	n := max(min(limit, len(c.rest)), 1)

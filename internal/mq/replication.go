@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"helios/internal/actor"
 	"helios/internal/codec"
 	"helios/internal/rpc"
 )
@@ -91,6 +92,7 @@ type replicator struct {
 	cfg     ReplicationConfig
 	clients []*rpc.Client // index-aligned with cfg.Peers; nil at Self
 	loops   sync.WaitGroup
+	stop    chan struct{} // closed by close: ends the follower loops' pauses
 }
 
 // EnableReplication turns this broker into replica cfg.Self of an R-way
@@ -114,7 +116,7 @@ func (b *Broker) EnableReplication(cfg ReplicationConfig) error {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 2 * time.Second
 	}
-	r := &replicator{cfg: cfg, clients: make([]*rpc.Client, len(cfg.Peers))}
+	r := &replicator{cfg: cfg, clients: make([]*rpc.Client, len(cfg.Peers)), stop: make(chan struct{})}
 	for i, addr := range cfg.Peers {
 		if i == cfg.Self {
 			continue
@@ -296,7 +298,7 @@ func (r *replicator) follow(t *Topic, part int) {
 	for !p.isClosed() {
 		if l := t.broker.leaderFor(t.name, part); l == r.cfg.Self {
 			via.leader = l
-			time.Sleep(followPause)
+			actor.Sleep(r.stop, followPause)
 			continue
 		} else if l != via.leader {
 			via.leader = l
@@ -318,7 +320,7 @@ func (r *replicator) follow(t *Topic, part int) {
 			}
 		}
 		if err != nil {
-			time.Sleep(followPause)
+			actor.Sleep(r.stop, followPause)
 		}
 	}
 }
@@ -459,6 +461,7 @@ func (r *replicator) lag(t *Topic, part int) (lag int64) {
 // close tears down the peer connections and waits out the follower loops,
 // whose partitions the broker has closed.
 func (r *replicator) close() {
+	close(r.stop)
 	for _, c := range r.clients {
 		if c != nil {
 			c.Close()

@@ -209,6 +209,35 @@ func TestBackoffSequencing(t *testing.T) {
 	}
 }
 
+// TestBackoffPastBudgetFailsFast: a call whose budget ends before the next
+// redial is due fails at once with the last dial's error, neither sleeping
+// the backoff out nor dialing; a budget that covers it still redials.
+func TestBackoffPastBudgetFailsFast(t *testing.T) {
+	var slept []time.Duration
+	c := DialOpts("127.0.0.1:1", Options{ // nothing listens on port 1
+		BackoffMax: time.Second,
+		Clock:      clock.NewFake(), // never advances: every backoff is owed in full
+		Sleep:      func(d time.Duration) { slept = append(slept, d) },
+	})
+	defer c.Close()
+	for i := 0; i < 6; i++ { // backoff before the 7th dial: [320, 640] ms
+		if _, err := c.Call("echo", nil, time.Minute); err == nil {
+			t.Fatal("call to dead port should fail")
+		}
+	}
+	sleeps, dials := len(slept), c.DialFailures.Value()
+	if _, err := c.Call("echo", nil, 100*time.Millisecond); err == nil || errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("call with a budget inside the backoff = %v, want the last dial's error", err)
+	}
+	if len(slept) != sleeps || c.DialFailures.Value() != dials {
+		t.Fatalf("the short call slept %v and dialed %d times, want neither",
+			slept[sleeps:], c.DialFailures.Value()-dials)
+	}
+	if _, err := c.Call("echo", nil, time.Minute); err == nil || c.DialFailures.Value() != dials+1 {
+		t.Fatalf("a call whose budget covers the backoff did not redial: %v", err)
+	}
+}
+
 func TestBackoffJitterVariesWithinBounds(t *testing.T) {
 	c := &Client{opts: Options{BackoffMax: time.Second, Seed: 7}}
 	c.opts.fillDefaults()

@@ -676,6 +676,7 @@ type Client struct {
 	gen      uint64       // bumped per established connection
 	dialing  *dialAttempt // the dial in flight, nil when none
 	failures int          // consecutive failed dial attempts
+	dialErr  error        // the last failed dial's error
 	lastDial time.Time
 	rng      *rand.Rand
 
@@ -718,7 +719,7 @@ type result struct {
 // heals like any other once connected.
 func Dial(addr string) (*Client, error) {
 	c := DialOpts(addr, Options{})
-	if _, _, err := c.getConn(); err != nil {
+	if _, _, err := c.getConn(0); err != nil {
 		c.Close() // folds the failed dial into the process totals
 		return nil, err
 	}
@@ -752,8 +753,10 @@ type dialAttempt struct {
 // getConn returns the live connection, dialing if there is none. Exactly
 // one caller dials at a time; concurrent callers wait for its outcome and
 // share it — a failed dial fails them all, instead of each redialing in
-// turn behind a growing backoff while the peer stays down.
-func (c *Client) getConn() (net.Conn, uint64, error) {
+// turn behind a growing backoff while the peer stays down. A caller whose
+// budget (0: none) ends before the next redial is due fails at once with
+// the last dial's error rather than sleeping past its budget.
+func (c *Client) getConn(budget time.Duration) (net.Conn, uint64, error) {
 	for {
 		if c.closed.Load() {
 			return nil, 0, ErrClosed
@@ -772,8 +775,6 @@ func (c *Client) getConn() (net.Conn, uint64, error) {
 			}
 			continue
 		}
-		attempt := &dialAttempt{done: make(chan struct{})}
-		c.dialing = attempt
 		var wait time.Duration
 		if c.failures > 0 {
 			wait = c.backoffLocked(c.failures)
@@ -781,6 +782,13 @@ func (c *Client) getConn() (net.Conn, uint64, error) {
 				wait -= elapsed
 			}
 		}
+		if budget > 0 && budget < wait {
+			err := c.dialErr
+			c.connMu.Unlock()
+			return nil, 0, err
+		}
+		attempt := &dialAttempt{done: make(chan struct{})}
+		c.dialing = attempt
 		c.connMu.Unlock()
 
 		if wait > 0 {
@@ -806,6 +814,7 @@ func (c *Client) getConn() (net.Conn, uint64, error) {
 		}
 		if err != nil {
 			c.failures++
+			c.dialErr = err
 			c.connMu.Unlock()
 			c.DialFailures.Inc()
 			return nil, 0, err
@@ -986,7 +995,7 @@ func retryable(err error) bool {
 // start registers a call under a fresh ID on the current (or freshly
 // dialed) connection and writes its request frame.
 func (c *Client) start(method string, trace uint64, req []byte, budget time.Duration, ch chan result) (uint64, error) {
-	conn, gen, err := c.getConn()
+	conn, gen, err := c.getConn(budget)
 	if err != nil {
 		return 0, err
 	}

@@ -166,7 +166,6 @@ type Worker struct {
 	pubs                []pubState // per publish actor (index = actor worker)
 	pollers             *actor.Loop
 	sweeper             *actor.Loop
-	sweepStop           chan struct{}
 	// started is atomic because the background sweeper reads it (via
 	// Sweep) while Stop clears it from the control goroutine. lifeMu
 	// additionally serializes whole Start/Stop bodies, so a concurrent
@@ -347,26 +346,15 @@ func (w *Worker) Start() {
 	w.sampling = actor.NewPool("sampling", w.cfg.SampleThreads, mailboxDepth, w.handleEvent)
 	// Dedicated pollers per input stream; consumers are not safe for
 	// concurrent use, so each stream gets exactly one goroutine.
-	w.pollers = actor.NewLoop(2, func(worker int) bool {
+	w.pollers = actor.NewLoop(2, func(worker int, stop <-chan struct{}) bool {
 		switch worker {
 		case 0:
-			return w.pollUpdates(updCons)
+			return w.pollUpdates(updCons, stop)
 		default:
-			return w.pollSubs(subCons)
+			return w.pollSubs(subCons, stop)
 		}
 	})
-	if w.cfg.TTL > 0 {
-		w.sweepStop = make(chan struct{})
-		w.sweeper = actor.NewLoop(1, func(int) bool {
-			select {
-			case <-w.sweepStop:
-				return false
-			case <-time.After(w.cfg.TTL / 4):
-			}
-			w.Sweep()
-			return true
-		})
-	}
+	w.sweeper = actor.Every(w.cfg.TTL/4, w.Sweep)
 	// Publish started only once the pools are wired: Sweep gates on it.
 	w.started.Store(true)
 }
@@ -393,37 +381,24 @@ func (w *Worker) Stop() {
 		return
 	}
 	w.pollers.Stop()
-	if w.sweeper != nil {
-		close(w.sweepStop)
-		w.sweeper.Stop()
-	}
+	w.sweeper.Stop()
 	w.sampling.Close()
 	w.publish.Close()
 }
 
 const (
 	pollBatch = 512
-	// pollRetryDelay paces a poll loop while the broker is unreachable.
+	// pollRetryDelay paces a poll loop after a Poll error that is not
+	// fatal (closed on shutdown): a broker mid-restart is healed by the
+	// reconnecting transport, and a failed Poll moved no offset, so the
+	// next one reads on from where this one would have. Stop ends the pause.
 	pollRetryDelay = 50 * time.Millisecond
 )
 
-// pollRetry decides a poll loop's fate after a Poll error: exit on a
-// fatal (closed-on-shutdown) error, otherwise pause briefly and keep
-// polling — a broker mid-restart is healed by the reconnecting transport.
-// A failed Poll returned nothing and moved no offset, so the next one
-// reads on from where this one would have.
-func (w *Worker) pollRetry(err error) bool {
-	if mq.IsFatal(err) {
-		return false
-	}
-	time.Sleep(pollRetryDelay)
-	return true
-}
-
-func (w *Worker) pollUpdates(c mq.Cursor) bool {
+func (w *Worker) pollUpdates(c mq.Cursor, stop <-chan struct{}) bool {
 	recs, err := c.Poll(pollBatch, 50*time.Millisecond)
 	if err != nil {
-		return w.pollRetry(err)
+		return !mq.IsFatal(err) && actor.Sleep(stop, pollRetryDelay)
 	}
 	next := c.Offset()
 	w.pollMu.RLock()
@@ -441,7 +416,7 @@ func (w *Worker) pollUpdates(c mq.Cursor) bool {
 	w.updOffset.Store(next)
 	w.pollMu.RUnlock()
 	if held != nil {
-		return w.pollRetry(held)
+		return !mq.IsFatal(held) && actor.Sleep(stop, pollRetryDelay)
 	}
 	w.maybeCommit(c, &w.lastUpdCommit)
 	return true
@@ -501,10 +476,10 @@ func (w *Worker) routeUpdate(u graph.Update) {
 	}
 }
 
-func (w *Worker) pollSubs(c mq.Cursor) bool {
+func (w *Worker) pollSubs(c mq.Cursor, stop <-chan struct{}) bool {
 	recs, err := c.Poll(pollBatch, 50*time.Millisecond)
 	if err != nil {
-		return w.pollRetry(err)
+		return !mq.IsFatal(err) && actor.Sleep(stop, pollRetryDelay)
 	}
 	next := c.Offset()
 	w.pollMu.RLock()

@@ -231,7 +231,6 @@ type Worker struct {
 	updatePool *actor.Pool[cacheUpdate]
 	servePool  *actor.Pool[Request]
 	sweeper    *actor.Loop
-	sweepStop  chan struct{}
 
 	// lifeMu serializes Start/Stop; started alone is not enough — a
 	// concurrent Stop must not observe started=true before Start has
@@ -326,19 +325,8 @@ func (w *Worker) Start() {
 	w.started = true
 	w.updatePool = actor.NewPool("cache-update", w.cfg.UpdateThreads, mailboxDepth, w.applyUpdate)
 	w.servePool = actor.NewPool("serve", w.cfg.ServeThreads, mailboxDepth, w.handleRequest)
-	w.pollers = actor.NewLoop(1, func(int) bool { return w.poll(cons) })
-	if w.cfg.TTL > 0 {
-		w.sweepStop = make(chan struct{})
-		w.sweeper = actor.NewLoop(1, func(int) bool {
-			select {
-			case <-w.sweepStop:
-				return false
-			case <-time.After(w.cfg.TTL / 4):
-			}
-			w.sweep(w.cfg.Clock.Now().Add(-w.cfg.TTL).UnixNano())
-			return true
-		})
-	}
+	w.pollers = actor.NewLoop(1, func(_ int, stop <-chan struct{}) bool { return w.poll(cons, stop) })
+	w.sweeper = actor.Every(w.cfg.TTL/4, func() { w.sweep(w.cfg.Clock.Now().Add(-w.cfg.TTL).UnixNano()) })
 }
 
 // Stop halts polling, drains the update and serve pools, and closes the
@@ -351,10 +339,7 @@ func (w *Worker) Stop() {
 	}
 	w.started = false
 	w.pollers.Stop()
-	if w.sweeper != nil {
-		close(w.sweepStop)
-		w.sweeper.Stop()
-	}
+	w.sweeper.Stop()
 	w.updatePool.Close()
 	w.servePool.Close()
 	w.cache.close()
@@ -366,16 +351,12 @@ const (
 	pollRetryDelay = 50 * time.Millisecond
 )
 
-func (w *Worker) poll(c mq.Cursor) bool {
+func (w *Worker) poll(c mq.Cursor, stop <-chan struct{}) bool {
 	recs, err := c.Poll(pollBatch, 50*time.Millisecond)
 	if err != nil {
-		if mq.IsFatal(err) {
-			return false
-		}
 		// Transient (broker restarting, injected fault): pause briefly and
 		// keep polling — the reconnecting transport heals underneath.
-		time.Sleep(pollRetryDelay)
-		return true
+		return !mq.IsFatal(err) && actor.Sleep(stop, pollRetryDelay)
 	}
 	for _, rec := range recs {
 		if m, err := wire.Decode(rec.Value); err == nil {
