@@ -17,15 +17,15 @@ const testConfig = `{
   "vertexTypes": ["User", "Item"],
   "edgeTypes": [{"name": "Click", "src": "User", "dst": "Item"}],
   "queries": ["g.V('User').outV('Click').sample(2).by('TopK')"],
-  "overload": {"maxInflight": 3, "maxQueue": 5}
+  "overload": {"maxInflight": 3}
 }`
 
 // TestDefaultFlagsMatchBoot starts a serving worker from this binary's
 // default flag set and requires its filled configuration to equal the one
 // cluster.Boot gives a worker under zero Options — so a flag default that
 // drifts from what the example, the embedded Service and the tests run
-// fails here instead of going unnoticed. The admission bounds have no flag:
-// both workers must take them from the config's overload block.
+// fails here instead of going unnoticed. The admission bound has no flag:
+// both workers must take it from the config's overload block.
 func TestDefaultFlagsMatchBoot(t *testing.T) {
 	cfg, err := deploy.Parse([]byte(testConfig))
 	if err != nil {
@@ -52,7 +52,7 @@ func TestDefaultFlagsMatchBoot(t *testing.T) {
 	got.Metrics, want.Metrics = nil, nil
 	got.Tracer, want.Tracer = nil, nil
 	got.SlowLog = want.SlowLog
-	if got.MaxInflight != 3 || got.MaxAdmitQueue != 5 {
+	if got.MaxInflight != 3 {
 		t.Fatalf("the config's overload block did not reach the worker: %+v", got)
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -426,7 +426,7 @@ func StartSampler(cfg *deploy.Config, bus mq.Bus, o SamplerOptions) (_ *Sampler,
 type ServerOptions struct {
 	// Worker is the serving worker's configuration template: the caller
 	// sets ID and the tuning knobs; NumServers, Plans, TTL and Broker are
-	// filled from the deployment, and admission bounds left at zero fall
+	// filled from the deployment, and an admission bound left at zero falls
 	// back to the deployment's overload policy.
 	Worker serving.Config
 	// Listen is the sampling RPC address; empty serves no RPC (in-process
@@ -450,10 +450,9 @@ type Server struct {
 
 // StartServer runs one serving worker (§4.3, §6) of cfg's deployment on bus.
 func StartServer(cfg *deploy.Config, bus mq.Bus, o ServerOptions) (_ *Server, err error) {
-	wc, ov := o.Worker, cfg.File.Overload
+	wc := o.Worker
 	wc.NumServers, wc.Plans, wc.TTL, wc.Broker = cfg.File.Servers, cfg.Plans, cfg.TTL, bus
-	wc.MaxInflight = or(wc.MaxInflight, ov.MaxInflight)
-	wc.MaxAdmitQueue = or(wc.MaxAdmitQueue, ov.MaxQueue)
+	wc.MaxInflight = or(wc.MaxInflight, cfg.File.Overload.MaxInflight)
 	wc.Logger = o.Logger
 	if wc.Metrics == nil {
 		wc.Metrics = obs.NewRegistry()

@@ -47,10 +47,9 @@ type OverloadFile struct {
 	// RequestTimeoutMS is the frontend's end-to-end deadline budget per
 	// sampling request, in milliseconds.
 	RequestTimeoutMS int `json:"requestTimeoutMs,omitempty"`
-	// MaxInflight / MaxQueue bound admitted and admission-queued sampling
-	// requests at the frontend and each serving worker.
+	// MaxInflight bounds the sampling requests admitted at once at the
+	// frontend and at each serving worker; as many more may wait at each.
 	MaxInflight int `json:"maxInflight,omitempty"`
-	MaxQueue    int `json:"maxQueue,omitempty"`
 }
 
 // EdgeType is one schema edge declaration.
@@ -94,7 +93,7 @@ func Parse(data []byte) (*Config, error) {
 	}
 	ov := f.Overload
 	for key, v := range map[string]int{"replicas": f.Replicas, "ttlSeconds": f.TTLSeconds,
-		"overload.requestTimeoutMs": ov.RequestTimeoutMS, "overload.maxInflight": ov.MaxInflight, "overload.maxQueue": ov.MaxQueue} {
+		"overload.requestTimeoutMs": ov.RequestTimeoutMS, "overload.maxInflight": ov.MaxInflight} {
 		if v < 0 {
 			return nil, fmt.Errorf("deploy: %s must be ≥ 0", key)
 		}

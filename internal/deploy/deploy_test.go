@@ -73,7 +73,6 @@ func TestParseRejectsUnknownKeysAndNegativeBounds(t *testing.T) {
 		{`"ttlSeconds":-1`, "ttlSeconds"},
 		{`"overload":{"requestTimeoutMs":-5}`, "requestTimeoutMs"},
 		{`"overload":{"maxInflight":-1}`, "maxInflight"},
-		{`"overload":{"maxQueue":-1}`, "maxQueue"},
 		{`"replicas":-1`, "replicas"},
 	} {
 		_, err := Parse([]byte("{" + head + "," + tc.extra + "}"))
@@ -81,13 +80,15 @@ func TestParseRejectsUnknownKeysAndNegativeBounds(t *testing.T) {
 			t.Errorf("%s: err = %v, want an error naming %q", tc.extra, err, tc.key)
 		}
 	}
-	// The degraded serve path is gone with its switch: a config that still
-	// sets it fails to load, naming the key, as maxIngestLag does above.
-	const gone = `degrade`
-	if _, err := Parse([]byte(`{` + head + `,"overload":{"` + gone + `":true}}`)); err == nil || !strings.Contains(err.Error(), gone) {
-		t.Errorf("overload.%s: err = %v, want an error naming it", gone, err)
+	// Removed keys: the degraded serve path went with its switch, and the
+	// admission queue's bound is its slot count. A config that still sets
+	// one fails to load, naming the key, as maxIngestLag does above.
+	for _, gone := range []string{"degrade", "maxQueue"} {
+		if _, err := Parse([]byte(`{` + head + `,"overload":{"` + gone + `":1}}`)); err == nil || !strings.Contains(err.Error(), gone) {
+			t.Errorf("overload.%s: err = %v, want an error naming it", gone, err)
+		}
 	}
-	ok := `"ttlSeconds":0,"overload":{"requestTimeoutMs":0,"maxInflight":0,"maxQueue":0}`
+	ok := `"ttlSeconds":0,"overload":{"requestTimeoutMs":0,"maxInflight":0}`
 	if _, err := Parse([]byte("{" + head + "," + ok + "}")); err != nil {
 		t.Fatalf("zero bounds: %v", err)
 	}

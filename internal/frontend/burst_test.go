@@ -27,7 +27,7 @@ import (
 func TestChaosBurstOverload(t *testing.T) {
 	// Tiny admission capacity so the storm saturates serving.
 	var o cluster.Options
-	o.Server.Worker = serving.Config{MaxInflight: 1, MaxAdmitQueue: 1}
+	o.Server.Worker = serving.Config{MaxInflight: 1}
 	c, cfg, fe := boot(t, testConfig, o)
 	// Sheds are counted where they are decided — the frontend's limiter or
 	// a serving worker's; each role keeps its own registry here, as separate
@@ -66,7 +66,7 @@ func TestChaosBurstOverload(t *testing.T) {
 	}
 
 	const budget = 400 * time.Millisecond
-	fe.SetOverload(deploy.OverloadFile{RequestTimeoutMS: int(budget / time.Millisecond), MaxInflight: 8, MaxQueue: 4})
+	fe.SetOverload(deploy.OverloadFile{RequestTimeoutMS: int(budget / time.Millisecond), MaxInflight: 8})
 
 	baseline := runtime.NumGoroutine()
 	shedBefore := total("overload.shed")

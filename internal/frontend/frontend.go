@@ -131,16 +131,15 @@ func New(cfg *deploy.Config, bus mq.Bus, servingAddrs []string) (*Frontend, erro
 // policy; call once, after UseObs and before serving traffic. Every Sample
 // gets RequestTimeoutMS as its end-to-end budget, the remainder riding in
 // the RPC frame so serving abandons work the caller gave up on. With
-// MaxInflight > 0 a deadline-aware limiter admits Samples, queues up to
-// MaxQueue (0 = 4×MaxInflight) beyond it, and sheds the rest with a typed
-// overload error. Zero values leave each bound disabled.
+// MaxInflight > 0 a deadline-aware limiter admits that many Samples, queues
+// as many beyond it, and sheds the rest with a typed overload error. Zero
+// values leave each bound disabled.
 func (f *Frontend) SetOverload(o deploy.OverloadFile) {
 	f.reqTimeout = time.Duration(o.RequestTimeoutMS) * time.Millisecond
 	if o.MaxInflight > 0 {
 		f.limiter = overload.NewLimiter(overload.Config{
 			Stage:       "frontend",
 			MaxInflight: o.MaxInflight,
-			MaxQueue:    o.MaxQueue,
 			Clock:       f.clk,
 			Metrics:     f.reg,
 		})

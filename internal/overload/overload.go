@@ -113,11 +113,9 @@ type Config struct {
 	// Stage names the protected tier ("frontend", "serving", ...); it
 	// labels the metrics and the shed errors.
 	Stage string
-	// MaxInflight bounds concurrently admitted requests. <=0 means 256.
+	// MaxInflight bounds concurrently admitted requests, and as many more
+	// may wait for a slot. <=0 means 256.
 	MaxInflight int
-	// MaxQueue bounds requests waiting for admission. <=0 means
-	// 4×MaxInflight.
-	MaxQueue int
 	// MaxWait caps the queue wait for callers without a deadline, so an
 	// untimed request can never park forever. <=0 means 1s.
 	MaxWait time.Duration
@@ -135,15 +133,14 @@ type Config struct {
 // estimate sheds.
 const headroom = 2
 
-// Limiter is a concurrency limiter with a deadline-aware bounded wait
-// queue. Admission order among waiters follows the runtime's channel FIFO.
+// Limiter is a concurrency limiter with a deadline-aware wait queue as deep
+// as its slots. Admission order among waiters follows the channel FIFO.
 type Limiter struct {
-	stage    string
-	clk      clock.Clock
-	slots    chan struct{}
-	maxQueue int64
-	maxWait  time.Duration
-	waiters  atomic.Int64
+	stage   string
+	clk     clock.Clock
+	slots   chan struct{}
+	maxWait time.Duration
+	waiters atomic.Int64
 
 	// est is the windowed service-time estimate fed by release.
 	est Estimator
@@ -159,9 +156,6 @@ func NewLimiter(cfg Config) *Limiter {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 256
 	}
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = 4 * cfg.MaxInflight
-	}
 	if cfg.MaxWait <= 0 {
 		cfg.MaxWait = time.Second
 	}
@@ -176,7 +170,6 @@ func NewLimiter(cfg Config) *Limiter {
 		stage:         stage,
 		clk:           cfg.Clock,
 		slots:         make(chan struct{}, cfg.MaxInflight),
-		maxQueue:      int64(cfg.MaxQueue),
 		maxWait:       cfg.MaxWait,
 		shedQueueFull: reg.Counter("overload.shed", "stage", stage, "reason", "queue_full"),
 		shedBudget:    reg.Counter("overload.shed", "stage", stage, "reason", "budget"),
@@ -197,7 +190,7 @@ func NewLimiter(cfg Config) *Limiter {
 //     produce a late answer. Only while something is in flight: admissions
 //     alone refresh the estimate, so one inflated by a past overload would
 //     otherwise shed every request after it, for good.
-//   - ShedError{reason: "queue_full"}: the wait queue is at its bound.
+//   - ShedError{reason: "queue_full"}: as many callers wait as there are slots.
 //   - ShedError{reason: "wait_timeout"}: an untimed request waited MaxWait
 //     without admission.
 func (l *Limiter) Acquire(deadline time.Time) (func(), error) {
@@ -217,7 +210,7 @@ func (l *Limiter) Acquire(deadline time.Time) (func(), error) {
 		return l.admitted(now), nil
 	default:
 	}
-	if l.waiters.Add(1) > l.maxQueue {
+	if l.waiters.Add(1) > int64(cap(l.slots)) {
 		l.waiters.Add(-1)
 		l.shedQueueFull.Inc()
 		return nil, Shed(l.stage, "queue_full")

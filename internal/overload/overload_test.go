@@ -69,7 +69,7 @@ func TestLimiterConcurrencyBound(t *testing.T) {
 
 func TestLimiterQueueBoundAndMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	l := NewLimiter(Config{Stage: "t", MaxInflight: 1, MaxQueue: 1, Metrics: reg})
+	l := NewLimiter(Config{Stage: "t", MaxInflight: 1, Metrics: reg})
 	release, err := l.Acquire(time.Time{})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestLimiterExpiredDeadline(t *testing.T) {
 }
 
 func TestLimiterDeadlineWhileQueued(t *testing.T) {
-	l := NewLimiter(Config{Stage: "t", MaxInflight: 1, MaxQueue: 4})
+	l := NewLimiter(Config{Stage: "t", MaxInflight: 1})
 	release, err := l.Acquire(time.Time{})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestLimiterDeadlineWhileQueued(t *testing.T) {
 
 func TestLimiterUntimedWaitIsBounded(t *testing.T) {
 	reg := obs.NewRegistry()
-	l := NewLimiter(Config{Stage: "t", MaxInflight: 1, MaxQueue: 4, MaxWait: 20 * time.Millisecond, Metrics: reg})
+	l := NewLimiter(Config{Stage: "t", MaxInflight: 1, MaxWait: 20 * time.Millisecond, Metrics: reg})
 	release, err := l.Acquire(time.Time{})
 	if err != nil {
 		t.Fatal(err)

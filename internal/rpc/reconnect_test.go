@@ -338,3 +338,42 @@ func TestWaitersShareAFailedDial(t *testing.T) {
 		t.Fatalf("%d callers caused %d dials to the dead peer, want them to share one", callers, d)
 	}
 }
+
+// TestCloseEndsBackoff: a stream open has no budget, so it sleeps whatever
+// redial backoff is owed; Close during that sleep returns it with ErrClosed
+// at once, not when the backoff ends.
+func TestCloseEndsBackoff(t *testing.T) {
+	// Nothing listens on port 1, and the fake clock never advances, so the
+	// whole backoff is owed.
+	fc := clock.NewFake()
+	c := DialOpts("127.0.0.1:1", Options{BackoffMax: time.Second, Clock: fc})
+	c.connMu.Lock()
+	c.failures, c.lastDial = 6, fc.Now() // the next redial waits [320, 640] ms
+	c.connMu.Unlock()
+	opened := make(chan error, 1)
+	go func() {
+		_, err := c.OpenStream("echo", nil, 1)
+		opened <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		c.connMu.Lock()
+		backingOff := c.dialing != nil
+		c.connMu.Unlock()
+		if backingOff {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the open never reached its backoff")
+		}
+	}
+	start := time.Now()
+	c.Close()
+	select {
+	case err := <-opened:
+		if took := time.Since(start); !errors.Is(err, ErrClosed) || took > 100*time.Millisecond {
+			t.Fatalf("OpenStream returned %v %v after Close, want ErrClosed within 100ms", err, took)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("OpenStream never returned after Close")
+	}
+}

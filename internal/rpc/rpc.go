@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"helios/internal/actor"
 	"helios/internal/clock"
 	"helios/internal/codec"
 	"helios/internal/faultpoint"
@@ -633,8 +634,9 @@ type Options struct {
 	// clock; tests inject a fake.
 	Clock clock.Clock
 
-	// Sleep performs the backoff wait. Defaults to time.Sleep; tests
-	// inject a recorder to assert the backoff sequence without waiting.
+	// Sleep performs the backoff wait. Defaults to a wait that Close ends;
+	// tests inject a recorder to assert the backoff sequence without
+	// waiting.
 	Sleep func(time.Duration)
 }
 
@@ -651,9 +653,6 @@ func (o *Options) fillDefaults() {
 	if o.Clock == nil {
 		o.Clock = clock.Wall()
 	}
-	if o.Sleep == nil {
-		o.Sleep = time.Sleep
-	}
 }
 
 // Client is a multiplexed RPC client over one TCP connection at a time: a
@@ -669,6 +668,7 @@ type Client struct {
 	pending map[uint64]pendingCall
 	nextID  atomic.Uint64
 	closed  atomic.Bool
+	done    chan struct{} // closed by Close; ends a backoff wait
 
 	// connMu guards the connection lifecycle state below.
 	connMu   sync.Mutex
@@ -736,6 +736,10 @@ func DialOpts(addr string, opts Options) *Client {
 		opts:    opts,
 		pending: make(map[uint64]pendingCall),
 		rng:     rand.New(rand.NewSource(opts.Seed)),
+		done:    make(chan struct{}),
+	}
+	if c.opts.Sleep == nil {
+		c.opts.Sleep = func(d time.Duration) { actor.Sleep(c.done, d) }
 	}
 	clientsMu.Lock()
 	openClients[c] = struct{}{}
@@ -796,7 +800,7 @@ func (c *Client) getConn(budget time.Duration) (net.Conn, uint64, error) {
 		}
 		err := faultpoint.Inject("rpc.dial")
 		var conn net.Conn
-		if err == nil {
+		if err == nil && !c.closed.Load() {
 			conn, err = net.Dial("tcp", c.addr)
 		}
 
@@ -1103,12 +1107,13 @@ func (s *Stream) Recv(wait time.Duration) ([]byte, error) {
 	}
 }
 
-// Close tears the client down; in-flight calls fail with ErrClosed and the
-// client stops re-dialing.
+// Close tears the client down; in-flight calls fail with ErrClosed, a
+// redial backoff in progress ends, and the client stops re-dialing.
 func (c *Client) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}
+	close(c.done)
 	clientsMu.Lock()
 	delete(openClients, c)
 	for i, n := range c.transport() {

@@ -41,29 +41,71 @@ func TestDeadlineFastFailAtDequeue(t *testing.T) {
 	}
 }
 
-// saturate holds w's only admission slot and parks one waiter in its only
-// queue place, so the next Acquire is shed queue_full. The returned func
-// frees both.
+// saturate holds every admission slot of w and parks as many waiters,
+// filling the queue, so the next Acquire is shed queue_full. The returned
+// func frees them all.
 func saturate(t *testing.T, w *Worker) func() {
 	t.Helper()
-	release, err := w.limiter.Acquire(time.Time{})
+	n := w.cfg.MaxInflight
+	releases := make([]func(), n)
+	for i := range releases {
+		r, err := w.limiter.Acquire(time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		releases[i] = r
+	}
+	parked := make(chan error, n)
+	for range n {
+		go func() {
+			r, err := w.limiter.Acquire(time.Time{})
+			if r != nil {
+				r()
+			}
+			parked <- err
+		}()
+	}
+	waitUntil(t, func() bool { return w.limiter.Queued() == int64(n) })
+	return func() {
+		for _, r := range releases {
+			r()
+		}
+		for range n {
+			if err := <-parked; err != nil {
+				t.Errorf("parked waiter: %v", err)
+			}
+		}
+	}
+}
+
+// TestAdmissionQueueMatchesSlots: a worker with two admission slots admits
+// two batches and queues two more; the batch after those is refused
+// queue_full at once instead of waiting behind work that would outlast its
+// budget.
+func TestAdmissionQueueMatchesSlots(t *testing.T) {
+	b := mq.NewBroker(mq.Options{})
+	defer b.Close()
+	reg := obs.NewRegistry()
+	w, err := New(Config{
+		ID: 0, NumServers: 1,
+		Plans:       []*query.Plan{testPlan(t)},
+		Broker:      b,
+		MaxInflight: 2,
+		Metrics:     reg,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parked := make(chan error, 1)
-	go func() {
-		r, err := w.limiter.Acquire(time.Time{})
-		if r != nil {
-			r()
-		}
-		parked <- err
-	}()
-	waitUntil(t, func() bool { return w.limiter.Queued() == 1 })
-	return func() {
-		release()
-		if err := <-parked; err != nil {
-			t.Errorf("parked waiter: %v", err)
-		}
+	w.Start()
+	defer w.Stop()
+	free := saturate(t, w)
+	defer free()
+	if got := w.limiter.Inflight(); got != 2 {
+		t.Fatalf("2 slots admit %d batches, want 2", got)
+	}
+	shed := reg.Counter("overload.shed", "stage", "serving", "reason", "queue_full")
+	if _, err := w.ServeBatch(rpc.Ctx{}, []BatchItem{{Seed: 1}}); !overload.IsOverload(err) || shed.Value() != 1 {
+		t.Fatalf("batch past 2 admitted and 2 queued: %v, %d queue_full sheds; want one", err, shed.Value())
 	}
 }
 
@@ -75,7 +117,7 @@ func TestServeBatchShedsWhenSaturated(t *testing.T) {
 		ID: 0, NumServers: 1,
 		Plans:       []*query.Plan{plan},
 		Broker:      b,
-		MaxInflight: 1, MaxAdmitQueue: 1,
+		MaxInflight: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +141,7 @@ func TestServeBatchShedsWhenSaturated(t *testing.T) {
 func TestShedBatchIsRefusedWhole(t *testing.T) {
 	reg := obs.NewRegistry()
 	w, client := loadedRPCWorker(t, func(c *Config) {
-		c.MaxInflight, c.MaxAdmitQueue, c.Metrics = 1, 1, reg
+		c.MaxInflight, c.Metrics = 1, reg
 	})
 	shed := reg.Counter("overload.shed", "stage", "serving", "reason", "queue_full")
 	release, err := w.limiter.Acquire(time.Time{})
@@ -152,7 +194,7 @@ func TestRemoteDeadlineShedIsTyped(t *testing.T) {
 		ID: 0, NumServers: 1,
 		Plans:       []*query.Plan{plan},
 		Broker:      b,
-		MaxInflight: 1, MaxAdmitQueue: 1,
+		MaxInflight: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

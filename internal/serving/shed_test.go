@@ -25,10 +25,12 @@ const (
 // a [25,10] cache serves ServeRPC; 16 callers, each on its own Client, send
 // one-seed batches open-loop at twice the capacity a closed-loop probe of
 // the same callers measured on a default worker, each call with a 5 ms
-// budget. It reports goodput (answers within the budget of their call, per
-// second), the p99 latency of the answered calls and the p99 of the
-// generator's own lateness, at the default admission bounds and at
-// MaxInflight 2, MaxAdmitQueue 2. Each b.N iteration is one 2 s window:
+// budget. It reports the offered rate (it moves with each run's probe),
+// goodput (answers within the budget of their call, per second), the p99
+// latency of the answered calls and the p99 of the generator's own
+// lateness, at the default admission bound and at MaxInflight 2. A run whose
+// lateness p99 exceeds the budget cannot tell the worker's delay from the
+// generator's and is logged unresolved. Each b.N iteration is one 2 s window:
 //
 //	go test ./internal/serving -run '^$' -bench ServeUnderShed -benchtime 1x
 func BenchmarkServeUnderShed(b *testing.B) {
@@ -37,36 +39,40 @@ func BenchmarkServeUnderShed(b *testing.B) {
 		seeds[i] = graph.VertexID(i + 1)
 	}
 	var capacity float64
-	shedWorker(b, seeds, 0, 0, func(clients []*Client) {
+	shedWorker(b, seeds, 0, func(clients []*Client) {
 		capacity = closedLoop(clients, seeds, shedCapacity)
 	})
 	b.Logf("closed-loop capacity: %.0f answers/s", capacity)
 	for _, bc := range []struct {
-		name             string
-		inflight, queued int
-	}{{"defaults", 0, 0}, {"inflight2", 2, 2}} {
+		name     string
+		inflight int
+	}{{"defaults", 0}, {"inflight2", 2}} {
 		b.Run(bc.name, func(b *testing.B) {
-			shedWorker(b, seeds, bc.inflight, bc.queued, func(clients []*Client) {
+			shedWorker(b, seeds, bc.inflight, func(clients []*Client) {
 				b.ResetTimer()
 				for range b.N {
 					goodput, p99, late := openLoop(clients, seeds, 2*capacity, shedWindow)
+					b.ReportMetric(2*capacity, "offered/s")
 					b.ReportMetric(goodput, "goodput/s")
 					b.ReportMetric(float64(p99)/1e6, "p99_ms")
 					b.ReportMetric(float64(late)/1e6, "late_p99_ms")
+					if late > shedBudget {
+						b.Logf("%s unresolved: generator lateness p99 %v exceeds the %v budget", b.Name(), late, shedBudget)
+					}
 				}
 			})
 		})
 	}
 }
 
-// shedWorker runs fn against a started worker with seeds' [25,10] answers
-// cached, served over loopback RPC to shedCallers clients.
-func shedWorker(b *testing.B, seeds []graph.VertexID, inflight, queued int, fn func([]*Client)) {
+// shedWorker runs fn against a started worker with inflight admission slots
+// (0 = the default) and seeds' [25,10] answers cached, served over loopback
+// RPC to shedCallers clients.
+func shedWorker(b *testing.B, seeds []graph.VertexID, inflight int, fn func([]*Client)) {
 	bk := mq.NewBroker(mq.Options{})
 	defer bk.Close()
 	plan := ledgerPlan(b)
-	w, err := New(Config{ID: 0, NumServers: 1, Plans: []*query.Plan{plan}, Broker: bk,
-		MaxInflight: inflight, MaxAdmitQueue: queued})
+	w, err := New(Config{ID: 0, NumServers: 1, Plans: []*query.Plan{plan}, Broker: bk, MaxInflight: inflight})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -47,13 +47,10 @@ type Config struct {
 	UpdateThreads, ServeThreads int
 	// TTL expires cache entries untouched for this long; 0 disables.
 	TTL time.Duration
-	// MaxInflight bounds concurrently admitted sampling RPCs (the serving
-	// admission limiter); 0 defaults to 4×ServeThreads. Requests beyond the
-	// bound queue (up to MaxAdmitQueue) and then shed.
+	// MaxInflight bounds concurrently admitted sampling batches (the
+	// serving admission limiter), and as many more may wait; 0 defaults to
+	// 4×ServeThreads.
 	MaxInflight int
-	// MaxAdmitQueue bounds RPCs waiting for admission; 0 defaults to the
-	// mailbox depth.
-	MaxAdmitQueue int
 	// Clock is the time source for latency stamps, TTL sweeps, and request
 	// spans; nil defaults to the wall clock. Tests inject a fake so latency
 	// assertions never sleep.
@@ -97,9 +94,6 @@ func (c *Config) fill() error {
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 4 * c.ServeThreads
-	}
-	if c.MaxAdmitQueue <= 0 {
-		c.MaxAdmitQueue = mailboxDepth
 	}
 	if c.Clock == nil {
 		c.Clock = clock.Wall()
@@ -279,7 +273,6 @@ func New(cfg Config) (*Worker, error) {
 	w.limiter = overload.NewLimiter(overload.Config{
 		Stage:       "serving",
 		MaxInflight: cfg.MaxInflight,
-		MaxQueue:    cfg.MaxAdmitQueue,
 		Clock:       cfg.Clock,
 		Metrics:     cfg.Metrics,
 	})
