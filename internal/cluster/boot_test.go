@@ -191,6 +191,55 @@ func closeDrainsInFlight(t *testing.T, brokers int) {
 	}
 }
 
+// TestFrontendCloseEndsWithItsLastAnswer: a frontend role closed while a
+// /sample is held in the serve path returns once that answer is written,
+// not at http.Server.Shutdown's next idle poll, which backs off to 500 ms
+// (about 200 ms after a 300 ms hold).
+func TestFrontendCloseEndsWithItsLastAnswer(t *testing.T) {
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	cfg, g := testDeploy(t)
+	c, err := Boot(cfg, Options{Brokers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	mustIngest(t, c, graph.NewEdgeUpdate(graph.Edge{Src: userID(1), Dst: itemID(1), Type: g.click, Ts: 1}))
+	if err := c.WaitQuiesce(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	before := faultpoint.Hits("serving.sample")
+	faultpoint.Delay("serving.sample", 1, 300*time.Millisecond)
+	defer faultpoint.Reset()
+	answered := make(chan time.Time, 1)
+	go func() {
+		resp, err := client.Get(fmt.Sprintf("http://%s/sample?q=0&seed=%d", c.Frontend.Addr, userID(1)))
+		if err == nil {
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("held request: %v, %v", resp, err)
+		}
+		answered <- time.Now()
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for faultpoint.Hits("serving.sample") == before {
+		if time.Now().After(deadline) {
+			t.Fatal("request never reached the serve path")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c.Frontend.Close()
+	closed := time.Now()
+	at := <-answered
+	t.Logf("the frontend's Close returned %v after the held request was answered", closed.Sub(at))
+	if took := closed.Sub(at); took > 50*time.Millisecond {
+		t.Errorf("Close returned %v after the held request was answered, want <= 50ms", took)
+	}
+}
+
 // TestConcurrentIngestLandsEveryUpdateOnce drives the one router from eight
 // goroutines on both topologies and reads the records back off the updates
 // topic: every update must land exactly once. (Run under -race it also

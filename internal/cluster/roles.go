@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -567,7 +568,8 @@ func StartFrontend(cfg *deploy.Config, bus mq.Bus, o FrontendOptions) (_ *Fronte
 		return nil, err
 	}
 	f.Addr = ln.Addr().String()
-	gw := &http.Server{Handler: fe.Handler()}
+	conns := &busyConns{busy: make(map[net.Conn]struct{})}
+	gw := &http.Server{Handler: fe.Handler(), ConnState: conns.track}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -577,7 +579,23 @@ func StartFrontend(cfg *deploy.Config, bus mq.Bus, o FrontendOptions) (_ *Fronte
 	f.onClose(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 		defer cancel()
-		if err := gw.Shutdown(ctx); err != nil {
+		// Shutdown notices idle connections at a poll that backs off to
+		// 500 ms; each round ends when no connection is busy, and the next
+		// finds them idle at once.
+		err := context.Canceled
+		for errors.Is(err, context.Canceled) && ctx.Err() == nil {
+			round, end := context.WithCancel(ctx)
+			go func(idle <-chan struct{}) {
+				select {
+				case <-idle:
+				case <-round.Done():
+				}
+				end()
+			}(conns.idle())
+			err = gw.Shutdown(round)
+			end()
+		}
+		if err != nil {
 			f.log.Warn(0, "frontend.lifecycle", "gateway drain cut short", "err", err)
 			//lint:allow droppederror reason=forced close after the grace period; nothing further to do
 			_ = gw.Close()
@@ -586,6 +604,43 @@ func StartFrontend(cfg *deploy.Config, bus mq.Bus, o FrontendOptions) (_ *Fronte
 	})
 	f.log.Info(0, "frontend.lifecycle", "gateway serving", "addr", f.Addr, "servers", len(o.Servers))
 	return f, nil
+}
+
+// busyConns counts the gateway's connections that are reading or serving a
+// request: its ConnState hook.
+type busyConns struct {
+	mu      sync.Mutex
+	busy    map[net.Conn]struct{}
+	waiters []chan struct{}
+}
+
+func (b *busyConns) track(c net.Conn, state http.ConnState) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if state == http.StateNew || state == http.StateActive {
+		b.busy[c] = struct{}{}
+		return
+	}
+	delete(b.busy, c)
+	if len(b.busy) == 0 {
+		for _, w := range b.waiters {
+			close(w)
+		}
+		b.waiters = nil
+	}
+}
+
+// idle returns a channel closed once no connection is busy.
+func (b *busyConns) idle() <-chan struct{} {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	ch := make(chan struct{})
+	if len(b.busy) == 0 {
+		close(ch)
+	} else {
+		b.waiters = append(b.waiters, ch)
+	}
+	return ch
 }
 
 // Setup is what every role binary does between flag parsing and starting

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // ErrShortBuffer reports a truncated record.
@@ -160,6 +161,24 @@ func (r *Reader) fail() {
 func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
+	}
+	// One byte is the value; one that ends within the next eight bytes,
+	// which cannot overflow, is read with one load, its seven-bit groups
+	// gathered in place.
+	b := r.buf[r.off:]
+	if len(b) > 0 && b[0] < 0x80 {
+		r.off++
+		return uint64(b[0])
+	}
+	if len(b) >= 8 {
+		x := binary.LittleEndian.Uint64(b)
+		if m := ^x & 0x8080808080808080; m != 0 {
+			n := bits.TrailingZeros64(m)>>3 + 1
+			x &= 1<<(8*n) - 1
+			x = x&0x7f | x>>1&(0x7f<<7) | x>>2&(0x7f<<14) | x>>3&(0x7f<<21) | x>>4&(0x7f<<28) | x>>5&(0x7f<<35) | x>>6&(0x7f<<42) | x>>7&(0x7f<<49)
+			r.off += n
+			return x
+		}
 	}
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if n <= 0 {

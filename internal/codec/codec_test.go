@@ -1,7 +1,10 @@
 package codec
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -226,6 +229,49 @@ func BenchmarkDecodeUpdate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeUpdate(buf); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFloat32s writes the feature rows of one [25,10] answer, 276
+// rows of 10 floats, each behind its id, into a reused writer.
+func BenchmarkFloat32s(b *testing.B) {
+	row := []float32{0.5, -1.25, 3, 1e-7, 2, 0, 7.5, -0.125, 9, 10}
+	w := NewWriter(16 << 10)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w.Reset()
+		for v := uint64(0); v < 276; v++ {
+			w.Uvarint(1<<40 + v)
+			w.Float32s(row)
+		}
+	}
+}
+
+// TestUvarintMatchesBinary: Reader.Uvarint reads what binary.Uvarint does,
+// and fails where it fails, at every length, with any bytes after it.
+func TestUvarintMatchesBinary(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	bufs := [][]byte{{}, {0x80}, bytes.Repeat([]byte{0xff}, 10), bytes.Repeat([]byte{0x80}, 12), append(bytes.Repeat([]byte{0xff}, 9), 2)}
+	for i := 0; i < 20000; i++ {
+		b := binary.AppendUvarint(nil, rng.Uint64()>>uint(rng.Intn(64)))
+		for n := rng.Intn(10); n > 0; n-- {
+			b = append(b, byte(rng.Intn(256)))
+		}
+		bufs = append(bufs, b)
+	}
+	for _, b := range bufs {
+		want, n := binary.Uvarint(b)
+		r := NewReader(b)
+		got := r.Uvarint()
+		if n <= 0 {
+			if r.Err() == nil {
+				t.Fatalf("% x: read %d, binary.Uvarint fails", b, got)
+			}
+			continue
+		}
+		if r.Err() != nil || got != want || r.Remaining() != len(b)-n {
+			t.Fatalf("% x: read %d (%v) leaving %d, want %d leaving %d", b, got, r.Err(), r.Remaining(), want, len(b)-n)
 		}
 	}
 }

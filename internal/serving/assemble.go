@@ -1,6 +1,8 @@
 package serving
 
 import (
+	"slices"
+	"strconv"
 	"sync"
 
 	"helios/internal/codec"
@@ -15,11 +17,12 @@ import (
 // the pooled scratch that makes a steady-state assembly allocation-free.
 // body keeps its first headerRoom bytes for the header, which finish writes
 // last, in place. hits are the sample cells found, in hop order; their
-// samples, in order, are the layers after the seed.
+// samples, in order, are the layers after the seed. ids are every vertex
+// of the answer, sorted into feats: the features, once each.
 type assembly struct {
 	body, hdr codec.Writer
 	hits      []sampleHit
-	seen      map[graph.VertexID]struct{}
+	ids       []graph.VertexID
 	feats     []featureHit
 	spans     []obs.Span
 
@@ -37,15 +40,25 @@ type featureHit struct {
 	cell *featureCell
 }
 
+// byKey orders vertex ids as the gateway's feature keys: by their decimal
+// strings (byKeyString).
+func byKey(a, b graph.VertexID) int {
+	return byKeyString(featureRef{order: decimalOrder(uint64(a)), id: uint64(a)}, featureRef{order: decimalOrder(uint64(b)), id: uint64(b)})
+}
+
+// decimals is how many decimal digits v has.
+func decimals(v graph.VertexID) int {
+	var b [20]byte
+	return len(strconv.AppendUint(b[:0], uint64(v), 10))
+}
+
 // headerRoom bounds the header: three ten-byte numbers, a span count and
 // three serving spans of at most 1+21+10 bytes — 127.
 const headerRoom = 160
 
 var headerPad [headerRoom]byte
 
-var assemblies = sync.Pool{New: func() any {
-	return &assembly{seen: make(map[graph.VertexID]struct{})}
-}}
+var assemblies = sync.Pool{New: func() any { return new(assembly) }}
 
 func getAssembly() *assembly {
 	a := assemblies.Get().(*assembly)
@@ -56,8 +69,7 @@ func getAssembly() *assembly {
 func (a *assembly) reset() {
 	a.body.Reset()
 	a.body.Raw(headerPad[:])
-	a.hits, a.feats, a.spans = a.hits[:0], a.feats[:0], a.spans[:0]
-	clear(a.seen)
+	a.hits, a.ids, a.feats, a.spans = a.hits[:0], a.ids[:0], a.feats[:0], a.spans[:0]
 	a.lookups, a.sampleMisses, a.featureMisses, a.edges = 0, 0, 0, 0
 }
 
@@ -129,10 +141,26 @@ func (w *Worker) assemble(a *assembly, qid query.ID, seed graph.VertexID, deadli
 	}
 	assembled := w.cfg.Clock.Now()
 
-	a.fetch(c, seed) // features in first-seen order
+	// Features: every vertex once, in the gateway's key order. Ids of one
+	// length sort numerically into it; only a mix of lengths needs byKey.
+	a.ids = append(a.ids, seed)
 	for _, h := range a.hits {
 		for _, s := range h.cell.refs {
-			a.fetch(c, s.Neighbor)
+			a.ids = append(a.ids, s.Neighbor)
+		}
+	}
+	slices.Sort(a.ids)
+	if decimals(a.ids[0]) != decimals(a.ids[len(a.ids)-1]) {
+		slices.SortFunc(a.ids, byKey)
+	}
+	for i, v := range a.ids {
+		if i > 0 && v == a.ids[i-1] {
+			continue
+		}
+		if cell := c.feature(v); cell != nil {
+			a.feats = append(a.feats, featureHit{v: v, cell: cell})
+		} else {
+			a.featureMisses++
 		}
 	}
 	b.Uvarint(uint64(len(a.feats)))
@@ -162,19 +190,6 @@ func (a *assembly) visit(c *cache, hop int, hid query.HopID, v graph.VertexID) {
 		a.edges += len(cell.refs)
 	} else {
 		a.sampleMisses++
-	}
-}
-
-//lint:hotpath
-func (a *assembly) fetch(c *cache, v graph.VertexID) {
-	if _, dup := a.seen[v]; dup {
-		return
-	}
-	a.seen[v] = struct{}{}
-	if cell := c.feature(v); cell != nil {
-		a.feats = append(a.feats, featureHit{v: v, cell: cell})
-	} else {
-		a.featureMisses++
 	}
 }
 

@@ -27,6 +27,11 @@ import (
 //	        #edges  { hop parent child uvarint, ts varint, weight f32 }
 //	        #features { id uvarint, #floats { f32 } }
 //
+// The assembler writes each sample cell as one run of edges sharing its
+// (hop, parent), the layers after the seed as those cells' children in
+// order, and the features in their JSON keys' order (byKeyString);
+// AppendResult writes them in map order. Readers take any order.
+//
 // Minimum encoded sizes of one element of each collection, for
 // codec.Reader.Count.
 const (
@@ -272,44 +277,140 @@ func byKeyString(a, b featureRef) int {
 	return cmp.Compare(a.id, b.id)
 }
 
-// featureRefs recycles AppendJSON's sort scratch.
-var featureRefs = sync.Pool{New: func() any { return new([]featureRef) }}
-
-// The feature-text memo (DESIGN.md "Response path"): an entry owns a copy
-// of a finite row's float32 bits and the text appendFloat32 wrote for them,
-// and answers only for its id with byte-equal bits. Entries are immutable,
-// in a fixed table of atomic pointers probed at an id's two slots. Storing
-// a row costs about what formatting it does, so a row is stored on its
-// second miss: featureSeen keeps, per slot pair, hashes of the last two rows
-// formatted there and not stored.
+// The text memo (DESIGN.md "Response path") holds the gateway text of
+// feature rows and sample cells. An entry owns a copy of the bytes its text
+// was formatted from, a finite row's float32 bits or a cell's run of edges,
+// and answers only for its key and kind with byte-equal bits. Entries are
+// immutable, in a fixed table of atomic pointers probed at a key's set of
+// four slots; one is stored on its second miss (admit).
 type textEntry struct {
-	id         uint64
-	bits, text []byte
+	key         uint64 // a row's vertex id, or a cell's runKey
+	edges       int    // a cell's edge count; 0 for a row
+	bits        []byte // a row's float32 bits, or a cell's run; its capacity spans all four
+	kids, layer []byte // a cell's children's bytes, and their text
+	text        []byte // a row's `"id":[…]`, or a cell's edges
 }
 
-const textBits = 13 // 8 192 slots: 64 KiB of pointers, 64 KiB of hashes
-
-var (
-	featureText   [1 << textBits]atomic.Pointer[textEntry]
-	featureSeen   [1 << textBits]atomic.Uint64
-	castagnoli    = crc32.MakeTable(crc32.Castagnoli) // hardware crc32 on amd64 and arm64
-	rowsFormatted atomic.Uint64                       // the memo's misses, process-wide
+const (
+	textBits   = 13      // 8 192 slots: 64 KiB of pointers, 16 KiB of fingerprints
+	memoBudget = 3 << 20 // the entries' bytes
 )
 
-// textSlot is id's first slot; Fibonacci hashing spreads consecutive ids.
-func textSlot(id uint64) uint64 { return (id * 0x9e3779b97f4a7c15 >> (64 - textBits)) &^ 1 }
+var (
+	textMemo       [1 << textBits]atomic.Pointer[textEntry]
+	textSeen       [1 << textBits / 4]atomic.Uint64
+	memoBytes      atomic.Int64                        // the entries' sizes
+	memoHand       atomic.Uint64                       // the next slot to drop to make room
+	castagnoli     = crc32.MakeTable(crc32.Castagnoli) // hardware crc32 on amd64 and arm64
+	rowsFormatted  atomic.Uint64                       // the memo's misses, process-wide
+	cellsFormatted atomic.Uint64
+)
 
-// FormattedRows reports how many feature rows AppendJSON has formatted in
-// this process: a work-ledger row for tests, not an exported series.
-func FormattedRows() uint64 { return rowsFormatted.Load() }
+// textSlot is the first slot of key's set; Fibonacci hashing spreads
+// consecutive keys.
+func textSlot(key uint64) uint64 { return (key * 0x9e3779b97f4a7c15 >> (64 - textBits)) &^ 3 }
+
+// runKey keys the cell of (hop, parent) apart from parent's feature row.
+func runKey(hop, parent uint64) uint64 { return parent ^ (hop+1)*0xbf58476d1ce4e5b9 }
+
+// FormattedRows and FormattedCells report how many feature rows and sample
+// cells AppendJSON has formatted in this process: work-ledger rows for
+// tests, not exported series.
+func FormattedRows() uint64  { return rowsFormatted.Load() }
+func FormattedCells() uint64 { return cellsFormatted.Load() }
+
+// memoGet returns an entry of key whose bits b begins with; the caller
+// checks that they are all of the row or cell.
+//
+//lint:hotpath
+func memoGet(cell bool, key uint64, b []byte) *textEntry {
+	p := textSlot(key)
+	for i := p; i < p+4; i++ {
+		if e := textMemo[i].Load(); e != nil && e.key == key && (e.edges > 0) == cell && bytes.HasPrefix(b, e.bits) {
+			return e
+		}
+	}
+	return nil
+}
+
+// admit reports whether (key, bits), just formatted, is to be stored: if
+// it was formatted before. textSeen keeps, per set, 16-bit fingerprints of
+// the last four formatted there and not stored.
+func admit(key uint64, bits []byte) bool {
+	set := textSlot(key) / 4
+	f := (uint64(crc32.Checksum(bits, castagnoli))<<32^key)*0x9e3779b97f4a7c15>>48 | 1
+	last := textSeen[set].Load()
+	for i := 0; i < 64; i += 16 {
+		if last>>i&0xffff == f {
+			return true
+		}
+	}
+	textSeen[set].Store(last<<16 | f)
+	return false
+}
+
+// memoPut stores an entry owning one copy of bits, kids, layer and text in
+// the first slot of key's set that is empty or holds key, or in its last.
+// One that would take the entries past memoBudget first drops those under
+// a clock hand, up to 64.
+func memoPut(edges int, key uint64, bits, kids, layer, text []byte) {
+	a, b, c := len(bits), len(bits)+len(kids), len(bits)+len(kids)+len(layer)
+	owned := append(append(append(append(make([]byte, 0, c+len(text)), bits...), kids...), layer...), text...)
+	e := &textEntry{key: key, edges: edges, bits: owned[:a], kids: owned[a:b:b], layer: owned[b:c:c], text: owned[c:]}
+	for hand := 0; memoBytes.Add(e.size()) > memoBudget; hand++ {
+		memoBytes.Add(-e.size())
+		if hand == 64 {
+			return
+		}
+		memoDrop(&textMemo[memoHand.Add(1)%(1<<textBits)], nil)
+	}
+	p := textSlot(key)
+	for end := p + 3; p < end; p++ {
+		if old := textMemo[p].Load(); old == nil || old.key == key && (old.edges > 0) == (edges > 0) {
+			break
+		}
+	}
+	memoDrop(&textMemo[p], e)
+}
+
+// memoDrop puts e in slot and takes what it held off the memo's bytes.
+func memoDrop(slot *atomic.Pointer[textEntry], e *textEntry) {
+	if old := slot.Swap(e); old != nil {
+		memoBytes.Add(-old.size())
+	}
+}
+
+// size is what e counts against memoBudget: its buffer (whose length is
+// bits' capacity) and the entry itself.
+func (e *textEntry) size() int64 { return int64(cap(e.bits) + 112) }
+
+// cellRun is one sample cell in the payload: a run of consecutive edges
+// that share their hop and parent bytes, and the entry holding its text.
+type cellRun struct {
+	hop, parent uint64
+	run         []byte
+	memo        *textEntry
+}
+
+// transcodeScratch is AppendJSON's pooled index of one payload, cleared
+// before it is shared so it pins no frame.
+type transcodeScratch struct {
+	layers [][]byte // each layer's vertex bytes
+	cells  []cellRun
+	kids   []byte       // a formatted cell's children's bytes
+	feats  []featureRef // a features section out of key order,
+	sorted codec.Writer // and in it
+}
+
+var transcodeScratches = sync.Pool{New: func() any { return new(transcodeScratch) }}
 
 // AppendJSON appends the gateway's GET /sample body for this result to
-// dst, walking the payload once. The bytes are exactly what encoding/json
-// writes for the {layers, edges, features, misses, trace} object the
-// gateway has always served, trailing newline included: trace (hex) is
-// omitted when zero, an absent layer or edge list is null, features are
-// ordered by key string, and floats follow encoding/json's float32 rule
-// (appendFloat32; a row read before is copied from the feature-text memo).
+// dst. The bytes are exactly what encoding/json writes for the {layers,
+// edges, features, misses, trace} object the gateway has always served,
+// trailing newline included: trace (hex) is omitted when zero, an absent
+// layer or edge list is null, features are ordered by key string, and
+// floats follow encoding/json's float32 rule (appendFloat32). Each cell's,
+// layer's and row's text is copied from the text memo where it holds it.
 // On error dst comes back at its original length.
 //
 //lint:hotpath
@@ -318,78 +419,46 @@ func (e Encoded) AppendJSON(dst []byte, trace uint64) ([]byte, error) {
 	var r codec.Reader
 	r.Reset(e)
 	h := readHeader(&r)
-	dst = append(dst, `{"layers":`...)
-	if nl := r.Count(minLayer); nl == 0 {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i := 0; i < nl; i++ {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, '[')
-			for j, n := 0, r.Count(minVertex); j < n; j++ {
-				if j > 0 {
-					dst = append(dst, ',')
-				}
-				dst = strconv.AppendUint(dst, r.Uvarint(), 10)
-			}
-			dst = append(dst, ']')
+	s := transcodeScratches.Get().(*transcodeScratch)
+	for i, nl := 0, r.Count(minLayer); i < nl; i++ {
+		n := r.Count(minVertex)
+		layer := r.Rest()
+		for j := 0; j < n; j++ {
+			r.Uvarint()
 		}
-		dst = append(dst, ']')
+		s.layers = append(s.layers, layer[:len(layer)-r.Remaining()])
 	}
-	dst = append(dst, `,"edges":`...)
-	if ne := r.Count(minEdge); ne == 0 {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i := 0; i < ne; i++ {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"hop":`...)
-			dst = strconv.AppendInt(dst, int64(r.Uvarint()), 10)
-			dst = append(dst, `,"parent":`...)
-			dst = strconv.AppendUint(dst, r.Uvarint(), 10)
-			dst = append(dst, `,"child":`...)
-			dst = strconv.AppendUint(dst, r.Uvarint(), 10)
-			dst = append(dst, `,"ts":`...)
-			dst = strconv.AppendInt(dst, r.Varint(), 10)
-			dst = append(dst, '}')
-			r.Float32() // the weight is not part of the gateway's answer
+	for i, ne := 0, r.Count(minEdge); i < ne && r.Err() == nil; i++ {
+		at := len(e) - r.Remaining()
+		hop, parent := r.Uvarint(), r.Uvarint()
+		head := e[at : len(e)-r.Remaining()]
+		r.Uvarint()
+		r.Varint()
+		r.Float32()
+		end := len(e) - r.Remaining()
+		if k := len(s.cells) - 1; k >= 0 && continues(s.cells[k].run, e[at:end], head) {
+			s.cells[k].run = s.cells[k].run[:len(s.cells[k].run)+end-at] // the next bytes of e
+			continue
 		}
-		dst = append(dst, ']')
+		// A run the memo holds is stepped over whole: its bytes were checked
+		// when it was formatted, and it must end where they do.
+		c := cellRun{hop: hop, parent: parent, run: e[at:end]}
+		if m := memoGet(true, runKey(hop, parent), e[at:]); m != nil && m.edges <= ne-i && !continues(e[at+len(m.bits):], e[at:end], head) {
+			c.run, c.memo = e[at:at+len(m.bits)], m
+			r.RawN(len(m.bits) - (end - at))
+			i += m.edges - 1
+		}
+		s.cells = append(s.cells, c)
 	}
-
-	scratch := featureRefs.Get().(*[]featureRef)
-	refs := (*scratch)[:0]
-	for i, nf := 0, r.Count(minFeature); i < nf; i++ {
-		id := r.Uvarint()
-		refs = append(refs, featureRef{order: decimalOrder(id), id: id, floats: r.RawN(4 * r.Count(4))})
-	}
-	err := r.Finish()
+	err := r.Err()
 	if err == nil {
-		slices.SortFunc(refs, byKeyString)
-		dst = append(dst, `,"features":{`...)
-		for i := range refs {
-			if i > 0 {
-				if refs[i].id == refs[i-1].id {
-					err = errDuplicateFeature
-					break
-				}
-				dst = append(dst, ',')
-			}
-			dst = append(dst, '"')
-			dst = strconv.AppendUint(dst, refs[i].id, 10)
-			dst = append(dst, `":`...)
-			if dst, err = appendFeature(dst, refs[i]); err != nil {
-				break
-			}
-		}
+		dst, err = s.appendFeatures(s.appendListed(dst), &r)
 	}
-	clear(refs) // drop the aliases into e before the scratch is shared
-	*scratch = refs[:0]
-	featureRefs.Put(scratch)
+	clear(s.layers)
+	clear(s.cells)
+	clear(s.feats)
+	s.layers, s.cells, s.feats = s.layers[:0], s.cells[:0], s.feats[:0]
+	transcodeScratches.Put(s)
 	if err != nil {
 		return dst[:start], err
 	}
@@ -404,30 +473,184 @@ func (e Encoded) AppendJSON(dst []byte, trace uint64) ([]byte, error) {
 	return append(dst, "}\n"...), nil
 }
 
-// appendFeature appends one feature vector as a JSON array (null when
-// empty, as a decoded Result holds nil for it), from the memo when it
-// holds this id with these bits.
+// continues reports whether the edges at a and at b are of one run: a's
+// first edge has the hop and parent bytes (head) of b's and is not b's
+// again. A parent listed twice in a row in the hop before repeats its
+// whole cell, and the repeat is a run of its own.
+//
+//lint:hotpath
+func continues(a, b, head []byte) bool {
+	return bytes.HasPrefix(a, head) && !bytes.HasPrefix(a, b)
+}
+
+// appendListed writes the layers and edges s found.
+//
+//lint:hotpath
+func (s *transcodeScratch) appendListed(dst []byte) []byte {
+	dst = append(dst, `{"layers":`...)
+	if len(s.layers) == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, layer := range s.layers {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(appendLayer(append(dst, '['), layer, uint64(i)-1, s.cells), ']')
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"edges":`...)
+	if len(s.cells) == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range s.cells {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if c := &s.cells[i]; c.memo != nil {
+				dst = append(dst, c.memo.text...)
+			} else {
+				dst = s.formatCell(dst, c)
+			}
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, `,"features":{`...)
+}
+
+// appendFeatures appends the feature members and checks the end of the
+// payload. Rows in key order, as the worker sends them, are written as
+// they are read; a section in any other order is sorted first.
+//
+//lint:hotpath
+func (s *transcodeScratch) appendFeatures(dst []byte, r *codec.Reader) ([]byte, error) {
+	from, start := *r, len(dst)
+	var prev, ref featureRef
+	var err error
+	for i, nf := 0, r.Count(minFeature); i < nf; i++ {
+		id := r.Uvarint()
+		prev, ref = ref, featureRef{order: decimalOrder(id), id: id, floats: r.RawN(4 * r.Count(4))}
+		if c := byKeyString(prev, ref); i > 0 && c > 0 && r.Err() == nil {
+			*r = from
+			return s.sortFeatures(dst[:start], r)
+		} else if i > 0 && c == 0 && err == nil {
+			err = errDuplicateFeature
+		}
+		if err == nil {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst, err = appendFeature(dst, ref)
+		}
+	}
+	return dst, cmp.Or(r.Finish(), err)
+}
+
+// sortFeatures rewrites r's features section in key order and appends it.
+func (s *transcodeScratch) sortFeatures(dst []byte, r *codec.Reader) ([]byte, error) {
+	for i, nf := 0, r.Count(minFeature); i < nf; i++ {
+		id := r.Uvarint()
+		s.feats = append(s.feats, featureRef{order: decimalOrder(id), id: id, floats: r.RawN(4 * r.Count(4))})
+	}
+	if err := r.Finish(); err != nil {
+		return dst, err
+	}
+	slices.SortFunc(s.feats, byKeyString)
+	s.sorted.Reset()
+	s.sorted.Uvarint(uint64(len(s.feats)))
+	for _, f := range s.feats {
+		s.sorted.Uvarint(f.id)
+		s.sorted.Uvarint(uint64(len(f.floats) / 4))
+		s.sorted.Raw(f.floats)
+	}
+	r.Reset(s.sorted.Bytes())
+	return s.appendFeatures(dst, r)
+}
+
+// appendLayer appends a layer's text: copied from the entries of the cells
+// of hop when their children's bytes, concatenated, are the layer's, and
+// formatted otherwise.
+//
+//lint:hotpath
+func appendLayer(dst, layer []byte, hop uint64, cells []cellRun) []byte {
+	start, rest := len(dst), layer
+	for i := range cells {
+		if c := &cells[i]; c.hop == hop {
+			if c.memo == nil || !bytes.HasPrefix(rest, c.memo.kids) {
+				return appendUvarints(dst[:start], layer)
+			}
+			if len(rest) < len(layer) {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, c.memo.layer...)
+			rest = rest[len(c.memo.kids):]
+		}
+	}
+	if len(rest) != 0 {
+		return appendUvarints(dst[:start], layer)
+	}
+	return dst
+}
+
+// appendUvarints appends the uvarints b holds, comma separated.
+//
+//lint:hotpath
+func appendUvarints(dst, b []byte) []byte {
+	var r codec.Reader
+	for r.Reset(b); r.Remaining() > 0 && r.Err() == nil; {
+		if len(b) > r.Remaining() {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(dst, r.Uvarint(), 10)
+	}
+	return dst
+}
+
+// formatCell appends the edges of a cell the memo does not hold, and
+// offers the memo their text with the cell's children's bytes and theirs.
+func (s *transcodeScratch) formatCell(dst []byte, c *cellRun) []byte {
+	start, edges := len(dst), 0
+	s.kids = s.kids[:0]
+	var r codec.Reader
+	for r.Reset(c.run); r.Remaining() > 0 && r.Err() == nil; edges++ {
+		if edges > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(append(dst, `{"hop":`...), int64(r.Uvarint()), 10)
+		dst = strconv.AppendUint(append(dst, `,"parent":`...), r.Uvarint(), 10)
+		kid := r.Rest()
+		dst = strconv.AppendUint(append(dst, `,"child":`...), r.Uvarint(), 10)
+		s.kids = append(s.kids, kid[:len(kid)-r.Remaining()]...)
+		dst = append(strconv.AppendInt(append(dst, `,"ts":`...), r.Varint(), 10), '}')
+		r.Float32()
+	}
+	cellsFormatted.Add(1)
+	if key := runKey(c.hop, c.parent); admit(key, c.run) {
+		end := len(dst) // the children's text goes here for the entry to copy
+		dst = appendUvarints(dst, s.kids)
+		memoPut(edges, key, c.run, s.kids, dst[end:], dst[start:end])
+		dst = dst[:end]
+	}
+	return dst
+}
+
+// appendFeature appends one feature member, `"id":[…]` (null when the row
+// is empty, as a decoded Result holds nil for it), copied from the memo
+// when it holds this id with these bits.
 //
 //lint:hotpath
 func appendFeature(out []byte, ref featureRef) ([]byte, error) {
-	if len(ref.floats) == 0 {
-		return append(out, "null"...), nil
+	if e := memoGet(false, ref.id, ref.floats); e != nil && len(e.bits) == len(ref.floats) {
+		return append(out, e.text...), nil
 	}
-	p := textSlot(ref.id)
-	for i := p; i < p+2; i++ {
-		if e := featureText[i].Load(); e != nil && e.id == ref.id && bytes.Equal(e.bits, ref.floats) {
-			return append(out, e.text...), nil
-		}
-	}
-	return formatFeature(out, ref, p)
-}
-
-// formatFeature formats a row the memo does not hold and, if the row is
-// finite and was formatted before, stores it in slot p unless that holds
-// another id, and in p+1 if it does.
-func formatFeature(out []byte, ref featureRef, p uint64) ([]byte, error) {
 	start := len(out)
-	out = append(out, '[')
+	out = strconv.AppendUint(append(out, '"'), ref.id, 10)
+	if len(ref.floats) == 0 {
+		return append(out, `":null`...), nil
+	}
+	out = append(out, `":[`...)
 	for off := 0; off < len(ref.floats); off += 4 {
 		bits := binary.LittleEndian.Uint32(ref.floats[off:])
 		if bits&0x7f800000 == 0x7f800000 { // NaN or ±Inf
@@ -437,19 +660,9 @@ func formatFeature(out []byte, ref featureRef, p uint64) ([]byte, error) {
 	}
 	out[len(out)-1] = ']'
 	rowsFormatted.Add(1)
-
-	seen := uint64(crc32.Checksum(ref.floats, castagnoli))<<32 ^ ref.id
-	if last := featureSeen[p].Load(); last != seen && featureSeen[p+1].Load() != seen {
-		featureSeen[p+1].Store(last)
-		featureSeen[p].Store(seen)
-		return out, nil
+	if admit(ref.id, ref.floats) {
+		memoPut(0, ref.id, ref.floats, nil, nil, out[start:])
 	}
-	n := len(ref.floats)
-	owned := append(ref.floats[:n:n], out[start:]...) // cap n: a new array
-	if e := featureText[p].Load(); e != nil && e.id != ref.id {
-		p++
-	}
-	featureText[p].Store(&textEntry{id: ref.id, bits: owned[:n:n], text: owned[n:]})
 	return out, nil
 }
 

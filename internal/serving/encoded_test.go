@@ -503,46 +503,20 @@ func TestCorruptCountsFailCleanly(t *testing.T) {
 	}
 }
 
-// BenchmarkAppendJSON transcodes the golden [25,10] answer into a reused
-// buffer; BenchmarkColdAppendJSON does the same with every feature row
-// formatted afresh; BenchmarkReflectiveJSON is the path it replaced
-// (decode, copy into resultJSON, encoding/json), for scale.
-//
-//	go test -run '^$' -bench 'JSON$' -benchmem ./internal/serving
-func BenchmarkAppendJSON(b *testing.B) {
-	enc := encodeResult(goldenResult())
-	buf, _ := enc.AppendJSON(nil, 1)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(buf)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, _ = enc.AppendJSON(buf[:0], 1)
-	}
-}
-
-func BenchmarkColdAppendJSON(b *testing.B) {
-	enc := encodeResult(goldenResult())
-	buf, _ := enc.AppendJSON(nil, 1)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(buf)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		clearFeatureText()
-		b.StartTimer()
-		buf, _ = enc.AppendJSON(buf[:0], 1)
-	}
-}
-
-// clearFeatureText forgets every feature row's text, and that any row was
+// clearFeatureText forgets every row's and cell's text, and that any was
 // ever seen.
 func clearFeatureText() {
-	for i := range featureText {
-		featureText[i].Store(nil)
-		featureSeen[i].Store(0)
+	for i := range textMemo {
+		textMemo[i].Store(nil)
 	}
+	for i := range textSeen {
+		textSeen[i].Store(0)
+	}
+	memoBytes.Store(0)
 }
 
+// BenchmarkReflectiveJSON is the path AppendJSON replaced (decode, copy
+// into resultJSON, encoding/json), for scale beside BenchmarkAppendJSON.
 func BenchmarkReflectiveJSON(b *testing.B) {
 	enc := encodeResult(goldenResult())
 	b.ReportAllocs()

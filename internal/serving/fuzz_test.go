@@ -21,8 +21,9 @@ import (
 // accepts the input the readers must agree with each other: the header
 // with the Result, AppendResult with Decode, and AppendJSON with the
 // reflective encoder. AppendJSON runs three times per input — its feature
-// rows formatted, then stored in the text memo, then copied from it — and
-// must write the same bytes, or fail the same way, each time.
+// rows and sample cells formatted, then stored in the text memo, then
+// copied from it — and must write the same bytes, or fail the same way,
+// each time.
 //
 //	go test ./internal/serving -run '^$' -fuzz FuzzEncodedResult -fuzztime 10s
 func FuzzEncodedResult(f *testing.F) {
@@ -33,6 +34,18 @@ func FuzzEncodedResult(f *testing.F) {
 	// other.
 	f.Add([]byte(encodeResult(&Result{Features: map[graph.VertexID][]float32{7: {1, 0.5}}})))
 	f.Add([]byte(encodeResult(&Result{Features: map[graph.VertexID][]float32{7: {1, -0.5}}})))
+	// One cell, two byte patterns; a layer that is not its cells' children;
+	// and a cell's edge count one short of its run.
+	short := encodeResult(oneCell(8))
+	short[bytes.Index(short, []byte{2, 0, 7})]-- // the edge count, before edge (0, 7, 8)
+	f.Add([]byte(encodeResult(oneCell(8))))
+	f.Add([]byte(short))
+	f.Add([]byte(encodeResult(oneCell(9))))
+	f.Add([]byte(encodeResult(&Result{Layers: [][]graph.VertexID{{7}, {9, 8}}, Edges: oneCell(9).Edges})))
+	// Features out of key order ("10" sorts before "2"), and one twice.
+	rows := &Result{Features: map[graph.VertexID][]float32{2: {1}, 10: {2}}}
+	f.Add([]byte(encodeFeaturesIn(rows, 2, 10)))
+	f.Add([]byte(encodeFeaturesIn(rows, 10, 10)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// What one input may cost: every count is checked against the bytes
 		// left, so the largest structures are a map entry per two bytes and a
@@ -149,6 +162,15 @@ func FuzzRestore(f *testing.F) {
 			}
 		}
 	})
+}
+
+// oneCell is a seed of 7 whose hop-0 cell holds two edges, to 8 and to
+// child.
+func oneCell(child graph.VertexID) *Result {
+	return &Result{
+		Layers: [][]graph.VertexID{{7}, {8, child}},
+		Edges:  []SampledEdge{{Hop: 0, Parent: 7, Child: 8, Ts: 3, Weight: 1}, {Hop: 0, Parent: 7, Child: child, Ts: 4, Weight: 1}},
+	}
 }
 
 // image is c's snapshot image.

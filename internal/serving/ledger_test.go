@@ -1,10 +1,14 @@
 package serving
 
 import (
+	"encoding/binary"
+	"math"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"helios/internal/codec"
 	"helios/internal/graph"
 	"helios/internal/mq"
 	"helios/internal/obs"
@@ -145,24 +149,83 @@ func TestSampleWorkLedger(t *testing.T) {
 	}
 }
 
-// TestFeatureTextLedger counts the feature rows AppendJSON formats with
-// appendFloat32 for the same [25,10] answer read three times from a cold
-// memo: all 276 on the first read (stored nowhere) and the second (stored
-// now), none on the third, which copies every row's text. Before the memo
-// every read formatted all 276.
+// TestFeatureTextLedger counts the feature rows and sample cells
+// AppendJSON formats for the same [25,10] answer, in the worker's key
+// order, read three times from a cold memo: all 276 rows and 26 cells on
+// the first read (stored nowhere) and the second (stored now), none on the
+// third, which copies every row's, cell's and layer's text. After one
+// cell's bytes change, the next two reads format that cell alone. Before
+// the memo every read formatted all 276 rows; before it held cells, all 26
+// cells.
 func TestFeatureTextLedger(t *testing.T) {
 	clearFeatureText()
-	enc := encodeResult(goldenResult())
-	var rows [3]uint64
-	for i := range rows {
-		before := FormattedRows()
-		if _, err := enc.AppendJSON(nil, 1); err != nil {
-			t.Fatal(err)
+	enc := encodeOrdered(goldenResult())
+	reads := func() (rows, cells [3]uint64) {
+		for i := range rows {
+			r, c := FormattedRows(), FormattedCells()
+			if _, err := enc.AppendJSON(nil, 1); err != nil {
+				t.Fatal(err)
+			}
+			rows[i], cells[i] = FormattedRows()-r, FormattedCells()-c
 		}
-		rows[i] = FormattedRows() - before
+		return rows, cells
 	}
-	t.Logf("a [25,10] AppendJSON read three times: %v feature rows formatted", rows)
-	if rows != [3]uint64{276, 276, 0} {
-		t.Errorf("feature rows formatted per read: %v, ledger says [276 276 0]", rows)
+	rows, cells := reads()
+	t.Logf("a [25,10] AppendJSON read three times: %v feature rows, %v cells formatted", rows, cells)
+	if rows != [3]uint64{276, 276, 0} || cells != [3]uint64{26, 26, 0} {
+		t.Errorf("rows, cells formatted per read: %v, %v; ledger says [276 276 0], [26 26 0]", rows, cells)
+	}
+	at := firstWeight(t, enc) // the hop-0 cell's first edge
+	binary.LittleEndian.PutUint32(enc[at:], math.Float32bits(0.75))
+	rows, cells = reads()
+	t.Logf("after the hop-0 cell changed: %v feature rows, %v cells formatted", rows, cells)
+	if rows != [3]uint64{} || cells != [3]uint64{1, 1, 0} {
+		t.Errorf("after one cell changed, rows, cells formatted per read: %v, %v; ledger says [0 0 0], [1 1 0]", rows, cells)
+	}
+}
+
+// TestAssembledFeaturesInKeyOrder: the assembler writes each vertex's
+// feature once, in the order of its JSON key, so the gateway streams them.
+// The ledger answer mixes ids of one, three and four digits ("1" < "100" <
+// "1000" < "1001" < "101"), which numeric order alone gets wrong.
+func TestAssembledFeaturesInKeyOrder(t *testing.T) {
+	plan := ledgerPlan(t)
+	b := mq.NewBroker(mq.Options{})
+	defer b.Close()
+	w, err := New(Config{ID: 0, NumServers: 1, Plans: []*query.Plan{plan}, Broker: b, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillLedger(w, plan, 1)
+	enc, err := w.SampleEncoded(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := codec.NewReader(enc)
+	readHeader(r)
+	for i, nl := 0, r.Count(minLayer); i < nl; i++ {
+		for j, n := 0, r.Count(minVertex); j < n; j++ {
+			r.Uvarint()
+		}
+	}
+	for i, ne := 0, r.Count(minEdge); i < ne; i++ {
+		r.Uvarint()
+		r.Uvarint()
+		r.Uvarint()
+		r.Varint()
+		r.Float32()
+	}
+	var keys []string
+	for i, nf := 0, r.Count(minFeature); i < nf; i++ {
+		keys = append(keys, strconv.FormatUint(r.Uvarint(), 10))
+		r.RawN(4 * r.Count(4))
+	}
+	if err := r.Finish(); err != nil || len(keys) != 276 {
+		t.Fatalf("%d features, %v", len(keys), err)
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i-1] >= keys[i] {
+			t.Fatalf("feature %d (%s) follows %s", i, keys[i], keys[i-1])
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -35,23 +36,27 @@ func oracle(tb testing.TB, res *Result) []byte {
 }
 
 // TestFeatureTextConcurrentVersions: goroutines transcode two answers over
-// the same vertices whose rows differ in every bit pattern, so entries for
-// one version are stored and replaced while others copy them. Every body
-// must be the reflective encoding of its own answer.
+// the same vertices and cells whose rows and edges differ in every bit
+// pattern, so entries for one version are stored and replaced while others
+// copy them. Every body must be the reflective encoding of its own answer.
 func TestFeatureTextConcurrentVersions(t *testing.T) {
 	clearFeatureText()
 	var versions [2]*Result
 	for i := range versions {
-		res := &Result{Layers: [][]graph.VertexID{{1}}, Features: make(map[graph.VertexID][]float32)}
+		res := &Result{Layers: [][]graph.VertexID{{1}, nil}, Features: make(map[graph.VertexID][]float32)}
 		for v := graph.VertexID(1); v <= 40; v++ {
 			res.Features[v] = []float32{float32(v) / 7, float32(i) - 0.25, float32(v*v) * 1e-7}
+			if v > 1 && v%3 != graph.VertexID(i) {
+				res.Layers[1] = append(res.Layers[1], v)
+				res.Edges = append(res.Edges, SampledEdge{Hop: 0, Parent: 1, Child: v, Ts: graph.Timestamp(v) - graph.Timestamp(i)})
+			}
 		}
 		versions[i] = res
 	}
 	var encs [2]Encoded
 	var wants [2][]byte
 	for i, res := range versions {
-		encs[i], wants[i] = encodeResult(res), oracle(t, res)
+		encs[i], wants[i] = encodeOrdered(res), oracle(t, res)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
@@ -150,5 +155,106 @@ func TestFeatureTextOwnsItsBits(t *testing.T) {
 	}
 	if want := oracle(t, res); !bytes.Equal(body, want) {
 		t.Fatalf("got %s, want %s", body, want)
+	}
+}
+
+// TestCellTextFollowsItsBytes reads answers that share the cell of (0, 7)
+// three times each, in turn, so each finds the memo holding another's
+// version: a cell's text is copied only for a byte-equal run that ends
+// where the entry's does, and a layer's only when it is exactly its
+// cells' children. Every body must be the reflective encoding of its own
+// answer, or fail as Decode does.
+func TestCellTextFollowsItsBytes(t *testing.T) {
+	clearFeatureText()
+	edge := func(parent, child graph.VertexID, ts graph.Timestamp) SampledEdge {
+		return SampledEdge{Hop: 0, Parent: parent, Child: child, Ts: ts, Weight: 1}
+	}
+	grown := &Result{Layers: [][]graph.VertexID{{7}, {8, 8, 9}}, Edges: append(oneCell(8).Edges, edge(7, 9, 5))}
+	answers := []struct {
+		name string
+		res  *Result
+	}{
+		{"two edges", oneCell(8)},
+		{"one more edge", grown},
+		{"another child", oneCell(9)},
+		{"layer reordered", &Result{Layers: [][]graph.VertexID{{7}, {9, 8}}, Edges: oneCell(9).Edges}},
+		{"layer with one more", &Result{Layers: [][]graph.VertexID{{7}, {8, 9, 9}}, Edges: oneCell(9).Edges}},
+		{"layer with one less", &Result{Layers: [][]graph.VertexID{{7}, {8}}, Edges: oneCell(9).Edges}},
+		{"layer of two cells", &Result{Layers: [][]graph.VertexID{{7, 6}, {8, 9, 1}}, Edges: append(oneCell(9).Edges, edge(6, 1, 1))}},
+		{"cells split by another", &Result{Layers: [][]graph.VertexID{{7}, {8, 9, 1, 8, 9}},
+			Edges: slices.Concat(oneCell(9).Edges, []SampledEdge{edge(6, 1, 1)}, oneCell(9).Edges)}},
+	}
+	for round := 0; round < 2; round++ {
+		for _, a := range answers {
+			want := oracle(t, a.res)
+			for i := 0; i < 3; i++ {
+				if body := transcode(t, encodeResult(a.res)); !bytes.Equal(body, want) {
+					t.Fatalf("%s, read %d: got %s, want %s", a.name, i, body, want)
+				}
+			}
+		}
+	}
+	// The grown cell's encoding with its edge count cut to two: the stored
+	// three-edge run must not be stepped over past the count.
+	transcode(t, encodeResult(grown))
+	transcode(t, encodeResult(grown))
+	short := encodeResult(grown)
+	short[bytes.Index(short, []byte{3, 0, 7})]--
+	res, derr := short.Decode()
+	for i := 0; i < 3; i++ {
+		body, err := short.AppendJSON(nil, 3)
+		if (err == nil) != (derr == nil) || (err == nil && !bytes.Equal(body, oracle(t, res))) {
+			t.Fatalf("read %d of a short edge count: AppendJSON %s, %v; Decode %v", i, body, err, derr)
+		}
+	}
+}
+
+// TestTextMemoKeepsKindsApart: a feature row whose vertex id is a cell's
+// memo key and whose bits are that cell's bytes is not served the cell's
+// text, nor the cell the row's.
+func TestTextMemoKeepsKindsApart(t *testing.T) {
+	clearFeatureText()
+	cell := &Result{Layers: [][]graph.VertexID{{7}, {8}}, Edges: []SampledEdge{{Hop: 0, Parent: 7, Child: 8, Ts: 3, Weight: 1}}}
+	enc := encodeResult(cell)
+	run := enc[bytes.Index(enc, []byte{1, 0, 7, 8})+1:][:8] // the one edge: hop, parent, child, ts, weight
+	row := &Result{Features: map[graph.VertexID][]float32{graph.VertexID(runKey(0, 7)): {
+		math.Float32frombits(binary.LittleEndian.Uint32(run)), math.Float32frombits(binary.LittleEndian.Uint32(run[4:])),
+	}}}
+	for i := 0; i < 6; i++ {
+		res := []*Result{cell, row}[i/3%2] // three reads each: stored, then copied
+		if body, want := transcode(t, encodeResult(res)), oracle(t, res); !bytes.Equal(body, want) {
+			t.Fatalf("read %d: got %s, want %s", i, body, want)
+		}
+	}
+}
+
+// TestCellTextRepeatedParent: a parent listed twice in a row in the hop
+// before repeats its whole cell; each copy is a run of its own, copied from
+// the entry the parent's cell has when it is listed once.
+func TestCellTextRepeatedParent(t *testing.T) {
+	clearFeatureText()
+	answer := func(members ...graph.VertexID) *Result {
+		res := &Result{Layers: [][]graph.VertexID{{7}, members, nil}}
+		for _, m := range members {
+			res.Edges = append(res.Edges, SampledEdge{Hop: 0, Parent: 7, Child: m, Ts: 1})
+		}
+		for _, m := range members {
+			for _, c := range []graph.VertexID{m + 100, m + 200} {
+				res.Layers[2] = append(res.Layers[2], c)
+				res.Edges = append(res.Edges, SampledEdge{Hop: 1, Parent: m, Child: c, Ts: 2})
+			}
+		}
+		return res
+	}
+	once, twice := answer(8, 9), answer(8, 8, 9)
+	for i := 0; i < 3; i++ {
+		transcode(t, encodeResult(once))
+	}
+	before := FormattedCells()
+	if body, want := transcode(t, encodeResult(twice)), oracle(t, twice); !bytes.Equal(body, want) {
+		t.Fatalf("got %s, want %s", body, want)
+	}
+	if n := FormattedCells() - before; n != 1 {
+		t.Fatalf("with 8 listed twice, %d cells formatted; want 1, the hop-0 cell", n)
 	}
 }
