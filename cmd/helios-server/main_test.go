@@ -24,8 +24,7 @@ const testConfig = `{
 // default flag set and requires its filled configuration to equal the one
 // cluster.Boot gives a worker under zero Options — so a flag default that
 // drifts from what the example, the embedded Service and the tests run
-// fails here instead of going unnoticed. The admission bound has no flag:
-// both workers must take it from the config's overload block.
+// fails here instead of going unnoticed.
 func TestDefaultFlagsMatchBoot(t *testing.T) {
 	cfg, err := deploy.Parse([]byte(testConfig))
 	if err != nil {
@@ -52,9 +51,6 @@ func TestDefaultFlagsMatchBoot(t *testing.T) {
 	got.Metrics, want.Metrics = nil, nil
 	got.Tracer, want.Tracer = nil, nil
 	got.SlowLog = want.SlowLog
-	if got.MaxInflight != 3 {
-		t.Fatalf("the config's overload block did not reach the worker: %+v", got)
-	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("default flags run the worker with\n%+v\nBoot with zero options runs it with\n%+v", got, want)
 	}

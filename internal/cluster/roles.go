@@ -427,8 +427,7 @@ func StartSampler(cfg *deploy.Config, bus mq.Bus, o SamplerOptions) (_ *Sampler,
 type ServerOptions struct {
 	// Worker is the serving worker's configuration template: the caller
 	// sets ID and the tuning knobs; NumServers, Plans, TTL and Broker are
-	// filled from the deployment, and an admission bound left at zero falls
-	// back to the deployment's overload policy.
+	// filled from the deployment.
 	Worker serving.Config
 	// Listen is the sampling RPC address; empty serves no RPC (in-process
 	// callers use Worker directly).
@@ -453,7 +452,6 @@ type Server struct {
 func StartServer(cfg *deploy.Config, bus mq.Bus, o ServerOptions) (_ *Server, err error) {
 	wc := o.Worker
 	wc.NumServers, wc.Plans, wc.TTL, wc.Broker = cfg.File.Servers, cfg.Plans, cfg.TTL, bus
-	wc.MaxInflight = or(wc.MaxInflight, cfg.File.Overload.MaxInflight)
 	wc.Logger = o.Logger
 	if wc.Metrics == nil {
 		wc.Metrics = obs.NewRegistry()

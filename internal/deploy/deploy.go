@@ -48,7 +48,8 @@ type OverloadFile struct {
 	// sampling request, in milliseconds.
 	RequestTimeoutMS int `json:"requestTimeoutMs,omitempty"`
 	// MaxInflight bounds the sampling requests admitted at once at the
-	// frontend and at each serving worker; as many more may wait at each.
+	// frontend; as many more may wait there. A serving worker's bound is
+	// its serve pool (serving.Config.ServeThreads), not this.
 	MaxInflight int `json:"maxInflight,omitempty"`
 }
 

@@ -27,7 +27,7 @@ import (
 func TestChaosBurstOverload(t *testing.T) {
 	// Tiny admission capacity so the storm saturates serving.
 	var o cluster.Options
-	o.Server.Worker = serving.Config{MaxInflight: 1}
+	o.Server.Worker = serving.Config{ServeThreads: 1}
 	c, cfg, fe := boot(t, testConfig, o)
 	// Sheds are counted where they are decided — the frontend's limiter or
 	// a serving worker's; each role keeps its own registry here, as separate
@@ -71,7 +71,7 @@ func TestChaosBurstOverload(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	shedBefore := total("overload.shed")
 
-	// Slow every cache assembly by 25ms: with serving inflight 1 the
+	// Slow every cache assembly by 25ms: with one serve thread the
 	// pipeline now moves far slower than the storm arrives.
 	faultpoint.Delay("serving.sample", 1<<20, 25*time.Millisecond)
 	defer faultpoint.Disarm("serving.sample")

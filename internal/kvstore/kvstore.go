@@ -36,11 +36,12 @@ type Options struct {
 	// MemBudgetBytes triggers a flush when the memtable exceeds it.
 	// Ignored when Dir is empty. 0 defaults to DefaultMemBudget.
 	MemBudgetBytes int64
-	// Shards is the memtable shard count; 0 defaults to 16.
-	Shards int
 	// BloomBitsPerKey sizes per-run bloom filters; 0 defaults to 10.
 	BloomBitsPerKey int
 }
+
+// shards is the memtable shard count.
+const shards = 16
 
 // DefaultMemBudget is the memory budget of a store opened with a zero
 // MemBudgetBytes.
@@ -49,9 +50,6 @@ const DefaultMemBudget = 64 << 20
 func (o *Options) fill() {
 	if o.MemBudgetBytes == 0 {
 		o.MemBudgetBytes = DefaultMemBudget
-	}
-	if o.Shards <= 0 {
-		o.Shards = 16
 	}
 	if o.BloomBitsPerKey == 0 {
 		o.BloomBitsPerKey = 10
@@ -96,7 +94,7 @@ const entryOverhead = 64
 // (newest first by generation number).
 func Open(opts Options) (*DB, error) {
 	opts.fill()
-	db := &DB{opts: opts, shards: make([]shard, opts.Shards)}
+	db := &DB{opts: opts, shards: make([]shard, shards)}
 	for i := range db.shards {
 		db.shards[i].m = make(map[string]entry)
 	}

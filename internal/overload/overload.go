@@ -114,11 +114,8 @@ type Config struct {
 	// labels the metrics and the shed errors.
 	Stage string
 	// MaxInflight bounds concurrently admitted requests, and as many more
-	// may wait for a slot. <=0 means 256.
+	// may wait for a slot. It must be at least 1.
 	MaxInflight int
-	// MaxWait caps the queue wait for callers without a deadline, so an
-	// untimed request can never park forever. <=0 means 1s.
-	MaxWait time.Duration
 	// Clock supplies timestamps (deadline math and queue-wait measurement).
 	// Nil means the wall clock.
 	Clock clock.Clock
@@ -127,6 +124,10 @@ type Config struct {
 	// count, but nothing scrapes them).
 	Metrics *obs.Registry
 }
+
+// maxWait caps the queue wait for callers without a deadline, so an
+// untimed request can never park forever.
+const maxWait = time.Second
 
 // headroom multiplies the service-time estimate when deciding whether a
 // caller's remaining budget is worth admitting: remaining < headroom ×
@@ -139,7 +140,7 @@ type Limiter struct {
 	stage   string
 	clk     clock.Clock
 	slots   chan struct{}
-	maxWait time.Duration
+	maxWait time.Duration // the constant maxWait; this package's tests shorten it
 	waiters atomic.Int64
 
 	// est is the windowed service-time estimate fed by release.
@@ -153,12 +154,6 @@ type Limiter struct {
 
 // NewLimiter builds a limiter from cfg.
 func NewLimiter(cfg Config) *Limiter {
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = 256
-	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = time.Second
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Wall()
 	}
@@ -170,7 +165,7 @@ func NewLimiter(cfg Config) *Limiter {
 		stage:         stage,
 		clk:           cfg.Clock,
 		slots:         make(chan struct{}, cfg.MaxInflight),
-		maxWait:       cfg.MaxWait,
+		maxWait:       maxWait,
 		shedQueueFull: reg.Counter("overload.shed", "stage", stage, "reason", "queue_full"),
 		shedBudget:    reg.Counter("overload.shed", "stage", stage, "reason", "budget"),
 		shedWait:      reg.Counter("overload.shed", "stage", stage, "reason", "wait_timeout"),
@@ -191,7 +186,7 @@ func NewLimiter(cfg Config) *Limiter {
 //     alone refresh the estimate, so one inflated by a past overload would
 //     otherwise shed every request after it, for good.
 //   - ShedError{reason: "queue_full"}: as many callers wait as there are slots.
-//   - ShedError{reason: "wait_timeout"}: an untimed request waited MaxWait
+//   - ShedError{reason: "wait_timeout"}: an untimed request waited maxWait
 //     without admission.
 func (l *Limiter) Acquire(deadline time.Time) (func(), error) {
 	now := l.clk.Now()
@@ -253,6 +248,9 @@ func (l *Limiter) admitted(start time.Time) func() {
 		<-l.slots
 	}
 }
+
+// Slots reports how many requests the limiter admits at once.
+func (l *Limiter) Slots() int { return cap(l.slots) }
 
 // Inflight reports currently admitted requests.
 func (l *Limiter) Inflight() int64 { return int64(len(l.slots)) }

@@ -35,7 +35,8 @@ func TestShedErrorClassification(t *testing.T) {
 }
 
 func TestLimiterConcurrencyBound(t *testing.T) {
-	l := NewLimiter(Config{Stage: "t", MaxInflight: 2, MaxWait: 10 * time.Millisecond})
+	l := NewLimiter(Config{Stage: "t", MaxInflight: 2})
+	l.maxWait = 10 * time.Millisecond
 	r1, err := l.Acquire(time.Time{})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +48,7 @@ func TestLimiterConcurrencyBound(t *testing.T) {
 	if got := l.Inflight(); got != 2 {
 		t.Fatalf("inflight = %d, want 2", got)
 	}
-	// No free slot: the third caller waits out MaxWait and sheds.
+	// No free slot: the third caller waits out maxWait and sheds.
 	if _, err := l.Acquire(time.Time{}); !IsOverload(err) {
 		t.Fatalf("err = %v, want overload", err)
 	}
@@ -137,7 +138,8 @@ func TestLimiterDeadlineWhileQueued(t *testing.T) {
 
 func TestLimiterUntimedWaitIsBounded(t *testing.T) {
 	reg := obs.NewRegistry()
-	l := NewLimiter(Config{Stage: "t", MaxInflight: 1, MaxWait: 20 * time.Millisecond, Metrics: reg})
+	l := NewLimiter(Config{Stage: "t", MaxInflight: 1, Metrics: reg})
+	l.maxWait = 20 * time.Millisecond
 	release, err := l.Acquire(time.Time{})
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +214,8 @@ func TestRegisterMetricsAggregates(t *testing.T) {
 	reg := obs.NewRegistry()
 	RegisterMetrics(reg)
 	for _, stage := range []string{"agg-a", "agg-b"} {
-		l := NewLimiter(Config{Stage: stage, MaxInflight: 1, MaxWait: 10 * time.Millisecond, Metrics: reg})
+		l := NewLimiter(Config{Stage: stage, MaxInflight: 1, Metrics: reg})
+		l.maxWait = 10 * time.Millisecond
 		r, err := l.Acquire(time.Time{})
 		if err != nil {
 			t.Fatal(err)

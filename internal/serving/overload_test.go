@@ -46,7 +46,7 @@ func TestDeadlineFastFailAtDequeue(t *testing.T) {
 // func frees them all.
 func saturate(t *testing.T, w *Worker) func() {
 	t.Helper()
-	n := w.cfg.MaxInflight
+	n := w.limiter.Slots()
 	releases := make([]func(), n)
 	for i := range releases {
 		r, err := w.limiter.Acquire(time.Time{})
@@ -78,34 +78,42 @@ func saturate(t *testing.T, w *Worker) func() {
 	}
 }
 
-// TestAdmissionQueueMatchesSlots: a worker with two admission slots admits
-// two batches and queues two more; the batch after those is refused
+// TestAdmissionQueueMatchesSlots: a worker admits as many batches as it has
+// serve actors and queues as many more; the batch after those is refused
 // queue_full at once instead of waiting behind work that would outlast its
 // budget.
 func TestAdmissionQueueMatchesSlots(t *testing.T) {
-	b := mq.NewBroker(mq.Options{})
-	defer b.Close()
-	reg := obs.NewRegistry()
-	w, err := New(Config{
-		ID: 0, NumServers: 1,
-		Plans:       []*query.Plan{testPlan(t)},
-		Broker:      b,
-		MaxInflight: 2,
-		Metrics:     reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Start()
-	defer w.Stop()
-	free := saturate(t, w)
-	defer free()
-	if got := w.limiter.Inflight(); got != 2 {
-		t.Fatalf("2 slots admit %d batches, want 2", got)
-	}
-	shed := reg.Counter("overload.shed", "stage", "serving", "reason", "queue_full")
-	if _, err := w.ServeBatch(rpc.Ctx{}, []BatchItem{{Seed: 1}}); !overload.IsOverload(err) || shed.Value() != 1 {
-		t.Fatalf("batch past 2 admitted and 2 queued: %v, %d queue_full sheds; want one", err, shed.Value())
+	for _, tc := range []struct {
+		name         string
+		serveThreads int
+		want         int64
+	}{{"serve-threads-2", 2, 2}, {"defaults", 0, 8}} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := mq.NewBroker(mq.Options{})
+			defer b.Close()
+			reg := obs.NewRegistry()
+			w, err := New(Config{
+				ID: 0, NumServers: 1,
+				Plans:        []*query.Plan{testPlan(t)},
+				Broker:       b,
+				ServeThreads: tc.serveThreads,
+				Metrics:      reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Start()
+			defer w.Stop()
+			free := saturate(t, w)
+			defer free()
+			if in, q := w.limiter.Inflight(), w.limiter.Queued(); in != tc.want || q != tc.want {
+				t.Fatalf("saturated worker admits %d batches and queues %d, want %d and %d", in, q, tc.want, tc.want)
+			}
+			shed := reg.Counter("overload.shed", "stage", "serving", "reason", "queue_full")
+			if _, err := w.ServeBatch(rpc.Ctx{}, []BatchItem{{Seed: 1}}); !overload.IsOverload(err) || shed.Value() != 1 {
+				t.Fatalf("batch past %d admitted and %d queued: %v, %d queue_full sheds; want one", tc.want, tc.want, err, shed.Value())
+			}
+		})
 	}
 }
 
@@ -115,9 +123,9 @@ func TestServeBatchShedsWhenSaturated(t *testing.T) {
 	plan := testPlan(t)
 	w, err := New(Config{
 		ID: 0, NumServers: 1,
-		Plans:       []*query.Plan{plan},
-		Broker:      b,
-		MaxInflight: 1,
+		Plans:        []*query.Plan{plan},
+		Broker:       b,
+		ServeThreads: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +149,7 @@ func TestServeBatchShedsWhenSaturated(t *testing.T) {
 func TestShedBatchIsRefusedWhole(t *testing.T) {
 	reg := obs.NewRegistry()
 	w, client := loadedRPCWorker(t, func(c *Config) {
-		c.MaxInflight, c.Metrics = 1, reg
+		c.ServeThreads, c.Metrics = 1, reg
 	})
 	shed := reg.Counter("overload.shed", "stage", "serving", "reason", "queue_full")
 	release, err := w.limiter.Acquire(time.Time{})
@@ -192,9 +200,9 @@ func TestRemoteDeadlineShedIsTyped(t *testing.T) {
 	plan := testPlan(t)
 	w, err := New(Config{
 		ID: 0, NumServers: 1,
-		Plans:       []*query.Plan{plan},
-		Broker:      b,
-		MaxInflight: 1,
+		Plans:        []*query.Plan{plan},
+		Broker:       b,
+		ServeThreads: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,13 +24,13 @@ const (
 // BenchmarkServeUnderShed measures a worker past saturation. One worker with
 // a [25,10] cache serves ServeRPC; 16 callers, each on its own Client, send
 // one-seed batches open-loop at twice the capacity a closed-loop probe of
-// the same callers measured on a default worker, each call with a 5 ms
-// budget. It reports the offered rate (it moves with each run's probe),
-// goodput (answers within the budget of their call, per second), the p99
-// latency of the answered calls and the p99 of the generator's own
-// lateness, at the default admission bound and at MaxInflight 2. A run whose
-// lateness p99 exceeds the budget cannot tell the worker's delay from the
-// generator's and is logged unresolved. Each b.N iteration is one 2 s window:
+// the same callers measured on a default worker. Every call is timed from
+// its due time, with what is left of a 5 ms budget: a late generator counts
+// against its own side. It reports the offered rate (it moves with each
+// run's probe), goodput (answers within the budget of their due time, per
+// second), the p99 latency of the answered calls and the p99 of the
+// generator's own lateness, at the default worker and at 2 serve threads.
+// Each b.N iteration is one 2 s window:
 //
 //	go test ./internal/serving -run '^$' -bench ServeUnderShed -benchtime 1x
 func BenchmarkServeUnderShed(b *testing.B) {
@@ -39,16 +39,16 @@ func BenchmarkServeUnderShed(b *testing.B) {
 		seeds[i] = graph.VertexID(i + 1)
 	}
 	var capacity float64
-	shedWorker(b, seeds, 0, func(clients []*Client) {
+	shedWorker(b, seeds, Config{}, func(clients []*Client) {
 		capacity = closedLoop(clients, seeds, shedCapacity)
 	})
 	b.Logf("closed-loop capacity: %.0f answers/s", capacity)
 	for _, bc := range []struct {
-		name     string
-		inflight int
-	}{{"defaults", 0}, {"inflight2", 2}} {
+		name string
+		cfg  Config
+	}{{"defaults", Config{}}, {"serve2", Config{ServeThreads: 2}}} {
 		b.Run(bc.name, func(b *testing.B) {
-			shedWorker(b, seeds, bc.inflight, func(clients []*Client) {
+			shedWorker(b, seeds, bc.cfg, func(clients []*Client) {
 				b.ResetTimer()
 				for range b.N {
 					goodput, p99, late := openLoop(clients, seeds, 2*capacity, shedWindow)
@@ -56,23 +56,20 @@ func BenchmarkServeUnderShed(b *testing.B) {
 					b.ReportMetric(goodput, "goodput/s")
 					b.ReportMetric(float64(p99)/1e6, "p99_ms")
 					b.ReportMetric(float64(late)/1e6, "late_p99_ms")
-					if late > shedBudget {
-						b.Logf("%s unresolved: generator lateness p99 %v exceeds the %v budget", b.Name(), late, shedBudget)
-					}
 				}
 			})
 		})
 	}
 }
 
-// shedWorker runs fn against a started worker with inflight admission slots
-// (0 = the default) and seeds' [25,10] answers cached, served over loopback
-// RPC to shedCallers clients.
-func shedWorker(b *testing.B, seeds []graph.VertexID, inflight int, fn func([]*Client)) {
+// shedWorker runs fn against a worker started from cfg with seeds' [25,10]
+// answers cached, served over loopback RPC to shedCallers clients.
+func shedWorker(b *testing.B, seeds []graph.VertexID, cfg Config, fn func([]*Client)) {
 	bk := mq.NewBroker(mq.Options{})
 	defer bk.Close()
 	plan := ledgerPlan(b)
-	w, err := New(Config{ID: 0, NumServers: 1, Plans: []*query.Plan{plan}, Broker: bk, MaxInflight: inflight})
+	cfg.NumServers, cfg.Plans, cfg.Broker = 1, []*query.Plan{plan}, bk
+	w, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -131,10 +128,11 @@ func closedLoop(clients []*Client, seeds []graph.VertexID, d time.Duration) floa
 
 // openLoop sends rate calls per second for d, spread evenly over the
 // clients: call k is due at k/rate after the start whether or not earlier
-// calls have come back. It returns the answers that arrived within
-// shedBudget of their call, per second, the p99 of every answer's latency,
-// and the p99 of how late the calls left against their due times (the
-// generator's own lag on a busy host).
+// calls have come back. A call leaves with what is left of shedBudget at its
+// due time, and one already past it is a miss that is not sent. It returns
+// the answers that arrived within shedBudget of their due time, per second,
+// the p99 of every answer's latency from its due time, and the p99 of how
+// late the calls left (the generator's own lag on a busy host).
 func openLoop(clients []*Client, seeds []graph.VertexID, rate float64, d time.Duration) (goodput float64, p99, lateP99 time.Duration) {
 	var mu sync.Mutex
 	var lats, lates []time.Duration
@@ -153,11 +151,11 @@ func openLoop(clients []*Client, seeds []graph.VertexID, rate float64, d time.Du
 				calls.Add(1)
 				go func() {
 					defer calls.Done()
-					sent := time.Now()
-					ok := call(cl, seeds[i], shedBudget)
-					lat := time.Since(sent)
+					late := time.Since(due)
+					ok := late < shedBudget && call(cl, seeds[i], shedBudget-late)
+					lat := time.Since(due)
 					mu.Lock()
-					lates = append(lates, sent.Sub(due))
+					lates = append(lates, late)
 					if ok {
 						lats = append(lats, lat)
 					}

@@ -96,21 +96,15 @@ func waitConsumed(t *testing.T, w *Worker, n int64) {
 func TestSnapshotWaitsForQueuedApplies(t *testing.T) {
 	b := mq.NewBroker(mq.Options{})
 	defer b.Close()
-	w, err := New(Config{
-		ID: 0, NumServers: 1,
-		Plans:         []*query.Plan{testPlan(t)},
-		Broker:        b,
-		UpdateThreads: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newTestWorker(t, b)
 	w.Start()
 
-	// Stall the single update actor: its handler blocks acking an
-	// unbuffered barrier nobody receives yet.
+	// Stall every update actor: each handler blocks acking an unbuffered
+	// barrier nobody receives yet.
 	stall := make(chan struct{})
-	w.updatePool.SendTo(0, cacheUpdate{barrier: stall})
+	for i := range w.updatePool.Workers() {
+		w.updatePool.SendTo(i, cacheUpdate{barrier: stall})
+	}
 
 	// The poll loop enqueues these behind the stall and advances consumed
 	// past offsets that are NOT applied — exactly the lost-update window.
@@ -131,7 +125,9 @@ func TestSnapshotWaitsForQueuedApplies(t *testing.T) {
 		t.Fatalf("snapshot completed over 3 unapplied queued messages: %v", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	<-stall // release the actor: applies drain, then the barrier acks
+	for range w.updatePool.Workers() {
+		<-stall // release the actors: applies drain, then the barrier acks
+	}
 	if err := <-snapped; err != nil {
 		t.Fatal(err)
 	}

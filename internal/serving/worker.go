@@ -43,14 +43,12 @@ type Config struct {
 	// Store configures the cache's spill tier: with a Dir, cells beyond
 	// MemBudgetBytes go to a kvstore there; an empty Dir is memory only.
 	Store kvstore.Options
-	// Thread-pool sizes. Zero values default to 2 update, 8 serve.
-	UpdateThreads, ServeThreads int
+	// ServeThreads sizes the serve pool and the admission limiter in front
+	// of it: as many sampling batches are admitted at once as there are
+	// serve actors, and as many more may wait. 0 defaults to 8.
+	ServeThreads int
 	// TTL expires cache entries untouched for this long; 0 disables.
 	TTL time.Duration
-	// MaxInflight bounds concurrently admitted sampling batches (the
-	// serving admission limiter), and as many more may wait; 0 defaults to
-	// 4×ServeThreads.
-	MaxInflight int
 	// Clock is the time source for latency stamps, TTL sweeps, and request
 	// spans; nil defaults to the wall clock. Tests inject a fake so latency
 	// assertions never sleep.
@@ -75,6 +73,8 @@ type Config struct {
 const (
 	// mailboxDepth bounds the worker's actor queues.
 	mailboxDepth = 1024
+	// updateThreads sizes the pool that applies cache updates.
+	updateThreads = 2
 	// commitEvery paces committing the sample-queue poll position.
 	commitEvery = 100 * time.Millisecond
 )
@@ -86,14 +86,8 @@ func (c *Config) fill() error {
 	if c.Broker == nil {
 		return fmt.Errorf("serving: broker is required")
 	}
-	if c.UpdateThreads <= 0 {
-		c.UpdateThreads = 2
-	}
 	if c.ServeThreads <= 0 {
 		c.ServeThreads = 8
-	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 4 * c.ServeThreads
 	}
 	if c.Clock == nil {
 		c.Clock = clock.Wall()
@@ -272,7 +266,7 @@ func New(cfg Config) (*Worker, error) {
 	}
 	w.limiter = overload.NewLimiter(overload.Config{
 		Stage:       "serving",
-		MaxInflight: cfg.MaxInflight,
+		MaxInflight: cfg.ServeThreads,
 		Clock:       cfg.Clock,
 		Metrics:     cfg.Metrics,
 	})
@@ -316,7 +310,7 @@ func (w *Worker) Start() {
 		return
 	}
 	w.started = true
-	w.updatePool = actor.NewPool("cache-update", w.cfg.UpdateThreads, mailboxDepth, w.applyUpdate)
+	w.updatePool = actor.NewPool("cache-update", updateThreads, mailboxDepth, w.applyUpdate)
 	w.servePool = actor.NewPool("serve", w.cfg.ServeThreads, mailboxDepth, w.handleRequest)
 	w.pollers = actor.NewLoop(1, func(_ int, stop <-chan struct{}) bool { return w.poll(cons, stop) })
 	w.sweeper = actor.Every(w.cfg.TTL/4, func() { w.sweep(w.cfg.Clock.Now().Add(-w.cfg.TTL).UnixNano()) })
