@@ -78,3 +78,7 @@ check:
 	# Shutdown of a replica set with its followers gone: ten runs hold the
 	# Close bound, so a wait that no stop reaches fails loudly.
 	$(GO) test -race -count=10 -run TestCloseDrainsInFlightRequests ./internal/cluster
+	# One pass of the benchmark that sizes serving admission: 16 callers
+	# open-loop past a worker's capacity, through admission, the serve
+	# actors and their shutdown.
+	$(GO) test ./internal/serving -run '^$$' -bench ServeUnderShed -benchtime 1x

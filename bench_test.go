@@ -17,6 +17,7 @@ import (
 	"helios/internal/graphdb"
 	"helios/internal/kvstore"
 	"helios/internal/query"
+	"helios/internal/rpc"
 	"helios/internal/sampling"
 	"helios/internal/serving"
 	"helios/internal/workload"
@@ -344,7 +345,7 @@ func BenchmarkFig13SamplingScalability(b *testing.B) {
 }
 
 // BenchmarkFig14ServingScalability sweeps serving-thread counts through the
-// serving pool (Submit path).
+// serving pool, each call admitted by the worker Route picks for its seed.
 func BenchmarkFig14ServingScalability(b *testing.B) {
 	spec := workload.INTER().Scale(benchScale)
 	for _, threads := range []int{4, 16} {
@@ -364,10 +365,14 @@ func BenchmarkFig14ServingScalability(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					resp := make(chan []serving.Response, 1)
-					c.Submit(serving.Request{Batch: []serving.BatchItem{{Query: 0, Seed: gen.SeedVertex(rng)}}, Resp: resp})
-					if r := (<-resp)[0]; r.Err != nil {
-						b.Fatal(r.Err)
+					seed := gen.SeedVertex(rng)
+					out, err := c.Route(seed).ServeBatch(rpc.Ctx{}, []serving.BatchItem{{Query: 0, Seed: seed}})
+					if err == nil {
+						err = out[0].Err
+						out[0].Release()
+					}
+					if err != nil {
+						b.Fatal(err)
 					}
 				}
 			})

@@ -34,7 +34,7 @@ func declare(fs *flag.FlagSet) *flags {
 	fs.StringVar(&o.Listen, "listen", "127.0.0.1:0", "address to serve sampling RPC on")
 	fs.StringVar(&w.Store.Dir, "cache-dir", "", "hybrid-mode cache spill directory (empty = memory only)")
 	fs.Int64Var(&w.Store.MemBudgetBytes, "cache-mem", 0, "cache memory budget in bytes before spilling (0 = default)")
-	fs.IntVar(&w.ServeThreads, "serve-threads", 0, "serving actors and admission slots (0 = 8)")
+	fs.IntVar(&w.ServeThreads, "serve-threads", 0, "serving actors and admission slots (0 = GOMAXPROCS)")
 	fs.StringVar(&f.snapshotDir, "snapshot-dir", "", "warm-restart snapshot directory: serving-<id>.snap is restored on boot and rewritten every minute (empty = snapshots off)")
 	fs.DurationVar(&o.TelemetryEvery, "telemetry-every", 5*time.Second, "cluster telemetry snapshot interval; a snapshot is also the liveness beat (0 = disabled)")
 	fs.StringVar(&f.faults, "faultpoints", "", "arm deterministic fault injection, e.g. mq.fetch=error:injected:3 (chaos drills)")

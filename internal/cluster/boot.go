@@ -235,12 +235,6 @@ func (c *Local) SampleEncoded(qid query.ID, seed graph.VertexID) (serving.Encode
 	return c.Route(seed).SampleEncoded(qid, seed)
 }
 
-// Submit routes an asynchronous request through the serving pool of the
-// worker owning its first member's seed.
-func (c *Local) Submit(req serving.Request) {
-	c.Route(req.Batch[0].Seed).Submit(req)
-}
-
 // WaitQuiesce blocks until every queue is drained and every pool idle for
 // three consecutive probes, or the timeout expires. The subscription
 // cascade converges in at most K rounds, so quiescence implies the caches

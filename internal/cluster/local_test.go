@@ -10,6 +10,7 @@ import (
 	"helios/internal/deploy"
 	"helios/internal/graph"
 	"helios/internal/query"
+	"helios/internal/rpc"
 	"helios/internal/sampling"
 	"helios/internal/serving"
 )
@@ -424,7 +425,9 @@ func TestSampleUnknownQuery(t *testing.T) {
 	}
 }
 
-func TestSubmitAsync(t *testing.T) {
+// TestRouteServeBatch: a batch sent to the worker Route picks for its seed
+// is admitted and assembled by that worker's serve pool.
+func TestRouteServeBatch(t *testing.T) {
 	g := newTestGraph()
 	c, err := newLocal(localConfig{
 		Samplers: 1, Servers: 2,
@@ -439,27 +442,22 @@ func TestSubmitAsync(t *testing.T) {
 	if err := c.WaitQuiesce(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	resp := make(chan []serving.Response, 1)
-	c.Submit(serving.Request{Batch: []serving.BatchItem{{Query: 0, Seed: userID(1)}}, Resp: resp})
-	select {
-	case out := <-resp:
-		r := out[0]
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		res, err := r.Result.Decode()
-		r.Release()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Layers[1]) != 1 || res.Layers[1][0] != itemID(1) {
-			t.Fatalf("async result: %v", res.Layers)
-		}
-		if r.Latency <= 0 {
-			t.Fatal("latency not measured")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("async response never arrived")
+	ctx := rpc.Ctx{Deadline: time.Now().Add(5 * time.Second)}
+	out, err := c.Route(userID(1)).ServeBatch(ctx, []serving.BatchItem{{Query: 0, Seed: userID(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := out[0]
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	res, err := r.Result.Decode()
+	r.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Layers[1]) != 1 || res.Layers[1][0] != itemID(1) {
+		t.Fatalf("served result: %v", res.Layers)
 	}
 }
 

@@ -49,7 +49,8 @@ type OverloadFile struct {
 	RequestTimeoutMS int `json:"requestTimeoutMs,omitempty"`
 	// MaxInflight bounds the sampling requests admitted at once at the
 	// frontend; as many more may wait there. A serving worker's bound is
-	// its serve pool (serving.Config.ServeThreads), not this.
+	// its serve pool (serving.Config.ServeThreads, one actor per CPU by
+	// default), not this: each admission slot there is one serve actor.
 	MaxInflight int `json:"maxInflight,omitempty"`
 }
 

@@ -109,8 +109,8 @@ func (c *combiner) call(items []serving.BatchItem, deadline time.Time) (results 
 
 // flush sends one detached batch and fans the outcomes back out. Members
 // whose deadline already passed fail locally; the live ones go as one
-// helios.sample frame whose deadline is their minimum, each member carrying
-// its own remaining budget.
+// helios.sample frame whose deadline is their minimum, the one deadline the
+// worker serves them all under.
 func (c *combiner) flush(batch []*pendingSample) {
 	now := c.f.clk.Now()
 	items := make([]serving.BatchItem, 0, len(batch))
@@ -118,13 +118,11 @@ func (c *combiner) flush(batch []*pendingSample) {
 	var batchDeadline time.Time
 	for _, ps := range batch {
 		if !ps.deadline.IsZero() {
-			budget := ps.deadline.Sub(now)
-			if budget <= 0 {
+			if !now.Before(ps.deadline) {
 				c.f.DeadlineExceeded.Inc()
 				ps.done <- sampleOutcome{err: rpc.ErrDeadlineExceeded}
 				continue
 			}
-			ps.item.Budget = budget.Nanoseconds()
 			if batchDeadline.IsZero() || ps.deadline.Before(batchDeadline) {
 				batchDeadline = ps.deadline
 			}

@@ -357,7 +357,7 @@ func (f *Frontend) admitSample(trace uint64) (time.Time, func(), error) {
 		f.stAdmission.Observe(f.clk.Now().Sub(start).Nanoseconds(), trace)
 		return deadline, func() {}, nil
 	}
-	release, err := f.limiter.Acquire(deadline)
+	_, release, err := f.limiter.Acquire(deadline)
 	f.stAdmission.Observe(f.clk.Now().Sub(start).Nanoseconds(), trace)
 	if err != nil {
 		if overload.IsDeadline(err) {

@@ -53,7 +53,7 @@ func BuildTree(res *serving.Result, dim int) *Tree {
 	seen := make(map[[3]uint64]bool)
 	for _, e := range res.Edges {
 		d := e.Hop
-		if d < 0 || d+1 >= len(t.Depths) {
+		if d < 0 || d >= len(t.Depths)-1 { // not d+1: a hop off a socket may be MaxInt
 			continue
 		}
 		pi, ok := index[d][e.Parent]

@@ -11,8 +11,9 @@
 // immediately. A shed request costs microseconds; an admitted-but-doomed
 // request costs a worker for its full service time.
 //
-// Shedding decisions are deliberately cheap and local — a channel
-// semaphore, an atomic waiter count, and an EWMA of observed service time.
+// Shedding decisions are deliberately cheap and local — a channel of free
+// slot indices, an atomic waiter count, and an EWMA of observed service
+// time.
 // There is no global coordination: each stage protects itself, and the
 // deadline budget carried in the RPC frame (see internal/rpc) is what links
 // the stages into one end-to-end bound.
@@ -135,11 +136,14 @@ const maxWait = time.Second
 const headroom = 2
 
 // Limiter is a concurrency limiter with a deadline-aware wait queue as deep
-// as its slots. Admission order among waiters follows the channel FIFO.
+// as its slots. Its slots are numbered: an admission holds one index in
+// [0, Slots()), which no other admission holds until it is released, so a
+// caller can key per-slot state on it (a serving worker's serve actor).
+// Admission order among waiters follows the channel FIFO.
 type Limiter struct {
 	stage   string
 	clk     clock.Clock
-	slots   chan struct{}
+	free    chan int      // the slot indices not held
 	maxWait time.Duration // the constant maxWait; this package's tests shorten it
 	waiters atomic.Int64
 
@@ -161,10 +165,14 @@ func NewLimiter(cfg Config) *Limiter {
 		cfg.Metrics = obs.NewRegistry()
 	}
 	reg, stage := cfg.Metrics, cfg.Stage
+	free := make(chan int, cfg.MaxInflight)
+	for i := range cfg.MaxInflight {
+		free <- i
+	}
 	return &Limiter{
 		stage:         stage,
 		clk:           cfg.Clock,
-		slots:         make(chan struct{}, cfg.MaxInflight),
+		free:          free,
 		maxWait:       maxWait,
 		shedQueueFull: reg.Counter("overload.shed", "stage", stage, "reason", "queue_full"),
 		shedBudget:    reg.Counter("overload.shed", "stage", stage, "reason", "budget"),
@@ -174,9 +182,10 @@ func NewLimiter(cfg Config) *Limiter {
 }
 
 // Acquire admits the caller or sheds it. deadline is the request's absolute
-// deadline (zero = none). On success it returns a release function that
-// must be called exactly once when the request finishes; release also feeds
-// the service-time estimate. Failure modes:
+// deadline (zero = none). On success it returns the slot index the caller
+// holds and a release function that frees it, to be called once the
+// request's work has finished (a second call is a no-op); release also
+// feeds the service-time estimate. Failure modes:
 //
 //   - rpc.ErrDeadlineExceeded: the deadline passed before admission (on
 //     entry or while queued).
@@ -188,27 +197,27 @@ func NewLimiter(cfg Config) *Limiter {
 //   - ShedError{reason: "queue_full"}: as many callers wait as there are slots.
 //   - ShedError{reason: "wait_timeout"}: an untimed request waited maxWait
 //     without admission.
-func (l *Limiter) Acquire(deadline time.Time) (func(), error) {
+func (l *Limiter) Acquire(deadline time.Time) (int, func(), error) {
 	now := l.clk.Now()
 	if !deadline.IsZero() {
 		if !now.Before(deadline) {
-			return nil, rpc.ErrDeadlineExceeded
+			return 0, nil, rpc.ErrDeadlineExceeded
 		}
-		if est := l.est.Estimate(); est > 0 && len(l.slots) > 0 && deadline.Sub(now) < headroom*est {
+		if est := l.est.Estimate(); est > 0 && l.Inflight() > 0 && deadline.Sub(now) < headroom*est {
 			l.shedBudget.Inc()
-			return nil, Shed(l.stage, "budget")
+			return 0, nil, Shed(l.stage, "budget")
 		}
 	}
 	select {
-	case l.slots <- struct{}{}:
+	case slot := <-l.free:
 		l.queueWait.Observe(0, 0)
-		return l.admitted(now), nil
+		return slot, l.admitted(slot, now), nil
 	default:
 	}
-	if l.waiters.Add(1) > int64(cap(l.slots)) {
+	if l.waiters.Add(1) > int64(cap(l.free)) {
 		l.waiters.Add(-1)
 		l.shedQueueFull.Inc()
-		return nil, Shed(l.stage, "queue_full")
+		return 0, nil, Shed(l.stage, "queue_full")
 	}
 	defer l.waiters.Add(-1)
 	wait := l.maxWait
@@ -222,38 +231,38 @@ func (l *Limiter) Acquire(deadline time.Time) (func(), error) {
 	t := time.NewTimer(wait)
 	defer t.Stop()
 	select {
-	case l.slots <- struct{}{}:
+	case slot := <-l.free:
 		admit := l.clk.Now()
 		l.queueWait.Observe(admit.Sub(now).Nanoseconds(), 0)
-		return l.admitted(admit), nil
+		return slot, l.admitted(slot, admit), nil
 	case <-t.C:
 		if timed {
 			// The budget burned up in the queue: a deadline error, so the
 			// caller (and any upstream hop) knows not to retry.
-			return nil, rpc.ErrDeadlineExceeded
+			return 0, nil, rpc.ErrDeadlineExceeded
 		}
 		l.shedWait.Inc()
-		return nil, Shed(l.stage, "wait_timeout")
+		return 0, nil, Shed(l.stage, "wait_timeout")
 	}
 }
 
-// admitted returns the admission's one-shot release.
-func (l *Limiter) admitted(start time.Time) func() {
+// admitted returns the one-shot release of slot.
+func (l *Limiter) admitted(slot int, start time.Time) func() {
 	var done atomic.Bool
 	return func() {
 		if done.Swap(true) {
 			return
 		}
 		l.est.Observe(l.clk.Now().Sub(start))
-		<-l.slots
+		l.free <- slot
 	}
 }
 
 // Slots reports how many requests the limiter admits at once.
-func (l *Limiter) Slots() int { return cap(l.slots) }
+func (l *Limiter) Slots() int { return cap(l.free) }
 
 // Inflight reports currently admitted requests.
-func (l *Limiter) Inflight() int64 { return int64(len(l.slots)) }
+func (l *Limiter) Inflight() int64 { return int64(cap(l.free) - len(l.free)) }
 
 // Queued reports requests currently waiting for admission.
 func (l *Limiter) Queued() int64 { return l.waiters.Load() }

@@ -34,22 +34,28 @@ func TestShedErrorClassification(t *testing.T) {
 	}
 }
 
+// TestLimiterConcurrencyBound: a limiter admits as many callers as it has
+// slots, each holding its own slot index, and a freed index is the one the
+// next caller gets.
 func TestLimiterConcurrencyBound(t *testing.T) {
 	l := NewLimiter(Config{Stage: "t", MaxInflight: 2})
 	l.maxWait = 10 * time.Millisecond
-	r1, err := l.Acquire(time.Time{})
+	s1, r1, err := l.Acquire(time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := l.Acquire(time.Time{})
+	s2, r2, err := l.Acquire(time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := l.Inflight(); got != 2 {
 		t.Fatalf("inflight = %d, want 2", got)
 	}
+	if s1 == s2 || min(s1, s2) != 0 || max(s1, s2) != 1 {
+		t.Fatalf("two admissions hold slots %d and %d, want 0 and 1", s1, s2)
+	}
 	// No free slot: the third caller waits out maxWait and sheds.
-	if _, err := l.Acquire(time.Time{}); !IsOverload(err) {
+	if _, _, err := l.Acquire(time.Time{}); !IsOverload(err) {
 		t.Fatalf("err = %v, want overload", err)
 	}
 	r1()
@@ -57,9 +63,12 @@ func TestLimiterConcurrencyBound(t *testing.T) {
 	if got := l.Inflight(); got != 1 {
 		t.Fatalf("inflight after release = %d, want 1", got)
 	}
-	r3, err := l.Acquire(time.Time{})
+	s3, r3, err := l.Acquire(time.Time{})
 	if err != nil {
 		t.Fatalf("slot freed but acquire failed: %v", err)
+	}
+	if s3 != s1 {
+		t.Fatalf("admission after slot %d freed holds slot %d", s1, s3)
 	}
 	r2()
 	r3()
@@ -71,7 +80,7 @@ func TestLimiterConcurrencyBound(t *testing.T) {
 func TestLimiterQueueBoundAndMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	l := NewLimiter(Config{Stage: "t", MaxInflight: 1, Metrics: reg})
-	release, err := l.Acquire(time.Time{})
+	_, release, err := l.Acquire(time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +90,7 @@ func TestLimiterQueueBoundAndMetrics(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		r, err := l.Acquire(time.Time{})
+		_, r, err := l.Acquire(time.Time{})
 		admitted <- err
 		if err == nil {
 			r()
@@ -95,7 +104,7 @@ func TestLimiterQueueBoundAndMetrics(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := l.Acquire(time.Time{}); !IsOverload(err) {
+	if _, _, err := l.Acquire(time.Time{}); !IsOverload(err) {
 		t.Fatalf("overflow err = %v, want overload", err)
 	}
 	release()
@@ -114,20 +123,20 @@ func TestLimiterQueueBoundAndMetrics(t *testing.T) {
 
 func TestLimiterExpiredDeadline(t *testing.T) {
 	l := NewLimiter(Config{Stage: "t", MaxInflight: 1})
-	if _, err := l.Acquire(time.Now().Add(-time.Second)); !errors.Is(err, rpc.ErrDeadlineExceeded) {
+	if _, _, err := l.Acquire(time.Now().Add(-time.Second)); !errors.Is(err, rpc.ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
 }
 
 func TestLimiterDeadlineWhileQueued(t *testing.T) {
 	l := NewLimiter(Config{Stage: "t", MaxInflight: 1})
-	release, err := l.Acquire(time.Time{})
+	_, release, err := l.Acquire(time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer release()
 	start := time.Now()
-	_, err = l.Acquire(time.Now().Add(30 * time.Millisecond))
+	_, _, err = l.Acquire(time.Now().Add(30 * time.Millisecond))
 	if !errors.Is(err, rpc.ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -140,12 +149,12 @@ func TestLimiterUntimedWaitIsBounded(t *testing.T) {
 	reg := obs.NewRegistry()
 	l := NewLimiter(Config{Stage: "t", MaxInflight: 1, Metrics: reg})
 	l.maxWait = 20 * time.Millisecond
-	release, err := l.Acquire(time.Time{})
+	_, release, err := l.Acquire(time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer release()
-	if _, err := l.Acquire(time.Time{}); !IsOverload(err) {
+	if _, _, err := l.Acquire(time.Time{}); !IsOverload(err) {
 		t.Fatalf("err = %v, want overload (wait_timeout)", err)
 	}
 	if c := reg.Counter("overload.shed", "stage", "t", "reason", "wait_timeout"); c.Value() != 1 {
@@ -161,13 +170,13 @@ func TestLimiterBudgetShed(t *testing.T) {
 		l.est.Observe(100 * time.Millisecond)
 	}
 	// A comfortable budget is admitted.
-	busy, err := l.Acquire(time.Now().Add(5 * time.Second))
+	_, busy, err := l.Acquire(time.Now().Add(5 * time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// With that in flight, 50ms of budget cannot cover 2×100ms: shed before
 	// doing work.
-	if _, err := l.Acquire(time.Now().Add(50 * time.Millisecond)); !IsOverload(err) {
+	if _, _, err := l.Acquire(time.Now().Add(50 * time.Millisecond)); !IsOverload(err) {
 		t.Fatalf("err = %v, want overload (budget)", err)
 	}
 	if c := reg.Counter("overload.shed", "stage", "t", "reason", "budget"); c.Value() != 1 {
@@ -177,7 +186,7 @@ func TestLimiterBudgetShed(t *testing.T) {
 	// by admissions, so one inflated by an overload past must not shed every
 	// request after it.
 	busy()
-	probe, err := l.Acquire(time.Now().Add(50 * time.Millisecond))
+	_, probe, err := l.Acquire(time.Now().Add(50 * time.Millisecond))
 	if err != nil {
 		t.Fatalf("idle limiter shed a request: %v", err)
 	}
@@ -216,11 +225,11 @@ func TestRegisterMetricsAggregates(t *testing.T) {
 	for _, stage := range []string{"agg-a", "agg-b"} {
 		l := NewLimiter(Config{Stage: stage, MaxInflight: 1, Metrics: reg})
 		l.maxWait = 10 * time.Millisecond
-		r, err := l.Acquire(time.Time{})
+		_, r, err := l.Acquire(time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.Acquire(time.Time{}); !IsOverload(err) {
+		if _, _, err := l.Acquire(time.Time{}); !IsOverload(err) {
 			t.Fatalf("err = %v, want overload", err)
 		}
 		if l.Inflight() != 1 {

@@ -135,24 +135,35 @@ func TestSampleBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSampleBatchMemberBudget checks per-member deadline isolation inside
-// a batch: a member whose own budget already burned up fails fast with a
-// typed deadline error while its batchmates are served normally.
+// TestSampleBatchMemberBudget pins the one deadline a batch's members are
+// served under: the frame's, the earliest of theirs. A turn that starts
+// past it fails every member with the typed deadline error, which crosses
+// the hop as such; a live frame serves every member.
 func TestSampleBatchMemberBudget(t *testing.T) {
-	_, client := loadedRPCWorker(t, nil)
-	items := []BatchItem{
-		{Query: 0, Seed: 1, Budget: 1}, // 1ns: expired by dequeue time
-		{Query: 0, Seed: 1},
+	w, client := loadedRPCWorker(t, nil)
+	items := []BatchItem{{Query: 0, Seed: 1}, {Query: 0, Seed: 1, Trace: 5}}
+	resp := make(chan []Response, 1)
+	w.handleRequest(0, request{batch: items, resp: resp, release: func() {},
+		deadline: w.cfg.Clock.Now().Add(-time.Millisecond).UnixNano()})
+	enc := codec.NewWriter(64)
+	AppendBatchResults(enc, <-resp)
+	expired, err := DecodeBatchResults(codec.NewReader(enc.Bytes()))
+	if err != nil || len(expired) != len(items) {
+		t.Fatalf("expired batch: %d members, %v", len(expired), err)
 	}
-	out, err := client.SampleBatch(items, time.Second)
+	for i, r := range expired {
+		if !errors.Is(r.Err, rpc.ErrDeadlineExceeded) {
+			t.Fatalf("member %d of an expired batch: err=%v, want deadline exceeded", i, r.Err)
+		}
+	}
+	live, err := client.SampleBatch(items, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(out[0].Err, rpc.ErrDeadlineExceeded) {
-		t.Fatalf("expired member: err=%v, want deadline exceeded", out[0].Err)
-	}
-	if out[1].Err != nil || out[1].Result == nil {
-		t.Fatalf("live member: %+v", out[1])
+	for i, r := range live {
+		if r.Err != nil || r.Result == nil {
+			t.Fatalf("member %d of a live batch: %+v", i, r)
+		}
 	}
 }
 
@@ -177,8 +188,8 @@ func TestSampleBatchSizeCap(t *testing.T) {
 // table test for the new decoder.
 func TestBatchRequestCodec(t *testing.T) {
 	items := []BatchItem{
-		{Query: 1, Seed: 2, Trace: 3, Budget: 4},
-		{Query: 0, Seed: 1 << 40, Budget: -1},
+		{Query: 1, Seed: 2, Trace: 3},
+		{Query: 0, Seed: 1 << 40},
 		{Seed: 9, Trace: 1 << 50},
 	}
 	w := codec.NewWriter(64)
@@ -264,8 +275,8 @@ func TestBatchCodecZeroAlloc(t *testing.T) {
 		t.Skip("race detector instrumentation allocates")
 	}
 	items := []BatchItem{
-		{Query: 1, Seed: 2, Trace: 3, Budget: 4},
-		{Query: 0, Seed: 1 << 40, Budget: -1},
+		{Query: 1, Seed: 2, Trace: 3},
+		{Query: 0, Seed: 1 << 40},
 	}
 	resps := []Response{
 		{Result: encodeResult(&Result{Layers: [][]graph.VertexID{{1}, {2, 3}}, Lookups: 3})},

@@ -1,6 +1,8 @@
 package serving
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,27 +13,26 @@ import (
 	"helios/internal/rpc"
 )
 
+// TestDeadlineFastFailAtDequeue drives one serve turn whose batch
+// deadline passed while it was queued: the actor fails it fast with the
+// typed deadline error instead of assembling an answer, and frees its slot.
 func TestDeadlineFastFailAtDequeue(t *testing.T) {
 	b := mq.NewBroker(mq.Options{})
 	defer b.Close()
 	w := newTestWorker(t, b)
-	w.Start()
-	defer w.Stop()
 
 	resp := make(chan []Response, 1)
-	// A deadline already in the past: the serve actor must fail fast with the
-	// typed deadline error instead of assembling an answer.
-	w.Submit(Request{
-		Batch: []BatchItem{{Query: 0, Seed: 1}}, Resp: resp,
-		Deadline: w.cfg.Clock.Now().Add(-time.Millisecond).UnixNano(),
+	released := false
+	w.handleRequest(0, request{
+		batch: []BatchItem{{Query: 0, Seed: 1}}, resp: resp,
+		release:  func() { released = true },
+		deadline: w.cfg.Clock.Now().Add(-time.Millisecond).UnixNano(),
 	})
-	select {
-	case out := <-resp:
-		if !overload.IsDeadline(out[0].Err) {
-			t.Fatalf("expired request returned %v, want deadline error", out[0].Err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no response for expired request")
+	if out := <-resp; !overload.IsDeadline(out[0].Err) {
+		t.Fatalf("expired request returned %v, want deadline error", out[0].Err)
+	}
+	if !released {
+		t.Fatal("the turn did not free its slot")
 	}
 	if w.deadlineExp.Value() == 0 {
 		t.Fatal("serving.deadline_expired not incremented")
@@ -39,6 +40,87 @@ func TestDeadlineFastFailAtDequeue(t *testing.T) {
 	if w.served.Value() != 0 {
 		t.Fatal("expired request was served anyway")
 	}
+}
+
+// gatedLog is a log sink whose writes wait until open is closed: a serve
+// turn logging a slow traced request holds its actor until then.
+type gatedLog struct{ open chan struct{} }
+
+func (g gatedLog) Write(p []byte) (int, error) {
+	<-g.open
+	return len(p), nil
+}
+
+// heldWorker starts a worker with threads serve actors whose every traced
+// turn is held in its slow-log line until the returned func runs (cleanup
+// runs it too).
+func heldWorker(t *testing.T, threads int) (*Worker, func()) {
+	t.Helper()
+	b := mq.NewBroker(mq.Options{})
+	t.Cleanup(func() { b.Close() })
+	gate := make(chan struct{})
+	w, err := New(Config{
+		ID: 0, NumServers: 1,
+		Plans:        []*query.Plan{testPlan(t)},
+		Broker:       b,
+		ServeThreads: threads,
+		Logger:       obs.NewLogger(gatedLog{gate}, "serving"),
+		SlowLog:      time.Nanosecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Start()
+	t.Cleanup(w.Stop)
+	var once sync.Once
+	open := func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(open)
+	return w, open
+}
+
+// TestAdmittedBatchesRunOnTheirOwnActors: two admitted batches run at once
+// on a 2-thread worker, though their seeds are one, because each runs on
+// the actor its admission slot names. Both are assembled (served counts
+// two) while the first turn is still held.
+func TestAdmittedBatchesRunOnTheirOwnActors(t *testing.T) {
+	w, open := heldWorker(t, 2)
+	done := make(chan error, 2)
+	for trace := range uint64(2) {
+		go func() {
+			_, err := w.ServeBatch(rpc.Ctx{Trace: trace + 1}, []BatchItem{{Query: 0, Seed: 1, Trace: trace + 1}})
+			done <- err
+		}()
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for w.served.Value() < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := w.served.Value(); n != 2 {
+		t.Errorf("with two slots admitted, %d of two batches started while one turn was held", n)
+	}
+	open()
+	for range 2 {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestGivenUpBatchKeepsItsSlot: a waiter whose budget runs out while its
+// batch's turn is held returns the deadline error, but the slot stays held
+// until the actor's turn ends, so no next batch is admitted onto a busy
+// actor.
+func TestGivenUpBatchKeepsItsSlot(t *testing.T) {
+	w, open := heldWorker(t, 1)
+	ctx := rpc.Ctx{Trace: 1, Deadline: time.Now().Add(50 * time.Millisecond)}
+	if _, err := w.ServeBatch(ctx, []BatchItem{{Query: 0, Seed: 1, Trace: 1}}); !overload.IsDeadline(err) {
+		t.Fatalf("waiter on a held turn: %v, want deadline error", err)
+	}
+	if in := w.limiter.Inflight(); in != 1 {
+		t.Fatalf("after its waiter gave up, a batch still on its actor holds %d slots, want 1", in)
+	}
+	open()
+	waitUntil(t, func() bool { return w.limiter.Inflight() == 0 })
 }
 
 // saturate holds every admission slot of w and parks as many waiters,
@@ -49,7 +131,7 @@ func saturate(t *testing.T, w *Worker) func() {
 	n := w.limiter.Slots()
 	releases := make([]func(), n)
 	for i := range releases {
-		r, err := w.limiter.Acquire(time.Time{})
+		_, r, err := w.limiter.Acquire(time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +140,7 @@ func saturate(t *testing.T, w *Worker) func() {
 	parked := make(chan error, n)
 	for range n {
 		go func() {
-			r, err := w.limiter.Acquire(time.Time{})
+			_, r, err := w.limiter.Acquire(time.Time{})
 			if r != nil {
 				r()
 			}
@@ -87,7 +169,7 @@ func TestAdmissionQueueMatchesSlots(t *testing.T) {
 		name         string
 		serveThreads int
 		want         int64
-	}{{"serve-threads-2", 2, 2}, {"defaults", 0, 8}} {
+	}{{"serve-threads-2", 2, 2}, {"defaults", 0, int64(runtime.GOMAXPROCS(0))}} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := mq.NewBroker(mq.Options{})
 			defer b.Close()
@@ -152,7 +234,7 @@ func TestShedBatchIsRefusedWhole(t *testing.T) {
 		c.ServeThreads, c.Metrics = 1, reg
 	})
 	shed := reg.Counter("overload.shed", "stage", "serving", "reason", "queue_full")
-	release, err := w.limiter.Acquire(time.Time{})
+	_, release, err := w.limiter.Acquire(time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}

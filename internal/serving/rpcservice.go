@@ -19,9 +19,8 @@ import (
 // query is a batch of one. The frontend combines the requests that queued
 // for a partition while its calls were in flight; the worker decodes the
 // batch once and assembles every member in a single actor turn. Per-member
-// trace IDs and deadline budgets ride in the payload, so each member keeps
-// its own identity and deadline though the frame envelope carries only the
-// batch-wide minimum.
+// trace IDs ride in the payload, so each member keeps its own identity; the
+// frame envelope's deadline, the earliest of the members', bounds them all.
 const MethodSample = "helios.sample"
 
 // MaxBatch caps the members of one MethodSample frame: a bound on how
@@ -39,11 +38,6 @@ type BatchItem struct {
 	Seed  graph.VertexID
 	// Trace is the member's own trace ID (0 = untraced).
 	Trace uint64
-	// Budget is the member's remaining deadline budget in nanoseconds,
-	// relative to the worker's receipt of the batch (<= 0 = no deadline).
-	// Like the frame-level budget, a relative duration needs no clock
-	// agreement between frontend and worker.
-	Budget int64
 }
 
 // BatchResult is one member's outcome from Client.SampleBatch,
@@ -58,7 +52,7 @@ type BatchResult struct {
 const (
 	batchOK      = 0 // followed by the length-prefixed encoded answer
 	batchErr     = 1 // followed by an error string
-	batchExpired = 2 // the member's own deadline expired worker-side
+	batchExpired = 2 // the batch's deadline expired worker-side
 )
 
 // Cold batch protocol errors, hoisted out of the hot encode/decode paths.
@@ -69,8 +63,8 @@ var (
 )
 
 // minBatchItem is the least a batch request member encodes to: query,
-// seed, trace and budget at one byte each.
-const minBatchItem = 4
+// seed and trace at one byte each.
+const minBatchItem = 3
 
 // AppendBatchRequest encodes a batch request.
 //
@@ -82,7 +76,6 @@ func AppendBatchRequest(w *codec.Writer, items []BatchItem) {
 		w.Uvarint(uint64(it.Query))
 		w.Uvarint(uint64(it.Seed))
 		w.Uvarint(it.Trace)
-		w.Varint(it.Budget)
 	}
 }
 
@@ -94,10 +87,9 @@ func DecodeBatchRequest(r *codec.Reader, items []BatchItem) ([]BatchItem, error)
 	items = items[:0]
 	for i, n := 0, r.Count(minBatchItem); i < n; i++ {
 		items = append(items, BatchItem{
-			Query:  query.ID(r.Uvarint()),
-			Seed:   graph.VertexID(r.Uvarint()),
-			Trace:  r.Uvarint(),
-			Budget: r.Varint(),
+			Query: query.ID(r.Uvarint()),
+			Seed:  graph.VertexID(r.Uvarint()),
+			Trace: r.Uvarint(),
 		})
 	}
 	if err := r.Err(); err != nil {
@@ -201,48 +193,39 @@ func ServeRPC(w *Worker, srv *rpc.Server) {
 }
 
 // ServeBatch runs a batch through the worker's admission limiter and the
-// serve pool as one unit of work: one limiter slot, one mailbox send, one
-// actor turn assembling every member. The frame deadline (the batch
-// minimum) bounds the whole batch; each member's own budget is enforced
-// per item inside the turn. A batch the limiter sheds is refused as a
-// batch: one shed, one error for every member.
+// serve pool as one unit of work: one limiter slot, one mailbox send to the
+// serve actor that slot names, one actor turn assembling every member under
+// the deadline ctx carries (the frame's, the earliest of its members'). A
+// batch the limiter sheds is refused as a batch: one shed, one error for
+// every member. The slot stays held until the actor's turn ends, even when
+// the deadline runs out first and ServeBatch returns
+// rpc.ErrDeadlineExceeded; items must stay unchanged until then.
 func (w *Worker) ServeBatch(ctx rpc.Ctx, items []BatchItem) ([]Response, error) {
-	release, err := w.limiter.Acquire(ctx.Deadline)
+	slot, release, err := w.limiter.Acquire(ctx.Deadline)
 	if err != nil {
 		w.cfg.Logger.Warn(ctx.Trace, "serving.admission", "sample batch shed",
 			"members", len(items), "err", err)
 		return nil, err
 	}
-	defer release()
-	if out, ok := w.await(ctx, items); ok {
-		return out, nil
-	}
-	return nil, rpc.ErrDeadlineExceeded
-}
-
-// await submits batch carrying ctx's deadline and waits for its answers,
-// or reports false once the budget runs out. The pool still dequeues an
-// abandoned request and fast-fails it; its response channel is buffered,
-// so nothing leaks (answers nobody reads are never released; the collector
-// takes them).
-func (w *Worker) await(ctx rpc.Ctx, batch []BatchItem) ([]Response, bool) {
-	resp := make(chan []Response, 1)
-	req := Request{Batch: batch, Resp: resp}
+	req := request{batch: items, resp: make(chan []Response, 1), release: release,
+		enqueued: w.cfg.Clock.Now().UnixNano()}
 	if !ctx.Deadline.IsZero() {
-		req.Deadline = ctx.Deadline.UnixNano()
+		req.deadline = ctx.Deadline.UnixNano()
 	}
-	w.Submit(req)
+	w.servePool.SendTo(slot, req)
 	if ctx.Deadline.IsZero() {
-		return <-resp, true
+		return <-req.resp, nil
 	}
+	// An answer nobody waits for any more is never released; the collector
+	// takes it.
 	t := time.NewTimer(ctx.Deadline.Sub(w.cfg.Clock.Now()))
 	defer t.Stop()
 	select {
-	case out := <-resp:
-		return out, true
+	case out := <-req.resp:
+		return out, nil
 	case <-t.C:
 		w.deadlineExp.Inc()
-		return nil, false
+		return nil, rpc.ErrDeadlineExceeded
 	}
 }
 
@@ -305,12 +288,12 @@ func (c *Client) bound(budget time.Duration) time.Duration {
 // SampleBatch executes a batch of sampling queries in one RPC frame,
 // returning per-member outcomes index-aligned with items, of which there
 // is at least one (the worker refuses an empty batch). budget
-// bounds the whole call like SampleBudget's; the members' own budgets
-// ride inside the payload (BatchItem.Budget), so one short-deadline
-// member fails fast worker-side without extending or truncating its
-// batchmates. The frame carries the first member's trace ID, for the
-// worker's encode-stage exemplar; every member keeps its own in the
-// payload.
+// bounds the whole call like SampleBudget's and is the one deadline every
+// member is served under: a batch that reaches its serve actor after the
+// budget ran out fails every member with rpc.ErrDeadlineExceeded, and one
+// that reaches it in time serves them all. The frame carries the first
+// member's trace ID, for the worker's encode-stage exemplar; every member
+// keeps its own in the payload.
 func (c *Client) SampleBatch(items []BatchItem, budget time.Duration) ([]BatchResult, error) {
 	w := codec.GetWriter()
 	AppendBatchRequest(w, items)

@@ -12,6 +12,7 @@ package serving
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -45,7 +46,9 @@ type Config struct {
 	Store kvstore.Options
 	// ServeThreads sizes the serve pool and the admission limiter in front
 	// of it: as many sampling batches are admitted at once as there are
-	// serve actors, and as many more may wait. 0 defaults to 8.
+	// serve actors, each running on the actor its admission slot names,
+	// and as many more may wait. 0 defaults to runtime.GOMAXPROCS(0), one
+	// serve actor per CPU the process may use.
 	ServeThreads int
 	// TTL expires cache entries untouched for this long; 0 disables.
 	TTL time.Duration
@@ -87,7 +90,7 @@ func (c *Config) fill() error {
 		return fmt.Errorf("serving: broker is required")
 	}
 	if c.ServeThreads <= 0 {
-		c.ServeThreads = 8
+		c.ServeThreads = runtime.GOMAXPROCS(0)
 	}
 	if c.Clock == nil {
 		c.Clock = clock.Wall()
@@ -101,36 +104,38 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// Request is a batch of sampling queries submitted to the serving pool; a
-// lone query is a batch of one. The serving actor assembles every member
-// in one turn and answers on Resp.
-type Request struct {
-	// Batch holds the members; routing keys on the first member's seed.
-	// Member deadlines derive from BatchItem.Budget pinned at Enqueued,
-	// each additionally capped by Deadline. Traced members record their
-	// stage decomposition into the worker's Tracer.
-	Batch []BatchItem
-	// Resp receives the per-member responses, index-aligned with Batch.
-	// Must be buffered.
-	Resp chan<- []Response
-	// Enqueued is the submit nanosecond (worker clock), stamped by Submit;
-	// the serving actor derives the queue-wait span from it.
-	Enqueued int64
-	// Deadline is the batch's absolute deadline in nanoseconds on the
+// request is an admitted batch of sampling queries on its way to the serve
+// actor its admission slot names; a lone query is a batch of one. The actor
+// assembles every member in one turn, answers on resp, and then frees the
+// slot.
+type request struct {
+	// batch holds the members. Traced members record their stage
+	// decomposition into the worker's Tracer.
+	batch []BatchItem
+	// resp receives the per-member responses, index-aligned with batch.
+	// It is buffered, so an actor answering a waiter that gave up never
+	// blocks.
+	resp chan []Response
+	// release frees the batch's admission slot; the actor calls it once
+	// the turn has answered.
+	release func()
+	// enqueued is the admission nanosecond (worker clock); the serving
+	// actor derives the queue-wait span from it.
+	enqueued int64
+	// deadline is the batch's absolute deadline in nanoseconds on the
 	// worker clock's epoch (0 = none): the minimum the frame carried. A
 	// member found expired at dequeue — or mid-assembly — fails fast with
 	// rpc.ErrDeadlineExceeded instead of finishing work the caller already
 	// abandoned.
-	Deadline int64
+	deadline int64
 }
 
 // Response carries one assembled answer.
 type Response struct {
 	// Result is the answer in its wire form. It aliases a pooled buffer:
 	// Release it once, after its last read.
-	Result  Encoded
-	Err     error
-	Latency time.Duration
+	Result Encoded
+	Err    error
 
 	asm *assembly
 }
@@ -217,7 +222,7 @@ type Worker struct {
 	// limiter admits sampling RPCs: a batch takes or loses one slot.
 	limiter    *overload.Limiter
 	updatePool *actor.Pool[cacheUpdate]
-	servePool  *actor.Pool[Request]
+	servePool  *actor.Pool[request]
 	sweeper    *actor.Loop
 
 	// lifeMu serializes Start/Stop; started alone is not enough — a
@@ -441,44 +446,25 @@ func (w *Worker) applyMessage(_ int, m wire.Message) {
 	}
 }
 
-// Submit enqueues a request on the serving pool; the responses arrive on
-// req.Resp. A request serializes behind its first member's seed on one
-// serving actor.
-func (w *Worker) Submit(req Request) {
-	if req.Enqueued == 0 {
-		req.Enqueued = w.cfg.Clock.Now().UnixNano()
-	}
-	w.servePool.Send(uint64(req.Batch[0].Seed), req)
-}
-
-// handleRequest is the serving actor turn: every member of one queued
-// request assembled back to back — one dequeue, K-hop loops run
+// handleRequest is the serving actor turn: every member of one admitted
+// batch assembled back to back — one dequeue, K-hop loops run
 // consecutively, per-member stage spans and slow-log exactly as if each had
-// arrived alone. Members expired by their own budget fail fast
-// individually without disturbing their batchmates.
+// arrived alone, all under the batch's one deadline. The turn answers and
+// then frees the batch's admission slot, so the slot stays held while its
+// actor is busy, whether or not the waiter is still there.
 //
 //lint:hotpath
-func (w *Worker) handleRequest(_ int, req Request) {
-	out := make([]Response, len(req.Batch))
-	for i := range req.Batch {
-		it := &req.Batch[i]
-		var deadline int64
-		if it.Budget > 0 {
-			deadline = req.Enqueued + it.Budget
-		}
-		if req.Deadline > 0 && (deadline == 0 || req.Deadline < deadline) {
-			deadline = req.Deadline
-		}
-		out[i] = w.serveOne(it, req.Enqueued, deadline)
+func (w *Worker) handleRequest(_ int, req request) {
+	defer req.release() // a panicking turn frees its slot too
+	out := make([]Response, len(req.batch))
+	for i := range req.batch {
+		out[i] = w.serveOne(&req.batch[i], req.enqueued, req.deadline)
 	}
-	if req.Resp != nil {
-		req.Resp <- out
-	}
+	req.resp <- out
 }
 
 // serveOne runs one member's deadline check, assembly, stage spans,
-// slow-log and trace recording. deadline is the member's, capped by its
-// batch's (0 = none).
+// slow-log and trace recording. deadline is the batch's (0 = none).
 //
 //lint:hotpath
 func (w *Worker) serveOne(it *BatchItem, enqueued, deadline int64) Response {
@@ -500,7 +486,7 @@ func (w *Worker) serveOne(it *BatchItem, enqueued, deadline int64) Response {
 	end := w.cfg.Clock.Now()
 	if err != nil {
 		a.release()
-		return Response{Err: err, Latency: end.Sub(start)}
+		return Response{Err: err}
 	}
 	w.stQueueWait.Observe(a.spans[0].Dur, it.Trace)
 	if it.Trace != 0 && w.cfg.SlowLog > 0 && end.Sub(start) >= w.cfg.SlowLog && w.cfg.Logger.Enabled(obs.LevelInfo) {
@@ -521,7 +507,7 @@ func (w *Worker) serveOne(it *BatchItem, enqueued, deadline int64) Response {
 			Total: end.UnixNano() - enqueued, Spans: slices.Clone(a.spans),
 		})
 	}
-	return Response{Result: a.finish(), Latency: end.Sub(start), asm: a}
+	return Response{Result: a.finish(), asm: a}
 }
 
 // unknownQuery is the outlined cold path for assemble's plan lookup miss, so

@@ -14,6 +14,7 @@ import (
 	"helios/internal/mq"
 	"helios/internal/obs"
 	"helios/internal/query"
+	"helios/internal/rpc"
 	"helios/internal/sampling"
 	"helios/internal/wire"
 )
@@ -308,21 +309,26 @@ func TestCachedSamplesIntrospection(t *testing.T) {
 	}
 }
 
-func TestSubmitServesThroughPool(t *testing.T) {
+func TestServeBatchServesThroughPool(t *testing.T) {
 	b := mq.NewBroker(mq.Options{})
 	defer b.Close()
 	w := newTestWorker(t, b)
 	w.Start()
 	defer w.Stop()
-	resp := make(chan []Response, 1)
-	w.Submit(Request{Batch: []BatchItem{{Query: 0, Seed: 1}}, Resp: resp})
-	r := (<-resp)[0]
+	out, err := w.ServeBatch(rpc.Ctx{}, []BatchItem{{Query: 0, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := out[0]
+	defer r.Release()
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
-	if r.Result == nil || r.Latency <= 0 {
+	if r.Result == nil {
 		t.Fatal("pool response malformed")
 	}
+	// The turn frees the slot after answering.
+	waitUntil(t, func() bool { return w.limiter.Inflight() == 0 && w.Stats().ServeDepth == 0 })
 }
 
 func TestStopReturnsPromptlyWithLongTTL(t *testing.T) {
